@@ -269,63 +269,6 @@ impl<R: Record, O: RecordOrd<R>> BPlusTree<R, O> {
         }
     }
 
-    /// Batched [`BPlusTree::lower_bound`]: position one cursor per probe
-    /// with a single level-order descent that reads each touched node
-    /// page **once**, however many probes route through it. Returns the
-    /// cursors in probe order. Equivalent to calling `lower_bound` per
-    /// probe, for `distinct-pages(touched)` reads instead of
-    /// `Σ levels`.
-    pub fn lower_bound_batch(
-        &self,
-        pager: &Pager,
-        probes: &[impl Probe<R>],
-    ) -> Result<Vec<Cursor<R>>> {
-        let mut out: Vec<Option<Cursor<R>>> = probes.iter().map(|_| None).collect();
-        if probes.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut frontier: Vec<(PageId, Vec<usize>)> =
-            vec![(self.root, (0..probes.len()).collect())];
-        while !frontier.is_empty() {
-            let mut next_level: Vec<(PageId, Vec<usize>)> = Vec::new();
-            let mut at: std::collections::HashMap<PageId, usize> = std::collections::HashMap::new();
-            for (id, qis) in frontier.drain(..) {
-                match read_node::<R>(pager, id)? {
-                    Node::Internal { children, seps, .. } => {
-                        for qi in qis {
-                            let idx = seps
-                                .iter()
-                                .take_while(|s| probes[qi].cmp_record(s) != Ordering::Less)
-                                .count();
-                            let child = children[idx];
-                            let slot = *at.entry(child).or_insert_with(|| {
-                                next_level.push((child, Vec::new()));
-                                next_level.len() - 1
-                            });
-                            next_level[slot].1.push(qi);
-                        }
-                    }
-                    Node::Leaf { records, next } => {
-                        for qi in qis {
-                            let idx = records
-                                .iter()
-                                .take_while(|r| probes[qi].cmp_record(r) == Ordering::Greater)
-                                .count();
-                            let mut cur = Cursor::at(records.clone(), idx, next);
-                            cur.normalize(pager)?;
-                            out[qi] = Some(cur);
-                        }
-                    }
-                }
-            }
-            frontier = next_level;
-        }
-        Ok(out
-            .into_iter()
-            .map(|c| c.expect("every probe reaches a leaf"))
-            .collect())
-    }
-
     /// The page id of the leaf a lower-bound descent for `probe` lands
     /// on. Used by fractional cascading to materialize bridge pointers.
     pub fn leaf_page_of(&self, pager: &Pager, probe: &impl Probe<R>) -> Result<PageId> {
@@ -1293,32 +1236,6 @@ mod tests {
         assert_eq!(t.len(), 500);
         assert_eq!(t.scan_all(&p).unwrap(), recs);
         assert!(t.height() >= 2, "500 records at cap 7 should be deep");
-    }
-
-    #[test]
-    fn lower_bound_batch_matches_sequential_with_fewer_reads() {
-        let p = pager(128);
-        let recs: Vec<KeyValue> = (0..600).map(|i| kv(i * 3)).collect();
-        let t = BPlusTree::bulk_load(&p, KeyOrder, &recs).unwrap();
-        let keys: Vec<i64> = vec![-5, 0, 7, 299, 300, 901, 902, 1797, 5000, 7, 299];
-        let before = p.stats();
-        let seq: Vec<Option<KeyValue>> = keys
-            .iter()
-            .map(|&k| t.lower_bound(&p, &probe(k)).unwrap().peek().copied())
-            .collect();
-        let seq_reads = (p.stats() - before).reads;
-        let probes: Vec<_> = keys.iter().map(|&k| probe(k)).collect();
-        let before = p.stats();
-        let cursors = t.lower_bound_batch(&p, &probes).unwrap();
-        let batch_reads = (p.stats() - before).reads;
-        assert_eq!(cursors.len(), keys.len());
-        for (i, c) in cursors.into_iter().enumerate() {
-            assert_eq!(c.peek().copied(), seq[i], "probe {} (key {})", i, keys[i]);
-        }
-        assert!(
-            batch_reads < seq_reads,
-            "batched descent {batch_reads} reads vs sequential {seq_reads}"
-        );
     }
 
     #[test]

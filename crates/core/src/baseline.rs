@@ -13,6 +13,7 @@
 //!   `t_stab ≥ t` counts segments crossing the whole vertical *line* —
 //!   the gap between stabbing and VS queries that motivates the paper.
 
+use crate::batch::one_slot;
 use crate::chain;
 use crate::report::QueryTrace;
 use segdb_geom::{MultiSink, ReportSink, Segment, VerticalQuery};
@@ -64,44 +65,21 @@ impl FullScan {
         Ok((out, trace))
     }
 
-    /// Streaming form of [`FullScan::query`]: push each hit into `sink`.
-    /// A `Break` abandons the rest of the chain — `pages_saved` in the
-    /// trace reports exactly how many pages that skipped.
+    /// Streaming form of [`FullScan::query`]: a group of one through
+    /// [`FullScan::query_group`].
     pub fn query_sink(
         &self,
         pager: &Pager,
         q: &VerticalQuery,
         sink: &mut dyn ReportSink,
     ) -> Result<QueryTrace> {
-        let scope = StatScope::begin(pager);
-        let mut hits = 0u64;
-        let flow = chain::scan_ctl(pager, self.head, |s| {
-            if q.hits(&s) {
-                hits += 1;
-                sink.report(&s)
-            } else {
-                ControlFlow::Continue(())
-            }
-        })?;
-        let io = scope.finish();
-        let total_pages = (self.len as usize).div_ceil(chain::cap(pager.page_size()).max(1)) as u64;
-        let pages_saved = if flow.is_break() {
-            total_pages.saturating_sub(io.reads + io.cache_hits)
-        } else {
-            0
-        };
-        Ok(QueryTrace {
-            hits: hits as u32,
-            pages_saved,
-            io,
-            ..QueryTrace::default()
-        })
+        one_slot(q, sink, |multi| self.query_group(pager, multi))
     }
 
-    /// Batched form of [`FullScan::query_sink`]: one chain scan feeds
-    /// every slot of `multi`; the scan stops early only once *all*
-    /// slots have retired.
-    pub fn query_batch_sink(&self, pager: &Pager, multi: &mut MultiSink<'_>) -> Result<QueryTrace> {
+    /// One chain scan feeds every slot of `multi`. The scan stops early
+    /// only once *all* slots have retired — `pages_saved` in the trace
+    /// reports exactly how many pages that skipped.
+    pub fn query_group(&self, pager: &Pager, multi: &mut MultiSink<'_>) -> Result<QueryTrace> {
         let scope = StatScope::begin(pager);
         let flow = chain::scan_ctl(pager, self.head, |s| multi.offer(&s))?;
         let io = scope.finish();
@@ -191,79 +169,48 @@ impl StabThenFilter {
         Ok((out, trace))
     }
 
-    /// Streaming form of [`StabThenFilter::query`]. For full-line
-    /// queries every stabbed candidate is a hit, so a count-only sink is
-    /// answered straight from the stab tree's stored counts without
-    /// touching the candidate lists.
+    /// Streaming form of [`StabThenFilter::query`]: a group of one
+    /// through [`StabThenFilter::query_group`].
     pub fn query_sink(
         &self,
         pager: &Pager,
         q: &VerticalQuery,
         sink: &mut dyn ReportSink,
     ) -> Result<QueryTrace> {
-        let scope = StatScope::begin(pager);
-        segdb_obs::trace::emit(
-            segdb_obs::trace::EventKind::SecondLevelProbe,
-            segdb_obs::trace::probe::STAB_TREE,
-            0,
-        );
-        if !sink.want_segments() && matches!(q, VerticalQuery::Line { .. }) {
-            let n = self.tree.stab_count(pager, q.x())?;
-            let _ = sink.report_count(n);
-            return Ok(QueryTrace {
-                second_level_probes: n as u32,
-                hits: n as u32,
-                io: scope.finish(),
-                ..QueryTrace::default()
-            });
-        }
-        let mut candidates = 0u32;
-        let mut hits = 0u64;
-        let _ = self.tree.stab_ctl(pager, q.x(), &mut |iv| {
-            candidates += 1;
-            let seg = self.segments[&iv.id];
-            if q.hits(&seg) {
-                hits += 1;
-                sink.report(&seg)
-            } else {
-                ControlFlow::Continue(())
-            }
-        })?;
-        Ok(QueryTrace {
-            second_level_probes: candidates,
-            hits: hits as u32,
-            io: scope.finish(),
-            ..QueryTrace::default()
-        })
+        one_slot(q, sink, |multi| self.query_group(pager, multi))
     }
 
-    /// Batched form of [`StabThenFilter::query_sink`]: every query's
-    /// stab shares one descent of the x-projection tree (see
-    /// [`IntervalTree::stab_batch_ctl`]); each candidate is resolved
-    /// from the side table once per interested query and exact-filtered
-    /// per slot. Count fast paths stay off in batch mode — the shared
-    /// walk materializes candidates for all slots anyway.
-    pub fn query_batch_sink(&self, pager: &Pager, multi: &mut MultiSink<'_>) -> Result<QueryTrace> {
+    /// Answer every slot of `multi`, one stab per slot: this comparison
+    /// baseline shares nothing across a group. For full-line queries
+    /// every stabbed candidate is a hit, so a count-only slot is
+    /// answered straight from the stab tree's stored counts without
+    /// touching the candidate lists.
+    pub fn query_group(&self, pager: &Pager, multi: &mut MultiSink<'_>) -> Result<QueryTrace> {
         let scope = StatScope::begin(pager);
-        segdb_obs::trace::emit(
-            segdb_obs::trace::EventKind::SecondLevelProbe,
-            segdb_obs::trace::probe::STAB_TREE,
-            0,
-        );
-        let xs: Vec<(i64, usize)> = (0..multi.len())
-            .filter(|&i| multi.is_active(i))
-            .map(|i| (multi.query(i).x(), i))
-            .collect();
         let mut candidates = 0u32;
-        self.tree.stab_batch_ctl(pager, &xs, &mut |i, iv| {
-            candidates += 1;
-            let seg = self.segments[&iv.id];
-            if multi.is_active(i) && multi.query(i).hits(&seg) {
-                multi.report(i, &seg)
-            } else {
-                ControlFlow::Continue(())
+        for i in 0..multi.len() {
+            segdb_obs::trace::emit(
+                segdb_obs::trace::EventKind::SecondLevelProbe,
+                segdb_obs::trace::probe::STAB_TREE,
+                0,
+            );
+            let q = *multi.query(i);
+            if !multi.want_segments(i) && matches!(q, VerticalQuery::Line { .. }) {
+                let n = self.tree.stab_count(pager, q.x())?;
+                candidates += n as u32;
+                let _ = multi.report_count(i, n);
+                continue;
             }
-        })?;
+            let _ = self.tree.stab_ctl(pager, q.x(), &mut |iv| {
+                candidates += 1;
+                let seg = self.segments[&iv.id];
+                if q.hits(&seg) {
+                    multi.report(i, &seg)
+                } else {
+                    ControlFlow::Continue(())
+                }
+            })?;
+        }
         Ok(QueryTrace {
             second_level_probes: candidates,
             io: scope.finish(),

@@ -1,33 +1,41 @@
-//! Batched query execution: one shared index walk answers a whole
-//! group of queries.
+//! Group execution — the one read path.
 //!
-//! Sequential execution pays the `O(log_B n)` descent once *per query*;
-//! under concurrency the same internal pages are re-read over and over.
-//! [`SegmentDatabase::query_batch_canonical_mode`] instead pushes every
-//! query of a batch down the index together — each page on the shared
-//! frontier is read **once per batch**, and hits are fanned out to
-//! per-query sinks through [`MultiSink`]. Early-exit modes (`Exists`,
-//! `Limit`) retire their slot without disturbing batchmates; the walk
-//! stops early only once every slot has retired.
+//! Every query runs as a *group*: the slots of a [`MultiSink`] pushed
+//! down the index together, each page on the shared frontier read
+//! **once per group** and hits fanned out to per-slot sinks. A single
+//! query is a group of one — [`SegmentDatabase::query_canonical_mode`]
+//! and [`SegmentDatabase::query_batch_canonical_mode`] run the same
+//! walk, so there is no sequential twin to drift from it. Early-exit
+//! modes (`Exists`, `Limit`) retire their slot without disturbing the
+//! rest of the group, and a retired slot is dropped from every later
+//! probe list before that structure's pages are read; the walk ends
+//! once every slot has retired.
 //!
-//! Semantics relative to sequential execution:
+//! Per-slot rules, whatever the group size:
 //!
-//! * `Collect` / `Count` / `Exists` answers are bit-identical to running
-//!   each query alone.
-//! * `Limit(k)` answers have the same *size* and every element is a true
-//!   hit, but which `k` of the hits are returned may differ — the shared
-//!   walk delivers hits in a different (still deterministic) order.
-//! * Count-from-header fast paths are taken per-slot where the walk can
-//!   still serve them (subtree counts); batching never changes a count.
+//! * `Collect` / `Count` / `Exists` answers do not depend on the group a
+//!   query ran in. `Limit(k)` answers have the same *size* and every
+//!   element is a true hit; a group of one delivers hits in one fixed
+//!   traversal order, a larger group may surface a different `k`.
+//! * Count-only slots take the count-from-header fast paths (stored
+//!   subtree counts); lazily-deleted segments are subtracted per slot
+//!   (see [`Slots`]), segment-wanting slots filter them inline.
+//! * A group of one reports `batch_id = 0` / `batch_size = 0`.
 //!
-//! Fault isolation: if the shared walk fails (e.g. a transient device
-//! error), the batch falls back to running each query alone, so one
-//! poisoned page affects only the queries that actually need it.
+//! Fault isolation: if the walk of a group of several fails (e.g. a
+//! transient device error), each query is re-run as a group of one
+//! through the same code, so one poisoned page affects only the queries
+//! that actually need it.
 
+use crate::chain;
 use crate::facade::{DbError, SegmentDatabase};
 use crate::report::{CountingSink, QueryAnswer, QueryMode, QueryTrace};
 use segdb_geom::{CountSink, ExistsSink, LimitSink, MultiSink, ReportSink, Segment, VerticalQuery};
-use segdb_pager::{IoStats, StatScope};
+use segdb_itree::overlap::IntervalSet;
+use segdb_obs::trace::{emit, probe, EventKind};
+use segdb_pager::{IoStats, PageId, Pager, PagerError};
+use segdb_pst::BatchQuery;
+use std::collections::HashSet;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -38,6 +46,226 @@ static NEXT_BATCH_ID: AtomicU64 = AtomicU64::new(1);
 /// Draw a fresh nonzero batch id.
 pub fn next_batch_id() -> u64 {
     NEXT_BATCH_ID.fetch_add(1, Ordering::Relaxed)
+}
+
+/// The slots of one group walk as the two-level structures address
+/// them: delivery by slot index with the lazy-delete rules applied.
+///
+/// A structure that deletes lazily keeps tombstoned segments in its
+/// pages, so a walk meets them. Segment-wanting slots have them filtered
+/// out by id. Count-only slots keep the count-from-header fast paths:
+/// the tombstone chain carries full geometry, so each slot starts with a
+/// *debt* — the number of tombstones its query hits — and stored hits
+/// pay it off before any reaches the sink. The sink therefore sees
+/// exactly `stored − tombstoned`, and an `Exists` slot can still stop at
+/// the first live hit.
+pub(crate) struct Slots<'m, 'a> {
+    multi: &'m mut MultiSink<'a>,
+    /// Ids withheld from the slots that are filtered one segment at a
+    /// time.
+    tomb_ids: HashSet<u64>,
+    /// Per slot, tombstoned hits still to cancel (empty when no slot
+    /// owes any).
+    debt: Vec<u64>,
+    /// The chain holds bare ids (pre-v3 format): nothing can be
+    /// subtracted, so every slot is filtered and count paths are off.
+    ids_only: bool,
+}
+
+impl<'m, 'a> Slots<'m, 'a> {
+    /// Slots of a structure without lazy deletes.
+    pub(crate) fn plain(multi: &'m mut MultiSink<'a>) -> Self {
+        Slots {
+            multi,
+            tomb_ids: HashSet::new(),
+            debt: Vec::new(),
+            ids_only: false,
+        }
+    }
+
+    /// Slots of a structure whose tombstone chain starts at `head` —
+    /// read here, once for the whole group. `segments` tells the chain
+    /// format: full segments ([`crate::chain`]) or bare ids
+    /// (`segdb_pst::tombs`).
+    pub(crate) fn with_tombstones(
+        multi: &'m mut MultiSink<'a>,
+        pager: &Pager,
+        head: PageId,
+        segments: bool,
+    ) -> segdb_pager::Result<Self> {
+        let mut slots = Slots::plain(multi);
+        if !segments {
+            slots.ids_only = true;
+            slots.tomb_ids = segdb_pst::tombs::load(pager, head)?.into_iter().collect();
+            return Ok(slots);
+        }
+        let multi = &*slots.multi;
+        let filtered = (0..multi.len()).any(|i| multi.want_segments(i));
+        let mut debt = vec![0u64; multi.len()];
+        let mut tomb_ids = HashSet::new();
+        chain::scan(pager, head, |s| {
+            if filtered {
+                tomb_ids.insert(s.id);
+            }
+            for (i, owed) in debt.iter_mut().enumerate() {
+                if !multi.want_segments(i) && multi.query(i).hits(&s) {
+                    *owed += 1;
+                }
+            }
+        })?;
+        slots.tomb_ids = tomb_ids;
+        slots.debt = debt;
+        Ok(slots)
+    }
+
+    /// The group as index walks carry it: one probe per slot, tagged
+    /// with the slot index, in abscissa order — so the slots falling
+    /// into one slab, or on one side of a base line, are always a
+    /// consecutive range that can be handed to a sub-walk as is.
+    pub(crate) fn probes(&self) -> Vec<BatchQuery> {
+        let mut group: Vec<BatchQuery> = (0..self.multi.len())
+            .map(|tag| {
+                let q = self.multi.query(tag);
+                BatchQuery {
+                    qx: q.x(),
+                    lo: q.lo(),
+                    hi: q.hi(),
+                    tag,
+                }
+            })
+            .collect();
+        group.sort_unstable_by_key(|p| (p.qx, p.tag));
+        group
+    }
+
+    /// Is slot `i` still accepting results?
+    pub(crate) fn is_active(&self, i: usize) -> bool {
+        self.multi.is_active(i)
+    }
+
+    /// May slot `i` be answered from stored counts
+    /// ([`Slots::report_count`]) instead of segment by segment?
+    pub(crate) fn counts(&self, i: usize) -> bool {
+        !self.ids_only && !self.multi.want_segments(i)
+    }
+
+    /// Deliver one stored segment to slot `i`; `Break` means the slot
+    /// has retired.
+    pub(crate) fn report(&mut self, i: usize, seg: &Segment) -> ControlFlow<()> {
+        if !self.debt.is_empty() && self.counts(i) {
+            return self.report_count(i, 1);
+        }
+        if self.tomb_ids.contains(&seg.id) {
+            return ControlFlow::Continue(());
+        }
+        self.multi.report(i, seg)
+    }
+
+    /// Deliver `n` stored matches to slot `i` in bulk (only when
+    /// [`Slots::counts`] holds for it).
+    pub(crate) fn report_count(&mut self, i: usize, n: u64) -> ControlFlow<()> {
+        let paid = self.debt.get(i).map_or(0, |owed| n.min(*owed));
+        if paid > 0 {
+            self.debt[i] -= paid;
+        }
+        if n == paid && self.multi.is_active(i) {
+            return ControlFlow::Continue(());
+        }
+        self.multi.report_count(i, n - paid)
+    }
+
+    /// Probe a `C` set — the verticals lying on the line `x = x0`, kept
+    /// as intervals over their ordinate ranges — for each slot of
+    /// `group`, all of them queries on that line: from the set's stored
+    /// counts where the slot allows, by an overlap walk otherwise.
+    pub(crate) fn probe_on_line(
+        &mut self,
+        pager: &Pager,
+        set: &IntervalSet,
+        x0: i64,
+        group: &[BatchQuery],
+        trace: &mut QueryTrace,
+    ) -> segdb_pager::Result<()> {
+        for p in group {
+            emit(EventKind::SecondLevelProbe, probe::C_SET, 0);
+            trace.second_level_probes += 1;
+            if self.counts(p.tag) {
+                let n = set.overlap_count(pager, p.lo, p.hi)?;
+                let _ = self.report_count(p.tag, n);
+                continue;
+            }
+            let mut bad = false;
+            let _ = set.overlap_ctl(pager, p.lo, p.hi, &mut |iv| match Segment::new(
+                iv.id,
+                (x0, iv.lo),
+                (x0, iv.hi),
+            ) {
+                Ok(s) => self.report(p.tag, &s),
+                Err(_) => {
+                    bad = true;
+                    ControlFlow::Break(())
+                }
+            })?;
+            if bad {
+                return Err(PagerError::Corrupt("bad on-line interval"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Drop retired slots from `group`, keeping its order; the live
+    /// probes are `group[..n]` for the returned `n`.
+    pub(crate) fn retain_live(&self, group: &mut [BatchQuery]) -> usize {
+        let mut live = 0;
+        for at in 0..group.len() {
+            if self.multi.is_active(group[at].tag) {
+                group[live] = group[at];
+                live += 1;
+            }
+        }
+        live
+    }
+
+    /// A first-level leaf: scan its chain once for every slot of
+    /// `group`, stopping as soon as none is left.
+    pub(crate) fn scan_leaf(
+        &mut self,
+        pager: &Pager,
+        head: PageId,
+        group: &[BatchQuery],
+    ) -> segdb_pager::Result<()> {
+        let _ = chain::scan_ctl(pager, head, |s| {
+            let mut live = false;
+            for p in group {
+                if self.is_active(p.tag) {
+                    let hit = segdb_geom::predicates::hits_vertical(&s, p.qx, p.lo, p.hi);
+                    live |= !hit || self.report(p.tag, &s).is_continue();
+                }
+            }
+            if live {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
+            }
+        })?;
+        Ok(())
+    }
+}
+
+/// A single query is a group of one: run `walk` over a one-slot
+/// [`MultiSink`] feeding `sink`, and fill in the slot's hit count.
+pub(crate) fn one_slot(
+    q: &VerticalQuery,
+    sink: &mut dyn ReportSink,
+    walk: impl FnOnce(&mut MultiSink<'_>) -> segdb_pager::Result<QueryTrace>,
+) -> segdb_pager::Result<QueryTrace> {
+    let mut counting = CountingSink::new(sink);
+    let mut multi = MultiSink::new();
+    multi.push(*q, &mut counting);
+    let mut trace = walk(&mut multi)?;
+    drop(multi);
+    trace.hits = counting.hits.min(u32::MAX as u64) as u32;
+    Ok(trace)
 }
 
 /// Per-slot sink implementing that slot's [`QueryMode`], with the answer
@@ -59,8 +287,9 @@ impl ModeSink {
         }
     }
 
-    /// Shear segment-carrying answers back to user coordinates (the
-    /// same normalization `run_mode` applies sequentially).
+    /// Segment-carrying answers are sheared back to user coordinates
+    /// and normalized; count/exists answers never materialize the
+    /// segments at all.
     fn into_answer(self, db: &SegmentDatabase) -> Result<QueryAnswer, DbError> {
         Ok(match self {
             ModeSink::Collect(v) => QueryAnswer::Segments(db.unshear(v)?),
@@ -100,97 +329,112 @@ impl ReportSink for ModeSink {
     }
 }
 
-/// Split the shared walk's I/O across `n` slots, remainder to the
-/// earliest slots, so per-query traces still sum to the batch total.
-fn split_io(total: IoStats, n: usize) -> Vec<IoStats> {
-    let nn = n as u64;
-    let part = |v: u64, i: usize| v / nn + u64::from((i as u64) < v % nn);
-    (0..n)
-        .map(|i| IoStats {
-            reads: part(total.reads, i),
-            writes: part(total.writes, i),
-            allocations: part(total.allocations, i),
-            frees: part(total.frees, i),
-            cache_hits: part(total.cache_hits, i),
-            pin_hits: part(total.pin_hits, i),
-        })
-        .collect()
+/// One query's place in a group: its mode's sink behind a hit tally.
+type Slot = CountingSink<ModeSink>;
+
+/// Slot `i`'s share of a walk's I/O split across `n` slots, remainder
+/// to the earliest slots, so per-query traces still sum to the total.
+fn io_share(total: IoStats, n: usize, i: usize) -> IoStats {
+    let part = |v: u64| v / n as u64 + u64::from((i as u64) < v % n as u64);
+    IoStats {
+        reads: part(total.reads),
+        writes: part(total.writes),
+        allocations: part(total.allocations),
+        frees: part(total.frees),
+        cache_hits: part(total.cache_hits),
+        pin_hits: part(total.pin_hits),
+    }
 }
 
 impl SegmentDatabase {
-    /// Execute a batch of canonical-frame queries with **one** shared
+    /// Walk the index once for the whole group; `slots[i]` receives
+    /// `items[i]`'s hits. Returns the walk's trace (I/O included).
+    fn run_slots(
+        &self,
+        items: &[(VerticalQuery, QueryMode)],
+        slots: &mut [Slot],
+    ) -> Result<QueryTrace, DbError> {
+        if items.is_empty() {
+            return Ok(QueryTrace::default());
+        }
+        let mut multi = MultiSink::new();
+        for (&(q, _), slot) in items.iter().zip(slots) {
+            multi.push(q, slot);
+        }
+        self.walk_group(&mut multi)
+    }
+
+    /// Turn a walked slot into its answer and its own trace: the walk's
+    /// shape, this slot's hits and its share `io` of the pages.
+    fn finish_slot(
+        &self,
+        slot: Slot,
+        mode: QueryMode,
+        walk: &QueryTrace,
+        io: IoStats,
+        batch: (u64, u32),
+    ) -> Result<(QueryAnswer, QueryTrace), DbError> {
+        let mut trace = QueryTrace {
+            hits: slot.hits.min(u32::MAX as u64) as u32,
+            mode,
+            io,
+            batch_id: batch.0,
+            batch_size: batch.1,
+            ..*walk
+        };
+        let answer = slot.inner.into_answer(self)?;
+        self.observe_trace(&mut trace);
+        Ok((answer, trace))
+    }
+
+    /// Run a canonical-frame query under `mode` — a group of one.
+    pub(crate) fn run_mode(
+        &self,
+        q: &VerticalQuery,
+        mode: QueryMode,
+    ) -> Result<(QueryAnswer, QueryTrace), DbError> {
+        let mut slot = [Slot::new(ModeSink::new(mode))];
+        let walk = self.run_slots(&[(*q, mode)], &mut slot)?;
+        let [slot] = slot;
+        self.finish_slot(slot, mode, &walk, walk.io, (0, 0))
+    }
+
+    /// Execute a group of canonical-frame queries with **one** shared
     /// index walk. Returns one result per item, in order.
     ///
-    /// Single-item batches (and empty ones) take the sequential path —
-    /// their traces carry `batch_id == 0`. If the shared walk errors,
-    /// every query is retried alone so batchmates of a failing query
-    /// still succeed; the per-query retries also report `batch_id == 0`.
+    /// Traces of a group of several carry its `batch_id` and size; a
+    /// group of one reports neither. If the walk of a group of several
+    /// errors, every query is re-run as a group of one, so batchmates of
+    /// a failing query still succeed.
     pub fn query_batch_canonical_mode(
         &self,
         items: &[(VerticalQuery, QueryMode)],
     ) -> Vec<Result<(QueryAnswer, QueryTrace), DbError>> {
-        if items.len() <= 1 {
-            return items
-                .iter()
-                .map(|(q, mode)| self.run_mode(q, *mode))
-                .collect();
-        }
-        let batch_id = next_batch_id();
-        let scope = StatScope::begin(self.pager());
-
-        let mut sinks: Vec<ModeSink> = items.iter().map(|&(_, mode)| ModeSink::new(mode)).collect();
-        let mut counters: Vec<CountingSink<'_>> = sinks
-            .iter_mut()
-            .map(|s| CountingSink::new(s as &mut dyn ReportSink))
+        let mut slots: Vec<Slot> = items
+            .iter()
+            .map(|&(_, mode)| Slot::new(ModeSink::new(mode)))
             .collect();
-        let mut multi = MultiSink::new();
-        for (&(q, _), c) in items.iter().zip(counters.iter_mut()) {
-            multi.push(q, c as &mut dyn ReportSink);
-        }
-
-        let walk = self.run_batch_sinks(&mut multi);
-        drop(multi);
-
-        let shared = match walk {
-            Ok(t) => t,
-            Err(_) => {
-                // Fault isolation: re-run each query alone so one bad
-                // page only fails the queries that truly need it.
-                return items
-                    .iter()
-                    .map(|(q, mode)| self.run_mode(q, *mode))
-                    .collect();
-            }
-        };
-
-        let hits: Vec<u64> = counters.iter().map(|c| c.hits).collect();
-        drop(counters);
-        let io = scope.finish();
-        let shares = split_io(io, items.len());
-
-        sinks
-            .into_iter()
-            .zip(items.iter())
-            .zip(hits)
-            .zip(shares)
-            .map(|(((sink, &(_, mode)), slot_hits), io)| {
-                let answer = sink.into_answer(self)?;
-                let mut trace = QueryTrace {
-                    first_level_nodes: shared.first_level_nodes,
-                    second_level_probes: shared.second_level_probes,
-                    bridge_jumps: shared.bridge_jumps,
-                    hits: slot_hits.min(u32::MAX as u64) as u32,
-                    mode,
-                    pages_saved: shared.pages_saved,
-                    io,
-                    batch_id,
-                    batch_size: items.len() as u32,
-                    ..QueryTrace::default()
+        match self.run_slots(items, &mut slots) {
+            Ok(walk) => {
+                let n = items.len();
+                let batch = if n > 1 {
+                    (next_batch_id(), n as u32)
+                } else {
+                    (0, 0)
                 };
-                self.observe_trace(&mut trace);
-                Ok((answer, trace))
-            })
-            .collect()
+                (slots.into_iter().zip(items).enumerate())
+                    .map(|(i, (slot, &(_, mode)))| {
+                        self.finish_slot(slot, mode, &walk, io_share(walk.io, n, i), batch)
+                    })
+                    .collect()
+            }
+            Err(e) => match items {
+                [_] => vec![Err(e)],
+                _ => (items.iter())
+                    .map(|(q, mode)| self.run_mode(q, *mode))
+                    .collect(),
+            },
+        }
     }
 }
 

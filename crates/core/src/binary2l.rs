@@ -31,17 +31,17 @@
 //! and the highest α-unbalanced subtree (α = ¾) is rebuilt from scratch,
 //! giving the same amortized `O(log₂ n + log_B n / B)` bound.
 
+use crate::batch::{one_slot, Slots};
 use crate::chain;
 use crate::report::QueryTrace;
-use segdb_geom::{FusedSink, MultiSink, ReportSink, Segment, VerticalQuery};
+use segdb_geom::{MultiSink, ReportSink, Segment, VerticalQuery};
 use segdb_itree::overlap::{IntervalSet, IntervalSetState};
 use segdb_itree::{Interval, IntervalTreeConfig};
 use segdb_obs::trace::{emit as obs_emit, probe, EventKind};
 use segdb_pager::{
     ByteReader, ByteWriter, PageId, Pager, PagerError, Result, StatScope, NULL_PAGE,
 };
-use segdb_pst::{Pst, PstConfig, PstState, Side};
-use std::ops::ControlFlow;
+use segdb_pst::{BatchQuery, Pst, PstConfig, PstState, Side};
 
 const TAG_LEAF: u8 = 1;
 const TAG_INTERNAL: u8 = 2;
@@ -205,251 +205,94 @@ impl TwoLevelBinary {
         Ok((out, trace))
     }
 
-    /// Streaming form of [`TwoLevelBinary::query`]: every hit is pushed
+    /// Streaming form of [`TwoLevelBinary::query`]: a group of one
+    /// through [`TwoLevelBinary::query_group`], so every hit is pushed
     /// into `sink` in traversal order (C(v) verticals, then the PST,
-    /// walking root to leaf). A `Break` stops the walk where it stands;
-    /// a count-only sink gets `C(v)` answered from the interval set's
-    /// stored counts without reading its lists.
+    /// walking root to leaf) and a `Break` stops the walk where it
+    /// stands.
     pub fn query_sink(
         &self,
         pager: &Pager,
         q: &VerticalQuery,
         sink: &mut dyn ReportSink,
     ) -> Result<QueryTrace> {
+        one_slot(q, sink, |multi| self.query_group(pager, multi))
+    }
+
+    /// The §3 search for every slot of `multi` at once: the group
+    /// descends the base-line tree together, so each first-level node is
+    /// read once per group and each node's `L(v)`/`R(v)` PST is walked
+    /// once for all the slots that probe it (see [`Pst::query_group`]).
+    /// A slot's `Break` retires that slot alone — it is dropped from the
+    /// next probe list before that structure's pages are read — and the
+    /// walk ends when no slot is left. A count-only slot gets `C(v)`
+    /// answered from the interval set's stored counts without reading
+    /// its lists.
+    pub fn query_group(&self, pager: &Pager, multi: &mut MultiSink<'_>) -> Result<QueryTrace> {
         let scope = StatScope::begin(pager);
         let mut trace = QueryTrace::default();
-        let mut sink = FusedSink::new(sink);
-        let mut hits = 0u64;
-        let (x0, lo, hi) = (q.x(), q.lo(), q.hi());
-        let mut page = self.root;
-        while page != NULL_PAGE && !sink.broke() {
-            obs_emit(
-                EventKind::FirstLevelVisit,
-                u64::from(page),
-                trace.first_level_nodes as u64,
-            );
-            trace.first_level_nodes += 1;
-            let node = read_node(pager, page)?;
-            match node {
-                Node::Leaf { head, .. } => {
-                    let _ = chain::scan_ctl(pager, head, |s| {
-                        if q.hits(&s) {
-                            hits += 1;
-                            sink.report(&s)
-                        } else {
-                            ControlFlow::Continue(())
-                        }
-                    })?;
-                    break;
-                }
-                Node::Internal(n) => {
-                    if x0 == n.xv {
-                        // C(v): on-line verticals overlapping [lo, hi].
-                        let c = IntervalSet::attach(pager, IntervalTreeConfig::default(), n.c)?;
-                        obs_emit(EventKind::SecondLevelProbe, probe::C_SET, 0);
-                        trace.second_level_probes += 1;
-                        if !sink.want_segments() {
-                            let cnt = c.overlap_count(pager, lo, hi)?;
-                            hits += cnt;
-                            let _ = sink.report_count(cnt);
-                        } else {
-                            let mut bad = false;
-                            let _ = c.overlap_ctl(pager, lo, hi, &mut |iv| match Segment::new(
-                                iv.id,
-                                (n.xv, iv.lo),
-                                (n.xv, iv.hi),
-                            ) {
-                                Ok(s) => {
-                                    hits += 1;
-                                    sink.report(&s)
-                                }
-                                Err(_) => {
-                                    bad = true;
-                                    ControlFlow::Break(())
-                                }
-                            })?;
-                            if bad {
-                                return Err(PagerError::Corrupt("bad C(v) interval"));
-                            }
-                        }
-                        if sink.broke() {
-                            break;
-                        }
-                        // L(v) holds every crossing segment; the query
-                        // line passes through all their base points.
-                        let l = Pst::attach(pager, n.xv, Side::Left, self.cfg.pst, n.l)?;
-                        obs_emit(EventKind::SecondLevelProbe, probe::L_PST, 0);
-                        let st = l.query_sink(pager, x0, lo, hi, &mut sink)?;
-                        hits += st.hits as u64;
-                        trace.second_level_probes += 1;
-                        break;
-                    } else if x0 < n.xv {
-                        let l = Pst::attach(pager, n.xv, Side::Left, self.cfg.pst, n.l)?;
-                        obs_emit(EventKind::SecondLevelProbe, probe::L_PST, 0);
-                        let st = l.query_sink(pager, x0, lo, hi, &mut sink)?;
-                        hits += st.hits as u64;
-                        trace.second_level_probes += 1;
-                        page = n.left;
-                    } else {
-                        let r = Pst::attach(pager, n.xv, Side::Right, self.cfg.pst, n.r)?;
-                        obs_emit(EventKind::SecondLevelProbe, probe::R_PST, 0);
-                        let st = r.query_sink(pager, x0, lo, hi, &mut sink)?;
-                        hits += st.hits as u64;
-                        trace.second_level_probes += 1;
-                        page = n.right;
-                    }
-                }
-            }
-        }
-        trace.hits = hits.min(u32::MAX as u64) as u32;
+        let mut slots = Slots::plain(multi);
+        let mut group = slots.probes();
+        self.walk(pager, &mut slots, self.root, &mut group, &mut trace)?;
         trace.io = scope.finish();
         Ok(trace)
     }
 
-    /// Batched form of [`TwoLevelBinary::query_sink`]: the whole batch
-    /// descends the base-line tree level by level, so each first-level
-    /// node is read once per batch, and every node's `L(v)`/`R(v)` PSTs
-    /// are walked once for all the slots that probe them (see
-    /// [`Pst::query_batch_sink`]). Per-slot `Break` retires only that
-    /// slot; the walk keeps charging pages while any slot is active.
-    pub fn query_batch_sink(&self, pager: &Pager, multi: &mut MultiSink<'_>) -> Result<QueryTrace> {
-        let scope = StatScope::begin(pager);
-        let mut trace = QueryTrace::default();
-        let mut frontier: Vec<(PageId, Vec<usize>)> = if self.root == NULL_PAGE {
-            Vec::new()
-        } else {
-            vec![(self.root, (0..multi.len()).collect())]
-        };
-        while !frontier.is_empty() {
-            let mut next: Vec<(PageId, Vec<usize>)> = Vec::new();
-            for (page, group) in frontier.drain(..) {
-                let group: Vec<usize> = group.into_iter().filter(|&i| multi.is_active(i)).collect();
-                if group.is_empty() {
-                    continue;
-                }
-                obs_emit(
-                    EventKind::FirstLevelVisit,
-                    u64::from(page),
-                    trace.first_level_nodes as u64,
-                );
-                trace.first_level_nodes += 1;
-                match read_node(pager, page)? {
-                    Node::Leaf { head, .. } => {
-                        let _ = chain::scan_ctl(pager, head, |s| {
-                            for &i in &group {
-                                if multi.is_active(i) && multi.query(i).hits(&s) {
-                                    let _ = multi.report(i, &s);
-                                }
-                            }
-                            if group.iter().any(|&i| multi.is_active(i)) {
-                                ControlFlow::Continue(())
-                            } else {
-                                ControlFlow::Break(())
-                            }
-                        })?;
-                    }
-                    Node::Internal(n) => {
-                        let mut lqs: Vec<segdb_pst::BatchQuery> = Vec::new();
-                        let mut rqs: Vec<segdb_pst::BatchQuery> = Vec::new();
-                        let (mut lkids, mut rkids) = (Vec::new(), Vec::new());
-                        let mut c_set: Option<IntervalSet> = None;
-                        for &i in &group {
-                            let q = *multi.query(i);
-                            let (x0, lo, hi) = (q.x(), q.lo(), q.hi());
-                            if x0 == n.xv {
-                                // C(v): on-line verticals overlapping [lo, hi].
-                                let c = match &c_set {
-                                    Some(c) => c,
-                                    None => {
-                                        c_set = Some(IntervalSet::attach(
-                                            pager,
-                                            IntervalTreeConfig::default(),
-                                            n.c,
-                                        )?);
-                                        c_set.as_ref().expect("just set")
-                                    }
-                                };
-                                obs_emit(EventKind::SecondLevelProbe, probe::C_SET, 0);
-                                trace.second_level_probes += 1;
-                                if !multi.want_segments(i) {
-                                    let cnt = c.overlap_count(pager, lo, hi)?;
-                                    let _ = multi.report_count(i, cnt);
-                                } else {
-                                    let mut bad = false;
-                                    let _ =
-                                        c.overlap_ctl(
-                                            pager,
-                                            lo,
-                                            hi,
-                                            &mut |iv| match Segment::new(
-                                                iv.id,
-                                                (n.xv, iv.lo),
-                                                (n.xv, iv.hi),
-                                            ) {
-                                                Ok(s) => multi.report(i, &s),
-                                                Err(_) => {
-                                                    bad = true;
-                                                    ControlFlow::Break(())
-                                                }
-                                            },
-                                        )?;
-                                    if bad {
-                                        return Err(PagerError::Corrupt("bad C(v) interval"));
-                                    }
-                                }
-                                // L(v) holds every crossing segment; the
-                                // query stops at this node afterwards.
-                                if multi.is_active(i) {
-                                    lqs.push(segdb_pst::BatchQuery {
-                                        qx: x0,
-                                        lo,
-                                        hi,
-                                        tag: i,
-                                    });
-                                }
-                            } else if x0 < n.xv {
-                                lqs.push(segdb_pst::BatchQuery {
-                                    qx: x0,
-                                    lo,
-                                    hi,
-                                    tag: i,
-                                });
-                                lkids.push(i);
-                            } else {
-                                rqs.push(segdb_pst::BatchQuery {
-                                    qx: x0,
-                                    lo,
-                                    hi,
-                                    tag: i,
-                                });
-                                rkids.push(i);
-                            }
-                        }
-                        if !lqs.is_empty() {
-                            let l = Pst::attach(pager, n.xv, Side::Left, self.cfg.pst, n.l)?;
-                            obs_emit(EventKind::SecondLevelProbe, probe::L_PST, 0);
-                            trace.second_level_probes += 1;
-                            l.query_batch_sink(pager, &lqs, &mut |i, s| multi.report(i, s))?;
-                        }
-                        if !rqs.is_empty() {
-                            let r = Pst::attach(pager, n.xv, Side::Right, self.cfg.pst, n.r)?;
-                            obs_emit(EventKind::SecondLevelProbe, probe::R_PST, 0);
-                            trace.second_level_probes += 1;
-                            r.query_batch_sink(pager, &rqs, &mut |i, s| multi.report(i, s))?;
-                        }
-                        if n.left != NULL_PAGE && !lkids.is_empty() {
-                            next.push((n.left, lkids));
-                        }
-                        if n.right != NULL_PAGE && !rkids.is_empty() {
-                            next.push((n.right, rkids));
-                        }
-                    }
-                }
-            }
-            frontier = next;
+    /// Visit `page` for `group` — live slots in abscissa order, so the
+    /// slots left of, on and right of the base line are three
+    /// consecutive ranges.
+    fn walk(
+        &self,
+        pager: &Pager,
+        slots: &mut Slots<'_, '_>,
+        page: PageId,
+        group: &mut [BatchQuery],
+        trace: &mut QueryTrace,
+    ) -> Result<()> {
+        if page == NULL_PAGE || group.is_empty() {
+            return Ok(());
         }
-        trace.io = scope.finish();
-        Ok(trace)
+        obs_emit(
+            EventKind::FirstLevelVisit,
+            u64::from(page),
+            trace.first_level_nodes as u64,
+        );
+        trace.first_level_nodes += 1;
+        let n = match read_node(pager, page)? {
+            Node::Leaf { head, .. } => return slots.scan_leaf(pager, head, group),
+            Node::Internal(n) => n,
+        };
+        let on_line = group.partition_point(|p| p.qx < n.xv);
+        let right = group.partition_point(|p| p.qx <= n.xv);
+        let (group, right) = group.split_at_mut(right);
+        if on_line < group.len() {
+            let c = IntervalSet::attach(pager, IntervalTreeConfig::default(), n.c)?;
+            slots.probe_on_line(pager, &c, n.xv, &group[on_line..], trace)?;
+        }
+        // L(v) serves the slots left of the line and, since it holds
+        // every crossing segment at its base point, the ones on it —
+        // those stop here; querying R(v) too would double-report.
+        let live = slots.retain_live(group);
+        let group = &mut group[..live];
+        if !group.is_empty() {
+            let l = Pst::attach(pager, n.xv, Side::Left, self.cfg.pst, n.l)?;
+            obs_emit(EventKind::SecondLevelProbe, probe::L_PST, 0);
+            trace.second_level_probes += 1;
+            l.query_group(pager, group, &mut |i, s| slots.report(i, s))?;
+        }
+        if !right.is_empty() {
+            let r = Pst::attach(pager, n.xv, Side::Right, self.cfg.pst, n.r)?;
+            obs_emit(EventKind::SecondLevelProbe, probe::R_PST, 0);
+            trace.second_level_probes += 1;
+            r.query_group(pager, right, &mut |i, s| slots.report(i, s))?;
+        }
+        let (xv, left_page, right_page) = (n.xv, n.left, n.right);
+        drop(n);
+        let live = slots.retain_live(group);
+        let left = group[..live].partition_point(|p| p.qx < xv);
+        self.walk(pager, slots, left_page, &mut group[..left], trace)?;
+        let live = slots.retain_live(right);
+        self.walk(pager, slots, right_page, &mut right[..live], trace)
     }
 
     /// Pages of the first-level tree's internal nodes, breadth-first

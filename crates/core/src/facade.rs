@@ -14,10 +14,7 @@ use crate::persist::Superblock;
 use crate::report::{normalize, QueryAnswer, QueryMode, QueryTrace};
 use segdb_geom::nct::verify_nct;
 use segdb_geom::transform::Direction;
-use segdb_geom::{
-    CountSink, ExistsSink, GeomError, LimitSink, MultiSink, Point, ReportSink, Segment,
-    VerticalQuery,
-};
+use segdb_geom::{GeomError, MultiSink, Point, Segment, VerticalQuery};
 use segdb_itree::tree::ItState;
 use segdb_obs::cost::{CostKind, CostModel, Fitter};
 use segdb_obs::trace::TraceSummary;
@@ -883,71 +880,19 @@ impl SegmentDatabase {
         }
     }
 
-    /// One streaming traversal of the index, pushing into `sink`.
-    fn run_sink(
-        &self,
-        q: &VerticalQuery,
-        sink: &mut dyn ReportSink,
-    ) -> Result<QueryTrace, DbError> {
+    /// One shared traversal of the index answering every slot of
+    /// `multi` — the only way a query reads index pages (see
+    /// [`crate::batch`]).
+    pub(crate) fn walk_group(&self, multi: &mut MultiSink<'_>) -> Result<QueryTrace, DbError> {
         Ok(match &self.index {
-            Index::Binary(x) => x.query_sink(&self.pager, q, sink)?,
-            Index::Interval(x) => x.query_sink(&self.pager, q, sink)?,
-            Index::Scan(x) => x.query_sink(&self.pager, q, sink)?,
-            Index::Stab(x) => x.query_sink(&self.pager, q, sink)?,
+            Index::Binary(x) => x.query_group(&self.pager, multi)?,
+            Index::Interval(x) => x.query_group(&self.pager, multi)?,
+            Index::Scan(x) => x.query_group(&self.pager, multi)?,
+            Index::Stab(x) => x.query_group(&self.pager, multi)?,
         })
-    }
-
-    /// One shared traversal of the index answering every live slot of
-    /// `multi` — the batched counterpart of [`run_sink`](Self::run_sink).
-    pub(crate) fn run_batch_sinks(&self, multi: &mut MultiSink<'_>) -> Result<QueryTrace, DbError> {
-        Ok(match &self.index {
-            Index::Binary(x) => x.query_batch_sink(&self.pager, multi)?,
-            Index::Interval(x) => x.query_batch_sink(&self.pager, multi)?,
-            Index::Scan(x) => x.query_batch_sink(&self.pager, multi)?,
-            Index::Stab(x) => x.query_batch_sink(&self.pager, multi)?,
-        })
-    }
-
-    /// Run a canonical-frame query under `mode`. Segment-carrying
-    /// answers are sheared back to user coordinates and normalized;
-    /// count/exists answers never materialize the segments at all.
-    pub(crate) fn run_mode(
-        &self,
-        q: &VerticalQuery,
-        mode: QueryMode,
-    ) -> Result<(QueryAnswer, QueryTrace), DbError> {
-        let (answer, mut trace) = match mode {
-            QueryMode::Collect => {
-                let mut out = Vec::new();
-                let trace = self.run_sink(q, &mut out)?;
-                (QueryAnswer::Segments(self.unshear(out)?), trace)
-            }
-            QueryMode::Count => {
-                let mut sink = CountSink::new();
-                let trace = self.run_sink(q, &mut sink)?;
-                (QueryAnswer::Count(sink.count), trace)
-            }
-            QueryMode::Exists => {
-                let mut sink = ExistsSink::new();
-                let trace = self.run_sink(q, &mut sink)?;
-                (QueryAnswer::Exists(sink.found), trace)
-            }
-            QueryMode::Limit(k) => {
-                let mut sink = LimitSink::new(k as usize);
-                let trace = self.run_sink(q, &mut sink)?;
-                (QueryAnswer::Segments(self.unshear(sink.into_vec())?), trace)
-            }
-        };
-        trace.mode = mode;
-        if let Some(obs) = &self.obs {
-            self.observe_query(obs, &mut trace);
-        }
-        Ok((answer, trace))
     }
 
     /// Feed one finished query into the observer, when one is on.
-    /// Batch execution uses this after splitting the shared-walk I/O
-    /// across slots; `run_mode` keeps its inline call.
     pub(crate) fn observe_trace(&self, trace: &mut QueryTrace) {
         if let Some(obs) = &self.obs {
             self.observe_query(obs, trace);

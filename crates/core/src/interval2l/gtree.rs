@@ -89,22 +89,30 @@ fn alloc_rec(nodes: &[GNode], idx: usize, fa: usize, fb: usize, out: &mut Vec<us
     alloc_rec(nodes, n.right, fa, fb, out);
 }
 
-/// Root-to-leaf path of skeleton indices for a query in slab `j`
-/// (`1 ≤ j ≤ k−1`); empty if `j` is outside the spannable slabs.
-pub fn path(nodes: &[GNode], j: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    if nodes.is_empty() || j < nodes[0].a || j > nodes[0].b {
-        return out;
-    }
-    let mut idx = 0usize;
-    loop {
-        out.push(idx);
-        let n = nodes[idx];
-        if n.is_leaf() {
-            return out;
-        }
-        idx = if j <= n.mid() { n.left } else { n.right };
-    }
+/// Root-to-leaf path for a query in slab `j` (`1 ≤ j ≤ k−1`), as
+/// `(skeleton index, node)` pairs; empty if `j` is outside the spannable
+/// slabs. The skeleton is laid out in pre-order, so the path follows by
+/// index arithmetic — a left subtree over `m` slabs holds `2m − 1`
+/// nodes — without building the skeleton.
+pub fn path(k: usize, j: usize) -> impl Iterator<Item = (usize, GNode)> {
+    let mut next = (1..k).contains(&j).then_some((0usize, 1usize, k - 1));
+    std::iter::from_fn(move || {
+        let (idx, a, b) = next?;
+        let mid = (a + b) / 2;
+        let (left, right) = if a == b {
+            (idx, idx)
+        } else {
+            (idx + 1, idx + 2 * (mid - a + 1))
+        };
+        next = (a < b).then(|| {
+            if j <= mid {
+                (left, a, mid)
+            } else {
+                (right, mid + 1, b)
+            }
+        });
+        Some((idx, GNode { a, b, left, right }))
+    })
 }
 
 #[cfg(test)]
@@ -176,19 +184,19 @@ mod tests {
         for k in 2..24 {
             let s = skeleton(k);
             for j in 1..k {
-                let p = path(&s, j);
+                let p: Vec<(usize, GNode)> = path(k, j).collect();
                 assert!(!p.is_empty());
-                // Path = every node covering slab j.
-                let covering: Vec<usize> = (0..s.len())
+                // Path = every node covering slab j, exactly as the
+                // skeleton stores it.
+                let covering: Vec<(usize, GNode)> = (0..s.len())
                     .filter(|&i| s[i].a <= j && j <= s[i].b)
+                    .map(|i| (i, s[i]))
                     .collect();
-                let mut sorted = p.clone();
-                sorted.sort_unstable();
-                assert_eq!(sorted, covering, "k={k} j={j}");
-                assert!(s[*p.last().unwrap()].is_leaf());
+                assert_eq!(p, covering, "k={k} j={j}");
+                assert!(p.last().unwrap().1.is_leaf());
             }
-            assert!(path(&s, 0).is_empty());
-            assert!(path(&s, k).is_empty());
+            assert_eq!(path(k, 0).count(), 0);
+            assert_eq!(path(k, k).count(), 0);
         }
     }
 
@@ -204,8 +212,7 @@ mod tests {
                 let mut idxs = Vec::new();
                 allocation(&s, fa, fb, &mut idxs);
                 for j in fa..=fb {
-                    let p = path(&s, j);
-                    let on_path = idxs.iter().filter(|i| p.contains(i)).count();
+                    let on_path = path(k, j).filter(|(i, _)| idxs.contains(i)).count();
                     assert_eq!(on_path, 1, "exactly one allocation node per covered path");
                 }
             }

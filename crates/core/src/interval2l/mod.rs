@@ -46,22 +46,22 @@
 pub mod gtree;
 pub mod msrec;
 
+use crate::batch::{one_slot, Slots};
 use crate::chain;
-use crate::report::{CountingSink, QueryTrace, TombFilterSink};
+use crate::report::QueryTrace;
 use gtree::{allocation, path as g_path, skeleton, GNode};
 use msrec::{MsOrder, MsRec};
 use segdb_bptree::{BPlusTree, Cursor, TreeState};
 use segdb_geom::predicates::y_at_x_cmp;
-use segdb_geom::{FusedSink, MultiSink, ReportSink, Segment, VerticalQuery};
+use segdb_geom::{MultiSink, ReportSink, Segment, VerticalQuery};
 use segdb_itree::overlap::{IntervalSet, IntervalSetState};
 use segdb_itree::{Interval, IntervalTreeConfig};
 use segdb_obs::trace::{emit as obs_emit, probe, EventKind};
 use segdb_pager::{
     ByteReader, ByteWriter, PageId, Pager, PagerError, Result, StatScope, NULL_PAGE,
 };
-use segdb_pst::{Pst, PstConfig, PstState, Side};
+use segdb_pst::{BatchQuery, Pst, PstConfig, PstState, Side};
 use std::cmp::Ordering;
-use std::ops::ControlFlow;
 
 const TAG_LEAF: u8 = 1;
 const TAG_INTERNAL: u8 = 2;
@@ -465,383 +465,148 @@ impl TwoLevelInterval {
         Ok((out, trace))
     }
 
-    /// Streaming form of [`TwoLevelInterval::query`]: hits push into
+    /// Streaming form of [`TwoLevelInterval::query`]: a group of one
+    /// through [`TwoLevelInterval::query_group`], so hits push into
     /// `sink` in traversal order (per level: C_j, the boundary PSTs,
-    /// then the G runs). A `Break` stops the walk where it stands. A
-    /// count-only sink (and no live tombstones) flips the structure into
-    /// count mode: C_j answers from the interval set's stored counts and
-    /// each G run is measured by two B⁺-tree rank descents over the
-    /// stored subtree counts — the run's pages are never read.
+    /// then the G runs) and a `Break` stops the walk where it stands.
     pub fn query_sink(
         &self,
         pager: &Pager,
         q: &VerticalQuery,
         sink: &mut dyn ReportSink,
     ) -> Result<QueryTrace> {
+        one_slot(q, sink, |multi| self.query_group(pager, multi))
+    }
+
+    /// The §4 search for every slot of `multi` at once: the group
+    /// descends the first level together (each node page read once per
+    /// group), each boundary PST is walked once for all the slots
+    /// probing it (see [`Pst::query_group`]), and `C_j` sets are
+    /// attached once per node. `G` runs stay per-slot (their anchor
+    /// depends on each query's ordinate window) but reuse the shared
+    /// node read. A slot's `Break` retires that slot alone, and it is
+    /// dropped from the next probe list before that structure's pages
+    /// are read.
+    ///
+    /// A count-only slot flips the structure into count mode: C_j
+    /// answers from the interval set's stored counts and each G run is
+    /// measured by two B⁺-tree rank descents over the stored subtree
+    /// counts — the run's pages are never read. Live tombstones are
+    /// subtracted from such slots and filtered out of the others (see
+    /// [`Slots`]), at one read of the tombstone chain per group.
+    pub fn query_group(&self, pager: &Pager, multi: &mut MultiSink<'_>) -> Result<QueryTrace> {
         let scope = StatScope::begin(pager);
-        let mut counting = CountingSink::new(sink);
-        let mut trace = if self.tomb_count == 0 {
-            self.walk_query(pager, q, &mut counting)?
-        } else if !counting.want_segments() && self.tombs_are_segments {
-            // Count-shaped sink: keep the count-from-headers fast paths
-            // on. The walk counts every *stored* segment (tombstoned
-            // included); the tombstone chain carries full geometry, so
-            // the overlap count of the lazily-deleted set is computed
-            // directly and subtracted — no materialization.
-            let mut stored = segdb_geom::CountSink::new();
-            let mut inner = CountingSink::new(&mut stored);
-            let trace = self.walk_query(pager, q, &mut inner)?;
-            let mut tomb_hits = 0u64;
-            chain::scan(pager, self.tomb_head, |s| {
-                if q.hits(&s) {
-                    tomb_hits += 1;
-                }
-            })?;
-            let net = stored.count.saturating_sub(tomb_hits);
-            let _ = counting.report_count(net);
-            counting.hits = net;
-            trace
+        let mut slots = if self.tomb_count == 0 {
+            Slots::plain(multi)
         } else {
-            // Segment-shaped sink (or a legacy id-format chain): the
-            // tombstones must be filtered inline, and the filter forces
-            // want_segments = true, so count fast paths stay off.
-            let tombs = self.tomb_ids(pager)?.into_iter().collect();
-            let mut filter = TombFilterSink {
-                inner: &mut counting,
-                tombs,
-            };
-            self.walk_query(pager, q, &mut filter)?
+            Slots::with_tombstones(multi, pager, self.tomb_head, self.tombs_are_segments)?
         };
-        trace.hits = counting.hits.min(u32::MAX as u64) as u32;
+        let mut trace = QueryTrace::default();
+        let mut group = slots.probes();
+        self.walk(pager, &mut slots, self.root, &mut group, &mut trace)?;
         trace.io = scope.finish();
         Ok(trace)
     }
 
-    fn walk_query(
+    /// Visit `page` for `group` — live slots in abscissa order, so the
+    /// slots of one slab are a consecutive run: those strictly inside
+    /// it, then those on its right boundary `s_j`.
+    fn walk(
         &self,
         pager: &Pager,
-        q: &VerticalQuery,
-        sink: &mut dyn ReportSink,
-    ) -> Result<QueryTrace> {
-        let mut trace = QueryTrace::default();
-        let mut sink = FusedSink::new(sink);
-        let (x0, lo, hi) = (q.x(), q.lo(), q.hi());
-        let mut page = self.root;
-        while page != NULL_PAGE && !sink.broke() {
-            obs_emit(
-                EventKind::FirstLevelVisit,
-                u64::from(page),
-                trace.first_level_nodes as u64,
-            );
-            trace.first_level_nodes += 1;
-            match read_node(pager, page)? {
-                Node::Leaf { head, .. } => {
-                    let _ = chain::scan_ctl(pager, head, |s| {
-                        if q.hits(&s) {
-                            sink.report(&s)
-                        } else {
-                            ControlFlow::Continue(())
-                        }
-                    })?;
-                    break;
-                }
-                Node::Internal(n) => {
-                    let k = n.boundaries.len();
-                    let j = n.boundaries.partition_point(|&b| b < x0);
-                    let boundary_hit = j < k && n.boundaries[j] == x0;
-                    if boundary_hit {
-                        // C_j: on-line verticals.
-                        if !set_is_absent(&n.c[j]) {
-                            let c =
-                                IntervalSet::attach(pager, IntervalTreeConfig::default(), n.c[j])?;
-                            obs_emit(EventKind::SecondLevelProbe, probe::C_SET, 0);
-                            trace.second_level_probes += 1;
-                            if !sink.want_segments() {
-                                let cnt = c.overlap_count(pager, lo, hi)?;
-                                let _ = sink.report_count(cnt);
-                            } else {
-                                let mut bad = false;
-                                let _ = c.overlap_ctl(
-                                    pager,
-                                    lo,
-                                    hi,
-                                    &mut |iv| match Segment::new(iv.id, (x0, iv.lo), (x0, iv.hi)) {
-                                        Ok(s) => sink.report(&s),
-                                        Err(_) => {
-                                            bad = true;
-                                            ControlFlow::Break(())
-                                        }
-                                    },
-                                )?;
-                                if bad {
-                                    return Err(PagerError::Corrupt("bad C_i interval"));
-                                }
-                            }
-                            if sink.broke() {
-                                break;
-                            }
-                        }
-                        // L_j: every segment whose first crossed boundary
-                        // is s_j meets the query line at its base point.
-                        let l =
-                            Pst::attach(pager, n.boundaries[j], Side::Left, self.cfg.pst, n.l[j])?;
-                        obs_emit(EventKind::SecondLevelProbe, probe::L_PST, 0);
-                        l.query_sink(pager, x0, lo, hi, &mut sink)?;
-                        trace.second_level_probes += 1;
-                        if sink.broke() {
-                            break;
-                        }
-                        // Long fragments spanning slab j (f < j ≤ l).
-                        self.g_query(pager, &n, j, x0, lo, hi, &mut sink, &mut trace)?;
-                        break;
-                    }
-                    // Strictly inside slab j: R_{j−1}, L_j, G, descend.
-                    if j >= 1 {
-                        let r = Pst::attach(
-                            pager,
-                            n.boundaries[j - 1],
-                            Side::Right,
-                            self.cfg.pst,
-                            n.r[j - 1],
-                        )?;
-                        obs_emit(EventKind::SecondLevelProbe, probe::R_PST, 0);
-                        r.query_sink(pager, x0, lo, hi, &mut sink)?;
-                        trace.second_level_probes += 1;
-                        if sink.broke() {
-                            break;
-                        }
-                    }
-                    if j < k {
-                        let l =
-                            Pst::attach(pager, n.boundaries[j], Side::Left, self.cfg.pst, n.l[j])?;
-                        obs_emit(EventKind::SecondLevelProbe, probe::L_PST, 0);
-                        l.query_sink(pager, x0, lo, hi, &mut sink)?;
-                        trace.second_level_probes += 1;
-                        if sink.broke() {
-                            break;
-                        }
-                    }
-                    self.g_query(pager, &n, j, x0, lo, hi, &mut sink, &mut trace)?;
-                    page = n.children[j];
-                }
-            }
+        slots: &mut Slots<'_, '_>,
+        page: PageId,
+        group: &mut [BatchQuery],
+        trace: &mut QueryTrace,
+    ) -> Result<()> {
+        if page == NULL_PAGE || group.is_empty() {
+            return Ok(());
         }
-        Ok(trace)
+        obs_emit(
+            EventKind::FirstLevelVisit,
+            u64::from(page),
+            trace.first_level_nodes as u64,
+        );
+        trace.first_level_nodes += 1;
+        let n = match read_node(pager, page)? {
+            Node::Leaf { head, .. } => return slots.scan_leaf(pager, head, group),
+            Node::Internal(n) => n,
+        };
+        let mut rest = group;
+        while let Some(first) = rest.first() {
+            let j = n.boundaries.partition_point(|&b| b < first.qx);
+            let end = match n.boundaries.get(j) {
+                Some(&s_j) => rest.partition_point(|p| p.qx <= s_j),
+                None => rest.len(),
+            };
+            let (run, tail) = rest.split_at_mut(end);
+            rest = tail;
+            self.visit_slab(pager, slots, &n, j, run, trace)?;
+        }
+        Ok(())
     }
 
-    /// Batched form of [`TwoLevelInterval::query_sink`]: the batch
-    /// descends the first level together (each node page read once per
-    /// batch), boundary PSTs are walked once for every slot probing them
-    /// (see [`Pst::query_batch_sink`]), and `C_j` sets are attached once
-    /// per node. `G` runs stay per-slot (their anchor depends on each
-    /// query's ordinate window) but still reuse the shared node read.
-    /// Live tombstones are filtered inline per delivery, which also
-    /// turns the count-from-headers fast paths off — exactly the
-    /// sequential path's semantics, reached without its count
-    /// arithmetic. Per-slot `Break` retires only that slot.
-    pub fn query_batch_sink(&self, pager: &Pager, multi: &mut MultiSink<'_>) -> Result<QueryTrace> {
-        let scope = StatScope::begin(pager);
-        let tombs: std::collections::HashSet<u64> = if self.tomb_count > 0 {
-            self.tomb_ids(pager)?.into_iter().collect()
-        } else {
-            Default::default()
-        };
-        let mut trace = QueryTrace::default();
-        let mut frontier: Vec<(PageId, Vec<usize>)> = if self.root == NULL_PAGE {
-            Vec::new()
-        } else {
-            vec![(self.root, (0..multi.len()).collect())]
-        };
-        while !frontier.is_empty() {
-            let mut next: Vec<(PageId, Vec<usize>)> = Vec::new();
-            for (page, group) in frontier.drain(..) {
-                let group: Vec<usize> = group.into_iter().filter(|&i| multi.is_active(i)).collect();
-                if group.is_empty() {
-                    continue;
-                }
-                obs_emit(
-                    EventKind::FirstLevelVisit,
-                    u64::from(page),
-                    trace.first_level_nodes as u64,
-                );
-                trace.first_level_nodes += 1;
-                match read_node(pager, page)? {
-                    Node::Leaf { head, .. } => {
-                        let _ = chain::scan_ctl(pager, head, |s| {
-                            if !tombs.contains(&s.id) {
-                                for &i in &group {
-                                    if multi.is_active(i) && multi.query(i).hits(&s) {
-                                        let _ = multi.report(i, &s);
-                                    }
-                                }
-                            }
-                            if group.iter().any(|&i| multi.is_active(i)) {
-                                ControlFlow::Continue(())
-                            } else {
-                                ControlFlow::Break(())
-                            }
-                        })?;
-                    }
-                    Node::Internal(n) => {
-                        let k = n.boundaries.len();
-                        // Classify each slot: boundary-exact stop here,
-                        // in-slab slots probe and descend.
-                        let mut c_groups: std::collections::BTreeMap<usize, Vec<usize>> =
-                            Default::default();
-                        let mut lqs: std::collections::BTreeMap<usize, Vec<segdb_pst::BatchQuery>> =
-                            Default::default();
-                        let mut rqs: std::collections::BTreeMap<usize, Vec<segdb_pst::BatchQuery>> =
-                            Default::default();
-                        let mut g_slots: Vec<(usize, usize)> = Vec::new();
-                        let mut kids: std::collections::BTreeMap<usize, Vec<usize>> =
-                            Default::default();
-                        for &i in &group {
-                            let q = *multi.query(i);
-                            let (x0, lo, hi) = (q.x(), q.lo(), q.hi());
-                            let j = n.boundaries.partition_point(|&b| b < x0);
-                            let bq = segdb_pst::BatchQuery {
-                                qx: x0,
-                                lo,
-                                hi,
-                                tag: i,
-                            };
-                            if j < k && n.boundaries[j] == x0 {
-                                c_groups.entry(j).or_default().push(i);
-                                lqs.entry(j).or_default().push(bq);
-                            } else {
-                                if j >= 1 {
-                                    rqs.entry(j - 1).or_default().push(bq);
-                                }
-                                if j < k {
-                                    lqs.entry(j).or_default().push(bq);
-                                }
-                                kids.entry(j).or_default().push(i);
-                            }
-                            g_slots.push((i, j));
-                        }
-                        // C_j: on-line verticals, set attached once per j.
-                        for (&j, qis) in &c_groups {
-                            if set_is_absent(&n.c[j]) {
-                                continue;
-                            }
-                            let c =
-                                IntervalSet::attach(pager, IntervalTreeConfig::default(), n.c[j])?;
-                            obs_emit(EventKind::SecondLevelProbe, probe::C_SET, 0);
-                            trace.second_level_probes += 1;
-                            let x0 = n.boundaries[j];
-                            for &i in qis {
-                                if !multi.is_active(i) {
-                                    continue;
-                                }
-                                let q = *multi.query(i);
-                                let (lo, hi) = (q.lo(), q.hi());
-                                if tombs.is_empty() && !multi.want_segments(i) {
-                                    let cnt = c.overlap_count(pager, lo, hi)?;
-                                    let _ = multi.report_count(i, cnt);
-                                } else {
-                                    let mut bad = false;
-                                    let _ = c.overlap_ctl(pager, lo, hi, &mut |iv| {
-                                        if tombs.contains(&iv.id) {
-                                            return ControlFlow::Continue(());
-                                        }
-                                        match Segment::new(iv.id, (x0, iv.lo), (x0, iv.hi)) {
-                                            Ok(s) => multi.report(i, &s),
-                                            Err(_) => {
-                                                bad = true;
-                                                ControlFlow::Break(())
-                                            }
-                                        }
-                                    })?;
-                                    if bad {
-                                        return Err(PagerError::Corrupt("bad C_i interval"));
-                                    }
-                                }
-                            }
-                        }
-                        // Boundary PSTs, one shared walk per structure.
-                        // R_{j−1} before L_j, matching the sequential
-                        // per-query order.
-                        for (&jj, qs) in &rqs {
-                            let r = Pst::attach(
-                                pager,
-                                n.boundaries[jj],
-                                Side::Right,
-                                self.cfg.pst,
-                                n.r[jj],
-                            )?;
-                            obs_emit(EventKind::SecondLevelProbe, probe::R_PST, 0);
-                            trace.second_level_probes += 1;
-                            r.query_batch_sink(pager, qs, &mut |i, s| {
-                                if tombs.contains(&s.id) {
-                                    ControlFlow::Continue(())
-                                } else {
-                                    multi.report(i, s)
-                                }
-                            })?;
-                        }
-                        for (&jj, qs) in &lqs {
-                            let l = Pst::attach(
-                                pager,
-                                n.boundaries[jj],
-                                Side::Left,
-                                self.cfg.pst,
-                                n.l[jj],
-                            )?;
-                            obs_emit(EventKind::SecondLevelProbe, probe::L_PST, 0);
-                            trace.second_level_probes += 1;
-                            l.query_batch_sink(pager, qs, &mut |i, s| {
-                                if tombs.contains(&s.id) {
-                                    ControlFlow::Continue(())
-                                } else {
-                                    multi.report(i, s)
-                                }
-                            })?;
-                        }
-                        // G runs: per slot (each run's anchor depends on
-                        // the slot's own ordinate window).
-                        for &(i, j) in &g_slots {
-                            if !multi.is_active(i) {
-                                continue;
-                            }
-                            let q = *multi.query(i);
-                            let (x0, lo, hi) = (q.x(), q.lo(), q.hi());
-                            if tombs.is_empty() {
-                                let mut fused = FusedSink::new(multi.sink_mut(i));
-                                self.g_query(pager, &n, j, x0, lo, hi, &mut fused, &mut trace)?;
-                                if fused.broke() {
-                                    multi.retire(i);
-                                }
-                            } else {
-                                let mut filt = TombFilterSink {
-                                    inner: multi.sink_mut(i),
-                                    tombs: tombs.clone(),
-                                };
-                                let mut fused = FusedSink::new(&mut filt);
-                                self.g_query(pager, &n, j, x0, lo, hi, &mut fused, &mut trace)?;
-                                if fused.broke() {
-                                    multi.retire(i);
-                                }
-                            }
-                        }
-                        // Descend: in-slab slots still active drop into
-                        // their slab child.
-                        for (&j, qis) in &kids {
-                            let live: Vec<usize> = qis
-                                .iter()
-                                .copied()
-                                .filter(|&i| multi.is_active(i))
-                                .collect();
-                            if n.children[j] != NULL_PAGE && !live.is_empty() {
-                                next.push((n.children[j], live));
-                            }
-                        }
-                    }
-                }
-            }
-            frontier = next;
+    /// One node's work for the slots of slab `j`: `C_j` for the slots on
+    /// `s_j`; `R_{j−1}` for those strictly inside the slab; `L_j` and the
+    /// `G` path for both; then the slab child for the inside ones.
+    fn visit_slab(
+        &self,
+        pager: &Pager,
+        slots: &mut Slots<'_, '_>,
+        n: &Internal,
+        j: usize,
+        run: &mut [BatchQuery],
+        trace: &mut QueryTrace,
+    ) -> Result<()> {
+        let s_j = n.boundaries.get(j).copied();
+        // How many of `run`'s leading probes lie strictly inside the slab.
+        let inside =
+            |run: &[BatchQuery]| s_j.map_or(run.len(), |b| run.partition_point(|p| p.qx < b));
+        let on_line = &run[inside(run)..];
+        if let Some(x0) = s_j.filter(|_| !on_line.is_empty() && !set_is_absent(&n.c[j])) {
+            let c = IntervalSet::attach(pager, IntervalTreeConfig::default(), n.c[j])?;
+            slots.probe_on_line(pager, &c, x0, on_line, trace)?;
         }
-        trace.io = scope.finish();
-        Ok(trace)
+        let mut run = run;
+        if j >= 1 {
+            let live = slots.retain_live(run);
+            run = &mut run[..live];
+            let probing = &run[..inside(run)];
+            if !probing.is_empty() {
+                let r = Pst::attach(
+                    pager,
+                    n.boundaries[j - 1],
+                    Side::Right,
+                    self.cfg.pst,
+                    n.r[j - 1],
+                )?;
+                obs_emit(EventKind::SecondLevelProbe, probe::R_PST, 0);
+                trace.second_level_probes += 1;
+                r.query_group(pager, probing, &mut |i, s| slots.report(i, s))?;
+            }
+        }
+        if let Some(x_j) = s_j {
+            // L_j: every segment whose first crossed boundary is s_j —
+            // for a slot on s_j they all meet the query line, at their
+            // base point.
+            let live = slots.retain_live(run);
+            run = &mut run[..live];
+            if !run.is_empty() {
+                let l = Pst::attach(pager, x_j, Side::Left, self.cfg.pst, n.l[j])?;
+                obs_emit(EventKind::SecondLevelProbe, probe::L_PST, 0);
+                trace.second_level_probes += 1;
+                l.query_group(pager, run, &mut |i, s| slots.report(i, s))?;
+            }
+        }
+        // Long fragments spanning slab j (or, on s_j, f < j ≤ l).
+        for p in run.iter() {
+            if slots.is_active(p.tag) {
+                self.g_query(pager, n, j, p, slots, trace)?;
+            }
+        }
+        let live = slots.retain_live(run);
+        let descending = inside(&run[..live]);
+        self.walk(pager, slots, n.children[j], &mut run[..descending], trace)
     }
 
     /// Pages of the first-level slab nodes, breadth-first from the
@@ -1128,40 +893,32 @@ impl TwoLevelInterval {
     /// stored subtree counts instead of being read; a fully-open query
     /// (`lo` and `hi` both `None`) costs zero reads — the run is the
     /// whole list and its length sits in the serialized tree state.
-    #[allow(clippy::too_many_arguments)]
     fn g_query(
         &self,
         pager: &Pager,
         n: &Internal,
         j: usize,
-        x0: i64,
-        lo: Option<i64>,
-        hi: Option<i64>,
-        sink: &mut FusedSink<'_>,
+        p: &BatchQuery,
+        slots: &mut Slots<'_, '_>,
         trace: &mut QueryTrace,
     ) -> Result<()> {
-        let k = n.boundaries.len();
-        if k < 2 || j < 1 || j > k - 1 {
-            return Ok(());
-        }
-        let skel = skeleton(k);
-        let path = g_path(&skel, j);
-        let counting = !sink.want_segments();
+        let (x0, lo, hi, slot) = (p.qx, p.lo, p.hi, p.tag);
+        let counting = slots.counts(slot);
         // Bridge pointer carried into the next level, if usable.
         let mut carried: Option<PageId> = None;
-        for &gi in &path {
-            if sink.broke() {
+        for (gi, g) in g_path(n.boundaries.len(), j) {
+            if !slots.is_active(slot) {
                 return Ok(());
             }
             let state = n.g[gi];
-            let next_is_left = !skel[gi].is_leaf() && j <= skel[gi].mid();
+            let next_is_left = !g.is_leaf() && j <= g.mid();
             if list_is_absent(&state) {
                 carried = None;
                 continue;
             }
             obs_emit(EventKind::SecondLevelProbe, probe::G_LIST, gi as u64);
             trace.second_level_probes += 1;
-            let line = n.boundaries[skel[gi].a - 1];
+            let line = n.boundaries[g.a - 1];
             if counting {
                 let cnt = if lo.is_none() && hi.is_none() {
                     state.len
@@ -1178,7 +935,7 @@ impl TwoLevelInterval {
                         (None, None) => unreachable!(),
                     }
                 };
-                let _ = sink.report_count(cnt);
+                let _ = slots.report_count(slot, cnt);
                 carried = None;
                 continue;
             }
@@ -1198,7 +955,7 @@ impl TwoLevelInterval {
             let mut cur = cur;
             // Nearest bridge strictly before the run start (its child
             // counterpart precedes the child's run start).
-            carried = if self.cfg.bridges && !n.bridges_dirty && !skel[gi].is_leaf() {
+            carried = if self.cfg.bridges && !n.bridges_dirty && !g.is_leaf() {
                 let (records, idx) = cur.buffered();
                 records[..idx.min(records.len())]
                     .iter()
@@ -1218,7 +975,7 @@ impl TwoLevelInterval {
             let _ = cur.for_each_while_ctl(
                 pager,
                 |r| hi.is_none_or(|h| y_at_x_cmp(&r.seg, x0, h) != Ordering::Greater),
-                |r| sink.report(&r.seg),
+                |r| slots.report(slot, &r.seg),
             )?;
         }
         Ok(())
@@ -1652,6 +1409,20 @@ impl TwoLevelInterval {
                             return Err(PagerError::Corrupt("G fragment does not span its node"));
                         }
                         g_real += 1;
+                        // Stale pointers are legal while the node waits
+                        // for its bridge rebuild: queries ignore them.
+                        if !n.bridges_dirty {
+                            let kids = [
+                                (skel[gi].left, rec.bridge_left),
+                                (skel[gi].right, rec.bridge_right),
+                            ];
+                            for (child, leaf) in kids {
+                                if leaf != NULL_PAGE {
+                                    let cline = n.boundaries[skel[child].a - 1];
+                                    check_bridge(pager, &rec, leaf, cline, n.g[child])?;
+                                }
+                            }
+                        }
                     }
                 }
                 if g_real != n.g_total {
@@ -1753,13 +1524,15 @@ fn write_node(pager: &Pager, id: PageId, node: &Node) -> Result<()> {
 /// `(d+1)`-th merged element. Instead of inserting *augmented bridge
 /// fragments* (whose cut geometry is not exactly comparable at arbitrary
 /// query lines), the mark is materialized as a pointer on the **nearest
-/// preceding real parent element** in merged order, aimed at the child
-/// leaf that a downward position search for the marked element lands on.
-/// Density is preserved (any `d+1` consecutive parent elements contain a
-/// merged selection, so pointer gaps in the parent are ≤ `d+2`), and a
-/// pointer always lands at or before the child counterpart's position,
-/// which is what the forward-scan re-anchor in [`TwoLevelInterval::query`]
-/// needs.
+/// preceding real parent element** in merged order — the *carrier* —
+/// aimed at the child leaf a position search for the carrier itself
+/// lands on. Density is preserved (any `d+1` consecutive parent elements
+/// contain a merged selection, so pointer gaps in the parent are ≤
+/// `d+2`), and a pointer never lands past the first child element at or
+/// after its carrier: a carrier below a query's window therefore jumps
+/// to or before the child's run start, which is what the forward-scan
+/// re-anchor in [`TwoLevelInterval::query`] needs
+/// ([`TwoLevelInterval::validate`] checks it per pointer).
 fn build_g_lists(
     pager: &Pager,
     cfg: Interval2LConfig,
@@ -1801,61 +1574,69 @@ fn build_g_lists(
             let (pl, cl) = (&real[gi], &real[child]);
             let (mut i, mut j) = (0usize, 0usize);
             let mut count = 0usize;
-            let mut last_parent: Option<MsRec> = None;
-            let mut pending: Option<(MsRec, MsRec)> = None; // (carrier, marked)
+            let mut carrier: Option<MsRec> = None;
+            let mut bridged: Option<u64> = None; // id of the last carrier patched
             while i < pl.len() || j < cl.len() {
                 let take_parent = match (pl.get(i), cl.get(j)) {
                     (Some(a), Some(b)) => MsOrder::cmp_at(mid_line, a, b) != Ordering::Greater,
                     (Some(_), None) => true,
                     (None, _) => false,
                 };
-                let elem = if take_parent {
-                    let e = pl[i];
+                if take_parent {
+                    carrier = Some(pl[i]);
                     i += 1;
-                    last_parent = Some(e);
-                    e
                 } else {
-                    let e = cl[j];
                     j += 1;
-                    e
-                };
+                }
                 count += 1;
                 if count.is_multiple_of(cfg.bridge_d + 1) {
-                    if let Some(carrier) = last_parent {
-                        // Earliest mark per carrier wins (it points
-                        // furthest left in the child).
-                        if pending
-                            .as_ref()
-                            .is_none_or(|(c, _)| c.seg.id != carrier.seg.id)
-                        {
-                            if let Some((c, m)) = pending.take() {
-                                patch_bridge(pager, &ptree, &ctree, cline, c, m, is_left)?;
-                            }
-                            pending = Some((carrier, elem));
-                        }
+                    if let Some(c) = carrier.filter(|c| bridged != Some(c.seg.id)) {
+                        patch_bridge(pager, &ptree, &ctree, cline, c, is_left)?;
+                        bridged = Some(c.seg.id);
                     }
                 }
-            }
-            if let Some((c, m)) = pending.take() {
-                patch_bridge(pager, &ptree, &ctree, cline, c, m, is_left)?;
             }
         }
     }
     Ok(())
 }
 
-/// Point `carrier` (a real parent element) at the child leaf containing
-/// the position of `marked`.
+/// A bridge must land at or before the first child position at or after
+/// its carrier — where [`patch_bridge`] aims it — or a jump through it
+/// could skip the head of a run.
+fn check_bridge(
+    pager: &Pager,
+    carrier: &MsRec,
+    leaf: PageId,
+    cline: i64,
+    child: TreeState,
+) -> Result<()> {
+    if list_is_absent(&child) {
+        return Err(PagerError::Corrupt("bridge into an absent list"));
+    }
+    let ctree = BPlusTree::attach(pager, MsOrder { line: cline }, child)?;
+    let position = |of: MsRec| ctree.rank(pager, &move |r: &MsRec| MsOrder::cmp_at(cline, &of, r));
+    let landed = match Cursor::<MsRec>::jump(pager, leaf)?.peek() {
+        Some(first) => position(*first)?,
+        None => child.len,
+    };
+    if landed > position(*carrier)? {
+        return Err(PagerError::Corrupt("bridge lands past its carrier"));
+    }
+    Ok(())
+}
+
+/// Point `carrier` (a real parent element) at the child leaf holding the
+/// first child position at or after it.
 fn patch_bridge(
     pager: &Pager,
     ptree: &BPlusTree<MsRec, MsOrder>,
     ctree: &BPlusTree<MsRec, MsOrder>,
     cline: i64,
     carrier: MsRec,
-    marked: MsRec,
     is_left: bool,
 ) -> Result<()> {
-    let probe = move |r: &MsRec| MsOrder::cmp_at(cline, &marked, r);
+    let probe = move |r: &MsRec| MsOrder::cmp_at(cline, &carrier, r);
     let leaf = ctree.leaf_page_of(pager, &probe)?;
     let patched = ptree.modify(pager, &carrier, |r| {
         if is_left {

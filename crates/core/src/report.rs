@@ -142,24 +142,24 @@ impl QueryTrace {
     }
 }
 
-/// Pass-through sink that counts deliveries — multi-structure walks use
-/// it to fill `QueryTrace::hits` without each sub-structure reporting
-/// its own tally.
-pub struct CountingSink<'a> {
+/// Pass-through sink that counts deliveries — group walks use it to fill
+/// `QueryTrace::hits` per slot without each sub-structure reporting its
+/// own tally.
+pub struct CountingSink<S> {
     /// The wrapped sink.
-    pub inner: &'a mut dyn ReportSink,
+    pub inner: S,
     /// Segments (or bulk counts) delivered so far.
     pub hits: u64,
 }
 
-impl<'a> CountingSink<'a> {
+impl<S: ReportSink> CountingSink<S> {
     /// Wrap `inner` with a zeroed tally.
-    pub fn new(inner: &'a mut dyn ReportSink) -> Self {
+    pub fn new(inner: S) -> Self {
         CountingSink { inner, hits: 0 }
     }
 }
 
-impl ReportSink for CountingSink<'_> {
+impl<S: ReportSink> ReportSink for CountingSink<S> {
     fn report(&mut self, seg: &Segment) -> std::ops::ControlFlow<()> {
         self.hits += 1;
         self.inner.report(seg)
@@ -172,27 +172,6 @@ impl ReportSink for CountingSink<'_> {
     fn report_count(&mut self, n: u64) -> std::ops::ControlFlow<()> {
         self.hits += n;
         self.inner.report_count(n)
-    }
-}
-
-/// Drops tombstoned ids before they reach the inner sink. Deliberately
-/// leaves `want_segments` at the default `true`: filtering needs the
-/// ids, so count-from-header fast paths stay off while tombstones
-/// exist.
-pub struct TombFilterSink<'a> {
-    /// The wrapped sink.
-    pub inner: &'a mut dyn ReportSink,
-    /// Lazily-deleted segment ids to suppress.
-    pub tombs: std::collections::HashSet<u64>,
-}
-
-impl ReportSink for TombFilterSink<'_> {
-    fn report(&mut self, seg: &Segment) -> std::ops::ControlFlow<()> {
-        if self.tombs.contains(&seg.id) {
-            std::ops::ControlFlow::Continue(())
-        } else {
-            self.inner.report(seg)
-        }
     }
 }
 

@@ -643,8 +643,8 @@ impl WriteEngine {
         anchor: impl Into<Point>,
         mode: QueryMode,
     ) -> Result<(QueryAnswer, QueryTrace), DbError> {
-        let a = anchor.into();
-        self.query_overlay(a, None, None, mode)
+        let q = self.direction.make_query(anchor.into(), None, None)?;
+        self.query_canonical_mode(q, mode)
     }
 
     /// Upward ray query from `anchor`, merged with the delta overlay.
@@ -654,7 +654,8 @@ impl WriteEngine {
         mode: QueryMode,
     ) -> Result<(QueryAnswer, QueryTrace), DbError> {
         let a = anchor.into();
-        self.query_overlay(a, Some(a.y), None, mode)
+        let q = self.direction.make_query(a, Some(a.y), None)?;
+        self.query_canonical_mode(q, mode)
     }
 
     /// Downward ray query from `anchor`, merged with the delta overlay.
@@ -664,7 +665,8 @@ impl WriteEngine {
         mode: QueryMode,
     ) -> Result<(QueryAnswer, QueryTrace), DbError> {
         let a = anchor.into();
-        self.query_overlay(a, None, Some(a.y), mode)
+        let q = self.direction.make_query(a, None, Some(a.y))?;
+        self.query_canonical_mode(q, mode)
     }
 
     /// Segment query `p1—p2`, merged with the delta overlay.
@@ -674,47 +676,27 @@ impl WriteEngine {
         p2: impl Into<Point>,
         mode: QueryMode,
     ) -> Result<(QueryAnswer, QueryTrace), DbError> {
-        let (p1, p2) = (p1.into(), p2.into());
-        let db = self.db.read().expect("db lock poisoned");
-        let delta = self.delta.lock().expect("delta lock poisoned").clone();
-        if delta.is_empty() {
-            return db.query_segment_mode(p1, p2, mode);
-        }
-        let q = db.segment_query(p1, p2)?;
-        Self::merge(&db, &delta, &q, mode, |m| db.query_segment_mode(p1, p2, m))
+        let q = self.with_db(|db| db.segment_query(p1.into(), p2.into()))?;
+        self.query_canonical_mode(q, mode)
     }
 
-    /// Shared overlay walk for the anchor-shaped queries.
-    fn query_overlay(
+    /// One canonical-frame query: a group of one.
+    fn query_canonical_mode(
         &self,
-        a: Point,
-        lo: Option<i64>,
-        hi: Option<i64>,
+        q: VerticalQuery,
         mode: QueryMode,
     ) -> Result<(QueryAnswer, QueryTrace), DbError> {
-        let db = self.db.read().expect("db lock poisoned");
-        let delta = self.delta.lock().expect("delta lock poisoned").clone();
-        let base = |m: QueryMode| match (lo, hi) {
-            (None, None) => db.query_line_mode(a, m),
-            (Some(_), None) => db.query_ray_up_mode(a, m),
-            (None, Some(_)) => db.query_ray_down_mode(a, m),
-            (Some(_), Some(_)) => unreachable!("no anchor shape sets both bounds"),
-        };
-        if delta.is_empty() {
-            return base(mode);
-        }
-        let q = self
-            .direction
-            .make_query(a, lo, hi)
-            .map_err(DbError::from)?;
-        Self::merge(&db, &delta, &q, mode, base)
+        let mut results = self.query_batch_canonical_mode(&[(q, mode)]);
+        results.pop().expect("one result per item")
     }
 
-    /// Batched canonical-frame reads merged with the delta overlay: one
-    /// read lock and one delta snapshot cover the whole batch, and the
-    /// base answers come from a single shared index walk
-    /// ([`SegmentDatabase::query_batch_canonical_mode`]). The per-query
-    /// merge arithmetic is identical to the sequential path.
+    /// Canonical-frame reads merged with the delta overlay — every
+    /// engine read goes through here. One read lock and one delta
+    /// snapshot cover the whole group, and the base answers come from a
+    /// single shared index walk
+    /// ([`SegmentDatabase::query_batch_canonical_mode`]). An `Exists`
+    /// slot a delta insert already satisfies is answered on the spot and
+    /// never reaches the index.
     pub fn query_batch_canonical_mode(
         &self,
         items: &[(VerticalQuery, QueryMode)],
@@ -724,23 +706,26 @@ impl WriteEngine {
         if delta.is_empty() {
             return db.query_batch_canonical_mode(items);
         }
-        // Each slot runs under the base mode that makes its post-merge
-        // arithmetic exact (Exists may widen to Count, Limit over-fetches
-        // by the delete count) — same widening the sequential path does.
+        let settled = |&(q, mode): &(VerticalQuery, QueryMode)| {
+            mode == QueryMode::Exists && delta.inserts.iter().any(|s| q.hits(s))
+        };
+        // Each remaining slot runs under the base mode that makes its
+        // post-merge arithmetic exact (Exists may widen to Count, Limit
+        // over-fetches by the delete count).
         let base_items: Vec<(VerticalQuery, QueryMode)> = items
             .iter()
-            .map(|&(q, mode)| {
-                let widened = Self::base_mode(&delta, &q, mode);
-                (q, widened)
-            })
+            .filter(|item| !settled(item))
+            .map(|&(q, mode)| (q, Self::base_mode(&delta, &q, mode)))
             .collect();
-        let base = db.query_batch_canonical_mode(&base_items);
+        let mut base = db.query_batch_canonical_mode(&base_items).into_iter();
         items
             .iter()
-            .zip(base)
-            .map(|(&(q, mode), res)| {
-                let (ans, trace) = res?;
-                Self::merge_answer(&db, &delta, &q, mode, ans, trace)
+            .map(|item| {
+                if settled(item) {
+                    return Ok((QueryAnswer::Exists(true), QueryTrace::default()));
+                }
+                let (ans, trace) = base.next().expect("one base result per walked slot")?;
+                Self::merge_answer(&db, &delta, &item.0, item.1, ans, trace)
             })
             .collect()
     }
@@ -766,23 +751,6 @@ impl WriteEngine {
                 QueryMode::Limit(((k as usize) + delta.deletes.len()).min(u32::MAX as usize) as u32)
             }
         }
-    }
-
-    /// Merge `base` answers with the delta overlay for `q`.
-    fn merge(
-        db: &SegmentDatabase,
-        delta: &DeltaSnap,
-        q: &VerticalQuery,
-        mode: QueryMode,
-        base: impl Fn(QueryMode) -> Result<(QueryAnswer, QueryTrace), DbError>,
-    ) -> Result<(QueryAnswer, QueryTrace), DbError> {
-        if mode == QueryMode::Exists && delta.inserts.iter().any(|s| q.hits(s)) {
-            // A delta insert satisfies the query without touching the
-            // base index at all.
-            return Ok((QueryAnswer::Exists(true), QueryTrace::default()));
-        }
-        let (ans, trace) = base(Self::base_mode(delta, q, mode))?;
-        Self::merge_answer(db, delta, q, mode, ans, trace)
     }
 
     /// Reconstruct the exact `mode` answer from a base answer computed

@@ -297,3 +297,29 @@ fn interleaved_insert_delete_storm() {
     t.validate(&p).unwrap();
     assert_eq!(t.len() as usize, live.len());
 }
+
+/// A lower-bounded walk (Collect, Exists, Limit) re-anchors each `G` run
+/// through a bridge taken from before the run start. The pointer used to
+/// aim at the child leaf of the *marked* element of the merge, which
+/// follows its carrier, so the jump could land one leaf late and drop
+/// the first record of a run — about one such query in 500 at this
+/// size. Moved here from `benchmark/src/inputs.rs` with the fix.
+#[test]
+fn the_bridge_defect() {
+    let set = Family::Mixed.generate(40_000, 42);
+    let db = segdb_core::SegmentDatabase::builder()
+        .trust_input()
+        .cache_pages(1 << 14)
+        .build(set.clone())
+        .unwrap();
+    db.validate().unwrap();
+    let mut short = Vec::new();
+    for q in vertical_queries(&set, 4096, 120, 42) {
+        let (hits, _) = db.query_canonical(&q).unwrap();
+        let want = set.iter().filter(|s| q.hits(s)).count();
+        if hits.len() != want {
+            short.push((q, want, hits.len()));
+        }
+    }
+    assert!(short.is_empty(), "(query, oracle, collected): {short:?}");
+}

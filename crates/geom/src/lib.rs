@@ -46,7 +46,7 @@ pub mod transform;
 pub use error::GeomError;
 pub use point::Point;
 pub use query::VerticalQuery;
-pub use report::{CollectSink, CountSink, ExistsSink, FusedSink, LimitSink, MultiSink, ReportSink};
+pub use report::{CollectSink, CountSink, ExistsSink, LimitSink, MultiSink, ReportSink};
 pub use segment::{Segment, SegmentId};
 pub use transform::Direction;
 

@@ -176,59 +176,6 @@ impl ReportSink for LimitSink {
     }
 }
 
-/// Lends an inner sink while remembering whether it ever broke — for
-/// multi-structure layers whose sub-calls (e.g. a PST query) honour the
-/// `Break` internally but cannot return it. Once broken it stays
-/// broken: further reports short-circuit without touching the inner
-/// sink.
-pub struct FusedSink<'a> {
-    inner: &'a mut dyn ReportSink,
-    broke: bool,
-}
-
-impl<'a> FusedSink<'a> {
-    /// Wrap `inner`.
-    pub fn new(inner: &'a mut dyn ReportSink) -> Self {
-        FusedSink {
-            inner,
-            broke: false,
-        }
-    }
-
-    /// Did the inner sink ever ask to stop?
-    pub fn broke(&self) -> bool {
-        self.broke
-    }
-}
-
-impl ReportSink for FusedSink<'_> {
-    fn report(&mut self, seg: &Segment) -> ControlFlow<()> {
-        if self.broke {
-            return ControlFlow::Break(());
-        }
-        let flow = self.inner.report(seg);
-        if flow.is_break() {
-            self.broke = true;
-        }
-        flow
-    }
-
-    fn want_segments(&self) -> bool {
-        self.inner.want_segments()
-    }
-
-    fn report_count(&mut self, n: u64) -> ControlFlow<()> {
-        if self.broke {
-            return ControlFlow::Break(());
-        }
-        let flow = self.inner.report_count(n);
-        if flow.is_break() {
-            self.broke = true;
-        }
-        flow
-    }
-}
-
 /// One query's position inside a [`MultiSink`] batch.
 struct MultiSlot<'a> {
     /// The query predicate, in the index's canonical frame.
@@ -239,8 +186,9 @@ struct MultiSlot<'a> {
     done: bool,
 }
 
-/// Fan-out sink for batched walks: one shared page traversal feeds many
-/// per-query sinks. Each reported segment is routed to the subset of
+/// The slots of a group walk — the way every query reads an index, a
+/// single query being a group of one: one shared page traversal feeds
+/// the per-query sinks. Each reported segment is routed to the subset of
 /// *active* slots whose predicate matches; a slot whose sink returns
 /// `Break` (exists satisfied, limit reached) is retired individually,
 /// and the walk as a whole is told to stop only when **every** slot has
@@ -286,11 +234,13 @@ impl<'a> MultiSink<'a> {
     }
 
     /// Slot `i`'s query predicate.
+    #[inline]
     pub fn query(&self, i: usize) -> &VerticalQuery {
         &self.slots[i].query
     }
 
     /// Is slot `i` still accepting results?
+    #[inline]
     pub fn is_active(&self, i: usize) -> bool {
         !self.slots[i].done
     }
@@ -307,12 +257,14 @@ impl<'a> MultiSink<'a> {
 
     /// Does slot `i` need actual segments (false ⇒ the layer may answer
     /// it from stored subtree counts)?
+    #[inline]
     pub fn want_segments(&self, i: usize) -> bool {
         self.slots[i].sink.want_segments()
     }
 
     /// Retire slot `i` without reporting (the layer proved it can get
     /// nothing more — e.g. its subtree is exhausted).
+    #[inline]
     pub fn retire(&mut self, i: usize) {
         if !self.slots[i].done {
             self.slots[i].done = true;
@@ -322,6 +274,7 @@ impl<'a> MultiSink<'a> {
 
     /// Report one segment to slot `i`. `Break` means *this slot* is
     /// done; the shared walk keeps going while other slots are active.
+    #[inline]
     pub fn report(&mut self, i: usize, seg: &Segment) -> ControlFlow<()> {
         if self.slots[i].done {
             return ControlFlow::Break(());
@@ -335,6 +288,7 @@ impl<'a> MultiSink<'a> {
 
     /// Bulk-count `n` matches into slot `i` (only meaningful when
     /// [`MultiSink::want_segments`] is false for it).
+    #[inline]
     pub fn report_count(&mut self, i: usize, n: u64) -> ControlFlow<()> {
         if self.slots[i].done {
             return ControlFlow::Break(());
@@ -344,14 +298,6 @@ impl<'a> MultiSink<'a> {
             self.retire(i);
         }
         flow
-    }
-
-    /// Direct access to slot `i`'s sink, for layers that hand a whole
-    /// sub-walk to one query (the fan-out bookkeeping is bypassed, so
-    /// the caller must [`MultiSink::retire`] the slot itself if the
-    /// sub-walk broke).
-    pub fn sink_mut(&mut self, i: usize) -> &mut dyn ReportSink {
-        self.slots[i].sink
     }
 
     /// Route `seg` to every active slot whose predicate matches — the

@@ -228,222 +228,6 @@ impl IntervalTree {
         }
     }
 
-    /// Batched [`IntervalTree::stab_ctl`]: answer every query of the
-    /// group with one shared descent. Queries landing in the same slab
-    /// share the node page, the stub-list descents (via
-    /// [`BPlusTree::lower_bound_batch`]) and the multislab list scans;
-    /// `f` receives `(tag, interval)` per hit and a `Break` retires only
-    /// that query. Queries are `(x, tag)` pairs.
-    pub fn stab_batch_ctl(
-        &self,
-        pager: &Pager,
-        queries: &[(i64, usize)],
-        f: &mut dyn FnMut(usize, &Interval) -> ControlFlow<()>,
-    ) -> Result<()> {
-        if queries.is_empty() {
-            return Ok(());
-        }
-        let mut done = vec![false; queries.len()];
-        let group: Vec<usize> = (0..queries.len()).collect();
-        self.stab_batch_rec(pager, self.root, &group, queries, &mut done, f)
-    }
-
-    fn stab_batch_rec(
-        &self,
-        pager: &Pager,
-        id: PageId,
-        group: &[usize],
-        queries: &[(i64, usize)],
-        done: &mut [bool],
-        f: &mut dyn FnMut(usize, &Interval) -> ControlFlow<()>,
-    ) -> Result<()> {
-        let live: Vec<usize> = group.iter().copied().filter(|&qi| !done[qi]).collect();
-        if live.is_empty() {
-            return Ok(());
-        }
-        match read_node(pager, id)? {
-            ItNode::Leaf { intervals } => {
-                for iv in &intervals {
-                    for &qi in &live {
-                        if !done[qi]
-                            && iv.contains(queries[qi].0)
-                            && f(queries[qi].1, iv).is_break()
-                        {
-                            done[qi] = true;
-                        }
-                    }
-                }
-                Ok(())
-            }
-            ItNode::Internal(n) => {
-                let k = n.boundaries.len();
-                // Queries grouped by slab; one stub probe per group.
-                let mut by_j: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-                for &qi in &live {
-                    let j = n.boundaries.partition_point(|&s| s < queries[qi].0);
-                    by_j.entry(j).or_default().push(qi);
-                }
-                let js: Vec<usize> = by_j.keys().copied().collect();
-
-                // Left stubs: one batched descent for every group, then
-                // each group's run is scanned once up to its own max x
-                // and dispatched per query.
-                let left = BPlusTree::attach(pager, LeftOrder, n.left)?;
-                let lprobes: Vec<_> = js
-                    .iter()
-                    .map(|&j| {
-                        let t = j as u16;
-                        move |r: &TaggedInterval| {
-                            (t, i64::MIN, 0u64).cmp(&(r.tag, r.iv.lo, r.iv.id))
-                        }
-                    })
-                    .collect();
-                for (gi, mut cur) in left
-                    .lower_bound_batch(pager, &lprobes)?
-                    .into_iter()
-                    .enumerate()
-                {
-                    let j = js[gi];
-                    let tag = j as u16;
-                    let qis = &by_j[&j];
-                    while let Some(r) = cur.next(pager)? {
-                        if r.tag != tag {
-                            break;
-                        }
-                        let max_x = qis
-                            .iter()
-                            .filter(|&&qi| !done[qi])
-                            .map(|&qi| queries[qi].0)
-                            .max();
-                        let Some(max_x) = max_x else { break };
-                        if r.iv.lo > max_x {
-                            break;
-                        }
-                        for &qi in qis {
-                            if !done[qi]
-                                && r.iv.lo <= queries[qi].0
-                                && f(queries[qi].1, &r.iv).is_break()
-                            {
-                                done[qi] = true;
-                            }
-                        }
-                    }
-                }
-
-                // Right stubs, symmetric: scan down to the group's min x.
-                let right = BPlusTree::attach(pager, RightOrder, n.right)?;
-                let rprobes: Vec<_> = js
-                    .iter()
-                    .map(|&j| {
-                        let t = j as u16;
-                        move |r: &TaggedInterval| {
-                            (t, std::cmp::Reverse(i64::MAX), 0u64).cmp(&(
-                                r.tag,
-                                std::cmp::Reverse(r.iv.hi),
-                                r.iv.id,
-                            ))
-                        }
-                    })
-                    .collect();
-                for (gi, mut cur) in right
-                    .lower_bound_batch(pager, &rprobes)?
-                    .into_iter()
-                    .enumerate()
-                {
-                    let j = js[gi];
-                    let tag = j as u16;
-                    let qis = &by_j[&j];
-                    while let Some(r) = cur.next(pager)? {
-                        if r.tag != tag {
-                            break;
-                        }
-                        let min_x = qis
-                            .iter()
-                            .filter(|&&qi| !done[qi])
-                            .map(|&qi| queries[qi].0)
-                            .min();
-                        let Some(min_x) = min_x else { break };
-                        if r.iv.hi < min_x {
-                            break;
-                        }
-                        for &qi in qis {
-                            if !done[qi]
-                                && r.iv.hi >= queries[qi].0
-                                && f(queries[qi].1, &r.iv).is_break()
-                            {
-                                done[qi] = true;
-                            }
-                        }
-                    }
-                }
-
-                // Multislab lists: each list spanning any query's slab is
-                // scanned exactly once and dispatched to every query it
-                // spans (a ≤ j ≤ b ⇒ full membership, no per-record
-                // predicate).
-                let mut by_mi: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-                if k >= 2 {
-                    for (&j, qis) in &by_j {
-                        if j >= 1 && j < k {
-                            for a in 1..=j {
-                                for b in j..=k - 1 {
-                                    let mi = mslab_index(k, a, b);
-                                    if n.mslab_counts[mi] != 0 {
-                                        by_mi.entry(mi).or_default().extend(qis.iter().copied());
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                if !by_mi.is_empty() {
-                    let mslab = BPlusTree::attach(pager, MslabOrder, n.mslab)?;
-                    let mis: Vec<usize> = by_mi.keys().copied().collect();
-                    let mprobes: Vec<_> = mis
-                        .iter()
-                        .map(|&mi| {
-                            let t = mi as u16;
-                            move |r: &TaggedInterval| (t, 0u64).cmp(&(r.tag, r.iv.id))
-                        })
-                        .collect();
-                    for (gi, mut cur) in mslab
-                        .lower_bound_batch(pager, &mprobes)?
-                        .into_iter()
-                        .enumerate()
-                    {
-                        let tag = mis[gi] as u16;
-                        let qis = &by_mi[&mis[gi]];
-                        while let Some(r) = cur.next(pager)? {
-                            if r.tag != tag || qis.iter().all(|&qi| done[qi]) {
-                                break;
-                            }
-                            for &qi in qis {
-                                if !done[qi] && f(queries[qi].1, &r.iv).is_break() {
-                                    done[qi] = true;
-                                }
-                            }
-                        }
-                    }
-                }
-
-                // Descend per slab group; a query whose x hits a boundary
-                // exactly stops here (children hold only open-slab
-                // intervals), without stopping its groupmates.
-                for (&j, qis) in &by_j {
-                    let descend: Vec<usize> = qis
-                        .iter()
-                        .copied()
-                        .filter(|&qi| !(done[qi] || j < k && n.boundaries[j] == queries[qi].0))
-                        .collect();
-                    if !descend.is_empty() {
-                        self.stab_batch_rec(pager, n.children[j], &descend, queries, done, f)?;
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
-
     /// Number of intervals containing `x`, answered from the stub-list
     /// B⁺-tree ranks and the multislab count directory — none of the
     /// matching lists' own pages are read. A saturated multislab count

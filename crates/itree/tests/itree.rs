@@ -167,74 +167,6 @@ fn query_io_scales_sublinearly() {
 }
 
 #[test]
-fn batched_stab_matches_sequential_with_fewer_reads() {
-    use std::ops::ControlFlow;
-    for page in [256usize, 1024] {
-        let p = pager(page);
-        let set = random_intervals(2000, 10_000, 7);
-        let t = IntervalTree::build(&p, IntervalTreeConfig::default(), set.clone()).unwrap();
-        let mut rng = SmallRng::seed_from_u64(99);
-        let mut xs: Vec<i64> = (0..14).map(|_| rng.gen_range(-11_000..11_000)).collect();
-        // Boundary-exact and far-out-of-range probes ride along.
-        xs.push(set[0].lo);
-        xs.push(set[1].hi);
-        xs.push(i64::MAX);
-
-        p.reset_stats();
-        let seq: Vec<Vec<u64>> = xs
-            .iter()
-            .map(|&x| sorted_ids(t.stab(&p, x).unwrap()))
-            .collect();
-        let seq_reads = p.stats().reads;
-
-        let queries: Vec<(i64, usize)> = xs.iter().copied().zip(0..).collect();
-        let mut got: Vec<Vec<Interval>> = vec![Vec::new(); xs.len()];
-        p.reset_stats();
-        t.stab_batch_ctl(&p, &queries, &mut |tag, iv| {
-            got[tag].push(*iv);
-            ControlFlow::Continue(())
-        })
-        .unwrap();
-        let batch_reads = p.stats().reads;
-
-        for (i, g) in got.into_iter().enumerate() {
-            assert_eq!(sorted_ids(g), seq[i], "x={} page={page}", xs[i]);
-        }
-        assert!(
-            batch_reads < seq_reads,
-            "batch {batch_reads} !< seq {seq_reads} (page={page})"
-        );
-    }
-}
-
-#[test]
-fn batched_stab_early_exit_retires_one_query_only() {
-    use std::ops::ControlFlow;
-    let p = pager(256);
-    let set = random_intervals(1200, 8_000, 19);
-    let t = IntervalTree::build(&p, IntervalTreeConfig::default(), set.clone()).unwrap();
-    // Pick an x with several hits so the capped query genuinely breaks.
-    let x = set[10].lo;
-    let full = oracle_stab(&set, x);
-    assert!(full.len() >= 2, "need a multi-hit probe");
-    let queries = [(x, 0usize), (x, 1usize)];
-    let mut capped = 0usize;
-    let mut rest: Vec<Interval> = Vec::new();
-    t.stab_batch_ctl(&p, &queries, &mut |tag, iv| {
-        if tag == 0 {
-            capped += 1;
-            ControlFlow::Break(())
-        } else {
-            rest.push(*iv);
-            ControlFlow::Continue(())
-        }
-    })
-    .unwrap();
-    assert_eq!(capped, 1, "capped query stops after its first hit");
-    assert_eq!(sorted_ids(rest), full, "batchmate still sees every hit");
-}
-
-#[test]
 fn fanout_config_is_respected_and_correct() {
     let p = pager(1024);
     let set = random_intervals(2000, 20_000, 31);

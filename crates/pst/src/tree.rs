@@ -110,7 +110,7 @@ pub struct QueryStats {
     pub fruitless_nodes: u32,
 }
 
-/// One predicate of a batched PST walk (see [`Pst::query_batch_sink`]):
+/// One predicate of a PST group walk (see [`Pst::query_group`]):
 /// the vertical query `x = qx, lo ≤ y ≤ hi` plus an opaque `tag` handed
 /// to the emit callback with every hit.
 #[derive(Debug, Clone, Copy)]
@@ -123,6 +123,34 @@ pub struct BatchQuery {
     pub hi: Option<i64>,
     /// Caller-defined correlation tag (e.g. a sink-slot index).
     pub tag: usize,
+}
+
+/// One frontier position of [`Pst::query_group`]: query `qi` still needs
+/// `page`. Flankers are static separator segments known to reach the
+/// query line; by non-crossingness they bracket the subtree's ordinates
+/// there.
+#[derive(Clone, Copy)]
+struct Entry {
+    page: PageId,
+    qi: u32,
+    flo: Option<Segment>,
+    fhi: Option<Segment>,
+}
+
+/// `Entry::qi` of a query that broke while its page run is still being
+/// routed.
+const RETIRED: u32 = u32::MAX;
+
+/// Remove query `qi`'s entries from `entries[from..]`, keeping order.
+fn drop_query(entries: &mut Vec<Entry>, from: usize, qi: u32) {
+    let mut w = from;
+    for r in from..entries.len() {
+        if entries[r].qi != qi {
+            entries[w] = entries[r];
+            w += 1;
+        }
+    }
+    entries.truncate(w);
 }
 
 /// An external priority search tree for line-based segments. See crate
@@ -258,12 +286,10 @@ impl Pst {
         self.query_sink(pager, qx, lo, hi, out)
     }
 
-    /// Sink-driven form of [`Pst::query_into`]: every hit streams into
-    /// `sink` in traversal order; a `Break` abandons the rest of the
-    /// frontier immediately, so no further node pages are read. The PST
-    /// must evaluate each segment's reach and ordinate at `qx`
-    /// individually, so there is no bulk count shortcut here — the
-    /// early exit is the whole saving.
+    /// Sink-driven form of [`Pst::query_into`]: a group of one through
+    /// [`Pst::query_group`]. Every hit streams into `sink` in traversal
+    /// order; a `Break` abandons the rest of the frontier immediately,
+    /// so no further node pages are read.
     pub fn query_sink(
         &self,
         pager: &Pager,
@@ -272,35 +298,76 @@ impl Pst {
         hi: Option<i64>,
         sink: &mut dyn ReportSink,
     ) -> Result<QueryStats> {
+        let one = [BatchQuery { qx, lo, hi, tag: 0 }];
+        self.query_group(pager, &one, &mut |_, s| sink.report(s))
+    }
+
+    /// The PST search of Lemma 1 for a whole group of queries: one
+    /// level-order frontier walk in which each node page is read once,
+    /// however many queries need it. `emit` receives `(tag, segment)`
+    /// per hit, per query in traversal order; a `Break` retires that
+    /// query alone — its entries leave the frontier at once, so a page
+    /// only retired queries were waiting for is never read. The PST
+    /// must evaluate each segment's reach and ordinate at `qx`
+    /// individually, so there is no bulk count shortcut here — the
+    /// early exit is the whole saving.
+    pub fn query_group(
+        &self,
+        pager: &Pager,
+        queries: &[BatchQuery],
+        emit: &mut dyn FnMut(usize, &Segment) -> ControlFlow<()>,
+    ) -> Result<QueryStats> {
         let mut stats = QueryStats::default();
-        if self.state.root == NULL_PAGE || !self.side.on_side(self.base_x, qx) {
+        if self.state.root == NULL_PAGE {
+            return Ok(stats);
+        }
+        // Off-side queries can never match on this side of the base
+        // line and never enter the frontier.
+        let mut frontier: Vec<Entry> = queries
+            .iter()
+            .enumerate()
+            .filter(|(_, q)| self.side.on_side(self.base_x, q.qx))
+            .map(|(qi, _)| Entry {
+                page: self.state.root,
+                qi: qi as u32,
+                flo: None,
+                fhi: None,
+            })
+            .collect();
+        if frontier.is_empty() {
             return Ok(stats);
         }
         let tombs = self.load_tombs(pager)?;
-        let qkey = self.side.query_key(qx);
-
-        // Frontier entry: (page, lower flanker, upper flanker). Flankers
-        // are static separator segments known to reach qx; by
-        // non-crossingness they bracket the subtree's ordinates at qx.
-        let mut frontier: Vec<(PageId, Option<Segment>, Option<Segment>)> =
-            vec![(self.state.root, None, None)];
+        let mut next: Vec<Entry> = Vec::new();
         while !frontier.is_empty() {
             stats.levels += 1;
-            stats.max_frontier = stats.max_frontier.max(frontier.len() as u32);
-            let mut next = Vec::new();
-            for (page, flo, fhi) in frontier.drain(..) {
+            let mut width = 0u32;
+            let mut at = 0;
+            // Entries for one page are adjacent (a level is filled child
+            // by child); each such run costs one read.
+            while at < frontier.len() {
+                let page = frontier[at].page;
+                let end = at + frontier[at..].iter().take_while(|e| e.page == page).count();
+                width += 1;
                 stats.blocks_read += 1;
                 let node = read_node(pager, page)?;
                 let mut produced = false;
-                for s in &node.segments {
-                    if self.side.reach_key(s) >= qkey
-                        && hits_vertical(s, qx, lo, hi)
-                        && !tombs.contains(&s.id)
-                    {
-                        stats.hits += 1;
-                        produced = true;
-                        if sink.report(s).is_break() {
-                            return Ok(stats);
+                for i in at..end {
+                    let q = &queries[frontier[i].qi as usize];
+                    let qkey = self.side.query_key(q.qx);
+                    for s in &node.segments {
+                        if self.side.reach_key(s) >= qkey
+                            && hits_vertical(s, q.qx, q.lo, q.hi)
+                            && !tombs.contains(&s.id)
+                        {
+                            stats.hits += 1;
+                            produced = true;
+                            if emit(q.tag, s).is_break() {
+                                let qi = std::mem::replace(&mut frontier[i].qi, RETIRED);
+                                drop_query(&mut frontier, end, qi);
+                                drop_query(&mut next, 0, qi);
+                                break;
+                            }
                         }
                     }
                 }
@@ -316,138 +383,9 @@ impl Pst {
                 // the heap property — a usable bound always exists when
                 // it is needed.
                 for (i, c) in node.children.iter().enumerate() {
-                    if self.side.reach_key(&c.router) < qkey {
-                        continue;
-                    }
-                    let child_lo = node.children[..i]
-                        .iter()
-                        .rev()
-                        .map(|c| &c.router)
-                        .find(|s| self.side.reach_key(s) >= qkey)
-                        .copied()
-                        .or(flo);
-                    let child_hi = node.children[i + 1..]
-                        .iter()
-                        .map(|c| &c.router)
-                        .find(|s| self.side.reach_key(s) >= qkey)
-                        .copied()
-                        .or(fhi);
-                    // Prune: whole bracket below lo or above hi.
-                    if let (Some(h), Some(f)) = (hi, &child_lo) {
-                        if y_at_x_cmp(f, qx, h) == Ordering::Greater {
-                            continue; // subtree ordinates ≥ flanker > hi
-                        }
-                    }
-                    if let (Some(l), Some(f)) = (lo, &child_hi) {
-                        if y_at_x_cmp(f, qx, l) == Ordering::Less {
-                            continue; // subtree ordinates ≤ flanker < lo
-                        }
-                    }
-                    next.push((c.page, child_lo, child_hi));
-                }
-            }
-            frontier = next;
-        }
-        Ok(stats)
-    }
-
-    /// One query of a batched walk: the vertical predicate plus an
-    /// opaque `tag` the emit callback receives (typically the caller's
-    /// sink-slot index).
-    pub fn query_batch_sink(
-        &self,
-        pager: &Pager,
-        queries: &[BatchQuery],
-        emit: &mut dyn FnMut(usize, &Segment) -> ControlFlow<()>,
-    ) -> Result<QueryStats> {
-        let mut stats = QueryStats::default();
-        if self.state.root == NULL_PAGE {
-            return Ok(stats);
-        }
-        // `done[i]` tracks query i's early exit; off-side queries start
-        // retired (they can never match on this side of the base line).
-        let mut done: Vec<bool> = queries
-            .iter()
-            .map(|q| !self.side.on_side(self.base_x, q.qx))
-            .collect();
-        let mut live = done.iter().filter(|d| !**d).count();
-        if live == 0 {
-            return Ok(stats);
-        }
-        let tombs = self.load_tombs(pager)?;
-
-        // Merged frontier: each page appears once per level, carrying
-        // every query that still needs it (with that query's flankers).
-        struct Entry {
-            qi: usize,
-            flo: Option<Segment>,
-            fhi: Option<Segment>,
-        }
-        let mut frontier: Vec<(PageId, Vec<Entry>)> = vec![(
-            self.state.root,
-            (0..queries.len())
-                .filter(|&qi| !done[qi])
-                .map(|qi| Entry {
-                    qi,
-                    flo: None,
-                    fhi: None,
-                })
-                .collect(),
-        )];
-        while !frontier.is_empty() && live > 0 {
-            stats.levels += 1;
-            stats.max_frontier = stats.max_frontier.max(frontier.len() as u32);
-            let mut next: Vec<(PageId, Vec<Entry>)> = Vec::new();
-            let mut next_at: std::collections::HashMap<PageId, usize> =
-                std::collections::HashMap::new();
-            for (page, entries) in frontier.drain(..) {
-                if live == 0 {
-                    break;
-                }
-                // Every interested query may have retired since this
-                // entry was enqueued — then the page is never read: the
-                // whole point of the shared walk is to stop charging
-                // pages the moment no sink still wants them.
-                if entries.iter().all(|e| done[e.qi]) {
-                    continue;
-                }
-                stats.blocks_read += 1;
-                let node = read_node(pager, page)?;
-                let mut produced = false;
-                for e in &entries {
-                    if done[e.qi] {
-                        continue;
-                    }
-                    let q = &queries[e.qi];
-                    let qkey = self.side.query_key(q.qx);
-                    for s in &node.segments {
-                        if self.side.reach_key(s) >= qkey
-                            && hits_vertical(s, q.qx, q.lo, q.hi)
-                            && !tombs.contains(&s.id)
-                        {
-                            stats.hits += 1;
-                            produced = true;
-                            if emit(q.tag, s).is_break() {
-                                done[e.qi] = true;
-                                live -= 1;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if !produced {
-                    stats.fruitless_nodes += 1;
-                }
-                // Per-query child routing, identical to the sequential
-                // walk; children wanted by several queries merge into
-                // one next-level entry.
-                for e in &entries {
-                    if done[e.qi] {
-                        continue;
-                    }
-                    let q = &queries[e.qi];
-                    let qkey = self.side.query_key(q.qx);
-                    for (i, c) in node.children.iter().enumerate() {
+                    for e in frontier[at..end].iter().filter(|e| e.qi != RETIRED) {
+                        let q = &queries[e.qi as usize];
+                        let qkey = self.side.query_key(q.qx);
                         if self.side.reach_key(&c.router) < qkey {
                             continue;
                         }
@@ -464,29 +402,30 @@ impl Pst {
                             .find(|s| self.side.reach_key(s) >= qkey)
                             .copied()
                             .or(e.fhi);
+                        // Prune: whole bracket below lo or above hi.
                         if let (Some(h), Some(f)) = (q.hi, &child_lo) {
                             if y_at_x_cmp(f, q.qx, h) == Ordering::Greater {
-                                continue;
+                                continue; // subtree ordinates ≥ flanker > hi
                             }
                         }
                         if let (Some(l), Some(f)) = (q.lo, &child_hi) {
                             if y_at_x_cmp(f, q.qx, l) == Ordering::Less {
-                                continue;
+                                continue; // subtree ordinates ≤ flanker < lo
                             }
                         }
-                        let slot = *next_at.entry(c.page).or_insert_with(|| {
-                            next.push((c.page, Vec::new()));
-                            next.len() - 1
-                        });
-                        next[slot].1.push(Entry {
+                        next.push(Entry {
+                            page: c.page,
                             qi: e.qi,
                             flo: child_lo,
                             fhi: child_hi,
                         });
                     }
                 }
+                at = end;
             }
-            frontier = next;
+            stats.max_frontier = stats.max_frontier.max(width);
+            std::mem::swap(&mut frontier, &mut next);
+            next.clear();
         }
         Ok(stats)
     }
@@ -1385,7 +1324,7 @@ mod tests {
             });
             let mut got: Vec<Vec<u64>> = vec![Vec::new(); windows.len() + 1];
             let st = pst
-                .query_batch_sink(&p, &batch, &mut |tag, s| {
+                .query_group(&p, &batch, &mut |tag, s| {
                     got[tag].push(s.id);
                     ControlFlow::Continue(())
                 })
@@ -1426,7 +1365,7 @@ mod tests {
                 tag: 1,
             },
         ];
-        pst.query_batch_sink(&p, &batch, &mut |tag, s| {
+        pst.query_group(&p, &batch, &mut |tag, s| {
             if tag == 0 {
                 collect.push(s.id);
                 ControlFlow::Continue(())

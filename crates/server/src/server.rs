@@ -180,36 +180,13 @@ impl Backend {
     }
 
     /// Run one query shape in collect mode, materializing the segments
-    /// (the `trace` wire method's walk).
+    /// (the `trace` wire method's walk) — a group of one.
     fn trace_collect(&self, shape: QueryShape) -> Result<(Vec<Segment>, QueryTrace), DbError> {
-        match self {
-            Backend::ReadOnly(db) => run_shape(db, shape),
-            Backend::Writable(_) => {
-                let (answer, trace) = self.query(shape, QueryMode::Collect)?;
-                match answer {
-                    QueryAnswer::Segments(hits) => Ok((hits, trace)),
-                    _ => unreachable!("collect-mode answers carry segments"),
-                }
-            }
-        }
-    }
-
-    /// Run one query shape under a mode (delta-merged when writable).
-    fn query(
-        &self,
-        shape: QueryShape,
-        mode: QueryMode,
-    ) -> Result<(QueryAnswer, QueryTrace), DbError> {
-        match self {
-            Backend::ReadOnly(db) => run_shape_mode(db, shape, mode),
-            Backend::Writable(eng) => match shape {
-                QueryShape::Line { x, y } => eng.query_line_mode((x, y), mode),
-                QueryShape::RayUp { x, y } => eng.query_ray_up_mode((x, y), mode),
-                QueryShape::RayDown { x, y } => eng.query_ray_down_mode((x, y), mode),
-                QueryShape::Segment { x1, y1, x2, y2 } => {
-                    eng.query_segment_mode((x1, y1), (x2, y2), mode)
-                }
-            },
+        let q = self.with_db(|db| shape_canonical(db, shape))?;
+        let mut results = self.query_batch(&[(q, QueryMode::Collect)]);
+        match results.pop().expect("one result per item")? {
+            (QueryAnswer::Segments(hits), trace) => Ok((hits, trace)),
+            _ => unreachable!("collect-mode answers carry segments"),
         }
     }
 
@@ -227,7 +204,7 @@ impl Backend {
 }
 
 /// Express one wire query shape as its canonical-frame query (the same
-/// translation the sequential facade entry points apply).
+/// translation the facade's shape entry points apply).
 fn shape_canonical(
     db: &SegmentDatabase,
     shape: QueryShape,
@@ -715,10 +692,11 @@ fn worker_loop(shared: &Shared) {
                 break batch;
             }
         };
-        if batch.is_empty() {
-            break; // stopping
+        match batch.first().map(|job| &job.method) {
+            None => break, // stopping
+            Some(Method::Query(..)) => execute_queries(shared, batch),
+            Some(_) => batch.into_iter().for_each(|job| run_single(shared, job)),
         }
-        execute_batch(shared, batch);
     }
     // Refuse whatever was still queued when the stop flag went up.
     let mut queue = lock(&shared.queue);
@@ -732,7 +710,7 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Execute one job through the sequential path and fill its slot.
+/// Execute one non-query job and fill its slot.
 fn run_single(shared: &Shared, job: Job) {
     let mut timer = job.timer;
     let queue_us = timer.lap_us();
@@ -753,22 +731,16 @@ fn run_single(shared: &Shared, job: Job) {
     job.slot.fill(Reply { line, pending });
 }
 
-/// Execute a collected job group: one shared index walk for the whole
-/// batch, replies demultiplexed back to each request's [`ReplySlot`] by
-/// its own correlation id. Jobs whose requester already timed out are
-/// dropped before the walk; a group reduced to one job takes the
-/// sequential path (and reports `batch_id = 0`, like an unbatched run).
-fn execute_batch(shared: &Shared, jobs: Vec<Job>) {
+/// Execute a collected group of query jobs — one job when the collector
+/// is off or found no batchmates — as one shared index walk, replies
+/// demultiplexed back to each request's [`ReplySlot`] by its own
+/// correlation id. Jobs whose requester already timed out are dropped
+/// before the walk; a group of one reports `batch_id = 0`.
+fn execute_queries(shared: &Shared, jobs: Vec<Job>) {
     let mut live: Vec<Job> = jobs
         .into_iter()
         .filter(|j| !j.slot.is_abandoned())
         .collect();
-    if live.len() <= 1 {
-        if let Some(job) = live.pop() {
-            run_single(shared, job);
-        }
-        return;
-    }
     // Lap every timer now: the queue-wait stage charged to each request
     // includes the batching window it sat through.
     let mut queue_laps: Vec<u64> = Vec::with_capacity(live.len());
@@ -1096,31 +1068,6 @@ fn submit(shared: &Shared, request: Request) -> Reply {
     }
 }
 
-fn run_shape(
-    db: &SegmentDatabase,
-    shape: QueryShape,
-) -> Result<(Vec<Segment>, QueryTrace), DbError> {
-    match shape {
-        QueryShape::Line { x, y } => db.query_line((x, y)),
-        QueryShape::RayUp { x, y } => db.query_ray_up((x, y)),
-        QueryShape::RayDown { x, y } => db.query_ray_down((x, y)),
-        QueryShape::Segment { x1, y1, x2, y2 } => db.query_segment((x1, y1), (x2, y2)),
-    }
-}
-
-fn run_shape_mode(
-    db: &SegmentDatabase,
-    shape: QueryShape,
-    mode: QueryMode,
-) -> Result<(QueryAnswer, QueryTrace), DbError> {
-    match shape {
-        QueryShape::Line { x, y } => db.query_line_mode((x, y), mode),
-        QueryShape::RayUp { x, y } => db.query_ray_up_mode((x, y), mode),
-        QueryShape::RayDown { x, y } => db.query_ray_down_mode((x, y), mode),
-        QueryShape::Segment { x1, y1, x2, y2 } => db.query_segment_mode((x1, y1), (x2, y2), mode),
-    }
-}
-
 /// Render a mode-shaped answer: `ids` carries the segments when the
 /// mode materializes them (empty for count/exists), `count` the hit
 /// count the answer witnesses, `mode` echoes the mode served.
@@ -1197,25 +1144,7 @@ fn execute_write(
 
 fn execute(shared: &Shared, id: Option<u64>, method: Method) -> (String, Option<ExecInfo>) {
     match method {
-        Method::Query(shape, mode) => match shared.backend.query(shape, mode) {
-            Ok((answer, trace)) => {
-                ServerStats::bump(&shared.stats.ok);
-                let info = ExecInfo {
-                    op: shape_op(shape),
-                    mode: trace.mode.name(),
-                    pages: trace.io.reads + trace.io.cache_hits,
-                    hits: answer.count(),
-                };
-                (
-                    proto::ok_line(id, Json::obj(answer_json(&answer, &trace))),
-                    Some(info),
-                )
-            }
-            Err(e) => {
-                ServerStats::bump(&shared.stats.errors);
-                (proto::err_line(id, db_code(&e), &e.to_string()), None)
-            }
-        },
+        Method::Query(..) => unreachable!("query jobs run through execute_queries"),
         Method::Insert(seg) | Method::Delete(seg) => {
             let Some(engine) = shared.backend.engine() else {
                 ServerStats::bump(&shared.stats.errors);

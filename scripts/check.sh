@@ -9,6 +9,12 @@ cargo build --workspace --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+# benchmark/ is a workspace of its own that links the crates' public
+# items: an API break against it must fail here, not in the driver.
+echo "==> benchmark package: build + tests against the current crates"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -416,4 +422,4 @@ echo "$OUT1" | grep -q '"observed_io_errors":0}' && {
 echo "$OUT1" | grep -q '"recovery_queries_verified":0,' && {
     echo "no recovery query was verified: $OUT1"; exit 1; }
 
-echo "OK: build, tests, clippy, fmt, serve + lifecycle + net-chaos + cluster + replicated-failover + crash-recovery smoke all clean."
+echo "OK: build, tests, benchmark package, clippy, fmt, serve + lifecycle + net-chaos + cluster + replicated-failover + crash-recovery smoke all clean."

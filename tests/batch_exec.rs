@@ -11,7 +11,7 @@
 use segdb::core::report::ids;
 use segdb::core::testutil::oracle_query;
 use segdb::core::{IndexKind, QueryAnswer, QueryMode, SegmentDatabase, WriteEngine, WriterConfig};
-use segdb::geom::gen::mixed_map;
+use segdb::geom::gen::{mixed_map, vertical_queries};
 use segdb::geom::{Segment, VerticalQuery};
 use segdb::obs::Json;
 use segdb::pager::{Disk, FaultDevice, FaultPlan};
@@ -165,9 +165,12 @@ fn batch_traces_carry_shared_batch_id() {
 }
 
 /// A transient read fault during the shared walk must not poison
-/// batchmates: the executor falls back to per-query execution, every
+/// batchmates: the executor re-runs each query as a group of one, every
 /// query that succeeds is exact, and once the device heals the whole
-/// batch succeeds again.
+/// batch succeeds again. The retry is the first attempt's own walk at
+/// size one — there is no second read path for it to diverge into — so
+/// a retried slot reports `batch_id = 0` and reads exactly the pages
+/// the same query reads alone on a healthy device.
 #[test]
 fn transient_fault_does_not_poison_batchmates() {
     for kind in KINDS {
@@ -181,6 +184,13 @@ fn transient_fault_does_not_poison_batchmates() {
             .build(set.clone())
             .unwrap();
         let items = batch_items(&set);
+        let alone_pages: Vec<u64> = items
+            .iter()
+            .map(|item| {
+                let alone = db.query_batch_canonical_mode(std::slice::from_ref(item));
+                pages(&alone[0].as_ref().unwrap().1)
+            })
+            .collect();
         handle.arm(FaultPlan {
             read_error: 0.05,
             ..FaultPlan::none(seed)
@@ -192,8 +202,16 @@ fn transient_fault_does_not_poison_batchmates() {
             if oks > 0 && oks < results.len() {
                 saw_mixed_outcome = true;
             }
-            for ((q, mode), result) in items.iter().zip(results) {
-                if let Ok((answer, _)) = result {
+            for (((q, mode), result), alone) in items.iter().zip(results).zip(&alone_pages) {
+                if let Ok((answer, trace)) = result {
+                    if trace.batch_id == 0 {
+                        assert_eq!(trace.batch_size, 0, "{kind:?}: retried alone");
+                        assert_eq!(
+                            pages(&trace),
+                            *alone,
+                            "{kind:?} {q:?} {mode:?}: retry pages"
+                        );
+                    }
                     let (sequential_ok, _) = loop {
                         // Retry the sequential reference through the
                         // same fault schedule until it succeeds.
@@ -215,6 +233,7 @@ fn transient_fault_does_not_poison_batchmates() {
                 break;
             }
         }
+        assert!(saw_mixed_outcome, "{kind:?}: the retry path never ran");
         handle.disarm();
         assert!(
             db.query_batch_canonical_mode(&items)
@@ -222,6 +241,248 @@ fn transient_fault_does_not_poison_batchmates() {
                 .all(|r| r.is_ok()),
             "{kind:?}: batch must fully succeed once the device heals"
         );
+    }
+}
+
+/// The four query shapes over one set of 32 abscissae and windows.
+fn shapes(set: &[Segment]) -> [Vec<VerticalQuery>; 4] {
+    let mut out: [Vec<VerticalQuery>; 4] = Default::default();
+    for q in vertical_queries(set, 32, 60, 77) {
+        let VerticalQuery::Segment { x, lo, hi } = q else {
+            unreachable!("vertical_queries yields bounded segments")
+        };
+        out[0].push(VerticalQuery::Line { x });
+        out[1].push(VerticalQuery::RayUp { x, y0: lo });
+        out[2].push(VerticalQuery::RayDown { x, y0: hi });
+        out[3].push(q);
+    }
+    out
+}
+
+const PARITY_MODES: [QueryMode; 4] = [
+    QueryMode::Collect,
+    QueryMode::Count,
+    QueryMode::Exists,
+    QueryMode::Limit(3),
+];
+
+/// Pages per (shape, mode) cell, summed over the cell's 32 queries.
+type PageTable = [[u64; 4]; 4];
+
+fn pages(trace: &segdb::core::QueryTrace) -> u64 {
+    trace.io.reads + trace.io.cache_hits
+}
+
+/// Every cell, run two ways through `run` (which takes a group and
+/// returns its answers and traces): 32 groups of one must read exactly
+/// `pinned` pages — the figures of the sequential walk this code
+/// replaced, recorded at its last commit — and one group of 32 must
+/// give the same answers for no more pages than that. (Solution 2's
+/// lower-bounded walks — ray up and segment under Collect and Limit —
+/// are pinned one page above the old figure in a few cells: the bridge
+/// fix lands a jump one leaf earlier, on the record the old walk lost.)
+fn assert_page_parity(
+    ctx: &str,
+    shapes: &[Vec<VerticalQuery>; 4],
+    pinned: &PageTable,
+    run: impl Fn(&[(VerticalQuery, QueryMode)]) -> Vec<(QueryAnswer, segdb::core::QueryTrace)>,
+) {
+    for (shape, queries) in shapes.iter().enumerate() {
+        for (m, &mode) in PARITY_MODES.iter().enumerate() {
+            let items: Vec<(VerticalQuery, QueryMode)> =
+                queries.iter().map(|&q| (q, mode)).collect();
+            let alone: Vec<_> = items
+                .iter()
+                .map(|item| run(std::slice::from_ref(item)).pop().unwrap())
+                .collect();
+            let alone_pages: u64 = alone.iter().map(|(_, t)| pages(t)).sum();
+            assert_eq!(
+                alone_pages, pinned[shape][m],
+                "{ctx}: shape {shape} {mode:?}: one-slot pages moved"
+            );
+            let together = run(&items);
+            let group_pages: u64 = together.iter().map(|(_, t)| pages(t)).sum();
+            assert!(
+                group_pages <= alone_pages,
+                "{ctx}: shape {shape} {mode:?}: group of 32 read {group_pages} > {alone_pages}"
+            );
+            for ((a, _), (g, _)) in alone.iter().zip(&together) {
+                match mode {
+                    QueryMode::Limit(_) => assert_eq!(a.count(), g.count(), "{ctx} limit size"),
+                    _ => assert_eq!(a, g, "{ctx}: shape {shape} {mode:?}"),
+                }
+            }
+        }
+    }
+}
+
+fn db_runner(
+    db: &SegmentDatabase,
+) -> impl Fn(&[(VerticalQuery, QueryMode)]) -> Vec<(QueryAnswer, segdb::core::QueryTrace)> + '_ {
+    |items| {
+        db.query_batch_canonical_mode(items)
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect()
+    }
+}
+
+/// One-slot pages are pinned to the sequential walk's, and a group of
+/// 32 never reads more than its slots would alone — on freshly built
+/// indexes of every kind.
+#[test]
+fn one_slot_pages_match_the_sequential_walk_and_groups_read_no_more() {
+    let set = mixed_map(1500, 13);
+    let shapes = shapes(&set);
+    let pinned: [PageTable; 4] = [
+        [
+            [691, 691, 64, 64],
+            [622, 622, 64, 64],
+            [579, 579, 71, 93],
+            [510, 510, 105, 167],
+        ],
+        [
+            [527, 322, 66, 69],
+            [452, 431, 68, 78],
+            [476, 461, 77, 91],
+            [401, 570, 140, 189],
+        ],
+        [
+            [1920, 1920, 137, 188],
+            [1920, 1920, 1342, 1368],
+            [1920, 1920, 137, 188],
+            [1920, 1920, 1357, 1408],
+        ],
+        [
+            [3268, 320, 320, 137],
+            [3268, 3268, 133, 207],
+            [3268, 3268, 142, 204],
+            [3268, 3268, 299, 802],
+        ],
+    ];
+    for (kind, pinned) in KINDS.into_iter().zip(&pinned) {
+        let db = build(kind, set.clone());
+        assert_page_parity(&format!("{kind:?}"), &shapes, pinned, db_runner(&db));
+    }
+}
+
+/// The same after `remove` without `compact`: Solution 1 deletes in
+/// place (its PSTs tombstone), Solution 2 keeps a live tombstone chain
+/// that every walk has to subtract or filter.
+#[test]
+fn page_parity_holds_with_live_tombstones() {
+    let set = mixed_map(1500, 13);
+    let shapes = shapes(&set);
+    // The sequential Exists under tombstones counted the whole answer
+    // (610, 719, 749, 858 pages); the one walk pays the tombstoned hits
+    // off first and stops at the first live one.
+    let pinned: [PageTable; 2] = [
+        [
+            [839, 839, 96, 96],
+            [770, 770, 96, 96],
+            [727, 727, 116, 137],
+            [658, 658, 159, 225],
+        ],
+        [
+            [815, 610, 385, 357],
+            [740, 719, 412, 369],
+            [764, 749, 414, 388],
+            [689, 858, 468, 482],
+        ],
+    ];
+    let kinds = [IndexKind::TwoLevelBinary, IndexKind::TwoLevelInterval];
+    for (kind, pinned) in kinds.into_iter().zip(&pinned) {
+        let mut db = build(kind, set.clone());
+        for s in set.iter().step_by(7) {
+            assert!(db.remove(s).unwrap());
+        }
+        if kind == IndexKind::TwoLevelInterval {
+            assert_eq!(db.tomb_count(), 215, "tombstones stay live");
+        }
+        let live: Vec<Segment> = set.iter().filter(|s| s.id % 7 != 0).copied().collect();
+        for q in shapes.iter().flatten() {
+            let (n, _) = db.query_canonical_mode(q, QueryMode::Count).unwrap();
+            assert_eq!(
+                n.count(),
+                oracle_query(&live, q).len() as u64,
+                "{kind:?} {q:?}"
+            );
+        }
+        assert_page_parity(
+            &format!("{kind:?} tombstoned"),
+            &shapes,
+            pinned,
+            db_runner(&db),
+        );
+        db.validate().unwrap();
+    }
+}
+
+/// And through a `WriteEngine` holding un-folded inserts and deletes:
+/// the overlay widens modes per slot, and an `Exists` slot a delta
+/// insert already satisfies is answered without reading a page.
+#[test]
+fn page_parity_holds_through_the_write_overlay() {
+    let set = mixed_map(1500, 13);
+    let shapes = shapes(&set);
+    let pinned: [PageTable; 2] = [
+        [
+            [691, 691, 299, 184],
+            [622, 622, 373, 313],
+            [579, 579, 243, 354],
+            [510, 510, 147, 510],
+        ],
+        [
+            [527, 322, 134, 226],
+            [452, 431, 262, 286],
+            [476, 461, 179, 333],
+            [401, 570, 184, 401],
+        ],
+    ];
+    let kinds = [IndexKind::TwoLevelBinary, IndexKind::TwoLevelInterval];
+    for (kind, pinned) in kinds.into_iter().zip(&pinned) {
+        let (engine, _) = WriteEngine::recover(
+            build(kind, set.clone()),
+            Box::new(Disk::new(1024)),
+            WriterConfig::default(),
+        )
+        .unwrap();
+        let x_lo = set.iter().map(|s| s.a.x).min().unwrap();
+        let x_hi = set.iter().map(|s| s.b.x).max().unwrap();
+        for s in set.iter().step_by(40) {
+            engine.delete(1_000_000 + s.id, *s).unwrap();
+        }
+        for i in 0..8u64 {
+            // Horizontals across the left half of the map.
+            let y = 10 + i as i64;
+            let seg = Segment::new(2_000_000 + i, (x_lo, y), ((x_lo + x_hi) / 2, y)).unwrap();
+            engine.insert(3_000_000 + i, seg).unwrap();
+        }
+        assert_eq!(engine.delta().len(), 8 + set.len().div_ceil(40));
+        assert_page_parity(&format!("{kind:?} overlay"), &shapes, pinned, |items| {
+            engine
+                .query_batch_canonical_mode(items)
+                .into_iter()
+                .map(|r| r.unwrap())
+                .collect()
+        });
+        // The line through the inserted horizontals' left end certainly
+        // meets one: answered from the delta, in a group as well as alone.
+        let hit = (VerticalQuery::Line { x: x_lo }, QueryMode::Exists);
+        let miss = (VerticalQuery::Line { x: x_hi + 1000 }, QueryMode::Exists);
+        let out = engine.query_batch_canonical_mode(&[miss, hit, miss]);
+        let (answer, trace) = out[1].as_ref().unwrap();
+        assert_eq!(answer, &QueryAnswer::Exists(true));
+        assert_eq!(
+            trace.io.total_io() + pages(trace),
+            0,
+            "delta hit reads nothing"
+        );
+        assert_eq!(out[0].as_ref().unwrap().0, QueryAnswer::Exists(false));
+        let (alone, trace) = engine
+            .query_line_mode((x_lo, 0), QueryMode::Exists)
+            .unwrap();
+        assert_eq!((alone, pages(&trace)), (QueryAnswer::Exists(true), 0));
     }
 }
 
