@@ -74,12 +74,6 @@
 //!                           tombstones accumulate (default 0: off)
 //!   --compact-interval-ms <n>
 //!                           compactor poll cadence (default 500)
-//!   --batch-window-us <n>   batched execution admission window: a
-//!                           worker holds a query this long collecting
-//!                           batchmates, then runs the group as one
-//!                           shared index walk (default 0: off)
-//!   --batch-max <n>         most queries one shared walk serves
-//!                           (default 16; 1 disables batching)
 //!   --pin-pages <n>         pin up to n internal-level index pages
 //!                           resident in the cache at startup
 //!                           (default 0: fully evictable)
@@ -845,14 +839,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                         cfg.compact_interval = std::time::Duration::from_millis(
                             num(args, i + 1, "compact interval")?.max(1) as u64,
                         );
-                    }
-                    "--batch-window-us" => {
-                        cfg.batch_window = std::time::Duration::from_micros(
-                            num(args, i + 1, "batch window")?.max(0) as u64,
-                        );
-                    }
-                    "--batch-max" => {
-                        cfg.batch_max = num(args, i + 1, "batch size limit")?.max(1) as usize;
                     }
                     "--pin-pages" => {
                         cfg.pin_budget = num(args, i + 1, "pin budget")?.max(0) as usize;

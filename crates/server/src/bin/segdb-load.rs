@@ -13,13 +13,6 @@
 //! per-op-kind latency histograms in the report (exit 1 on a sweep
 //! mismatch, same as a wrong verified answer).
 //!
-//! `--batch` ignores `--addr` and drives the batched-vs-unbatched
-//! serving comparison instead: two in-process servers over the same
-//! generated set — one plain, one with the batch collector
-//! (admission window + internal-level pinning) armed — replay the
-//! identical verified workload, and the report (the batched run's)
-//! gains a `batch` block with both throughputs and their ratio.
-//!
 //! `--cluster` declares the address to be a scatter-gather router
 //! (`segdb-cli route`); the report then carries a `cluster` block with
 //! one entry per shard — upstream call tallies and the round-trip
@@ -45,7 +38,7 @@ use std::time::Duration;
 
 const USAGE: &str = "usage: segdb-load [--addr HOST:PORT] [--connections K] [--requests N] \
 [--family fan|grid|strips|temporal|nested|mixed] [--n N] [--seed S] [--no-verify] \
-[--mode collect|count|exists|limit:K|mix] [--write-pct P] [--cluster] [--batch] [--shutdown] \
+[--mode collect|count|exists|limit:K|mix] [--write-pct P] [--cluster] [--shutdown] \
 [--chaos SEED] [--max-retries K] [--attempt-timeout-ms MS] [--out PATH]";
 
 fn fail(code: &str, message: &str) -> ExitCode {
@@ -75,10 +68,6 @@ fn main() -> ExitCode {
         }
         if flag == "--cluster" {
             cfg.cluster = true;
-            continue;
-        }
-        if flag == "--batch" {
-            cfg.batch = true;
             continue;
         }
         if flag == "--help" || flag == "-h" {
@@ -130,21 +119,9 @@ fn main() -> ExitCode {
         }
     }
 
-    let (doc, wrong) = if cfg.batch {
-        // The batched-vs-unbatched serving comparison ignores `--addr`
-        // and spawns its own server pair over the generated set.
-        match load::run_batch_compare(&cfg) {
-            Ok(cmp) => (
-                cmp.to_json(&cfg).render(),
-                cmp.batched.wrong + cmp.batched.sweep_wrong + cmp.unbatched.wrong,
-            ),
-            Err(e) => return fail("io", &format!("batch comparison failed: {e}")),
-        }
-    } else {
-        match load::run_load(&cfg) {
-            Ok(r) => (r.to_json(&cfg).render(), r.wrong + r.sweep_wrong),
-            Err(e) => return fail("io", &format!("load run failed: {e}")),
-        }
+    let (doc, wrong) = match load::run_load(&cfg) {
+        Ok(r) => (r.to_json(&cfg).render(), r.wrong + r.sweep_wrong),
+        Err(e) => return fail("io", &format!("load run failed: {e}")),
     };
     println!("{doc}");
     let path = out.unwrap_or_else(|| {

@@ -377,6 +377,19 @@ impl Client {
         .render()
     }
 
+    /// Ask the server (or router) at `addr` to shut down gracefully:
+    /// one un-retried attempt under a short deadline, so a peer that is
+    /// already gone costs half a second, not a retry budget.
+    pub fn send_shutdown(addr: &str) -> Result<(), CallError> {
+        let mut one_shot = Client::new(ClientConfig {
+            addr: addr.to_string(),
+            attempt_timeout: Duration::from_millis(500),
+            max_retries: 0,
+            ..ClientConfig::default()
+        });
+        one_shot.call_line(r#"{"method":"shutdown"}"#).map(drop)
+    }
+
     /// Convenience: `ping` (answers `true` on a pong).
     pub fn ping(&mut self) -> Result<bool, CallError> {
         let line = self.stamped("ping");

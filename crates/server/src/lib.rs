@@ -12,9 +12,11 @@
 //!   / `trace` / `stats` / `ping` / `shutdown`, plus `insert` /
 //!   `delete` / `flush` on writable servers), reusing `segdb-obs`'s
 //!   in-repo JSON value type;
-//! * [`server`] — a bounded worker pool executing requests over one
-//!   `Arc<SegmentDatabase>` (the `Send + Sync` read path the sharded
-//!   page cache of `segdb-pager` provides) or, via
+//! * [`server`] — behind the listener loop it shares with [`router`]
+//!   (accept gate, per-connection read/reply loop, shutdown and drain:
+//!   the private `frontend` module), a bounded worker pool executing
+//!   requests over one `Arc<SegmentDatabase>` (the `Send + Sync` read
+//!   path the sharded page cache of `segdb-pager` provides) or, via
 //!   [`Server::start_writable`], a `segdb-core` `WriteEngine` that adds
 //!   the WAL-durable write path and a background tombstone compactor;
 //!   either way refusing work with an explicit `overloaded` error
@@ -60,6 +62,7 @@ pub mod bench;
 pub mod breaker;
 pub mod chaos;
 pub mod client;
+mod frontend;
 pub mod lifecycle;
 pub mod load;
 pub mod proto;

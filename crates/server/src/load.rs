@@ -37,15 +37,13 @@
 use crate::chaos::{NetFaultHandle, NetFaultPlan, NetFaultStats};
 use crate::client::{Client, ClientConfig};
 use crate::proto::code;
-use crate::server::{Server, ServerConfig};
 use segdb_core::QueryMode;
 use segdb_geom::gen::{vertical_queries, Family};
 use segdb_geom::query::scan_oracle;
 use segdb_geom::{Segment, VerticalQuery};
 use segdb_obs::{Histogram, Json};
 use segdb_rng::SmallRng;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -160,13 +158,6 @@ pub struct LoadConfig {
     /// upstream tallies and latency histograms (the `stats` reply's
     /// `router` block) into the report's `cluster` block.
     pub cluster: bool,
-    /// Ignore `addr` and drive the batched-vs-unbatched serving
-    /// comparison instead: spawn two in-process servers over the same
-    /// generated set — one plain, one with the batch collector and the
-    /// pinned internal-level tier armed — replay the identical verified
-    /// workload against both, and report the batched run with a `batch`
-    /// block carrying both throughputs.
-    pub batch: bool,
 }
 
 impl Default for LoadConfig {
@@ -186,7 +177,6 @@ impl Default for LoadConfig {
             mode: ModeSpec::default(),
             write_pct: 0,
             cluster: false,
-            batch: false,
         }
     }
 }
@@ -846,16 +836,6 @@ fn sweep_shadow(cfg: &LoadConfig, report: &mut LoadReport) {
     }
 }
 
-/// Connect once and ask the server to shut down gracefully.
-pub fn send_shutdown(addr: &str) -> io::Result<()> {
-    let stream = TcpStream::connect(addr)?;
-    let mut writer = stream.try_clone()?;
-    writer.write_all(b"{\"method\":\"shutdown\"}\n")?;
-    let mut response = String::new();
-    let _ = BufReader::new(stream).read_line(&mut response);
-    Ok(())
-}
-
 /// Best-effort `stats` snapshot through a short-budget plain client
 /// (no chaos — the probe must see the server, not the fault schedule).
 fn probe_stats(cfg: &LoadConfig) -> Option<Json> {
@@ -928,144 +908,9 @@ pub fn run_load(cfg: &LoadConfig) -> io::Result<LoadReport> {
         report.cluster = stats_after.as_ref().and_then(|s| s.get("router").cloned());
     }
     if cfg.shutdown_after {
-        send_shutdown(&cfg.addr)?;
+        Client::send_shutdown(&cfg.addr).map_err(|e| io::Error::other(e.to_string()))?;
     }
     Ok(report)
-}
-
-/// Admission window the `--batch` comparison arms on its batched
-/// server. Kept short: under closed-loop pressure batches form from
-/// already-queued requests the moment a worker frees up, so the window
-/// only pays off on the last stragglers and a long one just adds
-/// latency.
-pub const BATCH_COMPARE_WINDOW: Duration = Duration::from_micros(50);
-
-/// Internal-level pin budget (pages) for the batched server.
-pub const BATCH_COMPARE_PIN: usize = 512;
-
-/// Outcome of a `--batch` run: the same verified workload replayed
-/// against an unbatched and a batched in-process server.
-#[derive(Debug)]
-pub struct BatchCompare {
-    /// The plain server's run.
-    pub unbatched: LoadReport,
-    /// The batch-collector server's run (window armed, internal levels
-    /// pinned).
-    pub batched: LoadReport,
-    /// Batch size cap the batched server ran with.
-    pub batch_max: usize,
-}
-
-impl BatchCompare {
-    /// The `BENCH_serve.json` document of a `--batch` run: the batched
-    /// run's full report plus a `batch` block comparing throughputs.
-    pub fn to_json(&self, cfg: &LoadConfig) -> Json {
-        let mut doc = self.batched.to_json(cfg);
-        if let Json::Obj(fields) = &mut doc {
-            let unbatched = self.unbatched.throughput_rps();
-            let batched = self.batched.throughput_rps();
-            fields.push((
-                "batch".to_string(),
-                Json::obj([
-                    (
-                        "window_us",
-                        Json::U64(BATCH_COMPARE_WINDOW.as_micros() as u64),
-                    ),
-                    ("batch_max", Json::U64(self.batch_max as u64)),
-                    ("pin_budget", Json::U64(BATCH_COMPARE_PIN as u64)),
-                    ("unbatched_rps", Json::F64(unbatched)),
-                    ("batched_rps", Json::F64(batched)),
-                    (
-                        "throughput_ratio",
-                        Json::F64(if unbatched > 0.0 {
-                            batched / unbatched
-                        } else {
-                            0.0
-                        }),
-                    ),
-                    ("unbatched_wrong", Json::U64(self.unbatched.wrong)),
-                ]),
-            ));
-        }
-        doc
-    }
-}
-
-/// Replay the configured workload against a freshly started in-process
-/// server, then shut it down.
-fn run_against_server(cfg: &LoadConfig, server_cfg: ServerConfig) -> io::Result<LoadReport> {
-    // Identical database config on both sides; small pages and a small
-    // evictable cache keep the internal levels taller than the LRU, so
-    // page work — the quantity batching amortizes — stays the dominant
-    // per-query cost instead of disappearing into a resident pool.
-    let mut db = segdb_core::SegmentDatabase::builder()
-        .page_size(512)
-        .cache_pages(16)
-        .build(cfg.family.generate(cfg.n, cfg.seed))
-        .map_err(|e| io::Error::other(format!("cannot build comparison database: {e}")))?;
-    db.set_observability(true);
-    let server = Server::start(std::sync::Arc::new(db), server_cfg)
-        .map_err(|e| io::Error::other(format!("cannot start comparison server: {e}")))?;
-    let run_cfg = LoadConfig {
-        addr: server.addr().to_string(),
-        shutdown_after: false,
-        cluster: false,
-        write_pct: 0,
-        chaos_plan: None,
-        ..cfg.clone()
-    };
-    // Warmup pass: a quarter of the workload, unrecorded, so cold-start
-    // costs (connection setup, allocator, branch history) land outside
-    // the measured window on both sides alike.
-    let warmup = LoadConfig {
-        requests: (run_cfg.requests / 4).max(run_cfg.connections),
-        verify: false,
-        ..run_cfg.clone()
-    };
-    run_load(&warmup)?;
-    // Best of two measured passes: a single pass on a loaded box is at
-    // the mercy of one bad scheduling window; the faster of two is a
-    // far tighter estimate of what the server can actually sustain, and
-    // both sides of the comparison get the same treatment.
-    let first = run_load(&run_cfg)?;
-    let second = run_load(&run_cfg)?;
-    let report = if second.throughput_rps() > first.throughput_rps() {
-        second
-    } else {
-        first
-    };
-    server.shutdown();
-    server.wait();
-    Ok(report)
-}
-
-/// Drive the batched-vs-unbatched serving comparison: the same verified
-/// workload replayed against two in-process servers over the identical
-/// generated set. The batched server arms the admission window with
-/// `batch_max = connections` — a closed loop can never have more than
-/// one query per connection in flight, so a full complement releases the
-/// window early instead of stalling on batchmates that cannot exist.
-pub fn run_batch_compare(cfg: &LoadConfig) -> io::Result<BatchCompare> {
-    let unbatched = run_against_server(cfg, ServerConfig::default())?;
-    // A closed loop has at most one query per connection in flight, so
-    // `connections` is the largest batch that can ever form — capping
-    // there lets a full complement release the window early instead of
-    // stalling on batchmates that cannot exist.
-    let batch_max = cfg.connections.clamp(2, 64);
-    let batched = run_against_server(
-        cfg,
-        ServerConfig {
-            batch_window: BATCH_COMPARE_WINDOW,
-            batch_max,
-            pin_budget: BATCH_COMPARE_PIN,
-            ..ServerConfig::default()
-        },
-    )?;
-    Ok(BatchCompare {
-        unbatched,
-        batched,
-        batch_max,
-    })
 }
 
 #[cfg(test)]

@@ -67,23 +67,20 @@
 use crate::breaker::{Breaker, BreakerConfig, BreakerState};
 use crate::chaos::NetFaultHandle;
 use crate::client::{CallError, Client, ClientConfig};
-use crate::proto::{self, code, Method, QueryShape};
-use crate::server::{drain_oversized, read_bounded_line, write_line, LineRead};
+use crate::frontend::{bump, lock, Front, FrontConfig, Handler, Reply, DEFAULT_MAX_CONNECTIONS};
+use crate::proto::{self, code, Method, QueryShape, Request};
 use segdb_core::partition::XCuts;
 use segdb_core::QueryMode;
 use segdb_geom::Segment;
 use segdb_obs::json::{self, Json};
 use segdb_obs::Histogram;
 use std::collections::BTreeSet;
-use std::io::{self, BufReader, Read as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::{self, JoinHandle};
+use std::io;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How often blocked reads wake to check the stop flag.
-const READ_POLL: Duration = Duration::from_millis(250);
 
 /// Base of the upstream clients' backoff-jitter seeds.
 const JITTER_SEED_BASE: u64 = 0x5EED_2070;
@@ -316,16 +313,6 @@ impl Default for RouterConfig {
     }
 }
 
-/// Monotone routing counters, exposed by the router's `stats` method.
-#[derive(Debug, Default)]
-struct RouterStats {
-    connections: AtomicU64,
-    requests: AtomicU64,
-    ok: AtomicU64,
-    errors: AtomicU64,
-    degraded: AtomicU64,
-}
-
 /// Per-shard upstream accounting: calls, failures, and the round-trip
 /// latency histogram `segdb-load --cluster` surfaces per shard.
 #[derive(Debug)]
@@ -358,12 +345,9 @@ struct ReplicaSlot {
 struct Shared {
     map: ShardMap,
     cfg: RouterConfig,
-    stop: AtomicBool,
-    local: SocketAddr,
-    conns: Mutex<usize>,
-    conn_exited: Condvar,
-    conn_seq: AtomicU64,
-    stats: RouterStats,
+    front: Arc<Front>,
+    /// Replies that admitted a whole replica set unreachable.
+    degraded: AtomicU64,
     shards: Vec<ShardTally>,
     replicas: Vec<Vec<ReplicaSlot>>,
     started: Instant,
@@ -372,24 +356,52 @@ struct Shared {
 }
 
 impl Shared {
-    fn initiate_shutdown(&self) {
-        if self.stop.swap(true, Ordering::AcqRel) {
-            return;
+    fn new(map: ShardMap, cfg: RouterConfig, front: Arc<Front>) -> Shared {
+        let shards = (0..map.shard_count()).map(|_| ShardTally::new()).collect();
+        let replicas = build_replica_slots(&map, &cfg);
+        Shared {
+            map,
+            cfg,
+            front,
+            degraded: AtomicU64::new(0),
+            shards,
+            replicas,
+            started: Instant::now(),
+            failovers: AtomicU64::new(0),
+            hedges: AtomicU64::new(0),
         }
-        let _ = TcpStream::connect(self.local);
-    }
-
-    fn stopping(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
-    }
-
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The breakers' monotone clock: milliseconds since router start.
     fn now_ms(&self) -> u64 {
         u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX)
+    }
+}
+
+/// The router's side of a connection: a private set of upstream clients
+/// (one per replica, connected lazily), and every request routed
+/// through them.
+impl Handler for Shared {
+    type Conn = Vec<Vec<Client>>;
+
+    fn open(&self, seq: u64) -> Self::Conn {
+        upstream_clients(self, seq)
+    }
+
+    fn handle(&self, clients: &mut Self::Conn, request: Request, raw: &str) -> Reply {
+        match route(self, clients, request.id, request.method, raw) {
+            Ok(line) => Reply { line, ok: true },
+            Err(line) => Reply { line, ok: false },
+        }
+    }
+
+    /// Best-effort shutdown fan-out: one un-retried attempt per replica.
+    fn wire_shutdown(&self) {
+        if self.cfg.forward_shutdown {
+            for addr in self.map.replica_sets().iter().flatten() {
+                let _ = Client::send_shutdown(addr);
+            }
+        }
     }
 }
 
@@ -421,184 +433,45 @@ pub struct Router {
 impl Router {
     /// Bind and start routing for `map` — replicas may come and go;
     /// each request discovers reachability through its own fan-out and
-    /// the shared per-replica breakers.
+    /// the shared per-replica breakers. Downstream connections get the
+    /// same front-end a single server has: at most 256 are served, one
+    /// beyond that is shed with `overloaded`.
     pub fn start(map: ShardMap, cfg: RouterConfig) -> io::Result<Router> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let local = listener.local_addr()?;
-        let shards = (0..map.shard_count()).map(|_| ShardTally::new()).collect();
-        let replicas = build_replica_slots(&map, &cfg);
-        let shared = Arc::new(Shared {
-            map,
-            cfg,
-            stop: AtomicBool::new(false),
-            local,
-            conns: Mutex::new(0),
-            conn_exited: Condvar::new(),
-            conn_seq: AtomicU64::new(0),
-            stats: RouterStats::default(),
-            shards,
-            replicas,
-            started: Instant::now(),
-            failovers: AtomicU64::new(0),
-            hedges: AtomicU64::new(0),
-        });
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("segdb-router".to_string())
-                .spawn(move || accept_loop(&listener, &shared))?
-        };
+        let (front, listener) = Front::bind(front_config(&cfg))?;
+        let shared = Arc::new(Shared::new(map, cfg, front));
+        let acceptor = shared.front.spawn(listener, Arc::clone(&shared))?;
         Ok(Router { shared, acceptor })
     }
 
     /// The address actually bound (resolves `:0` to the chosen port).
     pub fn addr(&self) -> SocketAddr {
-        self.shared.local
+        self.shared.front.addr()
     }
 
     /// Begin a graceful shutdown (idempotent, non-blocking).
     pub fn shutdown(&self) {
-        self.shared.initiate_shutdown();
+        self.shared.front.stop();
     }
 
     /// Block until the acceptor has stopped, then wait — at most
     /// [`RouterConfig::drain_timeout`] — for live connections to drain.
     pub fn wait(self) {
         let _ = self.acceptor.join();
-        let deadline = Instant::now() + self.shared.cfg.drain_timeout;
-        let mut conns = lock(&self.shared.conns);
-        while *conns > 0 {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            conns = self
-                .shared
-                .conn_exited
-                .wait_timeout(conns, deadline - now)
-                .unwrap_or_else(|p| p.into_inner())
-                .0;
-        }
+        self.shared.front.drain();
     }
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-fn connection_exited(shared: &Shared) {
-    let mut conns = lock(&shared.conns);
-    *conns = conns.saturating_sub(1);
-    shared.conn_exited.notify_all();
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shared.stopping() {
-                    return;
-                }
-                thread::sleep(Duration::from_millis(50));
-                continue;
-            }
-        };
-        if shared.stopping() {
-            return;
-        }
-        Shared::bump(&shared.stats.connections);
-        {
-            *lock(&shared.conns) += 1;
-        }
-        let conn_shared = Arc::clone(shared);
-        let spawned = thread::Builder::new()
-            .name("segdb-router-conn".to_string())
-            .spawn(move || {
-                serve_connection(&conn_shared, stream);
-                connection_exited(&conn_shared);
-            });
-        if spawned.is_err() {
-            connection_exited(shared);
-        }
-    }
-}
-
-/// One downstream connection: a private set of upstream clients (one
-/// per replica, connected lazily) plus the read-parse-route-reply loop.
-fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
-        return;
-    }
-    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let conn_seq = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
-    let mut clients = upstream_clients(shared, conn_seq);
-    let mut reader = BufReader::new(read_half).take(0);
-    let mut writer = stream;
-    loop {
-        if shared.stopping() {
-            return;
-        }
-        let deadline = Instant::now() + shared.cfg.idle_timeout;
-        let line = match read_bounded_line(
-            &mut reader,
-            shared.cfg.max_line_bytes,
-            &shared.stop,
-            deadline,
-        ) {
-            Ok(LineRead::Line(line)) => line,
-            Ok(LineRead::Oversized { terminated }) => {
-                Shared::bump(&shared.stats.errors);
-                if write_line(
-                    &mut writer,
-                    &proto::err_line(None, code::OVERSIZED, "request line exceeds limit"),
-                )
-                .is_err()
-                {
-                    return;
-                }
-                if terminated || drain_oversized(&mut reader, &shared.stop, deadline) {
-                    continue;
-                }
-                return;
-            }
-            Ok(LineRead::IdleExpired) => return,
-            Ok(LineRead::Eof) | Ok(LineRead::Stopped) | Err(_) => return,
-        };
-        let line = String::from_utf8_lossy(&line).into_owned();
-        let response = match proto::parse_request(&line) {
-            Err(e) => {
-                Shared::bump(&shared.stats.errors);
-                e.to_line()
-            }
-            Ok(request) => {
-                Shared::bump(&shared.stats.requests);
-                match request.method {
-                    Method::Ping => {
-                        Shared::bump(&shared.stats.ok);
-                        proto::ok_line(request.id, Json::Str("pong".to_string()))
-                    }
-                    Method::Shutdown => {
-                        Shared::bump(&shared.stats.ok);
-                        let _ =
-                            write_line(&mut writer, &proto::ok_line(request.id, Json::Bool(true)));
-                        if shared.cfg.forward_shutdown {
-                            forward_shutdown(shared);
-                        }
-                        shared.initiate_shutdown();
-                        return;
-                    }
-                    method => route(shared, &mut clients, request.id, method, &line),
-                }
-            }
-        };
-        if write_line(&mut writer, &response).is_err() {
-            return;
-        }
+fn front_config(cfg: &RouterConfig) -> FrontConfig {
+    FrontConfig {
+        addr: cfg.addr.clone(),
+        name: "segdb-router",
+        max_line_bytes: cfg.max_line_bytes,
+        write_timeout: cfg.write_timeout,
+        idle_timeout: cfg.idle_timeout,
+        max_connections: DEFAULT_MAX_CONNECTIONS,
+        drain_timeout: cfg.drain_timeout,
+        // `RouterConfig::chaos` faults the upstream side only.
+        accept_chaos: None,
     }
 }
 
@@ -635,21 +508,6 @@ fn upstream_clients(shared: &Shared, conn_seq: u64) -> Vec<Vec<Client>> {
         .collect()
 }
 
-/// Best-effort shutdown fan-out: one un-retried attempt per replica.
-fn forward_shutdown(shared: &Shared) {
-    for set in shared.map.replica_sets() {
-        for addr in set {
-            let mut one_shot = Client::new(ClientConfig {
-                addr: addr.clone(),
-                attempt_timeout: Duration::from_millis(500),
-                max_retries: 0,
-                ..ClientConfig::default()
-            });
-            let _ = one_shot.call_line(r#"{"method":"shutdown"}"#);
-        }
-    }
-}
-
 /// True when `err` says the replica's *infrastructure* failed (budget
 /// exhausted on wire faults, or the replica draining away) — the
 /// outcomes that charge its breaker and justify failing over. Every
@@ -671,14 +529,14 @@ fn replica_call<T>(
     call: impl FnOnce() -> Result<T, CallError>,
 ) -> Result<T, CallError> {
     let started = Instant::now();
-    Shared::bump(&shared.shards[s].requests);
-    Shared::bump(&shared.replicas[s][r].requests);
+    bump(&shared.shards[s].requests);
+    bump(&shared.replicas[s][r].requests);
     let result = call();
     let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
     lock(&shared.shards[s].latency).observe(us);
     if result.is_err() {
-        Shared::bump(&shared.shards[s].errors);
-        Shared::bump(&shared.replicas[s][r].errors);
+        bump(&shared.shards[s].errors);
+        bump(&shared.replicas[s][r].errors);
     }
     result
 }
@@ -762,7 +620,7 @@ fn shard_read(
             Ok(v) => {
                 lock(&slot.breaker).record_success(shared.now_ms());
                 if pos > 0 {
-                    Shared::bump(&shared.failovers);
+                    bump(&shared.failovers);
                 }
                 return Ok(v);
             }
@@ -777,7 +635,7 @@ fn shard_read(
                     // of a dead replica — count the hedge, keep the
                     // breaker out of it, and come back with the full
                     // budget only if every alternative fails.
-                    Shared::bump(&shared.hedges);
+                    bump(&shared.hedges);
                     hedged_first = Some(r);
                 } else {
                     lock(&slot.breaker).record_failure(shared.now_ms());
@@ -889,13 +747,12 @@ fn fan_write_to_shard(
 /// keeps replicated writes exactly-once.
 fn shard_error_line(shared: &Shared, id: Option<u64>, i: usize, err: &CallError) -> String {
     let addr = &shared.map.addrs()[i];
-    Shared::bump(&shared.stats.errors);
     match err {
         CallError::Terminal { code: c, message } if c != code::SHUTTING_DOWN => {
             proto::err_line(id, c, &format!("shard {i} ({addr}): {message}"))
         }
         _ => {
-            Shared::bump(&shared.stats.degraded);
+            bump(&shared.degraded);
             proto::err_line(
                 id,
                 code::DEGRADED,
@@ -979,17 +836,17 @@ fn merged_query_line(
     )
 }
 
-/// Dispatch one parsed request: pick targets, fan out, merge. The `Err`
-/// arm of every helper is an already-rendered (and already counted)
-/// error line.
+/// Dispatch one parsed request: pick targets, fan out, merge. `Ok` is a
+/// rendered success line, `Err` a rendered error line — here and in
+/// every helper.
 fn route(
     shared: &Shared,
     clients: &mut [Vec<Client>],
     id: Option<u64>,
     method: Method,
     raw_line: &str,
-) -> String {
-    let reply = match method {
+) -> Result<String, String> {
+    match method {
         Method::Query(shape, mode) => route_query(shared, clients, id, shape, mode, raw_line),
         Method::Insert(seg) | Method::Delete(seg) => {
             route_write(shared, clients, id, &seg, raw_line)
@@ -1011,28 +868,18 @@ fn route(
             }
             outcome
         }
-        Method::WalSince { .. } | Method::SyncFrom { .. } => {
-            Shared::bump(&shared.stats.errors);
-            Err(proto::err_line(
-                id,
-                code::BAD_REQUEST,
-                "replica catch-up targets one replica directly: send `wal_since`/`sync_from` to the replica's own address, not the router",
-            ))
-        }
+        Method::WalSince { .. } | Method::SyncFrom { .. } => Err(proto::err_line(
+            id,
+            code::BAD_REQUEST,
+            "replica catch-up targets one replica directly: send `wal_since`/`sync_from` to the replica's own address, not the router",
+        )),
         Method::Stats => Ok(proto::ok_line(id, stats_json(shared, clients))),
         Method::SlowLog => Ok(proto::ok_line(id, slowlog_json(shared, clients))),
         Method::Health => Ok(proto::ok_line(id, health_json(shared, clients))),
         Method::ShardMap => Ok(proto::ok_line(id, shared.map.to_json())),
-        // Handled inline by the connection loop; kept total for safety.
+        // Answered inline by the front-end; kept total for safety.
         Method::Ping => Ok(proto::ok_line(id, Json::Str("pong".to_string()))),
         Method::Shutdown => Ok(proto::ok_line(id, Json::Bool(true))),
-    };
-    match reply {
-        Ok(line) => {
-            Shared::bump(&shared.stats.ok);
-            line
-        }
-        Err(line) => line,
     }
 }
 
@@ -1253,7 +1100,6 @@ fn breaker_opens_total(shared: &Shared) -> u64 {
 }
 
 fn stats_json(shared: &Shared, clients: &mut [Vec<Client>]) -> Json {
-    let s = &shared.stats;
     let mut segments = 0u64;
     let mut shard_docs = Vec::with_capacity(shared.map.shard_count());
     for i in 0..shared.map.shard_count() {
@@ -1283,25 +1129,18 @@ fn stats_json(shared: &Shared, clients: &mut [Vec<Client>]) -> Json {
         ("hedges", Json::U64(shared.hedges.load(Ordering::Relaxed))),
         ("breaker_opens", Json::U64(breaker_opens_total(shared))),
     ]);
+    let mut server = shared.front.stats_fields();
+    server.push((
+        "degraded",
+        Json::U64(shared.degraded.load(Ordering::Relaxed)),
+    ));
     Json::obj([
         ("role", Json::Str("router".to_string())),
         // Stored replicas across the cluster (boundary-crossing long
         // segments count once per shard holding them; only one replica
         // per shard is consulted, so R-way copies do not multiply it).
         ("segments", Json::U64(segments)),
-        (
-            "server",
-            Json::obj([
-                (
-                    "connections",
-                    Json::U64(s.connections.load(Ordering::Relaxed)),
-                ),
-                ("requests", Json::U64(s.requests.load(Ordering::Relaxed))),
-                ("ok", Json::U64(s.ok.load(Ordering::Relaxed))),
-                ("errors", Json::U64(s.errors.load(Ordering::Relaxed))),
-                ("degraded", Json::U64(s.degraded.load(Ordering::Relaxed))),
-            ]),
-        ),
+        ("server", Json::obj(server)),
         (
             "router",
             Json::obj([("shards", Json::Arr(tallies)), ("failover", failover)]),
@@ -1388,7 +1227,9 @@ fn health_json(shared: &Shared, clients: &mut [Vec<Client>]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufRead as _, Write as _};
+    use std::io::{BufRead as _, BufReader, Write as _};
+    use std::net::TcpListener;
+    use std::thread;
 
     #[test]
     fn shard_map_parse_round_trips() {
@@ -1527,26 +1368,11 @@ mod tests {
         }));
     }
 
-    /// A [`Shared`] for routing unit tests — no listener, no threads.
+    /// A [`Shared`] for routing unit tests — bound, but nothing accepts.
     fn test_shared(sets: Vec<Vec<String>>, cuts: Vec<i64>, cfg: RouterConfig) -> Shared {
         let map = ShardMap::new_replicated(sets, XCuts::new(cuts).unwrap()).unwrap();
-        let shards = (0..map.shard_count()).map(|_| ShardTally::new()).collect();
-        let replicas = build_replica_slots(&map, &cfg);
-        Shared {
-            map,
-            cfg,
-            stop: AtomicBool::new(false),
-            local: "127.0.0.1:9".parse().unwrap(),
-            conns: Mutex::new(0),
-            conn_exited: Condvar::new(),
-            conn_seq: AtomicU64::new(0),
-            stats: RouterStats::default(),
-            shards,
-            replicas,
-            started: Instant::now(),
-            failovers: AtomicU64::new(0),
-            hedges: AtomicU64::new(0),
-        }
+        let (front, _listener) = Front::bind(front_config(&cfg)).unwrap();
+        Shared::new(map, cfg, front)
     }
 
     /// A scripted replica that echoes an empty count result at every

@@ -2,11 +2,8 @@
 //!
 //! Thread anatomy:
 //!
-//! * one **acceptor** blocks in `accept()` and spawns a detached reader
-//!   thread per connection;
-//! * each **connection reader** decodes newline-delimited requests
-//!   ([`crate::proto`]) with a hard line-length bound and a 250 ms read
-//!   timeout (so it notices shutdown without data);
+//! * the [`crate::frontend`] threads — one acceptor, one reader per
+//!   connection — which decode requests and hand each to [`submit`];
 //! * a fixed pool of **workers** executes queued jobs against the shared
 //!   backend — a read-only [`SegmentDatabase`] (the `Send + Sync` read
 //!   path the sharded page cache provides) or a [`WriteEngine`]
@@ -17,38 +14,30 @@
 //!   one **compactor** thread folds lazy-delete tombstones back into
 //!   the index in the background (DESIGN.md §13).
 //!
+//! A worker that pops a query also takes its share of the queries
+//! already queued behind it and runs the group as **one** shared index
+//! walk ([`take_group`]); it never waits for more to arrive, so with no
+//! backlog every query runs alone (DESIGN.md §11).
+//!
 //! Overload policy is refuse-fast: the job queue is bounded and a full
 //! queue answers `overloaded` immediately instead of queueing without
 //! bound; a request that misses its deadline answers `timeout`, its
 //! [`ReplySlot`] is marked abandoned, and workers skip abandoned jobs
 //! that have not started — so under sustained overload dead jobs shed
 //! from the queue instead of burning worker capacity. Shutdown (API
-//! call or wire `shutdown`) stops the acceptor via a self-connect,
-//! drains queued jobs with `shutting_down` errors and joins the pool.
+//! call or wire `shutdown`) stops the front-end, drains queued jobs
+//! with `shutting_down` errors and joins the pool.
 //!
-//! Connection hardening (DESIGN.md §10 "Network failure model"):
-//!
-//! * **write deadlines** — every reply write carries
-//!   [`ServerConfig::write_timeout`]; a stalled peer that blocks a
-//!   write past it loses the connection (counted as a write drop)
-//!   instead of pinning the reader thread;
-//! * **idle reaping** — a full request line must arrive within
-//!   [`ServerConfig::idle_timeout`], so idle keep-alives and slow-loris
-//!   trickles are reaped rather than held forever;
-//! * **admission gate** — at most [`ServerConfig::max_connections`]
-//!   connections are served; one beyond that is answered `overloaded`
-//!   and closed at accept time (shed), giving resilient clients an
-//!   explicit back-off signal;
-//! * **bounded drain** — [`Server::wait`] waits at most
-//!   [`ServerConfig::drain_timeout`] for live connections to finish
-//!   after shutdown;
-//! * **oversized lines** answer `oversized` and the line is drained to
-//!   its newline so the *next* request on the connection still serves.
-//!
-//! All of it is tallied in the `stats` method (`server` block plus the
-//! process-wide `net` block from [`segdb_obs::net`]).
+//! Connection hardening (admission gate, idle reaping, write deadlines,
+//! bounded drain, oversized lines — DESIGN.md §10 "Network failure
+//! model") lives in [`crate::frontend`]; its counters and the worker
+//! pool's are tallied together in the `stats` method (`server` block
+//! plus the process-wide `net` block from [`segdb_obs::net`]).
 
 use crate::chaos::NetFaultHandle;
+use crate::frontend::{
+    bump, lock, Front, FrontConfig, Handler, Reply, DEFAULT_MAX_CONNECTIONS, READ_POLL,
+};
 use crate::lifecycle::{Lifecycle, RequestRecord};
 use crate::proto::{self, code, Method, QueryShape, Request};
 use segdb_core::report::ids;
@@ -58,15 +47,15 @@ use segdb_core::{
 use segdb_geom::Segment;
 use segdb_obs::{Json, StageTimer, TraceSummary};
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// How often blocked connection readers poll the stop flag.
-const READ_POLL: Duration = Duration::from_millis(250);
+/// Most queries one shared walk serves, whatever the backlog.
+const GROUP_CAP: usize = 64;
 
 /// Tunables for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -110,15 +99,6 @@ pub struct ServerConfig {
     /// How often the background compaction thread re-checks the
     /// tombstone count.
     pub compact_interval: Duration,
-    /// Batched execution admission window: after a worker picks up a
-    /// query it waits up to this long for more queries to arrive, then
-    /// executes the whole group as **one** shared index walk
-    /// (DESIGN.md "Batched execution model"). `ZERO` disables batching.
-    /// The wait is charged to the requests' queue-wait stage, so the
-    /// latency cost of batching stays visible in the histograms.
-    pub batch_window: Duration,
-    /// Most queries one shared walk serves (min 1; 1 disables batching).
-    pub batch_max: usize,
     /// Page budget for pinning the index's internal levels resident at
     /// startup. Pinned pages never leave the cache, so every walk's
     /// upper-level probes are hits for the server's lifetime. `0`
@@ -136,15 +116,13 @@ impl Default for ServerConfig {
             max_line_bytes: 64 * 1024,
             write_timeout: Duration::from_secs(2),
             idle_timeout: Duration::from_secs(30),
-            max_connections: 256,
+            max_connections: DEFAULT_MAX_CONNECTIONS,
             drain_timeout: Duration::from_secs(5),
             slowlog_entries: 32,
             slowlog_threshold: Duration::ZERO,
             chaos: None,
             compact_min_tombs: 0,
             compact_interval: Duration::from_millis(500),
-            batch_window: Duration::ZERO,
-            batch_max: 16,
             pin_budget: 0,
         }
     }
@@ -219,24 +197,12 @@ fn shape_canonical(
     })
 }
 
-/// Monotone serving counters, exposed by the `stats` method.
+/// Monotone worker-pool counters; the `stats` method reports them next
+/// to the front-end's.
 #[derive(Debug, Default)]
 struct ServerStats {
-    connections: AtomicU64,
-    requests: AtomicU64,
-    ok: AtomicU64,
-    errors: AtomicU64,
     overloaded: AtomicU64,
     timeouts: AtomicU64,
-    write_drops: AtomicU64,
-    reaped: AtomicU64,
-    shed: AtomicU64,
-}
-
-impl ServerStats {
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// One admitted request travelling from a connection reader to a worker.
@@ -250,19 +216,27 @@ struct Job {
     timer: StageTimer,
 }
 
-/// What the execution of one query yielded, beyond the response line —
-/// the pieces of the lifecycle record only the worker can measure.
-/// `None` from [`execute`] means the request does not enter the
-/// lifecycle histograms (errors, stats, slowlog).
+/// Why a request was refused: wire error code and message.
+type Refusal = (&'static str, String);
+
+/// What executing one request yields: the reply's `result`, plus — for
+/// the requests that enter the lifecycle histograms — what only the
+/// worker can measure about them.
+type Outcome = Result<(Json, Option<ExecInfo>), Refusal>;
+
+/// The worker-measured pieces of one request's lifecycle record.
 struct ExecInfo {
-    /// Wire method name (`query_line`, …, or `trace`).
+    /// Wire method name (`query_line`, …, `trace`, `insert`, `delete`).
     op: &'static str,
-    /// Histogram bucket key: the query mode's name, or `trace`.
+    /// Histogram bucket key: the query mode's name, or `op`.
     mode: &'static str,
     /// Pages the walk touched (physical reads + buffer-pool hits).
     pages: u64,
     /// Hits the answer witnessed.
     hits: u64,
+    /// Shared walk the request ran in (0 = ran alone), and its size.
+    batch_id: u64,
+    batch_size: u32,
 }
 
 /// A lifecycle record waiting for its final stage: everything measured
@@ -271,46 +245,41 @@ struct ExecInfo {
 struct PendingRecord {
     timer: StageTimer,
     id: Option<u64>,
-    op: &'static str,
-    mode: &'static str,
     queue_us: u64,
     exec_us: u64,
-    pages: u64,
-    hits: u64,
-    batch_id: u64,
-    batch_size: u32,
+    info: ExecInfo,
 }
 
-/// One worker-produced reply: the response line plus the lifecycle
-/// record still missing its reply-write stage.
-struct Reply {
-    line: String,
+/// One worker-produced reply plus the lifecycle record still missing
+/// its reply-write stage.
+struct Done {
+    reply: Reply,
     pending: Option<PendingRecord>,
 }
 
-impl Reply {
-    fn bare(line: String) -> Reply {
-        Reply {
-            line,
+impl Done {
+    fn refused(id: Option<u64>, code: &str, message: &str) -> Done {
+        Done {
+            reply: Reply::err(id, code, message),
             pending: None,
         }
     }
 }
 
-/// Single-use rendezvous for one response line. The connection reader
-/// waits with a deadline; on timeout the slot is marked abandoned so a
-/// worker that has not started the job yet skips it entirely, and a
-/// fill after the deadline is simply discarded.
+/// Single-use rendezvous for one reply. The connection reader waits
+/// with a deadline; on timeout the slot is marked abandoned so a worker
+/// that has not started the job yet skips it entirely, and a fill after
+/// the deadline is simply discarded.
 #[derive(Default)]
 struct ReplySlot {
-    cell: Mutex<Option<Reply>>,
+    cell: Mutex<Option<Done>>,
     ready: Condvar,
     abandoned: AtomicBool,
 }
 
 impl ReplySlot {
-    fn fill(&self, response: Reply) {
-        *lock(&self.cell) = Some(response);
+    fn fill(&self, done: Done) {
+        *lock(&self.cell) = Some(done);
         self.ready.notify_all();
     }
 
@@ -321,7 +290,7 @@ impl ReplySlot {
         self.abandoned.load(Ordering::Acquire)
     }
 
-    fn wait_for(&self, timeout: Duration) -> Option<Reply> {
+    fn wait_for(&self, timeout: Duration) -> Option<Done> {
         let deadline = Instant::now() + timeout;
         let mut slot = lock(&self.cell);
         while slot.is_none() {
@@ -340,53 +309,69 @@ impl ReplySlot {
     }
 }
 
-/// Recover from mutex poisoning: a panicked worker must not wedge the
-/// whole serving layer (the queue holds plain data).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 struct Shared {
     backend: Backend,
     queue: Mutex<VecDeque<Job>>,
     not_empty: Condvar,
-    stop: AtomicBool,
-    local: SocketAddr,
+    front: Arc<Front>,
     queue_depth: usize,
     request_timeout: Duration,
-    max_line_bytes: usize,
     workers: usize,
-    write_timeout: Duration,
-    idle_timeout: Duration,
-    max_connections: usize,
-    drain_timeout: Duration,
-    chaos: Option<NetFaultHandle>,
-    /// Batch collector admission window (`ZERO` = batching off).
-    batch_window: Duration,
-    /// Most queries per shared walk.
-    batch_max: usize,
-    /// Live connection registry: count of admitted, not-yet-exited
-    /// connections, used by the admission gate and the bounded drain.
-    conns: Mutex<usize>,
-    conn_exited: Condvar,
     stats: ServerStats,
     /// Per-mode stage histograms + the slow-query log (DESIGN.md §12).
     lifecycle: Lifecycle,
 }
 
 impl Shared {
-    /// Flip the stop flag once, wake every sleeper (workers via the
-    /// condvar, the acceptor via a self-connect, readers via their poll).
-    fn initiate_shutdown(&self) {
-        if self.stop.swap(true, Ordering::AcqRel) {
-            return;
-        }
+    /// Wake every idle worker so it sees the stop flag. Taking the queue
+    /// lock first closes the window between a worker's stop check and
+    /// its wait.
+    fn wake_workers(&self) {
+        drop(lock(&self.queue));
         self.not_empty.notify_all();
-        let _ = TcpStream::connect(self.local);
+    }
+}
+
+/// The server's side of a connection: requests go through the bounded
+/// queue, and the lifecycle record of the last reply waits here for its
+/// write lap.
+impl Handler for Shared {
+    type Conn = Option<PendingRecord>;
+
+    fn open(&self, _seq: u64) -> Self::Conn {
+        None
     }
 
-    fn stopping(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
+    fn handle(&self, conn: &mut Self::Conn, request: Request, _raw: &str) -> Reply {
+        let done = submit(self, request);
+        *conn = done.pending;
+        done.reply
+    }
+
+    fn written(&self, conn: &mut Self::Conn) {
+        // The write lap closes the lifecycle — even when the write
+        // failed (the server still paid the cost; the duration then
+        // includes the stall that killed the connection).
+        if let Some(mut pending) = conn.take() {
+            let write_us = pending.timer.lap_us();
+            self.lifecycle.record(RequestRecord {
+                id: pending.id,
+                op: pending.info.op,
+                mode: pending.info.mode,
+                queue_us: pending.queue_us,
+                exec_us: pending.exec_us,
+                write_us,
+                total_us: pending.timer.total_us(),
+                pages: pending.info.pages,
+                hits: pending.info.hits,
+                batch_id: pending.info.batch_id,
+                batch_size: pending.info.batch_size,
+            });
+        }
+    }
+
+    fn wire_shutdown(&self) {
+        self.wake_workers();
     }
 }
 
@@ -434,27 +419,24 @@ impl Server {
                 .with_db(|db| db.pin_internal_levels(cfg.pin_budget))
                 .map_err(|e| io::Error::other(format!("cannot pin internal levels: {e}")))?;
         }
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let local = listener.local_addr()?;
+        let (front, listener) = Front::bind(FrontConfig {
+            addr: cfg.addr,
+            name: "segdb",
+            max_line_bytes: cfg.max_line_bytes,
+            write_timeout: cfg.write_timeout,
+            idle_timeout: cfg.idle_timeout,
+            max_connections: cfg.max_connections,
+            drain_timeout: cfg.drain_timeout,
+            accept_chaos: cfg.chaos,
+        })?;
         let shared = Arc::new(Shared {
             backend,
             queue: Mutex::new(VecDeque::new()),
             not_empty: Condvar::new(),
-            stop: AtomicBool::new(false),
-            local,
+            front,
             queue_depth: cfg.queue_depth,
             request_timeout: cfg.request_timeout,
-            max_line_bytes: cfg.max_line_bytes,
             workers: cfg.workers.max(1),
-            write_timeout: cfg.write_timeout,
-            idle_timeout: cfg.idle_timeout,
-            max_connections: cfg.max_connections.max(1),
-            drain_timeout: cfg.drain_timeout,
-            chaos: cfg.chaos,
-            batch_window: cfg.batch_window,
-            batch_max: cfg.batch_max.max(1),
-            conns: Mutex::new(0),
-            conn_exited: Condvar::new(),
             stats: ServerStats::default(),
             lifecycle: Lifecycle::new(
                 cfg.slowlog_entries,
@@ -469,12 +451,7 @@ impl Server {
                     .spawn(move || worker_loop(&shared))
             })
             .collect::<io::Result<Vec<_>>>()?;
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("segdb-acceptor".to_string())
-                .spawn(move || accept_loop(&listener, &shared))?
-        };
+        let acceptor = shared.front.spawn(listener, Arc::clone(&shared))?;
         let compactor = match (shared.backend.engine(), cfg.compact_min_tombs) {
             (Some(engine), min_tombs) if min_tombs > 0 => {
                 let engine = Arc::clone(engine);
@@ -498,12 +475,13 @@ impl Server {
 
     /// The address actually bound (resolves `:0` to the chosen port).
     pub fn addr(&self) -> SocketAddr {
-        self.shared.local
+        self.shared.front.addr()
     }
 
     /// Begin a graceful shutdown (idempotent, non-blocking).
     pub fn shutdown(&self) {
-        self.shared.initiate_shutdown();
+        self.shared.front.stop();
+        self.shared.wake_workers();
     }
 
     /// Block until the server has stopped and every pool thread exited,
@@ -518,98 +496,7 @@ impl Server {
         if let Some(c) = self.compactor {
             let _ = c.join();
         }
-        // Connection readers are detached and poll the stop flag every
-        // READ_POLL; bound the drain so a wedged peer cannot wedge us.
-        let deadline = Instant::now() + self.shared.drain_timeout;
-        let mut conns = lock(&self.shared.conns);
-        while *conns > 0 {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            conns = self
-                .shared
-                .conn_exited
-                .wait_timeout(conns, deadline - now)
-                .unwrap_or_else(|p| p.into_inner())
-                .0;
-        }
-    }
-}
-
-/// Decrement the live-connection registry and wake the drain waiter.
-fn connection_exited(shared: &Shared) {
-    let mut conns = lock(&shared.conns);
-    *conns = conns.saturating_sub(1);
-    shared.conn_exited.notify_all();
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shared.stopping() {
-                    return;
-                }
-                // A persistent accept error (e.g. EMFILE) must not spin
-                // the acceptor at 100% CPU; back off before retrying.
-                thread::sleep(Duration::from_millis(50));
-                continue;
-            }
-        };
-        if shared.stopping() {
-            return;
-        }
-        // The wire-fault schedule acts first: an accept-reset victim is
-        // dropped before the server's own logic ever sees it, exactly
-        // like a reset on the physical network.
-        if let Some(chaos) = &shared.chaos {
-            if chaos.on_accept() {
-                drop(stream);
-                continue;
-            }
-        }
-        let admitted = {
-            let mut conns = lock(&shared.conns);
-            if *conns < shared.max_connections {
-                *conns += 1;
-                true
-            } else {
-                false
-            }
-        };
-        if !admitted {
-            // Shed at the gate: an explicit `overloaded` refusal beats
-            // accepting unboundedly — resilient clients back off and
-            // retry instead of stacking up dead readers.
-            ServerStats::bump(&shared.stats.shed);
-            segdb_obs::net::totals().server_shed();
-            let mut stream = stream;
-            let _ = stream.set_write_timeout(Some(shared.write_timeout));
-            let _ = write_line(
-                &mut stream,
-                &proto::err_line(
-                    None,
-                    code::OVERLOADED,
-                    "connection limit reached; back off and retry",
-                ),
-            );
-            continue;
-        }
-        ServerStats::bump(&shared.stats.connections);
-        let conn_shared = Arc::clone(shared);
-        // Detached: readers notice the stop flag within READ_POLL.
-        let spawned = thread::Builder::new()
-            .name("segdb-conn".to_string())
-            .spawn(move || {
-                serve_connection(&conn_shared, stream);
-                connection_exited(&conn_shared);
-            });
-        if spawned.is_err() {
-            // The closure never ran; undo its registry slot.
-            connection_exited(shared);
-        }
+        self.shared.front.drain();
     }
 }
 
@@ -622,7 +509,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 fn compact_loop(shared: &Shared, engine: &WriteEngine, min_tombs: u64, interval: Duration) {
     let step = READ_POLL.min(interval.max(Duration::from_millis(1)));
     let mut since_check = Duration::ZERO;
-    while !shared.stopping() {
+    while !shared.front.stopping() {
         thread::sleep(step);
         since_check += step;
         if since_check < interval {
@@ -635,121 +522,109 @@ fn compact_loop(shared: &Shared, engine: &WriteEngine, min_tombs: u64, interval:
     }
 }
 
-/// Pull further query jobs out of `queue` (wherever they sit — requests
-/// from distinct connections have no mutual ordering guarantee) until
-/// `batch` holds `max` jobs. Non-query jobs keep their queue position.
-fn take_query_jobs(queue: &mut VecDeque<Job>, batch: &mut Vec<Job>, max: usize) {
+/// Pop the next job and, when it is a query, this worker's share of the
+/// queries queued behind it: with `len` jobs queued and `workers`
+/// workers, `ceil(len / workers)` queries in all, at most [`GROUP_CAP`].
+/// The share is taken from wherever the queries sit (requests from
+/// distinct connections have no mutual order); other jobs keep their
+/// positions. With no more jobs queued than workers the share is one —
+/// the group forms from backlog alone, never from waiting. Empty when
+/// the queue is.
+fn take_group(queue: &mut VecDeque<Job>, workers: usize) -> Vec<Job> {
+    let share = queue.len().div_ceil(workers).min(GROUP_CAP);
+    let Some(first) = queue.pop_front() else {
+        return Vec::new();
+    };
+    let is_query = matches!(first.method, Method::Query(..));
+    let mut group = vec![first];
     let mut i = 0;
-    while i < queue.len() && batch.len() < max {
+    while is_query && i < queue.len() && group.len() < share {
         if matches!(queue[i].method, Method::Query(..)) {
-            if let Some(job) = queue.remove(i) {
-                batch.push(job);
-            }
+            group.extend(queue.remove(i));
         } else {
             i += 1;
         }
     }
+    group
 }
 
 fn worker_loop(shared: &Shared) {
-    let batching = shared.batch_window > Duration::ZERO && shared.batch_max > 1;
     loop {
-        let batch: Vec<Job> = {
+        let group = {
             let mut queue = lock(&shared.queue);
             loop {
-                let Some(job) = queue.pop_front() else {
-                    if shared.stopping() {
-                        break Vec::new();
-                    }
-                    queue = shared
-                        .not_empty
-                        .wait(queue)
-                        .unwrap_or_else(|p| p.into_inner());
-                    continue;
-                };
-                if !batching || !matches!(job.method, Method::Query(..)) {
-                    break vec![job];
+                let group = take_group(&mut queue, shared.workers);
+                if !group.is_empty() || shared.front.stopping() {
+                    break group;
                 }
-                // Admission window: hold this query while compatible
-                // batchmates arrive, up to batch_max or the window's
-                // end, whichever is first. The wait lands in the
-                // requests' queue-wait stage (the timers keep running).
-                let mut batch = vec![job];
-                take_query_jobs(&mut queue, &mut batch, shared.batch_max);
-                let deadline = Instant::now() + shared.batch_window;
-                while batch.len() < shared.batch_max && !shared.stopping() {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    queue = shared
-                        .not_empty
-                        .wait_timeout(queue, deadline - now)
-                        .unwrap_or_else(|p| p.into_inner())
-                        .0;
-                    take_query_jobs(&mut queue, &mut batch, shared.batch_max);
-                }
-                break batch;
+                queue = shared
+                    .not_empty
+                    .wait(queue)
+                    .unwrap_or_else(|p| p.into_inner());
             }
         };
-        match batch.first().map(|job| &job.method) {
+        match group.first().map(|job| &job.method) {
             None => break, // stopping
-            Some(Method::Query(..)) => execute_queries(shared, batch),
-            Some(_) => batch.into_iter().for_each(|job| run_single(shared, job)),
+            Some(Method::Query(..)) => execute_queries(shared, group),
+            Some(_) => {
+                for mut job in group {
+                    let queue_us = job.timer.lap_us();
+                    let outcome = execute(shared, job.id, &job.method);
+                    finish(job, queue_us, outcome);
+                }
+            }
         }
     }
     // Refuse whatever was still queued when the stop flag went up.
     let mut queue = lock(&shared.queue);
     while let Some(job) = queue.pop_front() {
-        ServerStats::bump(&shared.stats.errors);
-        job.slot.fill(Reply::bare(proto::err_line(
+        job.slot.fill(Done::refused(
             job.id,
             code::SHUTTING_DOWN,
             "server is shutting down",
-        )));
+        ));
     }
 }
 
-/// Execute one non-query job and fill its slot.
-fn run_single(shared: &Shared, job: Job) {
+/// The one place a worker's outcome becomes a reply: close the
+/// execution lap, encode the line, and attach the lifecycle record the
+/// connection reader completes after the write.
+fn finish(job: Job, queue_us: u64, outcome: Outcome) {
     let mut timer = job.timer;
-    let queue_us = timer.lap_us();
-    let (line, info) = execute(shared, job.id, job.method);
     let exec_us = timer.lap_us();
-    let pending = info.map(|info| PendingRecord {
-        timer,
-        id: job.id,
-        op: info.op,
-        mode: info.mode,
-        queue_us,
-        exec_us,
-        pages: info.pages,
-        hits: info.hits,
-        batch_id: 0,
-        batch_size: 0,
-    });
-    job.slot.fill(Reply { line, pending });
+    let done = match outcome {
+        Ok((result, info)) => Done {
+            reply: Reply::ok(job.id, result),
+            pending: info.map(|info| PendingRecord {
+                timer,
+                id: job.id,
+                queue_us,
+                exec_us,
+                info,
+            }),
+        },
+        Err((code, message)) => Done::refused(job.id, code, &message),
+    };
+    job.slot.fill(done);
 }
 
-/// Execute a collected group of query jobs — one job when the collector
-/// is off or found no batchmates — as one shared index walk, replies
-/// demultiplexed back to each request's [`ReplySlot`] by its own
-/// correlation id. Jobs whose requester already timed out are dropped
-/// before the walk; a group of one reports `batch_id = 0`.
+/// Execute a group of query jobs — one job when nothing was queued
+/// behind it — as one shared index walk, replies demultiplexed back to
+/// each request's [`ReplySlot`] by its own correlation id. Jobs whose
+/// requester already timed out are dropped before the walk; a group of
+/// one reports `batch_id = 0`.
 fn execute_queries(shared: &Shared, jobs: Vec<Job>) {
     let mut live: Vec<Job> = jobs
         .into_iter()
         .filter(|j| !j.slot.is_abandoned())
         .collect();
-    // Lap every timer now: the queue-wait stage charged to each request
-    // includes the batching window it sat through.
     let mut queue_laps: Vec<u64> = Vec::with_capacity(live.len());
     let mut prepared: Vec<Result<(segdb_geom::VerticalQuery, QueryMode), DbError>> =
         Vec::with_capacity(live.len());
     for job in &mut live {
         queue_laps.push(job.timer.lap_us());
         let Method::Query(shape, mode) = job.method else {
-            unreachable!("the collector only batches query jobs");
+            unreachable!("only query jobs are grouped");
         };
         prepared.push(
             shared
@@ -764,287 +639,43 @@ fn execute_queries(shared: &Shared, jobs: Vec<Job>) {
         .collect();
     let mut results = shared.backend.query_batch(&items).into_iter();
     for ((job, prep), queue_us) in live.into_iter().zip(prepared).zip(queue_laps) {
-        let outcome = match prep {
-            Ok(_) => results.next().expect("one result per prepared query"),
-            Err(e) => Err(e),
-        };
         let Method::Query(shape, _) = job.method else {
-            unreachable!("the collector only batches query jobs");
+            unreachable!("only query jobs are grouped");
         };
-        let mut timer = job.timer;
-        match outcome {
-            Ok((answer, trace)) => {
-                ServerStats::bump(&shared.stats.ok);
-                let exec_us = timer.lap_us();
-                let pending = PendingRecord {
-                    timer,
-                    id: job.id,
+        let outcome = prep
+            .and_then(|_| results.next().expect("one result per prepared query"))
+            .map(|(answer, trace)| {
+                let info = ExecInfo {
                     op: shape_op(shape),
                     mode: trace.mode.name(),
-                    queue_us,
-                    exec_us,
                     pages: trace.io.reads + trace.io.cache_hits,
                     hits: answer.count(),
                     batch_id: trace.batch_id,
                     batch_size: trace.batch_size,
                 };
-                job.slot.fill(Reply {
-                    line: proto::ok_line(job.id, Json::obj(answer_json(&answer, &trace))),
-                    pending: Some(pending),
-                });
-            }
-            Err(e) => {
-                ServerStats::bump(&shared.stats.errors);
-                job.slot.fill(Reply::bare(proto::err_line(
-                    job.id,
-                    db_code(&e),
-                    &e.to_string(),
-                )));
-            }
-        }
+                (Json::obj(answer_json(&answer, &trace)), Some(info))
+            })
+            .map_err(db_refusal);
+        finish(job, queue_us, outcome);
     }
-}
-
-/// Outcome of one bounded line read.
-pub(crate) enum LineRead {
-    /// A complete request line (newline stripped).
-    Line(Vec<u8>),
-    /// Peer closed the connection (possibly mid-request).
-    Eof,
-    /// The line exceeded the configured limit; `terminated` tells
-    /// whether its newline was already consumed (if not, the caller
-    /// must drain to the newline before the connection can continue).
-    Oversized {
-        /// The offending line's newline has been consumed.
-        terminated: bool,
-    },
-    /// The server is stopping.
-    Stopped,
-    /// The idle deadline passed before a full line arrived — the idle
-    /// or slow-loris reaping signal.
-    IdleExpired,
-}
-
-pub(crate) fn read_bounded_line<R: BufRead>(
-    reader: &mut io::Take<R>,
-    max: usize,
-    stop: &AtomicBool,
-    deadline: Instant,
-) -> io::Result<LineRead> {
-    let mut buf = Vec::new();
-    // One spare byte so a line of exactly `max` bytes plus its newline
-    // still fits, while anything longer is detected without draining it.
-    reader.set_limit(max as u64 + 1);
-    loop {
-        match reader.read_until(b'\n', &mut buf) {
-            Ok(0) => {
-                // EOF, or the length limit exhausted without a newline.
-                // A non-newline-terminated tail under the limit is a
-                // torn request: the peer died mid-line, so Eof.
-                return Ok(if buf.len() > max {
-                    LineRead::Oversized { terminated: false }
-                } else {
-                    LineRead::Eof
-                });
-            }
-            Ok(_) => {
-                if buf.last() == Some(&b'\n') {
-                    buf.pop();
-                    return Ok(if buf.len() > max {
-                        LineRead::Oversized { terminated: true }
-                    } else {
-                        LineRead::Line(buf)
-                    });
-                }
-                if buf.len() > max {
-                    return Ok(LineRead::Oversized { terminated: false });
-                }
-                // Partial line; keep reading.
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if stop.load(Ordering::Acquire) {
-                    return Ok(LineRead::Stopped);
-                }
-                if Instant::now() >= deadline {
-                    return Ok(LineRead::IdleExpired);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// After an unterminated oversized line: consume input up to and
-/// including its newline so the connection can keep serving. Bounded by
-/// a byte cap and the caller's deadline; `false` means give up and
-/// close the connection.
-pub(crate) fn drain_oversized<R: BufRead>(
-    reader: &mut io::Take<R>,
-    stop: &AtomicBool,
-    deadline: Instant,
-) -> bool {
-    /// An attacker streaming an endless "line" must not hold the
-    /// reader forever; beyond this the connection is simply closed.
-    const DRAIN_CAP: u64 = 8 * 1024 * 1024;
-    let mut drained: u64 = 0;
-    let mut scratch = Vec::new();
-    while drained < DRAIN_CAP {
-        scratch.clear();
-        reader.set_limit(4096);
-        match reader.read_until(b'\n', &mut scratch) {
-            Ok(0) => return false, // EOF before the newline
-            Ok(n) => {
-                drained += n as u64;
-                if scratch.last() == Some(&b'\n') {
-                    return true;
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if stop.load(Ordering::Acquire) || Instant::now() >= deadline {
-                    return false;
-                }
-            }
-            Err(_) => return false,
-        }
-    }
-    false
-}
-
-pub(crate) fn write_line(writer: &mut TcpStream, line: &str) -> io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")
-}
-
-fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
-        return;
-    }
-    // A reply write that blocks past the deadline fails and the
-    // connection is dropped — a stalled peer cannot pin this thread.
-    let _ = stream.set_write_timeout(Some(shared.write_timeout));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half).take(0);
-    let mut writer = stream;
-    loop {
-        if shared.stopping() {
-            return;
-        }
-        let deadline = Instant::now() + shared.idle_timeout;
-        let line =
-            match read_bounded_line(&mut reader, shared.max_line_bytes, &shared.stop, deadline) {
-                Ok(LineRead::Line(line)) => line,
-                Ok(LineRead::Oversized { terminated }) => {
-                    ServerStats::bump(&shared.stats.errors);
-                    if write_line(
-                        &mut writer,
-                        &proto::err_line(None, code::OVERSIZED, "request line exceeds limit"),
-                    )
-                    .is_err()
-                    {
-                        record_write_drop(shared);
-                        return;
-                    }
-                    // Drain the offender to its newline so the next request
-                    // on this connection still gets served.
-                    if terminated || drain_oversized(&mut reader, &shared.stop, deadline) {
-                        continue;
-                    }
-                    return;
-                }
-                Ok(LineRead::IdleExpired) => {
-                    ServerStats::bump(&shared.stats.reaped);
-                    segdb_obs::net::totals().server_reap();
-                    return;
-                }
-                Ok(LineRead::Eof) | Ok(LineRead::Stopped) | Err(_) => return,
-            };
-        let line = String::from_utf8_lossy(&line);
-        let response = match proto::parse_request(&line) {
-            Err(e) => {
-                ServerStats::bump(&shared.stats.errors);
-                Reply::bare(e.to_line())
-            }
-            Ok(request) => {
-                ServerStats::bump(&shared.stats.requests);
-                match request.method {
-                    Method::Ping => {
-                        ServerStats::bump(&shared.stats.ok);
-                        Reply::bare(proto::ok_line(request.id, Json::Str("pong".to_string())))
-                    }
-                    Method::Shutdown => {
-                        ServerStats::bump(&shared.stats.ok);
-                        let _ =
-                            write_line(&mut writer, &proto::ok_line(request.id, Json::Bool(true)));
-                        shared.initiate_shutdown();
-                        return;
-                    }
-                    _ => submit(shared, request),
-                }
-            }
-        };
-        let wrote = write_line(&mut writer, &response.line);
-        if let Some(mut pending) = response.pending {
-            // The write lap closes the lifecycle — even when the write
-            // failed (the server still paid the cost; the duration then
-            // includes the stall that killed the connection).
-            let write_us = pending.timer.lap_us();
-            shared.lifecycle.record(RequestRecord {
-                id: pending.id,
-                op: pending.op,
-                mode: pending.mode,
-                queue_us: pending.queue_us,
-                exec_us: pending.exec_us,
-                write_us,
-                total_us: pending.timer.total_us(),
-                pages: pending.pages,
-                hits: pending.hits,
-                batch_id: pending.batch_id,
-                batch_size: pending.batch_size,
-            });
-        }
-        if wrote.is_err() {
-            record_write_drop(shared);
-            return;
-        }
-    }
-}
-
-/// A reply write failed (stalled peer past the write deadline, or a
-/// peer that vanished); the connection is dropped and the drop counted.
-fn record_write_drop(shared: &Shared) {
-    ServerStats::bump(&shared.stats.write_drops);
-    segdb_obs::net::totals().server_write_drop();
 }
 
 /// Admit a request into the bounded queue and await its reply. The
 /// request's [`StageTimer`] starts here, at admission.
-fn submit(shared: &Shared, request: Request) -> Reply {
+fn submit(shared: &Shared, request: Request) -> Done {
     let slot = Arc::new(ReplySlot::default());
     {
         let mut queue = lock(&shared.queue);
-        if shared.stopping() {
-            ServerStats::bump(&shared.stats.errors);
-            return Reply::bare(proto::err_line(
-                request.id,
-                code::SHUTTING_DOWN,
-                "server is shutting down",
-            ));
+        if shared.front.stopping() {
+            return Done::refused(request.id, code::SHUTTING_DOWN, "server is shutting down");
         }
         if queue.len() >= shared.queue_depth {
-            ServerStats::bump(&shared.stats.overloaded);
-            ServerStats::bump(&shared.stats.errors);
-            return Reply::bare(proto::err_line(
+            bump(&shared.stats.overloaded);
+            return Done::refused(
                 request.id,
                 code::OVERLOADED,
                 "job queue full; back off and retry",
-            ));
+            );
         }
         queue.push_back(Job {
             id: request.id,
@@ -1054,18 +685,10 @@ fn submit(shared: &Shared, request: Request) -> Reply {
         });
     }
     shared.not_empty.notify_one();
-    match slot.wait_for(shared.request_timeout) {
-        Some(response) => response,
-        None => {
-            ServerStats::bump(&shared.stats.timeouts);
-            ServerStats::bump(&shared.stats.errors);
-            Reply::bare(proto::err_line(
-                request.id,
-                code::TIMEOUT,
-                "request missed its deadline",
-            ))
-        }
-    }
+    slot.wait_for(shared.request_timeout).unwrap_or_else(|| {
+        bump(&shared.stats.timeouts);
+        Done::refused(request.id, code::TIMEOUT, "request missed its deadline")
+    })
 }
 
 /// Render a mode-shaped answer: `ids` carries the segments when the
@@ -1084,15 +707,12 @@ fn answer_json(answer: &QueryAnswer, trace: &QueryTrace) -> Vec<(&'static str, J
     ]
 }
 
-/// Pick the wire error code for a database failure. Transient storage
-/// faults (injected or real I/O errors) answer `io_error` — a
+/// Refuse with a database failure under its wire error code. Transient
+/// storage faults (injected or real I/O errors) answer `io_error` — a
 /// worker-surviving condition — instead of the generic `db`.
-fn db_code(e: &DbError) -> &'static str {
-    if e.is_transient() {
-        code::IO
-    } else {
-        code::DB
-    }
+fn db_refusal(e: DbError) -> Refusal {
+    let code = if e.is_transient() { code::IO } else { code::DB };
+    (code, e.to_string())
 }
 
 /// The wire method name of a query shape (the lifecycle record's `op`).
@@ -1105,199 +725,110 @@ fn shape_op(shape: QueryShape) -> &'static str {
     }
 }
 
-/// Render a write acknowledgement as the response `result`.
-fn ack_json(ack: &WriteAck) -> Json {
-    Json::obj([
+/// The engine behind the write and catch-up methods, or the `read_only`
+/// refusal of a server started without one.
+fn engine_or_read_only(shared: &Shared) -> Result<&Arc<WriteEngine>, Refusal> {
+    shared.backend.engine().ok_or_else(|| {
+        (
+            code::READ_ONLY,
+            "database is served read-only; start the server with a WAL to write".to_string(),
+        )
+    })
+}
+
+/// Run one write against the engine; `op` names the method for the
+/// lifecycle histograms.
+fn execute_write(
+    shared: &Shared,
+    op: &'static str,
+    run: impl FnOnce(&WriteEngine) -> Result<WriteAck, DbError>,
+) -> Outcome {
+    let ack = run(engine_or_read_only(shared)?).map_err(db_refusal)?;
+    let info = ExecInfo {
+        op,
+        mode: op,
+        pages: 0,
+        hits: u64::from(ack.applied),
+        batch_id: 0,
+        batch_size: 0,
+    };
+    let result = Json::obj([
         ("seq", Json::U64(ack.seq)),
         ("applied", Json::Bool(ack.applied)),
         ("duplicate", Json::Bool(ack.duplicate)),
-    ])
+    ]);
+    Ok((result, Some(info)))
 }
 
-/// Execute one write method against the engine (the `read_only` refusal
-/// happens in the caller). `op` names the method for the lifecycle
-/// histograms.
-fn execute_write(
-    shared: &Shared,
-    engine: &WriteEngine,
-    id: Option<u64>,
-    op: &'static str,
-    run: impl FnOnce(&WriteEngine) -> Result<WriteAck, DbError>,
-) -> (String, Option<ExecInfo>) {
-    match run(engine) {
-        Ok(ack) => {
-            ServerStats::bump(&shared.stats.ok);
-            let info = ExecInfo {
-                op,
-                mode: op,
-                pages: 0,
-                hits: u64::from(ack.applied),
-            };
-            (proto::ok_line(id, ack_json(&ack)), Some(info))
-        }
-        Err(e) => {
-            ServerStats::bump(&shared.stats.errors);
-            (proto::err_line(id, db_code(&e), &e.to_string()), None)
-        }
-    }
-}
-
-fn execute(shared: &Shared, id: Option<u64>, method: Method) -> (String, Option<ExecInfo>) {
-    match method {
+/// Execute one non-query job. Counting and encoding the outcome is the
+/// caller's business ([`finish`] and the front-end).
+fn execute(shared: &Shared, id: Option<u64>, method: &Method) -> Outcome {
+    // The protocol guarantees writes carry a correlation id — it doubles
+    // as the idempotence key.
+    let key = id.unwrap_or(0);
+    let result = match *method {
         Method::Query(..) => unreachable!("query jobs run through execute_queries"),
-        Method::Insert(seg) | Method::Delete(seg) => {
-            let Some(engine) = shared.backend.engine() else {
-                ServerStats::bump(&shared.stats.errors);
-                return (
-                    proto::err_line(
-                        id,
-                        code::READ_ONLY,
-                        "database is served read-only; start the server with a WAL to write",
-                    ),
-                    None,
-                );
-            };
-            // The protocol guarantees writes carry a correlation id —
-            // it doubles as the idempotence key.
-            let key = id.unwrap_or(0);
-            match method {
-                Method::Insert(_) => {
-                    execute_write(shared, engine, id, "insert", |e| e.insert(key, seg))
-                }
-                _ => execute_write(shared, engine, id, "delete", |e| e.delete(key, seg)),
-            }
-        }
+        Method::Insert(seg) => return execute_write(shared, "insert", |e| e.insert(key, seg)),
+        Method::Delete(seg) => return execute_write(shared, "delete", |e| e.delete(key, seg)),
         Method::Flush => {
-            let Some(engine) = shared.backend.engine() else {
-                ServerStats::bump(&shared.stats.errors);
-                return (
-                    proto::err_line(id, code::READ_ONLY, "database is served read-only"),
-                    None,
-                );
-            };
-            match engine.flush() {
-                Ok(()) => {
-                    ServerStats::bump(&shared.stats.ok);
-                    (proto::ok_line(id, Json::Bool(true)), None)
-                }
-                Err(e) => {
-                    ServerStats::bump(&shared.stats.errors);
-                    (proto::err_line(id, db_code(&e), &e.to_string()), None)
-                }
-            }
+            engine_or_read_only(shared)?.flush().map_err(db_refusal)?;
+            Json::Bool(true)
         }
         Method::Trace(shape) => {
             segdb_obs::trace::clear();
             let result = segdb_obs::trace::with_tracing(|| shared.backend.trace_collect(shape));
             let (events, dropped) = segdb_obs::trace::drain();
-            match result {
-                Ok((hits, trace)) => {
-                    ServerStats::bump(&shared.stats.ok);
-                    let info = ExecInfo {
-                        op: "trace",
-                        mode: "trace",
-                        pages: trace.io.reads + trace.io.cache_hits,
-                        hits: hits.len() as u64,
-                    };
-                    let mut fields = answer_json(&QueryAnswer::Segments(hits), &trace);
-                    fields.push((
-                        "spans",
-                        TraceSummary::from_events(&events, dropped).to_json(),
-                    ));
-                    (proto::ok_line(id, Json::obj(fields)), Some(info))
-                }
-                Err(e) => {
-                    ServerStats::bump(&shared.stats.errors);
-                    (proto::err_line(id, db_code(&e), &e.to_string()), None)
-                }
-            }
+            let (hits, trace) = result.map_err(db_refusal)?;
+            let info = ExecInfo {
+                op: "trace",
+                mode: "trace",
+                pages: trace.io.reads + trace.io.cache_hits,
+                hits: hits.len() as u64,
+                batch_id: 0,
+                batch_size: 0,
+            };
+            let mut fields = answer_json(&QueryAnswer::Segments(hits), &trace);
+            fields.push((
+                "spans",
+                TraceSummary::from_events(&events, dropped).to_json(),
+            ));
+            return Ok((Json::obj(fields), Some(info)));
         }
-        Method::Stats => {
-            ServerStats::bump(&shared.stats.ok);
-            (proto::ok_line(id, stats_json(shared)), None)
-        }
-        Method::SlowLog => {
-            ServerStats::bump(&shared.stats.ok);
-            (proto::ok_line(id, shared.lifecycle.slowlog_json()), None)
-        }
-        Method::Health => {
-            ServerStats::bump(&shared.stats.ok);
-            let segments = shared.backend.with_db(|db| db.len());
-            let doc = Json::obj([
-                ("ok", Json::Bool(true)),
-                ("role", Json::Str("server".to_string())),
-                ("writable", Json::Bool(shared.backend.engine().is_some())),
-                ("segments", Json::U64(segments)),
-            ]);
-            (proto::ok_line(id, doc), None)
-        }
-        Method::ShardMap => {
-            ServerStats::bump(&shared.stats.ok);
-            // A single node is its own one-shard "cluster".
-            let doc = Json::obj([
-                ("role", Json::Str("single".to_string())),
-                ("shards", Json::Arr(Vec::new())),
-            ]);
-            (proto::ok_line(id, doc), None)
-        }
+        Method::Stats => stats_json(shared),
+        Method::SlowLog => shared.lifecycle.slowlog_json(),
+        Method::Health => Json::obj([
+            ("ok", Json::Bool(true)),
+            ("role", Json::Str("server".to_string())),
+            ("writable", Json::Bool(shared.backend.engine().is_some())),
+            ("segments", Json::U64(shared.backend.with_db(|db| db.len()))),
+        ]),
+        // A single node is its own one-shard "cluster".
+        Method::ShardMap => Json::obj([
+            ("role", Json::Str("single".to_string())),
+            ("shards", Json::Arr(Vec::new())),
+        ]),
         Method::WalSince { from } => {
-            let Some(engine) = shared.backend.engine() else {
-                ServerStats::bump(&shared.stats.errors);
-                return (
-                    proto::err_line(
-                        id,
-                        code::READ_ONLY,
-                        "catch-up needs a writable server; start it with a WAL",
-                    ),
-                    None,
-                );
-            };
-            match engine.records_since(from) {
-                Ok(recs) => {
-                    ServerStats::bump(&shared.stats.ok);
-                    let doc = Json::obj([
-                        ("from", Json::U64(from)),
-                        ("last_seq", Json::U64(engine.last_seq())),
-                        (
-                            "records",
-                            Json::Arr(recs.iter().map(proto::wal_record_json).collect()),
-                        ),
-                    ]);
-                    (proto::ok_line(id, doc), None)
-                }
-                Err(e) => {
-                    ServerStats::bump(&shared.stats.errors);
-                    (proto::err_line(id, code::DB, &e.to_string()), None)
-                }
-            }
+            let engine = engine_or_read_only(shared)?;
+            let recs = engine
+                .records_since(from)
+                .map_err(|e| (code::DB, e.to_string()))?;
+            Json::obj([
+                ("from", Json::U64(from)),
+                ("last_seq", Json::U64(engine.last_seq())),
+                (
+                    "records",
+                    Json::Arr(recs.iter().map(proto::wal_record_json).collect()),
+                ),
+            ])
         }
-        Method::SyncFrom { peer, from } => {
-            let Some(engine) = shared.backend.engine() else {
-                ServerStats::bump(&shared.stats.errors);
-                return (
-                    proto::err_line(
-                        id,
-                        code::READ_ONLY,
-                        "catch-up needs a writable server; start it with a WAL",
-                    ),
-                    None,
-                );
-            };
-            match sync_from_peer(engine, &peer, from) {
-                Ok(doc) => {
-                    ServerStats::bump(&shared.stats.ok);
-                    (proto::ok_line(id, doc), None)
-                }
-                Err((ecode, message)) => {
-                    ServerStats::bump(&shared.stats.errors);
-                    (proto::err_line(id, ecode, &message), None)
-                }
-            }
+        Method::SyncFrom { ref peer, from } => {
+            sync_from_peer(engine_or_read_only(shared)?, peer, from)?
         }
-        // Handled inline by the connection reader; kept total for safety.
-        Method::Ping => (proto::ok_line(id, Json::Str("pong".to_string())), None),
-        Method::Shutdown => (proto::ok_line(id, Json::Bool(true)), None),
-    }
+        // Answered inline by the front-end; kept total for safety.
+        Method::Ping => Json::Str("pong".to_string()),
+        Method::Shutdown => Json::Bool(true),
+    };
+    Ok((result, None))
 }
 
 /// Pull the records after `from` (defaulting to this engine's own last
@@ -1305,11 +836,7 @@ fn execute(shared: &Shared, id: Option<u64>, method: Method) -> (String, Option<
 /// replicas of one shard advance their sequence counters in lockstep —
 /// they see the same fan-out write stream — so the local cursor is
 /// directly meaningful to the peer.
-fn sync_from_peer(
-    engine: &WriteEngine,
-    peer: &str,
-    from: Option<u64>,
-) -> Result<Json, (&'static str, String)> {
+fn sync_from_peer(engine: &WriteEngine, peer: &str, from: Option<u64>) -> Result<Json, Refusal> {
     use crate::client::{Client, ClientConfig};
     let from = from.unwrap_or_else(|| engine.last_seq());
     let mut client = Client::new(ClientConfig {
@@ -1329,9 +856,7 @@ fn sync_from_peer(
     for v in records {
         let rec = proto::parse_wal_record(v)
             .map_err(|m| (code::IO, format!("peer {peer}: bad record: {m}")))?;
-        let ack = engine
-            .sync_apply(&rec)
-            .map_err(|e| (db_code(&e), e.to_string()))?;
+        let ack = engine.sync_apply(&rec).map_err(db_refusal)?;
         if ack.applied && !ack.duplicate {
             applied += 1;
         } else {
@@ -1400,8 +925,14 @@ fn stats_json(shared: &Shared) -> Json {
             db.metrics_json().unwrap_or(Json::Null),
         )
     });
-    let s = &shared.stats;
     let get = |c: &AtomicU64| Json::U64(c.load(Ordering::Relaxed));
+    let mut server = vec![
+        ("workers", Json::U64(shared.workers as u64)),
+        ("queue_depth", Json::U64(shared.queue_depth as u64)),
+        ("overloaded", get(&shared.stats.overloaded)),
+        ("timeouts", get(&shared.stats.timeouts)),
+    ];
+    server.extend(shared.front.stats_fields());
     Json::obj([
         ("segments", Json::U64(segments)),
         ("index", Json::Str(index)),
@@ -1431,23 +962,7 @@ fn stats_json(shared: &Shared) -> Json {
             ]),
         ),
         ("writer", writer_json(shared)),
-        (
-            "server",
-            Json::obj([
-                ("workers", Json::U64(shared.workers as u64)),
-                ("queue_depth", Json::U64(shared.queue_depth as u64)),
-                ("max_connections", Json::U64(shared.max_connections as u64)),
-                ("connections", get(&s.connections)),
-                ("requests", get(&s.requests)),
-                ("ok", get(&s.ok)),
-                ("errors", get(&s.errors)),
-                ("overloaded", get(&s.overloaded)),
-                ("timeouts", get(&s.timeouts)),
-                ("write_drops", get(&s.write_drops)),
-                ("reaped", get(&s.reaped)),
-                ("shed", get(&s.shed)),
-            ]),
-        ),
+        ("server", Json::obj(server)),
         ("latency", shared.lifecycle.latency_json()),
         ("pages", shared.lifecycle.pages_json()),
         (
@@ -1467,15 +982,27 @@ fn stats_json(shared: &Shared) -> Json {
 mod tests {
     use super::*;
 
+    fn bare(line: &str) -> Done {
+        Done {
+            reply: Reply {
+                line: line.to_string(),
+                ok: true,
+            },
+            pending: None,
+        }
+    }
+
+    fn line_of(done: Option<Done>) -> Option<String> {
+        done.map(|d| d.reply.line)
+    }
+
     #[test]
     fn reply_slot_returns_filled_value() {
         let slot = Arc::new(ReplySlot::default());
         let filler = Arc::clone(&slot);
-        let t = thread::spawn(move || filler.fill(Reply::bare("hello".to_string())));
+        let t = thread::spawn(move || filler.fill(bare("hello")));
         assert_eq!(
-            slot.wait_for(Duration::from_secs(5))
-                .map(|r| r.line)
-                .as_deref(),
+            line_of(slot.wait_for(Duration::from_secs(5))).as_deref(),
             Some("hello")
         );
         t.join().unwrap();
@@ -1495,111 +1022,78 @@ mod tests {
         assert!(slot.is_abandoned(), "timeout abandons the slot");
         // A filled slot is never abandoned.
         let slot = ReplySlot::default();
-        slot.fill(Reply::bare("ok".to_string()));
+        slot.fill(bare("ok"));
         assert_eq!(
-            slot.wait_for(Duration::ZERO).map(|r| r.line).as_deref(),
+            line_of(slot.wait_for(Duration::ZERO)).as_deref(),
             Some("ok")
         );
         assert!(!slot.is_abandoned());
-    }
-
-    fn far_deadline() -> Instant {
-        Instant::now() + Duration::from_secs(60)
-    }
-
-    /// Drive `read_bounded_line` over in-memory bytes (no socket, no
-    /// timeouts — BufRead genericity is the point).
-    fn read_one(data: &[u8], max: usize) -> (LineRead, io::Take<io::Cursor<Vec<u8>>>) {
-        let stop = AtomicBool::new(false);
-        let mut reader = io::Cursor::new(data.to_vec()).take(0);
-        let out = read_bounded_line(&mut reader, max, &stop, far_deadline()).unwrap();
-        (out, reader)
-    }
-
-    #[test]
-    fn line_of_exactly_max_bytes_is_accepted() {
-        let payload = vec![b'x'; 16];
-        let mut data = payload.clone();
-        data.push(b'\n');
-        let (out, _) = read_one(&data, 16);
-        let LineRead::Line(line) = out else {
-            panic!("expected a line");
-        };
-        assert_eq!(line, payload, "exactly max bytes is within the limit");
-        // One byte more crosses it; the limit trips before the newline
-        // is reached, so the offender is reported unterminated.
-        let mut data = vec![b'x'; 17];
-        data.push(b'\n');
-        let (out, mut reader) = read_one(&data, 16);
-        assert!(matches!(out, LineRead::Oversized { terminated: false }));
-        let stop = AtomicBool::new(false);
-        assert!(drain_oversized(&mut reader, &stop, far_deadline()));
-    }
-
-    #[test]
-    fn eof_with_unterminated_tail_reads_as_eof() {
-        // A torn request — the peer died mid-line — must not be served.
-        let (out, _) = read_one(b"half-a-request", 64);
-        assert!(matches!(out, LineRead::Eof));
-        let (out, _) = read_one(b"", 64);
-        assert!(matches!(out, LineRead::Eof));
-    }
-
-    #[test]
-    fn unterminated_oversized_line_drains_to_the_next_request() {
-        // 100 bytes of junk (limit 16), then its newline, then a valid
-        // line: after draining, the valid line must still be readable.
-        let mut data = vec![b'j'; 100];
-        data.push(b'\n');
-        data.extend_from_slice(b"next\n");
-        let (out, mut reader) = read_one(&data, 16);
-        assert!(matches!(out, LineRead::Oversized { terminated: false }));
-        let stop = AtomicBool::new(false);
-        assert!(drain_oversized(&mut reader, &stop, far_deadline()));
-        let next = read_bounded_line(&mut reader, 16, &stop, far_deadline()).unwrap();
-        let LineRead::Line(line) = next else {
-            panic!("expected the post-drain line");
-        };
-        assert_eq!(line, b"next");
-    }
-
-    #[test]
-    fn drain_gives_up_on_eof_without_newline() {
-        let data = vec![b'j'; 100];
-        let (out, mut reader) = read_one(&data, 16);
-        assert!(matches!(out, LineRead::Oversized { terminated: false }));
-        let stop = AtomicBool::new(false);
-        assert!(!drain_oversized(&mut reader, &stop, far_deadline()));
-    }
-
-    #[test]
-    fn multibyte_utf8_survives_buffered_chunking() {
-        // A multi-byte code point straddling BufReader refills must
-        // come through intact — `read_bounded_line` works on bytes and
-        // decoding happens only on the complete line.
-        let payload = "héllo→wörld✓".repeat(3);
-        let mut data = payload.clone().into_bytes();
-        data.push(b'\n');
-        let stop = AtomicBool::new(false);
-        // Capacity 3 forces refills inside every multi-byte sequence.
-        let mut reader = BufReader::with_capacity(3, io::Cursor::new(data)).take(0);
-        let out = read_bounded_line(&mut reader, 1024, &stop, far_deadline()).unwrap();
-        let LineRead::Line(line) = out else {
-            panic!("expected a line");
-        };
-        assert_eq!(String::from_utf8(line).unwrap(), payload);
     }
 
     #[test]
     fn late_fill_after_timeout_is_discarded() {
         let slot = ReplySlot::default();
         assert!(slot.wait_for(Duration::ZERO).is_none());
-        slot.fill(Reply::bare("late".to_string()));
+        slot.fill(bare("late"));
         // A second waiter (none exists in practice) would see the value;
         // the point is that filling a timed-out slot must not panic.
         assert_eq!(
-            slot.wait_for(Duration::ZERO).map(|r| r.line).as_deref(),
+            line_of(slot.wait_for(Duration::ZERO)).as_deref(),
             Some("late")
         );
+    }
+
+    /// A queue of jobs numbered by position; `Q` is a query, anything
+    /// else a write (a `flush`).
+    fn queue_of(kinds: &str) -> VecDeque<Job> {
+        kinds
+            .chars()
+            .enumerate()
+            .map(|(i, kind)| Job {
+                id: Some(i as u64),
+                method: match kind {
+                    'Q' => Method::Query(QueryShape::Line { x: 0, y: 0 }, QueryMode::Count),
+                    _ => Method::Flush,
+                },
+                slot: Arc::new(ReplySlot::default()),
+                timer: StageTimer::start(),
+            })
+            .collect()
+    }
+
+    fn ids(jobs: impl IntoIterator<Item = Job>) -> Vec<u64> {
+        jobs.into_iter().map(|job| job.id.unwrap()).collect()
+    }
+
+    #[test]
+    fn a_worker_takes_its_share_of_the_queued_queries() {
+        // (queue, workers) → (group taken, what stays queued, in order).
+        let cases: [(&str, usize, &[u64], &[u64]); 8] = [
+            // No more jobs than workers: the query runs alone.
+            ("Q", 1, &[0], &[]),
+            ("QQ", 2, &[0], &[1]),
+            ("QQQQ", 4, &[0], &[1, 2, 3]),
+            // Backlog: ceil(len / workers) queries in all.
+            ("QQQ", 2, &[0, 1], &[2]),
+            ("QQQQQQQQ", 1, &[0, 1, 2, 3, 4, 5, 6, 7], &[]),
+            // Writes count towards the backlog but are never taken and
+            // keep their positions; the share is filled past them.
+            ("QWQWQQ", 2, &[0, 2, 4], &[1, 3, 5]),
+            // Fewer queries queued than the share asks for.
+            ("QWWWWQ", 1, &[0, 5], &[1, 2, 3, 4]),
+            // A write at the head runs alone whatever queues behind it.
+            ("WQQQ", 1, &[0], &[1, 2, 3]),
+        ];
+        for (kinds, workers, group, rest) in cases {
+            let mut queue = queue_of(kinds);
+            let taken = take_group(&mut queue, workers);
+            assert_eq!(ids(taken), group, "{kinds} / {workers} workers");
+            assert_eq!(ids(queue), rest, "{kinds} / {workers} workers");
+        }
+        // The cap bounds a group however deep the backlog.
+        let mut queue = queue_of(&"Q".repeat(3 * GROUP_CAP));
+        assert_eq!(take_group(&mut queue, 1).len(), GROUP_CAP);
+        assert_eq!(queue.len(), 2 * GROUP_CAP);
+        assert!(take_group(&mut VecDeque::new(), 2).is_empty());
     }
 }

@@ -1,14 +1,17 @@
 //! Connection hardening: admission-gate shedding, write-deadline drops,
 //! idle/slow-loris reaping, and the bounded graceful drain. Every
 //! scenario must resolve within its deadline — no hung joins, no pinned
-//! workers.
+//! workers. The gate, reap and drain scenarios run against a `Server`
+//! and against a `Router` over one shard: both sit behind the same
+//! front-end.
 
+use segdb_core::partition::XCuts;
 use segdb_core::SegmentDatabase;
 use segdb_geom::gen::mixed_map;
 use segdb_obs::json::{self, Json};
-use segdb_server::{Server, ServerConfig};
+use segdb_server::{Router, RouterConfig, Server, ServerConfig, ShardMap};
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -25,8 +28,88 @@ fn test_db() -> Arc<SegmentDatabase> {
     )
 }
 
-fn connect(server: &Server) -> TcpStream {
-    let stream = TcpStream::connect(server.addr()).unwrap();
+/// Which listener a scenario connects to.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Server,
+    Router,
+}
+
+/// The listener under test: a server, or a router in front of a default
+/// server as its only shard.
+struct Front {
+    server: Server,
+    router: Option<Router>,
+}
+
+impl Front {
+    /// Start a `kind` listener with the given connection-level bounds.
+    /// Returns it with its connection limit: `max_connections` on a
+    /// server, the fixed 256 on a router.
+    fn start(
+        kind: Kind,
+        max_connections: usize,
+        idle_timeout: Duration,
+        drain_timeout: Duration,
+    ) -> (Front, usize) {
+        match kind {
+            Kind::Server => {
+                let cfg = ServerConfig {
+                    max_connections,
+                    idle_timeout,
+                    drain_timeout,
+                    ..ServerConfig::default()
+                };
+                let server = Server::start(test_db(), cfg).unwrap();
+                let front = Front {
+                    server,
+                    router: None,
+                };
+                (front, max_connections)
+            }
+            Kind::Router => {
+                let server = Server::start(test_db(), ServerConfig::default()).unwrap();
+                let map = ShardMap::new(
+                    vec![server.addr().to_string()],
+                    XCuts::new(Vec::new()).unwrap(),
+                )
+                .unwrap();
+                let cfg = RouterConfig {
+                    idle_timeout,
+                    drain_timeout,
+                    ..RouterConfig::default()
+                };
+                let router = Some(Router::start(map, cfg).unwrap());
+                (Front { server, router }, 256)
+            }
+        }
+    }
+
+    fn addr(&self) -> SocketAddr {
+        self.router
+            .as_ref()
+            .map_or_else(|| self.server.addr(), Router::addr)
+    }
+
+    /// Stop the listener under test and wait out its drain; returns how
+    /// long that took. A router's backing shard is reaped afterwards,
+    /// off that clock.
+    fn stop(self) -> Duration {
+        let t0 = Instant::now();
+        let mut took = None;
+        if let Some(router) = self.router {
+            router.shutdown();
+            router.wait();
+            took = Some(t0.elapsed());
+        }
+        self.server.shutdown();
+        self.server.wait();
+        took.unwrap_or_else(|| t0.elapsed())
+    }
+}
+
+fn connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
@@ -58,80 +141,77 @@ fn server_stat(v: &Json, key: &str) -> u64 {
         .unwrap_or_else(|| panic!("stats carry server.{key}")) as u64
 }
 
+const DEFAULT_IDLE: Duration = Duration::from_secs(30);
+const DEFAULT_DRAIN: Duration = Duration::from_secs(5);
+
 #[test]
 fn admission_gate_sheds_with_overloaded() {
-    let server = Server::start(
-        test_db(),
-        ServerConfig {
-            max_connections: 1,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    // First connection occupies the only slot.
-    let mut first = connect(&server);
-    let v = roundtrip(&mut first, r#"{"id":1,"method":"ping"}"#);
-    assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
-    // The second is shed at the gate: one `overloaded` line, then EOF.
-    let shed = connect(&server);
-    let mut reader = BufReader::new(shed);
-    let mut line = String::new();
-    assert!(reader.read_line(&mut line).unwrap() > 0);
-    let v = json::parse(line.trim_end()).unwrap();
-    assert_eq!(error_code(&v), "overloaded");
-    line.clear();
-    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "gate closes it");
-    // The occupant still works, and stats record the shed.
-    let v = roundtrip(&mut first, r#"{"id":2,"method":"stats"}"#);
-    assert_eq!(server_stat(&v, "shed"), 1);
-    assert_eq!(server_stat(&v, "max_connections"), 1);
-    // Dropping the occupant frees the slot for a newcomer.
-    drop(first);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let mut again = connect(&server);
-        let v = roundtrip(&mut again, r#"{"id":3,"method":"ping"}"#);
-        if v.get("ok") == Some(&Json::Bool(true)) {
-            break;
+    for kind in [Kind::Server, Kind::Router] {
+        let (front, limit) = Front::start(kind, 1, DEFAULT_IDLE, DEFAULT_DRAIN);
+        // Occupy every slot (a served ping proves admission).
+        let mut occupants: Vec<TcpStream> = (0..limit)
+            .map(|_| {
+                let mut c = connect(front.addr());
+                let v = roundtrip(&mut c, r#"{"id":1,"method":"ping"}"#);
+                assert_eq!(v.get("ok"), Some(&Json::Bool(true)), "{kind:?}");
+                c
+            })
+            .collect();
+        // One more is shed at the gate: one `overloaded` line, then EOF.
+        let shed = connect(front.addr());
+        let mut reader = BufReader::new(shed);
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).unwrap() > 0);
+        let v = json::parse(line.trim_end()).unwrap();
+        assert_eq!(error_code(&v), "overloaded", "{kind:?}");
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "gate closes it");
+        // The occupants still work, and stats record the shed.
+        let v = roundtrip(&mut occupants[0], r#"{"id":2,"method":"stats"}"#);
+        assert_eq!(server_stat(&v, "shed"), 1, "{kind:?}");
+        assert_eq!(server_stat(&v, "max_connections"), limit as u64);
+        // Dropping the occupants frees a slot for a newcomer.
+        drop(occupants);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let mut again = connect(front.addr());
+            let v = roundtrip(&mut again, r#"{"id":3,"method":"ping"}"#);
+            if v.get("ok") == Some(&Json::Bool(true)) {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{kind:?}: slot never freed after occupant exit"
+            );
+            thread::sleep(Duration::from_millis(50));
         }
-        assert!(
-            Instant::now() < deadline,
-            "slot never freed after occupant exit"
-        );
-        thread::sleep(Duration::from_millis(50));
+        front.stop();
     }
-    server.shutdown();
-    server.wait();
 }
 
 #[test]
 fn slow_loris_connection_is_reaped() {
-    let server = Server::start(
-        test_db(),
-        ServerConfig {
-            idle_timeout: Duration::from_millis(400),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let mut loris = connect(&server);
-    // Trickle a request prefix and never finish the line.
-    loris.write_all(b"{\"method\":").unwrap();
-    loris.flush().unwrap();
-    // The server must reap the connection: our next read sees EOF.
-    let mut reader = BufReader::new(loris.try_clone().unwrap());
-    let mut line = String::new();
-    assert_eq!(
-        reader.read_line(&mut line).unwrap(),
-        0,
-        "reaped connection reads EOF, got {line:?}"
-    );
-    // A well-behaved client still gets served, and the reap is counted.
-    let mut ok = connect(&server);
-    let v = roundtrip(&mut ok, r#"{"id":1,"method":"stats"}"#);
-    assert_eq!(server_stat(&v, "reaped"), 1);
-    server.shutdown();
-    server.wait();
+    for kind in [Kind::Server, Kind::Router] {
+        let (front, _) = Front::start(kind, 256, Duration::from_millis(400), DEFAULT_DRAIN);
+        let mut loris = connect(front.addr());
+        // Trickle a request prefix and never finish the line.
+        loris.write_all(b"{\"method\":").unwrap();
+        loris.flush().unwrap();
+        // The listener must reap the connection: our next read sees EOF.
+        let mut reader = BufReader::new(loris.try_clone().unwrap());
+        let mut line = String::new();
+        assert_eq!(
+            reader.read_line(&mut line).unwrap(),
+            0,
+            "{kind:?}: reaped connection reads EOF, got {line:?}"
+        );
+        // A well-behaved client still gets served, and the reap is counted.
+        let mut ok = connect(front.addr());
+        let v = roundtrip(&mut ok, r#"{"id":1,"method":"stats"}"#);
+        assert_eq!(server_stat(&v, "reaped"), 1, "{kind:?}");
+        assert_eq!(server_stat(&v, "write_drops"), 0, "{kind:?}");
+        front.stop();
+    }
 }
 
 #[test]
@@ -147,7 +227,7 @@ fn stalled_reader_costs_the_connection_not_a_worker() {
         },
     )
     .unwrap();
-    let stall = connect(&server);
+    let stall = connect(server.addr());
     let mut w = stall.try_clone().unwrap();
     // Small SO_RCVBUF on our side makes the server's send queue fill
     // fast; `trace` replies (spans included) are the fattest available.
@@ -169,7 +249,7 @@ fn stalled_reader_costs_the_connection_not_a_worker() {
     // dropped) or the server is still within its write deadline window;
     // in both cases a fresh client must get served promptly — the pool
     // was not consumed by the stalled peer.
-    let mut ok = connect(&server);
+    let mut ok = connect(server.addr());
     let t1 = Instant::now();
     let v = roundtrip(&mut ok, r#"{"id":2,"method":"ping"}"#);
     assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
@@ -254,24 +334,16 @@ fn graceful_drain_completes_in_flight_and_refuses_new_connects() {
 
 #[test]
 fn shutdown_under_many_live_connections_never_hangs() {
-    let server = Server::start(
-        test_db(),
-        ServerConfig {
-            drain_timeout: Duration::from_secs(3),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    // A handful of idle keep-alive connections (no traffic at all).
-    let idlers: Vec<TcpStream> = (0..8).map(|_| connect(&server)).collect();
-    let t0 = Instant::now();
-    server.shutdown();
-    server.wait();
-    // Readers poll the stop flag every 250 ms; the drain must finish
-    // well inside its bound without waiting on the idlers' timeouts.
-    assert!(
-        t0.elapsed() < Duration::from_secs(6),
-        "drain exceeded its bound with idle connections open"
-    );
-    drop(idlers);
+    for kind in [Kind::Server, Kind::Router] {
+        let (front, _) = Front::start(kind, 256, DEFAULT_IDLE, Duration::from_secs(3));
+        // A handful of idle keep-alive connections (no traffic at all).
+        let idlers: Vec<TcpStream> = (0..8).map(|_| connect(front.addr())).collect();
+        // Readers poll the stop flag every 250 ms; the drain must finish
+        // well inside its bound without waiting on the idlers' timeouts.
+        assert!(
+            front.stop() < Duration::from_secs(6),
+            "{kind:?}: drain exceeded its bound with idle connections open"
+        );
+        drop(idlers);
+    }
 }

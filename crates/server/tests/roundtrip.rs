@@ -107,3 +107,26 @@ fn load_driver_shutdown_flag_stops_the_server() {
     assert_eq!(report.wrong, 0);
     server.wait();
 }
+
+/// The batched-vs-plain comparison is gone with the knob it compared:
+/// `--batch` is a usage error now, and the usage text does not list it.
+#[test]
+fn load_binary_rejects_the_removed_batch_flag() {
+    use std::process::Command;
+    let out = Command::new(env!("CARGO_BIN_EXE_segdb-load"))
+        .args(["--batch", "--requests", "1"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let doc = segdb_obs::json::parse(stderr.lines().next().unwrap())
+        .expect("stderr line is structured JSON");
+    assert_eq!(doc.get("error").and_then(|v| v.as_str()), Some("usage"));
+    let help = Command::new(env!("CARGO_BIN_EXE_segdb-load"))
+        .arg("--help")
+        .output()
+        .unwrap();
+    assert!(help.status.success());
+    let usage = String::from_utf8_lossy(&help.stdout);
+    assert!(usage.contains("--cluster") && !usage.contains("--batch"));
+}

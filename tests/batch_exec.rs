@@ -3,22 +3,27 @@
 //! kinds × four query shapes × every `QueryMode` — in batches that mix
 //! modes freely — and a transient device fault hitting one query of a
 //! batch must not poison its batchmates. The final tests drive the
-//! server's batch collector over the wire: a forced two-request batch
-//! demultiplexes correctly and lands in the slowlog with its shared
-//! `batch_id`, and the writer's delta overlay keeps batched answers
-//! exact.
+//! server's collector over the wire: groups form from backlog alone
+//! (one worker, eight clients), demultiplex correctly and land in the
+//! slowlog with their shared `batch_id`; with no more requests in
+//! flight than workers every query runs alone; and a worker held
+//! mid-group never keeps a write from the idle worker beside it.
 
 use segdb::core::report::ids;
 use segdb::core::testutil::oracle_query;
 use segdb::core::{IndexKind, QueryAnswer, QueryMode, SegmentDatabase, WriteEngine, WriterConfig};
-use segdb::geom::gen::{mixed_map, vertical_queries};
+use segdb::geom::gen::{mixed_map, vertical_queries, Family};
 use segdb::geom::{Segment, VerticalQuery};
 use segdb::obs::Json;
-use segdb::pager::{Disk, FaultDevice, FaultPlan};
+use segdb::pager::{Device, Disk, FaultDevice, FaultPlan, PageId, PagerError};
 use segdb_server::client::{Client, ClientConfig};
+use segdb_server::load::{run_load, LoadConfig, ModeSpec};
 use segdb_server::{Server, ServerConfig};
-use std::sync::Arc;
-use std::time::Duration;
+use std::collections::BTreeMap;
+use std::net::TcpListener;
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::{self, ThreadId};
+use std::time::{Duration, Instant};
 
 const KINDS: [IndexKind; 4] = [
     IndexKind::TwoLevelBinary,
@@ -539,50 +544,10 @@ fn writer_overlay_batches_match_sequential() {
     }
 }
 
-/// Force the server's batch collector to group two wire requests: one
-/// worker, a wide admission window, `batch_max = 2`, two concurrent
-/// clients. Both replies must demultiplex to the right request, and the
-/// slowlog must record the shared batch id and size.
-#[test]
-fn served_batch_demultiplexes_and_hits_slowlog() {
-    let set = mixed_map(300, 21);
-    let mut db = build(IndexKind::TwoLevelInterval, set.clone());
-    db.set_observability(true);
-    let server = Server::start(
-        Arc::new(db),
-        ServerConfig {
-            workers: 1,
-            batch_window: Duration::from_millis(200),
-            batch_max: 2,
-            slowlog_entries: 16,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let addr = server.addr().to_string();
-    let xs: Vec<i64> = set.iter().take(2).map(|s| (s.a.x + s.b.x) / 2).collect();
-    let threads: Vec<_> = xs
-        .iter()
-        .map(|&x| {
-            let addr = addr.clone();
-            std::thread::spawn(move || {
-                let mut client = Client::new(ClientConfig {
-                    addr,
-                    ..ClientConfig::default()
-                });
-                (x, client.query_ids("query_line", &[("x", x)]).unwrap())
-            })
-        })
-        .collect();
-    for t in threads {
-        let (x, got) = t.join().unwrap();
-        let want = oracle_query(&set, &VerticalQuery::Line { x });
-        let mut got = got;
-        got.sort_unstable();
-        assert_eq!(got, want, "batched served answer for x={x}");
-    }
+/// `(batch_id, batch_size)` of every slowlog entry, keyed by request id.
+fn slowlog_batches(addr: &str) -> BTreeMap<u64, (u64, u64)> {
     let mut client = Client::new(ClientConfig {
-        addr: addr.clone(),
+        addr: addr.to_string(),
         ..ClientConfig::default()
     });
     let slowlog = client.remote_slowlog().unwrap();
@@ -590,15 +555,85 @@ fn served_batch_demultiplexes_and_hits_slowlog() {
         .get("entries")
         .and_then(Json::as_arr)
         .expect("slowlog has entries");
-    let batched = entries
+    let field = |e: &Json, key: &str| match e.get(key) {
+        Some(&Json::U64(v)) => v,
+        other => panic!("slowlog entry lacks {key}: {other:?}"),
+    };
+    entries
         .iter()
-        .filter(|e| e.get("batch_size") == Some(&Json::U64(2)))
-        .count();
+        .map(|e| {
+            (
+                field(e, "id"),
+                (field(e, "batch_id"), field(e, "batch_size")),
+            )
+        })
+        .collect()
+}
+
+/// A read-only server over the mixed set the load driver's oracle
+/// regenerates from `(n, seed)`, every request kept in the slowlog.
+fn served_mixed(n: usize, seed: u64, workers: usize) -> Server {
+    let mut db = build(IndexKind::TwoLevelInterval, Family::Mixed.generate(n, seed));
+    db.set_observability(true);
+    Server::start(
+        Arc::new(db),
+        ServerConfig {
+            workers,
+            slowlog_entries: 1024,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap()
+}
+
+/// Closed-loop, oracle-verified mixed-mode load: every reply must be
+/// exact.
+fn verified_load(server: &Server, n: usize, seed: u64, connections: usize, requests: usize) {
+    let report = run_load(&LoadConfig {
+        addr: server.addr().to_string(),
+        connections,
+        requests,
+        family: Family::Mixed,
+        n,
+        seed,
+        mode: ModeSpec::Mix,
+        ..LoadConfig::default()
+    })
+    .unwrap();
+    assert_eq!(
+        (report.ok, report.wrong, report.errors),
+        (requests as u64, 0, 0),
+        "every served answer oracle-exact"
+    );
+}
+
+/// One worker behind eight closed-loop clients: while it walks, the
+/// other clients' queries queue, and the next pop takes them as one
+/// group — no window, no wait. Every reply must demultiplex to its own
+/// request (the load driver checks each against the oracle), and the
+/// slowlog must show requests sharing a `batch_id`.
+#[test]
+fn served_groups_form_from_backlog_and_hit_slowlog() {
+    let server = served_mixed(300, 21, 1);
+    verified_load(&server, 300, 21, 8, 320);
+    let addr = server.addr().to_string();
+    let mut groups: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+    for (batch_id, size) in slowlog_batches(&addr).into_values() {
+        if batch_id != 0 {
+            groups.entry(batch_id).or_default().push(size);
+        }
+    }
     assert!(
-        batched >= 2,
-        "both requests must be in one shared batch: {slowlog:?}"
+        groups
+            .values()
+            .any(|sizes| sizes.len() >= 2 && sizes.iter().all(|&s| s as usize == sizes.len())),
+        "some group's members all report its id and size: {groups:?}"
     );
     // The stats reply exposes the per-tier cache block.
+    let mut client = Client::new(ClientConfig {
+        addr,
+        ..ClientConfig::default()
+    });
     let stats = client.remote_stats().unwrap();
     let cache = stats.get("cache").expect("stats carries a cache block");
     for key in [
@@ -613,6 +648,232 @@ fn served_batch_demultiplexes_and_hits_slowlog() {
             "cache block lacks {key}: {cache:?}"
         );
     }
+    server.shutdown();
+    server.wait();
+}
+
+/// Two workers, two closed-loop clients: never more jobs queued than
+/// workers, so the share is one and every query runs alone — the
+/// traffic shape of the benchmark's served workloads.
+#[test]
+fn no_backlog_means_every_query_runs_alone() {
+    let server = served_mixed(300, 21, 2);
+    verified_load(&server, 300, 21, 2, 160);
+    let batches = slowlog_batches(&server.addr().to_string());
+    assert!(batches.len() >= 160, "slowlog kept every request");
+    assert!(
+        batches.values().all(|&batch| batch == (0, 0)),
+        "a group formed without backlog: {batches:?}"
+    );
+    server.shutdown();
+    server.wait();
+}
+
+/// The reads of one thread — the first to read while the gate is shut —
+/// are held until it opens; every other thread passes.
+#[derive(Default)]
+struct Gate {
+    state: Mutex<(bool, Option<ThreadId>)>,
+    changed: Condvar,
+}
+
+impl Gate {
+    fn set_shut(&self, shut: bool) {
+        self.state.lock().unwrap().0 = shut;
+        self.changed.notify_all();
+    }
+
+    /// Called by every device read.
+    fn pass(&self) {
+        let me = thread::current().id();
+        let mut state = self.state.lock().unwrap();
+        if state.0 && state.1.is_none() {
+            state.1 = Some(me);
+            self.changed.notify_all();
+        }
+        while state.0 && state.1 == Some(me) {
+            state = self.changed.wait(state).unwrap();
+        }
+    }
+
+    /// Block until some thread is held at the gate.
+    fn wait_held(&self) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut state = self.state.lock().unwrap();
+        while state.1.is_none() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            assert!(!left.is_zero(), "no reader reached the gate");
+            state = self.changed.wait_timeout(state, left).unwrap().0;
+        }
+    }
+}
+
+/// A [`Disk`] whose reads pass through a [`Gate`].
+struct GatedDisk(Disk, Arc<Gate>);
+
+impl Device for GatedDisk {
+    fn page_size(&self) -> usize {
+        self.0.page_size()
+    }
+    fn live_pages(&self) -> usize {
+        self.0.live_pages()
+    }
+    fn capacity_pages(&self) -> usize {
+        self.0.capacity_pages()
+    }
+    fn allocate(&mut self) -> Result<PageId, PagerError> {
+        self.0.allocate()
+    }
+    fn free(&mut self, id: PageId) -> Result<(), PagerError> {
+        self.0.free(id)
+    }
+    fn read(&self, id: PageId, buf: &mut [u8]) -> Result<(), PagerError> {
+        self.1.pass();
+        self.0.read(id, buf)
+    }
+    fn write(&mut self, id: PageId, buf: &[u8]) -> Result<(), PagerError> {
+        self.0.write(id, buf)
+    }
+    fn check(&self, id: PageId) -> Result<(), PagerError> {
+        self.0.check(id)
+    }
+    fn sync(&mut self) -> Result<(), PagerError> {
+        self.0.sync()
+    }
+    fn set_meta(&mut self, meta: &[u8]) -> Result<(), PagerError> {
+        self.0.set_meta(meta)
+    }
+    fn get_meta(&self) -> Result<Vec<u8>, PagerError> {
+        self.0.get_meta()
+    }
+}
+
+/// Occupy one worker: a `sync_from` whose peer accepts and then says
+/// nothing. Returns once the worker has connected; dropping the
+/// returned sockets fails the call and frees the worker.
+fn plug_a_worker(addr: &str) -> (TcpListener, std::net::TcpStream) {
+    let hole = TcpListener::bind("127.0.0.1:0").unwrap();
+    let peer = hole.local_addr().unwrap().to_string();
+    let addr = addr.to_string();
+    thread::spawn(move || {
+        let mut client = Client::new(ClientConfig {
+            addr,
+            attempt_timeout: Duration::from_secs(60),
+            max_retries: 0,
+            ..ClientConfig::default()
+        });
+        assert!(client.sync_from(&peer, None).is_err());
+    });
+    let (stream, _) = hole.accept().unwrap();
+    (hole, stream)
+}
+
+/// Two workers. One is held mid-walk with a group of two; the other is
+/// idle. A write submitted now must be answered by the idle worker at
+/// once — no worker ever sleeps on the queue's condvar while holding
+/// jobs, so the wake-up for the write cannot land on the busy one.
+#[test]
+fn a_write_is_served_while_the_other_worker_is_mid_group() {
+    let set = mixed_map(300, 21);
+    let gate = Arc::new(Gate::default());
+    let db = SegmentDatabase::builder()
+        .page_size(1024)
+        .cache_pages(0)
+        .index(IndexKind::TwoLevelInterval)
+        .on_device(Box::new(GatedDisk(Disk::new(1024), Arc::clone(&gate))))
+        .build(set.clone())
+        .unwrap();
+    let (engine, _) =
+        WriteEngine::recover(db, Box::new(Disk::new(1024)), WriterConfig::default()).unwrap();
+    let server = Server::start_writable(
+        Arc::new(engine),
+        ServerConfig {
+            workers: 2,
+            request_timeout: Duration::from_secs(60),
+            slowlog_entries: 64,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr().to_string();
+
+    // Both workers plugged; four queries queue up behind them.
+    let plug_a = plug_a_worker(&addr);
+    let plug_b = plug_a_worker(&addr);
+    let queries: Vec<_> = set
+        .iter()
+        .step_by(60)
+        .take(4)
+        .enumerate()
+        .map(|(i, s)| {
+            let x = (s.a.x + s.b.x) / 2;
+            let addr = addr.clone();
+            thread::spawn(move || {
+                let mut client = Client::new(ClientConfig {
+                    addr,
+                    attempt_timeout: Duration::from_secs(60),
+                    max_retries: 0,
+                    id_base: 1000 * (i as u64 + 1),
+                    ..ClientConfig::default()
+                });
+                (x, client.query_ids("query_line", &[("x", x)]).unwrap())
+            })
+        })
+        .collect();
+    thread::sleep(Duration::from_millis(400));
+
+    // Free one worker: it takes ceil(4 / 2) = 2 queries as one group and
+    // is held at its first page read.
+    gate.set_shut(true);
+    drop(plug_a);
+    gate.wait_held();
+    // Free the other: it serves the two remaining queries one by one
+    // (ceil(2 / 2) = 1) and goes idle.
+    drop(plug_b);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while queries.iter().filter(|q| q.is_finished()).count() < 2 {
+        assert!(Instant::now() < deadline, "the free worker never drained");
+        thread::sleep(Duration::from_millis(10));
+    }
+    let held = || queries.iter().filter(|q| !q.is_finished()).count();
+    assert_eq!(held(), 2, "one worker holds a group of two");
+
+    // The write goes through while the group is still held. It lies to
+    // the right of every stored segment, so no query answer sees it.
+    let max_x = set.iter().map(|s| s.a.x.max(s.b.x)).max().unwrap();
+    let fresh = Segment::new(9_000_001, (max_x + 100, 0), (max_x + 200, 0)).unwrap();
+    let mut writer = Client::new(ClientConfig {
+        addr: addr.clone(),
+        attempt_timeout: Duration::from_secs(10),
+        max_retries: 0,
+        id_base: 9000,
+        ..ClientConfig::default()
+    });
+    let ack = writer.insert(&fresh).unwrap();
+    assert!(ack.applied && !ack.duplicate);
+    assert_eq!(
+        held(),
+        2,
+        "the group was still mid-walk when the write acked"
+    );
+
+    gate.set_shut(false);
+    let mut group_ids = Vec::new();
+    for q in queries {
+        let (x, got) = q.join().unwrap();
+        assert_eq!(got, oracle_query(&set, &VerticalQuery::Line { x }), "x={x}");
+    }
+    let batches = slowlog_batches(&addr);
+    for (id, &(batch_id, size)) in &batches {
+        match size {
+            0 => assert_eq!(batch_id, 0, "request {id}"),
+            2 => group_ids.push(batch_id),
+            other => panic!("request {id} ran in a group of {other}: {batches:?}"),
+        }
+    }
+    assert_eq!(group_ids.len(), 2, "{batches:?}");
+    assert!(group_ids[0] != 0 && group_ids[0] == group_ids[1]);
+    assert_eq!(batches[&9001], (0, 0), "the write ran alone");
     server.shutdown();
     server.wait();
 }
