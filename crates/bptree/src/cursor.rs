@@ -1,14 +1,16 @@
 //! Leaf-linked forward cursor.
 //!
-//! A cursor buffers the current leaf's records (the leaf was already paid
-//! for by the positioning read) and follows `next` links, costing exactly
-//! one read per additional leaf — the `O(t)` reporting term of every
-//! query bound in the paper.
+//! A cursor holds the current leaf's page image (the leaf was already
+//! paid for by the positioning read) and follows `next` links, costing
+//! exactly one read per additional leaf — the `O(t)` reporting term of
+//! every query bound in the paper. Records are read from the image one
+//! at a time, as the cursor reaches them.
 
-use crate::node::Node;
+use crate::node::{leaf_record, NodeView};
 use crate::record::Record;
 use segdb_pager::{PageId, Pager, PagerError, Result, NULL_PAGE};
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 /// Forward cursor over the leaf level. Obtain via
 /// [`crate::BPlusTree::lower_bound`] / [`crate::BPlusTree::cursor_first`],
@@ -16,80 +18,111 @@ use std::ops::ControlFlow;
 /// cascading).
 #[derive(Debug)]
 pub struct Cursor<R> {
-    records: Vec<R>,
+    /// Image of the current leaf, viewed once when the cursor entered it.
+    leaf: Arc<[u8]>,
+    count: usize,
     idx: usize,
     next: PageId,
+    /// The record under the cursor, read when the cursor moved onto it.
+    cur: Option<R>,
+}
+
+/// Read `page` as a leaf: its image, record count and forward link.
+/// `internal` is the error for landing on an internal node instead.
+fn open_leaf<R: Record>(
+    pager: &Pager,
+    page: PageId,
+    internal: &'static str,
+) -> Result<(Arc<[u8]>, usize, PageId)> {
+    segdb_obs::trace::emit(
+        segdb_obs::trace::EventKind::BptreeNodeVisit,
+        u64::from(page),
+        0,
+    );
+    let img = pager.page(page)?;
+    match NodeView::<R>::new(&img)? {
+        NodeView::Leaf(leaf) => {
+            let (count, next) = (leaf.len(), leaf.next());
+            Ok((img, count, next))
+        }
+        NodeView::Internal(_) => Err(PagerError::Corrupt(internal)),
+    }
 }
 
 impl<R: Record> Cursor<R> {
-    /// Cursor over an already-decoded leaf.
-    pub(crate) fn at(records: Vec<R>, idx: usize, next: PageId) -> Self {
-        Cursor { records, idx, next }
+    /// Cursor at record `idx` of an already-viewed leaf image (`count`
+    /// records, forward link `next`), hopping to the next leaf if `idx`
+    /// is past the last record so `peek` is the true position.
+    pub(crate) fn at(
+        pager: &Pager,
+        leaf: Arc<[u8]>,
+        count: usize,
+        next: PageId,
+        idx: usize,
+    ) -> Result<Self> {
+        let mut c = Cursor {
+            leaf,
+            count,
+            idx,
+            next,
+            cur: None,
+        };
+        c.normalize(pager)?;
+        Ok(c)
     }
 
     /// Jump to the head of a known leaf page (one read). This is the §4.3
     /// bridge-navigation entry: no root descent.
     pub fn jump(pager: &Pager, leaf: PageId) -> Result<Self> {
-        segdb_obs::trace::emit(
-            segdb_obs::trace::EventKind::BptreeNodeVisit,
-            u64::from(leaf),
-            0,
-        );
-        match pager.with_page(leaf, |buf| Node::<R>::decode(buf))?? {
-            Node::Leaf { records, next } => {
-                let mut c = Cursor::at(records, 0, next);
-                c.normalize(pager)?;
-                Ok(c)
-            }
-            Node::Internal { .. } => Err(PagerError::Corrupt("cursor jump hit internal node")),
-        }
+        let (img, count, next) = open_leaf::<R>(pager, leaf, "cursor jump hit internal node")?;
+        Cursor::at(pager, img, count, next, 0)
+    }
+
+    /// Read the record at `idx` of the current leaf, if there is one.
+    fn load(&mut self) -> Result<()> {
+        self.cur = if self.idx < self.count {
+            Some(leaf_record(&self.leaf, self.idx)?)
+        } else {
+            None
+        };
+        Ok(())
     }
 
     /// Ensure the cursor either points at a record or is exhausted,
     /// hopping over empty tails.
-    pub(crate) fn normalize(&mut self, pager: &Pager) -> Result<()> {
-        while self.idx >= self.records.len() {
-            if self.next == NULL_PAGE {
-                return Ok(());
-            }
-            segdb_obs::trace::emit(
-                segdb_obs::trace::EventKind::BptreeNodeVisit,
-                u64::from(self.next),
-                0,
-            );
-            match pager.with_page(self.next, |buf| Node::<R>::decode(buf))?? {
-                Node::Leaf { records, next } => {
-                    self.records = records;
-                    self.idx = 0;
-                    self.next = next;
-                }
-                Node::Internal { .. } => {
-                    return Err(PagerError::Corrupt("leaf chain points to internal node"))
-                }
-            }
+    fn normalize(&mut self, pager: &Pager) -> Result<()> {
+        while self.idx >= self.count && self.next != NULL_PAGE {
+            (self.leaf, self.count, self.next) =
+                open_leaf::<R>(pager, self.next, "leaf chain points to internal node")?;
+            self.idx = 0;
         }
-        Ok(())
+        self.load()
     }
 
     /// The record under the cursor, if any (no I/O).
     pub fn peek(&self) -> Option<&R> {
-        self.records.get(self.idx)
+        self.cur.as_ref()
     }
 
-    /// The already-buffered records of the current leaf and the cursor's
-    /// index within them (no I/O). Fractional cascading looks *backwards*
-    /// in this buffer for the nearest bridge before the run start.
-    pub fn buffered(&self) -> (&[R], usize) {
-        (&self.records, self.idx)
+    /// Look backwards from the cursor through the records of its current
+    /// leaf, nearest first, for the first one `f` maps to `Some` (no
+    /// I/O). Fractional cascading finds the nearest bridge before a run
+    /// start this way.
+    pub fn find_back<T>(&self, mut f: impl FnMut(&R) -> Option<T>) -> Result<Option<T>> {
+        for i in (0..self.idx.min(self.count)).rev() {
+            if let Some(found) = f(&leaf_record(&self.leaf, i)?) {
+                return Ok(Some(found));
+            }
+        }
+        Ok(None)
     }
 
     /// Yield the current record and advance. Costs one read exactly when
     /// the cursor crosses into the next leaf.
     pub fn next(&mut self, pager: &Pager) -> Result<Option<R>> {
-        if self.idx >= self.records.len() {
+        let Some(r) = self.cur else {
             return Ok(None);
-        }
-        let r = self.records[self.idx];
+        };
         self.idx += 1;
         self.normalize(pager)?;
         Ok(Some(r))
@@ -131,13 +164,13 @@ impl<R: Record> Cursor<R> {
         mut pred: impl FnMut(&R) -> bool,
         mut f: impl FnMut(&R) -> ControlFlow<()>,
     ) -> Result<ControlFlow<()>> {
-        while let Some(r) = self.peek() {
-            if !pred(r) {
+        while let Some(r) = self.cur {
+            if !pred(&r) {
                 break;
             }
-            let r = *r;
             self.idx += 1;
             if f(&r).is_break() {
+                self.load()?;
                 return Ok(ControlFlow::Break(()));
             }
             self.normalize(pager)?;

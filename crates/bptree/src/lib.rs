@@ -20,6 +20,11 @@
 //! input, point insert with splits, delete with rebalancing
 //! (borrow/merge), lower-bound search by arbitrary [`Probe`], leaf-linked
 //! forward cursors, and deep [`BPlusTree::validate`] used by tests.
+//!
+//! Searches and cursors read nodes in place in the pager's page image
+//! ([`node::NodeView`], binary search over fixed-width records read by
+//! [`Record::read`]); the owned [`node::Node`] is what inserts, removes
+//! and `validate` decode, edit and write back.
 
 pub mod cursor;
 pub mod node;

@@ -20,8 +20,10 @@
 //! [`Node::internal_capacity`] reserves space for the counts so a v1
 //! node rewritten with counts always fits.
 
-use crate::record::Record;
+use crate::record::{Probe, Record};
 use segdb_pager::{ByteReader, ByteWriter, PageId, PagerError, Result, NULL_PAGE};
+use std::cmp::Ordering;
+use std::marker::PhantomData;
 
 const TAG_LEAF: u8 = 1;
 const TAG_INTERNAL: u8 = 2;
@@ -108,45 +110,20 @@ impl<R: Record> Node<R> {
         Ok(())
     }
 
-    /// Deserialize from a page image.
+    /// Deserialize from a page image: every field of its [`NodeView`],
+    /// collected.
     pub fn decode(buf: &[u8]) -> Result<Self> {
-        let mut r = ByteReader::new(buf);
-        let tag = r.u8()?;
-        match tag {
-            TAG_LEAF => {
-                let count = r.u16()? as usize;
-                let next = r.u32()?;
-                let mut records = Vec::with_capacity(count);
-                for _ in 0..count {
-                    records.push(R::decode(&mut r)?);
-                }
-                Ok(Node::Leaf { records, next })
-            }
-            TAG_INTERNAL | TAG_INTERNAL_V2 => {
-                let count = r.u16()? as usize;
-                let mut children = Vec::with_capacity(count + 1);
-                for _ in 0..=count {
-                    children.push(r.u32()?);
-                }
-                let mut counts = Vec::new();
-                if tag == TAG_INTERNAL_V2 {
-                    counts.reserve(count + 1);
-                    for _ in 0..=count {
-                        counts.push(r.u64()?);
-                    }
-                }
-                let mut seps = Vec::with_capacity(count);
-                for _ in 0..count {
-                    seps.push(R::decode(&mut r)?);
-                }
-                Ok(Node::Internal {
-                    children,
-                    seps,
-                    counts,
-                })
-            }
-            _ => Err(PagerError::Corrupt("unknown b+tree node tag")),
-        }
+        Ok(match NodeView::new(buf)? {
+            NodeView::Leaf(v) => Node::Leaf {
+                records: (0..v.len()).map(|i| v.record(i)).collect::<Result<_>>()?,
+                next: v.next(),
+            },
+            NodeView::Internal(v) => Node::Internal {
+                children: (0..=v.len()).map(|j| v.child(j)).collect(),
+                seps: (0..v.len()).map(|i| v.sep(i)).collect::<Result<_>>()?,
+                counts: (0..=v.len()).filter_map(|j| v.count(j)).collect(),
+            },
+        })
     }
 
     /// True for leaf nodes.
@@ -160,6 +137,167 @@ impl<R: Record> Node<R> {
             Node::Leaf { records, .. } => records.len(),
             Node::Internal { seps, .. } => seps.len(),
         }
+    }
+}
+
+/// A node read in place: the read path's form of [`Node`], borrowed
+/// from the page image instead of decoded into vectors, and the one
+/// parser of the layout ([`Node::decode`] collects from it).
+///
+/// [`NodeView::new`] checks the node itself — the tag, and that the
+/// sections its header counts imply fit the image. A record is read,
+/// and validated by its own [`Record::read`], when an accessor touches
+/// it.
+#[derive(Debug, Clone, Copy)]
+pub enum NodeView<'a, R> {
+    /// Leaf.
+    Leaf(LeafView<'a, R>),
+    /// Internal router node.
+    Internal(InternalView<'a, R>),
+}
+
+/// A leaf read in place; see [`NodeView`].
+#[derive(Debug, Clone, Copy)]
+pub struct LeafView<'a, R> {
+    next: PageId,
+    records: &'a [u8],
+    _r: PhantomData<R>,
+}
+
+/// An internal node read in place; see [`NodeView`].
+#[derive(Debug, Clone, Copy)]
+pub struct InternalView<'a, R> {
+    children: &'a [[u8; 4]],
+    /// Empty for the count-free v1 layout.
+    counts: &'a [[u8; 8]],
+    seps: &'a [u8],
+    _r: PhantomData<R>,
+}
+
+/// Record `i` of a section of back-to-back records.
+fn record_at<R: Record>(records: &[u8], i: usize) -> Result<R> {
+    R::read(&records[i * R::ENCODED_SIZE..])
+}
+
+/// Record `i` of the leaf in page image `img`, for a holder of the image
+/// that has already viewed it ([`NodeView::new`]) and kept its count.
+pub(crate) fn leaf_record<R: Record>(img: &[u8], i: usize) -> Result<R> {
+    record_at(&img[LEAF_HEADER..], i)
+}
+
+/// Binary search: the first index in `0..n` where `before` turns false.
+/// `before` must be monotone (true, then false) — the B⁺-tree order
+/// guarantees it for every probe the tree accepts.
+fn partition_point(n: usize, mut before: impl FnMut(usize) -> Result<bool>) -> Result<usize> {
+    let (mut lo, mut hi) = (0, n);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if before(mid)? {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    Ok(lo)
+}
+
+impl<'a, R: Record> NodeView<'a, R> {
+    /// View the node in a page image.
+    pub fn new(buf: &'a [u8]) -> Result<Self> {
+        let mut r = ByteReader::new(buf);
+        match r.u8()? {
+            TAG_LEAF => {
+                let count = r.u16()? as usize;
+                let next = r.u32()?;
+                Ok(NodeView::Leaf(LeafView {
+                    next,
+                    records: r.bytes(count * R::ENCODED_SIZE)?,
+                    _r: PhantomData,
+                }))
+            }
+            tag @ (TAG_INTERNAL | TAG_INTERNAL_V2) => {
+                let count = r.u16()? as usize;
+                let children = r.arrays(count + 1)?;
+                let counts = if tag == TAG_INTERNAL_V2 {
+                    r.arrays(count + 1)?
+                } else {
+                    &[]
+                };
+                Ok(NodeView::Internal(InternalView {
+                    children,
+                    counts,
+                    seps: r.bytes(count * R::ENCODED_SIZE)?,
+                    _r: PhantomData,
+                }))
+            }
+            _ => Err(PagerError::Corrupt("unknown b+tree node tag")),
+        }
+    }
+}
+
+impl<R: Record> LeafView<'_, R> {
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.records.len() / R::ENCODED_SIZE
+    }
+
+    /// True when the leaf holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Next leaf in key order, or [`NULL_PAGE`].
+    pub fn next(&self) -> PageId {
+        self.next
+    }
+
+    /// Record `i` (`i < len()`).
+    pub fn record(&self, i: usize) -> Result<R> {
+        record_at(self.records, i)
+    }
+
+    /// Index of the first record `r` with `probe ≤ r` (`len()` if none).
+    pub fn lower_bound(&self, probe: &impl Probe<R>) -> Result<usize> {
+        partition_point(self.len(), |i| {
+            Ok(probe.cmp_record(&self.record(i)?) == Ordering::Greater)
+        })
+    }
+}
+
+impl<R: Record> InternalView<'_, R> {
+    /// Number of separators; the node routes `len() + 1` children.
+    pub fn len(&self) -> usize {
+        self.children.len() - 1
+    }
+
+    /// True when the node has no separator (a lone child).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Separator `i` (`i < len()`).
+    pub fn sep(&self, i: usize) -> Result<R> {
+        record_at(self.seps, i)
+    }
+
+    /// Child page `j` (`j ≤ len()`).
+    pub fn child(&self, j: usize) -> PageId {
+        u32::from_le_bytes(self.children[j])
+    }
+
+    /// Stored record count of child `j`'s subtree; `None` in the
+    /// count-free v1 layout.
+    pub fn count(&self, j: usize) -> Option<u64> {
+        self.counts.get(j).map(|c| u64::from_le_bytes(*c))
+    }
+
+    /// Index of the child a lower-bound descent for `probe` enters.
+    /// `sep[i]` is the minimum of child `i + 1`, so on `probe ≥ sep[i]`
+    /// the lower bound cannot be in children `0..=i`.
+    pub fn route(&self, probe: &impl Probe<R>) -> Result<usize> {
+        partition_point(self.len(), |i| {
+            Ok(probe.cmp_record(&self.sep(i)?) != Ordering::Less)
+        })
     }
 }
 

@@ -1,5 +1,6 @@
 //! Record, comparator and probe abstractions.
 
+use segdb_pager::codec::{fixed, i64_at, u64_at};
 use segdb_pager::{ByteReader, ByteWriter, Result};
 use std::cmp::Ordering;
 
@@ -12,8 +13,16 @@ pub trait Record: Copy + std::fmt::Debug {
     const ENCODED_SIZE: usize;
     /// Serialize into a node page.
     fn encode(&self, w: &mut ByteWriter<'_>) -> Result<()>;
-    /// Deserialize from a node page.
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self>;
+    /// Read one record from the head of `bytes` — the one parser of the
+    /// layout, called by the read path's node views per record they
+    /// touch: check the length once ([`fixed`]) and read each field at
+    /// its fixed offset.
+    fn read(bytes: &[u8]) -> Result<Self>;
+    /// Deserialize the next record of a node page: [`Record::read`] on
+    /// the reader's next `ENCODED_SIZE` bytes.
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        Self::read(r.bytes(Self::ENCODED_SIZE)?)
+    }
 }
 
 /// A stateful total order over records.
@@ -55,10 +64,11 @@ impl Record for KeyValue {
         w.i64(self.key)?;
         w.u64(self.value)
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+    fn read(bytes: &[u8]) -> Result<Self> {
+        let b = fixed::<16>(bytes)?;
         Ok(KeyValue {
-            key: r.i64()?,
-            value: r.u64()?,
+            key: i64_at(b, 0),
+            value: u64_at(b, 8),
         })
     }
 }
@@ -84,6 +94,8 @@ mod tests {
         kv.encode(&mut ByteWriter::new(&mut buf)).unwrap();
         let back = KeyValue::decode(&mut ByteReader::new(&buf)).unwrap();
         assert_eq!(back, kv);
+        assert_eq!(KeyValue::read(&buf).unwrap(), kv);
+        assert!(KeyValue::read(&buf[..15]).is_err());
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The B⁺-tree proper: bulk load, search, insert, delete, validation.
 
 use crate::cursor::Cursor;
-use crate::node::{empty_leaf, Node};
+use crate::node::{empty_leaf, InternalView, Node, NodeView};
 use crate::record::{Probe, Record, RecordOrd};
+use segdb_pager::codec::{u32_at, u64_at};
 use segdb_pager::{PageId, Pager, PagerError, Result, NULL_PAGE};
 use std::cmp::Ordering;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// Serialized identity of a B⁺-tree: what a parent structure stores in
 /// its own node page to re-[`BPlusTree::attach`] the tree later. 16 bytes.
@@ -32,11 +34,17 @@ impl TreeState {
 
     /// Deserialize from a parent node page.
     pub fn decode(r: &mut segdb_pager::ByteReader<'_>) -> Result<Self> {
-        Ok(TreeState {
-            root: r.u32()?,
-            height: r.u32()?,
-            len: r.u64()?,
-        })
+        Ok(Self::read(r.bytes(Self::ENCODED_SIZE)?))
+    }
+
+    /// Read from the head of a length-checked record image (a parent's
+    /// node view).
+    pub fn read(b: &[u8]) -> Self {
+        TreeState {
+            root: u32_at(b, 0),
+            height: u32_at(b, 4),
+            len: u64_at(b, 8),
+        }
     }
 }
 
@@ -68,13 +76,21 @@ pub struct BPlusTree<R: Record, O: RecordOrd<R>> {
     _r: PhantomData<R>,
 }
 
-fn read_node<R: Record>(pager: &Pager, id: PageId) -> Result<Node<R>> {
+/// One node visit of a read walk: the page image, to be read in place
+/// through a [`NodeView`].
+fn read_page(pager: &Pager, id: PageId) -> Result<Arc<[u8]>> {
     segdb_obs::trace::emit(
         segdb_obs::trace::EventKind::BptreeNodeVisit,
         u64::from(id),
         0,
     );
-    pager.with_page(id, |buf| Node::decode(buf))?
+    pager.page(id)
+}
+
+/// One node visit of the write path (and of `validate`): an owned node
+/// to edit and write back.
+fn read_node<R: Record>(pager: &Pager, id: PageId) -> Result<Node<R>> {
+    Node::decode(&read_page(pager, id)?)
 }
 
 fn write_node<R: Record>(pager: &Pager, id: PageId, node: &Node<R>) -> Result<()> {
@@ -242,28 +258,12 @@ impl<R: Record, O: RecordOrd<R>> BPlusTree<R, O> {
     pub fn lower_bound(&self, pager: &Pager, probe: &impl Probe<R>) -> Result<Cursor<R>> {
         let mut id = self.root;
         loop {
-            match read_node::<R>(pager, id)? {
-                Node::Internal { children, seps, .. } => {
-                    // Skip children whose whole range sorts before the
-                    // probe. `sep[i]` is the minimum of child `i+1`, so on
-                    // `probe ≥ sep[i]` the lower bound cannot be in
-                    // children `0..=i`.
-                    let idx = seps
-                        .iter()
-                        .take_while(|s| probe.cmp_record(s) != Ordering::Less)
-                        .count();
-                    id = children[idx];
-                }
-                Node::Leaf { records, next } => {
-                    let idx = records
-                        .iter()
-                        .take_while(|r| probe.cmp_record(r) == Ordering::Greater)
-                        .count();
-                    let mut cur = Cursor::at(records, idx, next);
-                    // If positioned past the last record, hop to the next
-                    // leaf so `peek` is the true lower bound.
-                    cur.normalize(pager)?;
-                    return Ok(cur);
+            let img = read_page(pager, id)?;
+            match NodeView::<R>::new(&img)? {
+                NodeView::Internal(n) => id = n.child(n.route(probe)?),
+                NodeView::Leaf(leaf) => {
+                    let (count, next, idx) = (leaf.len(), leaf.next(), leaf.lower_bound(probe)?);
+                    return Cursor::at(pager, img, count, next, idx);
                 }
             }
         }
@@ -274,15 +274,9 @@ impl<R: Record, O: RecordOrd<R>> BPlusTree<R, O> {
     pub fn leaf_page_of(&self, pager: &Pager, probe: &impl Probe<R>) -> Result<PageId> {
         let mut id = self.root;
         loop {
-            match read_node::<R>(pager, id)? {
-                Node::Internal { children, seps, .. } => {
-                    let idx = seps
-                        .iter()
-                        .take_while(|s| probe.cmp_record(s) != Ordering::Less)
-                        .count();
-                    id = children[idx];
-                }
-                Node::Leaf { .. } => return Ok(id),
+            match NodeView::<R>::new(&read_page(pager, id)?)? {
+                NodeView::Internal(n) => id = n.child(n.route(probe)?),
+                NodeView::Leaf(_) => return Ok(id),
             }
         }
     }
@@ -296,32 +290,15 @@ impl<R: Record, O: RecordOrd<R>> BPlusTree<R, O> {
         let mut total = 0u64;
         let mut id = self.root;
         loop {
-            match read_node::<R>(pager, id)? {
-                Node::Internal {
-                    children,
-                    seps,
-                    counts,
-                } => {
-                    let idx = seps
-                        .iter()
-                        .take_while(|s| probe.cmp_record(s) != Ordering::Less)
-                        .count();
-                    if counts.len() == children.len() {
-                        total += counts[..idx].iter().sum::<u64>();
-                    } else {
-                        for &c in &children[..idx] {
-                            total += count_subtree::<R>(pager, c)?;
-                        }
+            match NodeView::<R>::new(&read_page(pager, id)?)? {
+                NodeView::Internal(n) => {
+                    let idx = n.route(probe)?;
+                    for j in 0..idx {
+                        total += child_count(pager, &n, j)?;
                     }
-                    id = children[idx];
+                    id = n.child(idx);
                 }
-                Node::Leaf { records, .. } => {
-                    total += records
-                        .iter()
-                        .take_while(|r| probe.cmp_record(r) == Ordering::Greater)
-                        .count() as u64;
-                    return Ok(total);
-                }
+                NodeView::Leaf(leaf) => return Ok(total + leaf.lower_bound(probe)? as u64),
             }
         }
     }
@@ -384,12 +361,12 @@ impl<R: Record, O: RecordOrd<R>> BPlusTree<R, O> {
     pub fn cursor_first(&self, pager: &Pager) -> Result<Cursor<R>> {
         let mut id = self.root;
         loop {
-            match read_node::<R>(pager, id)? {
-                Node::Internal { children, .. } => id = children[0],
-                Node::Leaf { records, next } => {
-                    let mut cur = Cursor::at(records, 0, next);
-                    cur.normalize(pager)?;
-                    return Ok(cur);
+            let img = read_page(pager, id)?;
+            match NodeView::<R>::new(&img)? {
+                NodeView::Internal(n) => id = n.child(0),
+                NodeView::Leaf(leaf) => {
+                    let (count, next) = (leaf.len(), leaf.next());
+                    return Cursor::at(pager, img, count, next, 0);
                 }
             }
         }
@@ -1136,24 +1113,21 @@ fn bump_path_counts<R: Record>(pager: &Pager, path: Vec<PathEntry<R>>, delta: i6
     Ok(())
 }
 
+/// Exact record count of child `j`'s subtree: the count `n` stores for
+/// it, or — under a count-free (v1) node — by reading the subtree.
+fn child_count<R: Record>(pager: &Pager, n: &InternalView<'_, R>, j: usize) -> Result<u64> {
+    match n.count(j) {
+        Some(c) => Ok(c),
+        None => count_subtree::<R>(pager, n.child(j)),
+    }
+}
+
 /// Exact record count of the subtree at `id`. One read when the node
 /// stores counts; otherwise recurses (the v1 fallback).
 fn count_subtree<R: Record>(pager: &Pager, id: PageId) -> Result<u64> {
-    match read_node::<R>(pager, id)? {
-        Node::Leaf { records, .. } => Ok(records.len() as u64),
-        Node::Internal {
-            children, counts, ..
-        } => {
-            if counts.len() == children.len() {
-                Ok(counts.iter().sum())
-            } else {
-                let mut total = 0u64;
-                for c in children {
-                    total += count_subtree::<R>(pager, c)?;
-                }
-                Ok(total)
-            }
-        }
+    match NodeView::<R>::new(&read_page(pager, id)?)? {
+        NodeView::Leaf(leaf) => Ok(leaf.len() as u64),
+        NodeView::Internal(n) => (0..=n.len()).map(|j| child_count(pager, &n, j)).sum(),
     }
 }
 

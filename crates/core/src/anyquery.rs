@@ -19,7 +19,7 @@
 
 use segdb_bptree::{BPlusTree, Record, RecordOrd, TreeState};
 use segdb_geom::predicates::segments_intersect;
-use segdb_geom::{Point, ReportSink, Segment};
+use segdb_geom::{ReportSink, Segment};
 use segdb_itree::overlap::{IntervalSet, IntervalSetState};
 use segdb_itree::{Interval, IntervalTreeConfig};
 use segdb_pager::{ByteReader, ByteWriter, Pager, PagerError, Result};
@@ -39,13 +39,11 @@ impl Record for SegRec {
         w.i64(self.0.b.x)?;
         w.i64(self.0.b.y)
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
-        let id = r.u64()?;
-        let a = Point::new(r.i64()?, r.i64()?);
-        let b = Point::new(r.i64()?, r.i64()?);
-        Ok(SegRec(Segment::new(id, a, b).map_err(|_| {
-            PagerError::Corrupt("invalid segment record")
-        })?))
+    fn read(bytes: &[u8]) -> Result<Self> {
+        let b = segdb_pager::codec::fixed::<40>(bytes)?;
+        segdb_pst::node::segment_from(b)
+            .map(SegRec)
+            .map_err(|_| PagerError::Corrupt("invalid segment record"))
     }
 }
 

@@ -18,7 +18,7 @@ use crate::chain;
 use crate::report::QueryTrace;
 use segdb_geom::{MultiSink, ReportSink, Segment, VerticalQuery};
 use segdb_itree::{Interval, IntervalTree, IntervalTreeConfig};
-use segdb_pager::{PageId, Pager, Result, StatScope};
+use segdb_pager::{PageId, Pager, PagerError, Result, StatScope};
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 
@@ -201,15 +201,21 @@ impl StabThenFilter {
                 let _ = multi.report_count(i, n);
                 continue;
             }
+            let mut unknown = false;
             let _ = self.tree.stab_ctl(pager, q.x(), &mut |iv| {
                 candidates += 1;
-                let seg = self.segments[&iv.id];
-                if q.hits(&seg) {
-                    multi.report(i, &seg)
-                } else {
-                    ControlFlow::Continue(())
+                match self.segments.get(&iv.id) {
+                    Some(seg) if q.hits(seg) => multi.report(i, seg),
+                    Some(_) => ControlFlow::Continue(()),
+                    None => {
+                        unknown = true;
+                        ControlFlow::Break(())
+                    }
                 }
             })?;
+            if unknown {
+                return Err(PagerError::Corrupt("stabbed interval names no segment"));
+            }
         }
         Ok(QueryTrace {
             second_level_probes: candidates,

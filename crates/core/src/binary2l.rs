@@ -38,6 +38,7 @@ use segdb_geom::{MultiSink, ReportSink, Segment, VerticalQuery};
 use segdb_itree::overlap::{IntervalSet, IntervalSetState};
 use segdb_itree::{Interval, IntervalTreeConfig};
 use segdb_obs::trace::{emit as obs_emit, probe, EventKind};
+use segdb_pager::codec::{i64_at, u32_at, u64_at};
 use segdb_pager::{
     ByteReader, ByteWriter, PageId, Pager, PagerError, Result, StatScope, NULL_PAGE,
 };
@@ -66,36 +67,141 @@ impl Default for Binary2LConfig {
     }
 }
 
-/// Decoded first-level node.
-#[derive(Debug)]
-enum Node {
+/// Decoded first-level node. Layout:
+///
+/// ```text
+/// leaf:     [tag=1:u8][head:u32][count:u64]
+/// internal: [tag=2:u8][xv:i64][left:u32][right:u32]
+///           [total:u64][left_size:u64][right_size:u64]
+///           [c: IntervalSetState:28][l: PstState:20][r: PstState:20]
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub enum Node {
     /// Page-chained raw segments.
-    Leaf { head: PageId, count: u64 },
+    Leaf {
+        /// Chain head.
+        head: PageId,
+        /// Segments in the chain.
+        count: u64,
+    },
     /// Base-line node.
     Internal(Box<Internal>),
 }
 
-#[derive(Debug)]
-struct Internal {
+/// Decoded base-line node.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Internal {
     /// Base line abscissa `x_v`.
-    xv: i64,
-    left: PageId,
-    right: PageId,
-    /// Subtree segment counts (this node's own segments included in
-    /// `total`).
-    total: u64,
-    left_size: u64,
-    right_size: u64,
+    pub xv: i64,
+    /// Left subtree ([`NULL_PAGE`] = empty).
+    pub left: PageId,
+    /// Right subtree.
+    pub right: PageId,
+    /// Subtree segment count, this node's own segments included.
+    pub total: u64,
+    /// Segments in the left subtree.
+    pub left_size: u64,
+    /// Segments in the right subtree.
+    pub right_size: u64,
     /// Segments lying on `bl(v)`.
-    c: IntervalSetState,
+    pub c: IntervalSetState,
     /// Left halves of segments crossing `bl(v)`.
-    l: PstState,
+    pub l: PstState,
     /// Right halves.
-    r: PstState,
+    pub r: PstState,
+}
+
+/// Bytes of an internal node after its tag.
+const INTERNAL_BYTES: usize =
+    8 + 4 + 4 + 3 * 8 + IntervalSetState::ENCODED_SIZE + 2 * PstState::ENCODED_SIZE;
+
+/// A node read in place: the read path's form of [`Node`], borrowed
+/// from the page image, and the one parser of the layout
+/// ([`Node::decode`] collects from it). [`NodeView::new`] checks the tag
+/// and the node's fixed length; the fields are plain integers read at
+/// their offsets.
+#[derive(Debug, Clone, Copy)]
+pub enum NodeView<'a> {
+    /// Page-chained raw segments.
+    Leaf {
+        /// Chain head.
+        head: PageId,
+        /// Segments in the chain.
+        count: u64,
+    },
+    /// Base-line node.
+    Internal(InternalView<'a>),
+}
+
+/// A base-line node read in place; see [`NodeView`].
+#[derive(Debug, Clone, Copy)]
+pub struct InternalView<'a>(&'a [u8; INTERNAL_BYTES]);
+
+impl<'a> NodeView<'a> {
+    /// View the node in a page image.
+    pub fn new(buf: &'a [u8]) -> Result<Self> {
+        let mut r = ByteReader::new(buf);
+        match r.u8()? {
+            TAG_LEAF => Ok(NodeView::Leaf {
+                head: r.u32()?,
+                count: r.u64()?,
+            }),
+            TAG_INTERNAL => Ok(NodeView::Internal(InternalView(r.array()?))),
+            _ => Err(PagerError::Corrupt("unknown binary2l node tag")),
+        }
+    }
+}
+
+impl InternalView<'_> {
+    /// Base line abscissa `x_v`.
+    pub fn xv(&self) -> i64 {
+        i64_at(self.0, 0)
+    }
+
+    /// Left subtree ([`NULL_PAGE`] = empty).
+    pub fn left(&self) -> PageId {
+        u32_at(self.0, 8)
+    }
+
+    /// Right subtree.
+    pub fn right(&self) -> PageId {
+        u32_at(self.0, 12)
+    }
+
+    /// Subtree segment count, this node's own segments included.
+    pub fn total(&self) -> u64 {
+        u64_at(self.0, 16)
+    }
+
+    /// Segments in the left subtree.
+    pub fn left_size(&self) -> u64 {
+        u64_at(self.0, 24)
+    }
+
+    /// Segments in the right subtree.
+    pub fn right_size(&self) -> u64 {
+        u64_at(self.0, 32)
+    }
+
+    /// Segments lying on `bl(v)`.
+    pub fn c(&self) -> IntervalSetState {
+        IntervalSetState::read(&self.0[40..])
+    }
+
+    /// Left halves of segments crossing `bl(v)`.
+    pub fn l(&self) -> PstState {
+        PstState::read(&self.0[40 + IntervalSetState::ENCODED_SIZE..])
+    }
+
+    /// Right halves.
+    pub fn r(&self) -> PstState {
+        PstState::read(&self.0[40 + IntervalSetState::ENCODED_SIZE + PstState::ENCODED_SIZE..])
+    }
 }
 
 impl Node {
-    fn encode(&self, buf: &mut [u8]) -> Result<()> {
+    /// Serialize into a zeroed page image.
+    pub fn encode(&self, buf: &mut [u8]) -> Result<()> {
         let mut w = ByteWriter::new(buf);
         match self {
             Node::Leaf { head, count } => {
@@ -118,26 +224,23 @@ impl Node {
         }
     }
 
-    fn decode(buf: &[u8]) -> Result<Node> {
-        let mut r = ByteReader::new(buf);
-        match r.u8()? {
-            TAG_LEAF => Ok(Node::Leaf {
-                head: r.u32()?,
-                count: r.u64()?,
-            }),
-            TAG_INTERNAL => Ok(Node::Internal(Box::new(Internal {
-                xv: r.i64()?,
-                left: r.u32()?,
-                right: r.u32()?,
-                total: r.u64()?,
-                left_size: r.u64()?,
-                right_size: r.u64()?,
-                c: IntervalSetState::decode(&mut r)?,
-                l: PstState::decode(&mut r)?,
-                r: PstState::decode(&mut r)?,
-            }))),
-            _ => Err(PagerError::Corrupt("unknown binary2l node tag")),
-        }
+    /// Deserialize from a page image: every field of its [`NodeView`],
+    /// collected.
+    pub fn decode(buf: &[u8]) -> Result<Node> {
+        Ok(match NodeView::new(buf)? {
+            NodeView::Leaf { head, count } => Node::Leaf { head, count },
+            NodeView::Internal(v) => Node::Internal(Box::new(Internal {
+                xv: v.xv(),
+                left: v.left(),
+                right: v.right(),
+                total: v.total(),
+                left_size: v.left_size(),
+                right_size: v.right_size(),
+                c: v.c(),
+                l: v.l(),
+                r: v.r(),
+            })),
+        })
     }
 }
 
@@ -258,16 +361,18 @@ impl TwoLevelBinary {
             trace.first_level_nodes as u64,
         );
         trace.first_level_nodes += 1;
-        let n = match read_node(pager, page)? {
-            Node::Leaf { head, .. } => return slots.scan_leaf(pager, head, group),
-            Node::Internal(n) => n,
+        let img = pager.page(page)?;
+        let n = match NodeView::new(&img)? {
+            NodeView::Leaf { head, .. } => return slots.scan_leaf(pager, head, group),
+            NodeView::Internal(n) => n,
         };
-        let on_line = group.partition_point(|p| p.qx < n.xv);
-        let right = group.partition_point(|p| p.qx <= n.xv);
+        let xv = n.xv();
+        let on_line = group.partition_point(|p| p.qx < xv);
+        let right = group.partition_point(|p| p.qx <= xv);
         let (group, right) = group.split_at_mut(right);
         if on_line < group.len() {
-            let c = IntervalSet::attach(pager, IntervalTreeConfig::default(), n.c)?;
-            slots.probe_on_line(pager, &c, n.xv, &group[on_line..], trace)?;
+            let c = IntervalSet::attach(pager, IntervalTreeConfig::default(), n.c())?;
+            slots.probe_on_line(pager, &c, xv, &group[on_line..], trace)?;
         }
         // L(v) serves the slots left of the line and, since it holds
         // every crossing segment at its base point, the ones on it —
@@ -275,19 +380,19 @@ impl TwoLevelBinary {
         let live = slots.retain_live(group);
         let group = &mut group[..live];
         if !group.is_empty() {
-            let l = Pst::attach(pager, n.xv, Side::Left, self.cfg.pst, n.l)?;
+            let l = Pst::attach(pager, xv, Side::Left, self.cfg.pst, n.l())?;
             obs_emit(EventKind::SecondLevelProbe, probe::L_PST, 0);
             trace.second_level_probes += 1;
             l.query_group(pager, group, &mut |i, s| slots.report(i, s))?;
         }
         if !right.is_empty() {
-            let r = Pst::attach(pager, n.xv, Side::Right, self.cfg.pst, n.r)?;
+            let r = Pst::attach(pager, xv, Side::Right, self.cfg.pst, n.r())?;
             obs_emit(EventKind::SecondLevelProbe, probe::R_PST, 0);
             trace.second_level_probes += 1;
             r.query_group(pager, right, &mut |i, s| slots.report(i, s))?;
         }
-        let (xv, left_page, right_page) = (n.xv, n.left, n.right);
-        drop(n);
+        let (left_page, right_page) = (n.left(), n.right());
+        drop(img);
         let live = slots.retain_live(group);
         let left = group[..live].partition_point(|p| p.qx < xv);
         self.walk(pager, slots, left_page, &mut group[..left], trace)?;
@@ -582,6 +687,8 @@ fn describe_rec(
     Ok(())
 }
 
+/// An owned node, for the write path, `validate`, `describe` and
+/// `hot_pages`; queries read theirs in place ([`NodeView`]).
 fn read_node(pager: &Pager, id: PageId) -> Result<Node> {
     pager.with_page(id, Node::decode)?
 }

@@ -3,8 +3,9 @@
 //!
 //! Layout per page: `[count: u16][next: u32][segments: count × 40]`.
 
-use segdb_geom::{Point, Segment};
+use segdb_geom::Segment;
 use segdb_pager::{ByteReader, ByteWriter, PageId, Pager, PagerError, Result, NULL_PAGE};
+use segdb_pst::node::segment_from;
 use std::ops::ControlFlow;
 
 const HEADER: usize = 6;
@@ -24,11 +25,8 @@ fn encode_seg(s: &Segment, w: &mut ByteWriter<'_>) -> Result<()> {
     w.i64(s.b.y)
 }
 
-fn decode_seg(r: &mut ByteReader<'_>) -> Result<Segment> {
-    let id = r.u64()?;
-    let a = Point::new(r.i64()?, r.i64()?);
-    let b = Point::new(r.i64()?, r.i64()?);
-    Segment::new(id, a, b).map_err(|_| PagerError::Corrupt("invalid chain segment"))
+fn read_seg(b: &[u8; SEG_BYTES]) -> Result<Segment> {
+    segment_from(b).map_err(|_| PagerError::Corrupt("invalid chain segment"))
 }
 
 /// Write `segs` as a fresh chain; returns the head ([`NULL_PAGE`] when
@@ -76,8 +74,10 @@ pub fn scan_ctl(
             let mut r = ByteReader::new(buf);
             let count = r.u16()? as usize;
             let next = r.u32()?;
-            for _ in 0..count {
-                if f(decode_seg(&mut r)?).is_break() {
+            // One extent check for the page's segments, then each is
+            // read at its offset as the scan reaches it.
+            for b in r.arrays::<SEG_BYTES>(count)? {
+                if f(read_seg(b)?).is_break() {
                     return Ok((next, ControlFlow::Break(())));
                 }
             }
@@ -138,10 +138,11 @@ pub fn remove(pager: &Pager, head: PageId, id: u64) -> Result<bool> {
             let mut r = ByteReader::new(buf);
             let count = r.u16()? as usize;
             let next = r.u32()?;
-            let mut segs = Vec::with_capacity(count);
-            for _ in 0..count {
-                segs.push(decode_seg(&mut r)?);
-            }
+            let mut segs = r
+                .arrays::<SEG_BYTES>(count)?
+                .iter()
+                .map(read_seg)
+                .collect::<Result<Vec<_>>>()?;
             let before = segs.len();
             segs.retain(|s| s.id != id);
             if segs.len() == before {

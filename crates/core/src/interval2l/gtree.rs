@@ -34,14 +34,23 @@ impl GNode {
     }
 }
 
+/// Number of skeleton nodes for `k` boundaries: a binary tree over
+/// `k − 1` leaves, none when `k < 2`.
+pub fn skeleton_len(k: usize) -> usize {
+    if k < 2 {
+        0
+    } else {
+        2 * (k - 1) - 1
+    }
+}
+
 /// The deterministic skeleton for `k` boundaries. Index 0 is the root.
 /// Empty when `k < 2`.
 pub fn skeleton(k: usize) -> Vec<GNode> {
-    if k < 2 {
-        return Vec::new();
+    let mut nodes = Vec::with_capacity(skeleton_len(k));
+    if k >= 2 {
+        build(&mut nodes, 1, k - 1);
     }
-    let mut nodes = Vec::with_capacity(2 * (k - 1) - 1);
-    build(&mut nodes, 1, k - 1);
     nodes
 }
 
@@ -126,6 +135,7 @@ mod tests {
         for k in 2..40 {
             let s = skeleton(k);
             assert_eq!(s.len(), 2 * (k - 1) - 1, "k={k}");
+            assert_eq!(s.len(), skeleton_len(k));
             assert_eq!((s[0].a, s[0].b), (1, k - 1));
             let leaves = s.iter().filter(|n| n.is_leaf()).count();
             assert_eq!(leaves, k - 1);

@@ -45,26 +45,24 @@
 
 pub mod gtree;
 pub mod msrec;
+pub mod node;
 
 use crate::batch::{one_slot, Slots};
 use crate::chain;
 use crate::report::QueryTrace;
 use gtree::{allocation, path as g_path, skeleton, GNode};
 use msrec::{MsOrder, MsRec};
+use node::{Internal, InternalView, Node, NodeView};
 use segdb_bptree::{BPlusTree, Cursor, TreeState};
 use segdb_geom::predicates::y_at_x_cmp;
 use segdb_geom::{MultiSink, ReportSink, Segment, VerticalQuery};
 use segdb_itree::overlap::{IntervalSet, IntervalSetState};
 use segdb_itree::{Interval, IntervalTreeConfig};
 use segdb_obs::trace::{emit as obs_emit, probe, EventKind};
-use segdb_pager::{
-    ByteReader, ByteWriter, PageId, Pager, PagerError, Result, StatScope, NULL_PAGE,
-};
-use segdb_pst::{BatchQuery, Pst, PstConfig, PstState, Side};
+use segdb_pager::{PageId, Pager, PagerError, Result, StatScope, NULL_PAGE};
+use segdb_pst::{BatchQuery, Pst, PstConfig, Side};
 use std::cmp::Ordering;
 
-const TAG_LEAF: u8 = 1;
-const TAG_INTERNAL: u8 = 2;
 /// Bridge-navigation forward-scan cap before falling back to a descent.
 const JUMP_SCAN_CAP: usize = 64;
 
@@ -134,152 +132,6 @@ fn absent_list() -> TreeState {
         root: NULL_PAGE,
         height: 0,
         len: 0,
-    }
-}
-
-/// Decoded first-level node.
-#[derive(Debug)]
-enum Node {
-    Leaf { head: PageId, count: u64 },
-    Internal(Box<Internal>),
-}
-
-#[derive(Debug)]
-struct Internal {
-    /// `k` strictly increasing boundary abscissae.
-    boundaries: Vec<i64>,
-    /// `k+1` slab children ([`NULL_PAGE`] = empty).
-    children: Vec<PageId>,
-    /// Per-child subtree segment counts.
-    child_sizes: Vec<u64>,
-    /// Total segments in this subtree (own included).
-    total: u64,
-    /// Per-boundary on-line interval sets (absent-sentinel aware).
-    c: Vec<IntervalSetState>,
-    /// Per-boundary left-side short-fragment PSTs.
-    l: Vec<PstState>,
-    /// Per-boundary right-side short-fragment PSTs.
-    r: Vec<PstState>,
-    /// Multislab list per `G` skeleton node (absent-sentinel aware).
-    g: Vec<TreeState>,
-    /// Real (non-augmented) fragments across all of `g`.
-    g_total: u64,
-    /// Bridges unusable until rebuilt.
-    bridges_dirty: bool,
-    /// Inserts into `g` since the last bridge rebuild.
-    g_inserts: u32,
-}
-
-impl Node {
-    fn encode(&self, buf: &mut [u8]) -> Result<()> {
-        let mut w = ByteWriter::new(buf);
-        match self {
-            Node::Leaf { head, count } => {
-                w.u8(TAG_LEAF)?;
-                w.u32(*head)?;
-                w.u64(*count)
-            }
-            Node::Internal(n) => {
-                let k = n.boundaries.len();
-                if n.children.len() != k + 1
-                    || n.child_sizes.len() != k + 1
-                    || n.c.len() != k
-                    || n.l.len() != k
-                    || n.r.len() != k
-                    || n.g.len() != skeleton(k).len()
-                {
-                    return Err(PagerError::Corrupt("interval2l node arity"));
-                }
-                w.u8(TAG_INTERNAL)?;
-                w.u16(k as u16)?;
-                w.u64(n.total)?;
-                w.u64(n.g_total)?;
-                w.u8(u8::from(n.bridges_dirty))?;
-                w.u32(n.g_inserts)?;
-                for &b in &n.boundaries {
-                    w.i64(b)?;
-                }
-                for &c in &n.children {
-                    w.u32(c)?;
-                }
-                for &s in &n.child_sizes {
-                    w.u64(s)?;
-                }
-                for s in &n.c {
-                    s.encode(&mut w)?;
-                }
-                for s in &n.l {
-                    s.encode(&mut w)?;
-                }
-                for s in &n.r {
-                    s.encode(&mut w)?;
-                }
-                for s in &n.g {
-                    s.encode(&mut w)?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn decode(buf: &[u8]) -> Result<Node> {
-        let mut r = ByteReader::new(buf);
-        match r.u8()? {
-            TAG_LEAF => Ok(Node::Leaf {
-                head: r.u32()?,
-                count: r.u64()?,
-            }),
-            TAG_INTERNAL => {
-                let k = r.u16()? as usize;
-                let total = r.u64()?;
-                let g_total = r.u64()?;
-                let bridges_dirty = r.u8()? != 0;
-                let g_inserts = r.u32()?;
-                let mut boundaries = Vec::with_capacity(k);
-                for _ in 0..k {
-                    boundaries.push(r.i64()?);
-                }
-                let mut children = Vec::with_capacity(k + 1);
-                for _ in 0..=k {
-                    children.push(r.u32()?);
-                }
-                let mut child_sizes = Vec::with_capacity(k + 1);
-                for _ in 0..=k {
-                    child_sizes.push(r.u64()?);
-                }
-                let mut c = Vec::with_capacity(k);
-                for _ in 0..k {
-                    c.push(IntervalSetState::decode(&mut r)?);
-                }
-                let mut l = Vec::with_capacity(k);
-                for _ in 0..k {
-                    l.push(PstState::decode(&mut r)?);
-                }
-                let mut rr = Vec::with_capacity(k);
-                for _ in 0..k {
-                    rr.push(PstState::decode(&mut r)?);
-                }
-                let glen = skeleton(k).len();
-                let mut g = Vec::with_capacity(glen);
-                for _ in 0..glen {
-                    g.push(TreeState::decode(&mut r)?);
-                }
-                Ok(Node::Internal(Box::new(Internal {
-                    boundaries,
-                    children,
-                    child_sizes,
-                    total,
-                    c,
-                    l,
-                    r: rr,
-                    g,
-                    g_total,
-                    bridges_dirty,
-                    g_inserts,
-                })))
-            }
-            _ => Err(PagerError::Corrupt("unknown interval2l node tag")),
-        }
     }
 }
 
@@ -528,16 +380,19 @@ impl TwoLevelInterval {
             trace.first_level_nodes as u64,
         );
         trace.first_level_nodes += 1;
-        let n = match read_node(pager, page)? {
-            Node::Leaf { head, .. } => return slots.scan_leaf(pager, head, group),
-            Node::Internal(n) => n,
+        let img = pager.page(page)?;
+        let n = match NodeView::new(&img)? {
+            NodeView::Leaf { head, .. } => return slots.scan_leaf(pager, head, group),
+            NodeView::Internal(n) => n,
         };
         let mut rest = group;
         while let Some(first) = rest.first() {
-            let j = n.boundaries.partition_point(|&b| b < first.qx);
-            let end = match n.boundaries.get(j) {
-                Some(&s_j) => rest.partition_point(|p| p.qx <= s_j),
-                None => rest.len(),
+            let j = n.slab_of(first.qx);
+            let end = if j < n.k() {
+                let s_j = n.boundary(j);
+                rest.partition_point(|p| p.qx <= s_j)
+            } else {
+                rest.len()
             };
             let (run, tail) = rest.split_at_mut(end);
             rest = tail;
@@ -553,18 +408,18 @@ impl TwoLevelInterval {
         &self,
         pager: &Pager,
         slots: &mut Slots<'_, '_>,
-        n: &Internal,
+        n: &InternalView<'_>,
         j: usize,
         run: &mut [BatchQuery],
         trace: &mut QueryTrace,
     ) -> Result<()> {
-        let s_j = n.boundaries.get(j).copied();
+        let s_j = (j < n.k()).then(|| n.boundary(j));
         // How many of `run`'s leading probes lie strictly inside the slab.
         let inside =
             |run: &[BatchQuery]| s_j.map_or(run.len(), |b| run.partition_point(|p| p.qx < b));
         let on_line = &run[inside(run)..];
-        if let Some(x0) = s_j.filter(|_| !on_line.is_empty() && !set_is_absent(&n.c[j])) {
-            let c = IntervalSet::attach(pager, IntervalTreeConfig::default(), n.c[j])?;
+        if let Some(x0) = s_j.filter(|_| !on_line.is_empty() && !set_is_absent(&n.c(j))) {
+            let c = IntervalSet::attach(pager, IntervalTreeConfig::default(), n.c(j))?;
             slots.probe_on_line(pager, &c, x0, on_line, trace)?;
         }
         let mut run = run;
@@ -575,10 +430,10 @@ impl TwoLevelInterval {
             if !probing.is_empty() {
                 let r = Pst::attach(
                     pager,
-                    n.boundaries[j - 1],
+                    n.boundary(j - 1),
                     Side::Right,
                     self.cfg.pst,
-                    n.r[j - 1],
+                    n.r(j - 1),
                 )?;
                 obs_emit(EventKind::SecondLevelProbe, probe::R_PST, 0);
                 trace.second_level_probes += 1;
@@ -592,7 +447,7 @@ impl TwoLevelInterval {
             let live = slots.retain_live(run);
             run = &mut run[..live];
             if !run.is_empty() {
-                let l = Pst::attach(pager, x_j, Side::Left, self.cfg.pst, n.l[j])?;
+                let l = Pst::attach(pager, x_j, Side::Left, self.cfg.pst, n.l(j))?;
                 obs_emit(EventKind::SecondLevelProbe, probe::L_PST, 0);
                 trace.second_level_probes += 1;
                 l.query_group(pager, run, &mut |i, s| slots.report(i, s))?;
@@ -606,7 +461,7 @@ impl TwoLevelInterval {
         }
         let live = slots.retain_live(run);
         let descending = inside(&run[..live]);
-        self.walk(pager, slots, n.children[j], &mut run[..descending], trace)
+        self.walk(pager, slots, n.child(j), &mut run[..descending], trace)
     }
 
     /// Pages of the first-level slab nodes, breadth-first from the
@@ -896,7 +751,7 @@ impl TwoLevelInterval {
     fn g_query(
         &self,
         pager: &Pager,
-        n: &Internal,
+        n: &InternalView<'_>,
         j: usize,
         p: &BatchQuery,
         slots: &mut Slots<'_, '_>,
@@ -906,11 +761,11 @@ impl TwoLevelInterval {
         let counting = slots.counts(slot);
         // Bridge pointer carried into the next level, if usable.
         let mut carried: Option<PageId> = None;
-        for (gi, g) in g_path(n.boundaries.len(), j) {
+        for (gi, g) in g_path(n.k(), j) {
             if !slots.is_active(slot) {
                 return Ok(());
             }
-            let state = n.g[gi];
+            let state = n.g(gi);
             let next_is_left = !g.is_leaf() && j <= g.mid();
             if list_is_absent(&state) {
                 carried = None;
@@ -918,7 +773,7 @@ impl TwoLevelInterval {
             }
             obs_emit(EventKind::SecondLevelProbe, probe::G_LIST, gi as u64);
             trace.second_level_probes += 1;
-            let line = n.boundaries[g.a - 1];
+            let line = n.boundary(g.a - 1);
             if counting {
                 let cnt = if lo.is_none() && hi.is_none() {
                     state.len
@@ -942,7 +797,7 @@ impl TwoLevelInterval {
             let tree = BPlusTree::attach(pager, MsOrder { line }, state)?;
             // Position at the first record with y(x0) ≥ lo.
             let cur = match (carried, lo) {
-                (Some(leaf), Some(lo_v)) if !n.bridges_dirty => {
+                (Some(leaf), Some(lo_v)) if !n.bridges_dirty() => {
                     obs_emit(EventKind::BridgeJump, u64::from(leaf), 0);
                     trace.bridge_jumps += 1;
                     match self.anchor_by_jump(pager, leaf, x0, lo_v)? {
@@ -955,19 +810,15 @@ impl TwoLevelInterval {
             let mut cur = cur;
             // Nearest bridge strictly before the run start (its child
             // counterpart precedes the child's run start).
-            carried = if self.cfg.bridges && !n.bridges_dirty && !g.is_leaf() {
-                let (records, idx) = cur.buffered();
-                records[..idx.min(records.len())]
-                    .iter()
-                    .rev()
-                    .map(|r| {
-                        if next_is_left {
-                            r.bridge_left
-                        } else {
-                            r.bridge_right
-                        }
-                    })
-                    .find(|&p| p != NULL_PAGE)
+            carried = if self.cfg.bridges && !n.bridges_dirty() && !g.is_leaf() {
+                cur.find_back(|r| {
+                    let bridge = if next_is_left {
+                        r.bridge_left
+                    } else {
+                        r.bridge_right
+                    };
+                    (bridge != NULL_PAGE).then_some(bridge)
+                })?
             } else {
                 None
             };
@@ -1508,6 +1359,8 @@ fn run_end_probe(x0: i64, hi: i64) -> impl Fn(&MsRec) -> Ordering {
     }
 }
 
+/// An owned node, for the write path, `validate`, `describe` and
+/// `hot_pages`; queries read theirs in place ([`NodeView`]).
 fn read_node(pager: &Pager, id: PageId) -> Result<Node> {
     pager.with_page(id, Node::decode)?
 }

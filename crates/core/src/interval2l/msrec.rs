@@ -1,8 +1,10 @@
 //! Multislab list records and their geometric order.
 
 use segdb_bptree::{Record, RecordOrd};
-use segdb_geom::{Point, Segment};
-use segdb_pager::{ByteReader, ByteWriter, PageId, PagerError, Result, NULL_PAGE};
+use segdb_geom::Segment;
+use segdb_pager::codec::{fixed, u32_at};
+use segdb_pager::{ByteWriter, PageId, PagerError, Result, NULL_PAGE};
+use segdb_pst::node::segment_from;
 use segdb_pst::Side;
 use std::cmp::Ordering;
 
@@ -52,16 +54,13 @@ impl Record for MsRec {
         w.u32(self.bridge_right)
     }
 
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
-        let id = r.u64()?;
-        let a = Point::new(r.i64()?, r.i64()?);
-        let b = Point::new(r.i64()?, r.i64()?);
-        let seg =
-            Segment::new(id, a, b).map_err(|_| PagerError::Corrupt("invalid multislab segment"))?;
+    fn read(bytes: &[u8]) -> Result<Self> {
+        let b = fixed::<{ Self::ENCODED_SIZE }>(bytes)?;
+        let seg = segment_from(b).map_err(|_| PagerError::Corrupt("invalid multislab segment"))?;
         Ok(MsRec {
             seg,
-            bridge_left: r.u32()?,
-            bridge_right: r.u32()?,
+            bridge_left: u32_at(b, 40),
+            bridge_right: u32_at(b, 44),
         })
     }
 }
@@ -111,7 +110,8 @@ mod tests {
         r.bridge_right = 77;
         let mut buf = vec![0u8; MsRec::ENCODED_SIZE];
         r.encode(&mut ByteWriter::new(&mut buf)).unwrap();
-        assert_eq!(MsRec::decode(&mut ByteReader::new(&buf)).unwrap(), r);
+        assert_eq!(MsRec::read(&buf).unwrap(), r);
+        assert!(MsRec::read(&buf[..47]).is_err());
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //! touching* (NCT) segment sets.
 //!
 //! The checker sweeps segments by `xmin` keeping an active set pruned by
-//! `xmax`; only pairs whose x-extents overlap are classified. This is
-//! `O(N log N + P)` where `P` is the number of x-overlapping pairs — for
-//! map-like inputs `P ≪ N²`, and for the adversarial worst case the
-//! checker is still correct, just slower (it is a validation tool, not an
-//! index-path component).
+//! `xmax`; only pairs whose x-extents overlap are looked at, and of
+//! those only the ones whose y-extents also meet are classified (four
+//! exact orientation tests). This is `O(N log N + P + N·A)` where `P` is
+//! the number of x-overlapping pairs and `A` the size of the active set
+//! — retiring a segment scans it — so for map-like inputs `P, N·A ≪ N²`,
+//! and for the adversarial worst case the checker is still correct, just
+//! slower (it is a validation tool, not an index-path component).
 
 use crate::error::GeomError;
 use crate::predicates::{classify_pair, PairRelation};
@@ -62,8 +64,16 @@ pub fn verify_nct(set: &[Segment]) -> Result<(), GeomError> {
                 break;
             }
         }
+        let (s_lo, s_hi) = s.y_span();
         for &j in &live {
             let t = &set[j];
+            // Closed y-extents strictly apart: the two share no point, so
+            // they can neither cross nor overlap. Touching extents are
+            // still classified.
+            let (t_lo, t_hi) = t.y_span();
+            if s_hi < t_lo || t_hi < s_lo {
+                continue;
+            }
             match classify_pair(s, t) {
                 PairRelation::Admissible => {}
                 PairRelation::ProperCross => return Err(GeomError::Crossing(t.id, s.id)),
@@ -139,6 +149,61 @@ mod tests {
             .map(|i| seg(i, (i as i64 * 10, 0), (i as i64 * 10 + 5, 50)))
             .collect();
         assert!(verify_nct(&set).is_ok());
+    }
+
+    /// The sweep's verdict — `Ok`, or the first violating pair in sweep
+    /// order — equals classifying every pair in that order with no
+    /// x- or y-extent shortcut. Sets on a tiny lattice, so shared
+    /// endpoints, T-junctions, collinear overlaps and crossings are all
+    /// common.
+    #[test]
+    fn verdict_equals_the_all_pairs_sweep() {
+        use segdb_rng::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(0x5EED_4E07);
+        let (mut ok, mut crossing, mut overlap, mut touching) = (0, 0, 0, 0);
+        for _ in 0..4000 {
+            let n = rng.gen_range(2..=9usize);
+            let mut set = Vec::with_capacity(n);
+            while set.len() < n {
+                let a = (rng.gen_range(0..=7i64), rng.gen_range(0..=7i64));
+                let b = (rng.gen_range(0..=7i64), rng.gen_range(0..=7i64));
+                if let Ok(s) = Segment::new(set.len() as u64, a, b) {
+                    set.push(s);
+                }
+            }
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&i| set[i].a.x);
+            let mut expect = Ok(());
+            'pairs: for (at, &i) in order.iter().enumerate() {
+                for &j in &order[..at] {
+                    let (s, t) = (&set[i], &set[j]);
+                    match classify_pair(s, t) {
+                        PairRelation::Admissible => {
+                            let shared = [s.a, s.b].iter().any(|p| *p == t.a || *p == t.b);
+                            touching += u32::from(shared);
+                        }
+                        PairRelation::ProperCross => {
+                            expect = Err(GeomError::Crossing(t.id, s.id));
+                            break 'pairs;
+                        }
+                        PairRelation::CollinearOverlap => {
+                            expect = Err(GeomError::Overlap(t.id, s.id));
+                            break 'pairs;
+                        }
+                    }
+                }
+            }
+            match expect {
+                Ok(()) => ok += 1,
+                Err(GeomError::Crossing(..)) => crossing += 1,
+                Err(_) => overlap += 1,
+            }
+            assert_eq!(verify_nct(&set), expect, "set {set:?}");
+        }
+        assert!(
+            ok > 50 && crossing > 50 && overlap > 50 && touching > 50,
+            "every verdict and touching pairs exercised: {ok} {crossing} {overlap} {touching}"
+        );
     }
 
     #[test]

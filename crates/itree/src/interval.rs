@@ -1,7 +1,8 @@
 //! Interval records and the orders their lists are kept in.
 
 use segdb_bptree::{Record, RecordOrd};
-use segdb_pager::{ByteReader, ByteWriter, Result};
+use segdb_pager::codec::{fixed, i64_at, u16_at, u64_at};
+use segdb_pager::{ByteWriter, Result};
 use std::cmp::Ordering;
 
 /// A closed 1-D interval `[lo, hi]` with a payload id.
@@ -20,6 +21,17 @@ impl Interval {
     pub fn new(id: u64, a: i64, b: i64) -> Self {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         Interval { lo, hi, id }
+    }
+
+    /// The stored form `[lo][hi][id]` read back from the first 24 bytes
+    /// of a length-checked record image, as is — like the decoder, no
+    /// normalization.
+    pub(crate) fn from_le_bytes(b: &[u8]) -> Self {
+        Interval {
+            lo: i64_at(b, 0),
+            hi: i64_at(b, 8),
+            id: u64_at(b, 16),
+        }
     }
 
     /// Closed stabbing test.
@@ -55,14 +67,11 @@ impl Record for TaggedInterval {
         w.i64(self.iv.hi)?;
         w.u64(self.iv.id)
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+    fn read(bytes: &[u8]) -> Result<Self> {
+        let b = fixed::<{ Self::ENCODED_SIZE }>(bytes)?;
         Ok(TaggedInterval {
-            tag: r.u16()?,
-            iv: Interval {
-                lo: r.i64()?,
-                hi: r.i64()?,
-                id: r.u64()?,
-            },
+            tag: u16_at(b, 0),
+            iv: Interval::from_le_bytes(&b[2..]),
         })
     }
 }
@@ -74,12 +83,8 @@ impl Record for Interval {
         w.i64(self.hi)?;
         w.u64(self.id)
     }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
-        Ok(Interval {
-            lo: r.i64()?,
-            hi: r.i64()?,
-            id: r.u64()?,
-        })
+    fn read(bytes: &[u8]) -> Result<Self> {
+        Ok(Interval::from_le_bytes(fixed::<24>(bytes)?))
     }
 }
 
@@ -153,10 +158,9 @@ mod tests {
         };
         let mut buf = vec![0u8; TaggedInterval::ENCODED_SIZE];
         t.encode(&mut ByteWriter::new(&mut buf)).unwrap();
-        assert_eq!(
-            TaggedInterval::decode(&mut ByteReader::new(&buf)).unwrap(),
-            t
-        );
+        assert_eq!(TaggedInterval::read(&buf).unwrap(), t);
+        assert_eq!(Interval::read(&buf[2..]).unwrap(), t.iv);
+        assert!(TaggedInterval::read(&buf[1..]).is_err());
     }
 
     #[test]

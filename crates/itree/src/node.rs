@@ -87,6 +87,116 @@ pub fn mslab_index(k: usize, a: usize, b: usize) -> usize {
     before + (b - a)
 }
 
+/// A node read in place: the read path's form of [`ItNode`], borrowed
+/// from the page image, and the one parser of the layout
+/// ([`ItNode::decode`] collects from it).
+///
+/// [`ItNodeView::new`] checks once the tag, and that every section the
+/// header count implies fits the image (`Corrupt` / `CodecOverflow`
+/// otherwise); no field of an interval-tree node has a validity rule
+/// beyond that. Accessors then
+/// read single fields at their offsets, so a stab touches a few bytes of
+/// the `O(k²)` multislab directory instead of materializing it.
+#[derive(Debug, Clone, Copy)]
+pub enum ItNodeView<'a> {
+    /// A bucket of intervals.
+    Leaf(ItLeafView<'a>),
+    /// A slab node.
+    Internal(ItInternalView<'a>),
+}
+
+/// A leaf read in place; see [`ItNodeView`].
+#[derive(Debug, Clone, Copy)]
+pub struct ItLeafView<'a> {
+    intervals: &'a [[u8; Interval::ENCODED_SIZE]],
+}
+
+/// An internal node read in place; see [`ItNodeView`].
+#[derive(Debug, Clone, Copy)]
+pub struct ItInternalView<'a> {
+    boundaries: &'a [[u8; 8]],
+    children: &'a [[u8; 4]],
+    /// Left, right and multislab list states, in that order.
+    lists: &'a [[u8; TreeState::ENCODED_SIZE]],
+    mslab_counts: &'a [[u8; 2]],
+}
+
+impl<'a> ItNodeView<'a> {
+    /// View the node in a page image.
+    pub fn new(buf: &'a [u8]) -> Result<Self> {
+        let mut r = ByteReader::new(buf);
+        match r.u8()? {
+            TAG_LEAF => {
+                let count = r.u16()? as usize;
+                Ok(ItNodeView::Leaf(ItLeafView {
+                    intervals: r.arrays(count)?,
+                }))
+            }
+            TAG_INTERNAL => {
+                let k = r.u16()? as usize;
+                Ok(ItNodeView::Internal(ItInternalView {
+                    boundaries: r.arrays(k)?,
+                    children: r.arrays(k + 1)?,
+                    lists: r.arrays(3)?,
+                    mslab_counts: r.arrays(mslab_count(k))?,
+                }))
+            }
+            _ => Err(PagerError::Corrupt("unknown interval node tag")),
+        }
+    }
+}
+
+impl<'a> ItLeafView<'a> {
+    /// The leaf's intervals, in stored order.
+    pub fn intervals(&self) -> impl Iterator<Item = Interval> + 'a {
+        self.intervals.iter().map(|b| Interval::from_le_bytes(b))
+    }
+}
+
+impl ItInternalView<'_> {
+    /// Boundary count `k`.
+    pub fn k(&self) -> usize {
+        self.boundaries.len()
+    }
+
+    /// Boundary `i` (`i < k`).
+    pub fn boundary(&self, i: usize) -> i64 {
+        i64::from_le_bytes(self.boundaries[i])
+    }
+
+    /// The slab `x` falls in: the number of boundaries strictly left of
+    /// it (binary search; a stab exactly on boundary `j` gets `j`).
+    pub fn slab_of(&self, x: i64) -> usize {
+        self.boundaries
+            .partition_point(|b| i64::from_le_bytes(*b) < x)
+    }
+
+    /// Child page of slab `j` (`j ≤ k`).
+    pub fn child(&self, j: usize) -> PageId {
+        u32::from_le_bytes(self.children[j])
+    }
+
+    /// Left-stub lists, keyed `(slab, lo, id)`.
+    pub fn left(&self) -> TreeState {
+        TreeState::read(&self.lists[0])
+    }
+
+    /// Right-stub lists, keyed `(slab, −hi, id)`.
+    pub fn right(&self) -> TreeState {
+        TreeState::read(&self.lists[1])
+    }
+
+    /// Multislab lists, keyed `(mslab, id)`.
+    pub fn mslab(&self) -> TreeState {
+        TreeState::read(&self.lists[2])
+    }
+
+    /// Occupancy count of multislab `(a, b)`, `1 ≤ a ≤ b ≤ k−1`.
+    pub fn mslab_count(&self, a: usize, b: usize) -> u16 {
+        u16::from_le_bytes(self.mslab_counts[mslab_index(self.k(), a, b)])
+    }
+}
+
 impl ItNode {
     /// Serialize into a zeroed page image.
     pub fn encode(&self, buf: &mut [u8]) -> Result<()> {
@@ -123,46 +233,26 @@ impl ItNode {
         Ok(())
     }
 
-    /// Deserialize from a page image.
+    /// Deserialize from a page image: every field of its
+    /// [`ItNodeView`], collected.
     pub fn decode(buf: &[u8]) -> Result<Self> {
-        let mut r = ByteReader::new(buf);
-        match r.u8()? {
-            TAG_LEAF => {
-                let count = r.u16()? as usize;
-                let mut intervals = Vec::with_capacity(count);
-                for _ in 0..count {
-                    intervals.push(Interval::decode(&mut r)?);
-                }
-                Ok(ItNode::Leaf { intervals })
-            }
-            TAG_INTERNAL => {
-                let k = r.u16()? as usize;
-                let mut boundaries = Vec::with_capacity(k);
-                for _ in 0..k {
-                    boundaries.push(r.i64()?);
-                }
-                let mut children = Vec::with_capacity(k + 1);
-                for _ in 0..=k {
-                    children.push(r.u32()?);
-                }
-                let left = TreeState::decode(&mut r)?;
-                let right = TreeState::decode(&mut r)?;
-                let mslab = TreeState::decode(&mut r)?;
-                let mut mslab_counts = Vec::with_capacity(mslab_count(k));
-                for _ in 0..mslab_count(k) {
-                    mslab_counts.push(r.u16()?);
-                }
-                Ok(ItNode::Internal(Box::new(InternalNode {
-                    boundaries,
-                    children,
-                    left,
-                    right,
-                    mslab,
-                    mslab_counts,
-                })))
-            }
-            _ => Err(PagerError::Corrupt("unknown interval node tag")),
-        }
+        Ok(match ItNodeView::new(buf)? {
+            ItNodeView::Leaf(v) => ItNode::Leaf {
+                intervals: v.intervals().collect(),
+            },
+            ItNodeView::Internal(v) => ItNode::Internal(Box::new(InternalNode {
+                boundaries: (0..v.k()).map(|i| v.boundary(i)).collect(),
+                children: (0..=v.k()).map(|j| v.child(j)).collect(),
+                left: v.left(),
+                right: v.right(),
+                mslab: v.mslab(),
+                mslab_counts: v
+                    .mslab_counts
+                    .iter()
+                    .map(|c| u16::from_le_bytes(*c))
+                    .collect(),
+            })),
+        })
     }
 }
 

@@ -38,10 +38,16 @@ impl IntervalSetState {
 
     /// Deserialize.
     pub fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
-        Ok(IntervalSetState {
-            tree: ItState::decode(r)?,
-            starts: TreeState::decode(r)?,
-        })
+        Ok(Self::read(r.bytes(Self::ENCODED_SIZE)?))
+    }
+
+    /// Read from the head of a length-checked record image (a parent's
+    /// node view).
+    pub fn read(b: &[u8]) -> Self {
+        IntervalSetState {
+            tree: ItState::read(b),
+            starts: TreeState::read(&b[ItState::ENCODED_SIZE..]),
+        }
     }
 }
 

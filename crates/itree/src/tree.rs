@@ -1,11 +1,15 @@
 //! The external interval tree: build, stab, insert, remove, validate.
 
 use crate::interval::{Interval, LeftOrder, MslabOrder, RightOrder, TaggedInterval};
-use crate::node::{leaf_capacity, max_fanout, mslab_count, mslab_index, InternalNode, ItNode};
+use crate::node::{
+    leaf_capacity, max_fanout, mslab_count, mslab_index, InternalNode, ItNode, ItNodeView,
+};
 use segdb_bptree::BPlusTree;
-use segdb_pager::{ByteReader, ByteWriter, PageId, Pager, PagerError, Result};
+use segdb_pager::codec::{u32_at, u64_at};
+use segdb_pager::{ByteWriter, PageId, Pager, PagerError, Result};
 use std::cmp::Ordering;
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 /// Construction knobs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -34,12 +38,13 @@ impl ItState {
         w.u64(self.len)
     }
 
-    /// Deserialize.
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
-        Ok(ItState {
-            root: r.u32()?,
-            len: r.u64()?,
-        })
+    /// Read from the head of a length-checked record image (a parent's
+    /// node view).
+    pub fn read(b: &[u8]) -> Self {
+        ItState {
+            root: u32_at(b, 0),
+            len: u64_at(b, 4),
+        }
     }
 }
 
@@ -146,21 +151,21 @@ impl IntervalTree {
     ) -> Result<ControlFlow<()>> {
         let mut id = self.root;
         loop {
-            let node = read_node(pager, id)?;
-            match node {
-                ItNode::Leaf { intervals } => {
-                    for iv in intervals.iter().filter(|iv| iv.contains(x)) {
-                        if f(iv).is_break() {
+            let img = read_page(pager, id)?;
+            match ItNodeView::new(&img)? {
+                ItNodeView::Leaf(leaf) => {
+                    for iv in leaf.intervals().filter(|iv| iv.contains(x)) {
+                        if f(&iv).is_break() {
                             return Ok(ControlFlow::Break(()));
                         }
                     }
                     return Ok(ControlFlow::Continue(()));
                 }
-                ItNode::Internal(n) => {
-                    let k = n.boundaries.len();
-                    let j = n.boundaries.partition_point(|&s| s < x);
+                ItNodeView::Internal(n) => {
+                    let k = n.k();
+                    let j = n.slab_of(x);
                     // Left stubs of slab j: prefix with lo ≤ x.
-                    let left = BPlusTree::attach(pager, LeftOrder, n.left)?;
+                    let left = BPlusTree::attach(pager, LeftOrder, n.left())?;
                     let probe_tag = j as u16;
                     let mut cur = left.lower_bound(pager, &move |r: &TaggedInterval| {
                         (probe_tag, i64::MIN, 0u64).cmp(&(r.tag, r.iv.lo, r.iv.id))
@@ -176,7 +181,7 @@ impl IntervalTree {
                         return Ok(ControlFlow::Break(()));
                     }
                     // Right stubs of slab j: prefix with hi ≥ x.
-                    let right = BPlusTree::attach(pager, RightOrder, n.right)?;
+                    let right = BPlusTree::attach(pager, RightOrder, n.right())?;
                     let mut cur = right.lower_bound(pager, &move |r: &TaggedInterval| {
                         (probe_tag, std::cmp::Reverse(i64::MAX), 0u64).cmp(&(
                             r.tag,
@@ -196,14 +201,13 @@ impl IntervalTree {
                     }
                     // Multislab lists spanning slab j: report entirely.
                     if k >= 2 && j >= 1 && j < k {
-                        let mslab = BPlusTree::attach(pager, MslabOrder, n.mslab)?;
+                        let mslab = BPlusTree::attach(pager, MslabOrder, n.mslab())?;
                         for a in 1..=j {
                             for b in j..=k - 1 {
-                                let mi = mslab_index(k, a, b);
-                                if n.mslab_counts[mi] == 0 {
+                                if n.mslab_count(a, b) == 0 {
                                     continue;
                                 }
-                                let tag = mi as u16;
+                                let tag = mslab_index(k, a, b) as u16;
                                 let mut cur = mslab
                                     .lower_bound(pager, &move |r: &TaggedInterval| {
                                         (tag, 0u64).cmp(&(r.tag, r.iv.id))
@@ -219,10 +223,10 @@ impl IntervalTree {
                     }
                     // Descend unless x hits a boundary exactly (children
                     // hold only open-slab intervals then).
-                    if j < k && n.boundaries[j] == x {
+                    if j < k && n.boundary(j) == x {
                         return Ok(ControlFlow::Continue(()));
                     }
-                    id = n.children[j];
+                    id = n.child(j);
                 }
             }
         }
@@ -237,17 +241,18 @@ impl IntervalTree {
         let mut total = 0u64;
         let mut id = self.root;
         loop {
-            match read_node(pager, id)? {
-                ItNode::Leaf { intervals } => {
-                    total += intervals.iter().filter(|iv| iv.contains(x)).count() as u64;
+            let img = read_page(pager, id)?;
+            match ItNodeView::new(&img)? {
+                ItNodeView::Leaf(leaf) => {
+                    total += leaf.intervals().filter(|iv| iv.contains(x)).count() as u64;
                     return Ok(total);
                 }
-                ItNode::Internal(n) => {
-                    let k = n.boundaries.len();
-                    let j = n.boundaries.partition_point(|&s| s < x);
+                ItNodeView::Internal(n) => {
+                    let k = n.k();
+                    let j = n.slab_of(x);
                     let probe_tag = j as u16;
                     // Left stubs of slab j with lo ≤ x.
-                    let left = BPlusTree::attach(pager, LeftOrder, n.left)?;
+                    let left = BPlusTree::attach(pager, LeftOrder, n.left())?;
                     total += left.count_range(
                         pager,
                         &move |r: &TaggedInterval| {
@@ -258,7 +263,7 @@ impl IntervalTree {
                         },
                     )?;
                     // Right stubs of slab j with hi ≥ x.
-                    let right = BPlusTree::attach(pager, RightOrder, n.right)?;
+                    let right = BPlusTree::attach(pager, RightOrder, n.right())?;
                     total += right.count_range(
                         pager,
                         &move |r: &TaggedInterval| {
@@ -279,18 +284,17 @@ impl IntervalTree {
                     // Multislab lists spanning slab j: directory counts,
                     // except saturated entries which need an exact rank.
                     if k >= 2 && j >= 1 && j < k {
-                        let mslab = BPlusTree::attach(pager, MslabOrder, n.mslab)?;
+                        let mslab = BPlusTree::attach(pager, MslabOrder, n.mslab())?;
                         for a in 1..=j {
                             for b in j..=k - 1 {
-                                let mi = mslab_index(k, a, b);
-                                let c = n.mslab_counts[mi];
+                                let c = n.mslab_count(a, b);
                                 if c == 0 {
                                     continue;
                                 }
                                 if c != u16::MAX {
                                     total += c as u64;
                                 } else {
-                                    let tag = mi as u16;
+                                    let tag = mslab_index(k, a, b) as u16;
                                     total += mslab.count_range(
                                         pager,
                                         &move |r: &TaggedInterval| {
@@ -304,10 +308,10 @@ impl IntervalTree {
                             }
                         }
                     }
-                    if j < k && n.boundaries[j] == x {
+                    if j < k && n.boundary(j) == x {
                         return Ok(total);
                     }
-                    id = n.children[j];
+                    id = n.child(j);
                 }
             }
         }
@@ -515,13 +519,21 @@ fn locate(boundaries: &[i64], iv: &Interval) -> Placement {
     }
 }
 
-fn read_node(pager: &Pager, id: PageId) -> Result<ItNode> {
+/// One node visit of a stab: the page image, to be read in place
+/// through an [`ItNodeView`].
+fn read_page(pager: &Pager, id: PageId) -> Result<Arc<[u8]>> {
     segdb_obs::trace::emit(
         segdb_obs::trace::EventKind::ItreeNodeVisit,
         u64::from(id),
         0,
     );
-    pager.with_page(id, ItNode::decode)?
+    pager.page(id)
+}
+
+/// One node visit of the write path (and of `validate`): an owned node
+/// to edit and write back.
+fn read_node(pager: &Pager, id: PageId) -> Result<ItNode> {
+    ItNode::decode(&read_page(pager, id)?)
 }
 
 fn write_node(pager: &Pager, id: PageId, node: &ItNode) -> Result<()> {

@@ -47,6 +47,24 @@ impl<'a> ByteReader<'a> {
         Ok(s)
     }
 
+    /// Cut the next `N` bytes as a fixed-width record image: the one
+    /// length check a [`u64_at`]-style field read relies on.
+    pub fn array<const N: usize>(&mut self) -> Result<&'a [u8; N]> {
+        Ok(&self.arrays::<N>(1)?[0])
+    }
+
+    /// Cut the next `count` fixed-width records of `N` bytes each — one
+    /// section of a node view, checked once here and indexed without a
+    /// reader afterwards.
+    pub fn arrays<const N: usize>(&mut self, count: usize) -> Result<&'a [[u8; N]]> {
+        Ok(self.take(count.saturating_mul(N))?.as_chunks().0)
+    }
+
+    /// Cut the next `n` bytes.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
+        self.take(n)
+    }
+
     /// Read a `u8`.
     pub fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
@@ -76,6 +94,49 @@ impl<'a> ByteReader<'a> {
     pub fn i64(&mut self) -> Result<i64> {
         Ok(self.u64()? as i64)
     }
+}
+
+/// The first `N` bytes of `bytes` as a fixed-width record image — the
+/// single length check of a [`ByteReader`]-free record read.
+pub fn fixed<const N: usize>(bytes: &[u8]) -> Result<&[u8; N]> {
+    bytes.first_chunk().ok_or(PagerError::CodecOverflow {
+        offset: 0,
+        requested: N,
+        available: bytes.len(),
+    })
+}
+
+#[inline]
+fn le<const N: usize>(b: &[u8], at: usize) -> [u8; N] {
+    let mut a = [0u8; N];
+    a.copy_from_slice(&b[at..at + N]);
+    a
+}
+
+/// Little-endian `u16` at byte `at` of a record image whose length the
+/// caller has already checked ([`fixed`], [`ByteReader::array`]); like
+/// slice indexing, an offset past the end is a bug and panics.
+#[inline]
+pub fn u16_at(b: &[u8], at: usize) -> u16 {
+    u16::from_le_bytes(le(b, at))
+}
+
+/// Little-endian `u32`; see [`u16_at`].
+#[inline]
+pub fn u32_at(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(le(b, at))
+}
+
+/// Little-endian `u64`; see [`u16_at`].
+#[inline]
+pub fn u64_at(b: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(le(b, at))
+}
+
+/// Little-endian `i64`; see [`u16_at`].
+#[inline]
+pub fn i64_at(b: &[u8], at: usize) -> i64 {
+    i64::from_le_bytes(le(b, at))
 }
 
 /// Sequential writer over a page image.
@@ -189,6 +250,36 @@ mod tests {
         r.skip(2).unwrap();
         assert!(r.u64().is_err());
         assert!(r.u8().is_ok(), "failed read must not consume");
+    }
+
+    #[test]
+    fn fixed_width_reads_agree_with_the_reader() {
+        let mut page = vec![0u8; 40];
+        {
+            let mut w = ByteWriter::new(&mut page);
+            w.u16(0xBEEF).unwrap();
+            w.u32(7).unwrap();
+            w.u64(u64::MAX - 1).unwrap();
+            w.i64(-9).unwrap();
+        }
+        let rec = fixed::<22>(&page).unwrap();
+        assert_eq!(u16_at(rec, 0), 0xBEEF);
+        assert_eq!(u32_at(rec, 2), 7);
+        assert_eq!(u64_at(rec, 6), u64::MAX - 1);
+        assert_eq!(i64_at(rec, 14), -9);
+        assert!(matches!(
+            fixed::<41>(&page),
+            Err(PagerError::CodecOverflow { requested: 41, .. })
+        ));
+        // Sections: 2 bytes of header, then three 8-byte records.
+        let mut r = ByteReader::new(&page);
+        assert_eq!(r.array::<2>().unwrap(), &[0xEF, 0xBE]);
+        let recs = r.arrays::<8>(3).unwrap();
+        assert_eq!(recs.len(), 3);
+        assert_eq!(r.position(), 26);
+        assert!(r.arrays::<8>(2).is_err(), "extent past the page");
+        assert_eq!(r.position(), 26, "failed cut must not consume");
+        assert_eq!(r.bytes(14).unwrap().len(), 14);
     }
 
     #[test]

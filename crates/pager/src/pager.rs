@@ -17,7 +17,7 @@
 //!   The API stays fully re-entrant: tree traversals may read a child
 //!   page from inside a parent-page closure.
 //! * Three access verbs mirror the external-memory cost model:
-//!   [`Pager::with_page`] (1 read), [`Pager::with_page_mut`]
+//!   [`Pager::page`] / [`Pager::with_page`] (1 read), [`Pager::with_page_mut`]
 //!   (read-modify-write: 1 read + 1 write), and [`Pager::overwrite_page`]
 //!   (blind write of a freshly built node image: 1 write, no read).
 //! * Concurrency contract: any number of concurrent **readers** are safe
@@ -305,11 +305,20 @@ impl Pager {
         Ok(())
     }
 
-    /// Read page `id` and run `f` on its bytes. Counts 1 read (or a cache
-    /// hit). Re-entrant: `f` may call back into the pager.
+    /// Read page `id` and hand out its immutable image. Counts 1 read (or
+    /// a cache hit). The image stays valid for as long as the caller
+    /// holds it — a later store to the page installs a new image, it
+    /// never changes this one — so a cursor can keep its leaf across
+    /// calls and a node view can borrow from it.
+    pub fn page(&self, id: PageId) -> Result<Arc<[u8]>> {
+        observe_io(self.fetch(id))
+    }
+
+    /// Read page `id` and run `f` on its bytes: [`Pager::page`] for
+    /// callers that are done with the image when `f` returns.
+    /// Re-entrant: `f` may call back into the pager.
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
-        let img = observe_io(self.fetch(id))?;
-        Ok(f(&img))
+        Ok(f(&self.page(id)?))
     }
 
     /// Read-modify-write page `id`. Counts 1 read + 1 write in uncached
@@ -414,6 +423,26 @@ mod tests {
         assert_eq!(s.writes, 2); // overwrite + modify
         assert_eq!(s.reads, 3); // read + modify-read + read
         assert_eq!(s.cache_hits, 0);
+    }
+
+    #[test]
+    fn page_counts_like_with_page_and_outlives_a_store() {
+        let p = Pager::new(PagerConfig {
+            page_size: 16,
+            cache_pages: 2,
+        });
+        let id = p.allocate().unwrap();
+        p.overwrite_page(id, |b| b[0] = 1).unwrap();
+        let before = p.stats();
+        let held = p.page(id).unwrap();
+        p.with_page(id, |b| assert_eq!(b[0], 1)).unwrap();
+        let d = p.stats() - before;
+        assert_eq!((d.cache_hits, d.reads), (2, 0), "one hit per verb");
+        // A store installs a new image; the held one is immutable.
+        p.with_page_mut(id, |b| b[0] = 2).unwrap();
+        assert_eq!(held[0], 1);
+        assert_eq!(p.page(id).unwrap()[0], 2);
+        assert_eq!(p.page(99).unwrap_err(), PagerError::OutOfBounds(99));
     }
 
     #[test]

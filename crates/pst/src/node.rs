@@ -22,7 +22,8 @@
 //!
 //! A node with `nchildren = 0` is a leaf.
 
-use segdb_geom::{Point, Segment};
+use segdb_geom::{GeomError, Point, Segment};
+use segdb_pager::codec::{i64_at, u32_at, u64_at};
 use segdb_pager::{ByteReader, ByteWriter, PageId, PagerError, Result};
 
 /// Encoded size of one segment record.
@@ -41,12 +42,20 @@ pub fn encode_segment(s: &Segment, w: &mut ByteWriter<'_>) -> Result<()> {
     w.i64(s.b.y)
 }
 
-/// Deserialize a segment from a node page.
-pub fn decode_segment(r: &mut ByteReader<'_>) -> Result<Segment> {
-    let id = r.u64()?;
-    let a = Point::new(r.i64()?, r.i64()?);
-    let b = Point::new(r.i64()?, r.i64()?);
-    Segment::new(id, a, b).map_err(|_| PagerError::Corrupt("invalid segment in PST node"))
+/// The segment record `[id][a.x][a.y][b.x][b.y]` at the head of a
+/// length-checked image, rebuilt through [`Segment::new`]. Every layout
+/// in the workspace that stores a segment stores it this way and parses
+/// it here.
+pub fn segment_from(b: &[u8]) -> std::result::Result<Segment, GeomError> {
+    Segment::new(
+        u64_at(b, 0),
+        Point::new(i64_at(b, 8), i64_at(b, 16)),
+        Point::new(i64_at(b, 24), i64_at(b, 32)),
+    )
+}
+
+fn read_segment(b: &[u8]) -> Result<Segment> {
+    segment_from(b).map_err(|_| PagerError::Corrupt("invalid segment in PST node"))
 }
 
 /// One child edge of a PST node.
@@ -104,32 +113,95 @@ impl PstNode {
         Ok(())
     }
 
-    /// Deserialize from a page image.
+    /// Deserialize from a page image: every field of its
+    /// [`PstNodeView`], collected.
     pub fn decode(buf: &[u8]) -> Result<Self> {
+        let v = PstNodeView::new(buf)?;
+        let child = |i| {
+            Ok(ChildEntry {
+                router: v.router(i)?,
+                page: v.child_page(i),
+                size: v.child_size(i),
+            })
+        };
+        Ok(PstNode {
+            segments: (0..v.len()).map(|i| v.segment(i)).collect::<Result<_>>()?,
+            children: (0..v.nchildren()).map(child).collect::<Result<_>>()?,
+            seps: (1..v.nchildren())
+                .map(|i| v.sep(i - 1))
+                .collect::<Result<_>>()?,
+        })
+    }
+}
+
+/// A node read in place: the read path's form of [`PstNode`], borrowed
+/// from the page image, and the one parser of the layout
+/// ([`PstNode::decode`] collects from it).
+///
+/// [`PstNodeView::new`] checks once that the three sections the header
+/// counts imply fit the image (`CodecOverflow` otherwise). A segment —
+/// stored, router or separator — is rebuilt and validated through
+/// [`Segment::new`] when its accessor is called, so a walk validates
+/// exactly the segments it looks at.
+#[derive(Debug, Clone, Copy)]
+pub struct PstNodeView<'a> {
+    segments: &'a [[u8; SEG_BYTES]],
+    children: &'a [[u8; CHILD_BYTES]],
+    seps: &'a [[u8; SEG_BYTES]],
+}
+
+impl<'a> PstNodeView<'a> {
+    /// View the node in a page image.
+    pub fn new(buf: &'a [u8]) -> Result<Self> {
         let mut r = ByteReader::new(buf);
         let count = r.u16()? as usize;
         let nchildren = r.u16()? as usize;
-        let mut segments = Vec::with_capacity(count);
-        for _ in 0..count {
-            segments.push(decode_segment(&mut r)?);
-        }
-        let mut children = Vec::with_capacity(nchildren);
-        for _ in 0..nchildren {
-            let router = decode_segment(&mut r)?;
-            let page = r.u32()?;
-            let size = r.u64()?;
-            children.push(ChildEntry { router, page, size });
-        }
-        let nseps = nchildren.saturating_sub(1);
-        let mut seps = Vec::with_capacity(nseps);
-        for _ in 0..nseps {
-            seps.push(decode_segment(&mut r)?);
-        }
-        Ok(PstNode {
-            segments,
-            children,
-            seps,
+        Ok(PstNodeView {
+            segments: r.arrays(count)?,
+            children: r.arrays(nchildren)?,
+            seps: r.arrays(nchildren.saturating_sub(1))?,
         })
+    }
+
+    /// Number of stored segments.
+    pub fn len(&self) -> usize {
+        self.segments.len()
+    }
+
+    /// True when the node stores no segment.
+    pub fn is_empty(&self) -> bool {
+        self.segments.is_empty()
+    }
+
+    /// Number of children (0 = leaf).
+    pub fn nchildren(&self) -> usize {
+        self.children.len()
+    }
+
+    /// Stored segment `i`, in base order.
+    pub fn segment(&self, i: usize) -> Result<Segment> {
+        read_segment(&self.segments[i])
+    }
+
+    /// Router of child `i`: a copy of its subtree's farthest-reaching
+    /// segment.
+    pub fn router(&self, i: usize) -> Result<Segment> {
+        read_segment(&self.children[i])
+    }
+
+    /// Page of child `i`.
+    pub fn child_page(&self, i: usize) -> PageId {
+        u32_at(&self.children[i], SEG_BYTES)
+    }
+
+    /// Number of segments stored in child `i`'s subtree.
+    pub fn child_size(&self, i: usize) -> u64 {
+        u64_at(&self.children[i], SEG_BYTES + 4)
+    }
+
+    /// Static separator witness `i` (`i < nchildren() − 1`).
+    pub fn sep(&self, i: usize) -> Result<Segment> {
+        read_segment(&self.seps[i])
     }
 }
 

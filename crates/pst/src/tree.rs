@@ -1,15 +1,17 @@
 //! The external PST: build, frontier query, insert, lazy delete,
 //! weight-balanced rebuilds, validation.
 
-use crate::node::{default_caps, node_bytes, seg_cap_for_fanout, ChildEntry, PstNode};
+use crate::node::{default_caps, node_bytes, seg_cap_for_fanout, ChildEntry, PstNode, PstNodeView};
 use crate::side::Side;
 use crate::tombs;
 use segdb_geom::predicates::{hits_vertical, y_at_x_cmp};
 use segdb_geom::{ReportSink, Segment};
-use segdb_pager::{ByteReader, ByteWriter, PageId, Pager, PagerError, Result, NULL_PAGE};
+use segdb_pager::codec::{u32_at, u64_at};
+use segdb_pager::{ByteWriter, PageId, Pager, PagerError, Result, NULL_PAGE};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 /// Configuration of a PST instance.
 #[derive(Debug, Clone, Copy)]
@@ -83,14 +85,15 @@ impl PstState {
         w.u32(self.tomb_count)
     }
 
-    /// Deserialize.
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
-        Ok(PstState {
-            root: r.u32()?,
-            total: r.u64()?,
-            tomb_head: r.u32()?,
-            tomb_count: r.u32()?,
-        })
+    /// Read from the head of a length-checked record image (a parent's
+    /// node view).
+    pub fn read(b: &[u8]) -> Self {
+        PstState {
+            root: u32_at(b, 0),
+            total: u64_at(b, 4),
+            tomb_head: u32_at(b, 12),
+            tomb_count: u32_at(b, 16),
+        }
     }
 }
 
@@ -140,6 +143,18 @@ struct Entry {
 /// `Entry::qi` of a query that broke while its page run is still being
 /// routed.
 const RETIRED: u32 = u32::MAX;
+
+/// Read every router of `node` into `out` (cleared first): the routing
+/// step compares each child's router with its siblings', so they are
+/// read, and validated, once per node.
+fn read_routers(node: &PstNodeView<'_>, out: &mut Vec<Segment>) -> Result<()> {
+    out.clear();
+    out.reserve(node.nchildren());
+    for i in 0..node.nchildren() {
+        out.push(node.router(i)?);
+    }
+    Ok(())
+}
 
 /// Remove query `qi`'s entries from `entries[from..]`, keeping order.
 fn drop_query(entries: &mut Vec<Entry>, from: usize, qi: u32) {
@@ -339,6 +354,7 @@ impl Pst {
         }
         let tombs = self.load_tombs(pager)?;
         let mut next: Vec<Entry> = Vec::new();
+        let mut routers: Vec<Segment> = Vec::new();
         while !frontier.is_empty() {
             stats.levels += 1;
             let mut width = 0u32;
@@ -350,23 +366,36 @@ impl Pst {
                 let end = at + frontier[at..].iter().take_while(|e| e.page == page).count();
                 width += 1;
                 stats.blocks_read += 1;
-                let node = read_node(pager, page)?;
+                let img = read_page(pager, page)?;
+                let node = PstNodeView::new(&img)?;
                 let mut produced = false;
-                for i in at..end {
-                    let q = &queries[frontier[i].qi as usize];
-                    let qkey = self.side.query_key(q.qx);
-                    for s in &node.segments {
-                        if self.side.reach_key(s) >= qkey
-                            && hits_vertical(s, q.qx, q.lo, q.hi)
+                // Each stored segment is read once and offered to every
+                // query of the run still listening; a query sees its
+                // hits in base order, as it would alone.
+                let mut listening = end - at;
+                for si in 0..node.len() {
+                    if listening == 0 {
+                        break;
+                    }
+                    let s = node.segment(si)?;
+                    let reach = self.side.reach_key(&s);
+                    for i in at..end {
+                        let qi = frontier[i].qi;
+                        if qi == RETIRED {
+                            continue;
+                        }
+                        let q = &queries[qi as usize];
+                        if reach >= self.side.query_key(q.qx)
+                            && hits_vertical(&s, q.qx, q.lo, q.hi)
                             && !tombs.contains(&s.id)
                         {
                             stats.hits += 1;
                             produced = true;
-                            if emit(q.tag, s).is_break() {
-                                let qi = std::mem::replace(&mut frontier[i].qi, RETIRED);
+                            if emit(q.tag, &s).is_break() {
+                                frontier[i].qi = RETIRED;
                                 drop_query(&mut frontier, end, qi);
                                 drop_query(&mut next, 0, qi);
-                                break;
+                                listening -= 1;
                             }
                         }
                     }
@@ -382,43 +411,24 @@ impl Pst {
                 // (contains a reaching segment) has a reaching router by
                 // the heap property — a usable bound always exists when
                 // it is needed.
-                for (i, c) in node.children.iter().enumerate() {
+                if listening > 0 {
+                    read_routers(&node, &mut routers)?;
+                } else {
+                    routers.clear();
+                }
+                for i in 0..routers.len() {
                     for e in frontier[at..end].iter().filter(|e| e.qi != RETIRED) {
                         let q = &queries[e.qi as usize];
-                        let qkey = self.side.query_key(q.qx);
-                        if self.side.reach_key(&c.router) < qkey {
-                            continue;
+                        if let Some((flo, fhi)) =
+                            self.child_bracket(&routers, i, q.qx, q.lo, q.hi, e.flo, e.fhi)
+                        {
+                            next.push(Entry {
+                                page: node.child_page(i),
+                                qi: e.qi,
+                                flo,
+                                fhi,
+                            });
                         }
-                        let child_lo = node.children[..i]
-                            .iter()
-                            .rev()
-                            .map(|c| &c.router)
-                            .find(|s| self.side.reach_key(s) >= qkey)
-                            .copied()
-                            .or(e.flo);
-                        let child_hi = node.children[i + 1..]
-                            .iter()
-                            .map(|c| &c.router)
-                            .find(|s| self.side.reach_key(s) >= qkey)
-                            .copied()
-                            .or(e.fhi);
-                        // Prune: whole bracket below lo or above hi.
-                        if let (Some(h), Some(f)) = (q.hi, &child_lo) {
-                            if y_at_x_cmp(f, q.qx, h) == Ordering::Greater {
-                                continue; // subtree ordinates ≥ flanker > hi
-                            }
-                        }
-                        if let (Some(l), Some(f)) = (q.lo, &child_hi) {
-                            if y_at_x_cmp(f, q.qx, l) == Ordering::Less {
-                                continue; // subtree ordinates ≤ flanker < lo
-                            }
-                        }
-                        next.push(Entry {
-                            page: c.page,
-                            qi: e.qi,
-                            flo: child_lo,
-                            fhi: child_hi,
-                        });
                     }
                 }
                 at = end;
@@ -428,6 +438,44 @@ impl Pst {
             next.clear();
         }
         Ok(stats)
+    }
+
+    /// Should the walk for `x = qx, lo ≤ y ≤ hi` enter child `i`? `None`
+    /// when its router does not reach the query line (priority prune) or
+    /// the bracket of its ordinates there misses the window (sandwich
+    /// prune); otherwise the child's flankers — the nearest sibling
+    /// routers on either side that reach the line, else the inherited
+    /// `flo` / `fhi`.
+    #[allow(clippy::too_many_arguments)]
+    fn child_bracket(
+        &self,
+        routers: &[Segment],
+        i: usize,
+        qx: i64,
+        lo: Option<i64>,
+        hi: Option<i64>,
+        flo: Option<Segment>,
+        fhi: Option<Segment>,
+    ) -> Option<(Option<Segment>, Option<Segment>)> {
+        let qkey = self.side.query_key(qx);
+        let reaches = |s: &&Segment| self.side.reach_key(s) >= qkey;
+        if !reaches(&&routers[i]) {
+            return None;
+        }
+        let child_lo = routers[..i].iter().rev().find(reaches).copied().or(flo);
+        let child_hi = routers[i + 1..].iter().find(reaches).copied().or(fhi);
+        // Prune: whole bracket below lo or above hi.
+        if let (Some(h), Some(f)) = (hi, &child_lo) {
+            if y_at_x_cmp(f, qx, h) == Ordering::Greater {
+                return None; // subtree ordinates ≥ flanker > hi
+            }
+        }
+        if let (Some(l), Some(f)) = (lo, &child_hi) {
+            if y_at_x_cmp(f, qx, l) == Ordering::Less {
+                return None; // subtree ordinates ≤ flanker < lo
+            }
+        }
+        Some((child_lo, child_hi))
     }
 
     /// The paper's `Find` (Appendix A, Figure 8): locate the
@@ -501,82 +549,60 @@ impl Pst {
     ) -> Result<Option<(Segment, PageId)>> {
         *visited += 1;
         let qkey = self.side.query_key(qx);
-        let node = read_node(pager, page)?;
+        let img = read_page(pager, page)?;
+        let node = PstNodeView::new(&img)?;
+        let better = |s: &Segment, best: &Option<(Segment, PageId)>| match best {
+            None => true,
+            Some((b, _)) => {
+                let cmp = self.side.cmp_base(self.base_x, s, b);
+                if leftmost {
+                    cmp == Ordering::Less
+                } else {
+                    cmp == Ordering::Greater
+                }
+            }
+        };
         // Extreme hit among this block's segments.
         let mut best: Option<(Segment, PageId)> = None;
-        for s in &node.segments {
-            if self.side.reach_key(s) >= qkey
-                && hits_vertical(s, qx, lo, hi)
+        for i in 0..node.len() {
+            let s = node.segment(i)?;
+            if self.side.reach_key(&s) >= qkey
+                && hits_vertical(&s, qx, lo, hi)
                 && !tombs.contains(&s.id)
+                && better(&s, &best)
             {
-                let better = match &best {
-                    None => true,
-                    Some((b, _)) => {
-                        let cmp = self.side.cmp_base(self.base_x, s, b);
-                        if leftmost {
-                            cmp == Ordering::Less
-                        } else {
-                            cmp == Ordering::Greater
-                        }
-                    }
-                };
-                if better {
-                    best = Some((*s, page));
-                }
+                best = Some((s, page));
             }
         }
         // Children in base order (reversed for rightmost): the first
         // subtree that yields a hit dominates all later ones, because
         // the static separators keep subtree ranges disjoint and
         // ordered; the block-local best can still win, so compare.
-        let indices: Vec<usize> = if leftmost {
-            (0..node.children.len()).collect()
-        } else {
-            (0..node.children.len()).rev().collect()
-        };
-        for i in indices {
-            let c = &node.children[i];
-            if self.side.reach_key(&c.router) < qkey {
+        let mut routers = Vec::new();
+        read_routers(&node, &mut routers)?;
+        for step in 0..routers.len() {
+            let i = if leftmost {
+                step
+            } else {
+                routers.len() - 1 - step
+            };
+            let Some((child_lo, child_hi)) = self.child_bracket(&routers, i, qx, lo, hi, flo, fhi)
+            else {
                 continue;
-            }
-            let child_lo = node.children[..i]
-                .iter()
-                .rev()
-                .map(|c| &c.router)
-                .find(|s| self.side.reach_key(s) >= qkey)
-                .copied()
-                .or(flo);
-            let child_hi = node.children[i + 1..]
-                .iter()
-                .map(|c| &c.router)
-                .find(|s| self.side.reach_key(s) >= qkey)
-                .copied()
-                .or(fhi);
-            if let (Some(h), Some(f)) = (hi, &child_lo) {
-                if y_at_x_cmp(f, qx, h) == Ordering::Greater {
-                    continue;
-                }
-            }
-            if let (Some(l), Some(f)) = (lo, &child_hi) {
-                if y_at_x_cmp(f, qx, l) == Ordering::Less {
-                    continue;
-                }
-            }
+            };
             if let Some(child_hit) = self.find_rec(
-                pager, c.page, qx, lo, hi, child_lo, child_hi, leftmost, tombs, visited,
+                pager,
+                node.child_page(i),
+                qx,
+                lo,
+                hi,
+                child_lo,
+                child_hi,
+                leftmost,
+                tombs,
+                visited,
             )? {
-                let better = match &best {
-                    None => true,
-                    Some((b, _)) => {
-                        let cmp = self.side.cmp_base(self.base_x, &child_hit.0, b);
-                        if leftmost {
-                            cmp == Ordering::Less
-                        } else {
-                            cmp == Ordering::Greater
-                        }
-                    }
-                };
-                if better {
+                if better(&child_hit.0, &best) {
                     best = Some(child_hit);
                 }
                 break; // later subtrees are entirely on the wrong side
@@ -894,9 +920,17 @@ fn check_line_based(s: &Segment, base_x: i64) -> Result<()> {
     Ok(())
 }
 
-fn read_node(pager: &Pager, id: PageId) -> Result<PstNode> {
+/// One node visit of a search: the page image, to be read in place
+/// through a [`PstNodeView`].
+fn read_page(pager: &Pager, id: PageId) -> Result<Arc<[u8]>> {
     segdb_obs::trace::emit(segdb_obs::trace::EventKind::PstNodeVisit, u64::from(id), 0);
-    pager.with_page(id, PstNode::decode)?
+    pager.page(id)
+}
+
+/// One node visit of the write path, of scans feeding a rebuild, and of
+/// `validate`: an owned node.
+fn read_node(pager: &Pager, id: PageId) -> Result<PstNode> {
+    PstNode::decode(&read_page(pager, id)?)
 }
 
 fn write_node(pager: &Pager, id: PageId, node: &PstNode) -> Result<()> {
@@ -1258,7 +1292,7 @@ mod tests {
         let st = pst.state();
         let mut buf = vec![0u8; PstState::ENCODED_SIZE];
         st.encode(&mut ByteWriter::new(&mut buf)).unwrap();
-        let st2 = PstState::decode(&mut ByteReader::new(&buf)).unwrap();
+        let st2 = PstState::read(&buf);
         assert_eq!(st, st2);
         let pst2 = Pst::attach(&p, 0, Side::Right, PstConfig::packed(), st2).unwrap();
         let (ids, _) = run(&pst2, &p, 2, None, None);

@@ -2,9 +2,12 @@
 //! wall time per query mode, on the benchmark's `embedded_hot`
 //! configuration (N = 200k Mixed, 4 KiB pages, every page cached).
 //!
-//! The read path has a single walk; this prints the figures DESIGN.md's
-//! "one-slot cost" table quotes, and `tests/batch_exec.rs` pins the
-//! allocation and page counts on a smaller set.
+//! The read path has a single walk, reading its nodes in place; this
+//! prints the figures DESIGN.md's "What one slot costs" table quotes —
+//! µs/page is what a visited page costs the walk, ns/hit what a
+//! reported segment costs the whole query — and `tests/batch_exec.rs`
+//! and `tests/one_slot_alloc.rs` pin the page and allocation counts on
+//! a smaller set.
 //!
 //! ```sh
 //! cargo run --release --example one_slot_cost
@@ -61,14 +64,14 @@ fn main() {
         })
         .collect();
     println!(
-        "{:>8} {:>12} {:>12} {:>10} {:>10}",
-        "mode", "allocs/q", "pages/q", "p50 us", "mean us"
+        "{:>8} {:>12} {:>12} {:>10} {:>10} {:>10} {:>10}",
+        "mode", "allocs/q", "pages/q", "p50 us", "mean us", "us/page", "ns/hit"
     );
     for mode in MODES {
         for q in &pool {
             db.query_canonical_mode(q, mode).unwrap(); // warm the cache
         }
-        let (mut pages, mut allocs) = (0u64, 0u64);
+        let (mut pages, mut allocs, mut hits) = (0u64, 0u64, 0u64);
         let mut us: Vec<f64> = Vec::with_capacity(pool.len());
         for q in &pool {
             let a0 = ALLOCS.load(Ordering::Relaxed);
@@ -77,17 +80,20 @@ fn main() {
             us.push(t.elapsed().as_nanos() as f64 / 1e3);
             allocs += ALLOCS.load(Ordering::Relaxed) - a0;
             pages += trace.io.reads + trace.io.cache_hits;
-            drop(answer);
+            hits += answer.count();
         }
         us.sort_by(f64::total_cmp);
         let n = pool.len() as f64;
+        let total_us: f64 = us.iter().sum();
         println!(
-            "{:>8} {:>12.2} {:>12.2} {:>10.2} {:>10.2}",
+            "{:>8} {:>12.2} {:>12.2} {:>10.2} {:>10.2} {:>10.3} {:>10.1}",
             mode.name(),
             allocs as f64 / n,
             pages as f64 / n,
             us[us.len() / 2],
-            us.iter().sum::<f64>() / n
+            total_us / n,
+            total_us / pages as f64,
+            total_us * 1e3 / hits as f64
         );
     }
 }

@@ -15,6 +15,14 @@ echo "==> benchmark package: build + tests against the current crates"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --offline --manifest-path benchmark/Cargo.toml
 
+# One pair of one-second runs, this tree against itself: the pairing
+# script still drives run.sh and still parses its result lines.
+echo "==> bench_pair smoke (working tree vs itself, 1 pair)"
+PAIR=$(scripts/bench_pair.sh . . 1 --workload embedded_hot --seconds 1)
+echo "$PAIR" | grep -q 'failed: parent 0, change 0; .* identical over 1 pairs' || {
+    echo "bench_pair smoke: unexpected summary"; echo "$PAIR"; exit 1; }
+rm -rf "$(echo "$PAIR" | sed -n 's/^result lines and run logs: //p')"
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -387,4 +395,4 @@ echo "$OUT1" | grep -q '"observed_io_errors":0}' && {
 echo "$OUT1" | grep -q '"recovery_queries_verified":0,' && {
     echo "no recovery query was verified: $OUT1"; exit 1; }
 
-echo "OK: build, tests, benchmark package, clippy, fmt, serve + lifecycle + net-chaos + cluster + replicated-failover + crash-recovery smoke all clean."
+echo "OK: build, tests, benchmark package, bench_pair, clippy, fmt, serve + lifecycle + net-chaos + cluster + replicated-failover + crash-recovery smoke all clean."

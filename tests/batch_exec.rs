@@ -863,7 +863,14 @@ fn a_write_is_served_while_the_other_worker_is_mid_group() {
         let (x, got) = q.join().unwrap();
         assert_eq!(got, oracle_query(&set, &VerticalQuery::Line { x }), "x={x}");
     }
-    let batches = slowlog_batches(&addr);
+    // A request enters the slowlog after its reply is written, so the
+    // group's two entries may trail the replies by a moment.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut batches = slowlog_batches(&addr);
+    while batches.len() < 5 && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(10));
+        batches = slowlog_batches(&addr);
+    }
     for (id, &(batch_id, size)) in &batches {
         match size {
             0 => assert_eq!(batch_id, 0, "request {id}"),
