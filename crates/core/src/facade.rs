@@ -407,7 +407,6 @@ impl SegmentDatabase {
                 sb.len,
                 sb.aux,
                 sb.aux2,
-                sb.tombs_are_segments,
             )),
             IndexKind::FullScan => Index::Scan(FullScan::attach(sb.root, sb.len)),
             IndexKind::StabThenFilter => Index::Stab(StabThenFilter::attach(
@@ -437,45 +436,30 @@ impl SegmentDatabase {
     /// durably sync. Required after mutations on a persistent database
     /// (a crash before `save` loses the index roots, not the pages).
     pub fn save(&self) -> Result<(), DbError> {
-        let (kind, root, len, aux) = match &self.index {
+        let (kind, root, len, aux, aux2) = match &self.index {
             Index::Binary(t) => {
                 let (root, len) = t.state();
-                (IndexKind::TwoLevelBinary, root, len, 0)
+                (IndexKind::TwoLevelBinary, root, len, 0, 0)
             }
             Index::Interval(t) => {
-                let (root, len, th, tc) = t.state();
-                return self.save_with(
+                let (root, len, tomb_head, tomb_count) = t.state();
+                (
                     IndexKind::TwoLevelInterval,
                     root,
                     len,
-                    th,
-                    tc,
-                    // A legacy-attached id-format chain must not be
-                    // stamped with the v3 segment-format magic's claim.
-                    t.tombs_are_segments(),
-                );
+                    tomb_head,
+                    tomb_count,
+                )
             }
             Index::Scan(t) => {
                 let (root, len) = t.state();
-                (IndexKind::FullScan, root, len, 0)
+                (IndexKind::FullScan, root, len, 0, 0)
             }
             Index::Stab(t) => {
                 let (it, chain) = t.state();
-                (IndexKind::StabThenFilter, it.root, it.len, chain)
+                (IndexKind::StabThenFilter, it.root, it.len, chain, 0)
             }
         };
-        self.save_with(kind, root, len, aux, 0, true)
-    }
-
-    fn save_with(
-        &self,
-        kind: IndexKind,
-        root: segdb_pager::PageId,
-        len: u64,
-        aux: segdb_pager::PageId,
-        aux2: u64,
-        tombs_are_segments: bool,
-    ) -> Result<(), DbError> {
         let sb = Superblock {
             direction: (self.direction.dx(), self.direction.dy()),
             kind,
@@ -492,7 +476,6 @@ impl SegmentDatabase {
             rebuild_min: Binary2LConfig::default().rebuild_min,
             any: self.any.as_ref().map(|a| a.state()),
             wal_seq: self.wal_seq,
-            tombs_are_segments,
         };
         self.pager.set_meta(&sb.encode()?)?;
         self.pager.sync()?;
@@ -585,28 +568,6 @@ impl SegmentDatabase {
             ("cost_model", obs.fitter().to_json()),
             ("metrics", obs.registry.to_json()),
         ]))
-    }
-
-    /// Pin the index's internal descent levels into the pager's
-    /// resident cache tier (exempt from eviction), at most `budget`
-    /// pages. Returns how many pages are pinned. Opt-in: deterministic
-    /// I/O accounting is unchanged until a caller asks for this.
-    /// Re-call after structural rebuilds (fold/compact) — stale pins
-    /// are refreshed on write and released on free, so correctness
-    /// never depends on it, only hit rates.
-    pub fn pin_internal_levels(&self, budget: usize) -> Result<usize, DbError> {
-        let pages = match &self.index {
-            Index::Binary(x) => x.hot_pages(&self.pager, budget)?,
-            Index::Interval(x) => x.hot_pages(&self.pager, budget)?,
-            Index::Scan(_) => Vec::new(), // no internal levels to pin
-            Index::Stab(x) => x.hot_pages(&self.pager, budget)?,
-        };
-        Ok(self.pager.pin_pages(&pages)?)
-    }
-
-    /// Release every pinned page back to the evictable tier.
-    pub fn unpin_all(&self) {
-        self.pager.unpin_all();
     }
 
     /// Run a canonical-frame query with event tracing enabled and return

@@ -183,15 +183,11 @@ pub struct TwoLevelInterval {
     root: PageId,
     /// Live (non-tombstoned) segment count.
     len: u64,
-    /// Lazily-deleted segments (chain head). v3 databases store the
-    /// full segment ([`crate::chain`]) so Count-mode queries can
-    /// subtract overlapping tombstones; pre-v3 chains hold bare ids
-    /// (`segdb_pst::tombs`) and keep the old materializing filter.
+    /// Lazily-deleted segments (chain head), stored as full segments
+    /// ([`crate::chain`]) so Count-mode queries can subtract the
+    /// tombstones they overlap.
     tomb_head: PageId,
     tomb_count: u64,
-    /// Tombstone chain format (see `tomb_head`). The first mutation of
-    /// a legacy structure upgrades it via a live rebuild.
-    tombs_are_segments: bool,
     cfg: Interval2LConfig,
     k_max: usize,
 }
@@ -211,7 +207,6 @@ impl TwoLevelInterval {
             len,
             tomb_head: NULL_PAGE,
             tomb_count: 0,
-            tombs_are_segments: true,
             cfg,
             k_max,
         };
@@ -226,9 +221,7 @@ impl TwoLevelInterval {
         (self.root, self.len, self.tomb_head, self.tomb_count)
     }
 
-    /// Reconstruct from a serialized identity. `tombs_are_segments`
-    /// comes from the superblock version: v3+ chains store segments,
-    /// older ones bare ids.
+    /// Reconstruct from a serialized identity.
     pub fn attach(
         pager: &Pager,
         cfg: Interval2LConfig,
@@ -236,7 +229,6 @@ impl TwoLevelInterval {
         len: u64,
         tomb_head: PageId,
         tomb_count: u64,
-        tombs_are_segments: bool,
     ) -> Self {
         let k_max = cfg
             .fanout
@@ -249,8 +241,6 @@ impl TwoLevelInterval {
             len,
             tomb_head,
             tomb_count,
-            // An empty chain has no legacy format to preserve.
-            tombs_are_segments: tombs_are_segments || tomb_count == 0,
             cfg,
             k_max,
         }
@@ -259,11 +249,6 @@ impl TwoLevelInterval {
     /// Tombstones currently recorded (live deletes awaiting rebuild).
     pub fn tomb_count(&self) -> u64 {
         self.tomb_count
-    }
-
-    /// Tombstone chain format (segments for v3+, ids for legacy).
-    pub fn tombs_are_segments(&self) -> bool {
-        self.tombs_are_segments
     }
 
     /// Fold every tombstone away now (rebuild from the live set) instead
@@ -277,27 +262,15 @@ impl TwoLevelInterval {
         Ok(true)
     }
 
-    /// Lazily-deleted ids, whatever the chain format.
+    /// Lazily-deleted ids.
     fn tomb_ids(&self, pager: &Pager) -> Result<Vec<u64>> {
         if self.tomb_count == 0 {
             return Ok(Vec::new());
         }
-        if self.tombs_are_segments {
-            Ok(chain::collect(pager, self.tomb_head)?
-                .into_iter()
-                .map(|s| s.id)
-                .collect())
-        } else {
-            segdb_pst::tombs::load(pager, self.tomb_head)
-        }
-    }
-
-    fn destroy_tombs(&self, pager: &Pager) -> Result<()> {
-        if self.tombs_are_segments {
-            chain::destroy(pager, self.tomb_head)
-        } else {
-            segdb_pst::tombs::destroy(pager, self.tomb_head)
-        }
+        Ok(chain::collect(pager, self.tomb_head)?
+            .into_iter()
+            .map(|s| s.id)
+            .collect())
     }
 
     /// Stored segment count.
@@ -351,7 +324,7 @@ impl TwoLevelInterval {
         let mut slots = if self.tomb_count == 0 {
             Slots::plain(multi)
         } else {
-            Slots::with_tombstones(multi, pager, self.tomb_head, self.tombs_are_segments)?
+            Slots::with_tombstones(multi, pager, self.tomb_head)?
         };
         let mut trace = QueryTrace::default();
         let mut group = slots.probes();
@@ -462,31 +435,6 @@ impl TwoLevelInterval {
         let live = slots.retain_live(run);
         let descending = inside(&run[..live]);
         self.walk(pager, slots, n.child(j), &mut run[..descending], trace)
-    }
-
-    /// Pages of the first-level slab nodes, breadth-first from the
-    /// root, at most `budget` — the levels every query descends through
-    /// and therefore worth pinning resident (see [`Pager::pin_pages`]).
-    pub fn hot_pages(&self, pager: &Pager, budget: usize) -> Result<Vec<PageId>> {
-        let mut out = Vec::new();
-        let mut frontier = std::collections::VecDeque::new();
-        if self.root != NULL_PAGE {
-            frontier.push_back(self.root);
-        }
-        while let Some(page) = frontier.pop_front() {
-            if out.len() >= budget {
-                break;
-            }
-            if let Node::Internal(n) = read_node(pager, page)? {
-                out.push(page);
-                for &c in &n.children {
-                    if c != NULL_PAGE {
-                        frontier.push_back(c);
-                    }
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// Insert a segment (semi-dynamic, Theorem 2(iii)).
@@ -670,11 +618,6 @@ impl TwoLevelInterval {
         if !hits.iter().any(|h| h == seg) {
             return Ok(false);
         }
-        if !self.tombs_are_segments {
-            // Legacy id-format chain: fold it away once (rebuild drops
-            // every tombstone) and switch to the segment format.
-            self.rebuild_live(pager)?;
-        }
         self.tomb_head = chain::push(pager, self.tomb_head, seg)?;
         self.tomb_count += 1;
         self.len -= 1;
@@ -690,10 +633,9 @@ impl TwoLevelInterval {
         if self.root != NULL_PAGE {
             self.destroy_rec(pager, self.root)?;
         }
-        self.destroy_tombs(pager)?;
+        chain::destroy(pager, self.tomb_head)?;
         self.tomb_head = NULL_PAGE;
         self.tomb_count = 0;
-        self.tombs_are_segments = true;
         self.len = live.len() as u64;
         self.root = self.build_rec(pager, live)?;
         Ok(())
@@ -717,7 +659,7 @@ impl TwoLevelInterval {
         if self.root != NULL_PAGE {
             self.destroy_rec(pager, self.root)?;
         }
-        self.destroy_tombs(pager)?;
+        chain::destroy(pager, self.tomb_head)?;
         Ok(())
     }
 
@@ -1359,8 +1301,8 @@ fn run_end_probe(x0: i64, hi: i64) -> impl Fn(&MsRec) -> Ordering {
     }
 }
 
-/// An owned node, for the write path, `validate`, `describe` and
-/// `hot_pages`; queries read theirs in place ([`NodeView`]).
+/// An owned node, for the write path, `validate` and `describe`;
+/// queries read theirs in place ([`NodeView`]).
 fn read_node(pager: &Pager, id: PageId) -> Result<Node> {
     pager.with_page(id, Node::decode)?
 }

@@ -15,23 +15,24 @@ use segdb_geom::transform::Direction;
 use segdb_pager::{ByteReader, ByteWriter, PageId, PagerError, Result};
 use segdb_pst::PstConfig;
 
-/// Current on-disk format magic. `003` adds the write path: the
+/// The on-disk format magic, and the only one `decode` reads: the
 /// superblock carries the WAL checkpoint (`wal_seq`) and the interval
-/// index's tombstone chain stores full segments (geometry included)
-/// instead of bare ids, which is what lets Count-mode queries subtract
-/// overlapping tombstones without materializing. `002` marks databases
-/// whose B⁺-trees may carry v2 internal nodes (per-child subtree counts
-/// backing the count-mode fast paths). `001` databases open unchanged —
-/// v1 internal nodes simply decode with "unknown" counts and count
-/// queries fall back to recursing — so decode accepts all three magics;
-/// encode always stamps the current one.
+/// index's tombstone chain stores full segments (geometry included),
+/// which is what lets Count-mode queries subtract overlapping
+/// tombstones without materializing. The `001`/`002` formats (bare-id
+/// tombstone chains, no checkpoint) were last written before the write
+/// path existed and are refused by name rather than misread.
 const MAGIC: &[u8; 8] = b"SEGDB003";
-const MAGIC_V2: &[u8; 8] = b"SEGDB002";
-const MAGIC_V1: &[u8; 8] = b"SEGDB001";
-/// Superblock buffer size (well under any page's metadata area).
-/// The trailing 9 bytes (`tombs_are_segments` flag + `wal_seq`) only
-/// exist under the v3 magic.
+const PRE_V3: &str =
+    "database format SEGDB001/SEGDB002 (pre-v3) is not supported: this build reads SEGDB003 only";
+const V3_ID_TOMBS: &str =
+    "SEGDB003 superblock claims a pre-v3 id-format tombstone chain, which this build cannot read";
+/// Superblock buffer size (well under any page's metadata area). The
+/// trailing 9 bytes are the tombstone-format byte (always 1: full
+/// segments) and `wal_seq`.
 pub const SUPERBLOCK_SIZE: usize = 88 + 1 + AnyQueryState::ENCODED_SIZE + 9;
+/// Offset of the tombstone-format byte.
+const TOMB_FORMAT_AT: usize = SUPERBLOCK_SIZE - 9;
 
 /// Everything needed to re-open a database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,13 +63,8 @@ pub struct Superblock {
     /// Optional arbitrary-direction query extension (§5 future work).
     pub any: Option<AnyQueryState>,
     /// Highest WAL sequence number folded into the index (the write
-    /// path's checkpoint; replay skips records at or below it). Always 0
-    /// for databases saved before v3.
+    /// path's checkpoint; replay skips records at or below it).
     pub wal_seq: u64,
-    /// Whether the interval index's tombstone chain stores full
-    /// segments (v3+) or bare ids (v1/v2). Derived from the magic on
-    /// decode; a save always upgrades to the segment format.
-    pub tombs_are_segments: bool,
 }
 
 fn kind_tag(kind: IndexKind) -> u8 {
@@ -115,33 +111,27 @@ impl Superblock {
                 a.encode(&mut w)?;
             }
         }
-        // The v3 tail fields live at fixed offsets (the `any` encoding
-        // is variable-length, so positional writing would move them).
-        let n = buf.len();
-        buf[n - 9] = u8::from(self.tombs_are_segments);
-        buf[n - 8..].copy_from_slice(&self.wal_seq.to_le_bytes());
+        // The tail fields live at fixed offsets (the `any` encoding is
+        // variable-length, so positional writing would move them).
+        buf[TOMB_FORMAT_AT] = 1;
+        buf[TOMB_FORMAT_AT + 1..].copy_from_slice(&self.wal_seq.to_le_bytes());
         buf[..8].copy_from_slice(MAGIC);
         Ok(buf)
     }
 
-    /// Deserialize from a metadata blob (v1, v2 or v3 magic).
+    /// Deserialize from a metadata blob. Anything but the current
+    /// format is refused — a pre-v3 magic with a message that names it.
     pub fn decode(buf: &[u8]) -> Result<Superblock> {
-        if buf.len() < 8 {
+        match buf.get(..8) {
+            Some(magic) if magic == MAGIC => {}
+            Some(b"SEGDB001" | b"SEGDB002") => return Err(PagerError::Corrupt(PRE_V3)),
+            _ => return Err(PagerError::Corrupt("bad database superblock")),
+        }
+        if buf.len() < SUPERBLOCK_SIZE {
             return Err(PagerError::Corrupt("bad database superblock"));
         }
-        let magic: &[u8] = &buf[..8];
-        let v3 = magic == MAGIC;
-        if !v3 && magic != MAGIC_V2 && magic != MAGIC_V1 {
-            return Err(PagerError::Corrupt("bad database superblock"));
-        }
-        // v1/v2 blobs lack the trailing flag + wal_seq fields.
-        let need = if v3 {
-            SUPERBLOCK_SIZE
-        } else {
-            SUPERBLOCK_SIZE - 9
-        };
-        if buf.len() < need {
-            return Err(PagerError::Corrupt("bad database superblock"));
+        if buf[TOMB_FORMAT_AT] != 1 {
+            return Err(PagerError::Corrupt(V3_ID_TOMBS));
         }
         let mut r = ByteReader::new(buf);
         r.skip(8)?;
@@ -162,16 +152,9 @@ impl Superblock {
             } else {
                 None
             },
-            wal_seq: if v3 {
-                u64::from_le_bytes(
-                    buf[SUPERBLOCK_SIZE - 8..SUPERBLOCK_SIZE]
-                        .try_into()
-                        .unwrap(),
-                )
-            } else {
-                0
-            },
-            tombs_are_segments: v3 && buf[SUPERBLOCK_SIZE - 9] != 0,
+            wal_seq: u64::from_le_bytes(
+                buf[TOMB_FORMAT_AT + 1..SUPERBLOCK_SIZE].try_into().unwrap(),
+            ),
         })
     }
 
@@ -236,7 +219,6 @@ mod tests {
             rebuild_min: 32,
             any: None,
             wal_seq: 777,
-            tombs_are_segments: true,
         };
         let buf = sb.encode().unwrap();
         assert_eq!(Superblock::decode(&buf).unwrap(), sb);
@@ -251,14 +233,14 @@ mod tests {
     }
 
     #[test]
-    fn older_magics_still_open() {
+    fn older_formats_are_refused_by_name() {
         let sb = Superblock {
             direction: (0, 1),
-            kind: IndexKind::FullScan,
+            kind: IndexKind::TwoLevelInterval,
             root: 5,
             len: 10,
-            aux: 0,
-            aux2: 0,
+            aux: 3,
+            aux2: 2,
             pst_fanout: 0,
             fanout: 0,
             bridge_d: 2,
@@ -266,28 +248,28 @@ mod tests {
             rebuild_min: 32,
             any: None,
             wal_seq: 123,
-            tombs_are_segments: true,
         };
-        let mut buf = sb.encode().unwrap();
-        assert_eq!(&buf[..8], MAGIC);
-        for magic in [MAGIC_V1, MAGIC_V2] {
-            buf[..8].copy_from_slice(magic);
-            // Pre-v3 saves were 9 bytes shorter — truncate to prove the
-            // old length is still accepted.
-            let old = &buf[..SUPERBLOCK_SIZE - 9];
-            let got = Superblock::decode(old).unwrap();
-            // Pre-v3 superblocks carry no checkpoint and id-format tombs.
-            assert_eq!(got.wal_seq, 0);
-            assert!(!got.tombs_are_segments);
-            assert_eq!(
-                Superblock {
-                    wal_seq: 123,
-                    tombs_are_segments: true,
-                    ..got
-                },
-                sb
-            );
+        let good = sb.encode().unwrap();
+        assert_eq!(&good[..8], MAGIC);
+        assert_eq!(good[TOMB_FORMAT_AT], 1);
+        for magic in [b"SEGDB001", b"SEGDB002"] {
+            let mut old = good.clone();
+            old[..8].copy_from_slice(magic);
+            // Pre-v3 saves were 9 bytes shorter; either length is refused
+            // for its version, not as garbage.
+            for blob in [&old[..], &old[..SUPERBLOCK_SIZE - 9]] {
+                assert_eq!(Superblock::decode(blob), Err(PagerError::Corrupt(PRE_V3)));
+            }
         }
+        // A v3 blob saved over a still-attached id-format chain, as the
+        // builds that read those chains wrote it (flag byte 0).
+        let mut ids = good.clone();
+        ids[TOMB_FORMAT_AT] = 0;
+        assert_eq!(
+            Superblock::decode(&ids),
+            Err(PagerError::Corrupt(V3_ID_TOMBS))
+        );
+        assert_eq!(Superblock::decode(&good).unwrap(), sb);
     }
 
     #[test]
@@ -312,7 +294,6 @@ mod tests {
                 rebuild_min: 8,
                 any: None,
                 wal_seq: 0,
-                tombs_are_segments: true,
             };
             assert_eq!(
                 Superblock::decode(&sb.encode().unwrap()).unwrap().kind,

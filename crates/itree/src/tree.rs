@@ -452,25 +452,6 @@ impl IntervalTree {
         }
     }
 
-    /// Pages of the internal slab nodes, breadth-first from the root,
-    /// at most `budget` — the descent levels worth pinning resident in
-    /// the pager's exempt-from-eviction tier.
-    pub fn node_pages(&self, pager: &Pager, budget: usize) -> Result<Vec<PageId>> {
-        let mut out = Vec::new();
-        let mut frontier = std::collections::VecDeque::new();
-        frontier.push_back(self.root);
-        while let Some(page) = frontier.pop_front() {
-            if out.len() >= budget {
-                break;
-            }
-            if let ItNode::Internal(n) = read_node(pager, page)? {
-                out.push(page);
-                frontier.extend(n.children.iter().copied());
-            }
-        }
-        Ok(out)
-    }
-
     /// Collect every stored interval (test/rebuild helper).
     pub fn scan_all(&self, pager: &Pager) -> Result<Vec<Interval>> {
         let mut out = Vec::with_capacity(self.len as usize);

@@ -144,9 +144,8 @@ impl Histogram {
 
     /// Compact quantile summary:
     /// `{count, p50, p95, p99, mean, max}` — the block the server's
-    /// `stats` reply and the bench-diff tool read. Quantiles are bucket
-    /// upper bounds (see [`Histogram::quantile_bound`]); mean and max
-    /// are exact.
+    /// `stats` reply carries. Quantiles are bucket upper bounds (see
+    /// [`Histogram::quantile_bound`]); mean and max are exact.
     pub fn summary_json(&self) -> Json {
         Json::obj([
             ("count", Json::U64(self.count)),

@@ -51,7 +51,7 @@ pub use device::{Device, Disk};
 pub use error::{PagerError, Result};
 pub use fault::{FaultDevice, FaultEvent, FaultHandle, FaultKind, FaultPlan, FaultStats};
 pub use file_device::FileDevice;
-pub use pager::{CacheTiers, Pager, PagerConfig};
+pub use pager::{Pager, PagerConfig};
 pub use shard::ShardedCache;
 pub use stats::{thread_io, IoStats, StatScope};
 

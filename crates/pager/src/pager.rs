@@ -36,21 +36,7 @@ use crate::shard::ShardedCache;
 use crate::stats::{Counters, IoStats};
 use crate::PageId;
 use segdb_obs::trace::{emit, EventKind};
-use std::collections::HashMap;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// Per-tier buffer-pool occupancy snapshot — the pinned-resident tier
-/// versus the evictable LRU pool (see [`Pager::cache_tiers`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheTiers {
-    /// Pages held resident by [`Pager::pin_pages`], exempt from
-    /// eviction.
-    pub pinned_pages: u64,
-    /// Pages currently resident in the evictable LRU pool.
-    pub evictable_pages: u64,
-    /// Capacity of the evictable LRU pool, in pages.
-    pub evictable_capacity: u64,
-}
 
 /// Construction parameters for a [`Pager`].
 #[derive(Debug, Clone, Copy)]
@@ -75,12 +61,6 @@ impl Default for PagerConfig {
 pub struct Pager {
     device: RwLock<Box<dyn Device>>,
     cache: ShardedCache,
-    /// Pinned-resident tier: pages exempt from eviction (root/internal
-    /// index levels). Checked before the LRU pool on every fetch;
-    /// refreshed on store so it never serves a stale image. Mutated only
-    /// by [`Pager::pin_pages`]/[`Pager::unpin_all`]/[`Pager::free`] —
-    /// the read path takes the read lock only.
-    pinned: RwLock<HashMap<PageId, Arc<[u8]>>>,
     counters: Counters,
     page_size: usize,
 }
@@ -118,7 +98,6 @@ impl Pager {
         Pager {
             device: RwLock::new(device),
             cache: ShardedCache::new(cache_pages, shards),
-            pinned: RwLock::new(HashMap::new()),
             counters: Counters::default(),
             page_size,
         }
@@ -126,14 +105,6 @@ impl Pager {
 
     fn device_read(&self) -> RwLockReadGuard<'_, Box<dyn Device>> {
         self.device.read().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn pinned_read(&self) -> RwLockReadGuard<'_, HashMap<PageId, Arc<[u8]>>> {
-        self.pinned.read().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn pinned_write(&self) -> RwLockWriteGuard<'_, HashMap<PageId, Arc<[u8]>>> {
-        self.pinned.write().unwrap_or_else(|p| p.into_inner())
     }
 
     fn device_write(&self) -> RwLockWriteGuard<'_, Box<dyn Device>> {
@@ -166,6 +137,16 @@ impl Pager {
         self.cache.shard_count()
     }
 
+    /// Buffer-pool capacity in pages (`0` = uncached).
+    pub fn cache_capacity(&self) -> usize {
+        self.cache.capacity()
+    }
+
+    /// Pages currently resident in the buffer pool.
+    pub fn cached_pages(&self) -> usize {
+        self.cache.len()
+    }
+
     /// Snapshot of I/O counters.
     pub fn stats(&self) -> IoStats {
         self.counters.snapshot()
@@ -195,44 +176,8 @@ impl Pager {
         Ok(id)
     }
 
-    /// Pin pages into the resident tier: each is read once (counted as a
-    /// normal access) and stays resident — and exempt from LRU eviction —
-    /// until freed or [`Pager::unpin_all`]. Re-pinning an already pinned
-    /// page refreshes its image. Returns how many pages are pinned after
-    /// the call.
-    pub fn pin_pages(&self, ids: &[PageId]) -> Result<usize> {
-        for &id in ids {
-            let img = observe_io(self.fetch(id))?;
-            self.pinned_write().insert(id, img);
-        }
-        Ok(self.pinned_read().len())
-    }
-
-    /// Drop the whole pinned tier (images also resident in the LRU or on
-    /// the device are unaffected — pinning never holds the only dirty
-    /// copy).
-    pub fn unpin_all(&self) {
-        self.pinned_write().clear();
-    }
-
-    /// Pages currently held by the pinned-resident tier.
-    pub fn pinned_pages(&self) -> usize {
-        self.pinned_read().len()
-    }
-
-    /// Per-tier buffer-pool occupancy: the pinned tier vs the evictable
-    /// LRU pool.
-    pub fn cache_tiers(&self) -> CacheTiers {
-        CacheTiers {
-            pinned_pages: self.pinned_read().len() as u64,
-            evictable_pages: self.cache.len() as u64,
-            evictable_capacity: self.cache.capacity() as u64,
-        }
-    }
-
     /// Free a page, dropping any cached copy.
     pub fn free(&self, id: PageId) -> Result<()> {
-        self.pinned_write().remove(&id);
         self.cache.remove(id);
         observe_io(self.device_write().free(id))?;
         self.counters.record_free();
@@ -243,13 +188,6 @@ impl Pager {
     /// Fetch the current image of `id` through the cache. Counts a read
     /// on miss, a hit otherwise. No lock is held when this returns.
     fn fetch(&self, id: PageId) -> Result<Arc<[u8]>> {
-        if let Some(img) = self.pinned_read().get(&id) {
-            let img = Arc::clone(img);
-            self.counters.record_hit();
-            self.counters.record_pin_hit();
-            emit(EventKind::CacheHit, u64::from(id), 0);
-            return Ok(img);
-        }
         if let Some(img) = self.cache.get_cloned(id) {
             self.counters.record_hit();
             emit(EventKind::CacheHit, u64::from(id), 0);
@@ -281,26 +219,17 @@ impl Pager {
         Ok(())
     }
 
-    /// Store a modified image, through the cache when enabled. A pinned
-    /// page's resident image is refreshed — after the store succeeds, so
-    /// a failed write leaves the pinned tier on the old image — and the
-    /// write itself still follows the normal cache/device path: the
-    /// pinned tier never holds the only dirty copy.
+    /// Store a modified image, through the cache when enabled.
     fn store(&self, id: PageId, img: Arc<[u8]>) -> Result<()> {
         if self.cache.capacity() > 0 {
             // Validate the id first so dangling writes still error even
             // when the cache absorbs the store.
             self.device_read().check(id)?;
-            self.cache
-                .admit_dirty(id, Arc::clone(&img), |ev| self.writeback(ev))?;
+            self.cache.admit_dirty(id, img, |ev| self.writeback(ev))?;
         } else {
             self.device_write().write(id, &img)?;
             self.counters.record_write();
             emit(EventKind::PageWrite, u64::from(id), 0);
-        }
-        let mut pinned = self.pinned_write();
-        if let Some(slot) = pinned.get_mut(&id) {
-            *slot = img;
         }
         Ok(())
     }
@@ -684,59 +613,6 @@ mod tests {
         let recovered = Pager::with_device(handle.recover().unwrap(), 0);
         recovered.with_page(a, |buf| assert_eq!(buf[0], 1)).unwrap();
         assert_eq!(recovered.get_meta().unwrap(), b"sb1");
-    }
-
-    #[test]
-    fn pinned_pages_hit_without_lru_and_survive_eviction_pressure() {
-        let p = Pager::new(PagerConfig {
-            page_size: 8,
-            cache_pages: 1,
-        });
-        let a = p.allocate().unwrap();
-        let b = p.allocate().unwrap();
-        p.overwrite_page(a, |buf| buf[0] = 7).unwrap();
-        p.overwrite_page(b, |buf| buf[0] = 8).unwrap();
-        p.flush().unwrap();
-        assert_eq!(p.pin_pages(&[a]).unwrap(), 1);
-        let before = p.stats();
-        // Thrash the 1-page LRU with b; a must keep hitting the pinned
-        // tier — no physical re-read, every access a (pin) hit.
-        for _ in 0..5 {
-            p.with_page(b, |_| ()).unwrap();
-            p.with_page(a, |buf| assert_eq!(buf[0], 7)).unwrap();
-        }
-        let d = p.stats() - before;
-        assert_eq!(d.pin_hits, 5, "every read of a was a pinned hit");
-        assert!(d.cache_hits >= 5, "pin hits also count as cache hits");
-        let tiers = p.cache_tiers();
-        assert_eq!(tiers.pinned_pages, 1);
-        assert_eq!(tiers.evictable_capacity, 1);
-    }
-
-    #[test]
-    fn stores_refresh_the_pinned_image_and_free_unpins() {
-        let p = Pager::new(PagerConfig {
-            page_size: 8,
-            cache_pages: 2,
-        });
-        let a = p.allocate().unwrap();
-        p.overwrite_page(a, |buf| buf[0] = 1).unwrap();
-        p.pin_pages(&[a]).unwrap();
-        p.with_page_mut(a, |buf| buf[0] = 2).unwrap();
-        p.with_page(a, |buf| assert_eq!(buf[0], 2, "pinned image refreshed"))
-            .unwrap();
-        // The pinned tier never holds the only dirty copy: a flush still
-        // persists the update through the normal cache path.
-        p.flush().unwrap();
-        p.unpin_all();
-        p.with_page(a, |buf| assert_eq!(buf[0], 2)).unwrap();
-        p.pin_pages(&[a]).unwrap();
-        p.free(a).unwrap();
-        assert_eq!(p.pinned_pages(), 0, "free drops the pinned copy");
-        let a2 = p.allocate().unwrap();
-        assert_eq!(a2, a);
-        p.with_page(a2, |b| assert!(b.iter().all(|&x| x == 0)))
-            .unwrap();
     }
 
     #[test]

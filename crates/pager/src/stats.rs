@@ -35,9 +35,6 @@ pub struct IoStats {
     pub frees: u64,
     /// Reads satisfied by the buffer pool without touching the disk.
     pub cache_hits: u64,
-    /// The subset of `cache_hits` served by the pinned-resident tier
-    /// (root/internal levels exempt from eviction).
-    pub pin_hits: u64,
 }
 
 impl IoStats {
@@ -63,7 +60,6 @@ impl Add for IoStats {
             allocations: self.allocations + rhs.allocations,
             frees: self.frees + rhs.frees,
             cache_hits: self.cache_hits + rhs.cache_hits,
-            pin_hits: self.pin_hits + rhs.pin_hits,
         }
     }
 }
@@ -77,7 +73,6 @@ impl Sub for IoStats {
             allocations: self.allocations - rhs.allocations,
             frees: self.frees - rhs.frees,
             cache_hits: self.cache_hits - rhs.cache_hits,
-            pin_hits: self.pin_hits - rhs.pin_hits,
         }
     }
 }
@@ -86,8 +81,8 @@ impl fmt::Display for IoStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "reads={} writes={} allocs={} frees={} hits={} pinned={}",
-            self.reads, self.writes, self.allocations, self.frees, self.cache_hits, self.pin_hits
+            "reads={} writes={} allocs={} frees={} hits={}",
+            self.reads, self.writes, self.allocations, self.frees, self.cache_hits
         )
     }
 }
@@ -99,7 +94,6 @@ struct ThreadBank {
     allocations: Cell<u64>,
     frees: Cell<u64>,
     cache_hits: Cell<u64>,
-    pin_hits: Cell<u64>,
 }
 
 thread_local! {
@@ -117,7 +111,6 @@ pub fn thread_io() -> IoStats {
         allocations: t.allocations.get(),
         frees: t.frees.get(),
         cache_hits: t.cache_hits.get(),
-        pin_hits: t.pin_hits.get(),
     })
 }
 
@@ -137,7 +130,6 @@ pub(crate) struct Counters {
     allocations: AtomicU64,
     frees: AtomicU64,
     cache_hits: AtomicU64,
-    pin_hits: AtomicU64,
 }
 
 impl Counters {
@@ -166,13 +158,6 @@ impl Counters {
         self.cache_hits.fetch_add(1, Ordering::Relaxed);
         bump_thread!(cache_hits);
     }
-    /// A pinned-tier hit is *also* a cache hit; callers record both so
-    /// `reads + cache_hits` keeps counting every page access.
-    #[inline]
-    pub fn record_pin_hit(&self) {
-        self.pin_hits.fetch_add(1, Ordering::Relaxed);
-        bump_thread!(pin_hits);
-    }
 
     pub fn snapshot(&self) -> IoStats {
         IoStats {
@@ -181,7 +166,6 @@ impl Counters {
             allocations: self.allocations.load(Ordering::Relaxed),
             frees: self.frees.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            pin_hits: self.pin_hits.load(Ordering::Relaxed),
         }
     }
 
@@ -191,7 +175,6 @@ impl Counters {
         self.allocations.store(0, Ordering::Relaxed);
         self.frees.store(0, Ordering::Relaxed);
         self.cache_hits.store(0, Ordering::Relaxed);
-        self.pin_hits.store(0, Ordering::Relaxed);
     }
 }
 
@@ -242,7 +225,6 @@ mod tests {
             allocations: 2,
             frees: 1,
             cache_hits: 7,
-            pin_hits: 4,
         };
         let b = IoStats {
             reads: 1,
@@ -250,7 +232,6 @@ mod tests {
             allocations: 1,
             frees: 0,
             cache_hits: 2,
-            pin_hits: 1,
         };
         assert_eq!((a + b) - b, a);
         assert_eq!((a + b).total_io(), 10);

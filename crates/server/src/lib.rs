@@ -38,9 +38,6 @@
 //!   histograms (queue wait / index walk / reply write / total, pages
 //!   touched) surfaced in the `stats` reply, plus the bounded
 //!   slow-query log behind the `slowlog` wire method (DESIGN.md §12);
-//! * [`bench`] — the PR-over-PR regression gate (the `bench-diff`
-//!   binary): compare two `BENCH_serve.json` documents and fail on a
-//!   past-threshold p99 or throughput regression;
 //! * [`router`] — the scatter-gather front of an x-range-sharded
 //!   cluster: a static [`router::ShardMap`] routes each query to only
 //!   the shards it can touch over the resilient clients, merges replies
@@ -58,7 +55,6 @@
 //! ("Serving", "Resilient clients") and DESIGN.md ("Concurrent
 //! serving", §10 "Network failure model").
 
-pub mod bench;
 pub mod breaker;
 pub mod chaos;
 pub mod client;

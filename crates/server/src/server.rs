@@ -99,11 +99,6 @@ pub struct ServerConfig {
     /// How often the background compaction thread re-checks the
     /// tombstone count.
     pub compact_interval: Duration,
-    /// Page budget for pinning the index's internal levels resident at
-    /// startup. Pinned pages never leave the cache, so every walk's
-    /// upper-level probes are hits for the server's lifetime. `0`
-    /// leaves the cache fully evictable.
-    pub pin_budget: usize,
 }
 
 impl Default for ServerConfig {
@@ -123,7 +118,6 @@ impl Default for ServerConfig {
             chaos: None,
             compact_min_tombs: 0,
             compact_interval: Duration::from_millis(500),
-            pin_budget: 0,
         }
     }
 }
@@ -414,11 +408,6 @@ impl Server {
     }
 
     fn start_backend(backend: Backend, cfg: ServerConfig) -> io::Result<Server> {
-        if cfg.pin_budget > 0 {
-            backend
-                .with_db(|db| db.pin_internal_levels(cfg.pin_budget))
-                .map_err(|e| io::Error::other(format!("cannot pin internal levels: {e}")))?;
-        }
         let (front, listener) = Front::bind(FrontConfig {
             addr: cfg.addr,
             name: "segdb",
@@ -902,29 +891,26 @@ fn writer_json(shared: &Shared) -> Json {
     ])
 }
 
-/// Fraction of all page lookups served by one cache tier. Lookups that
-/// missed both tiers show up as device reads, so the denominator is
-/// reads + evictable hits + pinned hits.
-fn tier_rate(hits: u64, io: segdb_pager::IoStats) -> f64 {
-    let lookups = io.reads + io.cache_hits + io.pin_hits;
-    if lookups == 0 {
+fn stats_json(shared: &Shared) -> Json {
+    let (segments, index, space_blocks, io, resident, capacity, metrics) =
+        shared.backend.with_db(|db| {
+            (
+                db.len(),
+                format!("{:?}", db.kind()),
+                db.space_blocks() as u64,
+                db.pager().stats(),
+                db.pager().cached_pages() as u64,
+                db.pager().cache_capacity() as u64,
+                db.metrics_json().unwrap_or(Json::Null),
+            )
+        });
+    // Every page access is a device read or a buffer-pool hit.
+    let lookups = io.reads + io.cache_hits;
+    let hit_rate = if lookups == 0 {
         0.0
     } else {
-        hits as f64 / lookups as f64
-    }
-}
-
-fn stats_json(shared: &Shared) -> Json {
-    let (segments, index, space_blocks, io, tiers, metrics) = shared.backend.with_db(|db| {
-        (
-            db.len(),
-            format!("{:?}", db.kind()),
-            db.space_blocks() as u64,
-            db.pager().stats(),
-            db.pager().cache_tiers(),
-            db.metrics_json().unwrap_or(Json::Null),
-        )
-    });
+        io.cache_hits as f64 / lookups as f64
+    };
     let get = |c: &AtomicU64| Json::U64(c.load(Ordering::Relaxed));
     let mut server = vec![
         ("workers", Json::U64(shared.workers as u64)),
@@ -943,7 +929,6 @@ fn stats_json(shared: &Shared) -> Json {
                 ("reads", Json::U64(io.reads)),
                 ("writes", Json::U64(io.writes)),
                 ("cache_hits", Json::U64(io.cache_hits)),
-                ("pin_hits", Json::U64(io.pin_hits)),
                 ("allocations", Json::U64(io.allocations)),
                 ("frees", Json::U64(io.frees)),
             ]),
@@ -951,14 +936,9 @@ fn stats_json(shared: &Shared) -> Json {
         (
             "cache",
             Json::obj([
-                ("pinned_pages", Json::U64(tiers.pinned_pages)),
-                ("evictable_pages", Json::U64(tiers.evictable_pages)),
-                ("evictable_capacity", Json::U64(tiers.evictable_capacity)),
-                ("pinned_hit_rate", Json::F64(tier_rate(io.pin_hits, io))),
-                (
-                    "evictable_hit_rate",
-                    Json::F64(tier_rate(io.cache_hits, io)),
-                ),
+                ("resident_pages", Json::U64(resident)),
+                ("capacity", Json::U64(capacity)),
+                ("hit_rate", Json::F64(hit_rate)),
             ]),
         ),
         ("writer", writer_json(shared)),

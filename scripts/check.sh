@@ -66,7 +66,7 @@ grep -q '"wrong":0' "$SMOKE/BENCH_serve.json" || {
 grep -q '"server":{' "$SMOKE/BENCH_serve.json" || {
     echo "load report carries no server stats delta"; exit 1; }
 
-echo "==> request-lifecycle smoke (stats histograms, slowlog, bench gate)"
+echo "==> request-lifecycle smoke (stats histograms, slowlog)"
 "$CLI" stats --remote "$ADDR" > "$SMOKE/lifecycle-stats.json"
 grep -q '"latency":{"' "$SMOKE/lifecycle-stats.json" || {
     echo "stats reply carries no latency histograms"; exit 1; }
@@ -95,46 +95,20 @@ for id in $IDS; do
 done
 [ "$SAW_LOAD_ID" -eq 1 ] || {
     echo "slowlog captured none of the load's requests"; exit 1; }
-# The bench gate: a report is a fixed point of itself, and an injected
-# p99 blow-up past the threshold must fail the comparison.
-cp "$SMOKE/BENCH_serve.json" "$SMOKE/bench-baseline.json"
-scripts/bench_diff "$SMOKE/bench-baseline.json" "$SMOKE/BENCH_serve.json" \
-    > /dev/null || { echo "bench_diff flagged a self-compare"; exit 1; }
-sed 's/"p99":[0-9]*/"p99":99999999/g' "$SMOKE/bench-baseline.json" \
-    > "$SMOKE/bench-regressed.json"
-if scripts/bench_diff "$SMOKE/bench-baseline.json" "$SMOKE/bench-regressed.json" \
-    > /dev/null; then
-    echo "bench_diff missed an injected p99 regression"; exit 1
-fi
 SEGDB_BENCH_DIR="$SMOKE" "$LOAD" --addr "$ADDR" --family mixed --n 300 --seed 21 \
     --connections 1 --requests 1 --shutdown > /dev/null
 wait "$SERVE_PID"
 
-echo "==> serving baseline gate (committed BENCH_serve.json)"
-SERVE_BASE=BENCH_serve.json
-if [ ! -f "$SERVE_BASE" ]; then
-    echo "FATAL: committed serving baseline $SERVE_BASE is missing."
-    echo "The bench gate needs a PR-over-PR trajectory; regenerate it with:"
-    echo "  $CLI gen mixed 40000 42 > base.csv && $CLI build base.db base.csv"
-    echo "  $CLI serve base.db --addr 127.0.0.1:7878 --workers 2 &"
-    echo "  SEGDB_BENCH_DIR=. $LOAD --addr 127.0.0.1:7878 --family mixed --n 40000 --seed 42 \\"
-    echo "      --connections 64 --requests 6000 --mode count --shutdown"
-    exit 1
-fi
+echo "==> backlog smoke (64 connections on 2 workers: verified answers, shared walks)"
 "$CLI" gen mixed 40000 42 > "$SMOKE/base.csv"
 "$CLI" build "$SMOKE/base.db" "$SMOKE/base.csv" > /dev/null
 "$CLI" serve "$SMOKE/base.db" --addr 127.0.0.1:0 --workers 2 > "$SMOKE/serve-base.out" &
 SERVE_PID=$!
-ADDR=$(listening_on "$SMOKE/serve-base.out" "baseline server")
+ADDR=$(listening_on "$SMOKE/serve-base.out" "backlog server")
 SEGDB_BENCH_DIR="$SMOKE" "$LOAD" --addr "$ADDR" --family mixed --n 40000 --seed 42 \
     --connections 64 --requests 6000 --mode count > /dev/null
 grep -q '"wrong":0' "$SMOKE/BENCH_serve.json" || {
-    echo "baseline load run reported wrong answers"; exit 1; }
-# Committed-vs-fresh trajectory: lenient threshold — this guards
-# against collapse across machines, not microbenchmark noise.
-scripts/bench_diff "$SERVE_BASE" "$SMOKE/BENCH_serve.json" --threshold-pct 75 \
-    > /dev/null || {
-    echo "fresh serving run regressed far below the committed baseline"; exit 1; }
+    echo "backlog load run reported wrong answers"; exit 1; }
 # 64 connections on 2 workers is backlog: groups must have formed.
 "$CLI" slowlog --remote "$ADDR" | grep -Eq '"batch_size":([2-9]|[1-9][0-9])' || {
     echo "no slowlog entry ran in a shared walk under a 64-connection backlog"; exit 1; }
@@ -200,18 +174,13 @@ grep -q '"writer":{' "$SMOKE/writer-stats.json" || {
 # shadow model again.
 "$CLI" remove --remote "$ADDR" 9001 64 70000 512 70000 | grep -q '^removed #9001 ' || {
     echo "remote remove not acknowledged"; exit 1; }
-# Mixed read/write load with shadow-model verification, and the bench
-# gate must refuse to diff a write run against a read-only baseline.
+# Mixed read/write load with shadow-model verification.
 SEGDB_BENCH_DIR="$SMOKE" "$LOAD" --addr "$ADDR" --family mixed --n 300 --seed 21 \
     --connections 2 --requests 60 --write-pct 30 > /dev/null
 grep -q '"sweep_wrong":0' "$SMOKE/BENCH_serve.json" || {
     echo "write sweep found a shadow-model mismatch"; exit 1; }
 grep -q '"write_latency_us":{' "$SMOKE/BENCH_serve.json" || {
     echo "write run carries no write latency histogram"; exit 1; }
-if scripts/bench_diff "$SMOKE/bench-baseline.json" "$SMOKE/BENCH_serve.json" \
-    > /dev/null 2>&1; then
-    echo "bench_diff diffed a write run against a read-only baseline"; exit 1
-fi
 SEGDB_BENCH_DIR="$SMOKE" "$LOAD" --addr "$ADDR" --family mixed --n 300 --seed 21 \
     --connections 1 --requests 1 --no-verify --shutdown > /dev/null
 wait "$SERVE_PID"
@@ -264,9 +233,6 @@ grep -q '"cluster":{' "$SMOKE/BENCH_serve.json" || {
 HISTS=$(grep -o '"latency_us"' "$SMOKE/BENCH_serve.json" | wc -l)
 [ "$HISTS" -ge 4 ] || {
     echo "cluster block lacks per-shard latency histograms ($HISTS)"; exit 1; }
-cp "$SMOKE/BENCH_serve.json" "$SMOKE/bench-cluster.json"
-scripts/bench_diff "$SMOKE/bench-cluster.json" "$SMOKE/BENCH_serve.json" \
-    > /dev/null || { echo "bench_diff flagged a cluster self-compare"; exit 1; }
 # Kill one shard: a query it owns must fail with the structured
 # degraded reply, live shards keep answering, health goes red.
 kill -9 "${SHARD_PIDS[2]}"; wait "${SHARD_PIDS[2]}" 2>/dev/null || true

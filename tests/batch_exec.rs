@@ -572,8 +572,14 @@ fn slowlog_batches(addr: &str) -> BTreeMap<u64, (u64, u64)> {
 
 /// A read-only server over the mixed set the load driver's oracle
 /// regenerates from `(n, seed)`, every request kept in the slowlog.
+/// The pool is smaller than the index, so the load both hits and misses.
 fn served_mixed(n: usize, seed: u64, workers: usize) -> Server {
-    let mut db = build(IndexKind::TwoLevelInterval, Family::Mixed.generate(n, seed));
+    let mut db = SegmentDatabase::builder()
+        .page_size(1024)
+        .cache_pages(16)
+        .index(IndexKind::TwoLevelInterval)
+        .build(Family::Mixed.generate(n, seed))
+        .unwrap();
     db.set_observability(true);
     Server::start(
         Arc::new(db),
@@ -629,25 +635,29 @@ fn served_groups_form_from_backlog_and_hit_slowlog() {
             .any(|sizes| sizes.len() >= 2 && sizes.iter().all(|&s| s as usize == sizes.len())),
         "some group's members all report its id and size: {groups:?}"
     );
-    // The stats reply exposes the per-tier cache block.
+    // The stats reply describes the one buffer pool, and its hit rate is
+    // the ratio of the same reply's `io` counters.
     let mut client = Client::new(ClientConfig {
         addr,
         ..ClientConfig::default()
     });
     let stats = client.remote_stats().unwrap();
     let cache = stats.get("cache").expect("stats carries a cache block");
-    for key in [
-        "pinned_pages",
-        "evictable_pages",
-        "evictable_capacity",
-        "pinned_hit_rate",
-        "evictable_hit_rate",
-    ] {
-        assert!(
-            cache.get(key).is_some(),
-            "cache block lacks {key}: {cache:?}"
-        );
-    }
+    let num = |block: &Json, key: &str| {
+        block
+            .get(key)
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("stats block lacks {key}: {block:?}"))
+    };
+    assert!(num(cache, "resident_pages") <= num(cache, "capacity"));
+    let io = stats.get("io").expect("stats carries an io block");
+    let (reads, hits) = (num(io, "reads"), num(io, "cache_hits"));
+    assert!(reads > 0.0 && hits > 0.0, "the load hit and missed");
+    let rate = num(cache, "hit_rate");
+    assert!(
+        (rate - hits / (reads + hits)).abs() < 1e-12,
+        "hit_rate {rate} is not {hits} / ({reads} + {hits})"
+    );
     server.shutdown();
     server.wait();
 }

@@ -561,7 +561,7 @@ fn load_driver_lifts_per_shard_histograms_into_the_cluster_block() {
     );
     // The router stats also carry the failover block — informational
     // here (R=1, nothing to fail over to), but it must be present so
-    // replicated runs and bench_diff can read it.
+    // replicated runs can read it.
     let failover = doc
         .get("cluster")
         .and_then(|c| c.get("failover"))

@@ -3,7 +3,7 @@
 //! index kind, including after post-reopen mutations.
 
 use segdb::core::report::ids;
-use segdb::core::{IndexKind, SegmentDatabase};
+use segdb::core::{IndexKind, QueryMode, SegmentDatabase};
 use segdb::geom::gen::{mixed_map, vertical_queries, Family};
 use segdb::geom::query::scan_oracle;
 use segdb::geom::Segment;
@@ -171,6 +171,110 @@ fn truncated_file_fails_cleanly_never_panics() {
             }
         }
         std::fs::remove_file(&cut).ok();
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// The file device keeps the superblock in its header page: a `u32`
+/// length at byte 32, the blob from byte 36.
+const META_LEN_AT: usize = 32;
+const META_AT: usize = 36;
+
+/// Only the current format opens. A file stamped with a pre-v3 magic —
+/// at the v3 superblock length or 9 bytes shorter, as those versions
+/// wrote it — and a v3 file whose tombstone-format byte says "bare
+/// ids" are refused with a message naming the format, and `open`
+/// leaves the file byte-for-byte alone.
+#[test]
+fn older_formats_are_refused_by_name_and_left_untouched() {
+    let path = tmpfile("old-format");
+    let set = mixed_map(300, 0x01D);
+    {
+        let mut db = SegmentDatabase::builder()
+            .page_size(1024)
+            .index(IndexKind::TwoLevelInterval)
+            .persist_to(&path)
+            .build(set.clone())
+            .unwrap();
+        assert!(db.remove(&set[0]).unwrap());
+        db.save().unwrap();
+    }
+    let saved = std::fs::read(&path).unwrap();
+    assert_eq!(&saved[META_AT..META_AT + 8], b"SEGDB003");
+    let meta_len = u32::from_le_bytes(saved[META_LEN_AT..META_AT].try_into().unwrap()) as usize;
+
+    let mut cases: Vec<(&str, Vec<u8>)> = Vec::new();
+    for magic in [b"SEGDB001", b"SEGDB002"] {
+        let mut old = saved.clone();
+        old[META_AT..META_AT + 8].copy_from_slice(magic);
+        cases.push(("pre-v3", old.clone()));
+        old[META_LEN_AT..META_AT].copy_from_slice(&(meta_len as u32 - 9).to_le_bytes());
+        cases.push(("pre-v3", old));
+    }
+    let mut id_tombs = saved.clone();
+    assert_eq!(id_tombs[META_AT + meta_len - 9], 1);
+    id_tombs[META_AT + meta_len - 9] = 0;
+    cases.push(("id-format tombstone", id_tombs));
+
+    for (names, bytes) in cases {
+        std::fs::write(&path, &bytes).unwrap();
+        let err = match SegmentDatabase::open(&path, 0) {
+            Ok(_) => panic!("an unreadable format ({names}) opened"),
+            Err(e) => e.to_string(),
+        };
+        assert!(err.contains(names) && err.contains("SEGDB003"), "{err}");
+        assert!(
+            std::fs::read(&path).unwrap() == bytes,
+            "open wrote to a refused file"
+        );
+    }
+    std::fs::write(&path, &saved).unwrap();
+    SegmentDatabase::open(&path, 0).unwrap().validate().unwrap();
+    std::fs::remove_file(&path).ok();
+}
+
+/// Lazy deletes ride through a save: the tombstone chain is reattached
+/// on open and keeps hiding exactly the deleted segments.
+#[test]
+fn live_tombstones_survive_reopen() {
+    let path = tmpfile("tombstones");
+    let set = mixed_map(400, 0x70B5);
+    let queries = vertical_queries(&set, 20, 100, 0x70B5);
+    let (deleted, live) = set.split_at(40);
+    {
+        let mut db = SegmentDatabase::builder()
+            .page_size(1024)
+            .index(IndexKind::TwoLevelInterval)
+            .persist_to(&path)
+            .build(set.clone())
+            .unwrap();
+        for s in deleted {
+            assert!(db.remove(s).unwrap());
+        }
+        assert_eq!(
+            db.tomb_count(),
+            40,
+            "deletes stay lazy below the rebuild threshold"
+        );
+        db.save().unwrap();
+    }
+    let db = SegmentDatabase::open(&path, 0).unwrap();
+    db.validate().unwrap();
+    assert_eq!((db.len(), db.tomb_count()), (live.len() as u64, 40));
+    for q in &queries {
+        let mut got = ids(&db.query_canonical(q).unwrap().0);
+        got.sort_unstable();
+        let mut want = ids(&scan_oracle(live, q));
+        want.sort_unstable();
+        assert_eq!(got, want, "{q:?}");
+        assert_eq!(
+            db.query_canonical_mode(q, QueryMode::Count)
+                .unwrap()
+                .0
+                .count(),
+            want.len() as u64,
+            "{q:?}: tombstones subtracted from the stored counts"
+        );
     }
     std::fs::remove_file(&path).ok();
 }
