@@ -94,10 +94,10 @@ fn main() {
     );
 
     // Tombstone scenario: lazy-delete a slice of the set, then re-run
-    // Count at T=n/10. The count fast path subtracts range-overlapping
-    // tombstones from the stored-count walk (the chain carries full
-    // geometry), so Count must keep most of its page savings over
-    // Collect instead of falling back to materialization.
+    // Count at T=n/10. The count fast path subtracts the tombstones its
+    // query hits from the stored-count walk (they are resident, with
+    // full geometry), so Count must keep its page savings over Collect
+    // instead of falling back to materialization.
     let mut db = db;
     let mut live = set.clone();
     for s in set.iter().step_by(60) {

@@ -197,6 +197,27 @@ fn serve_rejects_the_removed_flags() {
     }
 }
 
+/// A baseline index takes no writes, so `serve --wal` over one stops at
+/// start-up with a message naming the index kind instead of
+/// acknowledging writes its first fold would lose.
+#[test]
+fn serve_with_a_wal_refuses_a_baseline_index() {
+    let csv_path = tmp("wal-baseline.csv");
+    std::fs::write(&csv_path, run(&a(&["gen", "grid", "200", "3"])).unwrap()).unwrap();
+    for (index, kind) in [("scan", "FullScan"), ("stab", "StabThenFilter")] {
+        let db_path = tmp(&format!("wal-{index}.db"));
+        let wal_path = tmp(&format!("wal-{index}.wal"));
+        run(&a(&["build", &db_path, &csv_path, "--index", index])).unwrap();
+        let err = run(&a(&["serve", &db_path, "--wal", &wal_path])).unwrap_err();
+        assert_eq!(err.code(), "db", "{err}");
+        assert!(err.to_string().contains(kind), "{err}");
+        for path in [&db_path, &wal_path] {
+            std::fs::remove_file(path).ok();
+        }
+    }
+    std::fs::remove_file(&csv_path).ok();
+}
+
 /// Kill the serve child if the test dies before the graceful shutdown.
 struct KillOnDrop(std::process::Child);
 

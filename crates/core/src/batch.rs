@@ -18,8 +18,9 @@
 //!   element is a true hit; a group of one delivers hits in one fixed
 //!   traversal order, a larger group may surface a different `k`.
 //! * Count-only slots take the count-from-header fast paths (stored
-//!   subtree counts); lazily-deleted segments are subtracted per slot
-//!   (see [`Slots`]), segment-wanting slots filter them inline.
+//!   subtree counts); hidden segments — an index's lazy deletes, the
+//!   writer's un-folded ones — are subtracted per slot (see [`Slots`]),
+//!   segment-wanting slots filter them inline.
 //! * A group of one reports `batch_id = 0` / `batch_size = 0`.
 //!
 //! Fault isolation: if the walk of a group of several fails (e.g. a
@@ -35,7 +36,7 @@ use segdb_itree::overlap::IntervalSet;
 use segdb_obs::trace::{emit, probe, EventKind};
 use segdb_pager::{IoStats, PageId, Pager, PagerError};
 use segdb_pst::BatchQuery;
-use std::collections::HashSet;
+use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -48,62 +49,56 @@ pub fn next_batch_id() -> u64 {
     NEXT_BATCH_ID.fetch_add(1, Ordering::Relaxed)
 }
 
+/// Segments an index stores but no reader may see, by id: the tombstones
+/// of a structure that deletes lazily, or the deletes a writer has
+/// accepted and not yet folded. Whoever owns one keeps it in memory and
+/// holds in it only segments that are stored and in no other hidden set,
+/// which is what makes the arithmetic of [`Slots`] exact.
+pub(crate) type Hidden = BTreeMap<u64, Segment>;
+
+/// The empty hidden set: a read with nothing to hide.
+pub(crate) static NO_HIDDEN: Hidden = Hidden::new();
+
 /// The slots of one group walk as the two-level structures address
-/// them: delivery by slot index with the lazy-delete rules applied.
+/// them: delivery by slot index, with the [`Hidden`] segments withheld.
 ///
-/// A structure that deletes lazily keeps tombstoned segments in its
-/// pages, so a walk meets them. Segment-wanting slots have them filtered
-/// out by id. Count-only slots keep the count-from-header fast paths:
-/// the tombstone chain carries full geometry, so each slot starts with a
-/// *debt* — the number of tombstones its query hits — and stored hits
-/// pay it off before any reaches the sink. The sink therefore sees
-/// exactly `stored − tombstoned`, and an `Exists` slot can still stop at
-/// the first live hit.
-pub(crate) struct Slots<'m, 'a> {
+/// A walk meets hidden segments in the pages like any other.
+/// Segment-wanting slots have them filtered out by id. Count-only slots
+/// keep the count-from-header fast paths: a hidden set carries full
+/// geometry, so each slot starts with a *debt* — the number of hidden
+/// segments its query hits — and stored hits pay it off before any
+/// reaches the sink. The sink therefore sees exactly `stored − hidden`,
+/// and an `Exists` slot can still stop at the first visible hit.
+pub(crate) struct Slots<'m, 'a, 'h> {
     multi: &'m mut MultiSink<'a>,
-    /// Ids withheld from the slots that are filtered one segment at a
-    /// time.
-    tomb_ids: HashSet<u64>,
-    /// Per slot, tombstoned hits still to cancel (empty when no slot
-    /// owes any).
+    /// The structure's own hidden set and its caller's.
+    hidden: [&'h Hidden; 2],
+    /// Per slot, hidden hits still to cancel (empty when nothing is
+    /// hidden or no slot counts).
     debt: Vec<u64>,
 }
 
-impl<'m, 'a> Slots<'m, 'a> {
-    /// Slots of a structure without lazy deletes.
-    pub(crate) fn plain(multi: &'m mut MultiSink<'a>) -> Self {
-        Slots {
-            multi,
-            tomb_ids: HashSet::new(),
-            debt: Vec::new(),
-        }
-    }
-
-    /// Slots of a structure whose tombstone chain ([`crate::chain`])
-    /// starts at `head` — read here, once for the whole group.
-    pub(crate) fn with_tombstones(
-        multi: &'m mut MultiSink<'a>,
-        pager: &Pager,
-        head: PageId,
-    ) -> segdb_pager::Result<Self> {
-        let mut slots = Slots::plain(multi);
-        let multi = &*slots.multi;
-        let filtered = (0..multi.len()).any(|i| multi.want_segments(i));
-        let mut debt = vec![0u64; multi.len()];
-        let mut tomb_ids = HashSet::new();
-        chain::scan(pager, head, |s| {
-            if filtered {
-                tomb_ids.insert(s.id);
-            }
-            for (i, owed) in debt.iter_mut().enumerate() {
-                if !multi.want_segments(i) && multi.query(i).hits(&s) {
-                    *owed += 1;
+impl<'m, 'a, 'h> Slots<'m, 'a, 'h> {
+    /// Slots that withhold `hidden` (pass [`NO_HIDDEN`] for a side with
+    /// nothing to hide).
+    pub(crate) fn new(multi: &'m mut MultiSink<'a>, hidden: [&'h Hidden; 2]) -> Self {
+        let mut debt = Vec::new();
+        let counting = (0..multi.len()).any(|i| !multi.want_segments(i));
+        if counting && hidden.iter().any(|h| !h.is_empty()) {
+            debt.resize(multi.len(), 0);
+            for s in hidden.iter().flat_map(|h| h.values()) {
+                for (i, owed) in debt.iter_mut().enumerate() {
+                    if !multi.want_segments(i) && multi.query(i).hits(s) {
+                        *owed += 1;
+                    }
                 }
             }
-        })?;
-        slots.tomb_ids = tomb_ids;
-        slots.debt = debt;
-        Ok(slots)
+        }
+        Slots {
+            multi,
+            hidden,
+            debt,
+        }
     }
 
     /// The group as index walks carry it: one probe per slot, tagged
@@ -143,7 +138,7 @@ impl<'m, 'a> Slots<'m, 'a> {
         if !self.debt.is_empty() && self.counts(i) {
             return self.report_count(i, 1);
         }
-        if self.tomb_ids.contains(&seg.id) {
+        if self.hidden.iter().any(|h| h.contains_key(&seg.id)) {
             return ControlFlow::Continue(());
         }
         self.multi.report(i, seg)
@@ -334,12 +329,14 @@ fn io_share(total: IoStats, n: usize, i: usize) -> IoStats {
 }
 
 impl SegmentDatabase {
-    /// Walk the index once for the whole group; `slots[i]` receives
-    /// `items[i]`'s hits. Returns the walk's trace (I/O included).
+    /// Walk the index once for the whole group, withholding `hidden`;
+    /// `slots[i]` receives `items[i]`'s hits. Returns the walk's trace
+    /// (I/O included).
     fn run_slots(
         &self,
         items: &[(VerticalQuery, QueryMode)],
         slots: &mut [Slot],
+        hidden: &Hidden,
     ) -> Result<QueryTrace, DbError> {
         if items.is_empty() {
             return Ok(QueryTrace::default());
@@ -348,7 +345,7 @@ impl SegmentDatabase {
         for (&(q, _), slot) in items.iter().zip(slots) {
             multi.push(q, slot);
         }
-        self.walk_group(&mut multi)
+        self.walk_group(&mut multi, hidden)
     }
 
     /// Turn a walked slot into its answer and its own trace: the walk's
@@ -380,8 +377,17 @@ impl SegmentDatabase {
         q: &VerticalQuery,
         mode: QueryMode,
     ) -> Result<(QueryAnswer, QueryTrace), DbError> {
+        self.run_alone(q, mode, &NO_HIDDEN)
+    }
+
+    fn run_alone(
+        &self,
+        q: &VerticalQuery,
+        mode: QueryMode,
+        hidden: &Hidden,
+    ) -> Result<(QueryAnswer, QueryTrace), DbError> {
         let mut slot = [Slot::new(ModeSink::new(mode))];
-        let walk = self.run_slots(&[(*q, mode)], &mut slot)?;
+        let walk = self.run_slots(&[(*q, mode)], &mut slot, hidden)?;
         let [slot] = slot;
         self.finish_slot(slot, mode, &walk, walk.io, (0, 0))
     }
@@ -397,11 +403,22 @@ impl SegmentDatabase {
         &self,
         items: &[(VerticalQuery, QueryMode)],
     ) -> Vec<Result<(QueryAnswer, QueryTrace), DbError>> {
+        self.query_batch_hiding(items, &NO_HIDDEN)
+    }
+
+    /// [`SegmentDatabase::query_batch_canonical_mode`] with the stored
+    /// segments in `hidden` withheld from every answer — how the write
+    /// engine reads past its un-folded deletes.
+    pub(crate) fn query_batch_hiding(
+        &self,
+        items: &[(VerticalQuery, QueryMode)],
+        hidden: &Hidden,
+    ) -> Vec<Result<(QueryAnswer, QueryTrace), DbError>> {
         let mut slots: Vec<Slot> = items
             .iter()
             .map(|&(_, mode)| Slot::new(ModeSink::new(mode)))
             .collect();
-        match self.run_slots(items, &mut slots) {
+        match self.run_slots(items, &mut slots, hidden) {
             Ok(walk) => {
                 let n = items.len();
                 let batch = if n > 1 {
@@ -418,7 +435,7 @@ impl SegmentDatabase {
             Err(e) => match items {
                 [_] => vec![Err(e)],
                 _ => (items.iter())
-                    .map(|(q, mode)| self.run_mode(q, *mode))
+                    .map(|(q, mode)| self.run_alone(q, *mode, hidden))
                     .collect(),
             },
         }
@@ -527,6 +544,34 @@ mod tests {
             for s in &limited {
                 assert!(truth.contains(&s.id), "{kind:?} limit returned non-hit");
             }
+        }
+    }
+
+    /// A hidden stored segment is withheld by the two-level walks and
+    /// refused — not silently shown — by the baselines.
+    #[test]
+    fn hidden_segments_are_withheld_or_refused() {
+        let set = mixed_map(300, 6);
+        let gone = set[7];
+        let hidden = Hidden::from([(gone.id, gone)]);
+        let q = VerticalQuery::Line { x: gone.a.x };
+        let (seq, _) = build(IndexKind::FullScan, &set)
+            .query_canonical(&q)
+            .unwrap();
+        assert!(seq.contains(&gone));
+        for kind in KINDS {
+            let db = build(kind, &set);
+            let items = [(q, QueryMode::Count), (q, QueryMode::Collect)];
+            let mut out = db.query_batch_hiding(&items, &hidden).into_iter();
+            let (count, collect) = (out.next().unwrap(), out.next().unwrap());
+            if matches!(kind, IndexKind::FullScan | IndexKind::StabThenFilter) {
+                assert!(matches!(count, Err(DbError::Unsupported(_))), "{kind:?}");
+                continue;
+            }
+            assert_eq!(count.unwrap().0.count(), seq.len() as u64 - 1, "{kind:?}");
+            let shown = collect.unwrap().0;
+            assert_eq!(shown.count(), seq.len() as u64 - 1, "{kind:?}");
+            assert!(!shown.segments().unwrap().contains(&gone), "{kind:?}");
         }
     }
 

@@ -31,7 +31,7 @@
 //! and the highest α-unbalanced subtree (α = ¾) is rebuilt from scratch,
 //! giving the same amortized `O(log₂ n + log_B n / B)` bound.
 
-use crate::batch::{one_slot, Slots};
+use crate::batch::{one_slot, Hidden, Slots, NO_HIDDEN};
 use crate::chain;
 use crate::report::QueryTrace;
 use segdb_geom::{MultiSink, ReportSink, Segment, VerticalQuery};
@@ -319,7 +319,7 @@ impl TwoLevelBinary {
         q: &VerticalQuery,
         sink: &mut dyn ReportSink,
     ) -> Result<QueryTrace> {
-        one_slot(q, sink, |multi| self.query_group(pager, multi))
+        one_slot(q, sink, |multi| self.query_group(pager, multi, &NO_HIDDEN))
     }
 
     /// The §3 search for every slot of `multi` at once: the group
@@ -330,11 +330,17 @@ impl TwoLevelBinary {
     /// next probe list before that structure's pages are read — and the
     /// walk ends when no slot is left. A count-only slot gets `C(v)`
     /// answered from the interval set's stored counts without reading
-    /// its lists.
-    pub fn query_group(&self, pager: &Pager, multi: &mut MultiSink<'_>) -> Result<QueryTrace> {
+    /// its lists. Stored segments in `hidden` — a writer's un-folded
+    /// deletes — are withheld from every slot (see [`Slots`]).
+    pub fn query_group(
+        &self,
+        pager: &Pager,
+        multi: &mut MultiSink<'_>,
+        hidden: &Hidden,
+    ) -> Result<QueryTrace> {
         let scope = StatScope::begin(pager);
         let mut trace = QueryTrace::default();
-        let mut slots = Slots::plain(multi);
+        let mut slots = Slots::new(multi, [hidden, &NO_HIDDEN]);
         let mut group = slots.probes();
         self.walk(pager, &mut slots, self.root, &mut group, &mut trace)?;
         trace.io = scope.finish();
@@ -347,7 +353,7 @@ impl TwoLevelBinary {
     fn walk(
         &self,
         pager: &Pager,
-        slots: &mut Slots<'_, '_>,
+        slots: &mut Slots<'_, '_, '_>,
         page: PageId,
         group: &mut [BatchQuery],
         trace: &mut QueryTrace,

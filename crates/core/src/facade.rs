@@ -8,6 +8,7 @@
 
 use crate::anyquery::AnyQueryIndex;
 use crate::baseline::{FullScan, StabThenFilter};
+use crate::batch::Hidden;
 use crate::binary2l::{Binary2LConfig, TwoLevelBinary};
 use crate::interval2l::{Interval2LConfig, TwoLevelInterval};
 use crate::persist::Superblock;
@@ -407,7 +408,7 @@ impl SegmentDatabase {
                 sb.len,
                 sb.aux,
                 sb.aux2,
-            )),
+            )?),
             IndexKind::FullScan => Index::Scan(FullScan::attach(sb.root, sb.len)),
             IndexKind::StabThenFilter => Index::Stab(StabThenFilter::attach(
                 &pager,
@@ -800,8 +801,9 @@ impl SegmentDatabase {
 
     /// Fold lazy-delete tombstones back into the index ahead of the
     /// automatic `tomb_count >= len` trigger — the background compaction
-    /// entry point; restores the stored-count Count fast path. Returns
-    /// whether any work was done.
+    /// entry point; frees the pages the deleted segments still occupy
+    /// and empties the set every counting read scans. Returns whether
+    /// any work was done.
     pub fn compact(&mut self) -> Result<bool, DbError> {
         match &mut self.index {
             Index::Interval(x) => Ok(x.compact(&self.pager)?),
@@ -842,12 +844,23 @@ impl SegmentDatabase {
     }
 
     /// One shared traversal of the index answering every slot of
-    /// `multi` — the only way a query reads index pages (see
-    /// [`crate::batch`]).
-    pub(crate) fn walk_group(&self, multi: &mut MultiSink<'_>) -> Result<QueryTrace, DbError> {
+    /// `multi` with `hidden` withheld — the only way a query reads index
+    /// pages (see [`crate::batch`]). The baselines take no writes
+    /// ([`crate::WriteEngine::recover`] refuses them), so they are never
+    /// asked to hide anything.
+    pub(crate) fn walk_group(
+        &self,
+        multi: &mut MultiSink<'_>,
+        hidden: &Hidden,
+    ) -> Result<QueryTrace, DbError> {
         Ok(match &self.index {
-            Index::Binary(x) => x.query_group(&self.pager, multi)?,
-            Index::Interval(x) => x.query_group(&self.pager, multi)?,
+            Index::Binary(x) => x.query_group(&self.pager, multi, hidden)?,
+            Index::Interval(x) => x.query_group(&self.pager, multi, hidden)?,
+            Index::Scan(_) | Index::Stab(_) if !hidden.is_empty() => {
+                return Err(DbError::Unsupported(
+                    "hidden segments under a baseline index",
+                ))
+            }
             Index::Scan(x) => x.query_group(&self.pager, multi)?,
             Index::Stab(x) => x.query_group(&self.pager, multi)?,
         })

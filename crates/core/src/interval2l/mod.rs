@@ -47,7 +47,7 @@ pub mod gtree;
 pub mod msrec;
 pub mod node;
 
-use crate::batch::{one_slot, Slots};
+use crate::batch::{one_slot, Hidden, Slots, NO_HIDDEN};
 use crate::chain;
 use crate::report::QueryTrace;
 use gtree::{allocation, path as g_path, skeleton, GNode};
@@ -183,11 +183,14 @@ pub struct TwoLevelInterval {
     root: PageId,
     /// Live (non-tombstoned) segment count.
     len: u64,
-    /// Lazily-deleted segments (chain head), stored as full segments
-    /// ([`crate::chain`]) so Count-mode queries can subtract the
-    /// tombstones they overlap.
+    /// Lazily-deleted segments: still in the index pages, hidden from
+    /// every read. Resident — loaded once by
+    /// [`TwoLevelInterval::attach`] — so no query reads them from disk.
+    tombs: Hidden,
+    /// The durable copy of `tombs`, a [`crate::chain`] of full segments
+    /// written by `remove` and read back only by `attach` and
+    /// `validate`.
     tomb_head: PageId,
-    tomb_count: u64,
     cfg: Interval2LConfig,
     k_max: usize,
 }
@@ -205,8 +208,8 @@ impl TwoLevelInterval {
         let this = TwoLevelInterval {
             root: NULL_PAGE,
             len,
+            tombs: Hidden::new(),
             tomb_head: NULL_PAGE,
-            tomb_count: 0,
             cfg,
             k_max,
         };
@@ -218,10 +221,13 @@ impl TwoLevelInterval {
     /// tombstone count)`. The config is context the owner persists
     /// alongside.
     pub fn state(&self) -> (PageId, u64, PageId, u64) {
-        (self.root, self.len, self.tomb_head, self.tomb_count)
+        (self.root, self.len, self.tomb_head, self.tomb_count())
     }
 
-    /// Reconstruct from a serialized identity.
+    /// Reconstruct from a serialized identity, loading the tombstone
+    /// chain into memory. A chain that does not hold exactly
+    /// `tomb_count` distinct segments is refused: every count would be
+    /// off by the difference.
     pub fn attach(
         pager: &Pager,
         cfg: Interval2LConfig,
@@ -229,48 +235,46 @@ impl TwoLevelInterval {
         len: u64,
         tomb_head: PageId,
         tomb_count: u64,
-    ) -> Self {
+    ) -> Result<Self> {
         let k_max = cfg
             .fanout
             .map_or(max_fanout(pager.page_size()), |f| {
                 f.min(max_fanout(pager.page_size()))
             })
             .max(1);
-        TwoLevelInterval {
+        let mut tombs = Hidden::new();
+        chain::scan(pager, tomb_head, |s| {
+            tombs.insert(s.id, s);
+        })?;
+        if tombs.len() as u64 != tomb_count {
+            return Err(PagerError::Corrupt(
+                "interval2l tombstone chain disagrees with the superblock's tombstone count",
+            ));
+        }
+        Ok(TwoLevelInterval {
             root,
             len,
+            tombs,
             tomb_head,
-            tomb_count,
             cfg,
             k_max,
-        }
+        })
     }
 
     /// Tombstones currently recorded (live deletes awaiting rebuild).
     pub fn tomb_count(&self) -> u64 {
-        self.tomb_count
+        self.tombs.len() as u64
     }
 
     /// Fold every tombstone away now (rebuild from the live set) instead
     /// of waiting for the `tomb_count >= len` trigger — the background
     /// compaction entry point. Returns whether a rebuild ran.
     pub fn compact(&mut self, pager: &Pager) -> Result<bool> {
-        if self.tomb_count == 0 {
+        if self.tombs.is_empty() {
             return Ok(false);
         }
         self.rebuild_live(pager)?;
         Ok(true)
-    }
-
-    /// Lazily-deleted ids.
-    fn tomb_ids(&self, pager: &Pager) -> Result<Vec<u64>> {
-        if self.tomb_count == 0 {
-            return Ok(Vec::new());
-        }
-        Ok(chain::collect(pager, self.tomb_head)?
-            .into_iter()
-            .map(|s| s.id)
-            .collect())
     }
 
     /// Stored segment count.
@@ -300,7 +304,7 @@ impl TwoLevelInterval {
         q: &VerticalQuery,
         sink: &mut dyn ReportSink,
     ) -> Result<QueryTrace> {
-        one_slot(q, sink, |multi| self.query_group(pager, multi))
+        one_slot(q, sink, |multi| self.query_group(pager, multi, &NO_HIDDEN))
     }
 
     /// The §4 search for every slot of `multi` at once: the group
@@ -316,16 +320,18 @@ impl TwoLevelInterval {
     /// A count-only slot flips the structure into count mode: C_j
     /// answers from the interval set's stored counts and each G run is
     /// measured by two B⁺-tree rank descents over the stored subtree
-    /// counts — the run's pages are never read. Live tombstones are
+    /// counts — the run's pages are never read. Live tombstones and the
+    /// stored segments in `hidden` (a writer's un-folded deletes) are
     /// subtracted from such slots and filtered out of the others (see
-    /// [`Slots`]), at one read of the tombstone chain per group.
-    pub fn query_group(&self, pager: &Pager, multi: &mut MultiSink<'_>) -> Result<QueryTrace> {
+    /// [`Slots`]).
+    pub fn query_group(
+        &self,
+        pager: &Pager,
+        multi: &mut MultiSink<'_>,
+        hidden: &Hidden,
+    ) -> Result<QueryTrace> {
         let scope = StatScope::begin(pager);
-        let mut slots = if self.tomb_count == 0 {
-            Slots::plain(multi)
-        } else {
-            Slots::with_tombstones(multi, pager, self.tomb_head)?
-        };
+        let mut slots = Slots::new(multi, [&self.tombs, hidden]);
         let mut trace = QueryTrace::default();
         let mut group = slots.probes();
         self.walk(pager, &mut slots, self.root, &mut group, &mut trace)?;
@@ -339,7 +345,7 @@ impl TwoLevelInterval {
     fn walk(
         &self,
         pager: &Pager,
-        slots: &mut Slots<'_, '_>,
+        slots: &mut Slots<'_, '_, '_>,
         page: PageId,
         group: &mut [BatchQuery],
         trace: &mut QueryTrace,
@@ -380,7 +386,7 @@ impl TwoLevelInterval {
     fn visit_slab(
         &self,
         pager: &Pager,
-        slots: &mut Slots<'_, '_>,
+        slots: &mut Slots<'_, '_, '_>,
         n: &InternalView<'_>,
         j: usize,
         run: &mut [BatchQuery],
@@ -439,12 +445,9 @@ impl TwoLevelInterval {
 
     /// Insert a segment (semi-dynamic, Theorem 2(iii)).
     pub fn insert(&mut self, pager: &Pager, seg: Segment) -> Result<()> {
-        if self.tomb_count > 0 {
+        if self.tombs.contains_key(&seg.id) {
             // Re-inserting a tombstoned id would stay hidden: purge first.
-            let tombs = self.tomb_ids(pager)?;
-            if tombs.contains(&seg.id) {
-                self.rebuild_live(pager)?;
-            }
+            self.rebuild_live(pager)?;
         }
         self.len += 1;
         if self.root == NULL_PAGE {
@@ -619,9 +622,9 @@ impl TwoLevelInterval {
             return Ok(false);
         }
         self.tomb_head = chain::push(pager, self.tomb_head, seg)?;
-        self.tomb_count += 1;
+        self.tombs.insert(seg.id, *seg);
         self.len -= 1;
-        if self.tomb_count >= self.len.max(1) {
+        if self.tomb_count() >= self.len.max(1) {
             self.rebuild_live(pager)?;
         }
         Ok(true)
@@ -635,7 +638,7 @@ impl TwoLevelInterval {
         }
         chain::destroy(pager, self.tomb_head)?;
         self.tomb_head = NULL_PAGE;
-        self.tomb_count = 0;
+        self.tombs.clear();
         self.len = live.len() as u64;
         self.root = self.build_rec(pager, live)?;
         Ok(())
@@ -647,10 +650,7 @@ impl TwoLevelInterval {
         if self.root != NULL_PAGE {
             self.collect_rec(pager, self.root, &mut out)?;
         }
-        if self.tomb_count > 0 {
-            let tombs: std::collections::HashSet<u64> = self.tomb_ids(pager)?.into_iter().collect();
-            out.retain(|s| !tombs.contains(&s.id));
-        }
+        out.retain(|s| !self.tombs.contains_key(&s.id));
         Ok(out)
     }
 
@@ -672,12 +672,17 @@ impl TwoLevelInterval {
             return Ok(());
         }
         let total = self.validate_rec(pager, self.root, None, None)?;
-        if total != self.len + self.tomb_count {
+        if total != self.len + self.tomb_count() {
             return Err(PagerError::Corrupt("interval2l len mismatch"));
         }
-        let tombs = self.tomb_ids(pager)?;
-        if tombs.len() as u64 != self.tomb_count {
-            return Err(PagerError::Corrupt("interval2l tombstone count stale"));
+        // The resident tombstones against their durable copy.
+        let chained = chain::collect(pager, self.tomb_head)?;
+        if chained.len() != self.tombs.len()
+            || !chained.iter().all(|s| self.tombs.get(&s.id) == Some(s))
+        {
+            return Err(PagerError::Corrupt(
+                "interval2l resident tombstones disagree with the tombstone chain",
+            ));
         }
         Ok(())
     }
@@ -696,7 +701,7 @@ impl TwoLevelInterval {
         n: &InternalView<'_>,
         j: usize,
         p: &BatchQuery,
-        slots: &mut Slots<'_, '_>,
+        slots: &mut Slots<'_, '_, '_>,
         trace: &mut QueryTrace,
     ) -> Result<()> {
         let (x0, lo, hi, slot) = (p.qx, p.lo, p.hi, p.tag);

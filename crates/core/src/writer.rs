@@ -9,10 +9,13 @@
 //!   appended (group-committed) before it is acknowledged, carrying the
 //!   client request id as the idempotence key.
 //! * **Delta overlay** — accepted ops land in a bounded memtable-style
-//!   [`DeltaSnap`] (copy-on-write behind an `Arc`), merged into every
-//!   query: `answer = base ∖ deltaDeletes ∪ deltaInserts`. Counts use
-//!   exact arithmetic (`base − |deletes ∩ q| + |inserts ∩ q|`), which
-//!   keeps the index's count-from-headers fast paths intact.
+//!   [`DeltaSnap`] (copy-on-write behind an `Arc`) that every query
+//!   reads through. Its deletes are hidden *inside* the index walk, by
+//!   the mechanism that hides an index's own lazy deletes
+//!   ([`crate::batch`]): counts stay on the count-from-headers fast
+//!   paths, `Exists` still stops at the first visible hit and
+//!   `Limit(k)` fetches `k`. Its inserts are merged in *after* the walk
+//!   (`+ |inserts ∩ q|` for counts).
 //! * **Fold** — when the delta reaches `delta_limit`, the writer takes
 //!   the database write lock and replays the pending ops through the
 //!   native [`SegmentDatabase::insert`]/[`SegmentDatabase::remove`]
@@ -33,7 +36,8 @@
 //! truncation (nothing to do). A group-commit window may lose its
 //! unsynced tail — exactly the ops never acknowledged.
 
-use crate::facade::{DbError, SegmentDatabase};
+use crate::batch::Hidden;
+use crate::facade::{DbError, IndexKind, SegmentDatabase};
 use crate::report::{QueryAnswer, QueryMode, QueryTrace};
 use segdb_geom::transform::Direction;
 use segdb_geom::{Point, Segment, VerticalQuery};
@@ -41,7 +45,7 @@ use segdb_pager::Device;
 use segdb_wal::{Wal, WalOp, WalRecord, WalStats};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// Tuning for the write engine.
 #[derive(Debug, Clone, Copy)]
@@ -130,10 +134,10 @@ pub struct RecoveryReport {
 pub struct DeltaSnap {
     /// Canonical-frame segments inserted since the last fold.
     inserts: Vec<Segment>,
-    /// Canonical-frame segments deleted since the last fold (always
-    /// segments present in the base index — deletes of delta inserts
-    /// cancel in place).
-    deletes: Vec<Segment>,
+    /// Canonical-frame segments deleted since the last fold: always
+    /// segments the base index stores and shows (deletes of delta
+    /// inserts cancel in place), which every read hides in its walk.
+    deletes: Hidden,
 }
 
 impl DeltaSnap {
@@ -181,20 +185,13 @@ impl RecentIds {
     }
 }
 
-/// One accepted-but-unfolded op, kept in WAL order (user frame — fold
-/// replays through the facade, which re-applies the direction shear).
-#[derive(Debug, Clone, Copy)]
-struct PendingOp {
-    seq: u64,
-    insert: bool,
-    seg: Segment,
-}
-
 /// Writer-side state serialized behind one mutex: the WAL handle, the
 /// unfolded op list, the idempotence table and the catch-up ring.
 struct WriterInner {
     wal: Wal,
-    pending: Vec<PendingOp>,
+    /// Accepted-but-unfolded records in WAL order (user frame — the
+    /// fold replays through the facade, which re-applies the shear).
+    pending: Vec<WalRecord>,
     recent: RecentIds,
     /// Applied records in seq order, surviving WAL truncation at fold
     /// time so lagging replicas can replay them (bounded ring).
@@ -264,27 +261,41 @@ impl WriteEngine {
         wal_dev: Box<dyn Device>,
         cfg: WriterConfig,
     ) -> Result<(Self, RecoveryReport), DbError> {
+        // An index that cannot take the fold must not get to
+        // acknowledge the writes.
+        match db.kind() {
+            IndexKind::TwoLevelBinary | IndexKind::TwoLevelInterval => {}
+            IndexKind::FullScan => {
+                return Err(DbError::Unsupported(
+                    "a write engine over a FullScan index (the baseline takes no writes)",
+                ))
+            }
+            IndexKind::StabThenFilter => {
+                return Err(DbError::Unsupported(
+                    "a write engine over a StabThenFilter index (the baseline takes no writes)",
+                ))
+            }
+        }
         let (mut wal, records) = Wal::open(wal_dev, cfg.group_window)?;
         let checkpoint = db.wal_seq();
         wal.set_seq_floor(checkpoint);
-        let mut recent = RecentIds::new(cfg.recent_ids);
         let mut report = RecoveryReport {
             replayed: records.len() as u64,
             checkpoint,
             ..RecoveryReport::default()
         };
+        let mut inner = WriterInner {
+            wal,
+            pending: Vec::new(),
+            recent: RecentIds::new(cfg.recent_ids),
+            history: VecDeque::new(),
+            history_floor: records.first().map(|r| r.seq - 1).unwrap_or(checkpoint),
+        };
         let mut last = checkpoint;
-        // Every durable record seeds the catch-up ring: a freshly
-        // restarted primary can serve `sync_from` for its whole log.
-        let mut history: VecDeque<WalRecord> = VecDeque::new();
-        let mut history_floor = records.first().map(|r| r.seq - 1).unwrap_or(checkpoint);
         for rec in &records {
-            history.push_back(*rec);
-            while history.len() > cfg.sync_history.max(1) {
-                if let Some(old) = history.pop_front() {
-                    history_floor = old.seq;
-                }
-            }
+            // Every durable record seeds the catch-up ring: a freshly
+            // restarted primary can serve `sync_from` for its whole log.
+            inner.push_history(cfg.sync_history, *rec);
             // The idempotence table survives a crash for every durable
             // record, applied or already-checkpointed.
             let applied_slot = WriteAck {
@@ -292,7 +303,7 @@ impl WriteEngine {
                 applied: true,
                 duplicate: false,
             };
-            recent.put(rec.req_id, applied_slot);
+            inner.recent.put(rec.req_id, applied_slot);
             if rec.seq <= checkpoint {
                 continue;
             }
@@ -310,21 +321,15 @@ impl WriteEngine {
         if report.applied > 0 {
             db.set_wal_seq(last);
             db.save()?;
-            wal.reset()?;
+            inner.wal.reset()?;
         }
-        report.last_seq = wal.last_seq();
+        report.last_seq = inner.wal.last_seq();
         let direction = db.direction();
         Ok((
             WriteEngine {
                 db: RwLock::new(db),
                 delta: Mutex::new(Arc::new(DeltaSnap::default())),
-                writer: Mutex::new(WriterInner {
-                    wal,
-                    pending: Vec::new(),
-                    recent,
-                    history,
-                    history_floor,
-                }),
+                writer: Mutex::new(inner),
                 direction,
                 cfg,
                 counters: WriterCounters::default(),
@@ -369,38 +374,36 @@ impl WriteEngine {
 
     // ---- write protocol -------------------------------------------------
 
-    /// Insert `seg` (user coordinates). `req_id` deduplicates retries:
-    /// a second call with the same id returns the stored ack.
-    pub fn insert(&self, req_id: u64, seg: Segment) -> Result<WriteAck, DbError> {
-        let mut inner = self.writer.lock().expect("writer lock poisoned");
-        if let Some(prev) = inner.recent.get(req_id) {
-            self.counters.duplicates.fetch_add(1, Ordering::Relaxed);
-            return Ok(WriteAck {
-                duplicate: true,
-                ..prev
-            });
-        }
-        // Validate the transform up front: nothing is logged for a
-        // segment the index could never hold.
-        let canonical = self.direction.apply_segment(&seg)?;
-        let seq = inner.wal.append(req_id, WalOp::Insert(seg))?;
-        inner.pending.push(PendingOp {
-            seq,
-            insert: true,
-            seg,
-        });
-        inner.push_history(
-            self.cfg.sync_history,
-            WalRecord {
-                seq,
-                req_id,
-                op: WalOp::Insert(seg),
-            },
-        );
+    /// The stored acknowledgement of a request id already processed.
+    fn replayed_ack(&self, inner: &WriterInner, req_id: u64) -> Option<WriteAck> {
+        let prev = inner.recent.get(req_id)?;
+        self.counters.duplicates.fetch_add(1, Ordering::Relaxed);
+        Some(WriteAck {
+            duplicate: true,
+            ..prev
+        })
+    }
+
+    /// Accept one op: log it, queue it for the fold, publish `edit`'s
+    /// change to the delta, remember the ack, and fold if the delta is
+    /// full. Nothing before the WAL append has side effects, so an op
+    /// that cannot be logged is not acknowledged.
+    fn accept(
+        &self,
+        mut inner: MutexGuard<'_, WriterInner>,
+        req_id: u64,
+        op: WalOp,
+        accepted: &AtomicU64,
+        edit: impl FnOnce(&mut DeltaSnap),
+    ) -> Result<WriteAck, DbError> {
+        let seq = inner.wal.append(req_id, op)?;
+        let rec = WalRecord { seq, req_id, op };
+        inner.pending.push(rec);
+        inner.push_history(self.cfg.sync_history, rec);
         {
             let mut delta = self.delta.lock().expect("delta lock poisoned");
             let mut next = (**delta).clone();
-            next.inserts.push(canonical);
+            edit(&mut next);
             *delta = Arc::new(next);
         }
         let ack = WriteAck {
@@ -409,48 +412,39 @@ impl WriteEngine {
             duplicate: false,
         };
         inner.recent.put(req_id, ack);
-        self.counters.inserts.fetch_add(1, Ordering::Relaxed);
+        accepted.fetch_add(1, Ordering::Relaxed);
         self.maybe_fold(inner)?;
         Ok(ack)
+    }
+
+    /// Insert `seg` (user coordinates). `req_id` deduplicates retries:
+    /// a second call with the same id returns the stored ack.
+    pub fn insert(&self, req_id: u64, seg: Segment) -> Result<WriteAck, DbError> {
+        let inner = self.writer.lock().expect("writer lock poisoned");
+        if let Some(ack) = self.replayed_ack(&inner, req_id) {
+            return Ok(ack);
+        }
+        // Validate the transform up front: nothing is logged for a
+        // segment the index could never hold.
+        let canonical = self.direction.apply_segment(&seg)?;
+        let op = WalOp::Insert(seg);
+        self.accept(inner, req_id, op, &self.counters.inserts, |delta| {
+            delta.inserts.push(canonical)
+        })
     }
 
     /// Delete `seg` (user coordinates, exact geometry + id match).
     /// Returns `applied = false` when no such segment is stored.
     pub fn delete(&self, req_id: u64, seg: Segment) -> Result<WriteAck, DbError> {
         let mut inner = self.writer.lock().expect("writer lock poisoned");
-        if let Some(prev) = inner.recent.get(req_id) {
-            self.counters.duplicates.fetch_add(1, Ordering::Relaxed);
-            return Ok(WriteAck {
-                duplicate: true,
-                ..prev
-            });
+        if let Some(ack) = self.replayed_ack(&inner, req_id) {
+            return Ok(ack);
         }
         let canonical = self.direction.apply_segment(&seg)?;
-        // Resolve the target: a delta insert cancels in place; a base
-        // segment is verified by a point query before the tombstone is
-        // logged (exact counts depend on every logged delete hitting).
-        enum Target {
-            DeltaInsert,
-            Base,
-            Missing,
-        }
-        let target = {
-            let delta = self.delta.lock().expect("delta lock poisoned");
-            if delta.inserts.contains(&canonical) {
-                Target::DeltaInsert
-            } else if delta.deletes.contains(&canonical) {
-                Target::Missing // already deleted this epoch
-            } else {
-                let db = self.db.read().expect("db lock poisoned");
-                let (hits, _) = db.query_line(seg.a)?;
-                if hits.contains(&seg) {
-                    Target::Base
-                } else {
-                    Target::Missing
-                }
-            }
-        };
-        if matches!(target, Target::Missing) {
+        // Only a delete that hits is logged: the hidden-set arithmetic
+        // of the reads depends on every delta delete being a segment the
+        // base index stores and still shows.
+        if !self.is_visible(&seg)? {
             let ack = WriteAck {
                 seq: 0,
                 applied: false,
@@ -460,39 +454,16 @@ impl WriteEngine {
             self.counters.delete_misses.fetch_add(1, Ordering::Relaxed);
             return Ok(ack);
         }
-        let seq = inner.wal.append(req_id, WalOp::Delete(seg))?;
-        inner.pending.push(PendingOp {
-            seq,
-            insert: false,
-            seg,
-        });
-        inner.push_history(
-            self.cfg.sync_history,
-            WalRecord {
-                seq,
-                req_id,
-                op: WalOp::Delete(seg),
-            },
-        );
-        {
-            let mut delta = self.delta.lock().expect("delta lock poisoned");
-            let mut next = (**delta).clone();
-            match target {
-                Target::DeltaInsert => next.inserts.retain(|s| *s != canonical),
-                Target::Base => next.deletes.push(canonical),
-                Target::Missing => unreachable!(),
+        let op = WalOp::Delete(seg);
+        self.accept(inner, req_id, op, &self.counters.deletes, |delta| {
+            // A delta insert cancels in place; otherwise the segment is
+            // the base's, and gets hidden.
+            let held = delta.inserts.len();
+            delta.inserts.retain(|s| *s != canonical);
+            if delta.inserts.len() == held {
+                delta.deletes.insert(canonical.id, canonical);
             }
-            *delta = Arc::new(next);
-        }
-        let ack = WriteAck {
-            seq,
-            applied: true,
-            duplicate: false,
-        };
-        inner.recent.put(req_id, ack);
-        self.counters.deletes.fetch_add(1, Ordering::Relaxed);
-        self.maybe_fold(inner)?;
-        Ok(ack)
+        })
     }
 
     /// Durability barrier: group-commit the WAL tail now.
@@ -545,7 +516,7 @@ impl WriteEngine {
     pub fn sync_apply(&self, rec: &WalRecord) -> Result<WriteAck, DbError> {
         match rec.op {
             WalOp::Insert(seg) => {
-                if self.contains_segment(&seg)? {
+                if self.is_visible(&seg)? {
                     return Ok(WriteAck {
                         seq: 0,
                         applied: false,
@@ -558,13 +529,12 @@ impl WriteEngine {
         }
     }
 
-    /// Is this exact segment (id + geometry) currently visible?
-    fn contains_segment(&self, seg: &Segment) -> Result<bool, DbError> {
+    /// Is this exact segment (id + geometry) visible to a read right
+    /// now? A base segment deleted since the last fold is hidden by the
+    /// read's walk, so it is not.
+    fn is_visible(&self, seg: &Segment) -> Result<bool, DbError> {
         let (ans, _) = self.query_line_mode(seg.a, QueryMode::Collect)?;
-        match ans {
-            QueryAnswer::Segments(hits) => Ok(hits.contains(seg)),
-            _ => Ok(false),
-        }
+        Ok(ans.segments().is_some_and(|hits| hits.contains(seg)))
     }
 
     /// Fold the delta into the index now, regardless of size.
@@ -573,17 +543,14 @@ impl WriteEngine {
         self.fold_locked(inner)
     }
 
-    fn maybe_fold(&self, inner: std::sync::MutexGuard<'_, WriterInner>) -> Result<(), DbError> {
+    fn maybe_fold(&self, inner: MutexGuard<'_, WriterInner>) -> Result<(), DbError> {
         if inner.pending.len() >= self.cfg.delta_limit {
             self.fold_locked(inner)?;
         }
         Ok(())
     }
 
-    fn fold_locked(
-        &self,
-        mut inner: std::sync::MutexGuard<'_, WriterInner>,
-    ) -> Result<(), DbError> {
+    fn fold_locked(&self, mut inner: MutexGuard<'_, WriterInner>) -> Result<(), DbError> {
         if inner.pending.is_empty() {
             return Ok(());
         }
@@ -598,11 +565,12 @@ impl WriteEngine {
             // lock — a reader either sees old base + old delta or new
             // base + empty delta, never a torn pair).
             let mut db = self.db.write().expect("db lock poisoned");
-            for op in &ops {
-                if op.insert {
-                    db.insert(op.seg)?;
-                } else {
-                    let _ = db.remove(&op.seg)?;
+            for rec in &ops {
+                match rec.op {
+                    WalOp::Insert(seg) => db.insert(seg)?,
+                    WalOp::Delete(seg) => {
+                        db.remove(&seg)?;
+                    }
                 }
             }
             db.set_wal_seq(last);
@@ -690,10 +658,10 @@ impl WriteEngine {
         results.pop().expect("one result per item")
     }
 
-    /// Canonical-frame reads merged with the delta overlay — every
-    /// engine read goes through here. One read lock and one delta
-    /// snapshot cover the whole group, and the base answers come from a
-    /// single shared index walk
+    /// Canonical-frame reads through the delta overlay — every engine
+    /// read goes through here. One read lock and one delta snapshot
+    /// cover the whole group, and the base answers come from a single
+    /// shared index walk that hides the delta's deletes
     /// ([`SegmentDatabase::query_batch_canonical_mode`]). An `Exists`
     /// slot a delta insert already satisfies is answered on the spot and
     /// never reaches the index.
@@ -709,15 +677,12 @@ impl WriteEngine {
         let settled = |&(q, mode): &(VerticalQuery, QueryMode)| {
             mode == QueryMode::Exists && delta.inserts.iter().any(|s| q.hits(s))
         };
-        // Each remaining slot runs under the base mode that makes its
-        // post-merge arithmetic exact (Exists may widen to Count, Limit
-        // over-fetches by the delete count).
-        let base_items: Vec<(VerticalQuery, QueryMode)> = items
+        let walked: Vec<(VerticalQuery, QueryMode)> = items
             .iter()
             .filter(|item| !settled(item))
-            .map(|&(q, mode)| (q, Self::base_mode(&delta, &q, mode)))
+            .copied()
             .collect();
-        let mut base = db.query_batch_canonical_mode(&base_items).into_iter();
+        let mut base = db.query_batch_hiding(&walked, &delta.deletes).into_iter();
         items
             .iter()
             .map(|item| {
@@ -725,89 +690,39 @@ impl WriteEngine {
                     return Ok((QueryAnswer::Exists(true), QueryTrace::default()));
                 }
                 let (ans, trace) = base.next().expect("one base result per walked slot")?;
-                Self::merge_answer(&db, &delta, &item.0, item.1, ans, trace)
+                let ans = Self::merge_answer(&db, &delta.inserts, &item.0, item.1, ans)?;
+                Ok((ans, trace))
             })
             .collect()
     }
 
-    /// The base-index mode that lets [`WriteEngine::merge_answer`]
-    /// reconstruct an exact `mode` answer under this delta.
-    fn base_mode(delta: &DeltaSnap, q: &VerticalQuery, mode: QueryMode) -> QueryMode {
-        match mode {
-            QueryMode::Collect => QueryMode::Collect,
-            QueryMode::Count => QueryMode::Count,
-            QueryMode::Exists => {
-                // Deletes in play: the early-exit walk could stop on a
-                // deleted segment, so widen to exact count arithmetic.
-                if delta.deletes.iter().any(|s| q.hits(s)) {
-                    QueryMode::Count
-                } else {
-                    QueryMode::Exists
-                }
-            }
-            // A limit walk must over-fetch by the number of deletes that
-            // might be filtered back out.
-            QueryMode::Limit(k) => {
-                QueryMode::Limit(((k as usize) + delta.deletes.len()).min(u32::MAX as usize) as u32)
-            }
-        }
-    }
-
-    /// Reconstruct the exact `mode` answer from a base answer computed
-    /// under [`WriteEngine::base_mode`], applying the delta arithmetic
-    /// (`base − |deletes ∩ q| + |inserts ∩ q|`).
+    /// Add the delta inserts `q` hits to a base answer (an `Exists` they
+    /// would settle never gets here).
     fn merge_answer(
         db: &SegmentDatabase,
-        delta: &DeltaSnap,
+        inserts: &[Segment],
         q: &VerticalQuery,
         mode: QueryMode,
         ans: QueryAnswer,
-        trace: QueryTrace,
-    ) -> Result<(QueryAnswer, QueryTrace), DbError> {
-        let ins_hits: Vec<&Segment> = delta.inserts.iter().filter(|s| q.hits(s)).collect();
-        let del_hits: u64 = delta.deletes.iter().filter(|s| q.hits(s)).count() as u64;
-        match mode {
-            QueryMode::Count => {
-                let n = ans.count().saturating_sub(del_hits) + ins_hits.len() as u64;
-                Ok((QueryAnswer::Count(n), trace))
-            }
-            QueryMode::Exists => {
-                if !ins_hits.is_empty() {
-                    return Ok((QueryAnswer::Exists(true), trace));
-                }
-                if del_hits == 0 {
-                    // Base ran Exists; any base hit is live.
-                    return Ok((QueryAnswer::Exists(ans.count() > 0), trace));
-                }
-                // Base widened to Count: exact arithmetic.
-                Ok((
-                    QueryAnswer::Exists(ans.count().saturating_sub(del_hits) > 0),
-                    trace,
-                ))
-            }
-            QueryMode::Collect | QueryMode::Limit(_) => {
-                let k = match mode {
-                    QueryMode::Limit(k) => Some(k as usize),
-                    _ => None,
-                };
-                let deleted_ids: std::collections::HashSet<u64> =
-                    delta.deletes.iter().map(|s| s.id).collect();
-                let mut hits = match ans {
-                    QueryAnswer::Segments(v) => v,
-                    _ => unreachable!("collect-shaped base answer"),
-                };
-                hits.retain(|s| !deleted_ids.contains(&s.id));
-                for s in ins_hits {
+    ) -> Result<QueryAnswer, DbError> {
+        let mut added = inserts.iter().filter(|s| q.hits(s)).peekable();
+        if added.peek().is_none() {
+            return Ok(ans);
+        }
+        Ok(match ans {
+            QueryAnswer::Count(n) => QueryAnswer::Count(n + added.count() as u64),
+            QueryAnswer::Exists(_) => QueryAnswer::Exists(true),
+            QueryAnswer::Segments(mut hits) => {
+                for s in added {
                     hits.push(db.direction().unapply_segment(s)?);
                 }
-                if let Some(k) = k {
-                    hits.truncate(k);
-                } else {
-                    hits = crate::report::normalize(hits);
+                match mode {
+                    QueryMode::Limit(k) => hits.truncate(k as usize),
+                    _ => hits = crate::report::normalize(hits),
                 }
-                Ok((QueryAnswer::Segments(hits), trace))
+                QueryAnswer::Segments(hits)
             }
-        }
+        })
     }
 }
 
@@ -865,6 +780,26 @@ mod tests {
         // Deleting something absent is acknowledged but not applied.
         let ack = eng.delete(5, seg(999, 1)).unwrap();
         assert!(!ack.applied);
+    }
+
+    /// A baseline index cannot take the fold, so an engine over one
+    /// would acknowledge writes and then lose them: refused up front.
+    #[test]
+    fn baseline_indexes_are_refused_at_recover() {
+        for kind in [IndexKind::FullScan, IndexKind::StabThenFilter] {
+            let db = SegmentDatabase::builder()
+                .page_size(512)
+                .index(kind)
+                .build(vec![seg(0, 0)])
+                .unwrap();
+            let cfg = WriterConfig::default();
+            match WriteEngine::recover(db, Box::new(Disk::new(512)), cfg) {
+                Err(DbError::Unsupported(what)) => {
+                    assert!(what.contains(&format!("{kind:?}")), "{what}")
+                }
+                other => panic!("{kind:?}: {:?}", other.map(|(_, report)| report)),
+            }
+        }
     }
 
     #[test]

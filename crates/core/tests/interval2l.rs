@@ -270,6 +270,46 @@ fn lazy_deletion_extension() {
     );
 }
 
+/// Tombstones are resident: `attach` loads the chain once and checks it
+/// against the recorded count, and after that no read touches it — a
+/// Count costs the pages it cost before the removes, since a lazy delete
+/// leaves the index pages alone.
+#[test]
+fn attach_loads_the_tombstone_chain_and_reads_never_touch_it() {
+    let set = gen::mixed_map(600, 0xA77);
+    let p = pager(1024);
+    let cfg = Interval2LConfig::default();
+    let mut t = TwoLevelInterval::build(&p, cfg, set.clone()).unwrap();
+    let queries = vertical_queries(&set, 24, 100, 0xA77);
+    let count_pages = |t: &TwoLevelInterval| -> Vec<u64> {
+        (queries.iter())
+            .map(|q| {
+                let mut sink = segdb_geom::CountSink::new();
+                let trace = t.query_sink(&p, q, &mut sink).unwrap();
+                trace.io.reads + trace.io.cache_hits
+            })
+            .collect()
+    };
+    let fresh = count_pages(&t);
+    let (gone, kept): (Vec<Segment>, Vec<Segment>) = set.iter().partition(|s| s.id % 5 == 0);
+    for s in &gone {
+        assert!(t.remove(&p, s).unwrap());
+    }
+    assert_eq!(t.tomb_count(), gone.len() as u64);
+    assert_eq!(count_pages(&t), fresh, "a Count read the tombstone chain");
+
+    let (root, len, tomb_head, tomb_count) = t.state();
+    let again = TwoLevelInterval::attach(&p, cfg, root, len, tomb_head, tomb_count).unwrap();
+    again.validate(&p).unwrap();
+    assert_eq!(again.tomb_count(), tomb_count);
+    assert_eq!(count_pages(&again), fresh);
+    check(&kept, &again, &p, &queries, "reattached");
+    for wrong in [tomb_count - 1, tomb_count + 1] {
+        let err = TwoLevelInterval::attach(&p, cfg, root, len, tomb_head, wrong).unwrap_err();
+        assert!(err.to_string().contains("tombstone chain"), "{err}");
+    }
+}
+
 #[test]
 fn interleaved_insert_delete_storm() {
     let set = gen::strips(600, 1 << 13, 16, 300, 0xF00);

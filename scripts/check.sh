@@ -185,6 +185,37 @@ SEGDB_BENCH_DIR="$SMOKE" "$LOAD" --addr "$ADDR" --family mixed --n 300 --seed 21
     --connections 1 --requests 1 --no-verify --shutdown > /dev/null
 wait "$SERVE_PID"
 
+echo "==> live-tombstone smoke (offline remove, then fresh processes must not see it)"
+# An offline remove leaves a live tombstone in the file. Every reader
+# below is a new process, so each loads the tombstone chain at open.
+"$CLI" build "$SMOKE/tomb.db" "$SMOKE/map.csv" --page-size 1024 > /dev/null
+VICTIM=$(awk -F, '!/^#/{print; exit}' "$SMOKE/map.csv")
+VICTIM_ID=${VICTIM%%,*}
+BEFORE=$("$CLI" query "$SMOKE/tomb.db" line "$QX" 0 --count | head -n 1)
+"$CLI" remove "$SMOKE/tomb.db" ${VICTIM//,/ } | grep -q "^removed #$VICTIM_ID " || {
+    echo "offline remove of $VICTIM not acknowledged"; exit 1; }
+"$CLI" query "$SMOKE/tomb.db" line "$QX" 0 | grep -v '^#' | cut -d, -f1 | sort -n \
+    > "$SMOKE/tomb-local.ids"
+grep -qx "$VICTIM_ID" "$SMOKE/tomb-local.ids" && {
+    echo "a fresh local query still reports tombstoned #$VICTIM_ID"; exit 1; }
+LOCAL_N=$(wc -l < "$SMOKE/tomb-local.ids")
+LOCAL_COUNT=$("$CLI" query "$SMOKE/tomb.db" line "$QX" 0 --count | head -n 1)
+[ "$LOCAL_N" -eq "$LOCAL_COUNT" ] && [ "$LOCAL_COUNT" -eq $((BEFORE - 1)) ] || {
+    echo "tombstoned counts disagree: collected $LOCAL_N, --count $LOCAL_COUNT, before $BEFORE"
+    exit 1; }
+"$CLI" serve "$SMOKE/tomb.db" --addr 127.0.0.1:0 --workers 2 > "$SMOKE/serve-tomb.out" &
+SERVE_PID=$!
+ADDR=$(listening_on "$SMOKE/serve-tomb.out" "tombstone server")
+"$CLI" query --remote "$ADDR" line "$QX" | grep -v '^#' | sort -n > "$SMOKE/tomb-served.ids"
+cmp -s "$SMOKE/tomb-local.ids" "$SMOKE/tomb-served.ids" || {
+    echo "served answer over a tombstoned file differs from the local one"; exit 1; }
+SERVED_COUNT=$("$CLI" query --remote "$ADDR" line "$QX" --count | head -n 1)
+[ "$SERVED_COUNT" = "$LOCAL_COUNT" ] || {
+    echo "served --count ($SERVED_COUNT) != local --count ($LOCAL_COUNT)"; exit 1; }
+SEGDB_BENCH_DIR="$SMOKE" "$LOAD" --addr "$ADDR" --family mixed --n 300 --seed 21 \
+    --connections 1 --requests 1 --no-verify --shutdown > /dev/null
+wait "$SERVE_PID"
+
 echo "==> cluster smoke (partition, route, scatter-gather, degraded reply)"
 "$CLI" partition "$SMOKE/map.csv" 3 "$SMOKE/shards" > "$SMOKE/partition.json"
 CUTS=$(sed -n 's/.*"cuts":\[\([^]]*\)\].*/\1/p' "$SMOKE/partition.json")
@@ -361,4 +392,4 @@ echo "$OUT1" | grep -q '"observed_io_errors":0}' && {
 echo "$OUT1" | grep -q '"recovery_queries_verified":0,' && {
     echo "no recovery query was verified: $OUT1"; exit 1; }
 
-echo "OK: build, tests, benchmark package, bench_pair, clippy, fmt, serve + lifecycle + net-chaos + cluster + replicated-failover + crash-recovery smoke all clean."
+echo "OK: build, tests, benchmark package, bench_pair, clippy, fmt, serve + lifecycle + net-chaos + write-path + live-tombstone + cluster + replicated-failover + crash-recovery smoke all clean."

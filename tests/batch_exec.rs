@@ -372,15 +372,14 @@ fn one_slot_pages_match_the_sequential_walk_and_groups_read_no_more() {
 }
 
 /// The same after `remove` without `compact`: Solution 1 deletes in
-/// place (its PSTs tombstone), Solution 2 keeps a live tombstone chain
-/// that every walk has to subtract or filter.
+/// place (its PSTs tombstone), Solution 2 keeps its tombstones resident
+/// and every walk subtracts or filters them without reading a page for
+/// it: Collect and Count cost what they cost on the fresh index, Exists
+/// and Limit a few pages more where a walk steps over hidden hits.
 #[test]
 fn page_parity_holds_with_live_tombstones() {
     let set = mixed_map(1500, 13);
     let shapes = shapes(&set);
-    // The sequential Exists under tombstones counted the whole answer
-    // (610, 719, 749, 858 pages); the one walk pays the tombstoned hits
-    // off first and stops at the first live one.
     let pinned: [PageTable; 2] = [
         [
             [839, 839, 96, 96],
@@ -389,20 +388,31 @@ fn page_parity_holds_with_live_tombstones() {
             [658, 658, 159, 225],
         ],
         [
-            [815, 610, 385, 357],
-            [740, 719, 412, 369],
-            [764, 749, 414, 388],
-            [689, 858, 468, 482],
+            [527, 322, 97, 69],
+            [452, 431, 124, 81],
+            [476, 461, 126, 100],
+            [401, 570, 180, 194],
         ],
     ];
     let kinds = [IndexKind::TwoLevelBinary, IndexKind::TwoLevelInterval];
     for (kind, pinned) in kinds.into_iter().zip(&pinned) {
         let mut db = build(kind, set.clone());
+        // Lazy deletes leave the index pages alone, so a Count costs
+        // after them what it costs now; anything more would be a read
+        // of the tombstone chain.
+        let count_pages = |db: &SegmentDatabase| -> Vec<u64> {
+            let pages_of = |q| pages(&db.query_canonical_mode(q, QueryMode::Count).unwrap().1);
+            (shapes.iter())
+                .map(|queries| queries.iter().map(pages_of).sum())
+                .collect()
+        };
+        let fresh = count_pages(&db);
         for s in set.iter().step_by(7) {
             assert!(db.remove(s).unwrap());
         }
         if kind == IndexKind::TwoLevelInterval {
             assert_eq!(db.tomb_count(), 215, "tombstones stay live");
+            assert_eq!(count_pages(&db), fresh, "a Count read the chain");
         }
         let live: Vec<Segment> = set.iter().filter(|s| s.id % 7 != 0).copied().collect();
         for q in shapes.iter().flatten() {
@@ -424,24 +434,26 @@ fn page_parity_holds_with_live_tombstones() {
 }
 
 /// And through a `WriteEngine` holding un-folded inserts and deletes:
-/// the overlay widens modes per slot, and an `Exists` slot a delta
-/// insert already satisfies is answered without reading a page.
+/// the walk hides the deletes, so Collect and Count cost what they cost
+/// on the bare index and Exists / Limit stop as early as the hidden
+/// hits allow; an `Exists` slot a delta insert already satisfies is
+/// answered without reading a page.
 #[test]
 fn page_parity_holds_through_the_write_overlay() {
     let set = mixed_map(1500, 13);
     let shapes = shapes(&set);
     let pinned: [PageTable; 2] = [
         [
-            [691, 691, 299, 184],
-            [622, 622, 373, 313],
-            [579, 579, 243, 354],
-            [510, 510, 147, 510],
+            [691, 691, 30, 64],
+            [622, 622, 64, 64],
+            [579, 579, 36, 93],
+            [510, 510, 106, 167],
         ],
         [
-            [527, 322, 134, 226],
-            [452, 431, 262, 286],
-            [476, 461, 179, 333],
-            [401, 570, 184, 401],
+            [527, 322, 30, 69],
+            [452, 431, 75, 78],
+            [476, 461, 32, 92],
+            [401, 570, 140, 189],
         ],
     ];
     let kinds = [IndexKind::TwoLevelBinary, IndexKind::TwoLevelInterval];
@@ -488,6 +500,93 @@ fn page_parity_holds_through_the_write_overlay() {
             .query_line_mode((x_lo, 0), QueryMode::Exists)
             .unwrap();
         assert_eq!((alone, pages(&trace)), (QueryAnswer::Exists(true), 0));
+    }
+}
+
+/// Un-folded deletes are hidden inside the walk, not repaired after
+/// it: `Limit(k)` returns exactly `min(k, live)` hits and every one is
+/// live, and an `Exists` whose only stored hits are deleted answers
+/// `false` — alone and in a group of eight, for both writable kinds.
+#[test]
+fn unfolded_deletes_never_surface_in_limit_or_exists() {
+    let set = mixed_map(600, 19);
+    // Eight windows, each around a stored segment.
+    let queries: Vec<VerticalQuery> = (set.iter().step_by(set.len() / 8).take(8))
+        .map(|s| {
+            let (x, y) = ((s.a.x + s.b.x) / 2, (s.a.y + s.b.y) / 2);
+            VerticalQuery::segment(x, y - 60, y + 60)
+        })
+        .collect();
+    for kind in [IndexKind::TwoLevelBinary, IndexKind::TwoLevelInterval] {
+        let (engine, _) = WriteEngine::recover(
+            build(kind, set.clone()),
+            Box::new(Disk::new(1024)),
+            WriterConfig::default(),
+        )
+        .unwrap();
+        // Delete every hit of the first window and every other hit of
+        // the rest.
+        let mut live = set.clone();
+        for (i, q) in queries.iter().enumerate() {
+            for (j, id) in oracle_query(&live, q).into_iter().enumerate() {
+                if i == 0 || j % 2 == 0 {
+                    let at = live.iter().position(|s| s.id == id).unwrap();
+                    let ack = engine.delete(1_000_000 + id, live.swap_remove(at)).unwrap();
+                    assert!(ack.applied, "{kind:?}: delete of stored #{id}");
+                }
+            }
+        }
+        assert_eq!(
+            engine.delta().len(),
+            set.len() - live.len(),
+            "nothing folded"
+        );
+        assert!(!oracle_query(&set, &queries[0]).is_empty());
+        assert!(oracle_query(&live, &queries[0]).is_empty());
+
+        for mode in [
+            QueryMode::Exists,
+            QueryMode::Limit(1),
+            QueryMode::Limit(3),
+            QueryMode::Limit(u32::MAX),
+        ] {
+            let items: Vec<(VerticalQuery, QueryMode)> =
+                queries.iter().map(|&q| (q, mode)).collect();
+            let together = engine.query_batch_canonical_mode(&items);
+            let alone = (items.iter())
+                .flat_map(|item| engine.query_batch_canonical_mode(std::slice::from_ref(item)));
+            for (at, result) in together.into_iter().chain(alone).enumerate() {
+                let q = &queries[at % queries.len()];
+                let (answer, _) = result.unwrap();
+                let want = oracle_query(&live, q);
+                let ctx = format!("{kind:?} {q:?} {mode:?} (result {at})");
+                match mode {
+                    QueryMode::Limit(k) => {
+                        let hits = ids(answer.segments().unwrap());
+                        assert_eq!(
+                            hits.len() as u64,
+                            (k as u64).min(want.len() as u64),
+                            "{ctx}"
+                        );
+                        assert!(
+                            hits.iter().all(|id| want.binary_search(id).is_ok()),
+                            "{ctx}"
+                        );
+                    }
+                    _ => assert_eq!(answer, QueryAnswer::Exists(!want.is_empty()), "{ctx}"),
+                }
+            }
+        }
+        let (gone, _) = engine
+            .query_batch_canonical_mode(&[(queries[0], QueryMode::Exists)])
+            .pop()
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            gone,
+            QueryAnswer::Exists(false),
+            "{kind:?}: only deleted hits"
+        );
     }
 }
 

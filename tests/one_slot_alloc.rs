@@ -1,12 +1,15 @@
 //! A query is a group of one through the shared walk, reading its nodes
 //! in place; this pins what that costs in heap allocations and pages,
-//! per query mode. Alone in its binary: the counting allocator is global.
+//! per query mode, and what hiding deleted segments adds to it. Alone in
+//! its binary, and one test function: the counting allocator is global.
 //! `examples/one_slot_cost.rs` prints the same figures, with wall time,
 //! at the benchmark's N = 200k.
 
-use segdb::core::{QueryMode, SegmentDatabase};
+use segdb::core::testutil::oracle_query;
+use segdb::core::{QueryMode, SegmentDatabase, WriteEngine, WriterConfig};
 use segdb::geom::gen::{vertical_queries, Family};
-use segdb::geom::VerticalQuery;
+use segdb::geom::{Segment, VerticalQuery};
+use segdb::pager::Disk;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -75,4 +78,54 @@ fn one_slot_exists_allocates_and_reads_like_the_sequential_walk() {
             "{per_query:.2} allocations per one-slot {mode:?} query"
         );
     }
+
+    // Through the write overlay. Deleted segments — the index's live
+    // tombstones, the engine's un-folded deletes — are hidden inside the
+    // walk from sets already in memory, so all a Count pays for them is
+    // its debt vector: no chain page, no set built per query.
+    let (engine, _) =
+        WriteEngine::recover(db, Box::new(Disk::new(4096)), WriterConfig::default()).unwrap();
+    let count_all = |live: &[Segment]| -> u64 {
+        let mut allocs = 0;
+        for q in &pool {
+            let before = ALLOCS.load(Ordering::Relaxed);
+            let mut out = engine.query_batch_canonical_mode(&[(*q, QueryMode::Count)]);
+            allocs += ALLOCS.load(Ordering::Relaxed) - before;
+            let (answer, _) = out.pop().unwrap().unwrap();
+            assert_eq!(answer.count(), oracle_query(live, q).len() as u64, "{q:?}");
+        }
+        allocs
+    };
+    let per_query = pool.len() as u64;
+    // An empty delta: the database's own group of one.
+    let untouched = count_all(&set);
+    // A delta that hides nothing (one insert, right of every probe)
+    // costs the overlay's two vectors: the slots it walks, its answers.
+    let max_x = set.iter().map(|s| s.b.x).max().unwrap();
+    let far = Segment::new(9_000_000, (max_x + 100, 0), (max_x + 200, 0)).unwrap();
+    engine.insert(1, far).unwrap();
+    let overlay = count_all(&set);
+    assert!(
+        overlay <= untouched + 2 * per_query,
+        "{overlay} allocations through an overlay hiding nothing, {untouched} without"
+    );
+    // 207 live tombstones and 68 un-folded deletes.
+    let mut live = set.clone();
+    live.retain(|s| s.id % 97 != 0 && s.id % 293 != 1);
+    engine.with_db_mut(|db| {
+        for s in set.iter().filter(|s| s.id % 97 == 0) {
+            assert!(db.remove(s).unwrap());
+        }
+        assert_eq!(db.tomb_count(), 207);
+    });
+    for s in set.iter().filter(|s| s.id % 97 != 0 && s.id % 293 == 1) {
+        assert!(engine.delete(100 + s.id, *s).unwrap().applied);
+    }
+    assert_eq!(engine.delta().len(), 1 + 68);
+    let hiding = count_all(&live);
+    assert!(
+        hiding <= overlay + per_query,
+        "{hiding} allocations hiding 275 segments, {overlay} hiding none: \
+         more than a debt vector per query"
+    );
 }

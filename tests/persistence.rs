@@ -233,8 +233,8 @@ fn older_formats_are_refused_by_name_and_left_untouched() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Lazy deletes ride through a save: the tombstone chain is reattached
-/// on open and keeps hiding exactly the deleted segments.
+/// Lazy deletes ride through a save: the tombstone chain is loaded on
+/// open and keeps hiding exactly the deleted segments, in every mode.
 #[test]
 fn live_tombstones_survive_reopen() {
     let path = tmpfile("tombstones");
@@ -258,7 +258,7 @@ fn live_tombstones_survive_reopen() {
         );
         db.save().unwrap();
     }
-    let db = SegmentDatabase::open(&path, 0).unwrap();
+    let mut db = SegmentDatabase::open(&path, 0).unwrap();
     db.validate().unwrap();
     assert_eq!((db.len(), db.tomb_count()), (live.len() as u64, 40));
     for q in &queries {
@@ -275,6 +275,61 @@ fn live_tombstones_survive_reopen() {
             want.len() as u64,
             "{q:?}: tombstones subtracted from the stored counts"
         );
+        let (found, _) = db.query_canonical_mode(q, QueryMode::Exists).unwrap();
+        assert_eq!(found.count() > 0, !want.is_empty(), "{q:?} exists");
+        let (some, _) = db.query_canonical_mode(q, QueryMode::Limit(3)).unwrap();
+        let some = ids(some.segments().unwrap());
+        assert_eq!(some.len(), want.len().min(3), "{q:?} limit size");
+        assert!(some.iter().all(|id| want.contains(id)), "{q:?} limit");
     }
+    assert!(
+        !db.remove(&deleted[0]).unwrap(),
+        "a tombstoned segment is gone after reopen too"
+    );
+    assert_eq!(db.tomb_count(), 40);
+    std::fs::remove_file(&path).ok();
+}
+
+/// The superblock's tombstone count (a `u64` at byte 41 of the blob)
+/// must agree with the chain `open` loads: a file where it does not
+/// would answer every count off by the difference, so it is refused by
+/// name and left byte-for-byte alone.
+#[test]
+fn a_tombstone_count_that_disagrees_with_the_chain_is_refused() {
+    const TOMB_COUNT_AT: usize = META_AT + 41;
+    let path = tmpfile("tomb-count");
+    let set = mixed_map(300, 0x7C);
+    {
+        let mut db = SegmentDatabase::builder()
+            .page_size(1024)
+            .index(IndexKind::TwoLevelInterval)
+            .persist_to(&path)
+            .build(set.clone())
+            .unwrap();
+        for s in &set[..5] {
+            assert!(db.remove(s).unwrap());
+        }
+        db.save().unwrap();
+    }
+    let saved = std::fs::read(&path).unwrap();
+    assert_eq!(saved[TOMB_COUNT_AT..TOMB_COUNT_AT + 8], 5u64.to_le_bytes());
+    for wrong in [4u64, 6] {
+        let mut bytes = saved.clone();
+        bytes[TOMB_COUNT_AT..TOMB_COUNT_AT + 8].copy_from_slice(&wrong.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = match SegmentDatabase::open(&path, 0) {
+            Ok(_) => panic!("opened with {wrong} tombstones recorded over a chain of 5"),
+            Err(e) => e.to_string(),
+        };
+        assert!(err.contains("tombstone chain"), "{err}");
+        assert!(
+            std::fs::read(&path).unwrap() == bytes,
+            "open wrote to a refused file"
+        );
+    }
+    std::fs::write(&path, &saved).unwrap();
+    let db = SegmentDatabase::open(&path, 0).unwrap();
+    db.validate().unwrap();
+    assert_eq!(db.tomb_count(), 5);
     std::fs::remove_file(&path).ok();
 }
