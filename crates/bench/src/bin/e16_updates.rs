@@ -4,12 +4,13 @@
 //!
 //! The paper's Theorem 2(iii) bounds amortized inserts by
 //! `O(log_B n + log₂ B)` I/Os; deletes go through the lazy-tombstone
-//! extension, whose cost is a membership probe — a line query, so
-//! output-sensitive `O(log_B n + t/B)` — plus an `O(1)` chain append.
-//! The write engine adds a constant WAL term per op and an `O(1)/d`
-//! checkpoint term (superblock save every `delta_limit = d` ops). The
-//! tables check the *shape*: insert I/O per op tracks the Theorem-2
-//! curve as `n` grows, delete I/O is explained by its measured
+//! extension, whose cost is a membership probe — the point query at the
+//! segment's left endpoint, `O(log_B n)`-shaped and independent of how
+//! much the line through that point stabs — plus an `O(1)` chain
+//! append. The write engine adds a constant WAL term per op and an
+//! `O(1)/d` checkpoint term (superblock save every `delta_limit = d`
+//! ops). The tables check the *shape*: insert I/O per op tracks the
+//! Theorem-2 curve as `n` grows, delete I/O is explained by its measured
 //! membership-probe cost plus a small flat overhead, and the
 //! deterministic batching counters (folds, group commits) scale as
 //! `K/d` and `K/w` exactly.
@@ -21,6 +22,7 @@ use segdb_geom::query::scan_oracle;
 use segdb_geom::{Segment, VerticalQuery};
 use segdb_obs::Json;
 use segdb_pager::Disk;
+use segdb_wal::{WalOp, WalRecord};
 
 const PAGE: usize = 1024;
 const OPS: u64 = 2048;
@@ -61,8 +63,8 @@ fn db_io_for(eng: &WriteEngine, f: impl FnOnce()) -> u64 {
 }
 
 /// Drive `OPS/2` inserts then `OPS/2` deletes through the engine,
-/// measuring each phase separately (plus the bare probe cost at the
-/// victims' lines between the phases). Returns
+/// measuring each phase separately (plus the bare probe cost for the
+/// victims between the phases). Returns
 /// `(ins_io_per_op, del_io_per_op, probe_io, wal_bytes_per_op, folds,
 /// commits)`.
 fn run_workload(
@@ -116,18 +118,23 @@ fn run_workload(
     )
 }
 
-/// Mean measured cost of the membership probe itself: the line query at
-/// each future victim's left endpoint (the paper's output-sensitive
-/// `O(log_B n + t/B)` term, with real chain fragmentation included).
+/// Mean measured cost of the membership probe itself — the point query
+/// through a stored segment's left endpoint that the engine runs when it
+/// accepts a delete, and the index runs again when the fold applies it.
+/// Replaying an insert of a segment already visible runs exactly that
+/// probe and, finding the segment, changes nothing.
 fn mean_probe_reads(eng: &WriteEngine, victims: &[Segment]) -> f64 {
-    let total: u64 = victims
-        .iter()
-        .map(|s| {
-            let (_, trace) = eng.query_line_mode((s.a.x, 0), QueryMode::Collect).unwrap();
-            trace.io.reads
-        })
-        .sum();
-    total as f64 / victims.len() as f64
+    let reads = || eng.with_db(|db| db.pager().stats().reads);
+    let before = reads();
+    for s in victims {
+        let replayed = WalRecord {
+            seq: 0,
+            req_id: u64::MAX,
+            op: WalOp::Insert(*s),
+        };
+        assert!(eng.sync_apply(&replayed).unwrap().duplicate);
+    }
+    (reads() - before) as f64 / victims.len() as f64
 }
 
 fn main() {
@@ -135,7 +142,7 @@ fn main() {
 
     // Scale: fixed batching, growing n — insert I/O per op must track
     // the Theorem-2 amortized curve log_B n + log₂ B, not n; delete I/O
-    // minus the probe's t/B output term must stay near it too.
+    // is two probes of that same shape plus a flat remainder.
     let cfg = WriterConfig {
         group_window: 8,
         delta_limit: 256,

@@ -49,55 +49,120 @@ pub fn next_batch_id() -> u64 {
     NEXT_BATCH_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Segments an index stores but no reader may see, by id: the tombstones
-/// of a structure that deletes lazily, or the deletes a writer has
-/// accepted and not yet folded. Whoever owns one keeps it in memory and
-/// holds in it only segments that are stored and in no other hidden set,
-/// which is what makes the arithmetic of [`Slots`] exact.
-pub(crate) type Hidden = BTreeMap<u64, Segment>;
+/// Segments an index stores but no reader may see: the tombstones of a
+/// structure that deletes lazily, or the deletes a writer has accepted
+/// and not yet folded. Whoever owns one keeps it in memory and holds in
+/// it only segments that are stored and in no other hidden set, which is
+/// what makes the arithmetic of [`Slots`] exact.
+///
+/// Indexed twice, both `O(log h)` to maintain: by id, and by left
+/// endpoint. A query at abscissa `x` can only hit segments that start in
+/// `[x − reach, x]`, `reach` being the widest x-extent the set has held,
+/// so a stab looks at that window and nothing else. One very long
+/// segment widens every window — at worst to the whole set, the linear
+/// scan this index replaces — until the set is next cleared.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Hidden {
+    by_id: BTreeMap<u64, Segment>,
+    by_left: BTreeMap<(i64, u64), Segment>,
+    reach: i64,
+}
 
 /// The empty hidden set: a read with nothing to hide.
 pub(crate) static NO_HIDDEN: Hidden = Hidden::new();
 
+impl Hidden {
+    pub(crate) const fn new() -> Hidden {
+        Hidden {
+            by_id: BTreeMap::new(),
+            by_left: BTreeMap::new(),
+            reach: 0,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.by_id.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.by_id.is_empty()
+    }
+
+    /// The hidden segment carrying `id`.
+    pub(crate) fn get(&self, id: u64) -> Option<&Segment> {
+        self.by_id.get(&id)
+    }
+
+    /// Hide `seg`, in place of whatever its id hid before.
+    pub(crate) fn insert(&mut self, seg: Segment) {
+        if let Some(old) = self.by_id.insert(seg.id, seg) {
+            self.by_left.remove(&(old.a.x, old.id));
+        }
+        self.by_left.insert((seg.a.x, seg.id), seg);
+        self.reach = self.reach.max(seg.b.x - seg.a.x);
+    }
+
+    pub(crate) fn clear(&mut self) {
+        *self = Hidden::new();
+    }
+
+    /// Every hidden segment that can meet the line `x = x0`: those
+    /// starting within `reach` to its left.
+    fn candidates(&self, x0: i64) -> impl Iterator<Item = &Segment> {
+        let from = (x0.saturating_sub(self.reach), u64::MIN);
+        self.by_left.range(from..=(x0, u64::MAX)).map(|(_, s)| s)
+    }
+
+    /// The hidden segments `q` hits.
+    pub(crate) fn stab<'h>(&'h self, q: &'h VerticalQuery) -> impl Iterator<Item = &'h Segment> {
+        self.candidates(q.x()).filter(|s| q.hits(s))
+    }
+}
+
 /// The slots of one group walk as the two-level structures address
 /// them: delivery by slot index, with the [`Hidden`] segments withheld.
 ///
-/// A walk meets hidden segments in the pages like any other.
-/// Segment-wanting slots have them filtered out by id. Count-only slots
-/// keep the count-from-header fast paths: a hidden set carries full
-/// geometry, so each slot starts with a *debt* — the number of hidden
-/// segments its query hits — and stored hits pay it off before any
-/// reaches the sink. The sink therefore sees exactly `stored − hidden`,
-/// and an `Exists` slot can still stop at the first visible hit.
-pub(crate) struct Slots<'m, 'a, 'h> {
+/// A walk meets hidden segments in the pages like any other, so each
+/// slot starts from the hidden segments its own query hits (a stab of
+/// each set, `O(log h + candidates)`). A segment-wanting slot has exactly
+/// those filtered out by id. A count-only slot keeps the
+/// count-from-header fast paths: their number is its *debt*, and stored
+/// hits pay it off before any reaches the sink. The sink therefore sees
+/// exactly `stored − hidden`, and an `Exists` slot can still stop at the
+/// first visible hit.
+pub(crate) struct Slots<'m, 'a> {
     multi: &'m mut MultiSink<'a>,
-    /// The structure's own hidden set and its caller's.
-    hidden: [&'h Hidden; 2],
-    /// Per slot, hidden hits still to cancel (empty when nothing is
-    /// hidden or no slot counts).
+    /// Per slot, hidden hits still to cancel (empty until some counting
+    /// slot's query hits a hidden segment).
     debt: Vec<u64>,
+    /// `(slot, id)` of every hidden segment a segment-wanting slot's
+    /// query hits, sorted.
+    withheld: Vec<(usize, u64)>,
 }
 
-impl<'m, 'a, 'h> Slots<'m, 'a, 'h> {
-    /// Slots that withhold `hidden` (pass [`NO_HIDDEN`] for a side with
-    /// nothing to hide).
-    pub(crate) fn new(multi: &'m mut MultiSink<'a>, hidden: [&'h Hidden; 2]) -> Self {
-        let mut debt = Vec::new();
-        let counting = (0..multi.len()).any(|i| !multi.want_segments(i));
-        if counting && hidden.iter().any(|h| !h.is_empty()) {
-            debt.resize(multi.len(), 0);
-            for s in hidden.iter().flat_map(|h| h.values()) {
-                for (i, owed) in debt.iter_mut().enumerate() {
-                    if !multi.want_segments(i) && multi.query(i).hits(s) {
-                        *owed += 1;
+impl<'m, 'a> Slots<'m, 'a> {
+    /// Slots that withhold `hidden` — the structure's own set and its
+    /// caller's; pass [`NO_HIDDEN`] for a side with nothing to hide.
+    pub(crate) fn new(multi: &'m mut MultiSink<'a>, hidden: [&Hidden; 2]) -> Self {
+        let (mut debt, mut withheld) = (Vec::new(), Vec::new());
+        for i in 0..multi.len() {
+            let (q, wants) = (*multi.query(i), multi.want_segments(i));
+            for s in hidden.iter().flat_map(|h| h.stab(&q)) {
+                if wants {
+                    withheld.push((i, s.id));
+                } else {
+                    if debt.is_empty() {
+                        debt.resize(multi.len(), 0);
                     }
+                    debt[i] += 1;
                 }
             }
         }
+        withheld.sort_unstable();
         Slots {
             multi,
-            hidden,
             debt,
+            withheld,
         }
     }
 
@@ -138,7 +203,7 @@ impl<'m, 'a, 'h> Slots<'m, 'a, 'h> {
         if !self.debt.is_empty() && self.counts(i) {
             return self.report_count(i, 1);
         }
-        if self.hidden.iter().any(|h| h.contains_key(&seg.id)) {
+        if self.withheld.binary_search(&(i, seg.id)).is_ok() {
             return ControlFlow::Continue(());
         }
         self.multi.report(i, seg)
@@ -249,6 +314,34 @@ pub(crate) fn one_slot(
     drop(multi);
     trace.hits = counting.hits.min(u32::MAX as u64) as u32;
     Ok(trace)
+}
+
+/// The membership probe — is exactly `seg` (id and geometry) among what
+/// `walk` shows? A stored segment passes through its own left endpoint,
+/// so the probe is the degenerate query at that point, a group of one
+/// through the ordinary walk: it meets the few segments through the
+/// point, not the line's worth a stabbing query would, and stops at the
+/// match.
+pub(crate) fn holds<E>(
+    seg: &Segment,
+    walk: impl FnOnce(&mut MultiSink<'_>) -> Result<QueryTrace, E>,
+) -> Result<bool, E> {
+    struct Find<'s>(&'s Segment, bool);
+    impl ReportSink for Find<'_> {
+        fn report(&mut self, hit: &Segment) -> ControlFlow<()> {
+            if hit == self.0 {
+                self.1 = true;
+                return ControlFlow::Break(());
+            }
+            ControlFlow::Continue(())
+        }
+    }
+    let mut find = Find(seg, false);
+    let mut multi = MultiSink::new();
+    multi.push(VerticalQuery::segment(seg.a.x, seg.a.y, seg.a.y), &mut find);
+    walk(&mut multi)?;
+    drop(multi);
+    Ok(find.1)
 }
 
 /// Per-slot sink implementing that slot's [`QueryMode`], with the answer
@@ -553,7 +646,8 @@ mod tests {
     fn hidden_segments_are_withheld_or_refused() {
         let set = mixed_map(300, 6);
         let gone = set[7];
-        let hidden = Hidden::from([(gone.id, gone)]);
+        let mut hidden = Hidden::new();
+        hidden.insert(gone);
         let q = VerticalQuery::Line { x: gone.a.x };
         let (seq, _) = build(IndexKind::FullScan, &set)
             .query_canonical(&q)
@@ -572,6 +666,151 @@ mod tests {
             let shown = collect.unwrap().0;
             assert_eq!(shown.count(), seq.len() as u64 - 1, "{kind:?}");
             assert!(!shown.segments().unwrap().contains(&gone), "{kind:?}");
+        }
+    }
+
+    /// Short random segments (x-extent ≤ 64 over a 16k-wide box), every
+    /// fifth vertical; ids from `first_id`.
+    fn short_segments(n: u64, first_id: u64, rng: &mut segdb_rng::SmallRng) -> Vec<Segment> {
+        (0..n)
+            .map(|k| {
+                let (x, y) = (rng.gen_range(0..16_000i64), rng.gen_range(0..4_000i64));
+                let dx = if k % 5 == 0 {
+                    0
+                } else {
+                    rng.gen_range(1..=64i64)
+                };
+                Segment::new(first_id + k, (x, y), (x + dx, y + rng.gen_range(1..=40i64))).unwrap()
+            })
+            .collect()
+    }
+
+    fn hidden_of(segs: &[Segment]) -> Hidden {
+        let mut hidden = Hidden::new();
+        for s in segs {
+            hidden.insert(*s);
+        }
+        hidden
+    }
+
+    /// Queries of every shape at abscissas the segments start at, end at
+    /// and pass over.
+    fn probes_over(
+        segs: &[Segment],
+        n: usize,
+        rng: &mut segdb_rng::SmallRng,
+    ) -> Vec<VerticalQuery> {
+        (0..n)
+            .map(|k| {
+                let s = segs[rng.gen_range(0..segs.len())];
+                let x = [s.a.x, s.b.x, rng.gen_range(0..16_100i64)][k % 3];
+                let y = rng.gen_range(0..4_000i64);
+                match k % 4 {
+                    0 => VerticalQuery::Line { x },
+                    1 => VerticalQuery::RayUp { x, y0: y },
+                    2 => VerticalQuery::RayDown { x, y0: y },
+                    _ => VerticalQuery::segment(x, y, y + 300),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_stab_returns_what_the_linear_filter_returns() {
+        let mut rng = segdb_rng::SmallRng::seed_from_u64(0x51AB);
+        for with_long in [false, true] {
+            let mut segs = short_segments(600, 0, &mut rng);
+            if with_long {
+                // One segment across the whole extent: every window
+                // widens to the whole set, and the answers stay right.
+                segs.push(Segment::new(9_000, (0, 5_000), (16_100, 5_001)).unwrap());
+            }
+            let mut hidden = hidden_of(&segs);
+            // Ids hidden again under new geometry replace the old entry
+            // in both indexes.
+            for s in segs.iter_mut().step_by(7) {
+                *s = Segment::new(s.id, (s.a.x + 1_000, s.a.y), (s.b.x + 1_000, s.b.y)).unwrap();
+                hidden.insert(*s);
+            }
+            assert_eq!(hidden.len(), segs.len());
+            for s in &segs {
+                assert_eq!(hidden.get(s.id), Some(s));
+            }
+            for q in probes_over(&segs, 400, &mut rng) {
+                let mut got: Vec<u64> = hidden.stab(&q).map(|s| s.id).collect();
+                got.sort_unstable();
+                assert_eq!(got, crate::testutil::oracle_query(&segs, &q), "{q:?}");
+            }
+            hidden.clear();
+            assert!(
+                hidden.is_empty()
+                    && hidden
+                        .stab(&VerticalQuery::Line { x: 500 })
+                        .next()
+                        .is_none()
+            );
+        }
+    }
+
+    #[test]
+    fn a_stab_visits_a_window_not_the_set() {
+        let mut rng = segdb_rng::SmallRng::seed_from_u64(0xAB5C);
+        let segs = short_segments(4096, 0, &mut rng);
+        let hidden = hidden_of(&segs);
+        for q in probes_over(&segs, 200, &mut rng) {
+            let visited = hidden.candidates(q.x()).count();
+            assert!(
+                visited * 20 <= segs.len(),
+                "{visited} of 4096 visited for {q:?}"
+            );
+        }
+    }
+
+    /// `Slots` against the linear rule, fed every stored hit the way a
+    /// walk would: a counting slot ends at `stored − hidden`, a
+    /// segment-wanting slot at the stored hits whose id is not hidden.
+    #[test]
+    fn slots_debt_and_filter_equal_the_linear_ones() {
+        let mut rng = segdb_rng::SmallRng::seed_from_u64(0x5107);
+        let stored = short_segments(900, 0, &mut rng);
+        // Two disjoint hidden sets, as a structure's and its caller's.
+        let tombs = hidden_of(&stored[..200]);
+        let deletes = hidden_of(&stored[200..300]);
+        let shown = &stored[300..];
+        for group in [1usize, 8] {
+            for round in 0..40 {
+                let queries = probes_over(&stored, group, &mut rng);
+                // Counting and segment-wanting slots side by side; a
+                // group of one is each in turn.
+                let counting = |i: usize| (i + round).is_multiple_of(2);
+                let mut counts: Vec<CountSink> = queries.iter().map(|_| CountSink::new()).collect();
+                let mut lists: Vec<Vec<Segment>> = vec![Vec::new(); group];
+                let mut multi = MultiSink::new();
+                for (i, (c, l)) in counts.iter_mut().zip(lists.iter_mut()).enumerate() {
+                    if counting(i) {
+                        multi.push(queries[i], c);
+                    } else {
+                        multi.push(queries[i], l);
+                    }
+                }
+                let mut slots = Slots::new(&mut multi, [&tombs, &deletes]);
+                for s in &stored {
+                    for (i, q) in queries.iter().enumerate() {
+                        if q.hits(s) {
+                            let _ = slots.report(i, s);
+                        }
+                    }
+                }
+                drop(multi);
+                for (i, q) in queries.iter().enumerate() {
+                    let want = crate::testutil::oracle_query(shown, q);
+                    if counting(i) {
+                        assert_eq!(counts[i].count, want.len() as u64, "{q:?}");
+                    } else {
+                        assert_eq!(ids(&lists[i]), want, "{q:?}");
+                    }
+                }
+            }
         }
     }
 

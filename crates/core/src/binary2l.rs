@@ -332,7 +332,7 @@ impl TwoLevelBinary {
     /// answered from the interval set's stored counts without reading
     /// its lists. Stored segments in `hidden` — a writer's un-folded
     /// deletes — are withheld from every slot (see [`Slots`]).
-    pub fn query_group(
+    pub(crate) fn query_group(
         &self,
         pager: &Pager,
         multi: &mut MultiSink<'_>,
@@ -353,7 +353,7 @@ impl TwoLevelBinary {
     fn walk(
         &self,
         pager: &Pager,
-        slots: &mut Slots<'_, '_, '_>,
+        slots: &mut Slots<'_, '_>,
         page: PageId,
         group: &mut [BatchQuery],
         trace: &mut QueryTrace,

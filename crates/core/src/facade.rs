@@ -801,9 +801,8 @@ impl SegmentDatabase {
 
     /// Fold lazy-delete tombstones back into the index ahead of the
     /// automatic `tomb_count >= len` trigger — the background compaction
-    /// entry point; frees the pages the deleted segments still occupy
-    /// and empties the set every counting read scans. Returns whether
-    /// any work was done.
+    /// entry point; frees the pages the deleted segments still occupy.
+    /// Returns whether any work was done.
     pub fn compact(&mut self) -> Result<bool, DbError> {
         match &mut self.index {
             Index::Interval(x) => Ok(x.compact(&self.pager)?),

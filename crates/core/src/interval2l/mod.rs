@@ -47,7 +47,7 @@ pub mod gtree;
 pub mod msrec;
 pub mod node;
 
-use crate::batch::{one_slot, Hidden, Slots, NO_HIDDEN};
+use crate::batch::{holds, one_slot, Hidden, Slots, NO_HIDDEN};
 use crate::chain;
 use crate::report::QueryTrace;
 use gtree::{allocation, path as g_path, skeleton, GNode};
@@ -243,9 +243,7 @@ impl TwoLevelInterval {
             })
             .max(1);
         let mut tombs = Hidden::new();
-        chain::scan(pager, tomb_head, |s| {
-            tombs.insert(s.id, s);
-        })?;
+        chain::scan(pager, tomb_head, |s| tombs.insert(s))?;
         if tombs.len() as u64 != tomb_count {
             return Err(PagerError::Corrupt(
                 "interval2l tombstone chain disagrees with the superblock's tombstone count",
@@ -324,7 +322,7 @@ impl TwoLevelInterval {
     /// stored segments in `hidden` (a writer's un-folded deletes) are
     /// subtracted from such slots and filtered out of the others (see
     /// [`Slots`]).
-    pub fn query_group(
+    pub(crate) fn query_group(
         &self,
         pager: &Pager,
         multi: &mut MultiSink<'_>,
@@ -345,7 +343,7 @@ impl TwoLevelInterval {
     fn walk(
         &self,
         pager: &Pager,
-        slots: &mut Slots<'_, '_, '_>,
+        slots: &mut Slots<'_, '_>,
         page: PageId,
         group: &mut [BatchQuery],
         trace: &mut QueryTrace,
@@ -386,7 +384,7 @@ impl TwoLevelInterval {
     fn visit_slab(
         &self,
         pager: &Pager,
-        slots: &mut Slots<'_, '_, '_>,
+        slots: &mut Slots<'_, '_>,
         n: &InternalView<'_>,
         j: usize,
         run: &mut [BatchQuery],
@@ -445,7 +443,7 @@ impl TwoLevelInterval {
 
     /// Insert a segment (semi-dynamic, Theorem 2(iii)).
     pub fn insert(&mut self, pager: &Pager, seg: Segment) -> Result<()> {
-        if self.tombs.contains_key(&seg.id) {
+        if self.tombs.get(seg.id).is_some() {
             // Re-inserting a tombstoned id would stay hidden: purge first.
             self.rebuild_live(pager)?;
         }
@@ -610,19 +608,20 @@ impl TwoLevelInterval {
     }
 
     /// Delete a stored segment — an extension beyond the paper's
-    /// semi-dynamic Theorem 2, implemented with lazy tombstones: the id
-    /// is filtered from every answer and the whole structure is rebuilt
-    /// once tombstones reach the live count (amortized `O((n/B)·log)` per
-    /// the standard argument). Returns whether the segment was present.
+    /// semi-dynamic Theorem 2, implemented with lazy tombstones. A delete
+    /// is one membership probe ([`holds`]: the point query at the
+    /// segment's left endpoint, `O(log_B n)`-shaped like the insert's
+    /// descent, whatever the line through that point would report) plus
+    /// an `O(1)` chain append; from then on the segment is withheld from
+    /// every answer, and the whole structure is rebuilt once tombstones
+    /// reach the live count (amortized `O((n/B)·log)` per the standard
+    /// argument). Returns whether the segment was present.
     pub fn remove(&mut self, pager: &Pager, seg: &Segment) -> Result<bool> {
-        // Membership probe: a stored segment always appears on the line
-        // query through its left endpoint.
-        let (hits, _) = self.query(pager, &VerticalQuery::Line { x: seg.a.x })?;
-        if !hits.iter().any(|h| h == seg) {
+        if !holds(seg, |multi| self.query_group(pager, multi, &NO_HIDDEN))? {
             return Ok(false);
         }
         self.tomb_head = chain::push(pager, self.tomb_head, seg)?;
-        self.tombs.insert(seg.id, *seg);
+        self.tombs.insert(*seg);
         self.len -= 1;
         if self.tomb_count() >= self.len.max(1) {
             self.rebuild_live(pager)?;
@@ -650,7 +649,7 @@ impl TwoLevelInterval {
         if self.root != NULL_PAGE {
             self.collect_rec(pager, self.root, &mut out)?;
         }
-        out.retain(|s| !self.tombs.contains_key(&s.id));
+        out.retain(|s| self.tombs.get(s.id).is_none());
         Ok(out)
     }
 
@@ -678,7 +677,7 @@ impl TwoLevelInterval {
         // The resident tombstones against their durable copy.
         let chained = chain::collect(pager, self.tomb_head)?;
         if chained.len() != self.tombs.len()
-            || !chained.iter().all(|s| self.tombs.get(&s.id) == Some(s))
+            || !chained.iter().all(|s| self.tombs.get(s.id) == Some(s))
         {
             return Err(PagerError::Corrupt(
                 "interval2l resident tombstones disagree with the tombstone chain",
@@ -701,7 +700,7 @@ impl TwoLevelInterval {
         n: &InternalView<'_>,
         j: usize,
         p: &BatchQuery,
-        slots: &mut Slots<'_, '_, '_>,
+        slots: &mut Slots<'_, '_>,
         trace: &mut QueryTrace,
     ) -> Result<()> {
         let (x0, lo, hi, slot) = (p.qx, p.lo, p.hi, p.tag);

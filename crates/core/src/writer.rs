@@ -3,7 +3,7 @@
 //!
 //! # Architecture
 //!
-//! The engine layers three pieces over the paper's structures:
+//! The engine layers four pieces over the paper's structures:
 //!
 //! * **WAL** ([`segdb_wal::Wal`]) — every accepted insert/delete is
 //!   appended (group-committed) before it is acknowledged, carrying the
@@ -16,6 +16,13 @@
 //!   paths, `Exists` still stops at the first visible hit and
 //!   `Limit(k)` fetches `k`. Its inserts are merged in *after* the walk
 //!   (`+ |inserts ∩ q|` for counts).
+//! * **Membership probe** — a delete is logged only if its exact
+//!   segment is visible, and a replayed insert only if it is not. Both
+//!   ask [`crate::batch::holds`]: the point query at the segment's left
+//!   endpoint through the walk every read takes, with the delta's
+//!   deletes hidden — `O(log_B n)`-shaped like the insert's descent, not
+//!   a query of the line through the segment. The fold's
+//!   [`SegmentDatabase::remove`] asks the same way.
 //! * **Fold** — when the delta reaches `delta_limit`, the writer takes
 //!   the database write lock and replays the pending ops through the
 //!   native [`SegmentDatabase::insert`]/[`SegmentDatabase::remove`]
@@ -36,7 +43,7 @@
 //! truncation (nothing to do). A group-commit window may lose its
 //! unsynced tail — exactly the ops never acknowledged.
 
-use crate::batch::Hidden;
+use crate::batch::{holds, Hidden};
 use crate::facade::{DbError, IndexKind, SegmentDatabase};
 use crate::report::{QueryAnswer, QueryMode, QueryTrace};
 use segdb_geom::transform::Direction;
@@ -127,9 +134,11 @@ pub struct RecoveryReport {
 }
 
 /// Immutable snapshot of the unfolded ops. Readers clone the `Arc`
-/// under the database read lock; the writer replaces the whole snapshot
-/// on every mutation (ops are rare and bounded by `delta_limit`, so
-/// copy-on-write beats finer locking).
+/// under the database read lock and keep it for their walk; the writer
+/// edits through `Arc::make_mut` under the delta mutex, which copies the
+/// snapshot (at most `delta_limit` segments) only when some reader still
+/// holds it and edits in place otherwise — either way no reader ever
+/// sees its snapshot change.
 #[derive(Debug, Default, Clone)]
 pub struct DeltaSnap {
     /// Canonical-frame segments inserted since the last fold.
@@ -400,12 +409,9 @@ impl WriteEngine {
         let rec = WalRecord { seq, req_id, op };
         inner.pending.push(rec);
         inner.push_history(self.cfg.sync_history, rec);
-        {
-            let mut delta = self.delta.lock().expect("delta lock poisoned");
-            let mut next = (**delta).clone();
-            edit(&mut next);
-            *delta = Arc::new(next);
-        }
+        edit(Arc::make_mut(
+            &mut self.delta.lock().expect("delta lock poisoned"),
+        ));
         let ack = WriteAck {
             seq,
             applied: true,
@@ -413,7 +419,9 @@ impl WriteEngine {
         };
         inner.recent.put(req_id, ack);
         accepted.fetch_add(1, Ordering::Relaxed);
-        self.maybe_fold(inner)?;
+        if inner.pending.len() >= self.cfg.delta_limit {
+            self.fold_locked(&mut inner)?;
+        }
         Ok(ack)
     }
 
@@ -444,7 +452,7 @@ impl WriteEngine {
         // Only a delete that hits is logged: the hidden-set arithmetic
         // of the reads depends on every delta delete being a segment the
         // base index stores and still shows.
-        if !self.is_visible(&seg)? {
+        if !self.is_visible(&canonical)? {
             let ack = WriteAck {
                 seq: 0,
                 applied: false,
@@ -461,7 +469,7 @@ impl WriteEngine {
             let held = delta.inserts.len();
             delta.inserts.retain(|s| *s != canonical);
             if delta.inserts.len() == held {
-                delta.deletes.insert(canonical.id, canonical);
+                delta.deletes.insert(canonical);
             }
         })
     }
@@ -516,7 +524,7 @@ impl WriteEngine {
     pub fn sync_apply(&self, rec: &WalRecord) -> Result<WriteAck, DbError> {
         match rec.op {
             WalOp::Insert(seg) => {
-                if self.is_visible(&seg)? {
+                if self.is_visible(&self.direction.apply_segment(&seg)?)? {
                     return Ok(WriteAck {
                         seq: 0,
                         applied: false,
@@ -529,28 +537,28 @@ impl WriteEngine {
         }
     }
 
-    /// Is this exact segment (id + geometry) visible to a read right
-    /// now? A base segment deleted since the last fold is hidden by the
-    /// read's walk, so it is not.
-    fn is_visible(&self, seg: &Segment) -> Result<bool, DbError> {
-        let (ans, _) = self.query_line_mode(seg.a, QueryMode::Collect)?;
-        Ok(ans.segments().is_some_and(|hits| hits.contains(seg)))
+    /// Is this exact canonical-frame segment (id + geometry) visible to a
+    /// read right now — a delta insert, or stored by the base and not
+    /// deleted since the last fold? One read lock, one delta snapshot,
+    /// one point probe ([`holds`]) through the walk every read takes.
+    fn is_visible(&self, canonical: &Segment) -> Result<bool, DbError> {
+        let db = self.db.read().expect("db lock poisoned");
+        let delta = self.delta();
+        if delta.inserts.contains(canonical) {
+            return Ok(true);
+        }
+        holds(canonical, |multi| db.walk_group(multi, &delta.deletes))
     }
 
     /// Fold the delta into the index now, regardless of size.
     pub fn fold(&self) -> Result<(), DbError> {
-        let inner = self.writer.lock().expect("writer lock poisoned");
-        self.fold_locked(inner)
+        let mut inner = self.writer.lock().expect("writer lock poisoned");
+        self.fold_locked(&mut inner)
     }
 
-    fn maybe_fold(&self, inner: MutexGuard<'_, WriterInner>) -> Result<(), DbError> {
-        if inner.pending.len() >= self.cfg.delta_limit {
-            self.fold_locked(inner)?;
-        }
-        Ok(())
-    }
-
-    fn fold_locked(&self, mut inner: MutexGuard<'_, WriterInner>) -> Result<(), DbError> {
+    /// Fold under the writer mutex the caller holds — and keeps, so
+    /// nothing is accepted between this and whatever it does next.
+    fn fold_locked(&self, inner: &mut WriterInner) -> Result<(), DbError> {
         if inner.pending.is_empty() {
             return Ok(());
         }
@@ -585,13 +593,12 @@ impl WriteEngine {
     }
 
     /// Fold lazy-delete tombstones back into the index (the background
-    /// compaction pass). Folds the delta first so the rebuild sees
-    /// every accepted op. Returns whether a rebuild ran.
+    /// compaction pass). Folds the delta first, and holds the writer
+    /// mutex from that fold to the save, so the rebuild sees every
+    /// accepted op. Returns whether a rebuild ran.
     pub fn compact(&self) -> Result<bool, DbError> {
-        let inner = self.writer.lock().expect("writer lock poisoned");
-        self.fold_locked(inner)?;
-        // Re-acquire: fold_locked consumed the guard.
-        let _inner = self.writer.lock().expect("writer lock poisoned");
+        let mut inner = self.writer.lock().expect("writer lock poisoned");
+        self.fold_locked(&mut inner)?;
         let mut db = self.db.write().expect("db lock poisoned");
         let ran = db.compact()?;
         if ran {
@@ -674,46 +681,58 @@ impl WriteEngine {
         if delta.is_empty() {
             return db.query_batch_canonical_mode(items);
         }
-        let settled = |&(q, mode): &(VerticalQuery, QueryMode)| {
-            mode == QueryMode::Exists && delta.inserts.iter().any(|s| q.hits(s))
+        // The delta inserts each item's query hits, as `(item, insert)`
+        // in item order — found once, for the shortcut and the merge
+        // both. An `Exists` needs to know of one at most.
+        let mut added: Vec<(usize, &Segment)> = Vec::new();
+        for (i, (q, mode)) in items.iter().enumerate() {
+            let most = if *mode == QueryMode::Exists {
+                1
+            } else {
+                usize::MAX
+            };
+            added.extend((delta.inserts.iter().filter(|s| q.hits(s)).take(most)).map(|s| (i, s)));
+        }
+        let added_to = |i: usize| {
+            let from = added.partition_point(|&(item, _)| item < i);
+            &added[from..from + added[from..].partition_point(|&(item, _)| item == i)]
         };
-        let walked: Vec<(VerticalQuery, QueryMode)> = items
-            .iter()
-            .filter(|item| !settled(item))
-            .copied()
+        let settled = |i: usize| items[i].1 == QueryMode::Exists && !added_to(i).is_empty();
+        let walked: Vec<(VerticalQuery, QueryMode)> = (0..items.len())
+            .filter(|&i| !settled(i))
+            .map(|i| items[i])
             .collect();
         let mut base = db.query_batch_hiding(&walked, &delta.deletes).into_iter();
-        items
-            .iter()
-            .map(|item| {
-                if settled(item) {
+        (0..items.len())
+            .map(|i| {
+                if settled(i) {
                     return Ok((QueryAnswer::Exists(true), QueryTrace::default()));
                 }
                 let (ans, trace) = base.next().expect("one base result per walked slot")?;
-                let ans = Self::merge_answer(&db, &delta.inserts, &item.0, item.1, ans)?;
-                Ok((ans, trace))
+                Ok((
+                    Self::merge_answer(&db, added_to(i), items[i].1, ans)?,
+                    trace,
+                ))
             })
             .collect()
     }
 
-    /// Add the delta inserts `q` hits to a base answer (an `Exists` they
-    /// would settle never gets here).
+    /// Add the delta inserts its query hits to an item's base answer (an
+    /// `Exists` they would settle never gets here).
     fn merge_answer(
         db: &SegmentDatabase,
-        inserts: &[Segment],
-        q: &VerticalQuery,
+        added: &[(usize, &Segment)],
         mode: QueryMode,
         ans: QueryAnswer,
     ) -> Result<QueryAnswer, DbError> {
-        let mut added = inserts.iter().filter(|s| q.hits(s)).peekable();
-        if added.peek().is_none() {
+        if added.is_empty() {
             return Ok(ans);
         }
         Ok(match ans {
-            QueryAnswer::Count(n) => QueryAnswer::Count(n + added.count() as u64),
+            QueryAnswer::Count(n) => QueryAnswer::Count(n + added.len() as u64),
             QueryAnswer::Exists(_) => QueryAnswer::Exists(true),
             QueryAnswer::Segments(mut hits) => {
-                for s in added {
+                for (_, s) in added {
                     hits.push(db.direction().unapply_segment(s)?);
                 }
                 match mode {

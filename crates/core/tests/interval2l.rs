@@ -270,6 +270,56 @@ fn lazy_deletion_extension() {
     );
 }
 
+/// `remove` finds a segment by a point probe at its left endpoint. It
+/// must find every stored segment wherever the structure filed it — a
+/// leaf, a boundary's `L`/`R` PSTs, a `G` list, a `C` set — pick the
+/// right one out of several through the same point, and find nothing
+/// that differs from a stored segment in id or in geometry.
+#[test]
+fn the_membership_probe_is_exact() {
+    for page in [512usize, 4096] {
+        // A map plus what it lacks: full-width horizontals (a `G`
+        // multislab list each) and a star through one left endpoint.
+        let mut set = gen::mixed_map(900, 0x9B0E);
+        gen::spans_and_star(&mut set);
+        let p = pager(page);
+        let mut t = TwoLevelInterval::build(&p, Interval2LConfig::default(), set.clone()).unwrap();
+        let st = t.describe(&p).unwrap();
+        assert!(
+            st.in_leaves > 0 && st.on_line > 0 && st.crossing > 0 && st.long_fragment_records > 0,
+            "page {page}: a placement is missing from {st:?}"
+        );
+        for s in set.iter().step_by(9).chain(&set[set.len() - 8..]) {
+            let other_id = Segment::new(s.id + 1_000_000, s.a, s.b).unwrap();
+            let other_geometry = Segment::new(s.id, s.a, (s.b.x, s.b.y + 1)).unwrap();
+            assert!(!t.remove(&p, &other_id).unwrap(), "{other_id}");
+            assert!(!t.remove(&p, &other_geometry).unwrap(), "{other_geometry}");
+        }
+        assert_eq!((t.len(), t.tomb_count()), (set.len() as u64, 0));
+        // Remove everything, a fifth at a time, each segment once.
+        let mut kept = set.clone();
+        for round in 0..5u64 {
+            let (gone, rest): (Vec<Segment>, Vec<Segment>) =
+                kept.iter().partition(|s| s.id % 5 == round);
+            for s in &gone {
+                assert!(t.remove(&p, s).unwrap(), "page {page}: missing {s}");
+                assert!(!t.remove(&p, s).unwrap(), "page {page}: removed twice {s}");
+            }
+            kept = rest;
+            t.validate(&p).unwrap();
+            assert_eq!(t.len() as usize, kept.len());
+            let mut queries = vertical_queries(&set, 12, 150, round);
+            queries.extend(
+                gone.iter()
+                    .take(6)
+                    .map(|s| VerticalQuery::Line { x: s.a.x }),
+            );
+            check(&kept, &t, &p, &queries, "probe-exact");
+        }
+        assert!(t.is_empty());
+    }
+}
+
 /// Tombstones are resident: `attach` loads the chain once and checks it
 /// against the recorded count, and after that no read touches it — a
 /// Count costs the pages it cost before the removes, since a lazy delete

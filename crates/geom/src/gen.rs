@@ -180,6 +180,28 @@ pub fn mixed_map(n: usize, seed: u64) -> Vec<Segment> {
     out
 }
 
+/// Append to `set`, above everything in it, what the map generators
+/// never produce: six horizontals spanning its whole x-extent, and a star
+/// of eight segments fanning out of one left endpoint (so a point query
+/// there meets all eight). Non-crossing with `set` and with each other.
+/// Returns how many segments were appended — they are the last ones.
+pub fn spans_and_star(set: &mut Vec<Segment>) -> usize {
+    let x_lo = set.iter().map(|s| s.a.x).min().unwrap_or(0).min(0);
+    let x_hi = set.iter().map(|s| s.b.x).max().unwrap_or(1);
+    let y_top = set.iter().map(|s| s.y_span().1).max().unwrap_or(0);
+    let id = set.iter().map(|s| s.id + 1).max().unwrap_or(0);
+    for k in 0..6 {
+        let y = y_top + 10 + k as i64;
+        set.push(Segment::new(id + k, (x_lo, y), (x_hi, y)).expect("span valid"));
+    }
+    let hub = (x_hi / 2, y_top + 100);
+    for k in 0..8 {
+        let end = (hub.0 + 500, hub.1 + 40 * k as i64);
+        set.push(Segment::new(id + 6 + k, hub, end).expect("ray valid"));
+    }
+    14
+}
+
 /// Generate `count` vertical segment queries over the bounding box of
 /// `set`, with query height chosen as `frac_per_mille`/1000 of the y-span
 /// (controls expected output size `t`).
@@ -305,11 +327,13 @@ mod tests {
     #[test]
     fn all_families_are_nct_and_deterministic() {
         for f in Family::ALL {
-            let a = f.generate(500, 42);
+            let mut a = f.generate(500, 42);
             let b = f.generate(500, 42);
             assert_eq!(a, b, "{} not deterministic", f.name());
             verify_nct(&a).unwrap_or_else(|e| panic!("{} violates NCT: {e}", f.name()));
             assert!(!a.is_empty());
+            assert_eq!(spans_and_star(&mut a), a.len() - b.len());
+            verify_nct(&a).unwrap_or_else(|e| panic!("{} + spans and star: {e}", f.name()));
         }
     }
 

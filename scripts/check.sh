@@ -185,6 +185,13 @@ SEGDB_BENCH_DIR="$SMOKE" "$LOAD" --addr "$ADDR" --family mixed --n 300 --seed 21
     --connections 1 --requests 1 --no-verify --shutdown > /dev/null
 wait "$SERVE_PID"
 
+echo "==> update-cost smoke (E16: a delete within 4x an insert, in pages)"
+# Page counts on the simulated device are exact, so this cannot flake.
+SEGDB_BENCH_DIR="$SMOKE" target/release/e16_updates > /dev/null
+grep -o '"insert_io_per_op":[0-9.]*,"delete_io_per_op":[0-9.]*' "$SMOKE/BENCH_updates.json" |
+    awk -F'[:,]' '{ rows++; if ($4 > 4 * $2) dear++ } END { exit !(rows == 6 && dear == 0) }' || {
+    echo "E16: some row's del io/op exceeds 4 x its ins io/op (or a row is missing)"; exit 1; }
+
 echo "==> live-tombstone smoke (offline remove, then fresh processes must not see it)"
 # An offline remove leaves a live tombstone in the file. Every reader
 # below is a new process, so each loads the tombstone chain at open.
@@ -392,4 +399,4 @@ echo "$OUT1" | grep -q '"observed_io_errors":0}' && {
 echo "$OUT1" | grep -q '"recovery_queries_verified":0,' && {
     echo "no recovery query was verified: $OUT1"; exit 1; }
 
-echo "OK: build, tests, benchmark package, bench_pair, clippy, fmt, serve + lifecycle + net-chaos + write-path + live-tombstone + cluster + replicated-failover + crash-recovery smoke all clean."
+echo "OK: build, tests, benchmark package, bench_pair, clippy, fmt, serve + lifecycle + net-chaos + write-path + update-cost + live-tombstone + cluster + replicated-failover + crash-recovery smoke all clean."

@@ -82,7 +82,8 @@ fn one_slot_exists_allocates_and_reads_like_the_sequential_walk() {
     // Through the write overlay. Deleted segments — the index's live
     // tombstones, the engine's un-folded deletes — are hidden inside the
     // walk from sets already in memory, so all a Count pays for them is
-    // its debt vector: no chain page, no set built per query.
+    // its debt vector, and that only when its query hits one: no chain
+    // page, no set built per query.
     let (engine, _) =
         WriteEngine::recover(db, Box::new(Disk::new(4096)), WriterConfig::default()).unwrap();
     let count_all = |live: &[Segment]| -> u64 {
@@ -109,6 +110,10 @@ fn one_slot_exists_allocates_and_reads_like_the_sequential_walk() {
         overlay <= untouched + 2 * per_query,
         "{overlay} allocations through an overlay hiding nothing, {untouched} without"
     );
+    // Neither path has anything to hide, so neither may pay for the
+    // hidden sets' indexes: exactly what they allocated before those
+    // existed.
+    assert_eq!((untouched, overlay), (11_086, 13_134));
     // 207 live tombstones and 68 un-folded deletes.
     let mut live = set.clone();
     live.retain(|s| s.id % 97 != 0 && s.id % 293 != 1);

@@ -1,16 +1,22 @@
 //! Write-path end-to-end: `insert` / `delete` / `flush` over the wire
 //! through the resilient client, read-only refusals, idempotent retry
 //! semantics under injected wire faults, writer metrics in the `stats`
-//! reply, and background tombstone compaction.
+//! reply, and background tombstone compaction. Below the wire: the
+//! membership probe behind `delete` and `sync_apply` is exact, and a
+//! delete is priced in pages beside an insert.
 //!
 //! The chaos test shares the process-global `segdb_obs::net` counters
 //! with nothing else in this binary, so no cross-test gate is needed —
 //! each test asserts only state it created itself.
 
-use segdb::core::{IndexKind, SegmentDatabase, WriteEngine, WriterConfig};
-use segdb::geom::Segment;
+use segdb::core::testutil::oracle_query;
+use segdb::core::{IndexKind, QueryMode, SegmentDatabase, WriteEngine, WriterConfig};
+use segdb::geom::gen::{mixed_map, spans_and_star, strips, vertical_queries};
+use segdb::geom::transform::Direction;
+use segdb::geom::{Segment, VerticalQuery};
 use segdb::obs::Json;
 use segdb::pager::Disk;
+use segdb::wal::{WalOp, WalRecord};
 use segdb_server::chaos::{NetFaultHandle, NetFaultPlan};
 use segdb_server::client::{Client, ClientConfig};
 use segdb_server::{Server, ServerConfig};
@@ -328,4 +334,211 @@ fn background_compactor_reclaims_tombstones() {
     assert_eq!(line_count(&mut client, 500), 8);
     server.shutdown();
     server.wait();
+}
+
+/// Every engine answer to `queries` (canonical frame), Collect and
+/// Count, equals the scan oracle over `live` (canonical frame too), and
+/// the index validates.
+fn assert_engine_matches(
+    engine: &WriteEngine,
+    live: &[Segment],
+    queries: &[VerticalQuery],
+    tag: &str,
+) {
+    for mode in [QueryMode::Collect, QueryMode::Count] {
+        let items: Vec<(VerticalQuery, QueryMode)> = queries.iter().map(|q| (*q, mode)).collect();
+        for (q, res) in queries
+            .iter()
+            .zip(engine.query_batch_canonical_mode(&items))
+        {
+            let (answer, _) = res.unwrap();
+            let want = oracle_query(live, q);
+            assert_eq!(answer.count(), want.len() as u64, "{tag} {mode:?} {q:?}");
+            if let Some(hits) = answer.segments() {
+                assert_eq!(segdb::core::report::ids(hits), want, "{tag} {q:?}");
+            }
+        }
+    }
+    engine.with_db(|db| db.validate().unwrap());
+}
+
+/// `delete` and `sync_apply` decide "is this exact segment visible?" by
+/// a point probe at its left endpoint. For both writable kinds, plain
+/// and sheared, small pages and large: a stored segment is deleted
+/// exactly once wherever the index filed it, near-misses in id or in
+/// geometry are misses, a delta insert cancels in place, and a replayed
+/// insert of something visible is a duplicate.
+#[test]
+fn the_membership_probe_is_exact_through_the_engine() {
+    let sheared = Direction::new(1, 1).unwrap();
+    let mut req = 0u64;
+    let mut next_req = move || {
+        req += 1;
+        req
+    };
+    for kind in [IndexKind::TwoLevelBinary, IndexKind::TwoLevelInterval] {
+        for direction in [Direction::VERTICAL, sheared] {
+            for page in [512usize, 4096] {
+                let tag = format!("{kind:?} {direction:?} page {page}");
+                // Generated in the canonical frame, handed over in the
+                // user's: the (1, 1) shear inverts exactly.
+                // A map plus what it lacks: full-width horizontals (a `G`
+                // multislab list each in the interval index) and a star
+                // through one left endpoint.
+                let mut canonical = mixed_map(900, 0xE9);
+                let extras = spans_and_star(&mut canonical);
+                let user = |s: &Segment| direction.unapply_segment(s).unwrap();
+                let db = SegmentDatabase::builder()
+                    .page_size(page)
+                    .cache_pages(64)
+                    .direction(direction.dx(), direction.dy())
+                    .unwrap()
+                    .index(kind)
+                    .build(canonical.iter().map(user).collect())
+                    .unwrap();
+                let cfg = WriterConfig {
+                    delta_limit: usize::MAX,
+                    ..WriterConfig::default()
+                };
+                let (engine, _) = WriteEngine::recover(db, Box::new(Disk::new(512)), cfg).unwrap();
+                let mut queries = vertical_queries(&canonical, 16, 150, 0xE9);
+
+                // Victims of every placement: a sample of the map, every
+                // long segment, the whole star.
+                let body = canonical.len() - extras;
+                let (victims, mut live): (Vec<Segment>, Vec<Segment>) = canonical
+                    .iter()
+                    .partition(|s| s.id % 7 == 3 || s.id as usize >= body);
+                queries.extend(
+                    victims
+                        .iter()
+                        .step_by(9)
+                        .map(|s| VerticalQuery::Line { x: s.a.x }),
+                );
+                for s in &victims {
+                    let other_id = Segment::new(s.id + 1_000_000, s.a, s.b).unwrap();
+                    let other_geometry = Segment::new(s.id, s.a, (s.b.x, s.b.y + 1)).unwrap();
+                    for miss in [other_id, other_geometry] {
+                        let ack = engine.delete(next_req(), user(&miss)).unwrap();
+                        assert!(!ack.applied && ack.seq == 0, "{tag}: {miss}");
+                    }
+                    let ack = engine.delete(next_req(), user(s)).unwrap();
+                    assert!(ack.applied && ack.seq > 0 && !ack.duplicate, "{tag}: {s}");
+                    let again = engine.delete(next_req(), user(s)).unwrap();
+                    assert!(!again.applied && again.seq == 0, "{tag}: {s} deleted twice");
+                }
+                assert_eq!(engine.delta().len(), victims.len());
+                assert_engine_matches(&engine, &live, &queries, &tag);
+                // Deleted this epoch: a miss after the fold as before it.
+                engine.fold().unwrap();
+                for s in victims.iter().step_by(5) {
+                    assert!(
+                        !engine.delete(next_req(), user(s)).unwrap().applied,
+                        "{tag}: {s}"
+                    );
+                }
+                assert_engine_matches(&engine, &live, &queries, &tag);
+
+                // A segment that is only a delta insert cancels in place.
+                let y_top = canonical.iter().map(|s| s.y_span().1).max().unwrap();
+                let [fresh, newer] = [0, 1].map(|k| {
+                    let y = y_top + 50 + 20 * k;
+                    Segment::new(5_000 + k as u64, (0, y), (700, y + 10)).unwrap()
+                });
+                assert!(engine.insert(next_req(), user(&fresh)).unwrap().applied);
+                assert_eq!(engine.delta().len(), 1);
+                assert!(engine.delete(next_req(), user(&fresh)).unwrap().applied);
+                assert!(
+                    engine.delta().is_empty(),
+                    "{tag}: the insert was not cancelled"
+                );
+                assert!(!engine.delete(next_req(), user(&fresh)).unwrap().applied);
+
+                // Replayed inserts: of a base segment, a duplicate; of a
+                // new one, applied — and from then on a duplicate too.
+                let replay = |s: &Segment, req_id: u64| {
+                    let rec = WalRecord {
+                        seq: 0,
+                        req_id,
+                        op: WalOp::Insert(user(s)),
+                    };
+                    engine.sync_apply(&rec).unwrap()
+                };
+                let ack = replay(&live[0], next_req());
+                assert!(
+                    ack.duplicate && !ack.applied,
+                    "{tag}: base segment replayed"
+                );
+                let ack = replay(&newer, next_req());
+                assert!(ack.applied && !ack.duplicate, "{tag}: new segment replayed");
+                let ack = replay(&newer, next_req());
+                assert!(
+                    ack.duplicate && !ack.applied,
+                    "{tag}: delta insert replayed"
+                );
+                live.push(newer);
+                assert_engine_matches(&engine, &live, &queries, &tag);
+                engine.fold().unwrap();
+                assert_engine_matches(&engine, &live, &queries, &tag);
+            }
+        }
+    }
+}
+
+/// What a delete costs in pages, beside an insert: cache 0, so every
+/// page touched is a device read. A delete is two point probes (accept,
+/// fold) plus a chain append, each probe shaped like the insert's own
+/// descent — so it stays within 3× the insert and grows with `log n`,
+/// not with what the line through the segment stabs.
+#[test]
+fn a_delete_costs_pages_like_an_insert() {
+    const OPS: usize = 256;
+    let mut per_size = Vec::new();
+    for (n, want_insert, want_delete) in [(4096usize, 2724u64, 6139u64), (16_384, 3683, 8093)] {
+        let mut base = strips(n + OPS, 1 << 18, 16, 400, 0xC057);
+        let fresh = base.split_off(n);
+        let db = SegmentDatabase::builder()
+            .page_size(1024)
+            .cache_pages(0)
+            .index(IndexKind::TwoLevelInterval)
+            .build(base.clone())
+            .unwrap();
+        let cfg = WriterConfig {
+            delta_limit: 64,
+            ..WriterConfig::default()
+        };
+        let (engine, _) = WriteEngine::recover(db, Box::new(Disk::new(1024)), cfg).unwrap();
+        // Device reads of the index across `ops`, tail fold included.
+        let reads_of = |ops: &mut dyn FnMut()| {
+            let before = engine.with_db(|db| db.pager().stats().reads);
+            ops();
+            engine.fold().unwrap();
+            engine.with_db(|db| db.pager().stats().reads) - before
+        };
+        let insert = reads_of(&mut || {
+            for (k, s) in fresh.iter().enumerate() {
+                assert!(engine.insert(1 + k as u64, *s).unwrap().applied);
+            }
+        });
+        let delete = reads_of(&mut || {
+            for (k, s) in base[..OPS].iter().enumerate() {
+                assert!(engine.delete(1 + (OPS + k) as u64, *s).unwrap().applied);
+            }
+        });
+        engine.with_db(|db| db.validate().unwrap());
+        assert_eq!(
+            (insert, delete),
+            (want_insert, want_delete),
+            "N = {n}, {OPS} ops each"
+        );
+        assert!(
+            delete <= 3 * insert,
+            "N = {n}: delete {delete} reads, insert {insert}"
+        );
+        per_size.push(delete);
+    }
+    assert!(
+        2 * per_size[1] < 3 * per_size[0],
+        "delete reads grow faster than ×1.5 from N = 4 096 to 16 384: {per_size:?}"
+    );
 }
