@@ -102,10 +102,6 @@ impl Hidden {
         self.reach = self.reach.max(seg.b.x - seg.a.x);
     }
 
-    pub(crate) fn clear(&mut self) {
-        *self = Hidden::new();
-    }
-
     /// Every hidden segment that can meet the line `x = x0`: those
     /// starting within `reach` to its left.
     fn candidates(&self, x0: i64) -> impl Iterator<Item = &Segment> {
@@ -741,14 +737,6 @@ mod tests {
                 got.sort_unstable();
                 assert_eq!(got, crate::testutil::oracle_query(&segs, &q), "{q:?}");
             }
-            hidden.clear();
-            assert!(
-                hidden.is_empty()
-                    && hidden
-                        .stab(&VerticalQuery::Line { x: 500 })
-                        .next()
-                        .is_none()
-            );
         }
     }
 

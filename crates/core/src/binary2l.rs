@@ -27,13 +27,18 @@
 //!
 //! **Updates** (Theorem 1(iii)) — the paper uses a BB\[α\] tree; this
 //! implementation uses the standard equivalent, weight-balanced *partial
-//! rebuilding*: subtree sizes are maintained on the insert/delete path
-//! and the highest α-unbalanced subtree (α = ¾) is rebuilt from scratch,
-//! giving the same amortized `O(log₂ n + log_B n / B)` bound.
+//! rebuilding*: subtree sizes are maintained on the insert path and the
+//! highest α-unbalanced subtree (α = ¾) is rebuilt from scratch, giving
+//! the same amortized `O(log₂ n + log_B n / B)` bound. A delete is lazy,
+//! exactly as in [`crate::interval2l`]: a membership probe shaped like
+//! the insert's descent, a tombstone every read withholds, and a rebuild
+//! from the live set once tombstones reach the live count, its cost
+//! spread over the deletes that triggered it.
 
-use crate::batch::{one_slot, Hidden, Slots, NO_HIDDEN};
+use crate::batch::{holds, one_slot, Hidden, Slots, NO_HIDDEN};
 use crate::chain;
 use crate::report::QueryTrace;
+use crate::tombs::Tombstones;
 use segdb_geom::{MultiSink, ReportSink, Segment, VerticalQuery};
 use segdb_itree::overlap::{IntervalSet, IntervalSetState};
 use segdb_itree::{Interval, IntervalTreeConfig};
@@ -267,7 +272,11 @@ impl Node {
 #[derive(Debug)]
 pub struct TwoLevelBinary {
     root: PageId,
+    /// Live (non-tombstoned) segment count.
     len: u64,
+    /// Lazily-deleted segments: still in the index pages, hidden from
+    /// every read.
+    tombs: Tombstones,
     cfg: Binary2LConfig,
 }
 
@@ -275,20 +284,52 @@ impl TwoLevelBinary {
     /// Build from an NCT segment set (NCT-ness is the caller's contract;
     /// [`segdb_geom::nct::verify_nct`] checks it).
     pub fn build(pager: &Pager, cfg: Binary2LConfig, segs: Vec<Segment>) -> Result<Self> {
-        let len = segs.len() as u64;
-        let root = build_rec(pager, &cfg, segs)?;
-        Ok(TwoLevelBinary { root, len, cfg })
+        let mut this = Self::attach(pager, cfg, NULL_PAGE, segs.len() as u64, NULL_PAGE, 0)?;
+        this.root = build_rec(pager, &cfg, segs)?;
+        Ok(this)
     }
 
-    /// Serializable identity: `(root page, segment count)`. The config
-    /// is context the owner persists alongside.
-    pub fn state(&self) -> (PageId, u64) {
-        (self.root, self.len)
+    /// Serializable identity: `(root page, live count, tombstone chain,
+    /// tombstone count)`. The config is context the owner persists
+    /// alongside.
+    pub fn state(&self) -> (PageId, u64, PageId, u64) {
+        let (tomb_head, tomb_count) = self.tombs.state();
+        (self.root, self.len, tomb_head, tomb_count)
     }
 
-    /// Reconstruct from a serialized identity.
-    pub fn attach(cfg: Binary2LConfig, root: PageId, len: u64) -> Self {
-        TwoLevelBinary { root, len, cfg }
+    /// Reconstruct from a serialized identity, loading the tombstone
+    /// chain into memory (refused unless it holds exactly `tomb_count`
+    /// segments).
+    pub fn attach(
+        pager: &Pager,
+        cfg: Binary2LConfig,
+        root: PageId,
+        len: u64,
+        tomb_head: PageId,
+        tomb_count: u64,
+    ) -> Result<Self> {
+        Ok(TwoLevelBinary {
+            root,
+            len,
+            tombs: Tombstones::attach(pager, tomb_head, tomb_count)?,
+            cfg,
+        })
+    }
+
+    /// Tombstones currently recorded (live deletes awaiting rebuild).
+    pub fn tomb_count(&self) -> u64 {
+        self.tombs.len()
+    }
+
+    /// Fold every tombstone away now (rebuild from the live set) instead
+    /// of waiting for the `tomb_count >= len` trigger. Returns whether a
+    /// rebuild ran.
+    pub fn compact(&mut self, pager: &Pager) -> Result<bool> {
+        if self.tomb_count() == 0 {
+            return Ok(false);
+        }
+        self.rebuild_live(pager)?;
+        Ok(true)
     }
 
     /// Stored segment count.
@@ -330,8 +371,9 @@ impl TwoLevelBinary {
     /// next probe list before that structure's pages are read — and the
     /// walk ends when no slot is left. A count-only slot gets `C(v)`
     /// answered from the interval set's stored counts without reading
-    /// its lists. Stored segments in `hidden` — a writer's un-folded
-    /// deletes — are withheld from every slot (see [`Slots`]).
+    /// its lists. Live tombstones and the stored segments in `hidden` —
+    /// a writer's un-folded deletes — are withheld from every slot (see
+    /// [`Slots`]).
     pub(crate) fn query_group(
         &self,
         pager: &Pager,
@@ -340,7 +382,7 @@ impl TwoLevelBinary {
     ) -> Result<QueryTrace> {
         let scope = StatScope::begin(pager);
         let mut trace = QueryTrace::default();
-        let mut slots = Slots::new(multi, [hidden, &NO_HIDDEN]);
+        let mut slots = Slots::new(multi, [self.tombs.hidden(), hidden]);
         let mut group = slots.probes();
         self.walk(pager, &mut slots, self.root, &mut group, &mut trace)?;
         trace.io = scope.finish();
@@ -409,6 +451,10 @@ impl TwoLevelBinary {
     /// Insert a segment (must keep the set NCT — caller's contract).
     /// Amortized `O(log₂ n + log_B n)` I/Os including rebuilds.
     pub fn insert(&mut self, pager: &Pager, seg: Segment) -> Result<()> {
+        if self.tombs.hides(seg.id) {
+            // Re-inserting a tombstoned id would stay hidden: purge first.
+            self.rebuild_live(pager)?;
+        }
         self.len += 1;
         if self.root == NULL_PAGE {
             self.root = leaf_from(pager, &[seg])?;
@@ -487,72 +533,34 @@ impl TwoLevelBinary {
         self.rebalance_path(pager, &path)
     }
 
-    /// Delete a stored segment (by value; the id identifies it). Returns
-    /// whether it was found at the expected place.
+    /// Delete a stored segment (id and geometry must both match) — lazily,
+    /// as [`crate::interval2l::TwoLevelInterval::remove`] does: one
+    /// membership probe ([`holds`], the point query at the segment's left
+    /// endpoint), one chain append, and the segment is withheld from every
+    /// answer; the whole structure is rebuilt from the live set once
+    /// tombstones reach the live count. Returns whether it was present.
     pub fn remove(&mut self, pager: &Pager, seg: &Segment) -> Result<bool> {
-        let mut path: Vec<PageId> = Vec::new();
-        let mut page = self.root;
-        let mut found = false;
-        while page != NULL_PAGE {
-            let node = read_node(pager, page)?;
-            match node {
-                Node::Leaf { head, count } => {
-                    found = chain::remove(pager, head, seg.id)?;
-                    if found {
-                        write_node(
-                            pager,
-                            page,
-                            &Node::Leaf {
-                                head,
-                                count: count - 1,
-                            },
-                        )?;
-                    }
-                    break;
-                }
-                Node::Internal(mut n) => {
-                    path.push(page);
-                    if seg.is_vertical() && seg.a.x == n.xv {
-                        let mut c = IntervalSet::attach(pager, IntervalTreeConfig::default(), n.c)?;
-                        found = c.remove(pager, &Interval::new(seg.id, seg.a.y, seg.b.y))?;
-                        n.c = c.state();
-                        if found {
-                            n.total -= 1;
-                        }
-                        write_node(pager, page, &Node::Internal(n))?;
-                        break;
-                    } else if seg.spans_x(n.xv) {
-                        let mut l = Pst::attach(pager, n.xv, Side::Left, self.cfg.pst, n.l)?;
-                        l.remove(pager, seg.id)?;
-                        n.l = l.state();
-                        let mut r = Pst::attach(pager, n.xv, Side::Right, self.cfg.pst, n.r)?;
-                        r.remove(pager, seg.id)?;
-                        n.r = r.state();
-                        n.total -= 1;
-                        found = true;
-                        write_node(pager, page, &Node::Internal(n))?;
-                        break;
-                    } else if seg.b.x < n.xv {
-                        n.total -= 1;
-                        n.left_size -= 1;
-                        let next = n.left;
-                        write_node(pager, page, &Node::Internal(n))?;
-                        page = next;
-                    } else {
-                        n.total -= 1;
-                        n.right_size -= 1;
-                        let next = n.right;
-                        write_node(pager, page, &Node::Internal(n))?;
-                        page = next;
-                    }
-                }
-            }
+        if !holds(seg, |multi| self.query_group(pager, multi, &NO_HIDDEN))? {
+            return Ok(false);
         }
-        if found {
-            self.len -= 1;
-            self.rebalance_path(pager, &path)?;
+        self.tombs.push(pager, seg)?;
+        self.len -= 1;
+        if self.tomb_count() >= self.len.max(1) {
+            self.rebuild_live(pager)?;
         }
-        Ok(found)
+        Ok(true)
+    }
+
+    /// Rebuild from the live set, dropping tombstones.
+    fn rebuild_live(&mut self, pager: &Pager) -> Result<()> {
+        let live = self.scan_all(pager)?;
+        if self.root != NULL_PAGE {
+            destroy_rec(pager, &self.cfg, self.root)?;
+        }
+        self.tombs.clear(pager)?;
+        self.len = live.len() as u64;
+        self.root = build_rec(pager, &self.cfg, live)?;
+        Ok(())
     }
 
     /// Structural summary — how the §3 construction distributed the
@@ -566,21 +574,22 @@ impl TwoLevelBinary {
         Ok(st)
     }
 
-    /// Every stored segment (rebuild/test helper).
+    /// Every stored (live) segment.
     pub fn scan_all(&self, pager: &Pager) -> Result<Vec<Segment>> {
         let mut out = Vec::with_capacity(self.len as usize);
         if self.root != NULL_PAGE {
             collect_rec(pager, &self.cfg, self.root, &mut out)?;
         }
+        out.retain(|s| !self.tombs.hides(s.id));
         Ok(out)
     }
 
     /// Free every page.
-    pub fn destroy(self, pager: &Pager) -> Result<()> {
+    pub fn destroy(mut self, pager: &Pager) -> Result<()> {
         if self.root != NULL_PAGE {
             destroy_rec(pager, &self.cfg, self.root)?;
         }
-        Ok(())
+        self.tombs.clear(pager)
     }
 
     /// Deep validation of the first-level invariants and every
@@ -593,10 +602,10 @@ impl TwoLevelBinary {
             return Ok(());
         }
         let total = validate_rec(pager, &self.cfg, self.root, None, None)?;
-        if total != self.len {
+        if total != self.len + self.tomb_count() {
             return Err(PagerError::Corrupt("binary2l len mismatch"));
         }
-        Ok(())
+        self.tombs.validate(pager)
     }
 
     fn rebalance_path(&mut self, pager: &Pager, path: &[PageId]) -> Result<()> {

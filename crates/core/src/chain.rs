@@ -129,44 +129,6 @@ pub fn push(pager: &Pager, head: PageId, seg: &Segment) -> Result<PageId> {
     Ok(page)
 }
 
-/// Remove the segment with `id` from the chain (rewrites the page it
-/// lives in). Returns whether it was found.
-pub fn remove(pager: &Pager, head: PageId, id: u64) -> Result<bool> {
-    let mut page = head;
-    while page != NULL_PAGE {
-        let (found, next) = pager.with_page_mut(page, |buf| {
-            let mut r = ByteReader::new(buf);
-            let count = r.u16()? as usize;
-            let next = r.u32()?;
-            let mut segs = r
-                .arrays::<SEG_BYTES>(count)?
-                .iter()
-                .map(read_seg)
-                .collect::<Result<Vec<_>>>()?;
-            let before = segs.len();
-            segs.retain(|s| s.id != id);
-            if segs.len() == before {
-                return Ok((false, next));
-            }
-            // Rewrite in place (page stays in the chain even if empty;
-            // rebuilds compact).
-            buf.fill(0);
-            let mut w = ByteWriter::new(buf);
-            w.u16(segs.len() as u16)?;
-            w.u32(next)?;
-            for s in &segs {
-                encode_seg(s, &mut w)?;
-            }
-            Ok((true, next))
-        })??;
-        if found {
-            return Ok(true);
-        }
-        page = next;
-    }
-    Ok(false)
-}
-
 /// Number of segments in the chain.
 pub fn count(pager: &Pager, head: PageId) -> Result<u64> {
     let mut n = 0u64;
@@ -225,18 +187,15 @@ mod tests {
     }
 
     #[test]
-    fn push_grows_and_remove_shrinks() {
+    fn push_grows() {
         let p = pager();
         let mut head = NULL_PAGE;
         for i in 0..8 {
             head = push(&p, head, &seg(i)).unwrap();
         }
         assert_eq!(count(&p, head).unwrap(), 8);
-        assert!(remove(&p, head, 3).unwrap());
-        assert!(!remove(&p, head, 3).unwrap());
-        assert_eq!(count(&p, head).unwrap(), 7);
         let mut got: Vec<u64> = collect(&p, head).unwrap().iter().map(|s| s.id).collect();
         got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2, 4, 5, 6, 7]);
+        assert_eq!(got, (0..8).collect::<Vec<_>>());
     }
 }

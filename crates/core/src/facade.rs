@@ -398,9 +398,14 @@ impl SegmentDatabase {
         let sb = Superblock::decode(&pager.get_meta()?)?;
         let direction = sb.direction_obj()?;
         let index = match sb.kind {
-            IndexKind::TwoLevelBinary => {
-                Index::Binary(TwoLevelBinary::attach(sb.binary_config(), sb.root, sb.len))
-            }
+            IndexKind::TwoLevelBinary => Index::Binary(TwoLevelBinary::attach(
+                &pager,
+                sb.binary_config(),
+                sb.root,
+                sb.len,
+                sb.aux,
+                sb.aux2,
+            )?),
             IndexKind::TwoLevelInterval => Index::Interval(TwoLevelInterval::attach(
                 &pager,
                 sb.interval_config(),
@@ -439,8 +444,10 @@ impl SegmentDatabase {
     pub fn save(&self) -> Result<(), DbError> {
         let (kind, root, len, aux, aux2) = match &self.index {
             Index::Binary(t) => {
-                let (root, len) = t.state();
-                (IndexKind::TwoLevelBinary, root, len, 0, 0)
+                let (root, len, tomb_head, tomb_count) = t.state();
+                // Without tombstones, the aux = 0 every older build wrote.
+                let tomb_head = if tomb_count == 0 { 0 } else { tomb_head };
+                (IndexKind::TwoLevelBinary, root, len, tomb_head, tomb_count)
             }
             Index::Interval(t) => {
                 let (root, len, tomb_head, tomb_count) = t.state();
@@ -774,9 +781,9 @@ impl SegmentDatabase {
         Ok((hits, trace))
     }
 
-    /// Delete a stored segment. Native in the Theorem-1 structure; the
-    /// paper's Theorem-2 structure is semi-dynamic, so its deletes go
-    /// through the lazy-tombstone extension (see
+    /// Delete a stored segment (id and geometry must both match; returns
+    /// whether it was stored). Both two-level structures delete the same
+    /// way — a membership probe, then a lazy tombstone (see
     /// [`crate::interval2l::TwoLevelInterval::remove`]).
     pub fn remove(&mut self, seg: &Segment) -> Result<bool, DbError> {
         let t = self.direction.apply_segment(seg)?;
@@ -791,11 +798,12 @@ impl SegmentDatabase {
     }
 
     /// Lazy-delete tombstones currently live in the index (always 0 for
-    /// structures that delete in place).
+    /// the baselines, which take no deletes).
     pub fn tomb_count(&self) -> u64 {
         match &self.index {
+            Index::Binary(x) => x.tomb_count(),
             Index::Interval(x) => x.tomb_count(),
-            _ => 0,
+            Index::Scan(_) | Index::Stab(_) => 0,
         }
     }
 
@@ -805,8 +813,9 @@ impl SegmentDatabase {
     /// Returns whether any work was done.
     pub fn compact(&mut self) -> Result<bool, DbError> {
         match &mut self.index {
+            Index::Binary(x) => Ok(x.compact(&self.pager)?),
             Index::Interval(x) => Ok(x.compact(&self.pager)?),
-            _ => Ok(false),
+            Index::Scan(_) | Index::Stab(_) => Ok(false),
         }
     }
 

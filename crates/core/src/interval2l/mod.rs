@@ -50,6 +50,7 @@ pub mod node;
 use crate::batch::{holds, one_slot, Hidden, Slots, NO_HIDDEN};
 use crate::chain;
 use crate::report::QueryTrace;
+use crate::tombs::Tombstones;
 use gtree::{allocation, path as g_path, skeleton, GNode};
 use msrec::{MsOrder, MsRec};
 use node::{Internal, InternalView, Node, NodeView};
@@ -184,13 +185,8 @@ pub struct TwoLevelInterval {
     /// Live (non-tombstoned) segment count.
     len: u64,
     /// Lazily-deleted segments: still in the index pages, hidden from
-    /// every read. Resident — loaded once by
-    /// [`TwoLevelInterval::attach`] — so no query reads them from disk.
-    tombs: Hidden,
-    /// The durable copy of `tombs`, a [`crate::chain`] of full segments
-    /// written by `remove` and read back only by `attach` and
-    /// `validate`.
-    tomb_head: PageId,
+    /// every read.
+    tombs: Tombstones,
     cfg: Interval2LConfig,
     k_max: usize,
 }
@@ -198,36 +194,22 @@ pub struct TwoLevelInterval {
 impl TwoLevelInterval {
     /// Build from an NCT segment set.
     pub fn build(pager: &Pager, cfg: Interval2LConfig, segs: Vec<Segment>) -> Result<Self> {
-        let k_max = cfg
-            .fanout
-            .map_or(max_fanout(pager.page_size()), |f| {
-                f.min(max_fanout(pager.page_size()))
-            })
-            .max(1);
-        let len = segs.len() as u64;
-        let this = TwoLevelInterval {
-            root: NULL_PAGE,
-            len,
-            tombs: Hidden::new(),
-            tomb_head: NULL_PAGE,
-            cfg,
-            k_max,
-        };
-        let root = this.build_rec(pager, segs)?;
-        Ok(TwoLevelInterval { root, ..this })
+        let mut this = Self::attach(pager, cfg, NULL_PAGE, segs.len() as u64, NULL_PAGE, 0)?;
+        this.root = this.build_rec(pager, segs)?;
+        Ok(this)
     }
 
     /// Serializable identity: `(root page, live count, tombstone chain,
     /// tombstone count)`. The config is context the owner persists
     /// alongside.
     pub fn state(&self) -> (PageId, u64, PageId, u64) {
-        (self.root, self.len, self.tomb_head, self.tomb_count())
+        let (tomb_head, tomb_count) = self.tombs.state();
+        (self.root, self.len, tomb_head, tomb_count)
     }
 
     /// Reconstruct from a serialized identity, loading the tombstone
-    /// chain into memory. A chain that does not hold exactly
-    /// `tomb_count` distinct segments is refused: every count would be
-    /// off by the difference.
+    /// chain into memory (refused unless it holds exactly `tomb_count`
+    /// segments).
     pub fn attach(
         pager: &Pager,
         cfg: Interval2LConfig,
@@ -242,18 +224,10 @@ impl TwoLevelInterval {
                 f.min(max_fanout(pager.page_size()))
             })
             .max(1);
-        let mut tombs = Hidden::new();
-        chain::scan(pager, tomb_head, |s| tombs.insert(s))?;
-        if tombs.len() as u64 != tomb_count {
-            return Err(PagerError::Corrupt(
-                "interval2l tombstone chain disagrees with the superblock's tombstone count",
-            ));
-        }
         Ok(TwoLevelInterval {
             root,
             len,
-            tombs,
-            tomb_head,
+            tombs: Tombstones::attach(pager, tomb_head, tomb_count)?,
             cfg,
             k_max,
         })
@@ -261,14 +235,14 @@ impl TwoLevelInterval {
 
     /// Tombstones currently recorded (live deletes awaiting rebuild).
     pub fn tomb_count(&self) -> u64 {
-        self.tombs.len() as u64
+        self.tombs.len()
     }
 
     /// Fold every tombstone away now (rebuild from the live set) instead
     /// of waiting for the `tomb_count >= len` trigger — the background
     /// compaction entry point. Returns whether a rebuild ran.
     pub fn compact(&mut self, pager: &Pager) -> Result<bool> {
-        if self.tombs.is_empty() {
+        if self.tomb_count() == 0 {
             return Ok(false);
         }
         self.rebuild_live(pager)?;
@@ -329,7 +303,7 @@ impl TwoLevelInterval {
         hidden: &Hidden,
     ) -> Result<QueryTrace> {
         let scope = StatScope::begin(pager);
-        let mut slots = Slots::new(multi, [&self.tombs, hidden]);
+        let mut slots = Slots::new(multi, [self.tombs.hidden(), hidden]);
         let mut trace = QueryTrace::default();
         let mut group = slots.probes();
         self.walk(pager, &mut slots, self.root, &mut group, &mut trace)?;
@@ -443,7 +417,7 @@ impl TwoLevelInterval {
 
     /// Insert a segment (semi-dynamic, Theorem 2(iii)).
     pub fn insert(&mut self, pager: &Pager, seg: Segment) -> Result<()> {
-        if self.tombs.get(seg.id).is_some() {
+        if self.tombs.hides(seg.id) {
             // Re-inserting a tombstoned id would stay hidden: purge first.
             self.rebuild_live(pager)?;
         }
@@ -620,8 +594,7 @@ impl TwoLevelInterval {
         if !holds(seg, |multi| self.query_group(pager, multi, &NO_HIDDEN))? {
             return Ok(false);
         }
-        self.tomb_head = chain::push(pager, self.tomb_head, seg)?;
-        self.tombs.insert(*seg);
+        self.tombs.push(pager, seg)?;
         self.len -= 1;
         if self.tomb_count() >= self.len.max(1) {
             self.rebuild_live(pager)?;
@@ -635,9 +608,7 @@ impl TwoLevelInterval {
         if self.root != NULL_PAGE {
             self.destroy_rec(pager, self.root)?;
         }
-        chain::destroy(pager, self.tomb_head)?;
-        self.tomb_head = NULL_PAGE;
-        self.tombs.clear();
+        self.tombs.clear(pager)?;
         self.len = live.len() as u64;
         self.root = self.build_rec(pager, live)?;
         Ok(())
@@ -649,17 +620,16 @@ impl TwoLevelInterval {
         if self.root != NULL_PAGE {
             self.collect_rec(pager, self.root, &mut out)?;
         }
-        out.retain(|s| self.tombs.get(s.id).is_none());
+        out.retain(|s| !self.tombs.hides(s.id));
         Ok(out)
     }
 
     /// Free every page.
-    pub fn destroy(self, pager: &Pager) -> Result<()> {
+    pub fn destroy(mut self, pager: &Pager) -> Result<()> {
         if self.root != NULL_PAGE {
             self.destroy_rec(pager, self.root)?;
         }
-        chain::destroy(pager, self.tomb_head)?;
-        Ok(())
+        self.tombs.clear(pager)
     }
 
     /// Deep validation.
@@ -674,16 +644,7 @@ impl TwoLevelInterval {
         if total != self.len + self.tomb_count() {
             return Err(PagerError::Corrupt("interval2l len mismatch"));
         }
-        // The resident tombstones against their durable copy.
-        let chained = chain::collect(pager, self.tomb_head)?;
-        if chained.len() != self.tombs.len()
-            || !chained.iter().all(|s| self.tombs.get(s.id) == Some(s))
-        {
-            return Err(PagerError::Corrupt(
-                "interval2l resident tombstones disagree with the tombstone chain",
-            ));
-        }
-        Ok(())
+        self.tombs.validate(pager)
     }
 
     // ---- queries over G ------------------------------------------------

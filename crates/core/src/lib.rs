@@ -42,6 +42,7 @@ pub mod persist;
 pub mod report;
 #[cfg(any(test, feature = "testutil"))]
 pub mod testutil;
+mod tombs;
 pub mod torture;
 pub mod writer;
 

@@ -16,7 +16,7 @@ use segdb_pager::{ByteReader, ByteWriter, PageId, PagerError, Result};
 use segdb_pst::PstConfig;
 
 /// The on-disk format magic, and the only one `decode` reads: the
-/// superblock carries the WAL checkpoint (`wal_seq`) and the interval
+/// superblock carries the WAL checkpoint (`wal_seq`) and a two-level
 /// index's tombstone chain stores full segments (geometry included),
 /// which is what lets Count-mode queries subtract overlapping
 /// tombstones without materializing. The `001`/`002` formats (bare-id
@@ -45,10 +45,11 @@ pub struct Superblock {
     pub root: PageId,
     /// Stored segment count.
     pub len: u64,
-    /// Extra root (StabThenFilter: segment chain; TwoLevelInterval:
-    /// tombstone chain head).
+    /// Extra root (StabThenFilter: segment chain; either two-level
+    /// structure: tombstone chain head, meaningless when `aux2` is 0).
     pub aux: PageId,
-    /// Extra counter (TwoLevelInterval: tombstone count).
+    /// Extra counter (either two-level structure: tombstone count; 0
+    /// means no chain, whatever `aux` says).
     pub aux2: u64,
     /// PST fanout (0 = packed default).
     pub pst_fanout: u32,

@@ -102,21 +102,4 @@ proptest! {
             oracle(&set, qx, Some(100), Some(900))
         );
     }
-
-    #[test]
-    fn removals_match_oracle(
-        set in line_based_set(40),
-        kill_mod in 2u64..5,
-        qx in 0i64..4200,
-    ) {
-        let p = Pager::new(PagerConfig { page_size: 256, cache_pages: 0 });
-        let mut pst = Pst::build(&p, 0, Side::Right, PstConfig::packed(), set.clone()).unwrap();
-        let survivors: Vec<Segment> = set.iter().filter(|s| s.id % kill_mod != 0).copied().collect();
-        for s in set.iter().filter(|s| s.id % kill_mod == 0) {
-            pst.remove(&p, s.id).unwrap();
-        }
-        pst.validate(&p).unwrap();
-        prop_assert_eq!(pst.len() as usize, survivors.len());
-        prop_assert_eq!(query(&pst, &p, qx, None, None), oracle(&survivors, qx, None, None));
-    }
 }

@@ -63,12 +63,13 @@
 //! Insertion displaces downward like a heap (`O(height)` I/Os), updating
 //! routers on the path; balance is restored by weight-balanced *partial
 //! rebuilding* (the BB\[α\]-rotation substitute, DESIGN.md) with amortized
-//! `O(log n)` cost. Deletion is tombstone-based with full rebuild at 50%
-//! garbage, the standard amortization the paper's update bounds allow.
+//! `O(log n)` cost. A PST has no delete of its own: the two-level
+//! structures that own PSTs delete lazily, withholding a deleted segment
+//! from every read of their own and rebuilding from the live set
+//! (`segdb-core`, DESIGN.md §13).
 
 pub mod node;
 pub mod side;
-pub mod tombs;
 pub mod tree;
 
 pub use side::Side;

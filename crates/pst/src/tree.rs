@@ -1,15 +1,13 @@
-//! The external PST: build, frontier query, insert, lazy delete,
-//! weight-balanced rebuilds, validation.
+//! The external PST: build, frontier query, insert, weight-balanced
+//! rebuilds, validation.
 
 use crate::node::{default_caps, node_bytes, seg_cap_for_fanout, ChildEntry, PstNode, PstNodeView};
 use crate::side::Side;
-use crate::tombs;
 use segdb_geom::predicates::{hits_vertical, y_at_x_cmp};
 use segdb_geom::{ReportSink, Segment};
 use segdb_pager::codec::{u32_at, u64_at};
 use segdb_pager::{ByteWriter, PageId, Pager, PagerError, Result, NULL_PAGE};
 use std::cmp::Ordering;
-use std::collections::HashSet;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -51,38 +49,32 @@ impl Default for PstConfig {
 
 /// Serializable identity of a PST (20 bytes). `base_x`, [`Side`] and the
 /// config are context the owner supplies at [`Pst::attach`] time.
+///
+/// The last 8 bytes are reserved: builds whose PSTs deleted by
+/// tombstone kept a chain head and a count there. Every state this build
+/// writes carries what those builds wrote for a PST without tombstones
+/// (`NULL_PAGE`, 0), so files stay byte-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PstState {
     /// Root page ([`NULL_PAGE`] = empty tree).
     pub root: PageId,
-    /// Physical segment count (tombstoned included).
+    /// Segment count.
     pub total: u64,
-    /// Tombstone chain head.
-    pub tomb_head: PageId,
-    /// Tombstone count.
-    pub tomb_count: u32,
+    /// The reserved count: 0 unless read from a file whose PST still hid
+    /// tombstoned segments, which [`Pst::attach`] refuses.
+    pub legacy_tombs: u32,
 }
 
 impl PstState {
     /// Encoded size in bytes.
     pub const ENCODED_SIZE: usize = 4 + 8 + 4 + 4;
 
-    /// An empty tree's state.
-    pub fn empty() -> Self {
-        PstState {
-            root: NULL_PAGE,
-            total: 0,
-            tomb_head: NULL_PAGE,
-            tomb_count: 0,
-        }
-    }
-
     /// Serialize.
     pub fn encode(&self, w: &mut ByteWriter<'_>) -> Result<()> {
         w.u32(self.root)?;
         w.u64(self.total)?;
-        w.u32(self.tomb_head)?;
-        w.u32(self.tomb_count)
+        w.u32(NULL_PAGE)?;
+        w.u32(self.legacy_tombs)
     }
 
     /// Read from the head of a length-checked record image (a parent's
@@ -91,8 +83,7 @@ impl PstState {
         PstState {
             root: u32_at(b, 0),
             total: u64_at(b, 4),
-            tomb_head: u32_at(b, 12),
-            tomb_count: u32_at(b, 16),
+            legacy_tombs: u32_at(b, 16),
         }
     }
 }
@@ -198,7 +189,6 @@ pub struct Pst {
     state: PstState,
     seg_cap: usize,
     fanout: usize,
-    cfg: PstConfig,
 }
 
 impl Pst {
@@ -235,16 +225,17 @@ impl Pst {
             state: PstState {
                 root,
                 total,
-                tomb_head: NULL_PAGE,
-                tomb_count: 0,
+                legacy_tombs: 0,
             },
             seg_cap,
             fanout,
-            cfg,
         })
     }
 
-    /// Reconstruct from serialized state plus owner-supplied context.
+    /// Reconstruct from serialized state plus owner-supplied context. A
+    /// state still carrying tombstones from an older build is refused:
+    /// this build cannot read them, and ignoring them would bring the
+    /// segments they deleted back.
     pub fn attach(
         pager: &Pager,
         base_x: i64,
@@ -252,6 +243,12 @@ impl Pst {
         cfg: PstConfig,
         state: PstState,
     ) -> Result<Self> {
+        if state.legacy_tombs != 0 {
+            return Err(PagerError::Corrupt(
+                "pst state carries tombstones from an older build's PST deletes, \
+                 which this build cannot read: rebuild the database from its segments",
+            ));
+        }
         let (seg_cap, fanout) = cfg.caps(pager.page_size());
         Ok(Pst {
             base_x,
@@ -259,7 +256,6 @@ impl Pst {
             state,
             seg_cap,
             fanout,
-            cfg,
         })
     }
 
@@ -268,12 +264,12 @@ impl Pst {
         self.state
     }
 
-    /// Live (non-tombstoned) segment count.
+    /// Stored segment count.
     pub fn len(&self) -> u64 {
-        self.state.total - self.state.tomb_count as u64
+        self.state.total
     }
 
-    /// True when no live segments are stored.
+    /// True when no segments are stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -352,7 +348,6 @@ impl Pst {
         if frontier.is_empty() {
             return Ok(stats);
         }
-        let tombs = self.load_tombs(pager)?;
         let mut next: Vec<Entry> = Vec::new();
         let mut routers: Vec<Segment> = Vec::new();
         while !frontier.is_empty() {
@@ -385,9 +380,7 @@ impl Pst {
                             continue;
                         }
                         let q = &queries[qi as usize];
-                        if reach >= self.side.query_key(q.qx)
-                            && hits_vertical(&s, q.qx, q.lo, q.hi)
-                            && !tombs.contains(&s.id)
+                        if reach >= self.side.query_key(q.qx) && hits_vertical(&s, q.qx, q.lo, q.hi)
                         {
                             stats.hits += 1;
                             produced = true;
@@ -516,7 +509,6 @@ impl Pst {
         if self.state.root == NULL_PAGE || !self.side.on_side(self.base_x, qx) {
             return Ok((None, 0));
         }
-        let tombs = self.load_tombs(pager)?;
         let mut visited = 0u32;
         let hit = self.find_rec(
             pager,
@@ -527,7 +519,6 @@ impl Pst {
             None,
             None,
             leftmost,
-            &tombs,
             &mut visited,
         )?;
         Ok((hit, visited))
@@ -544,7 +535,6 @@ impl Pst {
         flo: Option<Segment>,
         fhi: Option<Segment>,
         leftmost: bool,
-        tombs: &HashSet<u64>,
         visited: &mut u32,
     ) -> Result<Option<(Segment, PageId)>> {
         *visited += 1;
@@ -566,10 +556,7 @@ impl Pst {
         let mut best: Option<(Segment, PageId)> = None;
         for i in 0..node.len() {
             let s = node.segment(i)?;
-            if self.side.reach_key(&s) >= qkey
-                && hits_vertical(&s, qx, lo, hi)
-                && !tombs.contains(&s.id)
-                && better(&s, &best)
+            if self.side.reach_key(&s) >= qkey && hits_vertical(&s, qx, lo, hi) && better(&s, &best)
             {
                 best = Some((s, page));
             }
@@ -599,7 +586,6 @@ impl Pst {
                 child_lo,
                 child_hi,
                 leftmost,
-                tombs,
                 visited,
             )? {
                 if better(&child_hit.0, &best) {
@@ -711,33 +697,12 @@ impl Pst {
         self.maybe_rebalance(pager, &path)
     }
 
-    /// Tombstone a stored, live segment id. The caller guarantees the id
-    /// is present (the 2LDS owners know exactly where each segment
-    /// lives). Triggers a full rebuild at 50% garbage.
-    pub fn remove(&mut self, pager: &Pager, id: u64) -> Result<()> {
-        self.state.tomb_head = tombs::push(pager, self.state.tomb_head, id)?;
-        self.state.tomb_count += 1;
-        if self.state.tomb_count as u64 * 2 >= self.state.total.max(1) {
-            self.rebuild(pager)?;
-        }
-        Ok(())
-    }
-
-    /// Stream every live segment into `sink` in pre-order traversal
-    /// order (**not** base order — callers needing base order sort, as
-    /// [`Pst::scan_all`] does). A `Break` stops the walk.
-    pub fn scan_sink(&self, pager: &Pager, sink: &mut dyn ReportSink) -> Result<()> {
-        let tombs = self.load_tombs(pager)?;
-        if self.state.root != NULL_PAGE {
-            let _ = scan_rec(pager, self.state.root, &tombs, sink)?;
-        }
-        Ok(())
-    }
-
-    /// All live segments, in base order.
+    /// All segments, in base order.
     pub fn scan_all(&self, pager: &Pager) -> Result<Vec<Segment>> {
         let mut out = Vec::with_capacity(self.len() as usize);
-        self.scan_sink(pager, &mut out)?;
+        if self.state.root != NULL_PAGE {
+            scan_rec(pager, self.state.root, &mut out)?;
+        }
         out.sort_by(|a, b| self.side.cmp_base(self.base_x, a, b));
         Ok(out)
     }
@@ -747,7 +712,7 @@ impl Pst {
         if self.state.root != NULL_PAGE {
             destroy_rec(pager, self.state.root)?;
         }
-        tombs::destroy(pager, self.state.tomb_head)
+        Ok(())
     }
 
     /// Deep validation of every invariant (tests).
@@ -775,15 +740,6 @@ impl Pst {
             .count()
     }
 
-    fn load_tombs(&self, pager: &Pager) -> Result<HashSet<u64>> {
-        if self.state.tomb_count == 0 {
-            return Ok(HashSet::new());
-        }
-        Ok(tombs::load(pager, self.state.tomb_head)?
-            .into_iter()
-            .collect())
-    }
-
     /// Rebuild the subtree rooted at the deepest unbalanced node of the
     /// path (BB[α] by partial rebuilding; α = 3/4).
     fn maybe_rebalance(&mut self, pager: &Pager, path: &[(PageId, u64)]) -> Result<()> {
@@ -807,7 +763,7 @@ impl Pst {
 
     fn rebuild_subtree(&self, pager: &Pager, page: PageId) -> Result<()> {
         let mut segs = Vec::new();
-        let _ = scan_rec(pager, page, &HashSet::new(), &mut segs)?;
+        scan_rec(pager, page, &mut segs)?;
         // Free descendants; rebuild into the same root page so the parent
         // pointer and parent-recorded size stay valid.
         let node = read_node(pager, page)?;
@@ -816,18 +772,6 @@ impl Pst {
         }
         segs.sort_by(|a, b| self.side.cmp_base(self.base_x, a, b));
         build_rec_at(pager, self.seg_cap, self.fanout, self.side, segs, page)?;
-        Ok(())
-    }
-
-    /// Full rebuild, dropping tombstones.
-    fn rebuild(&mut self, pager: &Pager) -> Result<()> {
-        let live = self.scan_all(pager)?;
-        if self.state.root != NULL_PAGE {
-            destroy_rec(pager, self.state.root)?;
-        }
-        tombs::destroy(pager, self.state.tomb_head)?;
-        let rebuilt = Pst::build(pager, self.base_x, self.side, self.cfg, live)?;
-        self.state = rebuilt.state;
         Ok(())
     }
 
@@ -1035,27 +979,15 @@ fn build_rec_at(
     Ok((top, size))
 }
 
-/// Pre-order walk of a subtree, streaming every non-tombstoned segment
-/// into `sink`. Shared by [`Pst::scan_sink`] / [`Pst::scan_all`] and the
-/// rebuild paths (which pass an empty tombstone set to keep everything).
-fn scan_rec(
-    pager: &Pager,
-    page: PageId,
-    tombs: &HashSet<u64>,
-    sink: &mut dyn ReportSink,
-) -> Result<ControlFlow<()>> {
+/// Every segment of a subtree, in pre-order (not base order). Shared by
+/// [`Pst::scan_all`] and the rebuild path.
+fn scan_rec(pager: &Pager, page: PageId, out: &mut Vec<Segment>) -> Result<()> {
     let node = read_node(pager, page)?;
-    for s in node.segments.iter().filter(|s| !tombs.contains(&s.id)) {
-        if sink.report(s).is_break() {
-            return Ok(ControlFlow::Break(()));
-        }
-    }
+    out.extend_from_slice(&node.segments);
     for c in &node.children {
-        if scan_rec(pager, c.page, tombs, sink)?.is_break() {
-            return Ok(ControlFlow::Break(()));
-        }
+        scan_rec(pager, c.page, out)?;
     }
-    Ok(ControlFlow::Continue(()))
+    Ok(())
 }
 
 fn destroy_rec(pager: &Pager, page: PageId) -> Result<()> {
@@ -1201,23 +1133,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_tombstones_and_rebuild() {
-        let p = pager(512);
-        let set = fan(200);
-        let mut pst = Pst::build(&p, 0, Side::Right, PstConfig::packed(), set.clone()).unwrap();
-        // Remove every id ≥ 100: triggers the 50% rebuild.
-        for id in 100..200u64 {
-            pst.remove(&p, id).unwrap();
-        }
-        pst.validate(&p).unwrap();
-        assert_eq!(pst.len(), 100);
-        assert_eq!(pst.state().tomb_count, 0, "rebuild dropped tombstones");
-        let survivors = &set[..100];
-        let (ids, _) = run(&pst, &p, 4, None, None);
-        assert_eq!(ids, oracle(survivors, 4, None, None));
-    }
-
-    #[test]
     fn packed_height_is_much_smaller() {
         let p1 = pager(4096);
         let p2 = pager(4096);
@@ -1297,6 +1212,28 @@ mod tests {
         let pst2 = Pst::attach(&p, 0, Side::Right, PstConfig::packed(), st2).unwrap();
         let (ids, _) = run(&pst2, &p, 2, None, None);
         assert_eq!(ids, oracle(&set, 2, None, None));
+        // The reserved bytes read as older builds wrote an untombstoned PST.
+        assert_eq!(buf[12..], [0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0]);
+    }
+
+    /// A state as a build with PST deletes saved it over live tombstones:
+    /// chain head 0x45, 3 tombstones. Attaching it would resurrect them.
+    #[test]
+    fn a_state_with_tombstones_from_an_older_build_is_refused() {
+        let p = pager(512);
+        let pst = Pst::build(&p, 0, Side::Right, PstConfig::packed(), fan(100)).unwrap();
+        let mut image = Vec::new();
+        image.extend_from_slice(&pst.state().root.to_le_bytes());
+        image.extend_from_slice(&100u64.to_le_bytes());
+        image.extend_from_slice(&0x45u32.to_le_bytes());
+        image.extend_from_slice(&3u32.to_le_bytes());
+        let old = PstState::read(&image);
+        assert_eq!(old.legacy_tombs, 3);
+        let err = Pst::attach(&p, 0, Side::Right, PstConfig::packed(), old).unwrap_err();
+        assert!(
+            matches!(err, PagerError::Corrupt(m) if m.contains("tombstones from an older build")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1493,18 +1430,6 @@ mod find_tests {
             node.segments.contains(&seg),
             "block really stores the found segment"
         );
-    }
-
-    #[test]
-    fn find_ignores_tombstones() {
-        let p = pager();
-        let set = fan(200);
-        let mut pst = Pst::build(&p, 0, Side::Right, PstConfig::packed(), set.clone()).unwrap();
-        let (first, _) = pst.find_leftmost(&p, 2, None, None).unwrap();
-        let first = first.unwrap().0;
-        pst.remove(&p, first.id).unwrap();
-        let (second, _) = pst.find_leftmost(&p, 2, None, None).unwrap();
-        assert_ne!(second.map(|(s, _)| s.id), Some(first.id));
     }
 
     #[test]

@@ -170,13 +170,20 @@ fn admission_gate_sheds_with_overloaded() {
         let v = roundtrip(&mut occupants[0], r#"{"id":2,"method":"stats"}"#);
         assert_eq!(server_stat(&v, "shed"), 1, "{kind:?}");
         assert_eq!(server_stat(&v, "max_connections"), limit as u64);
-        // Dropping the occupants frees a slot for a newcomer.
+        // Dropping the occupants frees a slot for a newcomer. Until the
+        // server has seen them go, a newcomer is shed — and may find its
+        // connection closed before its ping is even written.
         drop(occupants);
         let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
+        let admitted = || -> std::io::Result<bool> {
             let mut again = connect(front.addr());
-            let v = roundtrip(&mut again, r#"{"id":3,"method":"ping"}"#);
-            if v.get("ok") == Some(&Json::Bool(true)) {
+            again.write_all(b"{\"id\":3,\"method\":\"ping\"}\n")?;
+            let mut line = String::new();
+            BufReader::new(again).read_line(&mut line)?;
+            Ok(json::parse(line.trim_end()).is_ok_and(|v| v.get("ok") == Some(&Json::Bool(true))))
+        };
+        loop {
+            if admitted().unwrap_or(false) {
                 break;
             }
             assert!(

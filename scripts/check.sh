@@ -185,43 +185,52 @@ SEGDB_BENCH_DIR="$SMOKE" "$LOAD" --addr "$ADDR" --family mixed --n 300 --seed 21
     --connections 1 --requests 1 --no-verify --shutdown > /dev/null
 wait "$SERVE_PID"
 
-echo "==> update-cost smoke (E16: a delete within 4x an insert, in pages)"
+echo "==> update-cost smoke (E16, E5: a delete within 4x an insert, in pages)"
 # Page counts on the simulated device are exact, so this cannot flake.
 SEGDB_BENCH_DIR="$SMOKE" target/release/e16_updates > /dev/null
 grep -o '"insert_io_per_op":[0-9.]*,"delete_io_per_op":[0-9.]*' "$SMOKE/BENCH_updates.json" |
     awk -F'[:,]' '{ rows++; if ($4 > 4 * $2) dear++ } END { exit !(rows == 6 && dear == 0) }' || {
     echo "E16: some row's del io/op exceeds 4 x its ins io/op (or a row is missing)"; exit 1; }
+# E5 rows are ["N","insert io/op","delete io/op",...].
+SEGDB_BENCH_DIR="$SMOKE" target/release/e5_solution1_updates > /dev/null
+grep -o '\["[0-9]*","[0-9.]*","[0-9.]*"' "$SMOKE/BENCH_e5.json" |
+    awk -F'"' '{ rows++; if ($6 > 4 * $4) dear++ } END { exit !(rows == 3 && dear == 0) }' || {
+    echo "E5: some row's del io/op exceeds 4 x its ins io/op (or a row is missing)"; exit 1; }
 
 echo "==> live-tombstone smoke (offline remove, then fresh processes must not see it)"
 # An offline remove leaves a live tombstone in the file. Every reader
 # below is a new process, so each loads the tombstone chain at open.
-"$CLI" build "$SMOKE/tomb.db" "$SMOKE/map.csv" --page-size 1024 > /dev/null
 VICTIM=$(awk -F, '!/^#/{print; exit}' "$SMOKE/map.csv")
 VICTIM_ID=${VICTIM%%,*}
-BEFORE=$("$CLI" query "$SMOKE/tomb.db" line "$QX" 0 --count | head -n 1)
-"$CLI" remove "$SMOKE/tomb.db" ${VICTIM//,/ } | grep -q "^removed #$VICTIM_ID " || {
-    echo "offline remove of $VICTIM not acknowledged"; exit 1; }
-"$CLI" query "$SMOKE/tomb.db" line "$QX" 0 | grep -v '^#' | cut -d, -f1 | sort -n \
-    > "$SMOKE/tomb-local.ids"
-grep -qx "$VICTIM_ID" "$SMOKE/tomb-local.ids" && {
-    echo "a fresh local query still reports tombstoned #$VICTIM_ID"; exit 1; }
-LOCAL_N=$(wc -l < "$SMOKE/tomb-local.ids")
-LOCAL_COUNT=$("$CLI" query "$SMOKE/tomb.db" line "$QX" 0 --count | head -n 1)
-[ "$LOCAL_N" -eq "$LOCAL_COUNT" ] && [ "$LOCAL_COUNT" -eq $((BEFORE - 1)) ] || {
-    echo "tombstoned counts disagree: collected $LOCAL_N, --count $LOCAL_COUNT, before $BEFORE"
-    exit 1; }
-"$CLI" serve "$SMOKE/tomb.db" --addr 127.0.0.1:0 --workers 2 > "$SMOKE/serve-tomb.out" &
-SERVE_PID=$!
-ADDR=$(listening_on "$SMOKE/serve-tomb.out" "tombstone server")
-"$CLI" query --remote "$ADDR" line "$QX" | grep -v '^#' | sort -n > "$SMOKE/tomb-served.ids"
-cmp -s "$SMOKE/tomb-local.ids" "$SMOKE/tomb-served.ids" || {
-    echo "served answer over a tombstoned file differs from the local one"; exit 1; }
-SERVED_COUNT=$("$CLI" query --remote "$ADDR" line "$QX" --count | head -n 1)
-[ "$SERVED_COUNT" = "$LOCAL_COUNT" ] || {
-    echo "served --count ($SERVED_COUNT) != local --count ($LOCAL_COUNT)"; exit 1; }
-SEGDB_BENCH_DIR="$SMOKE" "$LOAD" --addr "$ADDR" --family mixed --n 300 --seed 21 \
-    --connections 1 --requests 1 --no-verify --shutdown > /dev/null
-wait "$SERVE_PID"
+for INDEX in interval binary; do
+    TOMB="$SMOKE/tomb-$INDEX.db"
+    "$CLI" build "$TOMB" "$SMOKE/map.csv" --page-size 1024 --index "$INDEX" > /dev/null
+    BEFORE=$("$CLI" query "$TOMB" line "$QX" 0 --count | head -n 1)
+    "$CLI" remove "$TOMB" ${VICTIM//,/ } | grep -q "^removed #$VICTIM_ID " || {
+        echo "$INDEX: offline remove of $VICTIM not acknowledged"; exit 1; }
+    "$CLI" query "$TOMB" line "$QX" 0 | grep -v '^#' | cut -d, -f1 | sort -n \
+        > "$SMOKE/tomb-local.ids"
+    grep -qx "$VICTIM_ID" "$SMOKE/tomb-local.ids" && {
+        echo "$INDEX: a fresh local query still reports tombstoned #$VICTIM_ID"; exit 1; }
+    LOCAL_N=$(wc -l < "$SMOKE/tomb-local.ids")
+    LOCAL_COUNT=$("$CLI" query "$TOMB" line "$QX" 0 --count | head -n 1)
+    [ "$LOCAL_N" -eq "$LOCAL_COUNT" ] && [ "$LOCAL_COUNT" -eq $((BEFORE - 1)) ] || {
+        echo "$INDEX: tombstoned counts disagree: collected $LOCAL_N," \
+            "--count $LOCAL_COUNT, before $BEFORE"
+        exit 1; }
+    "$CLI" serve "$TOMB" --addr 127.0.0.1:0 --workers 2 > "$SMOKE/serve-tomb.out" &
+    SERVE_PID=$!
+    ADDR=$(listening_on "$SMOKE/serve-tomb.out" "$INDEX tombstone server")
+    "$CLI" query --remote "$ADDR" line "$QX" | grep -v '^#' | sort -n > "$SMOKE/tomb-served.ids"
+    cmp -s "$SMOKE/tomb-local.ids" "$SMOKE/tomb-served.ids" || {
+        echo "$INDEX: served answer over a tombstoned file differs from the local one"; exit 1; }
+    SERVED_COUNT=$("$CLI" query --remote "$ADDR" line "$QX" --count | head -n 1)
+    [ "$SERVED_COUNT" = "$LOCAL_COUNT" ] || {
+        echo "$INDEX: served --count ($SERVED_COUNT) != local --count ($LOCAL_COUNT)"; exit 1; }
+    SEGDB_BENCH_DIR="$SMOKE" "$LOAD" --addr "$ADDR" --family mixed --n 300 --seed 21 \
+        --connections 1 --requests 1 --no-verify --shutdown > /dev/null
+    wait "$SERVE_PID"
+done
 
 echo "==> cluster smoke (partition, route, scatter-gather, degraded reply)"
 "$CLI" partition "$SMOKE/map.csv" 3 "$SMOKE/shards" > "$SMOKE/partition.json"

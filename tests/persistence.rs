@@ -233,103 +233,154 @@ fn older_formats_are_refused_by_name_and_left_untouched() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Lazy deletes ride through a save: the tombstone chain is loaded on
-/// open and keeps hiding exactly the deleted segments, in every mode.
+/// Lazy deletes ride through a save, in both writable kinds: the
+/// tombstone chain is loaded on open and keeps hiding exactly the
+/// deleted segments, in every mode, until a compaction folds them away.
 #[test]
 fn live_tombstones_survive_reopen() {
-    let path = tmpfile("tombstones");
     let set = mixed_map(400, 0x70B5);
     let queries = vertical_queries(&set, 20, 100, 0x70B5);
     let (deleted, live) = set.split_at(40);
-    {
-        let mut db = SegmentDatabase::builder()
-            .page_size(1024)
-            .index(IndexKind::TwoLevelInterval)
-            .persist_to(&path)
-            .build(set.clone())
-            .unwrap();
-        for s in deleted {
-            assert!(db.remove(s).unwrap());
+    for kind in [IndexKind::TwoLevelBinary, IndexKind::TwoLevelInterval] {
+        let path = tmpfile(&format!("tombstones-{kind:?}"));
+        {
+            let mut db = SegmentDatabase::builder()
+                .page_size(1024)
+                .index(kind)
+                .persist_to(&path)
+                .build(set.clone())
+                .unwrap();
+            for s in deleted {
+                assert!(db.remove(s).unwrap());
+            }
+            assert_eq!(
+                db.tomb_count(),
+                40,
+                "{kind:?}: deletes stay lazy below the rebuild threshold"
+            );
+            db.save().unwrap();
         }
-        assert_eq!(
-            db.tomb_count(),
-            40,
-            "deletes stay lazy below the rebuild threshold"
+        let mut db = SegmentDatabase::open(&path, 0).unwrap();
+        db.validate().unwrap();
+        assert_eq!((db.len(), db.tomb_count()), (live.len() as u64, 40));
+        let answers_live = |db: &SegmentDatabase| {
+            for q in &queries {
+                let want = ids(&scan_oracle(live, q));
+                assert_eq!(
+                    ids(&db.query_canonical(q).unwrap().0),
+                    want,
+                    "{kind:?} {q:?}"
+                );
+                assert_eq!(
+                    db.query_canonical_mode(q, QueryMode::Count)
+                        .unwrap()
+                        .0
+                        .count(),
+                    want.len() as u64,
+                    "{kind:?} {q:?}: tombstones subtracted from the stored counts"
+                );
+                let (found, _) = db.query_canonical_mode(q, QueryMode::Exists).unwrap();
+                assert_eq!(found.count() > 0, !want.is_empty(), "{kind:?} {q:?} exists");
+                let (some, _) = db.query_canonical_mode(q, QueryMode::Limit(3)).unwrap();
+                let some = ids(some.segments().unwrap());
+                assert_eq!(some.len(), want.len().min(3), "{kind:?} {q:?} limit size");
+                assert!(some.iter().all(|id| want.contains(id)), "{kind:?} {q:?}");
+            }
+        };
+        answers_live(&db);
+        assert!(
+            !db.remove(&deleted[0]).unwrap(),
+            "{kind:?}: a tombstoned segment is gone after reopen too"
         );
-        db.save().unwrap();
+        assert_eq!(db.tomb_count(), 40);
+        assert!(db.compact().unwrap());
+        assert_eq!((db.len(), db.tomb_count()), (live.len() as u64, 0));
+        db.validate().unwrap();
+        answers_live(&db);
+        std::fs::remove_file(&path).ok();
     }
-    let mut db = SegmentDatabase::open(&path, 0).unwrap();
-    db.validate().unwrap();
-    assert_eq!((db.len(), db.tomb_count()), (live.len() as u64, 40));
-    for q in &queries {
-        let mut got = ids(&db.query_canonical(q).unwrap().0);
-        got.sort_unstable();
-        let mut want = ids(&scan_oracle(live, q));
-        want.sort_unstable();
-        assert_eq!(got, want, "{q:?}");
-        assert_eq!(
-            db.query_canonical_mode(q, QueryMode::Count)
-                .unwrap()
-                .0
-                .count(),
-            want.len() as u64,
-            "{q:?}: tombstones subtracted from the stored counts"
-        );
-        let (found, _) = db.query_canonical_mode(q, QueryMode::Exists).unwrap();
-        assert_eq!(found.count() > 0, !want.is_empty(), "{q:?} exists");
-        let (some, _) = db.query_canonical_mode(q, QueryMode::Limit(3)).unwrap();
-        let some = ids(some.segments().unwrap());
-        assert_eq!(some.len(), want.len().min(3), "{q:?} limit size");
-        assert!(some.iter().all(|id| want.contains(id)), "{q:?} limit");
-    }
-    assert!(
-        !db.remove(&deleted[0]).unwrap(),
-        "a tombstoned segment is gone after reopen too"
+}
+
+/// Builds before `TwoLevelBinary` kept tombstones left its superblock's
+/// tombstone fields (`aux`, a `u32` at byte 37 of the blob, and the
+/// count at byte 41) at 0. A count of 0 means no chain whatever `aux`
+/// says, so such a file — and one whose `aux` holds anything at all —
+/// opens and answers as it did.
+#[test]
+fn a_binary_file_without_tombstones_opens_whatever_aux_says() {
+    const AUX_AT: usize = META_AT + 37;
+    let path = tmpfile("binary-aux");
+    let set = mixed_map(300, 0xA0);
+    let queries = vertical_queries(&set, 20, 100, 0xA0);
+    SegmentDatabase::builder()
+        .page_size(1024)
+        .index(IndexKind::TwoLevelBinary)
+        .persist_to(&path)
+        .build(set.clone())
+        .unwrap();
+    let saved = std::fs::read(&path).unwrap();
+    assert_eq!(
+        saved[AUX_AT..AUX_AT + 12],
+        [0u8; 12],
+        "aux and count as older builds wrote them"
     );
-    assert_eq!(db.tomb_count(), 40);
+    for aux in [0u32, 0x1234_5678] {
+        let mut bytes = saved.clone();
+        bytes[AUX_AT..AUX_AT + 4].copy_from_slice(&aux.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let db = SegmentDatabase::open(&path, 0).unwrap();
+        db.validate().unwrap();
+        assert_eq!((db.len(), db.tomb_count()), (set.len() as u64, 0));
+        for q in &queries {
+            let got = ids(&db.query_canonical(q).unwrap().0);
+            assert_eq!(got, ids(&scan_oracle(&set, q)), "aux {aux:#x} {q:?}");
+        }
+    }
     std::fs::remove_file(&path).ok();
 }
 
 /// The superblock's tombstone count (a `u64` at byte 41 of the blob)
 /// must agree with the chain `open` loads: a file where it does not
 /// would answer every count off by the difference, so it is refused by
-/// name and left byte-for-byte alone.
+/// name and left byte-for-byte alone — in both writable kinds.
 #[test]
 fn a_tombstone_count_that_disagrees_with_the_chain_is_refused() {
     const TOMB_COUNT_AT: usize = META_AT + 41;
-    let path = tmpfile("tomb-count");
     let set = mixed_map(300, 0x7C);
-    {
-        let mut db = SegmentDatabase::builder()
-            .page_size(1024)
-            .index(IndexKind::TwoLevelInterval)
-            .persist_to(&path)
-            .build(set.clone())
-            .unwrap();
-        for s in &set[..5] {
-            assert!(db.remove(s).unwrap());
+    for kind in [IndexKind::TwoLevelBinary, IndexKind::TwoLevelInterval] {
+        let path = tmpfile(&format!("tomb-count-{kind:?}"));
+        {
+            let mut db = SegmentDatabase::builder()
+                .page_size(1024)
+                .index(kind)
+                .persist_to(&path)
+                .build(set.clone())
+                .unwrap();
+            for s in &set[..5] {
+                assert!(db.remove(s).unwrap());
+            }
+            db.save().unwrap();
         }
-        db.save().unwrap();
+        let saved = std::fs::read(&path).unwrap();
+        assert_eq!(saved[TOMB_COUNT_AT..TOMB_COUNT_AT + 8], 5u64.to_le_bytes());
+        for wrong in [4u64, 6] {
+            let mut bytes = saved.clone();
+            bytes[TOMB_COUNT_AT..TOMB_COUNT_AT + 8].copy_from_slice(&wrong.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let err = match SegmentDatabase::open(&path, 0) {
+                Ok(_) => panic!("{kind:?}: opened with {wrong} tombstones over a chain of 5"),
+                Err(e) => e.to_string(),
+            };
+            assert!(err.contains("tombstone chain"), "{kind:?}: {err}");
+            assert!(
+                std::fs::read(&path).unwrap() == bytes,
+                "{kind:?}: open wrote to a refused file"
+            );
+        }
+        std::fs::write(&path, &saved).unwrap();
+        let db = SegmentDatabase::open(&path, 0).unwrap();
+        db.validate().unwrap();
+        assert_eq!(db.tomb_count(), 5);
+        std::fs::remove_file(&path).ok();
     }
-    let saved = std::fs::read(&path).unwrap();
-    assert_eq!(saved[TOMB_COUNT_AT..TOMB_COUNT_AT + 8], 5u64.to_le_bytes());
-    for wrong in [4u64, 6] {
-        let mut bytes = saved.clone();
-        bytes[TOMB_COUNT_AT..TOMB_COUNT_AT + 8].copy_from_slice(&wrong.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let err = match SegmentDatabase::open(&path, 0) {
-            Ok(_) => panic!("opened with {wrong} tombstones recorded over a chain of 5"),
-            Err(e) => e.to_string(),
-        };
-        assert!(err.contains("tombstone chain"), "{err}");
-        assert!(
-            std::fs::read(&path).unwrap() == bytes,
-            "open wrote to a refused file"
-        );
-    }
-    std::fs::write(&path, &saved).unwrap();
-    let db = SegmentDatabase::open(&path, 0).unwrap();
-    db.validate().unwrap();
-    assert_eq!(db.tomb_count(), 5);
-    std::fs::remove_file(&path).ok();
 }

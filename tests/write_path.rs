@@ -441,10 +441,7 @@ fn the_membership_probe_is_exact_through_the_engine() {
 
                 // A segment that is only a delta insert cancels in place.
                 let y_top = canonical.iter().map(|s| s.y_span().1).max().unwrap();
-                let [fresh, newer] = [0, 1].map(|k| {
-                    let y = y_top + 50 + 20 * k;
-                    Segment::new(5_000 + k as u64, (0, y), (700, y + 10)).unwrap()
-                });
+                let fresh = Segment::new(5_000, (0, y_top + 50), (700, y_top + 60)).unwrap();
                 assert!(engine.insert(next_req(), user(&fresh)).unwrap().applied);
                 assert_eq!(engine.delta().len(), 1);
                 assert!(engine.delete(next_req(), user(&fresh)).unwrap().applied);
@@ -455,7 +452,8 @@ fn the_membership_probe_is_exact_through_the_engine() {
                 assert!(!engine.delete(next_req(), user(&fresh)).unwrap().applied);
 
                 // Replayed inserts: of a base segment, a duplicate; of a
-                // new one, applied — and from then on a duplicate too.
+                // folded delete, under its own id, applied — and from then
+                // on a duplicate too.
                 let replay = |s: &Segment, req_id: u64| {
                     let rec = WalRecord {
                         seq: 0,
@@ -469,14 +467,15 @@ fn the_membership_probe_is_exact_through_the_engine() {
                     ack.duplicate && !ack.applied,
                     "{tag}: base segment replayed"
                 );
-                let ack = replay(&newer, next_req());
-                assert!(ack.applied && !ack.duplicate, "{tag}: new segment replayed");
-                let ack = replay(&newer, next_req());
+                let back = victims[0];
+                let ack = replay(&back, next_req());
+                assert!(ack.applied && !ack.duplicate, "{tag}: {back} re-inserted");
+                let ack = replay(&back, next_req());
                 assert!(
                     ack.duplicate && !ack.applied,
                     "{tag}: delta insert replayed"
                 );
-                live.push(newer);
+                live.push(back);
                 assert_engine_matches(&engine, &live, &queries, &tag);
                 engine.fold().unwrap();
                 assert_engine_matches(&engine, &live, &queries, &tag);
@@ -489,18 +488,24 @@ fn the_membership_probe_is_exact_through_the_engine() {
 /// page touched is a device read. A delete is two point probes (accept,
 /// fold) plus a chain append, each probe shaped like the insert's own
 /// descent — so it stays within 3× the insert and grows with `log n`,
-/// not with what the line through the segment stabs.
+/// not with what the line through the segment stabs. In both writable
+/// structures.
 #[test]
 fn a_delete_costs_pages_like_an_insert() {
     const OPS: usize = 256;
     let mut per_size = Vec::new();
-    for (n, want_insert, want_delete) in [(4096usize, 2724u64, 6139u64), (16_384, 3683, 8093)] {
+    for (kind, n, want_insert, want_delete) in [
+        (IndexKind::TwoLevelInterval, 4096usize, 2724u64, 6139u64),
+        (IndexKind::TwoLevelInterval, 16_384, 3683, 8093),
+        (IndexKind::TwoLevelBinary, 4096, 3893, 7169),
+        (IndexKind::TwoLevelBinary, 16_384, 4745, 8897),
+    ] {
         let mut base = strips(n + OPS, 1 << 18, 16, 400, 0xC057);
         let fresh = base.split_off(n);
         let db = SegmentDatabase::builder()
             .page_size(1024)
             .cache_pages(0)
-            .index(IndexKind::TwoLevelInterval)
+            .index(kind)
             .build(base.clone())
             .unwrap();
         let cfg = WriterConfig {
@@ -529,16 +534,18 @@ fn a_delete_costs_pages_like_an_insert() {
         assert_eq!(
             (insert, delete),
             (want_insert, want_delete),
-            "N = {n}, {OPS} ops each"
+            "{kind:?} N = {n}, {OPS} ops each"
         );
         assert!(
             delete <= 3 * insert,
-            "N = {n}: delete {delete} reads, insert {insert}"
+            "{kind:?} N = {n}: delete {delete} reads, insert {insert}"
         );
         per_size.push(delete);
     }
-    assert!(
-        2 * per_size[1] < 3 * per_size[0],
-        "delete reads grow faster than ×1.5 from N = 4 096 to 16 384: {per_size:?}"
-    );
+    for pair in per_size.chunks(2) {
+        assert!(
+            2 * pair[1] < 3 * pair[0],
+            "delete reads grow faster than ×1.5 from N = 4 096 to 16 384: {pair:?}"
+        );
+    }
 }
