@@ -7,7 +7,10 @@
 //! extension, whose cost is a membership probe — the point query at the
 //! segment's left endpoint, `O(log_B n)`-shaped and independent of how
 //! much the line through that point stabs — plus an `O(1)` chain
-//! append. The write engine adds a constant WAL term per op and an
+//! append. An update deletes a live segment and inserts it again under
+//! its id, half of them moved up inside their strips and half exactly
+//! as they were: a delete plus an insert, or a delete plus one more
+//! chain record — never a rebuild. The write engine adds a constant WAL term per op and an
 //! `O(1)/d` checkpoint term (superblock save every `delta_limit = d`
 //! ops). The tables check the *shape*: insert I/O per op tracks the
 //! Theorem-2 curve as `n` grows, delete I/O is explained by its measured
@@ -62,16 +65,23 @@ fn db_io_for(eng: &WriteEngine, f: impl FnOnce()) -> u64 {
     eng.with_db(|db| db.pager().stats().total_io()) - io0
 }
 
-/// Drive `OPS/2` inserts then `OPS/2` deletes through the engine,
-/// measuring each phase separately (plus the bare probe cost for the
-/// victims between the phases). Returns
-/// `(ins_io_per_op, del_io_per_op, probe_io, wal_bytes_per_op, folds,
-/// commits)`.
-fn run_workload(
-    base: &[Segment],
-    fresh: &[Segment],
-    eng: &WriteEngine,
-) -> (f64, f64, f64, f64, u64, u64) {
+/// What [`run_workload`] measured: I/O per insert, delete and update,
+/// the bare probe cost, WAL bytes per logged op, folds and WAL syncs.
+struct Costs {
+    ins: f64,
+    del: f64,
+    upd: f64,
+    probe: f64,
+    wal_bytes: f64,
+    folds: u64,
+    commits: u64,
+}
+
+/// Drive `OPS/2` inserts, `OPS/2` deletes, then `OPS/2` updates (a
+/// delete and an insert each) through the engine, measuring each phase
+/// separately (plus the bare probe cost for the victims between the
+/// first two).
+fn run_workload(base: &[Segment], fresh: &[Segment], eng: &WriteEngine) -> Costs {
     let half = (OPS / 2) as usize;
     let ins_io = db_io_for(eng, || {
         for (k, s) in fresh.iter().enumerate() {
@@ -86,13 +96,33 @@ fn run_workload(
             assert!(ack.applied && !ack.duplicate);
         }
     });
+    // Every other update moves its segment up inside its strip.
+    let updated: Vec<Segment> = (base[half..2 * half].iter().enumerate())
+        .map(|(k, s)| match k % 2 {
+            0 => *s,
+            _ => Segment::new(s.id, (s.a.x, s.a.y + 4), (s.b.x, s.b.y + 4)).unwrap(),
+        })
+        .collect();
+    let upd_io = db_io_for(eng, || {
+        let req = 1 + OPS;
+        for (k, (s, back)) in base[half..].iter().zip(&updated).enumerate() {
+            let ack = eng.delete(req + 2 * k as u64, *s).unwrap();
+            assert!(ack.applied && !ack.duplicate);
+            let ack = eng.insert(req + 2 * k as u64 + 1, *back).unwrap();
+            assert!(ack.applied && !ack.duplicate);
+        }
+    });
     let (wal, delta) = eng.wal_stats();
     assert_eq!(delta, 0, "tail fold left the delta empty");
 
     // Every op applied exactly once: the live set is the base minus its
-    // first half-K segments plus the reserve. Spot-check stabbing lines
-    // against the scan oracle.
-    let live: Vec<Segment> = base[half..].iter().chain(fresh).copied().collect();
+    // first half-K segments, updated, plus the reserve. Spot-check
+    // stabbing lines against the scan oracle.
+    let live: Vec<Segment> = (updated.iter())
+        .chain(&base[2 * half..])
+        .chain(fresh)
+        .copied()
+        .collect();
     for x in [100i64, 1 << 12, 1 << 17] {
         let q = VerticalQuery::Line { x };
         let (ans, _) = eng.query_line_mode((x, 0), QueryMode::Count).unwrap();
@@ -108,14 +138,15 @@ fn run_workload(
         .counters()
         .rebuilds
         .load(std::sync::atomic::Ordering::Relaxed);
-    (
-        ins_io as f64 / half as f64,
-        del_io as f64 / half as f64,
-        probe_io,
-        wal.bytes as f64 / OPS as f64,
-        rebuilds,
-        wal.group_commits,
-    )
+    Costs {
+        ins: ins_io as f64 / half as f64,
+        del: del_io as f64 / half as f64,
+        upd: upd_io as f64 / half as f64,
+        probe: probe_io,
+        wal_bytes: wal.bytes as f64 / (2 * OPS) as f64,
+        folds: rebuilds,
+        commits: wal.group_commits,
+    }
 }
 
 /// Mean measured cost of the membership probe itself — the point query
@@ -155,45 +186,48 @@ fn main() {
         let n = 1usize << exp;
         let (base, fresh) = families(n, 500 + exp as u64);
         let eng = build_engine(base.clone(), cfg);
-        let (ins, del, probe, wal_bytes, folds, commits) = run_workload(&base, &fresh, &eng);
+        let c = run_workload(&base, &fresh, &eng);
         // A delete pays the membership probe twice — once at ack time
         // against the merged view (the miss bit), once when the fold
         // applies the tombstone to the index — plus a flat append/fold
         // share. The residual must not scale with n.
-        let del_over_probe = del - 2.0 * probe;
+        let del_over_probe = c.del - 2.0 * c.probe;
         let n_blocks = (n as f64 / b as f64).max(2.0);
         let predicted = n_blocks.log(b as f64).max(1.0) + (b as f64).log2();
-        fits.push((predicted, ins));
+        fits.push((predicted, c.ins));
         rows.push(vec![
             n.to_string(),
-            f1(ins),
-            f1(del),
-            f1(probe),
+            f1(c.ins),
+            f1(c.del),
+            f1(c.upd),
+            f1(c.probe),
             f1(del_over_probe),
             f1(predicted),
-            f2(ins / predicted),
+            f2(c.ins / predicted),
         ]);
         sections.push((
             format!("n={n}"),
             Json::obj([
-                ("insert_io_per_op", Json::F64(ins)),
-                ("delete_io_per_op", Json::F64(del)),
-                ("probe_io", Json::F64(probe)),
+                ("insert_io_per_op", Json::F64(c.ins)),
+                ("delete_io_per_op", Json::F64(c.del)),
+                ("update_io_per_op", Json::F64(c.upd)),
+                ("probe_io", Json::F64(c.probe)),
                 ("delete_residual_io", Json::F64(del_over_probe)),
-                ("wal_bytes_per_op", Json::F64(wal_bytes)),
-                ("folds", Json::U64(folds)),
-                ("group_commits", Json::U64(commits)),
+                ("wal_bytes_per_op", Json::F64(c.wal_bytes)),
+                ("folds", Json::U64(c.folds)),
+                ("group_commits", Json::U64(c.commits)),
                 ("predicted", Json::F64(predicted)),
             ]),
         ));
     }
     table(
         "E16 — write engine updates (Theorem 2 iii): insert io/op vs log_B n + log2 B; \
-         delete = membership probe + O(1) append",
+         delete = membership probe + O(1) append; update = delete + re-insert",
         &[
             "N",
             "ins io/op",
             "del io/op",
+            "upd io/op",
             "probe io",
             "del - 2*probe",
             "logBn+log2B",
@@ -228,8 +262,9 @@ fn main() {
 
     // Amortization knobs: fixed n, varying delta_limit `d` and
     // group_window `w`. Folds and WAL syncs are deterministic batching
-    // counters — at most ⌈K/d⌉ folds plus the two explicit tail folds
-    // and ~K/w syncs — so doubling a knob halves its counter.
+    // counters — at most ⌈K/d⌉ folds plus the three explicit tail folds
+    // and ~K/w syncs, over K = 2·OPS logged ops — so doubling a knob
+    // halves its counter.
     let n = 1usize << 14;
     let (base, fresh) = families(n, 900);
     let mut rows = Vec::new();
@@ -245,36 +280,44 @@ fn main() {
                 ..WriterConfig::default()
             },
         );
-        let (ins, del, _probe, wal_bytes, folds, commits) = run_workload(&base, &fresh, &eng);
+        let c = run_workload(&base, &fresh, &eng);
+        let ops = 2 * OPS;
         assert!(
-            folds <= OPS / d as u64 + 2,
-            "folds are batched: {folds} > {} + tails",
-            OPS / d as u64
+            c.folds <= ops / d as u64 + 3,
+            "folds are batched: {} > {} + tails",
+            c.folds,
+            ops / d as u64
         );
-        assert!(folds < last_folds, "a larger delta window folds less often");
-        last_folds = folds;
         assert!(
-            commits <= OPS / w as u64 + folds + 2,
-            "syncs are batched: {commits} for window {w}"
+            c.folds < last_folds,
+            "a larger delta window folds less often"
+        );
+        last_folds = c.folds;
+        assert!(
+            c.commits <= ops / w as u64 + c.folds + 3,
+            "syncs are batched: {} for window {w}",
+            c.commits
         );
         rows.push(vec![
             d.to_string(),
             w.to_string(),
-            f1(ins),
-            f1(del),
-            f1(wal_bytes),
-            folds.to_string(),
-            commits.to_string(),
+            f1(c.ins),
+            f1(c.del),
+            f1(c.upd),
+            f1(c.wal_bytes),
+            c.folds.to_string(),
+            c.commits.to_string(),
         ]);
         sections.push((
             format!("d={d}"),
             Json::obj([
                 ("group_window", Json::U64(w as u64)),
-                ("insert_io_per_op", Json::F64(ins)),
-                ("delete_io_per_op", Json::F64(del)),
-                ("wal_bytes_per_op", Json::F64(wal_bytes)),
-                ("folds", Json::U64(folds)),
-                ("group_commits", Json::U64(commits)),
+                ("insert_io_per_op", Json::F64(c.ins)),
+                ("delete_io_per_op", Json::F64(c.del)),
+                ("update_io_per_op", Json::F64(c.upd)),
+                ("wal_bytes_per_op", Json::F64(c.wal_bytes)),
+                ("folds", Json::U64(c.folds)),
+                ("group_commits", Json::U64(c.commits)),
             ]),
         ));
     }
@@ -285,6 +328,7 @@ fn main() {
             "group_window",
             "ins io/op",
             "del io/op",
+            "upd io/op",
             "wal B/op",
             "folds",
             "syncs",

@@ -2,12 +2,16 @@
 //! `O(log₂ n + log_B n / B)` amortized I/Os (BB\[α\] maintenance realized
 //! as weight-balanced partial rebuilding).
 //!
-//! Regenerates: amortized insert and delete costs per `N`, against the
-//! predicted `log₂ n` curve, plus post-storm validation.
+//! Regenerates: amortized insert, delete and update costs per `N`,
+//! against the predicted `log₂ n` curve, plus post-storm validation. An
+//! update deletes a live segment and inserts it again under its id:
+//! every other one moved up inside its strip, the rest exactly as they
+//! were — shown again in place, never by a rebuild.
 
 use segdb_bench::{correlation, f1, f2, lg, ols_slope, table};
 use segdb_core::binary2l::{Binary2LConfig, TwoLevelBinary};
 use segdb_geom::gen::strips;
+use segdb_geom::Segment;
 use segdb_pager::{Pager, PagerConfig};
 
 fn main() {
@@ -38,6 +42,20 @@ fn main() {
         let del = (pager.stats().total_io() - io1) as f64 / removed as f64;
         t.validate(&pager).unwrap();
 
+        let io2 = pager.stats().total_io();
+        let mut updated = 0usize;
+        for (k, s) in set.iter().filter(|s| s.id % 2 == 1).enumerate() {
+            assert!(t.remove(&pager, s).unwrap());
+            let back = match k % 2 {
+                0 => *s,
+                _ => Segment::new(s.id, (s.a.x, s.a.y + 4), (s.b.x, s.b.y + 4)).unwrap(),
+            };
+            t.insert(&pager, back).unwrap();
+            updated += 1;
+        }
+        let upd = (pager.stats().total_io() - io2) as f64 / updated as f64;
+        t.validate(&pager).unwrap();
+
         let b = page / 40;
         let n_blocks = (n_items / b).max(2) as f64;
         let predicted = lg(n_items as f64); // the paper's log2 n term dominates
@@ -46,6 +64,7 @@ fn main() {
             n_items.to_string(),
             f1(ins),
             f1(del),
+            f1(upd),
             f1(predicted),
             f2(ins / predicted),
             f1(n_blocks.log(b as f64)),
@@ -57,6 +76,7 @@ fn main() {
             "N",
             "insert io/op",
             "delete io/op",
+            "update io/op",
             "log2 N",
             "ins ratio",
             "log_B n",

@@ -31,7 +31,10 @@
 use crate::chain;
 use crate::facade::{DbError, SegmentDatabase};
 use crate::report::{CountingSink, QueryAnswer, QueryMode, QueryTrace};
-use segdb_geom::{CountSink, ExistsSink, LimitSink, MultiSink, ReportSink, Segment, VerticalQuery};
+use segdb_geom::predicates::{classify_pair, PairRelation};
+use segdb_geom::{
+    CountSink, ExistsSink, LimitSink, MultiSink, Point, ReportSink, Segment, VerticalQuery,
+};
 use segdb_itree::overlap::IntervalSet;
 use segdb_obs::trace::{emit, probe, EventKind};
 use segdb_pager::{IoStats, PageId, Pager, PagerError};
@@ -49,23 +52,34 @@ pub fn next_batch_id() -> u64 {
     NEXT_BATCH_ID.fetch_add(1, Ordering::Relaxed)
 }
 
+/// A whole segment as an ordered key, left abscissa first: what a
+/// [`Hidden`] set is indexed by and what [`Slots`] withholds. Two
+/// segments that share an id but not their geometry are two keys.
+type Key = (i64, u64, [i64; 3]);
+
+fn key(s: &Segment) -> Key {
+    (s.a.x, s.id, [s.a.y, s.b.x, s.b.y])
+}
+
 /// Segments an index stores but no reader may see: the tombstones of a
 /// structure that deletes lazily, or the deletes a writer has accepted
 /// and not yet folded. Whoever owns one keeps it in memory and holds in
 /// it only segments that are stored and in no other hidden set, which is
-/// what makes the arithmetic of [`Slots`] exact.
+/// what makes the arithmetic of [`Slots`] exact. A member is the whole
+/// stored segment, so two hidden segments may share an id.
 ///
-/// Indexed twice, both `O(log h)` to maintain: by id, and by left
-/// endpoint. A query at abscissa `x` can only hit segments that start in
-/// `[x − reach, x]`, `reach` being the widest x-extent the set has held,
-/// so a stab looks at that window and nothing else. One very long
-/// segment widens every window — at worst to the whole set, the linear
-/// scan this index replaces — until the set is next cleared.
+/// Indexed by left endpoint, `O(log h)` to maintain. A query at abscissa
+/// `x` can only hit segments that start in `[x − reach, x]`, `reach`
+/// being the widest x-extent the set has held, so a stab looks at that
+/// window and nothing else. One very long segment widens every window —
+/// at worst to the whole set, the linear scan this index replaces —
+/// until the set is next cleared. `bounds`, the box around every
+/// segment the set has held, likewise only grows.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Hidden {
-    by_id: BTreeMap<u64, Segment>,
-    by_left: BTreeMap<(i64, u64), Segment>,
+    by_left: BTreeMap<Key, Segment>,
     reach: i64,
+    bounds: Option<(Point, Point)>,
 }
 
 /// The empty hidden set: a read with nothing to hide.
@@ -74,44 +88,67 @@ pub(crate) static NO_HIDDEN: Hidden = Hidden::new();
 impl Hidden {
     pub(crate) const fn new() -> Hidden {
         Hidden {
-            by_id: BTreeMap::new(),
             by_left: BTreeMap::new(),
             reach: 0,
+            bounds: None,
         }
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.by_id.len()
+        self.by_left.len()
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
+    /// Is exactly `seg` (id and geometry) hidden?
+    pub(crate) fn contains(&self, seg: &Segment) -> bool {
+        self.by_left.contains_key(&key(seg))
     }
 
-    /// The hidden segment carrying `id`.
-    pub(crate) fn get(&self, id: u64) -> Option<&Segment> {
-        self.by_id.get(&id)
+    /// Every hidden segment, in key order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Segment> {
+        self.by_left.values()
     }
 
-    /// Hide `seg`, in place of whatever its id hid before.
+    /// Hide `seg`.
     pub(crate) fn insert(&mut self, seg: Segment) {
-        if let Some(old) = self.by_id.insert(seg.id, seg) {
-            self.by_left.remove(&(old.a.x, old.id));
-        }
-        self.by_left.insert((seg.a.x, seg.id), seg);
+        self.by_left.insert(key(&seg), seg);
         self.reach = self.reach.max(seg.b.x - seg.a.x);
+        let (lo, hi) = seg.y_span();
+        let (min, max) =
+            (self.bounds).unwrap_or((Point::new(seg.a.x, lo), Point::new(seg.b.x, hi)));
+        self.bounds = Some((
+            Point::new(min.x.min(seg.a.x), min.y.min(lo)),
+            Point::new(max.x.max(seg.b.x), max.y.max(hi)),
+        ));
     }
 
-    /// Every hidden segment that can meet the line `x = x0`: those
-    /// starting within `reach` to its left.
-    fn candidates(&self, x0: i64) -> impl Iterator<Item = &Segment> {
-        let from = (x0.saturating_sub(self.reach), u64::MIN);
-        self.by_left.range(from..=(x0, u64::MAX)).map(|(_, s)| s)
+    /// Show `seg` again; whether it was hidden.
+    pub(crate) fn remove(&mut self, seg: &Segment) -> bool {
+        self.by_left.remove(&key(seg)).is_some()
+    }
+
+    /// Every hidden segment that can meet the slab `x0 ≤ x ≤ x1`: those
+    /// starting in it or within `reach` to its left.
+    fn starting_in(&self, x0: i64, x1: i64) -> impl Iterator<Item = &Segment> {
+        let from = (x0.saturating_sub(self.reach), 0, [i64::MIN; 3]);
+        let to = (x1, u64::MAX, [i64::MAX; 3]);
+        self.by_left.range(from..=to).map(|(_, s)| s)
     }
 
     /// The hidden segments `q` hits.
     pub(crate) fn stab<'h>(&'h self, q: &'h VerticalQuery) -> impl Iterator<Item = &'h Segment> {
-        self.candidates(q.x()).filter(|s| q.hits(s))
+        self.starting_in(q.x(), q.x()).filter(|s| q.hits(s))
+    }
+
+    /// Does `seg` cross, or overlap collinearly, a hidden segment? Outside
+    /// the box no page or window is looked at.
+    pub(crate) fn crossed_by(&self, seg: &Segment) -> bool {
+        let (lo, hi) = seg.y_span();
+        let in_box = (self.bounds).is_some_and(|(min, max)| {
+            seg.a.x <= max.x && seg.b.x >= min.x && lo <= max.y && hi >= min.y
+        });
+        in_box
+            && (self.starting_in(seg.a.x, seg.b.x))
+                .any(|s| classify_pair(s, seg) != PairRelation::Admissible)
     }
 }
 
@@ -121,7 +158,8 @@ impl Hidden {
 /// A walk meets hidden segments in the pages like any other, so each
 /// slot starts from the hidden segments its own query hits (a stab of
 /// each set, `O(log h + candidates)`). A segment-wanting slot has exactly
-/// those filtered out by id. A count-only slot keeps the
+/// those filtered out, compared as whole segments — a stored segment
+/// that only shares an id with a hidden one is shown. A count-only slot keeps the
 /// count-from-header fast paths: their number is its *debt*, and stored
 /// hits pay it off before any reaches the sink. The sink therefore sees
 /// exactly `stored − hidden`, and an `Exists` slot can still stop at the
@@ -131,9 +169,9 @@ pub(crate) struct Slots<'m, 'a> {
     /// Per slot, hidden hits still to cancel (empty until some counting
     /// slot's query hits a hidden segment).
     debt: Vec<u64>,
-    /// `(slot, id)` of every hidden segment a segment-wanting slot's
-    /// query hits, sorted.
-    withheld: Vec<(usize, u64)>,
+    /// `(slot, segment)` of every hidden segment a segment-wanting
+    /// slot's query hits, sorted.
+    withheld: Vec<(usize, Key)>,
 }
 
 impl<'m, 'a> Slots<'m, 'a> {
@@ -145,7 +183,7 @@ impl<'m, 'a> Slots<'m, 'a> {
             let (q, wants) = (*multi.query(i), multi.want_segments(i));
             for s in hidden.iter().flat_map(|h| h.stab(&q)) {
                 if wants {
-                    withheld.push((i, s.id));
+                    withheld.push((i, key(s)));
                 } else {
                     if debt.is_empty() {
                         debt.resize(multi.len(), 0);
@@ -199,7 +237,7 @@ impl<'m, 'a> Slots<'m, 'a> {
         if !self.debt.is_empty() && self.counts(i) {
             return self.report_count(i, 1);
         }
-        if self.withheld.binary_search(&(i, seg.id)).is_ok() {
+        if !self.withheld.is_empty() && self.withheld.binary_search(&(i, key(seg))).is_ok() {
             return ControlFlow::Continue(());
         }
         self.multi.report(i, seg)
@@ -721,17 +759,23 @@ mod tests {
                 // widens to the whole set, and the answers stay right.
                 segs.push(Segment::new(9_000, (0, 5_000), (16_100, 5_001)).unwrap());
             }
+            // Ids hidden again under new geometry are a second entry
+            // beside the old one, and a segment shown again is gone.
+            let moved: Vec<Segment> = (segs.iter().step_by(7))
+                .map(|s| {
+                    Segment::new(s.id, (s.a.x + 1_000, s.a.y), (s.b.x + 1_000, s.b.y)).unwrap()
+                })
+                .collect();
+            let shown = segs.swap_remove(3);
             let mut hidden = hidden_of(&segs);
-            // Ids hidden again under new geometry replace the old entry
-            // in both indexes.
-            for s in segs.iter_mut().step_by(7) {
-                *s = Segment::new(s.id, (s.a.x + 1_000, s.a.y), (s.b.x + 1_000, s.b.y)).unwrap();
+            for s in &moved {
                 hidden.insert(*s);
             }
+            hidden.insert(shown);
+            assert!(hidden.remove(&shown) && !hidden.remove(&shown));
+            segs.extend(&moved);
             assert_eq!(hidden.len(), segs.len());
-            for s in &segs {
-                assert_eq!(hidden.get(s.id), Some(s));
-            }
+            assert!(segs.iter().all(|s| hidden.contains(s)) && !hidden.contains(&shown));
             for q in probes_over(&segs, 400, &mut rng) {
                 let mut got: Vec<u64> = hidden.stab(&q).map(|s| s.id).collect();
                 got.sort_unstable();
@@ -746,11 +790,30 @@ mod tests {
         let segs = short_segments(4096, 0, &mut rng);
         let hidden = hidden_of(&segs);
         for q in probes_over(&segs, 200, &mut rng) {
-            let visited = hidden.candidates(q.x()).count();
+            let visited = hidden.starting_in(q.x(), q.x()).count();
             assert!(
                 visited * 20 <= segs.len(),
                 "{visited} of 4096 visited for {q:?}"
             );
+        }
+    }
+
+    /// `crossed_by` against the pairwise rule over the whole set: random
+    /// segments, and ones on a member's line touching or overlapping it.
+    #[test]
+    fn a_crossing_is_found_as_the_linear_rule_finds_it() {
+        let mut rng = segdb_rng::SmallRng::seed_from_u64(0xC805);
+        let members = short_segments(500, 0, &mut rng);
+        let hidden = hidden_of(&members);
+        let mut probes = short_segments(2_000, 10_000, &mut rng);
+        for s in members.iter().step_by(11) {
+            let (dx, dy) = (s.b.x - s.a.x, s.b.y - s.a.y);
+            probes.push(Segment::new(7, s.b, (s.b.x + dx, s.b.y + dy)).unwrap());
+            probes.push(Segment::new(7, (s.a.x - dx, s.a.y - dy), s.b).unwrap());
+        }
+        for p in &probes {
+            let linear = (members.iter()).any(|s| classify_pair(s, p) != PairRelation::Admissible);
+            assert_eq!(hidden.crossed_by(p), linear, "{p}");
         }
     }
 

@@ -30,23 +30,22 @@
 //! rebuilding*: subtree sizes are maintained on the insert path and the
 //! highest α-unbalanced subtree (α = ¾) is rebuilt from scratch, giving
 //! the same amortized `O(log₂ n + log_B n / B)` bound. A delete is lazy,
-//! exactly as in [`crate::interval2l`]: a membership probe shaped like
-//! the insert's descent, a tombstone every read withholds, and a rebuild
-//! from the live set once tombstones reach the live count, its cost
-//! spread over the deletes that triggered it.
+//! exactly as in [`crate::interval2l`] — both are [`Lazy`]'s: a
+//! membership probe shaped like the insert's descent, a tombstone every
+//! read withholds, and a rebuild from the live set once the tombstone
+//! chain reaches the live count, its cost spread over the deletes that
+//! triggered it.
 
-use crate::batch::{holds, one_slot, Hidden, Slots, NO_HIDDEN};
+use crate::batch::Slots;
 use crate::chain;
 use crate::report::QueryTrace;
-use crate::tombs::Tombstones;
-use segdb_geom::{MultiSink, ReportSink, Segment, VerticalQuery};
+use crate::tombs::{Lazy, Pages};
+use segdb_geom::Segment;
 use segdb_itree::overlap::{IntervalSet, IntervalSetState};
 use segdb_itree::{Interval, IntervalTreeConfig};
 use segdb_obs::trace::{emit as obs_emit, probe, EventKind};
 use segdb_pager::codec::{i64_at, u32_at, u64_at};
-use segdb_pager::{
-    ByteReader, ByteWriter, PageId, Pager, PagerError, Result, StatScope, NULL_PAGE,
-};
+use segdb_pager::{ByteReader, ByteWriter, PageId, Pager, PagerError, Result, NULL_PAGE};
 use segdb_pst::{BatchQuery, Pst, PstConfig, PstState, Side};
 
 const TAG_LEAF: u8 = 1;
@@ -249,7 +248,8 @@ impl Node {
     }
 }
 
-/// The Section-3 two-level structure. See module docs.
+/// The Section-3 two-level structure. See module docs; its live count,
+/// deletes and tombstones are [`Lazy`]'s.
 ///
 /// ```
 /// use segdb_pager::{Pager, PagerConfig};
@@ -269,14 +269,13 @@ impl Node {
 /// let (hits, _) = t.query(&pager, &VerticalQuery::segment(50, 10, 40)).unwrap();
 /// assert_eq!(hits.len(), 2);
 /// ```
+pub type TwoLevelBinary = Lazy<BinaryPages>;
+
+/// The pages of a [`TwoLevelBinary`]: the base-line tree and its
+/// second-level structures, hidden segments included.
 #[derive(Debug)]
-pub struct TwoLevelBinary {
+pub struct BinaryPages {
     root: PageId,
-    /// Live (non-tombstoned) segment count.
-    len: u64,
-    /// Lazily-deleted segments: still in the index pages, hidden from
-    /// every read.
-    tombs: Tombstones,
     cfg: Binary2LConfig,
 }
 
@@ -284,182 +283,65 @@ impl TwoLevelBinary {
     /// Build from an NCT segment set (NCT-ness is the caller's contract;
     /// [`segdb_geom::nct::verify_nct`] checks it).
     pub fn build(pager: &Pager, cfg: Binary2LConfig, segs: Vec<Segment>) -> Result<Self> {
-        let mut this = Self::attach(pager, cfg, NULL_PAGE, segs.len() as u64, NULL_PAGE, 0)?;
-        this.root = build_rec(pager, &cfg, segs)?;
-        Ok(this)
+        let pages = BinaryPages {
+            root: NULL_PAGE,
+            cfg,
+        };
+        Lazy::build_over(pager, pages, segs)
     }
 
-    /// Serializable identity: `(root page, live count, tombstone chain,
-    /// tombstone count)`. The config is context the owner persists
-    /// alongside.
-    pub fn state(&self) -> (PageId, u64, PageId, u64) {
-        let (tomb_head, tomb_count) = self.tombs.state();
-        (self.root, self.len, tomb_head, tomb_count)
-    }
-
-    /// Reconstruct from a serialized identity, loading the tombstone
-    /// chain into memory (refused unless it holds exactly `tomb_count`
-    /// segments).
+    /// Reconstruct from a serialized identity ([`Lazy::state`]), loading
+    /// the tombstone chain into memory (refused unless it holds exactly
+    /// `tomb_records` records).
     pub fn attach(
         pager: &Pager,
         cfg: Binary2LConfig,
         root: PageId,
         len: u64,
         tomb_head: PageId,
-        tomb_count: u64,
+        tomb_records: u64,
     ) -> Result<Self> {
-        Ok(TwoLevelBinary {
-            root,
-            len,
-            tombs: Tombstones::attach(pager, tomb_head, tomb_count)?,
-            cfg,
-        })
+        let pages = BinaryPages { root, cfg };
+        Lazy::attach_to(pager, pages, len, tomb_head, tomb_records)
     }
 
-    /// Tombstones currently recorded (live deletes awaiting rebuild).
-    pub fn tomb_count(&self) -> u64 {
-        self.tombs.len()
+    /// Structural summary — how the §3 construction distributed the
+    /// segments (teaching/debugging aid, used by the paper-figure
+    /// fidelity tests).
+    pub fn describe(&self, pager: &Pager) -> Result<StructureStats> {
+        let mut st = StructureStats::default();
+        describe_rec(pager, &self.pages.cfg, self.pages.root, 1, &mut st)?;
+        Ok(st)
+    }
+}
+
+impl Pages for BinaryPages {
+    fn root(&self) -> PageId {
+        self.root
     }
 
-    /// Fold every tombstone away now (rebuild from the live set) instead
-    /// of waiting for the `tomb_count >= len` trigger. Returns whether a
-    /// rebuild ran.
-    pub fn compact(&mut self, pager: &Pager) -> Result<bool> {
-        if self.tomb_count() == 0 {
-            return Ok(false);
-        }
-        self.rebuild_live(pager)?;
-        Ok(true)
-    }
-
-    /// Stored segment count.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Answer a VS query; returns the hits and the query trace.
-    pub fn query(&self, pager: &Pager, q: &VerticalQuery) -> Result<(Vec<Segment>, QueryTrace)> {
-        let mut out = Vec::new();
-        let trace = self.query_sink(pager, q, &mut out)?;
-        Ok((out, trace))
-    }
-
-    /// Streaming form of [`TwoLevelBinary::query`]: a group of one
-    /// through [`TwoLevelBinary::query_group`], so every hit is pushed
-    /// into `sink` in traversal order (C(v) verticals, then the PST,
-    /// walking root to leaf) and a `Break` stops the walk where it
-    /// stands.
-    pub fn query_sink(
-        &self,
-        pager: &Pager,
-        q: &VerticalQuery,
-        sink: &mut dyn ReportSink,
-    ) -> Result<QueryTrace> {
-        one_slot(q, sink, |multi| self.query_group(pager, multi, &NO_HIDDEN))
-    }
-
-    /// The §3 search for every slot of `multi` at once: the group
-    /// descends the base-line tree together, so each first-level node is
-    /// read once per group and each node's `L(v)`/`R(v)` PST is walked
-    /// once for all the slots that probe it (see [`Pst::query_group`]).
-    /// A slot's `Break` retires that slot alone — it is dropped from the
-    /// next probe list before that structure's pages are read — and the
-    /// walk ends when no slot is left. A count-only slot gets `C(v)`
-    /// answered from the interval set's stored counts without reading
-    /// its lists. Live tombstones and the stored segments in `hidden` —
-    /// a writer's un-folded deletes — are withheld from every slot (see
-    /// [`Slots`]).
-    pub(crate) fn query_group(
-        &self,
-        pager: &Pager,
-        multi: &mut MultiSink<'_>,
-        hidden: &Hidden,
-    ) -> Result<QueryTrace> {
-        let scope = StatScope::begin(pager);
-        let mut trace = QueryTrace::default();
-        let mut slots = Slots::new(multi, [self.tombs.hidden(), hidden]);
-        let mut group = slots.probes();
-        self.walk(pager, &mut slots, self.root, &mut group, &mut trace)?;
-        trace.io = scope.finish();
-        Ok(trace)
-    }
-
-    /// Visit `page` for `group` — live slots in abscissa order, so the
-    /// slots left of, on and right of the base line are three
-    /// consecutive ranges.
-    fn walk(
+    /// The §3 search for every slot at once: the group descends the
+    /// base-line tree together, so each first-level node is read once
+    /// per group and each node's `L(v)`/`R(v)` PST is walked once for
+    /// all the slots that probe it (see [`Pst::query_group`]). A slot's
+    /// `Break` retires that slot alone — it is dropped from the next
+    /// probe list before that structure's pages are read — and the walk
+    /// ends when no slot is left. A count-only slot gets `C(v)` answered
+    /// from the interval set's stored counts without reading its lists.
+    /// A slot's hits arrive in traversal order: C(v) verticals, then the
+    /// PST, root to leaf.
+    fn walk_group(
         &self,
         pager: &Pager,
         slots: &mut Slots<'_, '_>,
-        page: PageId,
         group: &mut [BatchQuery],
         trace: &mut QueryTrace,
     ) -> Result<()> {
-        if page == NULL_PAGE || group.is_empty() {
-            return Ok(());
-        }
-        obs_emit(
-            EventKind::FirstLevelVisit,
-            u64::from(page),
-            trace.first_level_nodes as u64,
-        );
-        trace.first_level_nodes += 1;
-        let img = pager.page(page)?;
-        let n = match NodeView::new(&img)? {
-            NodeView::Leaf { head, .. } => return slots.scan_leaf(pager, head, group),
-            NodeView::Internal(n) => n,
-        };
-        let xv = n.xv();
-        let on_line = group.partition_point(|p| p.qx < xv);
-        let right = group.partition_point(|p| p.qx <= xv);
-        let (group, right) = group.split_at_mut(right);
-        if on_line < group.len() {
-            let c = IntervalSet::attach(pager, IntervalTreeConfig::default(), n.c())?;
-            slots.probe_on_line(pager, &c, xv, &group[on_line..], trace)?;
-        }
-        // L(v) serves the slots left of the line and, since it holds
-        // every crossing segment at its base point, the ones on it —
-        // those stop here; querying R(v) too would double-report.
-        let live = slots.retain_live(group);
-        let group = &mut group[..live];
-        if !group.is_empty() {
-            let l = Pst::attach(pager, xv, Side::Left, self.cfg.pst, n.l())?;
-            obs_emit(EventKind::SecondLevelProbe, probe::L_PST, 0);
-            trace.second_level_probes += 1;
-            l.query_group(pager, group, &mut |i, s| slots.report(i, s))?;
-        }
-        if !right.is_empty() {
-            let r = Pst::attach(pager, xv, Side::Right, self.cfg.pst, n.r())?;
-            obs_emit(EventKind::SecondLevelProbe, probe::R_PST, 0);
-            trace.second_level_probes += 1;
-            r.query_group(pager, right, &mut |i, s| slots.report(i, s))?;
-        }
-        let (left_page, right_page) = (n.left(), n.right());
-        drop(img);
-        let live = slots.retain_live(group);
-        let left = group[..live].partition_point(|p| p.qx < xv);
-        self.walk(pager, slots, left_page, &mut group[..left], trace)?;
-        let live = slots.retain_live(right);
-        self.walk(pager, slots, right_page, &mut right[..live], trace)
+        self.walk(pager, slots, self.root, group, trace)
     }
 
-    /// Insert a segment (must keep the set NCT — caller's contract).
     /// Amortized `O(log₂ n + log_B n)` I/Os including rebuilds.
-    pub fn insert(&mut self, pager: &Pager, seg: Segment) -> Result<()> {
-        if self.tombs.hides(seg.id) {
-            // Re-inserting a tombstoned id would stay hidden: purge first.
-            self.rebuild_live(pager)?;
-        }
-        self.len += 1;
-        if self.root == NULL_PAGE {
-            self.root = leaf_from(pager, &[seg])?;
-            return Ok(());
-        }
+    fn store(&mut self, pager: &Pager, seg: Segment) -> Result<()> {
         // Path of internal pages for the balance check.
         let mut path: Vec<PageId> = Vec::new();
         let mut page = self.root;
@@ -533,79 +415,84 @@ impl TwoLevelBinary {
         self.rebalance_path(pager, &path)
     }
 
-    /// Delete a stored segment (id and geometry must both match) — lazily,
-    /// as [`crate::interval2l::TwoLevelInterval::remove`] does: one
-    /// membership probe ([`holds`], the point query at the segment's left
-    /// endpoint), one chain append, and the segment is withheld from every
-    /// answer; the whole structure is rebuilt from the live set once
-    /// tombstones reach the live count. Returns whether it was present.
-    pub fn remove(&mut self, pager: &Pager, seg: &Segment) -> Result<bool> {
-        if !holds(seg, |multi| self.query_group(pager, multi, &NO_HIDDEN))? {
-            return Ok(false);
-        }
-        self.tombs.push(pager, seg)?;
-        self.len -= 1;
-        if self.tomb_count() >= self.len.max(1) {
-            self.rebuild_live(pager)?;
-        }
-        Ok(true)
-    }
-
-    /// Rebuild from the live set, dropping tombstones.
-    fn rebuild_live(&mut self, pager: &Pager) -> Result<()> {
-        let live = self.scan_all(pager)?;
-        if self.root != NULL_PAGE {
-            destroy_rec(pager, &self.cfg, self.root)?;
-        }
-        self.tombs.clear(pager)?;
-        self.len = live.len() as u64;
-        self.root = build_rec(pager, &self.cfg, live)?;
+    fn build(&mut self, pager: &Pager, segs: Vec<Segment>) -> Result<()> {
+        self.root = build_rec(pager, &self.cfg, segs)?;
         Ok(())
     }
 
-    /// Structural summary — how the §3 construction distributed the
-    /// segments (teaching/debugging aid, used by the paper-figure
-    /// fidelity tests).
-    pub fn describe(&self, pager: &Pager) -> Result<StructureStats> {
-        let mut st = StructureStats::default();
-        if self.root != NULL_PAGE {
-            describe_rec(pager, &self.cfg, self.root, 1, &mut st)?;
-        }
-        Ok(st)
-    }
-
-    /// Every stored (live) segment.
-    pub fn scan_all(&self, pager: &Pager) -> Result<Vec<Segment>> {
-        let mut out = Vec::with_capacity(self.len as usize);
-        if self.root != NULL_PAGE {
-            collect_rec(pager, &self.cfg, self.root, &mut out)?;
-        }
-        out.retain(|s| !self.tombs.hides(s.id));
+    fn collect(&self, pager: &Pager) -> Result<Vec<Segment>> {
+        let mut out = Vec::new();
+        collect_rec(pager, &self.cfg, self.root, &mut out)?;
         Ok(out)
     }
 
-    /// Free every page.
-    pub fn destroy(mut self, pager: &Pager) -> Result<()> {
-        if self.root != NULL_PAGE {
-            destroy_rec(pager, &self.cfg, self.root)?;
-        }
-        self.tombs.clear(pager)
+    fn destroy(&mut self, pager: &Pager) -> Result<()> {
+        destroy_rec(pager, &self.cfg, self.root)
     }
 
-    /// Deep validation of the first-level invariants and every
-    /// second-level structure.
-    pub fn validate(&self, pager: &Pager) -> Result<()> {
-        if self.root == NULL_PAGE {
-            if self.len != 0 {
-                return Err(PagerError::Corrupt("binary2l empty root, nonzero len"));
-            }
+    fn validate(&self, pager: &Pager) -> Result<u64> {
+        validate_rec(pager, &self.cfg, self.root, None, None)
+    }
+}
+
+impl BinaryPages {
+    /// Visit `page` for `group` — live slots in abscissa order, so the
+    /// slots left of, on and right of the base line are three
+    /// consecutive ranges.
+    fn walk(
+        &self,
+        pager: &Pager,
+        slots: &mut Slots<'_, '_>,
+        page: PageId,
+        group: &mut [BatchQuery],
+        trace: &mut QueryTrace,
+    ) -> Result<()> {
+        if page == NULL_PAGE || group.is_empty() {
             return Ok(());
         }
-        let total = validate_rec(pager, &self.cfg, self.root, None, None)?;
-        if total != self.len + self.tomb_count() {
-            return Err(PagerError::Corrupt("binary2l len mismatch"));
+        obs_emit(
+            EventKind::FirstLevelVisit,
+            u64::from(page),
+            trace.first_level_nodes as u64,
+        );
+        trace.first_level_nodes += 1;
+        let img = pager.page(page)?;
+        let n = match NodeView::new(&img)? {
+            NodeView::Leaf { head, .. } => return slots.scan_leaf(pager, head, group),
+            NodeView::Internal(n) => n,
+        };
+        let xv = n.xv();
+        let on_line = group.partition_point(|p| p.qx < xv);
+        let right = group.partition_point(|p| p.qx <= xv);
+        let (group, right) = group.split_at_mut(right);
+        if on_line < group.len() {
+            let c = IntervalSet::attach(pager, IntervalTreeConfig::default(), n.c())?;
+            slots.probe_on_line(pager, &c, xv, &group[on_line..], trace)?;
         }
-        self.tombs.validate(pager)
+        // L(v) serves the slots left of the line and, since it holds
+        // every crossing segment at its base point, the ones on it —
+        // those stop here; querying R(v) too would double-report.
+        let live = slots.retain_live(group);
+        let group = &mut group[..live];
+        if !group.is_empty() {
+            let l = Pst::attach(pager, xv, Side::Left, self.cfg.pst, n.l())?;
+            obs_emit(EventKind::SecondLevelProbe, probe::L_PST, 0);
+            trace.second_level_probes += 1;
+            l.query_group(pager, group, &mut |i, s| slots.report(i, s))?;
+        }
+        if !right.is_empty() {
+            let r = Pst::attach(pager, xv, Side::Right, self.cfg.pst, n.r())?;
+            obs_emit(EventKind::SecondLevelProbe, probe::R_PST, 0);
+            trace.second_level_probes += 1;
+            r.query_group(pager, right, &mut |i, s| slots.report(i, s))?;
+        }
+        let (left_page, right_page) = (n.left(), n.right());
+        drop(img);
+        let live = slots.retain_live(group);
+        let left = group[..live].partition_point(|p| p.qx < xv);
+        self.walk(pager, slots, left_page, &mut group[..left], trace)?;
+        let live = slots.retain_live(right);
+        self.walk(pager, slots, right_page, &mut right[..live], trace)
     }
 
     fn rebalance_path(&mut self, pager: &Pager, path: &[PageId]) -> Result<()> {
@@ -892,6 +779,7 @@ mod tests {
     use crate::report::ids;
     use segdb_geom::gen::{grid_map, mixed_map, nested, strips, temporal, vertical_queries};
     use segdb_geom::query::scan_oracle;
+    use segdb_geom::VerticalQuery;
     use segdb_pager::PagerConfig;
 
     fn pager(page: usize) -> Pager {

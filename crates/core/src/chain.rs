@@ -129,13 +129,6 @@ pub fn push(pager: &Pager, head: PageId, seg: &Segment) -> Result<PageId> {
     Ok(page)
 }
 
-/// Number of segments in the chain.
-pub fn count(pager: &Pager, head: PageId) -> Result<u64> {
-    let mut n = 0u64;
-    scan(pager, head, |_| n += 1)?;
-    Ok(n)
-}
-
 /// Free every page of the chain.
 pub fn destroy(pager: &Pager, head: PageId) -> Result<()> {
     let mut page = head;
@@ -173,7 +166,6 @@ mod tests {
         let segs: Vec<Segment> = (0..10).map(seg).collect();
         let head = write(&p, &segs).unwrap();
         assert_eq!(collect(&p, head).unwrap(), segs);
-        assert_eq!(count(&p, head).unwrap(), 10);
         destroy(&p, head).unwrap();
         assert_eq!(p.live_pages(), 0);
     }
@@ -193,7 +185,7 @@ mod tests {
         for i in 0..8 {
             head = push(&p, head, &seg(i)).unwrap();
         }
-        assert_eq!(count(&p, head).unwrap(), 8);
+        assert_eq!(collect(&p, head).unwrap().len(), 8);
         let mut got: Vec<u64> = collect(&p, head).unwrap().iter().map(|s| s.id).collect();
         got.sort_unstable();
         assert_eq!(got, (0..8).collect::<Vec<_>>());

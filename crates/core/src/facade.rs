@@ -13,6 +13,7 @@ use crate::binary2l::{Binary2LConfig, TwoLevelBinary};
 use crate::interval2l::{Interval2LConfig, TwoLevelInterval};
 use crate::persist::Superblock;
 use crate::report::{normalize, QueryAnswer, QueryMode, QueryTrace};
+use crate::tombs::{Lazy, Pages};
 use segdb_geom::nct::verify_nct;
 use segdb_geom::transform::Direction;
 use segdb_geom::{GeomError, MultiSink, Point, Segment, VerticalQuery};
@@ -105,8 +106,9 @@ impl From<PagerError> for DbError {
 
 #[derive(Debug)]
 enum Index {
-    Binary(TwoLevelBinary),
-    Interval(TwoLevelInterval),
+    /// Either two-level structure: only the pages differ, and every
+    /// delete is decided by the one [`Lazy`] owner.
+    TwoLevel(IndexKind, Box<Lazy<dyn Pages>>),
     Scan(FullScan),
     Stab(StabThenFilter),
 }
@@ -114,8 +116,7 @@ enum Index {
 impl Index {
     fn kind(&self) -> IndexKind {
         match self {
-            Index::Binary(_) => IndexKind::TwoLevelBinary,
-            Index::Interval(_) => IndexKind::TwoLevelInterval,
+            Index::TwoLevel(kind, _) => *kind,
             Index::Scan(_) => IndexKind::FullScan,
             Index::Stab(_) => IndexKind::StabThenFilter,
         }
@@ -295,16 +296,14 @@ impl SegmentDatabaseBuilder {
             verify_nct(&transformed)?;
         }
         let index = match self.kind {
-            IndexKind::TwoLevelBinary => Index::Binary(TwoLevelBinary::build(
-                &pager,
-                Binary2LConfig::default(),
-                transformed,
-            )?),
-            IndexKind::TwoLevelInterval => Index::Interval(TwoLevelInterval::build(
-                &pager,
-                Interval2LConfig::default(),
-                transformed,
-            )?),
+            IndexKind::TwoLevelBinary => {
+                let t = TwoLevelBinary::build(&pager, Binary2LConfig::default(), transformed)?;
+                Index::TwoLevel(self.kind, Box::new(t))
+            }
+            IndexKind::TwoLevelInterval => {
+                let t = TwoLevelInterval::build(&pager, Interval2LConfig::default(), transformed)?;
+                Index::TwoLevel(self.kind, Box::new(t))
+            }
             IndexKind::FullScan => Index::Scan(FullScan::build(&pager, &transformed)?),
             IndexKind::StabThenFilter => Index::Stab(StabThenFilter::build(&pager, &transformed)?),
         };
@@ -398,22 +397,16 @@ impl SegmentDatabase {
         let sb = Superblock::decode(&pager.get_meta()?)?;
         let direction = sb.direction_obj()?;
         let index = match sb.kind {
-            IndexKind::TwoLevelBinary => Index::Binary(TwoLevelBinary::attach(
-                &pager,
-                sb.binary_config(),
-                sb.root,
-                sb.len,
-                sb.aux,
-                sb.aux2,
-            )?),
-            IndexKind::TwoLevelInterval => Index::Interval(TwoLevelInterval::attach(
-                &pager,
-                sb.interval_config(),
-                sb.root,
-                sb.len,
-                sb.aux,
-                sb.aux2,
-            )?),
+            IndexKind::TwoLevelBinary => {
+                let cfg = sb.binary_config();
+                let t = TwoLevelBinary::attach(&pager, cfg, sb.root, sb.len, sb.aux, sb.aux2)?;
+                Index::TwoLevel(sb.kind, Box::new(t))
+            }
+            IndexKind::TwoLevelInterval => {
+                let cfg = sb.interval_config();
+                let t = TwoLevelInterval::attach(&pager, cfg, sb.root, sb.len, sb.aux, sb.aux2)?;
+                Index::TwoLevel(sb.kind, Box::new(t))
+            }
             IndexKind::FullScan => Index::Scan(FullScan::attach(sb.root, sb.len)),
             IndexKind::StabThenFilter => Index::Stab(StabThenFilter::attach(
                 &pager,
@@ -443,21 +436,15 @@ impl SegmentDatabase {
     /// (a crash before `save` loses the index roots, not the pages).
     pub fn save(&self) -> Result<(), DbError> {
         let (kind, root, len, aux, aux2) = match &self.index {
-            Index::Binary(t) => {
-                let (root, len, tomb_head, tomb_count) = t.state();
-                // Without tombstones, the aux = 0 every older build wrote.
-                let tomb_head = if tomb_count == 0 { 0 } else { tomb_head };
-                (IndexKind::TwoLevelBinary, root, len, tomb_head, tomb_count)
-            }
-            Index::Interval(t) => {
-                let (root, len, tomb_head, tomb_count) = t.state();
-                (
-                    IndexKind::TwoLevelInterval,
-                    root,
-                    len,
-                    tomb_head,
-                    tomb_count,
-                )
+            Index::TwoLevel(kind, t) => {
+                let (root, len, tomb_head, tomb_records) = t.state();
+                // A binary file without tombstones keeps the aux = 0
+                // every older build wrote.
+                let tomb_head = match (kind, tomb_records) {
+                    (IndexKind::TwoLevelBinary, 0) => 0,
+                    _ => tomb_head,
+                };
+                (*kind, root, len, tomb_head, tomb_records)
             }
             Index::Scan(t) => {
                 let (root, len) = t.state();
@@ -493,8 +480,7 @@ impl SegmentDatabase {
     /// Number of stored segments.
     pub fn len(&self) -> u64 {
         match &self.index {
-            Index::Binary(t) => t.len(),
-            Index::Interval(t) => t.len(),
+            Index::TwoLevel(_, t) => t.len(),
             Index::Scan(t) => t.len(),
             Index::Stab(t) => t.len(),
         }
@@ -729,15 +715,15 @@ impl SegmentDatabase {
 
     /// Insert a segment (user coordinates). The set must stay NCT —
     /// violations are the caller's responsibility (checked lazily by
-    /// [`SegmentDatabase::validate`]).
+    /// [`SegmentDatabase::validate`]). A deleted segment inserted again
+    /// exactly as it was is shown again in place; anything else is
+    /// stored, whatever its id (see [`Lazy::insert`]).
     pub fn insert(&mut self, seg: Segment) -> Result<(), DbError> {
         let t = self.direction.apply_segment(&seg)?;
         match &mut self.index {
-            Index::Binary(x) => x.insert(&self.pager, t)?,
-            Index::Interval(x) => x.insert(&self.pager, t)?,
-            Index::Scan(_) => return Err(DbError::Unsupported("insert into FullScan baseline")),
-            Index::Stab(_) => {
-                return Err(DbError::Unsupported("insert into StabThenFilter baseline"))
+            Index::TwoLevel(_, x) => x.insert(&self.pager, t)?,
+            Index::Scan(_) | Index::Stab(_) => {
+                return Err(DbError::Unsupported("insert into baseline"))
             }
         }
         if let Some(any) = &mut self.any {
@@ -783,38 +769,36 @@ impl SegmentDatabase {
 
     /// Delete a stored segment (id and geometry must both match; returns
     /// whether it was stored). Both two-level structures delete the same
-    /// way — a membership probe, then a lazy tombstone (see
-    /// [`crate::interval2l::TwoLevelInterval::remove`]).
+    /// way — a membership probe, then a lazy tombstone naming the whole
+    /// segment, so a moved copy under the same id stays visible (see
+    /// [`Lazy::remove`]).
     pub fn remove(&mut self, seg: &Segment) -> Result<bool, DbError> {
         let t = self.direction.apply_segment(seg)?;
         if let Some(any) = &mut self.any {
             any.remove(&self.pager, &t)?;
         }
         match &mut self.index {
-            Index::Binary(x) => Ok(x.remove(&self.pager, &t)?),
-            Index::Interval(x) => Ok(x.remove(&self.pager, &t)?),
+            Index::TwoLevel(_, x) => Ok(x.remove(&self.pager, &t)?),
             Index::Scan(_) | Index::Stab(_) => Err(DbError::Unsupported("delete from baseline")),
         }
     }
 
-    /// Lazy-delete tombstones currently live in the index (always 0 for
-    /// the baselines, which take no deletes).
+    /// Segments the index currently hides (always 0 for the baselines,
+    /// which take no deletes).
     pub fn tomb_count(&self) -> u64 {
         match &self.index {
-            Index::Binary(x) => x.tomb_count(),
-            Index::Interval(x) => x.tomb_count(),
+            Index::TwoLevel(_, x) => x.tomb_count(),
             Index::Scan(_) | Index::Stab(_) => 0,
         }
     }
 
     /// Fold lazy-delete tombstones back into the index ahead of the
-    /// automatic `tomb_count >= len` trigger — the background compaction
-    /// entry point; frees the pages the deleted segments still occupy.
-    /// Returns whether any work was done.
+    /// automatic trigger — the background compaction entry point; frees
+    /// the pages the deleted segments still occupy. Returns whether any
+    /// work was done.
     pub fn compact(&mut self) -> Result<bool, DbError> {
         match &mut self.index {
-            Index::Binary(x) => Ok(x.compact(&self.pager)?),
-            Index::Interval(x) => Ok(x.compact(&self.pager)?),
+            Index::TwoLevel(_, x) => Ok(x.compact(&self.pager)?),
             Index::Scan(_) | Index::Stab(_) => Ok(false),
         }
     }
@@ -834,8 +818,7 @@ impl SegmentDatabase {
     /// Deep structural validation of the whole index.
     pub fn validate(&self) -> Result<(), DbError> {
         match &self.index {
-            Index::Binary(x) => x.validate(&self.pager)?,
-            Index::Interval(x) => x.validate(&self.pager)?,
+            Index::TwoLevel(_, x) => x.validate(&self.pager)?,
             Index::Scan(_) | Index::Stab(_) => {}
         }
         if let Some(any) = &self.any {
@@ -862,9 +845,8 @@ impl SegmentDatabase {
         hidden: &Hidden,
     ) -> Result<QueryTrace, DbError> {
         Ok(match &self.index {
-            Index::Binary(x) => x.query_group(&self.pager, multi, hidden)?,
-            Index::Interval(x) => x.query_group(&self.pager, multi, hidden)?,
-            Index::Scan(_) | Index::Stab(_) if !hidden.is_empty() => {
+            Index::TwoLevel(_, x) => x.query_group(&self.pager, multi, hidden)?,
+            Index::Scan(_) | Index::Stab(_) if hidden.len() > 0 => {
                 return Err(DbError::Unsupported(
                     "hidden segments under a baseline index",
                 ))

@@ -42,25 +42,28 @@
 //! into the three structures, maintain weights, partially rebuild
 //! α-unbalanced subtrees, and rebuild a node's bridges once enough
 //! inserts accumulate.
+//!
+//! **Deletes** — an extension beyond the paper's semi-dynamic Theorem 2:
+//! lazy tombstones, exactly as in [`crate::binary2l`], both [`Lazy`]'s.
 
 pub mod gtree;
 pub mod msrec;
 pub mod node;
 
-use crate::batch::{holds, one_slot, Hidden, Slots, NO_HIDDEN};
+use crate::batch::Slots;
 use crate::chain;
 use crate::report::QueryTrace;
-use crate::tombs::Tombstones;
+use crate::tombs::{Lazy, Pages};
 use gtree::{allocation, path as g_path, skeleton, GNode};
 use msrec::{MsOrder, MsRec};
 use node::{Internal, InternalView, Node, NodeView};
 use segdb_bptree::{BPlusTree, Cursor, TreeState};
 use segdb_geom::predicates::y_at_x_cmp;
-use segdb_geom::{MultiSink, ReportSink, Segment, VerticalQuery};
+use segdb_geom::Segment;
 use segdb_itree::overlap::{IntervalSet, IntervalSetState};
 use segdb_itree::{Interval, IntervalTreeConfig};
 use segdb_obs::trace::{emit as obs_emit, probe, EventKind};
-use segdb_pager::{PageId, Pager, PagerError, Result, StatScope, NULL_PAGE};
+use segdb_pager::{PageId, Pager, PagerError, Result, NULL_PAGE};
 use segdb_pst::{BatchQuery, Pst, PstConfig, Side};
 use std::cmp::Ordering;
 
@@ -164,7 +167,8 @@ fn place(boundaries: &[i64], s: &Segment) -> Placement {
     }
 }
 
-/// The Section-4 two-level structure. See module docs.
+/// The Section-4 two-level structure. See module docs; its live count,
+/// deletes and tombstones are [`Lazy`]'s.
 ///
 /// ```
 /// use segdb_pager::{Pager, PagerConfig};
@@ -179,14 +183,13 @@ fn place(boundaries: &[i64], s: &Segment) -> Placement {
 /// let (hits, _) = t.query(&pager, &VerticalQuery::segment(500, 0, 95)).unwrap();
 /// assert_eq!(hits.len(), 10);
 /// ```
+pub type TwoLevelInterval = Lazy<IntervalPages>;
+
+/// The pages of a [`TwoLevelInterval`]: the slab tree and its
+/// second-level structures, hidden segments included.
 #[derive(Debug)]
-pub struct TwoLevelInterval {
+pub struct IntervalPages {
     root: PageId,
-    /// Live (non-tombstoned) segment count.
-    len: u64,
-    /// Lazily-deleted segments: still in the index pages, hidden from
-    /// every read.
-    tombs: Tombstones,
     cfg: Interval2LConfig,
     k_max: usize,
 }
@@ -194,121 +197,177 @@ pub struct TwoLevelInterval {
 impl TwoLevelInterval {
     /// Build from an NCT segment set.
     pub fn build(pager: &Pager, cfg: Interval2LConfig, segs: Vec<Segment>) -> Result<Self> {
-        let mut this = Self::attach(pager, cfg, NULL_PAGE, segs.len() as u64, NULL_PAGE, 0)?;
-        this.root = this.build_rec(pager, segs)?;
-        Ok(this)
+        Lazy::build_over(pager, IntervalPages::new(pager, cfg, NULL_PAGE), segs)
     }
 
-    /// Serializable identity: `(root page, live count, tombstone chain,
-    /// tombstone count)`. The config is context the owner persists
-    /// alongside.
-    pub fn state(&self) -> (PageId, u64, PageId, u64) {
-        let (tomb_head, tomb_count) = self.tombs.state();
-        (self.root, self.len, tomb_head, tomb_count)
-    }
-
-    /// Reconstruct from a serialized identity, loading the tombstone
-    /// chain into memory (refused unless it holds exactly `tomb_count`
-    /// segments).
+    /// Reconstruct from a serialized identity ([`Lazy::state`]), loading
+    /// the tombstone chain into memory (refused unless it holds exactly
+    /// `tomb_records` records).
     pub fn attach(
         pager: &Pager,
         cfg: Interval2LConfig,
         root: PageId,
         len: u64,
         tomb_head: PageId,
-        tomb_count: u64,
+        tomb_records: u64,
     ) -> Result<Self> {
+        let pages = IntervalPages::new(pager, cfg, root);
+        Lazy::attach_to(pager, pages, len, tomb_head, tomb_records)
+    }
+
+    /// Structural summary — how the §4 construction split the segments
+    /// (used by the paper-figure fidelity tests and examples).
+    pub fn describe(&self, pager: &Pager) -> Result<GStats> {
+        let mut st = GStats::default();
+        (self.pages).describe_rec(pager, self.pages.root, 1, &mut st)?;
+        Ok(st)
+    }
+}
+
+impl Pages for IntervalPages {
+    fn root(&self) -> PageId {
+        self.root
+    }
+
+    /// The §4 search for every slot at once: the group descends the
+    /// first level together (each node page read once per group), each
+    /// boundary PST is walked once for all the slots probing it (see
+    /// [`Pst::query_group`]), and `C_j` sets are attached once per node.
+    /// `G` runs stay per-slot (their anchor depends on each query's
+    /// ordinate window) but reuse the shared node read. A slot's `Break`
+    /// retires that slot alone, and it is dropped from the next probe
+    /// list before that structure's pages are read. A slot's hits arrive
+    /// in traversal order: per level, C_j, the boundary PSTs, then the G
+    /// runs.
+    ///
+    /// A count-only slot flips the structure into count mode: C_j
+    /// answers from the interval set's stored counts and each G run is
+    /// measured by two B⁺-tree rank descents over the stored subtree
+    /// counts — the run's pages are never read.
+    fn walk_group(
+        &self,
+        pager: &Pager,
+        slots: &mut Slots<'_, '_>,
+        group: &mut [BatchQuery],
+        trace: &mut QueryTrace,
+    ) -> Result<()> {
+        self.walk(pager, slots, self.root, group, trace)
+    }
+
+    /// Semi-dynamic, Theorem 2(iii): route to the owning node, insert
+    /// into the three structures, partially rebuild α-unbalanced
+    /// subtrees.
+    fn store(&mut self, pager: &Pager, seg: Segment) -> Result<()> {
+        let mut path: Vec<PageId> = Vec::new();
+        let mut page = self.root;
+        loop {
+            match read_node(pager, page)? {
+                Node::Leaf { head, count } => {
+                    let new_head = chain::push(pager, head, &seg)?;
+                    let count = count + 1;
+                    if count as usize > 2 * chain::cap(pager.page_size()) {
+                        let segs = chain::collect(pager, new_head)?;
+                        chain::destroy(pager, new_head)?;
+                        self.build_rec_at(pager, segs, page)?;
+                    } else {
+                        write_node(
+                            pager,
+                            page,
+                            &Node::Leaf {
+                                head: new_head,
+                                count,
+                            },
+                        )?;
+                    }
+                    break;
+                }
+                Node::Internal(mut n) => {
+                    n.total += 1;
+                    path.push(page);
+                    match place(&n.boundaries, &seg) {
+                        Placement::OnLine(i) => {
+                            let mut c = if set_is_absent(&n.c[i]) {
+                                IntervalSet::new(pager, IntervalTreeConfig::default())?
+                            } else {
+                                IntervalSet::attach(pager, IntervalTreeConfig::default(), n.c[i])?
+                            };
+                            c.insert(pager, Interval::new(seg.id, seg.a.y, seg.b.y))?;
+                            n.c[i] = c.state();
+                            write_node(pager, page, &Node::Internal(n))?;
+                            break;
+                        }
+                        Placement::Crossing { f, l } => {
+                            let mut lp = Pst::attach(
+                                pager,
+                                n.boundaries[f],
+                                Side::Left,
+                                self.cfg.pst,
+                                n.l[f],
+                            )?;
+                            lp.insert(pager, seg)?;
+                            n.l[f] = lp.state();
+                            let mut rp = Pst::attach(
+                                pager,
+                                n.boundaries[l],
+                                Side::Right,
+                                self.cfg.pst,
+                                n.r[l],
+                            )?;
+                            rp.insert(pager, seg)?;
+                            n.r[l] = rp.state();
+                            if l > f {
+                                self.g_insert(pager, &mut n, f + 1, l, seg)?;
+                            }
+                            write_node(pager, page, &Node::Internal(n))?;
+                            break;
+                        }
+                        Placement::Child(j) => {
+                            n.child_sizes[j] += 1;
+                            if n.children[j] == NULL_PAGE {
+                                n.children[j] = self.leaf_from(pager, &[seg])?;
+                                write_node(pager, page, &Node::Internal(n))?;
+                                break;
+                            }
+                            let next = n.children[j];
+                            write_node(pager, page, &Node::Internal(n))?;
+                            page = next;
+                        }
+                    }
+                }
+            }
+        }
+        self.rebalance_path(pager, &path)
+    }
+
+    fn build(&mut self, pager: &Pager, segs: Vec<Segment>) -> Result<()> {
+        self.root = self.build_rec(pager, segs)?;
+        Ok(())
+    }
+
+    fn collect(&self, pager: &Pager) -> Result<Vec<Segment>> {
+        let mut out = Vec::new();
+        self.collect_rec(pager, self.root, &mut out)?;
+        Ok(out)
+    }
+
+    fn destroy(&mut self, pager: &Pager) -> Result<()> {
+        self.destroy_rec(pager, self.root)
+    }
+
+    fn validate(&self, pager: &Pager) -> Result<u64> {
+        self.validate_rec(pager, self.root, None, None)
+    }
+}
+
+impl IntervalPages {
+    fn new(pager: &Pager, cfg: Interval2LConfig, root: PageId) -> Self {
         let k_max = cfg
             .fanout
             .map_or(max_fanout(pager.page_size()), |f| {
                 f.min(max_fanout(pager.page_size()))
             })
             .max(1);
-        Ok(TwoLevelInterval {
-            root,
-            len,
-            tombs: Tombstones::attach(pager, tomb_head, tomb_count)?,
-            cfg,
-            k_max,
-        })
-    }
-
-    /// Tombstones currently recorded (live deletes awaiting rebuild).
-    pub fn tomb_count(&self) -> u64 {
-        self.tombs.len()
-    }
-
-    /// Fold every tombstone away now (rebuild from the live set) instead
-    /// of waiting for the `tomb_count >= len` trigger — the background
-    /// compaction entry point. Returns whether a rebuild ran.
-    pub fn compact(&mut self, pager: &Pager) -> Result<bool> {
-        if self.tomb_count() == 0 {
-            return Ok(false);
-        }
-        self.rebuild_live(pager)?;
-        Ok(true)
-    }
-
-    /// Stored segment count.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Answer a VS query.
-    pub fn query(&self, pager: &Pager, q: &VerticalQuery) -> Result<(Vec<Segment>, QueryTrace)> {
-        let mut out = Vec::new();
-        let trace = self.query_sink(pager, q, &mut out)?;
-        Ok((out, trace))
-    }
-
-    /// Streaming form of [`TwoLevelInterval::query`]: a group of one
-    /// through [`TwoLevelInterval::query_group`], so hits push into
-    /// `sink` in traversal order (per level: C_j, the boundary PSTs,
-    /// then the G runs) and a `Break` stops the walk where it stands.
-    pub fn query_sink(
-        &self,
-        pager: &Pager,
-        q: &VerticalQuery,
-        sink: &mut dyn ReportSink,
-    ) -> Result<QueryTrace> {
-        one_slot(q, sink, |multi| self.query_group(pager, multi, &NO_HIDDEN))
-    }
-
-    /// The §4 search for every slot of `multi` at once: the group
-    /// descends the first level together (each node page read once per
-    /// group), each boundary PST is walked once for all the slots
-    /// probing it (see [`Pst::query_group`]), and `C_j` sets are
-    /// attached once per node. `G` runs stay per-slot (their anchor
-    /// depends on each query's ordinate window) but reuse the shared
-    /// node read. A slot's `Break` retires that slot alone, and it is
-    /// dropped from the next probe list before that structure's pages
-    /// are read.
-    ///
-    /// A count-only slot flips the structure into count mode: C_j
-    /// answers from the interval set's stored counts and each G run is
-    /// measured by two B⁺-tree rank descents over the stored subtree
-    /// counts — the run's pages are never read. Live tombstones and the
-    /// stored segments in `hidden` (a writer's un-folded deletes) are
-    /// subtracted from such slots and filtered out of the others (see
-    /// [`Slots`]).
-    pub(crate) fn query_group(
-        &self,
-        pager: &Pager,
-        multi: &mut MultiSink<'_>,
-        hidden: &Hidden,
-    ) -> Result<QueryTrace> {
-        let scope = StatScope::begin(pager);
-        let mut slots = Slots::new(multi, [self.tombs.hidden(), hidden]);
-        let mut trace = QueryTrace::default();
-        let mut group = slots.probes();
-        self.walk(pager, &mut slots, self.root, &mut group, &mut trace)?;
-        trace.io = scope.finish();
-        Ok(trace)
+        IntervalPages { root, cfg, k_max }
     }
 
     /// Visit `page` for `group` — live slots in abscissa order, so the
@@ -415,108 +474,6 @@ impl TwoLevelInterval {
         self.walk(pager, slots, n.child(j), &mut run[..descending], trace)
     }
 
-    /// Insert a segment (semi-dynamic, Theorem 2(iii)).
-    pub fn insert(&mut self, pager: &Pager, seg: Segment) -> Result<()> {
-        if self.tombs.hides(seg.id) {
-            // Re-inserting a tombstoned id would stay hidden: purge first.
-            self.rebuild_live(pager)?;
-        }
-        self.len += 1;
-        if self.root == NULL_PAGE {
-            self.root = self.leaf_from(pager, &[seg])?;
-            return Ok(());
-        }
-        let mut path: Vec<PageId> = Vec::new();
-        let mut page = self.root;
-        loop {
-            match read_node(pager, page)? {
-                Node::Leaf { head, count } => {
-                    let new_head = chain::push(pager, head, &seg)?;
-                    let count = count + 1;
-                    if count as usize > 2 * chain::cap(pager.page_size()) {
-                        let segs = chain::collect(pager, new_head)?;
-                        chain::destroy(pager, new_head)?;
-                        self.build_rec_at(pager, segs, page)?;
-                    } else {
-                        write_node(
-                            pager,
-                            page,
-                            &Node::Leaf {
-                                head: new_head,
-                                count,
-                            },
-                        )?;
-                    }
-                    break;
-                }
-                Node::Internal(mut n) => {
-                    n.total += 1;
-                    path.push(page);
-                    match place(&n.boundaries, &seg) {
-                        Placement::OnLine(i) => {
-                            let mut c = if set_is_absent(&n.c[i]) {
-                                IntervalSet::new(pager, IntervalTreeConfig::default())?
-                            } else {
-                                IntervalSet::attach(pager, IntervalTreeConfig::default(), n.c[i])?
-                            };
-                            c.insert(pager, Interval::new(seg.id, seg.a.y, seg.b.y))?;
-                            n.c[i] = c.state();
-                            write_node(pager, page, &Node::Internal(n))?;
-                            break;
-                        }
-                        Placement::Crossing { f, l } => {
-                            let mut lp = Pst::attach(
-                                pager,
-                                n.boundaries[f],
-                                Side::Left,
-                                self.cfg.pst,
-                                n.l[f],
-                            )?;
-                            lp.insert(pager, seg)?;
-                            n.l[f] = lp.state();
-                            let mut rp = Pst::attach(
-                                pager,
-                                n.boundaries[l],
-                                Side::Right,
-                                self.cfg.pst,
-                                n.r[l],
-                            )?;
-                            rp.insert(pager, seg)?;
-                            n.r[l] = rp.state();
-                            if l > f {
-                                self.g_insert(pager, &mut n, f + 1, l, seg)?;
-                            }
-                            write_node(pager, page, &Node::Internal(n))?;
-                            break;
-                        }
-                        Placement::Child(j) => {
-                            n.child_sizes[j] += 1;
-                            if n.children[j] == NULL_PAGE {
-                                n.children[j] = self.leaf_from(pager, &[seg])?;
-                                write_node(pager, page, &Node::Internal(n))?;
-                                break;
-                            }
-                            let next = n.children[j];
-                            write_node(pager, page, &Node::Internal(n))?;
-                            page = next;
-                        }
-                    }
-                }
-            }
-        }
-        self.rebalance_path(pager, &path)
-    }
-
-    /// Structural summary — how the §4 construction split the segments
-    /// (used by the paper-figure fidelity tests and examples).
-    pub fn describe(&self, pager: &Pager) -> Result<GStats> {
-        let mut st = GStats::default();
-        if self.root != NULL_PAGE {
-            self.describe_rec(pager, self.root, 1, &mut st)?;
-        }
-        Ok(st)
-    }
-
     fn describe_rec(&self, pager: &Pager, page: PageId, depth: u32, st: &mut GStats) -> Result<()> {
         st.height = st.height.max(depth);
         match read_node(pager, page)? {
@@ -579,72 +536,6 @@ impl TwoLevelInterval {
             }
         }
         Ok(())
-    }
-
-    /// Delete a stored segment — an extension beyond the paper's
-    /// semi-dynamic Theorem 2, implemented with lazy tombstones. A delete
-    /// is one membership probe ([`holds`]: the point query at the
-    /// segment's left endpoint, `O(log_B n)`-shaped like the insert's
-    /// descent, whatever the line through that point would report) plus
-    /// an `O(1)` chain append; from then on the segment is withheld from
-    /// every answer, and the whole structure is rebuilt once tombstones
-    /// reach the live count (amortized `O((n/B)·log)` per the standard
-    /// argument). Returns whether the segment was present.
-    pub fn remove(&mut self, pager: &Pager, seg: &Segment) -> Result<bool> {
-        if !holds(seg, |multi| self.query_group(pager, multi, &NO_HIDDEN))? {
-            return Ok(false);
-        }
-        self.tombs.push(pager, seg)?;
-        self.len -= 1;
-        if self.tomb_count() >= self.len.max(1) {
-            self.rebuild_live(pager)?;
-        }
-        Ok(true)
-    }
-
-    /// Rebuild from the live set, dropping tombstones.
-    fn rebuild_live(&mut self, pager: &Pager) -> Result<()> {
-        let live = self.scan_all(pager)?;
-        if self.root != NULL_PAGE {
-            self.destroy_rec(pager, self.root)?;
-        }
-        self.tombs.clear(pager)?;
-        self.len = live.len() as u64;
-        self.root = self.build_rec(pager, live)?;
-        Ok(())
-    }
-
-    /// Every stored (live) segment.
-    pub fn scan_all(&self, pager: &Pager) -> Result<Vec<Segment>> {
-        let mut out = Vec::with_capacity(self.len as usize);
-        if self.root != NULL_PAGE {
-            self.collect_rec(pager, self.root, &mut out)?;
-        }
-        out.retain(|s| !self.tombs.hides(s.id));
-        Ok(out)
-    }
-
-    /// Free every page.
-    pub fn destroy(mut self, pager: &Pager) -> Result<()> {
-        if self.root != NULL_PAGE {
-            self.destroy_rec(pager, self.root)?;
-        }
-        self.tombs.clear(pager)
-    }
-
-    /// Deep validation.
-    pub fn validate(&self, pager: &Pager) -> Result<()> {
-        if self.root == NULL_PAGE {
-            if self.len != 0 {
-                return Err(PagerError::Corrupt("interval2l empty root, nonzero len"));
-            }
-            return Ok(());
-        }
-        let total = self.validate_rec(pager, self.root, None, None)?;
-        if total != self.len + self.tomb_count() {
-            return Err(PagerError::Corrupt("interval2l len mismatch"));
-        }
-        self.tombs.validate(pager)
     }
 
     // ---- queries over G ------------------------------------------------
@@ -1039,8 +930,7 @@ impl TwoLevelInterval {
             Node::Internal(n) => {
                 let k = n.boundaries.len();
                 let skel = skeleton(k);
-                for (i, state) in n.c.iter().enumerate() {
-                    let _ = i;
+                for state in &n.c {
                     if !set_is_absent(state) {
                         IntervalSet::attach(pager, IntervalTreeConfig::default(), *state)?
                             .destroy(pager)?;
@@ -1124,8 +1014,7 @@ impl TwoLevelInterval {
                     return Err(PagerError::Corrupt("boundaries escape ancestor slab"));
                 }
                 let mut here = 0u64;
-                for (i, state) in n.c.iter().enumerate() {
-                    let _ = i;
+                for state in &n.c {
                     if !set_is_absent(state) {
                         let c = IntervalSet::attach(pager, IntervalTreeConfig::default(), *state)?;
                         c.validate(pager)?;
@@ -1335,7 +1224,7 @@ fn build_g_lists(
             let (mut i, mut j) = (0usize, 0usize);
             let mut count = 0usize;
             let mut carrier: Option<MsRec> = None;
-            let mut bridged: Option<u64> = None; // id of the last carrier patched
+            let mut bridged: Option<Segment> = None; // the last carrier patched
             while i < pl.len() || j < cl.len() {
                 let take_parent = match (pl.get(i), cl.get(j)) {
                     (Some(a), Some(b)) => MsOrder::cmp_at(mid_line, a, b) != Ordering::Greater,
@@ -1350,9 +1239,9 @@ fn build_g_lists(
                 }
                 count += 1;
                 if count.is_multiple_of(cfg.bridge_d + 1) {
-                    if let Some(c) = carrier.filter(|c| bridged != Some(c.seg.id)) {
+                    if let Some(c) = carrier.filter(|c| bridged != Some(c.seg)) {
                         patch_bridge(pager, &ptree, &ctree, cline, c, is_left)?;
-                        bridged = Some(c.seg.id);
+                        bridged = Some(c.seg);
                     }
                 }
             }

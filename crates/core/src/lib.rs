@@ -52,4 +52,5 @@ pub use facade::{DbError, IndexKind, SegmentDatabase, SegmentDatabaseBuilder};
 pub use interval2l::{Interval2LConfig, TwoLevelInterval};
 pub use partition::{PartitionError, XCuts};
 pub use report::{QueryAnswer, QueryMode, QueryTrace};
+pub use tombs::Lazy;
 pub use writer::{HistoryError, RecoveryReport, WriteAck, WriteEngine, WriterConfig};

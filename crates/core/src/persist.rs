@@ -48,8 +48,9 @@ pub struct Superblock {
     /// Extra root (StabThenFilter: segment chain; either two-level
     /// structure: tombstone chain head, meaningless when `aux2` is 0).
     pub aux: PageId,
-    /// Extra counter (either two-level structure: tombstone count; 0
-    /// means no chain, whatever `aux` says).
+    /// Extra counter (either two-level structure: records in the
+    /// tombstone chain, where a segment recorded an odd number of times
+    /// is hidden; 0 means no chain, whatever `aux` says).
     pub aux2: u64,
     /// PST fanout (0 = packed default).
     pub pst_fanout: u32,

@@ -157,7 +157,7 @@ impl DeltaSnap {
 
     /// True when the overlay is empty (queries take the base-only path).
     pub fn is_empty(&self) -> bool {
-        self.inserts.is_empty() && self.deletes.is_empty()
+        self.inserts.is_empty() && self.deletes.len() == 0
     }
 }
 

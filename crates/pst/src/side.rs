@@ -66,13 +66,14 @@ impl Side {
 
     /// Base order: the order of intersections with the base line, with
     /// touching ties resolved by the order at `base ± ε` (slope order,
-    /// reversed on the left side), then by id for totality.
+    /// reversed on the left side), then by id and endpoints for
+    /// totality — a stored set may hold two segments under one id.
     ///
     /// For an NCT set this order agrees with the order of ordinates at
     /// every abscissa on the side where both segments are present — the
     /// property the sandwich prune rests on.
     pub fn cmp_base(self, base_x: i64, a: &Segment, b: &Segment) -> Ordering {
-        if a.id == b.id {
+        if a.id == b.id && a == b {
             return Ordering::Equal;
         }
         cmp_y_at_x(a, b, base_x)
@@ -81,7 +82,14 @@ impl Side {
                 Side::Left => cmp_slope(a, b).reverse(),
             })
             .then_with(|| a.id.cmp(&b.id))
+            .then_with(|| same_id_order(a, b))
     }
+}
+
+/// Two segments under one id, on one line through the base point.
+#[cold]
+fn same_id_order(a: &Segment, b: &Segment) -> Ordering {
+    (a.a, a.b).cmp(&(b.a, b.b))
 }
 
 #[cfg(test)]
@@ -146,6 +154,10 @@ mod tests {
         assert_eq!(Side::Right.cmp_base(0, &a, &b), Ordering::Less);
         assert_eq!(Side::Right.cmp_base(0, &b, &a), Ordering::Greater);
         assert_eq!(Side::Right.cmp_base(0, &a, &a), Ordering::Equal);
+        // One id on two collinear segments touching at the base point.
+        let (left, right) = (seg(5, (-10, 0), (0, 0)), seg(5, (0, 0), (10, 0)));
+        assert_eq!(Side::Right.cmp_base(0, &left, &right), Ordering::Less);
+        assert_eq!(Side::Left.cmp_base(0, &right, &left), Ordering::Greater);
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! index kind, including after post-reopen mutations.
 
 use segdb::core::report::ids;
-use segdb::core::{IndexKind, QueryMode, SegmentDatabase};
+use segdb::core::{DbError, IndexKind, QueryMode, SegmentDatabase};
 use segdb::geom::gen::{mixed_map, vertical_queries, Family};
 use segdb::geom::query::scan_oracle;
 use segdb::geom::Segment;
+use segdb::pager::PagerError;
 
 fn tmpfile(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -381,6 +382,89 @@ fn a_tombstone_count_that_disagrees_with_the_chain_is_refused() {
         let db = SegmentDatabase::open(&path, 0).unwrap();
         db.validate().unwrap();
         assert_eq!(db.tomb_count(), 5);
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// Putting a deleted segment back exactly as it was records it on the
+/// tombstone chain once more: a segment recorded an odd number of times
+/// is hidden, and the superblock counts records. Such a chain rides
+/// through a save in both writable kinds — reopened, it hides exactly
+/// the segments still deleted, in Collect and Count, validates, takes
+/// more updates across another reopen, and compacts away. A record
+/// count the chain does not hold is refused as corrupt.
+#[test]
+fn shown_again_records_survive_reopen() {
+    const TOMB_COUNT_AT: usize = META_AT + 41;
+    let set = mixed_map(400, 0x5A0E);
+    let queries = vertical_queries(&set, 20, 100, 0x5A0E);
+    let (back, gone) = (&set[..30], &set[30..40]);
+    let live: Vec<Segment> = set.iter().filter(|s| !gone.contains(s)).copied().collect();
+    for kind in [IndexKind::TwoLevelBinary, IndexKind::TwoLevelInterval] {
+        let path = tmpfile(&format!("shown-again-{kind:?}"));
+        let answers_live = |db: &SegmentDatabase, tag: &str| {
+            db.validate().unwrap();
+            for q in &queries {
+                let want = ids(&scan_oracle(&live, q));
+                assert_eq!(
+                    ids(&db.query_canonical(q).unwrap().0),
+                    want,
+                    "{kind:?} {tag} {q:?}"
+                );
+                let (count, _) = db.query_canonical_mode(q, QueryMode::Count).unwrap();
+                assert_eq!(count.count(), want.len() as u64, "{kind:?} {tag} {q:?}");
+            }
+        };
+        {
+            let mut db = SegmentDatabase::builder()
+                .page_size(1024)
+                .index(kind)
+                .persist_to(&path)
+                .build(set.clone())
+                .unwrap();
+            for s in &set[..40] {
+                assert!(db.remove(s).unwrap());
+            }
+            for s in back {
+                db.insert(*s).unwrap();
+            }
+            assert_eq!(db.tomb_count(), gone.len() as u64);
+            db.save().unwrap();
+        }
+        let saved = std::fs::read(&path).unwrap();
+        assert_eq!(saved[TOMB_COUNT_AT..TOMB_COUNT_AT + 8], 70u64.to_le_bytes());
+        for wrong in [69u64, 71] {
+            let mut bytes = saved.clone();
+            bytes[TOMB_COUNT_AT..TOMB_COUNT_AT + 8].copy_from_slice(&wrong.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            match SegmentDatabase::open(&path, 0) {
+                Err(DbError::Pager(PagerError::Corrupt(what))) => {
+                    assert!(what.contains("tombstone chain"), "{kind:?}: {what}")
+                }
+                other => panic!("{kind:?}: {wrong} records over a chain of 70: {other:?}"),
+            }
+        }
+        std::fs::write(&path, &saved).unwrap();
+        {
+            let mut db = SegmentDatabase::open(&path, 0).unwrap();
+            assert_eq!((db.len(), db.tomb_count()), (live.len() as u64, 10));
+            answers_live(&db, "reopened");
+            assert!(
+                !db.remove(&gone[0]).unwrap(),
+                "{kind:?}: deleted after reopen too"
+            );
+            assert!(
+                db.remove(&back[0]).unwrap(),
+                "{kind:?}: shown again after reopen"
+            );
+            db.insert(back[0]).unwrap();
+            db.save().unwrap();
+        }
+        let mut db = SegmentDatabase::open(&path, 0).unwrap();
+        answers_live(&db, "updated and reopened");
+        assert!(db.compact().unwrap());
+        assert_eq!((db.len(), db.tomb_count()), (live.len() as u64, 0));
+        answers_live(&db, "compacted");
         std::fs::remove_file(&path).ok();
     }
 }

@@ -15,7 +15,7 @@ use segdb::geom::gen::{mixed_map, spans_and_star, strips, vertical_queries};
 use segdb::geom::transform::Direction;
 use segdb::geom::{Segment, VerticalQuery};
 use segdb::obs::Json;
-use segdb::pager::Disk;
+use segdb::pager::{Disk, FaultDevice, FaultPlan};
 use segdb::wal::{WalOp, WalRecord};
 use segdb_server::chaos::{NetFaultHandle, NetFaultPlan};
 use segdb_server::client::{Client, ClientConfig};
@@ -546,6 +546,102 @@ fn a_delete_costs_pages_like_an_insert() {
         assert!(
             2 * pair[1] < 3 * pair[0],
             "delete reads grow faster than ×1.5 from N = 4 096 to 16 384: {pair:?}"
+        );
+    }
+}
+
+/// Updates through the engine, in both writable kinds: a stream deletes
+/// strips and puts them back under their own ids — exactly as they
+/// were, moved clear of the old copy, or moved across it — some within
+/// one epoch, some in the next one, after the fold has turned the
+/// delete into a tombstone. Answers equal the shadow model after every
+/// fold, and again after a restart that replays an unfolded tail of the
+/// log onto the image the last fold saved.
+#[test]
+fn updates_of_one_id_fold_and_replay_right() {
+    let base = strips(300, 1 << 13, 16, 300, 0x0D17);
+    // Copies of a strip inside its band: as built, moved up, and one
+    // crossing each of those. Copies `i` and `i ^ 1` never meet; copies
+    // `i` and `i ^ 2` cross.
+    let copy = |i: usize, b: &Segment| {
+        let dy = 4 * (i & 1) as i64;
+        let (ya, yb) = if i & 2 == 0 { (0, 0) } else { (1, -1) };
+        Segment::new(b.id, (b.a.x, b.a.y + dy + ya), (b.b.x, b.b.y + dy + yb)).unwrap()
+    };
+    let cfg = WriterConfig {
+        group_window: 1,
+        delta_limit: usize::MAX,
+        ..WriterConfig::default()
+    };
+    for kind in [IndexKind::TwoLevelBinary, IndexKind::TwoLevelInterval] {
+        let (db_dev, db_handle) = FaultDevice::over_memory(512, FaultPlan::none(1));
+        let db = SegmentDatabase::builder()
+            .page_size(512)
+            .index(kind)
+            .on_device(Box::new(db_dev))
+            .build(base.clone())
+            .unwrap();
+        let (wal_dev, wal_handle) = FaultDevice::over_memory(512, FaultPlan::none(2));
+        let (engine, _) = WriteEngine::recover(db, Box::new(wal_dev), cfg).unwrap();
+        // Per strip, the copy now live; `None` between a delete and the
+        // insert that puts it back.
+        let mut at: Vec<Option<usize>> = vec![Some(0); base.len()];
+        let live = |at: &[Option<usize>]| -> Vec<Segment> {
+            (base.iter().zip(at))
+                .filter_map(|(b, i)| i.map(|i| copy(i, b)))
+                .collect()
+        };
+        let mut queries = vertical_queries(&base, 24, 120, 0x0D17);
+        queries.extend(
+            base.iter()
+                .step_by(9)
+                .map(|s| VerticalQuery::Line { x: s.a.x }),
+        );
+        let mut req = 0u64;
+        let mut send = |op: WalOp| {
+            req += 1;
+            let ack = match op {
+                WalOp::Insert(s) => engine.insert(req, s),
+                WalOp::Delete(s) => engine.delete(req, s),
+            };
+            assert!(ack.unwrap().applied, "{kind:?}: {op:?}");
+        };
+        // Deleted this epoch, to come back in the next: (strip, copy).
+        let mut pending: Vec<(usize, usize)> = Vec::new();
+        for epoch in 0..7usize {
+            for (j, next) in pending.drain(..) {
+                send(WalOp::Insert(copy(next, &base[j])));
+                at[j] = Some(next);
+            }
+            for (k, j) in (epoch..base.len()).step_by(10).enumerate() {
+                let i = at[j].unwrap();
+                send(WalOp::Delete(copy(i, &base[j])));
+                at[j] = None;
+                let next = [i, i ^ 1, i ^ 2][(k + epoch) % 3];
+                if k % 2 == 0 {
+                    send(WalOp::Insert(copy(next, &base[j])));
+                    at[j] = Some(next);
+                } else {
+                    pending.push((j, next));
+                }
+            }
+            let tag = format!("{kind:?} epoch {epoch}");
+            if epoch < 6 {
+                engine.fold().unwrap();
+            }
+            // The last epoch stays unfolded: the restart replays it.
+            assert_engine_matches(&engine, &live(&at), &queries, &tag);
+        }
+        drop(engine);
+        let db = SegmentDatabase::open_device(db_handle.recover().unwrap(), 0, 1).unwrap();
+        let (engine, report) =
+            WriteEngine::recover(db, wal_handle.recover().unwrap(), cfg).unwrap();
+        assert!(report.applied > 0, "{kind:?}: nothing replayed");
+        assert_engine_matches(
+            &engine,
+            &live(&at),
+            &queries,
+            &format!("{kind:?} recovered"),
         );
     }
 }
