@@ -3,8 +3,8 @@
 //! The paper (EDBT'98) proves complexity bounds but reports no
 //! measurements, so the "tables to reproduce" are its Lemmas and
 //! Theorems. Each `e*` binary in `src/bin/` regenerates one experiment
-//! as a deterministic I/O-count table (run with `--release`); the
-//! Criterion benches add wall-clock numbers. EXPERIMENTS.md records the
+//! as a deterministic I/O-count table (run with `--release`); wall-clock
+//! is `benchmark/`'s to measure. EXPERIMENTS.md records the
 //! paper-vs-measured comparison.
 //!
 //! This library holds the shared machinery: table printing, query

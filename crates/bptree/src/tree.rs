@@ -1161,6 +1161,8 @@ mod tests {
     use super::*;
     use crate::record::{KeyOrder, KeyValue};
     use segdb_pager::PagerConfig;
+    use segdb_rng::check::{self, Shrink};
+    use segdb_rng::SmallRng;
 
     fn pager(page: usize) -> Pager {
         Pager::new(PagerConfig {
@@ -1232,29 +1234,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_incremental_matches_bulk() {
-        let p = pager(128);
-        let mut t = BPlusTree::create(&p, KeyOrder).unwrap();
-        // Insert in shuffled-ish order.
-        let mut keys: Vec<i64> = (0..300).collect();
-        // deterministic shuffle
-        for i in 0..keys.len() {
-            let j = (i * 7919 + 13) % keys.len();
-            keys.swap(i, j);
-        }
-        for &k in &keys {
-            assert!(t.insert(&p, kv(k)).unwrap());
-        }
-        t.validate(&p).unwrap();
-        assert_eq!(t.len(), 300);
-        let got: Vec<i64> = t.scan_all(&p).unwrap().iter().map(|r| r.key).collect();
-        assert_eq!(got, (0..300).collect::<Vec<_>>());
-        // Duplicate is rejected.
-        assert!(!t.insert(&p, kv(5)).unwrap());
-        assert_eq!(t.len(), 300);
-    }
-
-    #[test]
     fn remove_all_in_random_order() {
         let p = pager(128);
         let recs: Vec<KeyValue> = (0..300).map(kv).collect();
@@ -1277,31 +1256,140 @@ mod tests {
         assert_eq!(t.height(), 0);
     }
 
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Insert(i64),
+        Remove(i64),
+        LowerBound(i64),
+    }
+
+    impl Shrink for Op {}
+
+    /// Up to 3 000 operations over 128 or 1 000 keys, on three page sizes,
+    /// against an in-memory ordered map, validating as it goes.
     #[test]
     fn interleaved_insert_remove_storm() {
-        let p = pager(128);
-        let mut t = BPlusTree::create(&p, KeyOrder).unwrap();
-        let mut expect = std::collections::BTreeSet::new();
-        let mut x: u64 = 0x243F6A8885A308D3;
-        for step in 0..3000u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let k = (x % 500) as i64;
-            if x & 1 == 0 {
-                t.insert(&p, kv(k)).unwrap();
-                expect.insert(k);
-            } else {
-                t.remove(&p, &kv(k)).unwrap();
-                expect.remove(&k);
-            }
-            if step % 500 == 0 {
+        check::run(
+            "interleaved_insert_remove_storm",
+            32,
+            |rng| {
+                let span = if rng.gen_bool(0.5) { 64 } else { 500i64 };
+                let ops: Vec<Op> = (0..rng.gen_range(1..=3000usize))
+                    .map(|_| {
+                        let k = rng.gen_range(-span..span);
+                        match rng.gen_range(0..3u8) {
+                            0 => Op::Insert(k),
+                            1 => Op::Remove(k),
+                            _ => Op::LowerBound(k),
+                        }
+                    })
+                    .collect();
+                (ops, [80usize, 128, 512][rng.gen_range(0..3usize)])
+            },
+            |(ops, page)| {
+                let p = pager(*page);
+                let mut t = BPlusTree::create(&p, KeyOrder).unwrap();
+                let mut model = std::collections::BTreeMap::new();
+                for (step, op) in ops.iter().enumerate() {
+                    match *op {
+                        Op::Insert(k) => {
+                            let fresh = model.insert(k, kv(k).value).is_none();
+                            assert_eq!(t.insert(&p, kv(k)).unwrap(), fresh, "insert {k}");
+                        }
+                        Op::Remove(k) => {
+                            let held = model.remove(&k).is_some();
+                            assert_eq!(t.remove(&p, &kv(k)).unwrap(), held, "remove {k}");
+                        }
+                        Op::LowerBound(k) => {
+                            let got = t.lower_bound(&p, &probe(k)).unwrap().next(&p).unwrap();
+                            let want = model.range(k..).next().map(|(&k2, _)| k2);
+                            assert_eq!(got.map(|r| r.key), want, "lower_bound {k}");
+                        }
+                    }
+                    if step % 500 == 0 {
+                        t.validate(&p).unwrap();
+                    }
+                }
                 t.validate(&p).unwrap();
+                let got: Vec<(i64, u64)> = t
+                    .scan_all(&p)
+                    .unwrap()
+                    .iter()
+                    .map(|r| (r.key, r.value))
+                    .collect();
+                assert_eq!(got, model.into_iter().collect::<Vec<_>>());
+            },
+        );
+    }
+
+    /// Sorted, deduplicated keys in `-span..span`, 1 to `max - 1` of them.
+    fn sorted_keys(rng: &mut SmallRng, span: i64, max: usize) -> Vec<i64> {
+        let mut keys: Vec<i64> = (0..rng.gen_range(1..max))
+            .map(|_| rng.gen_range(-span..span))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+
+    /// Up to 300 distinct keys inserted in any order, on 96- or 128-byte
+    /// pages, build what a bulk load of them builds.
+    #[test]
+    fn insert_incremental_matches_bulk() {
+        check::run(
+            "insert_incremental_matches_bulk",
+            64,
+            |rng| {
+                let mut keys = sorted_keys(rng, 1000, 301);
+                for i in (1..keys.len()).rev() {
+                    keys.swap(i, rng.gen_range(0..=i));
+                }
+                (keys, if rng.gen_bool(0.5) { 96usize } else { 128 })
+            },
+            |(keys, page)| {
+                let p = pager(*page);
+                let mut recs: Vec<KeyValue> = keys.iter().map(|&k| kv(k)).collect();
+                let mut inc = BPlusTree::create(&p, KeyOrder).unwrap();
+                for r in &recs {
+                    assert!(inc.insert(&p, *r).unwrap(), "fresh key {r:?}");
+                }
+                inc.validate(&p).unwrap();
+                recs.sort_unstable_by_key(|r| r.key);
+                let bulk = BPlusTree::bulk_load(&p, KeyOrder, &recs).unwrap();
+                bulk.validate(&p).unwrap();
+                assert_eq!(inc.scan_all(&p).unwrap(), bulk.scan_all(&p).unwrap());
+                assert!(!inc.insert(&p, recs[0]).unwrap(), "a duplicate is rejected");
+                assert_eq!(
+                    (inc.len(), bulk.len()),
+                    (recs.len() as u64, recs.len() as u64)
+                );
+            },
+        );
+    }
+
+    /// A comparator ordering records by key descending is respected
+    /// everywhere.
+    #[test]
+    fn custom_comparator_respected() {
+        struct Desc;
+        impl RecordOrd<KeyValue> for Desc {
+            fn cmp_records(&self, a: &KeyValue, b: &KeyValue) -> Ordering {
+                (b.key, b.value).cmp(&(a.key, a.value))
             }
         }
-        t.validate(&p).unwrap();
-        let got: Vec<i64> = t.scan_all(&p).unwrap().iter().map(|r| r.key).collect();
-        assert_eq!(got, expect.into_iter().collect::<Vec<_>>());
+        check::run(
+            "custom_comparator_respected",
+            64,
+            |rng| sorted_keys(rng, 500, 120),
+            |keys| {
+                let p = pager(96);
+                // Descending is sorted under `Desc`.
+                let recs: Vec<KeyValue> = keys.iter().rev().map(|&k| kv(k)).collect();
+                let t = BPlusTree::bulk_load(&p, Desc, &recs).unwrap();
+                t.validate(&p).unwrap();
+                assert_eq!(t.scan_all(&p).unwrap(), recs);
+            },
+        );
     }
 
     #[test]

@@ -326,15 +326,22 @@ mod tests {
 
     #[test]
     fn all_families_are_nct_and_deterministic() {
-        for f in Family::ALL {
-            let mut a = f.generate(500, 42);
-            let b = f.generate(500, 42);
-            assert_eq!(a, b, "{} not deterministic", f.name());
-            verify_nct(&a).unwrap_or_else(|e| panic!("{} violates NCT: {e}", f.name()));
-            assert!(!a.is_empty());
-            assert_eq!(spans_and_star(&mut a), a.len() - b.len());
-            verify_nct(&a).unwrap_or_else(|e| panic!("{} + spans and star: {e}", f.name()));
-        }
+        segdb_rng::check::run(
+            "all_families_are_nct_and_deterministic",
+            32,
+            |rng| (rng.next_u64(), rng.gen_range(20..=500usize)),
+            |&(seed, n)| {
+                for f in Family::ALL {
+                    let mut a = f.generate(n, seed);
+                    let b = f.generate(n, seed);
+                    assert_eq!(a, b, "{} not deterministic", f.name());
+                    verify_nct(&a).unwrap_or_else(|e| panic!("{} violates NCT: {e}", f.name()));
+                    assert!(!a.is_empty());
+                    assert_eq!(spans_and_star(&mut a), a.len() - b.len());
+                    verify_nct(&a).unwrap_or_else(|e| panic!("{} + spans and star: {e}", f.name()));
+                }
+            },
+        );
     }
 
     #[test]

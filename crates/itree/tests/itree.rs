@@ -1,8 +1,9 @@
 //! Oracle-comparison and complexity-shape tests for the external
 //! interval tree.
 
-use segdb_itree::{Interval, IntervalTree, IntervalTreeConfig};
+use segdb_itree::{Interval, IntervalSet, IntervalTree, IntervalTreeConfig};
 use segdb_pager::{Pager, PagerConfig};
+use segdb_rng::check::{self, Shrink};
 use segdb_rng::SmallRng;
 
 fn pager(page: usize) -> Pager {
@@ -33,33 +34,47 @@ fn sorted_ids(v: Vec<Interval>) -> Vec<u64> {
     oracle_ids(&v, |iv| iv.id, |_| true)
 }
 
+/// `(a, len)` pairs, 0 to `max` of them: interval `i` is
+/// `[a, a + len]` with id `i`.
+fn spans(rng: &mut SmallRng, max: usize, span: i64) -> Vec<(i64, i64)> {
+    (0..rng.gen_range(0..=max))
+        .map(|_| (rng.gen_range(-span..span), rng.gen_range(0..span / 4)))
+        .collect()
+}
+
+fn intervals(spans: &[(i64, i64)]) -> Vec<Interval> {
+    (0u64..)
+        .zip(spans)
+        .map(|(i, &(a, len))| Interval::new(i, a, a + len))
+        .collect()
+}
+
+fn probes(rng: &mut SmallRng, n: usize, reach: i64) -> Vec<i64> {
+    (0..n).map(|_| rng.gen_range(-reach..reach)).collect()
+}
+
 #[test]
 fn stab_matches_oracle_random() {
-    for page in [256usize, 1024] {
-        let p = pager(page);
-        let set = random_intervals(2000, 10_000, 7);
-        let t = IntervalTree::build(&p, IntervalTreeConfig::default(), set.clone()).unwrap();
-        t.validate(&p).unwrap();
-        let mut rng = SmallRng::seed_from_u64(99);
-        for _ in 0..200 {
-            let x = rng.gen_range(-11_000..11_000i64);
-            assert_eq!(
-                sorted_ids(t.stab(&p, x).unwrap()),
-                oracle_stab(&set, x),
-                "x={x} page={page}"
-            );
-        }
-        // Boundary-exact probes: use actual endpoints.
-        for iv in set.iter().take(100) {
-            for x in [iv.lo, iv.hi] {
-                assert_eq!(
-                    sorted_ids(t.stab(&p, x).unwrap()),
-                    oracle_stab(&set, x),
-                    "endpoint {x}"
-                );
+    check::run(
+        "stab_matches_oracle_random",
+        8,
+        |rng| (spans(rng, 2000, 10_000), probes(rng, 200, 11_000)),
+        |(spans, probes)| {
+            let set = intervals(spans);
+            for page in [256usize, 1024] {
+                let p = pager(page);
+                let t =
+                    IntervalTree::build(&p, IntervalTreeConfig::default(), set.clone()).unwrap();
+                t.validate(&p).unwrap();
+                // Boundary-exact probes too: actual endpoints.
+                let ends = set.iter().take(100).flat_map(|iv| [iv.lo, iv.hi]);
+                for x in probes.iter().copied().chain(ends) {
+                    let got = sorted_ids(t.stab(&p, x).unwrap());
+                    assert_eq!(got, oracle_stab(&set, x), "x={x} page={page}");
+                }
             }
-        }
-    }
+        },
+    );
 }
 
 #[test]
@@ -85,47 +100,110 @@ fn stab_matches_oracle_adversarial() {
 
 #[test]
 fn incremental_insert_matches_bulk() {
-    let p = pager(256);
-    let set = random_intervals(800, 5_000, 21);
-    let bulk = IntervalTree::build(&p, IntervalTreeConfig::default(), set.clone()).unwrap();
-    let mut inc = IntervalTree::new(&p, IntervalTreeConfig::default()).unwrap();
-    for &iv in &set {
-        inc.insert(&p, iv).unwrap();
-    }
-    inc.validate(&p).unwrap();
-    let mut rng = SmallRng::seed_from_u64(5);
-    for _ in 0..100 {
-        let x = rng.gen_range(-6_000..6_000i64);
-        assert_eq!(
-            sorted_ids(inc.stab(&p, x).unwrap()),
-            sorted_ids(bulk.stab(&p, x).unwrap()),
-            "x={x}"
-        );
-    }
-    assert_eq!(inc.len(), bulk.len());
+    check::run(
+        "incremental_insert_matches_bulk",
+        16,
+        |rng| (spans(rng, 800, 5_000), probes(rng, 100, 6_000)),
+        |(spans, probes)| {
+            let p = pager(256);
+            let set = intervals(spans);
+            let bulk = IntervalTree::build(&p, IntervalTreeConfig::default(), set.clone()).unwrap();
+            let mut inc = IntervalTree::new(&p, IntervalTreeConfig::default()).unwrap();
+            for &iv in &set {
+                inc.insert(&p, iv).unwrap();
+            }
+            inc.validate(&p).unwrap();
+            for &x in probes {
+                let want = sorted_ids(bulk.stab(&p, x).unwrap());
+                assert_eq!(sorted_ids(inc.stab(&p, x).unwrap()), want, "x={x}");
+            }
+            assert_eq!(inc.len(), bulk.len());
+        },
+    );
 }
 
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Insert `[a, a + len]`.
+    Insert(i64, i64),
+    RemoveIdx(usize),
+    Stab(i64),
+    /// Query `[a, a + len]`.
+    Overlap(i64, i64),
+}
+
+impl Shrink for Op {}
+
+/// A page size, a start set of up to 500 intervals, and up to 600
+/// operations on it.
+fn start_and_ops(rng: &mut SmallRng) -> (usize, Vec<(i64, i64)>, Vec<Op>) {
+    let page = if rng.gen_bool(0.5) { 256usize } else { 1024 };
+    let ops = (0..rng.gen_range(0..=600usize))
+        .map(|_| match rng.gen_range(0..4u8) {
+            0 => Op::Insert(rng.gen_range(-4_000..4_000), rng.gen_range(0..1_000)),
+            1 => Op::RemoveIdx(rng.gen_range(0..1_000usize)),
+            2 => Op::Stab(rng.gen_range(-5_000..5_000)),
+            _ => Op::Overlap(rng.gen_range(-5_000..5_000), rng.gen_range(0..1_500)),
+        })
+        .collect();
+    (page, spans(rng, 500, 4_000), ops)
+}
+
+/// Interleaved inserts, removes, stabs and overlap queries on a tree and
+/// on an overlap set, both built from the same start set, against an
+/// in-memory model.
 #[test]
 fn remove_random_subset() {
-    let p = pager(256);
-    let set = random_intervals(500, 4_000, 3);
-    let mut t = IntervalTree::build(&p, IntervalTreeConfig::default(), set.clone()).unwrap();
-    let (gone, kept): (Vec<_>, Vec<_>) = set.iter().partition(|iv| iv.id % 3 == 0);
-    for iv in &gone {
-        assert!(t.remove(&p, iv).unwrap(), "missing {iv:?}");
-        assert!(!t.remove(&p, iv).unwrap(), "double remove {iv:?}");
-    }
-    t.validate(&p).unwrap();
-    assert_eq!(t.len() as usize, kept.len());
-    let kept_set: Vec<Interval> = kept;
-    let mut rng = SmallRng::seed_from_u64(17);
-    for _ in 0..100 {
-        let x = rng.gen_range(-5_000..5_000i64);
-        assert_eq!(
-            sorted_ids(t.stab(&p, x).unwrap()),
-            oracle_stab(&kept_set, x)
-        );
-    }
+    check::run(
+        "remove_random_subset",
+        32,
+        start_and_ops,
+        |(page, start, ops)| {
+            let (p, cfg) = (pager(*page), IntervalTreeConfig::default());
+            let mut model = intervals(start);
+            let mut t = IntervalTree::build(&p, cfg, model.clone()).unwrap();
+            let mut set = IntervalSet::build(&p, cfg, model.clone()).unwrap();
+            let mut next_id = model.len() as u64;
+            let mut got = Vec::new();
+            for op in ops {
+                let want = match *op {
+                    Op::Insert(a, len) => {
+                        let iv = Interval::new(next_id, a, a + len);
+                        next_id += 1;
+                        t.insert(&p, iv).unwrap();
+                        set.insert(&p, iv).unwrap();
+                        model.push(iv);
+                        continue;
+                    }
+                    Op::RemoveIdx(i) if !model.is_empty() => {
+                        let iv = model.swap_remove(i % model.len());
+                        assert!(t.remove(&p, &iv).unwrap(), "missing {iv:?}");
+                        assert!(!t.remove(&p, &iv).unwrap(), "double remove {iv:?}");
+                        assert!(set.remove(&p, &iv).unwrap(), "missing from the set {iv:?}");
+                        continue;
+                    }
+                    Op::RemoveIdx(_) => continue,
+                    Op::Stab(x) => {
+                        assert_eq!(sorted_ids(t.stab(&p, x).unwrap()), oracle_stab(&model, x));
+                        set.stab_into(&p, x, &mut got).unwrap();
+                        oracle_stab(&model, x)
+                    }
+                    Op::Overlap(a, len) => {
+                        set.overlap_into(&p, Some(a), Some(a + len), &mut got)
+                            .unwrap();
+                        oracle_ids(&model, |iv| iv.id, |iv| iv.overlaps(a, a + len))
+                    }
+                };
+                assert_eq!(sorted_ids(std::mem::take(&mut got)), want, "{op:?}");
+            }
+            t.validate(&p).unwrap();
+            set.validate(&p).unwrap();
+            assert_eq!(
+                (t.len() as usize, set.len() as usize),
+                (model.len(), model.len())
+            );
+        },
+    );
 }
 
 #[test]

@@ -18,6 +18,11 @@
 //! The API deliberately mirrors the subset of `rand` the repo used
 //! (`seed_from_u64`, `gen_range`), keeping call sites unchanged beyond
 //! the import line.
+//!
+//! [`check`] is the workspace's one property runner, built on
+//! [`SmallRng`].
+
+pub mod check;
 
 /// One SplitMix64 step: the recommended seeder for xoshiro state.
 #[inline]

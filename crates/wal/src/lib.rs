@@ -218,7 +218,15 @@ impl Wal {
         let mut page = head;
         let mut buf = vec![0u8; page_size];
         let mut stopped = false;
+        // A chain longer than the device holds pages loops back on
+        // itself: a torn link, so the walk ends there.
+        let mut budget = wal.dev.capacity_pages();
         while page != NULL_PAGE && !stopped {
+            if budget == 0 {
+                stopped = true;
+                break;
+            }
+            budget -= 1;
             if wal.dev.read(page, &mut buf).is_err() {
                 // The link was written but the page never became durable.
                 break;
@@ -364,7 +372,11 @@ impl Wal {
         let mut page = self.head;
         let page_size = self.dev.page_size();
         let mut buf = vec![0u8; page_size];
-        while page != NULL_PAGE {
+        // Bounded as in `open`: a looping chain is torn, not endless.
+        for _ in 0..self.dev.capacity_pages() {
+            if page == NULL_PAGE {
+                break;
+            }
             let next = if self.dev.read(page, &mut buf).is_ok() {
                 let plus_one = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
                 if plus_one == 0 {
@@ -442,6 +454,8 @@ impl std::fmt::Debug for Wal {
 mod tests {
     use super::*;
     use segdb_pager::Disk;
+    use segdb_rng::check;
+    use segdb_rng::SmallRng;
 
     fn seg(id: u64) -> Segment {
         Segment::new(id, (0, id as i64), (10, id as i64 + 1)).unwrap()
@@ -599,5 +613,89 @@ mod tests {
         let mut wal = Wal::create(Box::new(Disk::new(4096)), 1).unwrap();
         wal.set_seq_floor(100);
         assert_eq!(wal.append(1, WalOp::Insert(seg(1))).unwrap(), 101);
+    }
+
+    #[test]
+    fn a_self_linked_empty_page_ends_the_walk() {
+        let mut dev: Box<dyn Device> = Box::new(Disk::new(256));
+        let page = dev.allocate().unwrap();
+        let mut image = vec![0u8; 256];
+        image[..PAGE_HEADER].copy_from_slice(&(page + 1).to_le_bytes());
+        dev.write(page, &image).unwrap();
+        dev.set_meta(&[&WAL_MAGIC[..], &(page + 1).to_le_bytes()].concat())
+            .unwrap();
+        // On a thread of its own, so that a walk that never ends fails the
+        // test instead of hanging the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let walk = std::thread::spawn(move || {
+            let (mut wal, recs) = Wal::open(dev, 1).unwrap();
+            wal.reset().unwrap();
+            tx.send(()).unwrap();
+            (wal, recs.len())
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(5))
+            .expect("open or reset hung (or panicked)");
+        let (mut wal, replayed) = walk.join().unwrap();
+        assert_eq!(replayed, 0);
+        wal.append(1, WalOp::Insert(seg(1))).unwrap();
+        let (_, recs) = Wal::open(wal.into_device(), 1).unwrap();
+        assert_eq!(recs.len(), 1);
+    }
+
+    #[test]
+    fn open_survives_any_page_images_and_links() {
+        // 128-byte pages hold one frame each: record `seq` sits on page
+        // `seq - 1`. An edit `(page, kind, v)` fills the page with noise
+        // seeded by `v`, links it to itself or an earlier page, flips one
+        // of its bits, or clears its frames.
+        check::run(
+            "wal_open_survives_any_page_images_and_links",
+            300,
+            |rng| {
+                let edits: Vec<(u32, u8, u64)> = (0..rng.gen_range(0..6usize))
+                    .map(|_| {
+                        (
+                            rng.gen_range(0..10u32),
+                            rng.gen_range(0..4u8),
+                            rng.next_u64(),
+                        )
+                    })
+                    .collect();
+                (rng.gen_range(0..12u64), edits)
+            },
+            |(n, edits)| {
+                let want = ops(*n);
+                let mut wal = Wal::create(Box::new(Disk::new(128)), 1).unwrap();
+                for (rid, op) in &want {
+                    wal.append(*rid, *op).unwrap();
+                }
+                let mut dev = wal.into_device();
+                let mut image = vec![0u8; 128];
+                for &(page, kind, v) in edits {
+                    if dev.read(page, &mut image).is_err() {
+                        continue;
+                    }
+                    match kind {
+                        0 => {
+                            let mut rng = SmallRng::seed_from_u64(v);
+                            image.fill_with(|| rng.next_u64() as u8);
+                        }
+                        1 => {
+                            let to = v as u32 % (page + 1) + 1;
+                            image[..PAGE_HEADER].copy_from_slice(&to.to_le_bytes());
+                        }
+                        2 => image[v as usize / 8 % 128] ^= 1 << (v % 8),
+                        _ => image[PAGE_HEADER..].fill(0),
+                    }
+                    dev.write(page, &image).unwrap();
+                }
+                let (_, recs) = Wal::open(dev, 1).unwrap();
+                assert!(recs.windows(2).all(|w| w[0].seq < w[1].seq), "{recs:?}");
+                for r in &recs {
+                    let appended = want.get((r.seq as usize).wrapping_sub(1));
+                    assert_eq!(appended, Some(&(r.req_id, r.op)), "never appended: {r:?}");
+                }
+            },
+        );
     }
 }

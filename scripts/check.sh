@@ -3,6 +3,21 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The build stays registry-free: no lock file resolves a crate from a
+# registry, and no code, manifest, script or user doc brings the old
+# external test harness back. Only the root-level planning and history
+# notes other than the three user docs may name it. (Lower-case
+# "criterion" on its own is an English word.)
+echo "==> registry-free: no lock-file source, no external test harness"
+if grep -n '^source = ' Cargo.lock benchmark/Cargo.lock; then
+    echo "a lock file resolves a crate from a registry"; exit 1
+fi
+HARNESS='proptest|Criterion|criterion *=|criterion::|ext-deps|exttests'
+if git grep -n -E "$HARNESS" -- ':!*.md' ':!scripts/check.sh' ||
+    git grep -n -E "$HARNESS" -- '*/*.md' README.md DESIGN.md EXPERIMENTS.md; then
+    echo "a tracked file names the external test harness"; exit 1
+fi
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
@@ -413,4 +428,4 @@ echo "$OUT1" | grep -q '"observed_io_errors":0}' && {
 echo "$OUT1" | grep -q '"recovery_queries_verified":0,' && {
     echo "no recovery query was verified: $OUT1"; exit 1; }
 
-echo "OK: build, tests, benchmark package, bench_pair, clippy, fmt, serve + lifecycle + net-chaos + write-path + update-cost + live-tombstone + cluster + replicated-failover + crash-recovery smoke all clean."
+echo "OK: registry-free, build, tests, benchmark package, bench_pair, clippy, fmt, serve + lifecycle + net-chaos + write-path + update-cost + live-tombstone + cluster + replicated-failover + crash-recovery smoke all clean."

@@ -1,12 +1,14 @@
 //! Workspace-level integration tests: the full stack (facade → 2LDS →
 //! PST/interval tree/B⁺-tree → pager) against the brute-force oracle,
-//! across index kinds, workload families, page sizes and directions.
+//! across index kinds, workload families, page sizes and directions,
+//! on fixed inputs and on random NCT sets.
 
 use segdb::core::report::ids;
 use segdb::core::{IndexKind, SegmentDatabase};
 use segdb::geom::gen::{vertical_queries, Family};
 use segdb::geom::query::scan_oracle;
 use segdb::geom::{Segment, VerticalQuery};
+use segdb_rng::check;
 
 const INDEXES: [IndexKind; 4] = [
     IndexKind::TwoLevelBinary,
@@ -263,4 +265,83 @@ fn tiny_pages_fail_gracefully() {
             }
         }
     }
+}
+
+/// Random NCT sets — row `i` of `(x0, len, dy, vertical, flat)` lives in
+/// its own horizontal strip — and random lines, rays and segments: every
+/// index kind answers as the oracle does, built or grown by inserts.
+#[test]
+fn all_indexes_agree_with_oracle() {
+    check::run(
+        "all_indexes_agree_with_oracle",
+        24,
+        |rng| {
+            let rows: Vec<_> = (0..rng.gen_range(1..120usize))
+                .map(|_| {
+                    let (x0, len) = (rng.gen_range(0..2000i64), rng.gen_range(1..2000i64));
+                    (
+                        x0,
+                        len,
+                        rng.gen_range(0..14i64),
+                        (rng.gen_bool(0.5), rng.gen_bool(0.5)),
+                    )
+                })
+                .collect();
+            // Two thirds of the probes sit on an endpoint's abscissa, where
+            // the slab boundaries and their `C` sets are.
+            let queries: Vec<_> = (0..rng.gen_range(1..12usize))
+                .map(|_| {
+                    let (x0, len, ..) = rows[rng.gen_range(0..rows.len())];
+                    let x = [rng.gen_range(0..4200i64), x0, x0 + len][rng.gen_range(0..3usize)];
+                    let lo = rng.gen_range(-50..3000i64);
+                    (x, lo, rng.gen_range(0..800i64), rng.gen_range(0..4u8))
+                })
+                .collect();
+            (rows, queries)
+        },
+        |(rows, queries)| {
+            let set: Vec<Segment> = (0u64..)
+                .zip(rows)
+                .map(|(i, &(x0, len, dy, flags))| {
+                    let y = 16 * i as i64;
+                    let b = match flags {
+                        (true, _) => (x0, y + dy + 1),
+                        (_, true) => (x0 + len, y),
+                        _ => (x0 + len, y + dy + 1),
+                    };
+                    Segment::new(i, (x0, y), b).unwrap()
+                })
+                .collect();
+            let queries: Vec<VerticalQuery> = queries
+                .iter()
+                .map(|&(x, lo, h, shape)| match shape {
+                    0 => VerticalQuery::Line { x },
+                    1 => VerticalQuery::RayUp { x, y0: lo },
+                    2 => VerticalQuery::RayDown { x, y0: lo },
+                    _ => VerticalQuery::segment(x, lo, lo + h),
+                })
+                .collect();
+            for kind in INDEXES {
+                let builder = || SegmentDatabase::builder().page_size(512).index(kind);
+                let mut dbs = vec![builder().build(set.clone()).unwrap()];
+                if matches!(
+                    kind,
+                    IndexKind::TwoLevelBinary | IndexKind::TwoLevelInterval
+                ) {
+                    let mut grown = builder().build(vec![]).unwrap();
+                    for s in &set {
+                        grown.insert(*s).unwrap();
+                    }
+                    dbs.push(grown);
+                }
+                for db in &dbs {
+                    db.validate().unwrap();
+                    for q in &queries {
+                        let (hits, _) = db.query_canonical(q).unwrap();
+                        assert_eq!(ids(&hits), ids(&scan_oracle(&set, q)), "{kind:?} {q:?}");
+                    }
+                }
+            }
+        },
+    );
 }

@@ -11,7 +11,10 @@
 //!   fails its validation is rejected by the accessor that reads it — so
 //!   `decode` errs exactly when the constructor or some accessor does;
 //! * nothing panics on truncated, bit-flipped or random images, and a
-//!   query over a database with a garbled page errs or answers.
+//!   query over a database with a garbled page errs or answers;
+//! * every decoder and the superblock return on arbitrary bytes and on
+//!   valid images cut short, and the wire, shard-map and JSON parsers on
+//!   mutated lines.
 //!
 //! The golden-bytes tests at the end pin each page layout independently
 //! of the encoder.
@@ -24,6 +27,7 @@ use segdb::core::binary2l;
 use segdb::core::interval2l::gtree::skeleton_len;
 use segdb::core::interval2l::msrec::MsRec;
 use segdb::core::interval2l::node as slab;
+use segdb::core::persist::Superblock;
 use segdb::core::{IndexKind, QueryAnswer, QueryMode, SegmentDatabase};
 use segdb::geom::gen::{mixed_map, vertical_queries};
 use segdb::geom::Segment;
@@ -32,11 +36,14 @@ use segdb::itree::node::{mslab_count, mslab_index, InternalNode, ItNode, ItNodeV
 use segdb::itree::overlap::IntervalSetState;
 use segdb::itree::tree::ItState;
 use segdb::itree::Interval;
+use segdb::obs::json;
 use segdb::obs::trace::{self, EventKind};
 use segdb::pager::{ByteReader, ByteWriter, PagerError};
 use segdb::pst::node::{ChildEntry, PstNode, PstNodeView};
 use segdb::pst::PstState;
-use segdb_rng::SmallRng;
+use segdb_rng::{check, SmallRng};
+use segdb_server::proto::parse_request;
+use segdb_server::ShardMap;
 use std::fmt::Debug;
 use std::mem::discriminant;
 
@@ -388,23 +395,27 @@ fn check_pst(tally: &mut Tally, buf: &[u8]) {
     );
 }
 
+fn pst_node(rng: &mut SmallRng) -> PstNode {
+    let (cap, fanout) = segdb::pst::node::default_caps(PAGE);
+    let nchildren = rng.gen_range(0..=fanout);
+    let nsegs = rng.gen_range(0..=cap);
+    PstNode {
+        segments: vec_of(rng, nsegs, seg),
+        children: vec_of(rng, nchildren, |r| ChildEntry {
+            router: seg(r),
+            page: r.next_u64() as u32,
+            size: r.next_u64(),
+        }),
+        seps: vec_of(rng, nchildren.saturating_sub(1), seg),
+    }
+}
+
 #[test]
 fn pst_views_agree_with_decode_on_every_image() {
     let mut rng = SmallRng::seed_from_u64(21);
-    let (cap, fanout) = segdb::pst::node::default_caps(PAGE);
     let (mut valid, mut bad) = (Tally::default(), Tally::default());
     for _ in 0..80 {
-        let nchildren = rng.gen_range(0..=fanout);
-        let nsegs = rng.gen_range(0..=cap);
-        let node = PstNode {
-            segments: vec_of(&mut rng, nsegs, seg),
-            children: vec_of(&mut rng, nchildren, |r| ChildEntry {
-                router: seg(r),
-                page: r.next_u64() as u32,
-                size: r.next_u64(),
-            }),
-            seps: vec_of(&mut rng, nchildren.saturating_sub(1), seg),
-        };
+        let node = pst_node(&mut rng);
         let mut image = vec![0u8; PAGE];
         node.encode(&mut image).unwrap();
         assert_eq!(PstNode::decode(&image).unwrap(), node);
@@ -760,6 +771,83 @@ fn a_garbled_page_yields_an_error_or_an_answer_never_a_panic() {
     assert!(
         erred > 100 && clean > 100 && touched_ok > 0,
         "garbled pages were read and rejected: {erred} erred, {clean} untouched, {touched_ok} read and answered"
+    );
+}
+
+// ---- arbitrary bytes --------------------------------------------------------------------
+
+/// Every page and record decoder, and the superblock, returns on
+/// arbitrary bytes and on valid PST node images cut short — an error or
+/// a value, never a panic.
+#[test]
+fn codecs_never_panic_on_arbitrary_bytes() {
+    check::run(
+        "codecs_never_panic_on_arbitrary_bytes",
+        2048,
+        |rng| {
+            if rng.gen_bool(0.5) {
+                return (0..rng.gen_range(0..600))
+                    .map(|_| rng.next_u64() as u8)
+                    .collect();
+            }
+            let mut image = vec![0u8; PAGE];
+            pst_node(rng).encode(&mut image).unwrap();
+            image.truncate(rng.gen_range(0..PAGE));
+            image
+        },
+        |b| {
+            let _ = PstNode::decode(b);
+            let _ = BNode::<KeyValue>::decode(b);
+            let _ = BNode::<MsRec>::decode(b);
+            let _ = ItNode::decode(b);
+            let _ = slab::Node::decode(b);
+            let _ = binary2l::Node::decode(b);
+            let _ = MsRec::decode(&mut ByteReader::new(b));
+            let _ = KeyValue::decode(&mut ByteReader::new(b));
+            let _ = Superblock::decode(b);
+            let _ = Superblock::decode(&[b"SEGDB003", &b[..]].concat());
+        },
+    );
+}
+
+/// Valid wire requests, shard maps and JSON documents, with bytes
+/// inserted and removed: every parser returns.
+#[test]
+fn parsers_never_panic_on_mutated_lines() {
+    const LINES: [&str; 5] = [
+        r#"{"id":7,"method":"query_line","params":{"x":3,"mode":"limit","limit":5}}"#,
+        r#"{"id":1,"method":"query_segment","params":{"x1":5,"y1":0,"x2":5,"y2":9}}"#,
+        r#"{"id":5,"method":"insert","params":{"seg":9,"x1":1,"y1":2,"x2":3,"y2":2}}"#,
+        r#"{"shards":[{"replicas":["127.0.0.1:7001","127.0.0.1:8001"],"until":-217},{"addr":"b:2"}]}"#,
+        r#"[1.5e300,-0,"é\n",true,null,{"a":[{}]},18446744073709551615]"#,
+    ];
+    check::run(
+        "parsers_never_panic_on_mutated_lines",
+        2048,
+        |rng| {
+            let edits: Vec<(usize, u8)> = (0..rng.gen_range(1..8))
+                .map(|_| (rng.next_u64() as usize, rng.next_u64() as u8))
+                .collect();
+            (rng.gen_range(0..LINES.len()), edits)
+        },
+        |(line, edits)| {
+            let mut b = LINES[*line].as_bytes().to_vec();
+            // Remove the byte at `at` a quarter of the time, else insert one.
+            for &(at, byte) in edits {
+                let at = at % (b.len() + 1);
+                if byte % 4 == 0 && at < b.len() {
+                    b.remove(at);
+                } else {
+                    b.insert(at, byte);
+                }
+            }
+            let text = String::from_utf8_lossy(&b);
+            let _ = (
+                parse_request(&text),
+                ShardMap::parse(&text),
+                json::parse(&text),
+            );
+        },
     );
 }
 
