@@ -16,6 +16,11 @@
 //! access into the cache is needed and shared images are never written
 //! through.
 //!
+//! The pool decides what counts as a hit; it does not own the bytes. An
+//! entry is a clone of the same `Arc` the device hands out on a read and
+//! is given on a write-back, so a pool in front of an in-memory
+//! [`crate::Disk`] adds no second copy of a page.
+//!
 //! The implementation is an intrusive doubly-linked list over an arena of
 //! entries plus a `HashMap` index: O(1) hit, O(1) eviction, no per-access
 //! allocation once warm.

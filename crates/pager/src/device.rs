@@ -10,9 +10,17 @@
 //!
 //! Devices are deliberately dumb — all policy (caching, counting) lives
 //! in the pager.
+//!
+//! A page image crosses the trait as an immutable `Arc<[u8]>`: `read`
+//! hands one out and `write` takes one over, so no verb copies a page.
+//! [`Disk`] keeps the very `Arc`s it is given, which makes a buffer pool
+//! over it hold clones of the device's images rather than copies of
+//! them: every page is held once. An image once handed out never
+//! changes — a store swaps in a new `Arc`.
 
 use crate::error::{PagerError, Result};
 use crate::PageId;
+use std::sync::Arc;
 
 /// A raw page store.
 ///
@@ -31,10 +39,13 @@ pub trait Device: Send + Sync {
     fn allocate(&mut self) -> Result<PageId>;
     /// Return a page to the free pool.
     fn free(&mut self, id: PageId) -> Result<()>;
-    /// Read a live page into `buf` (exactly `page_size` bytes).
-    fn read(&self, id: PageId, buf: &mut [u8]) -> Result<()>;
-    /// Overwrite a live page from `buf`.
-    fn write(&mut self, id: PageId, buf: &[u8]) -> Result<()>;
+    /// The image of a live page (exactly `page_size` bytes).
+    fn read(&self, id: PageId) -> Result<Arc<[u8]>>;
+    /// Replace the image of a live page with `img`.
+    ///
+    /// # Panics
+    /// Panics if `img` is not exactly `page_size` bytes.
+    fn write(&mut self, id: PageId, img: Arc<[u8]>) -> Result<()>;
     /// Validate that `id` is live without transferring data.
     fn check(&self, id: PageId) -> Result<()>;
     /// Durably persist all state (no-op for memory devices).
@@ -43,6 +54,12 @@ pub trait Device: Send + Sync {
     fn set_meta(&mut self, meta: &[u8]) -> Result<()>;
     /// Fetch the metadata blob (empty if never set).
     fn get_meta(&self) -> Result<Vec<u8>>;
+}
+
+/// A fresh, unshared, zeroed image of `len` bytes, allocated once and
+/// filled in place through `Arc::get_mut`.
+pub(crate) fn zeroed_image(len: usize) -> Arc<[u8]> {
+    std::iter::repeat_n(0u8, len).collect()
 }
 
 /// Allocation state of one slot.
@@ -58,9 +75,12 @@ pub struct Disk {
     page_size: usize,
     /// Page images, indexed by `PageId`. Freed pages keep their slot (ids
     /// are recycled through `free_list`) so dangling references are caught.
-    pages: Vec<Box<[u8]>>,
+    /// A page that is free, or allocated but never written, points at
+    /// `zero` and owns no bytes of its own.
+    pages: Vec<Arc<[u8]>>,
     states: Vec<SlotState>,
     free_list: Vec<PageId>,
+    zero: Arc<[u8]>,
     meta: Vec<u8>,
 }
 
@@ -76,6 +96,7 @@ impl Disk {
             pages: Vec::new(),
             states: Vec::new(),
             free_list: Vec::new(),
+            zero: zeroed_image(page_size),
             meta: Vec::new(),
         }
     }
@@ -94,10 +115,11 @@ impl Disk {
         Ok(&self.pages[id as usize])
     }
 
-    /// Mutable view of a live page image (tests).
+    /// Mutable view of a live page image (tests). Copies on write: an
+    /// image already handed out by [`Device::read`] keeps its bytes.
     pub fn page_mut(&mut self, id: PageId) -> Result<&mut [u8]> {
         self.check(id)?;
-        Ok(&mut self.pages[id as usize])
+        Ok(Arc::make_mut(&mut self.pages[id as usize]))
     }
 }
 
@@ -120,34 +142,32 @@ impl Device for Disk {
 
     fn allocate(&mut self) -> Result<PageId> {
         if let Some(id) = self.free_list.pop() {
-            let slot = &mut self.pages[id as usize];
-            slot.iter_mut().for_each(|b| *b = 0);
             self.states[id as usize] = SlotState::Live;
             return Ok(id);
         }
         let id = self.pages.len() as PageId;
-        self.pages
-            .push(vec![0u8; self.page_size].into_boxed_slice());
+        self.pages.push(Arc::clone(&self.zero));
         self.states.push(SlotState::Live);
         Ok(id)
     }
 
     fn free(&mut self, id: PageId) -> Result<()> {
         self.check(id)?;
+        self.pages[id as usize] = Arc::clone(&self.zero);
         self.states[id as usize] = SlotState::Free;
         self.free_list.push(id);
         Ok(())
     }
 
-    fn read(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
+    fn read(&self, id: PageId) -> Result<Arc<[u8]>> {
         self.check(id)?;
-        buf.copy_from_slice(&self.pages[id as usize]);
-        Ok(())
+        Ok(Arc::clone(&self.pages[id as usize]))
     }
 
-    fn write(&mut self, id: PageId, buf: &[u8]) -> Result<()> {
+    fn write(&mut self, id: PageId, img: Arc<[u8]>) -> Result<()> {
         self.check(id)?;
-        self.pages[id as usize].copy_from_slice(buf);
+        assert_eq!(img.len(), self.page_size, "page image size");
+        self.pages[id as usize] = img;
         Ok(())
     }
 
@@ -196,8 +216,51 @@ mod tests {
         assert_eq!(d.page(a).unwrap_err(), PagerError::Freed(a));
         assert_eq!(d.free(a).unwrap_err(), PagerError::Freed(a));
         assert_eq!(d.page_mut(99).unwrap_err(), PagerError::OutOfBounds(99));
-        let mut buf = [0u8; 4];
-        assert!(d.read(a, &mut buf).is_err());
+        assert!(d.read(a).is_err());
+    }
+
+    #[test]
+    fn freed_and_fresh_pages_share_the_zero_image() {
+        let mut d = Disk::new(8);
+        let a = d.allocate().unwrap();
+        let b = d.allocate().unwrap();
+        d.write(a, Arc::from([7u8; 8])).unwrap();
+        d.free(a).unwrap();
+        assert!(Arc::ptr_eq(&d.pages[a as usize], &d.zero), "freed page");
+        assert!(Arc::ptr_eq(&d.read(b).unwrap(), &d.zero), "fresh page");
+        let c = d.allocate().unwrap();
+        assert_eq!(c, a, "freed id is recycled");
+        let img = d.read(c).unwrap();
+        assert!(Arc::ptr_eq(&img, &d.zero), "recycled page owns no bytes");
+        assert_eq!(*img, [0u8; 8], "recycled page reads all zeros");
+    }
+
+    #[test]
+    fn a_held_image_never_changes() {
+        let mut d = Disk::new(4);
+        let a = d.allocate().unwrap();
+        let written: Arc<[u8]> = Arc::from([1u8; 4]);
+        d.write(a, Arc::clone(&written)).unwrap();
+        let held = d.read(a).unwrap();
+        assert!(Arc::ptr_eq(&held, &written), "write keeps the given image");
+        d.write(a, Arc::from([2u8; 4])).unwrap();
+        assert_eq!(*held, [1u8; 4], "write swaps the image");
+        let held = d.read(a).unwrap();
+        d.page_mut(a).unwrap()[0] = 9;
+        assert_eq!(*held, [2u8; 4], "page_mut copies on write");
+        assert_eq!(d.page(a).unwrap(), [9, 2, 2, 2]);
+        // The shared zero image is copied, never written through.
+        let b = d.allocate().unwrap();
+        d.page_mut(b).unwrap()[0] = 5;
+        assert_eq!(*d.zero, [0u8; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "page image size")]
+    fn a_short_image_is_refused() {
+        let mut d = Disk::new(4);
+        let a = d.allocate().unwrap();
+        let _ = d.write(a, Arc::from([1u8; 3]));
     }
 
     #[test]

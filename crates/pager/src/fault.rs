@@ -13,11 +13,14 @@
 //! Every mutation (allocate / free / write / set_meta) applies to `live`
 //! and is appended to a redo log. A successful `sync` replays the log
 //! onto `durable`, syncs it, and clears the log — so `durable` is always
-//! exactly the state as of the last successful `sync`. `sync` itself is
-//! atomic in this model (the replay cannot be interrupted half-way);
-//! what *can* be interrupted is the pager's flush *before* the sync,
-//! which is precisely the window the torture suite exercises. This is
-//! the **sync-consistency guarantee** documented in DESIGN.md §9.
+//! exactly the state as of the last successful `sync`. A logged write
+//! holds the same `Arc<[u8]>` image `live` holds, and the replay hands
+//! that `Arc` on to `durable`, so no page is copied on its way through.
+//! `sync` itself is atomic in this model (the replay cannot be
+//! interrupted half-way); what *can* be interrupted is the pager's flush
+//! *before* the sync, which is precisely the window the torture suite
+//! exercises. This is the **sync-consistency guarantee** documented in
+//! DESIGN.md §9.
 //!
 //! # Fault taxonomy
 //!
@@ -148,7 +151,9 @@ enum RedoOp {
     /// `allocate()` returned this id; replay must agree.
     Allocate(PageId),
     Free(PageId),
-    Write(PageId, Box<[u8]>),
+    /// The image `live` now holds, shared with it; `sync` hands the same
+    /// `Arc` on to `durable`.
+    Write(PageId, Arc<[u8]>),
     SetMeta(Box<[u8]>),
 }
 
@@ -234,7 +239,7 @@ impl FaultCore {
                     }
                 }
                 RedoOp::Free(id) => durable.free(id)?,
-                RedoOp::Write(id, data) => durable.write(id, &data)?,
+                RedoOp::Write(id, img) => durable.write(id, img)?,
                 RedoOp::SetMeta(meta) => durable.set_meta(&meta)?,
             }
         }
@@ -412,7 +417,7 @@ impl Device for FaultDevice {
         Ok(())
     }
 
-    fn read(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
+    fn read(&self, id: PageId) -> Result<Arc<[u8]>> {
         let mut c = lock(&self.core);
         let op = c.begin_op()?;
         let p_read = c.plan.read_error;
@@ -422,10 +427,10 @@ impl Device for FaultDevice {
                 "injected transient read error (op {op}, page {id})"
             )));
         }
-        c.live.read(id, buf)
+        c.live.read(id)
     }
 
-    fn write(&mut self, id: PageId, buf: &[u8]) -> Result<()> {
+    fn write(&mut self, id: PageId, img: Arc<[u8]>) -> Result<()> {
         let mut c = lock(&self.core);
         let op = c.begin_op()?;
         let p_write = c.plan.write_error;
@@ -436,26 +441,25 @@ impl Device for FaultDevice {
             )));
         }
         let p_torn = c.plan.torn_write;
-        if c.draw(p_torn) && buf.len() > 1 {
+        if c.draw(p_torn) && img.len() > 1 {
             // Splice: the first `kept` new bytes land, the tail keeps the
             // page's previous content — then the write "fails". The torn
-            // image is logged so a later successful sync carries exactly
-            // what the live store holds.
-            let kept = c.rng.gen_range(1..buf.len());
-            let mut torn = vec![0u8; buf.len()];
-            c.live.read(id, &mut torn)?;
-            torn[..kept].copy_from_slice(&buf[..kept]);
-            c.live.write(id, &torn)?;
-            c.redo.push(RedoOp::Write(id, torn.into_boxed_slice()));
+            // image is a new `Arc` made from the live one (which stays
+            // unchanged for whoever holds it), logged so a later
+            // successful sync carries exactly what the live store holds.
+            let kept = c.rng.gen_range(1..img.len());
+            let mut torn = c.live.read(id)?;
+            Arc::make_mut(&mut torn)[..kept].copy_from_slice(&img[..kept]);
+            c.live.write(id, Arc::clone(&torn))?;
+            c.redo.push(RedoOp::Write(id, torn));
             c.record(op, FaultKind::TornWrite { kept: kept as u32 });
             return Err(PagerError::Io(format!(
                 "injected torn write: {kept} of {} bytes applied (op {op}, page {id})",
-                buf.len()
+                img.len()
             )));
         }
-        c.live.write(id, buf)?;
-        c.redo
-            .push(RedoOp::Write(id, buf.to_vec().into_boxed_slice()));
+        c.live.write(id, Arc::clone(&img))?;
+        c.redo.push(RedoOp::Write(id, img));
         Ok(())
     }
 
@@ -497,8 +501,7 @@ mod tests {
 
     fn write_page(d: &mut FaultDevice, fill: u8) -> PageId {
         let id = d.allocate().unwrap();
-        let buf = vec![fill; d.page_size()];
-        d.write(id, &buf).unwrap();
+        d.write(id, vec![fill; d.page_size()].into()).unwrap();
         id
     }
 
@@ -507,9 +510,7 @@ mod tests {
         let (mut d, h) = FaultDevice::over_memory(16, FaultPlan::crash_at(1, 0));
         let id = write_page(&mut d, 7);
         d.sync().unwrap();
-        let mut buf = [0u8; 16];
-        d.read(id, &mut buf).unwrap();
-        assert_eq!(buf[0], 7);
+        assert_eq!(d.read(id).unwrap()[0], 7);
         assert_eq!(h.stats().total(), 0, "nothing injected while disarmed");
         assert!(h.trace().is_empty());
     }
@@ -520,20 +521,22 @@ mod tests {
         let id = write_page(&mut d, 1);
         d.sync().unwrap();
         // Post-sync mutation that will be lost.
-        d.write(id, &[2u8; 8]).unwrap();
+        d.write(id, Arc::from([2u8; 8])).unwrap();
         assert_eq!(h.unsynced_ops(), 1);
         h.arm(FaultPlan::crash_at(3, 0));
-        let err = d.write(id, &[3u8; 8]).unwrap_err();
+        let err = d.write(id, Arc::from([3u8; 8])).unwrap_err();
         assert!(matches!(err, PagerError::Io(_)));
         assert!(h.crashed());
         // Everything after the cut fails.
-        let mut buf = [0u8; 8];
-        assert!(d.read(id, &mut buf).is_err());
+        assert!(d.read(id).is_err());
         assert!(d.sync().is_err());
         // Recovery sees the synced image, not the post-sync write.
         let recovered = h.recover().unwrap();
-        recovered.read(id, &mut buf).unwrap();
-        assert_eq!(buf, [1u8; 8], "durable froze at the last sync");
+        assert_eq!(
+            *recovered.read(id).unwrap(),
+            [1u8; 8],
+            "durable froze at the last sync"
+        );
         assert_eq!(h.stats().power_cuts, 1);
         assert!(h.recover().is_err(), "second recovery refused");
     }
@@ -547,7 +550,7 @@ mod tests {
             torn_write: 1.0,
             ..FaultPlan::none(5)
         });
-        let err = d.write(id, &[0xBB; 8]).unwrap_err();
+        let err = d.write(id, Arc::from([0xBB; 8])).unwrap_err();
         assert!(matches!(err, PagerError::Io(_)));
         let tr = h.trace();
         assert_eq!(tr.len(), 1);
@@ -556,8 +559,7 @@ mod tests {
         };
         assert!(kept >= 1 && (kept as usize) < 8);
         h.disarm();
-        let mut buf = [0u8; 8];
-        d.read(id, &mut buf).unwrap();
+        let buf = d.read(id).unwrap();
         for (i, b) in buf.iter().enumerate() {
             let want = if i < kept as usize { 0xBB } else { 0xAA };
             assert_eq!(*b, want, "byte {i}");
@@ -566,9 +568,29 @@ mod tests {
         // the live and recovered stores never diverge.
         d.sync().unwrap();
         let recovered = h.recover().unwrap();
-        let mut rbuf = [0u8; 8];
-        recovered.read(id, &mut rbuf).unwrap();
-        assert_eq!(rbuf, buf);
+        assert_eq!(recovered.read(id).unwrap(), buf);
+    }
+
+    #[test]
+    fn live_durable_and_a_torn_write_share_or_keep_images() {
+        let (mut d, h) = FaultDevice::over_memory(8, FaultPlan::none(5));
+        let id = write_page(&mut d, 0xAA);
+        let held = d.read(id).unwrap();
+        d.sync().unwrap();
+        h.arm(FaultPlan {
+            torn_write: 1.0,
+            ..FaultPlan::none(5)
+        });
+        assert!(d.write(id, Arc::from([0xBB; 8])).is_err());
+        h.disarm();
+        assert_eq!(*held, [0xAA; 8], "a torn write builds a new image");
+        let torn = d.read(id).unwrap();
+        d.sync().unwrap();
+        let recovered = h.recover().unwrap();
+        assert!(
+            Arc::ptr_eq(&recovered.read(id).unwrap(), &torn),
+            "sync hands the live image itself to durable"
+        );
     }
 
     #[test]
@@ -580,14 +602,19 @@ mod tests {
             write_error: 1.0,
             ..FaultPlan::none(9)
         });
-        assert!(d.write(id, &[5u8; 8]).is_err());
+        assert!(d.write(id, Arc::from([5u8; 8])).is_err());
         h.disarm();
-        let mut buf = [0u8; 8];
-        d.read(id, &mut buf).unwrap();
-        assert_eq!(buf, [4u8; 8], "failed write changed nothing");
-        d.write(id, &[5u8; 8]).unwrap();
-        d.read(id, &mut buf).unwrap();
-        assert_eq!(buf, [5u8; 8], "retry succeeds after disarm");
+        assert_eq!(
+            *d.read(id).unwrap(),
+            [4u8; 8],
+            "failed write changed nothing"
+        );
+        d.write(id, Arc::from([5u8; 8])).unwrap();
+        assert_eq!(
+            *d.read(id).unwrap(),
+            [5u8; 8],
+            "retry succeeds after disarm"
+        );
         assert_eq!(h.stats().write_errors, 1);
     }
 
@@ -605,9 +632,7 @@ mod tests {
         d.sync().unwrap();
         assert_eq!(h.unsynced_ops(), 0);
         let recovered = h.recover().unwrap();
-        let mut buf = [0u8; 8];
-        recovered.read(id, &mut buf).unwrap();
-        assert_eq!(buf, [1u8; 8]);
+        assert_eq!(*recovered.read(id).unwrap(), [1u8; 8]);
     }
 
     #[test]
@@ -623,11 +648,10 @@ mod tests {
                 power_cut_at: Some(40),
                 ..FaultPlan::none(77)
             });
-            let mut buf = [0u8; 8];
             for round in 0..30u8 {
                 let id = ids[round as usize % ids.len()];
-                let _ = d.read(id, &mut buf);
-                let _ = d.write(id, &[round; 8]);
+                let _ = d.read(id);
+                let _ = d.write(id, Arc::from([round; 8]));
             }
             (h.trace(), h.stats())
         };
@@ -643,19 +667,16 @@ mod tests {
         let (mut d, h) = FaultDevice::over_memory(8, FaultPlan::none(13));
         let a = d.allocate().unwrap();
         let b = d.allocate().unwrap();
-        d.write(a, &[1u8; 8]).unwrap();
-        d.write(b, &[2u8; 8]).unwrap();
+        d.write(a, Arc::from([1u8; 8])).unwrap();
+        d.write(b, Arc::from([2u8; 8])).unwrap();
         d.free(a).unwrap();
         let c = d.allocate().unwrap();
         assert_eq!(c, a, "live recycles the freed id");
-        d.write(c, &[3u8; 8]).unwrap();
+        d.write(c, Arc::from([3u8; 8])).unwrap();
         d.sync().unwrap();
         let recovered = h.recover().unwrap();
-        let mut buf = [0u8; 8];
-        recovered.read(c, &mut buf).unwrap();
-        assert_eq!(buf, [3u8; 8]);
-        recovered.read(b, &mut buf).unwrap();
-        assert_eq!(buf, [2u8; 8]);
+        assert_eq!(*recovered.read(c).unwrap(), [3u8; 8]);
+        assert_eq!(*recovered.read(b).unwrap(), [2u8; 8]);
         assert_eq!(recovered.live_pages(), 2);
     }
 

@@ -20,7 +20,7 @@
 //! drop); page writes go straight to the file. Callers needing
 //! durability points call `sync`, which also `fsync`s.
 
-use crate::device::Device;
+use crate::device::{zeroed_image, Device};
 use crate::error::{PagerError, Result};
 use crate::{PageId, NULL_PAGE};
 use std::collections::HashSet;
@@ -28,6 +28,7 @@ use std::fs::{File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
+use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"SEGDBPG1";
 const FREE_MARK: &[u8; 8] = b"FREEPAGE";
@@ -223,14 +224,20 @@ impl Device for FileDevice {
         Ok(())
     }
 
-    fn read(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
+    fn read(&self, id: PageId) -> Result<Arc<[u8]>> {
         self.check(id)?;
-        self.read_raw(id, buf)
+        let mut img = zeroed_image(self.page_size);
+        self.read_raw(
+            id,
+            Arc::get_mut(&mut img).expect("a fresh image is unshared"),
+        )?;
+        Ok(img)
     }
 
-    fn write(&mut self, id: PageId, buf: &[u8]) -> Result<()> {
+    fn write(&mut self, id: PageId, img: Arc<[u8]>) -> Result<()> {
         self.check(id)?;
-        self.write_raw(id, buf)
+        assert_eq!(img.len(), self.page_size, "page image size");
+        self.write_raw(id, &img)
     }
 
     fn sync(&mut self) -> Result<()> {
@@ -286,9 +293,9 @@ mod tests {
             let b = d.allocate().unwrap();
             let mut img = vec![0u8; 256];
             img[0] = 0xAA;
-            d.write(a, &img).unwrap();
+            d.write(a, img.as_slice().into()).unwrap();
             img[0] = 0xBB;
-            d.write(b, &img).unwrap();
+            d.write(b, img.into()).unwrap();
             d.set_meta(b"superblock!").unwrap();
             d.sync().unwrap();
         }
@@ -297,11 +304,8 @@ mod tests {
             assert_eq!(d.page_size(), 256);
             assert_eq!(d.live_pages(), 2);
             assert_eq!(d.get_meta().unwrap(), b"superblock!");
-            let mut buf = vec![0u8; 256];
-            d.read(0, &mut buf).unwrap();
-            assert_eq!(buf[0], 0xAA);
-            d.read(1, &mut buf).unwrap();
-            assert_eq!(buf[0], 0xBB);
+            assert_eq!(d.read(0).unwrap()[0], 0xAA);
+            assert_eq!(d.read(1).unwrap()[0], 0xBB);
         }
         std::fs::remove_file(&path).ok();
     }
@@ -320,13 +324,9 @@ mod tests {
             let mut d = FileDevice::open(&path).unwrap();
             assert_eq!(d.live_pages(), 3);
             assert_eq!(d.capacity_pages(), 5);
-            let mut buf = vec![0u8; 128];
-            assert_eq!(d.read(1, &mut buf).unwrap_err(), PagerError::Freed(1));
-            assert_eq!(d.read(3, &mut buf).unwrap_err(), PagerError::Freed(3));
-            assert_eq!(
-                d.read(99, &mut buf).unwrap_err(),
-                PagerError::OutOfBounds(99)
-            );
+            assert_eq!(d.read(1).unwrap_err(), PagerError::Freed(1));
+            assert_eq!(d.read(3).unwrap_err(), PagerError::Freed(3));
+            assert_eq!(d.read(99).unwrap_err(), PagerError::OutOfBounds(99));
             // Recycling pops the most recently freed first.
             assert_eq!(d.allocate().unwrap(), 3);
             assert_eq!(d.allocate().unwrap(), 1);

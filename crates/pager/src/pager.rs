@@ -10,7 +10,14 @@
 //!   the buffer pool is a sharded [`ShardedCache`] of per-shard
 //!   `Mutex<LruCache>`s, and the counters are relaxed atomics plus a
 //!   per-thread bank (see [`crate::stats`]).
-//! * Read closures receive the page image as `&[u8]` backed by an
+//! * Every page image is one immutable `Arc<[u8]>`, owned by nobody in
+//!   particular: the device, the buffer pool and every reader hold
+//!   clones of it. A miss admits the device's own image, and a
+//!   write-back or uncached store hands the pool's image to the device,
+//!   so no verb copies a page between the two and a pool covering an
+//!   in-memory [`Disk`] holds each page once. A store never writes into
+//!   an image; it swaps in a new one.
+//! * Read closures receive the page image as `&[u8]` backed by that
 //!   `Arc<[u8]>`: a cache hit clones the handle and releases the shard
 //!   lock *before* the closure decodes the node, so no lock is held
 //!   across index-node decoding and no memcpy happens on the hot path.
@@ -30,7 +37,7 @@
 //!   require external exclusive access (`&mut SegmentDatabase` at the
 //!   facade). See DESIGN.md "Concurrent serving".
 
-use crate::device::{Device, Disk};
+use crate::device::{zeroed_image, Device, Disk};
 use crate::error::Result;
 use crate::shard::ShardedCache;
 use crate::stats::{Counters, IoStats};
@@ -193,11 +200,9 @@ impl Pager {
             emit(EventKind::CacheHit, u64::from(id), 0);
             return Ok(img);
         }
-        let mut buf = vec![0u8; self.page_size];
-        self.device_read().read(id, &mut buf)?;
+        let img = self.device_read().read(id)?;
         self.counters.record_read();
         emit(EventKind::PageRead, u64::from(id), 0);
-        let img: Arc<[u8]> = buf.into();
         // insert_if_absent semantics: if another thread admitted (or a
         // writer dirtied) this page meanwhile, keep the resident image.
         // The dirty victim (if any) is written back while the shard lock
@@ -212,7 +217,7 @@ impl Pager {
     /// Called from inside the shard lock (lock order: shard → device).
     fn writeback(&self, ev: &crate::cache::Evicted) -> Result<()> {
         if ev.dirty {
-            self.device_write().write(ev.page, &ev.data)?;
+            self.device_write().write(ev.page, Arc::clone(&ev.data))?;
             self.counters.record_write();
             emit(EventKind::PageWrite, u64::from(ev.page), 0);
         }
@@ -227,7 +232,7 @@ impl Pager {
             self.device_read().check(id)?;
             self.cache.admit_dirty(id, img, |ev| self.writeback(ev))?;
         } else {
-            self.device_write().write(id, &img)?;
+            self.device_write().write(id, img)?;
             self.counters.record_write();
             emit(EventKind::PageWrite, u64::from(id), 0);
         }
@@ -252,11 +257,12 @@ impl Pager {
 
     /// Read-modify-write page `id`. Counts 1 read + 1 write in uncached
     /// mode; with a cache, the write is deferred to eviction or flush.
+    /// `f` edits a private copy of the image (one copy, and none when
+    /// nobody else holds it), so a reader holding the old image keeps it.
     pub fn with_page_mut<R>(&self, id: PageId, f: impl FnOnce(&mut [u8]) -> R) -> Result<R> {
-        let img = observe_io(self.fetch(id))?;
-        let mut buf = img.to_vec();
-        let r = f(&mut buf);
-        observe_io(self.store(id, buf.into()))?;
+        let mut img = observe_io(self.fetch(id))?;
+        let r = f(Arc::make_mut(&mut img));
+        observe_io(self.store(id, img))?;
         Ok(r)
     }
 
@@ -264,11 +270,11 @@ impl Pager {
     /// zeroed buffer and must fill it. Counts 1 write and **no read** —
     /// this is how builders emit nodes.
     pub fn overwrite_page<R>(&self, id: PageId, f: impl FnOnce(&mut [u8]) -> R) -> Result<R> {
-        let mut buf = vec![0u8; self.page_size];
-        let r = f(&mut buf);
+        let mut img = zeroed_image(self.page_size);
+        let r = f(Arc::get_mut(&mut img).expect("a fresh image is unshared"));
         // Validate the id even when the cache would absorb the store.
         self.device_read().check(id)?;
-        observe_io(self.store(id, buf.into()))?;
+        observe_io(self.store(id, img))?;
         Ok(r)
     }
 
@@ -283,7 +289,7 @@ impl Pager {
 
     fn clean_pool_inner(&self) -> Result<()> {
         self.cache.clean_all(|page, data| {
-            self.device_write().write(page, data)?;
+            self.device_write().write(page, Arc::clone(data))?;
             self.counters.record_write();
             emit(EventKind::PageWrite, u64::from(page), 0);
             Ok(())
@@ -613,6 +619,59 @@ mod tests {
         let recovered = Pager::with_device(handle.recover().unwrap(), 0);
         recovered.with_page(a, |buf| assert_eq!(buf[0], 1)).unwrap();
         assert_eq!(recovered.get_meta().unwrap(), b"sb1");
+    }
+
+    /// The device's own image, bypassing the pool and the counters.
+    fn device_image(p: &Pager, id: PageId) -> Arc<[u8]> {
+        p.device_read().read(id).unwrap()
+    }
+
+    #[test]
+    fn a_clean_pool_over_a_disk_holds_the_devices_images() {
+        let p = Pager::new(PagerConfig {
+            page_size: 16,
+            cache_pages: 8,
+        });
+        let ids: Vec<_> = (0..5).map(|_| p.allocate().unwrap()).collect();
+        for (i, &id) in ids.iter().enumerate() {
+            p.overwrite_page(id, |b| b[0] = i as u8 + 1).unwrap();
+        }
+        p.with_page_mut(ids[0], |b| b[1] = 9).unwrap();
+        p.clean_pool().unwrap();
+        for &id in &ids {
+            assert!(
+                Arc::ptr_eq(&p.page(id).unwrap(), &device_image(&p, id)),
+                "page {id} is held twice"
+            );
+        }
+    }
+
+    #[test]
+    fn an_uncached_pager_returns_the_devices_image() {
+        let p = uncached();
+        let id = p.allocate().unwrap();
+        p.overwrite_page(id, |b| b[0] = 3).unwrap();
+        assert!(Arc::ptr_eq(&p.page(id).unwrap(), &device_image(&p, id)));
+        let s = p.stats();
+        assert_eq!((s.reads, s.writes), (1, 1), "the peek is not counted");
+    }
+
+    #[test]
+    fn a_held_image_survives_every_store() {
+        for cache_pages in [0, 4] {
+            let p = Pager::new(PagerConfig {
+                page_size: 8,
+                cache_pages,
+            });
+            let id = p.allocate().unwrap();
+            p.overwrite_page(id, |b| b.fill(1)).unwrap();
+            let held = p.page(id).unwrap();
+            p.with_page_mut(id, |b| b[0] = 2).unwrap();
+            p.overwrite_page(id, |b| b[1] = 3).unwrap();
+            p.flush().unwrap();
+            assert_eq!(*held, [1u8; 8], "cache_pages {cache_pages}");
+            assert_eq!(*p.page(id).unwrap(), [0, 3, 0, 0, 0, 0, 0, 0]);
+        }
     }
 
     #[test]

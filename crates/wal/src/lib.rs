@@ -29,6 +29,7 @@
 
 use segdb_geom::{Point, Segment};
 use segdb_pager::{ByteReader, ByteWriter, Device, PageId, PagerError, Result, NULL_PAGE};
+use std::sync::Arc;
 
 /// Device meta magic for a WAL device.
 pub const WAL_MAGIC: &[u8; 8] = b"SEGWAL01";
@@ -89,18 +90,33 @@ pub struct WalStats {
     pub resets: u64,
 }
 
-/// CRC-32 (IEEE 802.3, reflected) — the frame checksum.
-pub fn crc32(data: &[u8]) -> u32 {
-    const POLY: u32 = 0xEDB8_8320;
-    let mut crc = !0u32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (POLY & mask);
+/// The CRC-32 (IEEE 802.3, reflected) polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// `CRC_TABLE[b]` is the CRC register after shifting the byte `b` through
+/// eight rounds of the bitwise algorithm, computed at compile time.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut round = 0;
+        while round < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            round += 1;
         }
+        table[b] = crc;
+        b += 1;
     }
-    !crc
+    table
+};
+
+/// CRC-32 (IEEE 802.3, reflected) — the frame checksum, one table
+/// lookup per byte.
+pub fn crc32(data: &[u8]) -> u32 {
+    !data.iter().fold(!0u32, |crc, &b| {
+        (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize]
+    })
 }
 
 /// The append-only log. Single-writer: callers serialize access (the
@@ -111,8 +127,10 @@ pub struct Wal {
     window: usize,
     head: PageId,
     tail: PageId,
-    /// In-memory image of the tail page (prefix-stable append target).
-    tail_buf: Vec<u8>,
+    /// Image of the tail page (prefix-stable append target), shared with
+    /// the device after each write; an append edits it through
+    /// `Arc::make_mut`, which copies only while the device still holds it.
+    tail_buf: Arc<[u8]>,
     /// Offset of the next free byte in `tail_buf`.
     tail_used: usize,
     last_seq: u64,
@@ -165,7 +183,7 @@ impl Wal {
             window: group_window.max(1),
             head: NULL_PAGE,
             tail: NULL_PAGE,
-            tail_buf: Vec::new(),
+            tail_buf: Arc::from([]),
             tail_used: 0,
             last_seq: 0,
             pending: 0,
@@ -207,7 +225,7 @@ impl Wal {
             window: group_window.max(1),
             head,
             tail: NULL_PAGE,
-            tail_buf: Vec::new(),
+            tail_buf: Arc::from([]),
             tail_used: 0,
             last_seq: 0,
             pending: 0,
@@ -216,7 +234,6 @@ impl Wal {
         };
         let mut records = Vec::new();
         let mut page = head;
-        let mut buf = vec![0u8; page_size];
         let mut stopped = false;
         // A chain longer than the device holds pages loops back on
         // itself: a torn link, so the walk ends there.
@@ -227,10 +244,10 @@ impl Wal {
                 break;
             }
             budget -= 1;
-            if wal.dev.read(page, &mut buf).is_err() {
+            let Ok(buf) = wal.dev.read(page) else {
                 // The link was written but the page never became durable.
                 break;
-            }
+            };
             let next_plus_one = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
             let mut off = PAGE_HEADER;
             let mut valid_end = PAGE_HEADER;
@@ -271,9 +288,9 @@ impl Wal {
             }
             // Remember the furthest verified position: appends resume here.
             wal.tail = page;
-            wal.tail_buf = buf.clone();
+            wal.tail_buf = buf;
             // Scrub unverified bytes so they are never re-persisted.
-            wal.tail_buf[valid_end..].fill(0);
+            Arc::make_mut(&mut wal.tail_buf)[valid_end..].fill(0);
             wal.tail_used = valid_end;
             page = if next_plus_one == 0 {
                 NULL_PAGE
@@ -284,7 +301,7 @@ impl Wal {
         if stopped && wal.tail != NULL_PAGE {
             // Drop the forward link past the torn point: the chain now
             // ends at the verified tail and appends overwrite from here.
-            wal.tail_buf[..PAGE_HEADER].fill(0);
+            Arc::make_mut(&mut wal.tail_buf)[..PAGE_HEADER].fill(0);
         }
         wal.stats.records = records.len() as u64;
         Ok((wal, records))
@@ -311,32 +328,32 @@ impl Wal {
         if self.tail == NULL_PAGE || self.tail_used + FRAME > page_size {
             // Grow the chain: fresh page becomes the new tail.
             let page = self.dev.allocate()?;
-            let mut fresh = vec![0u8; page_size];
+            let fresh: Arc<[u8]> = vec![0u8; page_size].into();
             // Write the zeroed image first so a recycled page can never
             // replay stale frames ahead of the link update.
-            self.dev.write(page, &fresh)?;
+            self.dev.write(page, Arc::clone(&fresh))?;
             if self.tail == NULL_PAGE {
                 self.head = page;
                 self.write_meta()?;
             } else {
-                self.tail_buf[..PAGE_HEADER].copy_from_slice(&(page + 1).to_le_bytes());
+                Arc::make_mut(&mut self.tail_buf)[..PAGE_HEADER]
+                    .copy_from_slice(&(page + 1).to_le_bytes());
                 let old = self.tail;
-                self.dev.write(old, &self.tail_buf)?;
+                self.dev.write(old, Arc::clone(&self.tail_buf))?;
             }
             self.tail = page;
-            std::mem::swap(&mut self.tail_buf, &mut fresh);
+            self.tail_buf = fresh;
             self.tail_used = PAGE_HEADER;
         }
         let off = self.tail_used;
-        self.tail_buf[off..off + 2].copy_from_slice(&(PAYLOAD as u16).to_le_bytes());
-        encode_payload(
-            &rec,
-            &mut self.tail_buf[off + FRAME_HEADER..off + FRAME_HEADER + PAYLOAD],
-        )?;
-        let crc = crc32(&self.tail_buf[off + FRAME_HEADER..off + FRAME_HEADER + PAYLOAD]);
-        self.tail_buf[off + 2..off + 6].copy_from_slice(&crc.to_le_bytes());
+        let buf = Arc::make_mut(&mut self.tail_buf);
+        buf[off..off + 2].copy_from_slice(&(PAYLOAD as u16).to_le_bytes());
+        let payload = &mut buf[off + FRAME_HEADER..off + FRAME_HEADER + PAYLOAD];
+        encode_payload(&rec, payload)?;
+        let crc = crc32(payload);
+        buf[off + 2..off + 6].copy_from_slice(&crc.to_le_bytes());
         self.tail_used = off + FRAME;
-        self.dev.write(self.tail, &self.tail_buf)?;
+        self.dev.write(self.tail, Arc::clone(&self.tail_buf))?;
         self.last_seq = seq;
         self.stats.bytes += FRAME as u64;
         self.stats.records += 1;
@@ -370,14 +387,12 @@ impl Wal {
     /// frames on recycled pages.
     pub fn reset(&mut self) -> Result<()> {
         let mut page = self.head;
-        let page_size = self.dev.page_size();
-        let mut buf = vec![0u8; page_size];
         // Bounded as in `open`: a looping chain is torn, not endless.
         for _ in 0..self.dev.capacity_pages() {
             if page == NULL_PAGE {
                 break;
             }
-            let next = if self.dev.read(page, &mut buf).is_ok() {
+            let next = if let Ok(buf) = self.dev.read(page) {
                 let plus_one = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
                 if plus_one == 0 {
                     NULL_PAGE
@@ -394,7 +409,7 @@ impl Wal {
         }
         self.head = NULL_PAGE;
         self.tail = NULL_PAGE;
-        self.tail_buf.clear();
+        self.tail_buf = Arc::from([]);
         self.tail_used = 0;
         self.pending = 0;
         self.dirty = false;
@@ -480,6 +495,32 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
+    /// The bitwise CRC-32 the table is derived from: the reference.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_table_matches_the_bitwise_reference() {
+        check::run(
+            "wal_crc32_table_matches_the_bitwise_reference",
+            200,
+            |rng| {
+                let len = rng.gen_range(0..8193usize);
+                (0..len).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>()
+            },
+            |data| assert_eq!(crc32(data), crc32_bitwise(data)),
+        );
+    }
+
     #[test]
     fn empty_log_reopen() {
         let wal = Wal::create(Box::new(Disk::new(256)), 4).unwrap();
@@ -553,11 +594,10 @@ mod tests {
         let mut dev = wal.into_device();
         let meta = dev.get_meta().unwrap();
         let head = u32::from_le_bytes([meta[8], meta[9], meta[10], meta[11]]) - 1;
-        let mut buf = vec![0u8; dev.page_size()];
-        dev.read(head, &mut buf).unwrap();
+        let mut buf = dev.read(head).unwrap().to_vec();
         let last = PAGE_HEADER + 4 * FRAME + FRAME_HEADER;
         buf[last] ^= 0xFF;
-        dev.write(head, &buf).unwrap();
+        dev.write(head, buf.into()).unwrap();
         let (mut wal, recs) = Wal::open(dev, 1).unwrap();
         assert_eq!(recs.len(), 4);
         assert_eq!(wal.last_seq(), 4);
@@ -580,12 +620,11 @@ mod tests {
         let mut dev = wal.into_device();
         let meta = dev.get_meta().unwrap();
         let head = u32::from_le_bytes([meta[8], meta[9], meta[10], meta[11]]) - 1;
-        let mut buf = vec![0u8; dev.page_size()];
-        dev.read(head, &mut buf).unwrap();
+        let mut buf = dev.read(head).unwrap().to_vec();
         // Fake a torn third frame: length written, payload zeroed.
         let off = PAGE_HEADER + 2 * FRAME;
         buf[off..off + 2].copy_from_slice(&(PAYLOAD as u16).to_le_bytes());
-        dev.write(head, &buf).unwrap();
+        dev.write(head, buf.into()).unwrap();
         let (_, recs) = Wal::open(dev, 1).unwrap();
         assert_eq!(recs.len(), 2);
     }
@@ -621,7 +660,7 @@ mod tests {
         let page = dev.allocate().unwrap();
         let mut image = vec![0u8; 256];
         image[..PAGE_HEADER].copy_from_slice(&(page + 1).to_le_bytes());
-        dev.write(page, &image).unwrap();
+        dev.write(page, image.into()).unwrap();
         dev.set_meta(&[&WAL_MAGIC[..], &(page + 1).to_le_bytes()].concat())
             .unwrap();
         // On a thread of its own, so that a walk that never ends fails the
@@ -670,11 +709,11 @@ mod tests {
                     wal.append(*rid, *op).unwrap();
                 }
                 let mut dev = wal.into_device();
-                let mut image = vec![0u8; 128];
                 for &(page, kind, v) in edits {
-                    if dev.read(page, &mut image).is_err() {
+                    let Ok(image) = dev.read(page) else {
                         continue;
-                    }
+                    };
+                    let mut image = image.to_vec();
                     match kind {
                         0 => {
                             let mut rng = SmallRng::seed_from_u64(v);
@@ -687,7 +726,7 @@ mod tests {
                         2 => image[v as usize / 8 % 128] ^= 1 << (v % 8),
                         _ => image[PAGE_HEADER..].fill(0),
                     }
-                    dev.write(page, &image).unwrap();
+                    dev.write(page, image.into()).unwrap();
                 }
                 let (_, recs) = Wal::open(dev, 1).unwrap();
                 assert!(recs.windows(2).all(|w| w[0].seq < w[1].seq), "{recs:?}");

@@ -36,6 +36,13 @@ echo "==> bench_pair smoke (working tree vs itself, 1 pair)"
 PAIR=$(scripts/bench_pair.sh . . 1 --workload embedded_hot --seconds 1)
 echo "$PAIR" | grep -q 'failed: parent 0, change 0; .* identical over 1 pairs' || {
     echo "bench_pair smoke: unexpected summary"; echo "$PAIR"; exit 1; }
+# The pool over embedded_hot's in-memory device covers every page, and
+# the two must share each page image: a second copy of every page would
+# put the row's peak RSS near 256 MiB, one copy puts it near 143 MiB.
+RSS=$(echo "$PAIR" | sed 's/\[[^]]*\]//g' |
+    awk '$1 == "embedded_hot" && $2 == "peak_rss_mb" { print $4 }')
+awk -v rss="$RSS" 'BEGIN { exit !(rss != "" && rss <= 160) }' || {
+    echo "bench_pair smoke: embedded_hot peak_rss_mb '$RSS' is above 160 MiB"; exit 1; }
 rm -rf "$(echo "$PAIR" | sed -n 's/^result lines and run logs: //p')"
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"

@@ -834,12 +834,12 @@ impl Device for GatedDisk {
     fn free(&mut self, id: PageId) -> Result<(), PagerError> {
         self.0.free(id)
     }
-    fn read(&self, id: PageId, buf: &mut [u8]) -> Result<(), PagerError> {
+    fn read(&self, id: PageId) -> Result<Arc<[u8]>, PagerError> {
         self.1.pass();
-        self.0.read(id, buf)
+        self.0.read(id)
     }
-    fn write(&mut self, id: PageId, buf: &[u8]) -> Result<(), PagerError> {
-        self.0.write(id, buf)
+    fn write(&mut self, id: PageId, img: Arc<[u8]>) -> Result<(), PagerError> {
+        self.0.write(id, img)
     }
     fn check(&self, id: PageId) -> Result<(), PagerError> {
         self.0.check(id)
