@@ -39,7 +39,7 @@
 //!   --index <kind>          binary | interval | scan | stab (default interval)
 //!   --direction <dx,dy>     fixed query direction (default 0,1)
 //!   --arbitrary             also build the any-direction extension
-//!   --trust                 skip the NCT validation sweep
+//!   --trust                 skip the NCT validation sweep (≈ 0.1 s per 100 k segments)
 //!
 //! serve options:
 //!   --addr <host:port>      bind address (default 127.0.0.1:7878; :0 = any port)

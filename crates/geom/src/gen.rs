@@ -344,6 +344,19 @@ mod tests {
         );
     }
 
+    /// The benchmark builds Mixed at 100 k to 400 k segments: one fixed
+    /// set per family at 100 k is NCT, with and without spans and star.
+    /// A subset of an NCT set is NCT, so one check of the set with them
+    /// checks the set without them too.
+    #[test]
+    fn all_families_are_nct_at_benchmark_scale() {
+        for f in Family::ALL {
+            let mut set = f.generate(100_000, 42);
+            assert_eq!(spans_and_star(&mut set), 14);
+            verify_nct(&set).unwrap_or_else(|e| panic!("{} + spans and star: {e}", f.name()));
+        }
+    }
+
     #[test]
     fn families_differ_across_seeds() {
         let a = strips(100, 1 << 12, 16, 200, 1);
