@@ -5,8 +5,9 @@
 //! vertical line (`t_stab`), while a VS query only wants those meeting
 //! the bounded segment (`t ≤ t_stab`). The gap — and thus the win of the
 //! paper's structures — grows as query segments get shorter and stored
-//! segments get longer. Regenerates: reads/query for all four structures
-//! across a (query height × long-segment share) grid. The driver lives
+//! segments get longer. Regenerates: reads/query for both of the paper's
+//! configurations and both baselines across a (query height ×
+//! long-segment share) grid. The driver lives
 //! in [`segdb_bench::experiments::run_e10`] so tests exercise it at toy
 //! sizes; `BENCH_e10.json` carries the per-kind I/O histograms and the
 //! paper-bound cost-model fits.

@@ -3,9 +3,7 @@
 //! a million segments (4 KiB pages, pure I/O model).
 
 use segdb_bench::{f1, run_batch, table};
-use segdb_core::binary2l::{Binary2LConfig, TwoLevelBinary};
-use segdb_core::interval2l::{Interval2LConfig, TwoLevelInterval};
-use segdb_core::{FullScan, StabThenFilter};
+use segdb_core::{FullScan, IndexKind, StabThenFilter, TwoLevelInterval};
 use segdb_geom::gen::{fixed_height_queries, strips};
 use segdb_pager::{Pager, PagerConfig};
 use std::time::Instant;
@@ -22,19 +20,16 @@ fn main() {
             });
             let started = Instant::now();
             enum S {
-                A(TwoLevelBinary),
-                B(TwoLevelInterval),
+                A(TwoLevelInterval),
                 C(StabThenFilter),
                 D(FullScan),
             }
             let s = match which {
-                0 => S::A(
-                    TwoLevelBinary::build(&pager, Binary2LConfig::default(), set.clone()).unwrap(),
-                ),
-                1 => S::B(
-                    TwoLevelInterval::build(&pager, Interval2LConfig::default(), set.clone())
-                        .unwrap(),
-                ),
+                0 | 1 => {
+                    let kind =
+                        [IndexKind::TwoLevelBinary, IndexKind::TwoLevelInterval][which as usize];
+                    S::A(TwoLevelInterval::build(&pager, kind.config(), set.clone()).unwrap())
+                }
                 2 => S::C(StabThenFilter::build(&pager, &set).unwrap()),
                 _ => S::D(FullScan::build(&pager, &set).unwrap()),
             };
@@ -43,7 +38,6 @@ fn main() {
             let blocks = pager.live_pages();
             let agg = run_batch(&pager, &queries, |q| match &s {
                 S::A(t) => t.query(&pager, q).unwrap().0,
-                S::B(t) => t.query(&pager, q).unwrap().0,
                 S::C(t) => t.query(&pager, q).unwrap().0,
                 S::D(t) => t.query(&pager, q).unwrap().0,
             });

@@ -5,7 +5,7 @@
 //! `log₂ n · log_B n` curve, on the mixed GIS-like workload.
 
 use segdb_bench::{correlation, f1, f2, ols_slope, run_batch, table};
-use segdb_core::binary2l::{Binary2LConfig, TwoLevelBinary};
+use segdb_core::{IndexKind, TwoLevelInterval};
 use segdb_geom::gen::{fixed_height_queries, strips};
 use segdb_pager::{Pager, PagerConfig};
 
@@ -21,7 +21,9 @@ fn main() {
                 cache_pages: 0,
             });
             let before = pager.live_pages();
-            let t = TwoLevelBinary::build(&pager, Binary2LConfig::default(), set.clone()).unwrap();
+            let t =
+                TwoLevelInterval::build(&pager, IndexKind::TwoLevelBinary.config(), set.clone())
+                    .unwrap();
             let blocks = pager.live_pages() - before;
             let queries = fixed_height_queries(&set, 60, 600, 31 + exp as u64);
             let agg = run_batch(&pager, &queries, |q| t.query(&pager, q).unwrap().0);

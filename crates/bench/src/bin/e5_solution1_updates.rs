@@ -9,7 +9,7 @@
 //! were — shown again in place, never by a rebuild.
 
 use segdb_bench::{correlation, f1, f2, lg, ols_slope, table};
-use segdb_core::binary2l::{Binary2LConfig, TwoLevelBinary};
+use segdb_core::{IndexKind, TwoLevelInterval};
 use segdb_geom::gen::strips;
 use segdb_geom::Segment;
 use segdb_pager::{Pager, PagerConfig};
@@ -25,7 +25,8 @@ fn main() {
             page_size: page,
             cache_pages: 0,
         });
-        let mut t = TwoLevelBinary::build(&pager, Binary2LConfig::default(), vec![]).unwrap();
+        let mut t =
+            TwoLevelInterval::build(&pager, IndexKind::TwoLevelBinary.config(), vec![]).unwrap();
 
         let io0 = pager.stats().total_io();
         for s in &set {

@@ -5,9 +5,7 @@
 //! by `n = N/B` and by `n·log₂ B`, against both baselines.
 
 use segdb_bench::{f2, table};
-use segdb_core::binary2l::{Binary2LConfig, TwoLevelBinary};
-use segdb_core::interval2l::{Interval2LConfig, TwoLevelInterval};
-use segdb_core::{FullScan, StabThenFilter};
+use segdb_core::{FullScan, IndexKind, StabThenFilter, TwoLevelInterval};
 use segdb_geom::gen::strips;
 use segdb_pager::{Pager, PagerConfig};
 
@@ -30,12 +28,12 @@ fn main() {
                 pager.live_pages()
             };
             let s1 = measure(&|p| {
-                TwoLevelBinary::build(p, Binary2LConfig::default(), set.clone())
+                TwoLevelInterval::build(p, IndexKind::TwoLevelBinary.config(), set.clone())
                     .map(|_| ())
                     .unwrap()
             });
             let s2 = measure(&|p| {
-                TwoLevelInterval::build(p, Interval2LConfig::default(), set.clone())
+                TwoLevelInterval::build(p, IndexKind::TwoLevelInterval.config(), set.clone())
                     .map(|_| ())
                     .unwrap()
             });

@@ -5,9 +5,7 @@
 //! output instead of scraping stdout.
 
 use crate::{f1, report, table};
-use segdb_core::binary2l::{Binary2LConfig, TwoLevelBinary};
-use segdb_core::interval2l::{Interval2LConfig, TwoLevelInterval};
-use segdb_core::{FullScan, QueryTrace, StabThenFilter};
+use segdb_core::{FullScan, IndexKind, QueryTrace, StabThenFilter, TwoLevelInterval};
 use segdb_geom::gen::{strips, vertical_queries};
 use segdb_obs::cost::{CostKind, CostModel, Fitter};
 use segdb_obs::metrics::Histogram;
@@ -81,10 +79,12 @@ pub fn run_e10(n_items: usize, queries_per_cell: usize, shares: &[u32], heights:
             let queries = vertical_queries(&set, queries_per_cell, height_mille, 7);
 
             let p1 = fresh(page);
-            let s1 = TwoLevelBinary::build(&p1, Binary2LConfig::default(), set.clone()).unwrap();
+            let s1 = TwoLevelInterval::build(&p1, IndexKind::TwoLevelBinary.config(), set.clone())
+                .unwrap();
             let p2 = fresh(page);
             let s2 =
-                TwoLevelInterval::build(&p2, Interval2LConfig::default(), set.clone()).unwrap();
+                TwoLevelInterval::build(&p2, IndexKind::TwoLevelInterval.config(), set.clone())
+                    .unwrap();
             let p3 = fresh(page);
             let s3 = FullScan::build(&p3, &set).unwrap();
             let p4 = fresh(page);

@@ -36,7 +36,7 @@
 //!
 //! build options:
 //!   --page-size <bytes>     block size (default 4096)
-//!   --index <kind>          binary | interval | scan | stab (default interval)
+//!   --index <kind>          binary | interval (default interval)
 //!   --direction <dx,dy>     fixed query direction (default 0,1)
 //!   --arbitrary             also build the any-direction extension
 //!   --trust                 skip the NCT validation sweep (≈ 0.1 s per 100 k segments)
@@ -284,13 +284,7 @@ fn parse_index(s: &str) -> Result<IndexKind, CliError> {
     Ok(match s {
         "binary" => IndexKind::TwoLevelBinary,
         "interval" => IndexKind::TwoLevelInterval,
-        "scan" => IndexKind::FullScan,
-        "stab" => IndexKind::StabThenFilter,
-        _ => {
-            return usage(format!(
-                "unknown index kind '{s}' (binary|interval|scan|stab)"
-            ))
-        }
+        _ => return usage(format!("unknown index kind '{s}' (binary | interval)")),
     })
 }
 
@@ -606,7 +600,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let db = SegmentDatabase::open(want(args, 1, "db path")?, 0)?;
             let d = db.direction();
             Ok(format!(
-                "segments: {}\nblocks:   {}\npage:     {} bytes\ndirection: ({}, {})\n",
+                "index:    {:?}\nsegments: {}\nblocks:   {}\npage:     {} bytes\ndirection: ({}, {})\n",
+                db.kind(),
                 db.len(),
                 db.space_blocks(),
                 db.pager().page_size(),
@@ -1060,12 +1055,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 }
                 i += 2;
             }
-            let kinds = [
-                IndexKind::TwoLevelBinary,
-                IndexKind::TwoLevelInterval,
-                IndexKind::FullScan,
-                IndexKind::StabThenFilter,
-            ];
+            let kinds = [IndexKind::TwoLevelBinary, IndexKind::TwoLevelInterval];
             let (mut ran, mut crashed, mut fault_events) = (0u64, 0u64, 0u64);
             let (mut live_q, mut rec_q, mut saves) = (0u64, 0u64, 0u64);
             let mut digest = 0xcbf2_9ce4_8422_2325u64;

@@ -44,6 +44,7 @@ fn full_workflow() {
 
     // 3. Info reads the superblock.
     let out = run(&a(&["info", &db_path])).unwrap();
+    assert!(out.contains("index:    TwoLevelBinary\n"), "{out}");
     assert!(out.contains("segments: 400"), "{out}");
     assert!(out.contains("1024 bytes"), "{out}");
 
@@ -87,10 +88,7 @@ fn build_rejects_crossing_input() {
     let err = run(&a(&["build", &db_path, &csv_path])).unwrap_err();
     assert!(err.to_string().contains("cross"), "{err}");
     // --trust skips validation (the caller takes responsibility).
-    let out = run(&a(&[
-        "build", &db_path, &csv_path, "--trust", "--index", "scan",
-    ]))
-    .unwrap();
+    let out = run(&a(&["build", &db_path, &csv_path, "--trust"])).unwrap();
     assert!(out.contains("built 2 segments"));
     std::fs::remove_file(&csv_path).ok();
     std::fs::remove_file(&db_path).ok();
@@ -195,27 +193,6 @@ fn serve_rejects_the_removed_flags() {
         let usage = include_str!("../src/lib.rs");
         assert!(usage.contains("--cache-pages") && !usage.contains(&flag));
     }
-}
-
-/// A baseline index takes no writes, so `serve --wal` over one stops at
-/// start-up with a message naming the index kind instead of
-/// acknowledging writes its first fold would lose.
-#[test]
-fn serve_with_a_wal_refuses_a_baseline_index() {
-    let csv_path = tmp("wal-baseline.csv");
-    std::fs::write(&csv_path, run(&a(&["gen", "grid", "200", "3"])).unwrap()).unwrap();
-    for (index, kind) in [("scan", "FullScan"), ("stab", "StabThenFilter")] {
-        let db_path = tmp(&format!("wal-{index}.db"));
-        let wal_path = tmp(&format!("wal-{index}.wal"));
-        run(&a(&["build", &db_path, &csv_path, "--index", index])).unwrap();
-        let err = run(&a(&["serve", &db_path, "--wal", &wal_path])).unwrap_err();
-        assert_eq!(err.code(), "db", "{err}");
-        assert!(err.to_string().contains(kind), "{err}");
-        for path in [&db_path, &wal_path] {
-            std::fs::remove_file(path).ok();
-        }
-    }
-    std::fs::remove_file(&csv_path).ok();
 }
 
 /// Kill the serve child if the test dies before the graceful shutdown.

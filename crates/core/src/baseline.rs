@@ -12,12 +12,16 @@
 //!   exact intersection filter. Costs `O(log_B n + t_stab)` where
 //!   `t_stab ≥ t` counts segments crossing the whole vertical *line* —
 //!   the gap between stabbing and VS queries that motivates the paper.
+//!
+//! Both are built directly on a pager by the experiments and the tests
+//! that compare against them; neither is an index kind of the facade,
+//! so neither is written, served or persisted.
 
-use crate::batch::one_slot;
 use crate::chain;
 use crate::report::QueryTrace;
-use segdb_geom::{MultiSink, ReportSink, Segment, VerticalQuery};
+use segdb_geom::{Segment, VerticalQuery};
 use segdb_itree::{Interval, IntervalTree, IntervalTreeConfig};
+use segdb_obs::trace::{emit, probe, EventKind};
 use segdb_pager::{PageId, Pager, PagerError, Result, StatScope};
 use std::collections::HashMap;
 use std::ops::ControlFlow;
@@ -38,16 +42,6 @@ impl FullScan {
         })
     }
 
-    /// Serializable identity.
-    pub fn state(&self) -> (PageId, u64) {
-        (self.head, self.len)
-    }
-
-    /// Reconstruct from a serialized identity.
-    pub fn attach(head: PageId, len: u64) -> Self {
-        FullScan { head, len }
-    }
-
     /// Stored segment count.
     pub fn len(&self) -> u64 {
         self.len
@@ -60,40 +54,19 @@ impl FullScan {
 
     /// Answer a VS query by scanning everything.
     pub fn query(&self, pager: &Pager, q: &VerticalQuery) -> Result<(Vec<Segment>, QueryTrace)> {
-        let mut out = Vec::new();
-        let trace = self.query_sink(pager, q, &mut out)?;
-        Ok((out, trace))
-    }
-
-    /// Streaming form of [`FullScan::query`]: a group of one through
-    /// [`FullScan::query_group`].
-    pub fn query_sink(
-        &self,
-        pager: &Pager,
-        q: &VerticalQuery,
-        sink: &mut dyn ReportSink,
-    ) -> Result<QueryTrace> {
-        one_slot(q, sink, |multi| self.query_group(pager, multi))
-    }
-
-    /// One chain scan feeds every slot of `multi`. The scan stops early
-    /// only once *all* slots have retired — `pages_saved` in the trace
-    /// reports exactly how many pages that skipped.
-    pub fn query_group(&self, pager: &Pager, multi: &mut MultiSink<'_>) -> Result<QueryTrace> {
         let scope = StatScope::begin(pager);
-        let flow = chain::scan_ctl(pager, self.head, |s| multi.offer(&s))?;
-        let io = scope.finish();
-        let total_pages = (self.len as usize).div_ceil(chain::cap(pager.page_size()).max(1)) as u64;
-        let pages_saved = if flow.is_break() {
-            total_pages.saturating_sub(io.reads + io.cache_hits)
-        } else {
-            0
-        };
-        Ok(QueryTrace {
-            pages_saved,
-            io,
+        let mut out = Vec::new();
+        chain::scan(pager, self.head, |s| {
+            if q.hits(&s) {
+                out.push(s);
+            }
+        })?;
+        let trace = QueryTrace {
+            hits: out.len() as u32,
+            io: scope.finish(),
             ..QueryTrace::default()
-        })
+        };
+        Ok((out, trace))
     }
 }
 
@@ -101,13 +74,11 @@ impl FullScan {
 #[derive(Debug)]
 pub struct StabThenFilter {
     tree: IntervalTree,
-    /// The filter needs full geometry; the x-tree only stores ids, so the
-    /// baseline keeps a page-chained side table `id → segment`, loaded on
-    /// demand per query batch. To keep the I/O accounting honest the
-    /// whole segment is instead packed into the interval payload — the
-    /// side map below is built once at attach time from the chain.
+    /// The filter needs full geometry and the x-tree stores only ids, so
+    /// the baseline keeps a side table `id → segment` in memory. `build`
+    /// also writes the table as a page chain, so the baseline's space
+    /// counts it.
     segments: HashMap<u64, Segment>,
-    chain: PageId,
 }
 
 impl StabThenFilter {
@@ -118,36 +89,9 @@ impl StabThenFilter {
             .map(|s| Interval::new(s.id, s.a.x, s.b.x))
             .collect();
         let tree = IntervalTree::build(pager, IntervalTreeConfig::default(), intervals)?;
-        let chain = chain::write(pager, segs)?;
-        let mut segments = HashMap::with_capacity(segs.len());
-        for s in segs {
-            segments.insert(s.id, *s);
-        }
-        Ok(StabThenFilter {
-            tree,
-            segments,
-            chain,
-        })
-    }
-
-    /// Serializable identity: the x-projection tree plus the side chain.
-    pub fn state(&self) -> (segdb_itree::tree::ItState, PageId) {
-        (self.tree.state(), self.chain)
-    }
-
-    /// Reconstruct from a serialized identity; reloads the side table
-    /// from the chain.
-    pub fn attach(pager: &Pager, tree: segdb_itree::tree::ItState, chain: PageId) -> Result<Self> {
-        let tree = IntervalTree::attach(pager, IntervalTreeConfig::default(), tree)?;
-        let mut segments = HashMap::new();
-        chain::scan(pager, chain, |s| {
-            segments.insert(s.id, s);
-        })?;
-        Ok(StabThenFilter {
-            tree,
-            segments,
-            chain,
-        })
+        chain::write(pager, segs)?;
+        let segments = segs.iter().map(|s| (s.id, *s)).collect();
+        Ok(StabThenFilter { tree, segments })
     }
 
     /// Stored segment count.
@@ -164,69 +108,34 @@ impl StabThenFilter {
     /// filter. The trace's `second_level_probes` records the candidate
     /// count — the `t_stab − t` waste this baseline pays.
     pub fn query(&self, pager: &Pager, q: &VerticalQuery) -> Result<(Vec<Segment>, QueryTrace)> {
-        let mut out = Vec::new();
-        let trace = self.query_sink(pager, q, &mut out)?;
-        Ok((out, trace))
-    }
-
-    /// Streaming form of [`StabThenFilter::query`]: a group of one
-    /// through [`StabThenFilter::query_group`].
-    pub fn query_sink(
-        &self,
-        pager: &Pager,
-        q: &VerticalQuery,
-        sink: &mut dyn ReportSink,
-    ) -> Result<QueryTrace> {
-        one_slot(q, sink, |multi| self.query_group(pager, multi))
-    }
-
-    /// Answer every slot of `multi`, one stab per slot: this comparison
-    /// baseline shares nothing across a group. For full-line queries
-    /// every stabbed candidate is a hit, so a count-only slot is
-    /// answered straight from the stab tree's stored counts without
-    /// touching the candidate lists.
-    pub fn query_group(&self, pager: &Pager, multi: &mut MultiSink<'_>) -> Result<QueryTrace> {
         let scope = StatScope::begin(pager);
-        let mut candidates = 0u32;
-        for i in 0..multi.len() {
-            segdb_obs::trace::emit(
-                segdb_obs::trace::EventKind::SecondLevelProbe,
-                segdb_obs::trace::probe::STAB_TREE,
-                0,
-            );
-            let q = *multi.query(i);
-            if !multi.want_segments(i) && matches!(q, VerticalQuery::Line { .. }) {
-                let n = self.tree.stab_count(pager, q.x())?;
-                candidates += n as u32;
-                let _ = multi.report_count(i, n);
-                continue;
-            }
-            let mut unknown = false;
-            let _ = self.tree.stab_ctl(pager, q.x(), &mut |iv| {
-                candidates += 1;
-                match self.segments.get(&iv.id) {
-                    Some(seg) if q.hits(seg) => multi.report(i, seg),
-                    Some(_) => ControlFlow::Continue(()),
-                    None => {
-                        unknown = true;
-                        ControlFlow::Break(())
+        emit(EventKind::SecondLevelProbe, probe::STAB_TREE, 0);
+        let (mut out, mut candidates, mut unknown) = (Vec::new(), 0u32, false);
+        let _ = self.tree.stab_ctl(pager, q.x(), &mut |iv| {
+            candidates += 1;
+            match self.segments.get(&iv.id) {
+                Some(seg) => {
+                    if q.hits(seg) {
+                        out.push(*seg);
                     }
+                    ControlFlow::Continue(())
                 }
-            })?;
-            if unknown {
-                return Err(PagerError::Corrupt("stabbed interval names no segment"));
+                None => {
+                    unknown = true;
+                    ControlFlow::Break(())
+                }
             }
+        })?;
+        if unknown {
+            return Err(PagerError::Corrupt("stabbed interval names no segment"));
         }
-        Ok(QueryTrace {
+        let trace = QueryTrace {
             second_level_probes: candidates,
+            hits: out.len() as u32,
             io: scope.finish(),
             ..QueryTrace::default()
-        })
-    }
-
-    /// The raw segment chain (tests).
-    pub fn chain_head(&self) -> PageId {
-        self.chain
+        };
+        Ok((out, trace))
     }
 }
 

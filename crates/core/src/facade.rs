@@ -7,17 +7,13 @@
 //! division that provably divides), so round-tripping is lossless.
 
 use crate::anyquery::AnyQueryIndex;
-use crate::baseline::{FullScan, StabThenFilter};
 use crate::batch::Hidden;
-use crate::binary2l::{Binary2LConfig, TwoLevelBinary};
 use crate::interval2l::{Interval2LConfig, TwoLevelInterval};
 use crate::persist::Superblock;
 use crate::report::{normalize, QueryAnswer, QueryMode, QueryTrace};
-use crate::tombs::{Lazy, Pages};
 use segdb_geom::nct::verify_nct;
 use segdb_geom::transform::Direction;
 use segdb_geom::{GeomError, MultiSink, Point, Segment, VerticalQuery};
-use segdb_itree::tree::ItState;
 use segdb_obs::cost::{CostKind, CostModel, Fitter};
 use segdb_obs::trace::TraceSummary;
 use segdb_obs::{Json, Registry};
@@ -26,18 +22,15 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// Which index backs the database.
+/// Which configuration of the one two-level index backs the database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
-    /// Solution 1 (§3, Theorem 1): `O(n)` space, supports insert+delete.
+    /// Solution 1 (§3, Theorem 1): [`TwoLevelInterval`] with one
+    /// boundary per node — `O(n)` space, `O(log₂ n)` height.
     TwoLevelBinary,
-    /// Solution 2 (§4, Theorem 2): `O(n log B)` space, fastest queries,
-    /// semi-dynamic (insert only).
+    /// Solution 2 (§4, Theorem 2): `Θ(B)` boundaries per node —
+    /// `O(n log B)` space, the fastest queries.
     TwoLevelInterval,
-    /// Exhaustive scan baseline.
-    FullScan,
-    /// Stabbing-index + filter baseline.
-    StabThenFilter,
 }
 
 impl IndexKind {
@@ -46,8 +39,18 @@ impl IndexKind {
         match self {
             IndexKind::TwoLevelBinary => CostKind::TwoLevelBinary,
             IndexKind::TwoLevelInterval => CostKind::TwoLevelInterval,
-            IndexKind::FullScan => CostKind::FullScan,
-            IndexKind::StabThenFilter => CostKind::StabThenFilter,
+        }
+    }
+
+    /// The config this kind builds: Solution 1 is Solution 2 at
+    /// `fanout: Some(1)`.
+    pub fn config(self) -> Interval2LConfig {
+        match self {
+            IndexKind::TwoLevelBinary => Interval2LConfig {
+                fanout: Some(1),
+                ..Interval2LConfig::default()
+            },
+            IndexKind::TwoLevelInterval => Interval2LConfig::default(),
         }
     }
 }
@@ -59,7 +62,8 @@ pub enum DbError {
     Geom(GeomError),
     /// Storage-layer failure.
     Pager(PagerError),
-    /// Operation the chosen index does not support.
+    /// Operation the database was not built for (arbitrary-direction
+    /// queries without [`SegmentDatabaseBuilder::enable_arbitrary_queries`]).
     Unsupported(&'static str),
     /// Query segment endpoints do not lie on a common line of the fixed
     /// direction.
@@ -101,25 +105,6 @@ impl From<GeomError> for DbError {
 impl From<PagerError> for DbError {
     fn from(e: PagerError) -> Self {
         DbError::Pager(e)
-    }
-}
-
-#[derive(Debug)]
-enum Index {
-    /// Either two-level structure: only the pages differ, and every
-    /// delete is decided by the one [`Lazy`] owner.
-    TwoLevel(IndexKind, Box<Lazy<dyn Pages>>),
-    Scan(FullScan),
-    Stab(StabThenFilter),
-}
-
-impl Index {
-    fn kind(&self) -> IndexKind {
-        match self {
-            Index::TwoLevel(kind, _) => *kind,
-            Index::Scan(_) => IndexKind::FullScan,
-            Index::Stab(_) => IndexKind::StabThenFilter,
-        }
     }
 }
 
@@ -298,18 +283,7 @@ impl SegmentDatabaseBuilder {
         if self.validate_nct {
             verify_nct(&transformed)?;
         }
-        let index = match self.kind {
-            IndexKind::TwoLevelBinary => {
-                let t = TwoLevelBinary::build(&pager, Binary2LConfig::default(), transformed)?;
-                Index::TwoLevel(self.kind, Box::new(t))
-            }
-            IndexKind::TwoLevelInterval => {
-                let t = TwoLevelInterval::build(&pager, Interval2LConfig::default(), transformed)?;
-                Index::TwoLevel(self.kind, Box::new(t))
-            }
-            IndexKind::FullScan => Index::Scan(FullScan::build(&pager, &transformed)?),
-            IndexKind::StabThenFilter => Index::Stab(StabThenFilter::build(&pager, &transformed)?),
-        };
+        let index = TwoLevelInterval::build(&pager, self.kind.config(), transformed)?;
         let any = if self.arbitrary {
             // Rebuild the transformed set (moved into the index above).
             let transformed: Vec<Segment> = segments
@@ -354,7 +328,7 @@ impl SegmentDatabaseBuilder {
 pub struct SegmentDatabase {
     pager: Pager,
     direction: Direction,
-    index: Index,
+    index: TwoLevelInterval,
     any: Option<AnyQueryIndex>,
     obs: Option<DbObserver>,
     /// WAL checkpoint persisted with the superblock: every log record
@@ -399,27 +373,7 @@ impl SegmentDatabase {
         let pager = Pager::with_device_sharded(device, cache_pages, cache_shards);
         let sb = Superblock::decode(&pager.get_meta()?)?;
         let direction = sb.direction_obj()?;
-        let index = match sb.kind {
-            IndexKind::TwoLevelBinary => {
-                let cfg = sb.binary_config();
-                let t = TwoLevelBinary::attach(&pager, cfg, sb.root, sb.len, sb.aux, sb.aux2)?;
-                Index::TwoLevel(sb.kind, Box::new(t))
-            }
-            IndexKind::TwoLevelInterval => {
-                let cfg = sb.interval_config();
-                let t = TwoLevelInterval::attach(&pager, cfg, sb.root, sb.len, sb.aux, sb.aux2)?;
-                Index::TwoLevel(sb.kind, Box::new(t))
-            }
-            IndexKind::FullScan => Index::Scan(FullScan::attach(sb.root, sb.len)),
-            IndexKind::StabThenFilter => Index::Stab(StabThenFilter::attach(
-                &pager,
-                ItState {
-                    root: sb.root,
-                    len: sb.len,
-                },
-                sb.aux,
-            )?),
-        };
+        let index = TwoLevelInterval::attach(&pager, sb.cfg, sb.root, sb.len, sb.aux, sb.aux2)?;
         let any = match sb.any {
             None => None,
             Some(st) => Some(AnyQueryIndex::attach(&pager, st)?),
@@ -438,40 +392,14 @@ impl SegmentDatabase {
     /// durably sync. Required after mutations on a persistent database
     /// (a crash before `save` loses the index roots, not the pages).
     pub fn save(&self) -> Result<(), DbError> {
-        let (kind, root, len, aux, aux2) = match &self.index {
-            Index::TwoLevel(kind, t) => {
-                let (root, len, tomb_head, tomb_records) = t.state();
-                // A binary file without tombstones keeps the aux = 0
-                // every older build wrote.
-                let tomb_head = match (kind, tomb_records) {
-                    (IndexKind::TwoLevelBinary, 0) => 0,
-                    _ => tomb_head,
-                };
-                (*kind, root, len, tomb_head, tomb_records)
-            }
-            Index::Scan(t) => {
-                let (root, len) = t.state();
-                (IndexKind::FullScan, root, len, 0, 0)
-            }
-            Index::Stab(t) => {
-                let (it, chain) = t.state();
-                (IndexKind::StabThenFilter, it.root, it.len, chain, 0)
-            }
-        };
+        let (root, len, aux, aux2) = self.index.state();
         let sb = Superblock {
             direction: (self.direction.dx(), self.direction.dy()),
-            kind,
+            cfg: self.index.config(),
             root,
             len,
             aux,
             aux2,
-            // The facade builds with default configs; record them so
-            // attach reconstructs identically.
-            pst_fanout: 0,
-            fanout: 0,
-            bridge_d: Interval2LConfig::default().bridge_d as u32,
-            bridges: true,
-            rebuild_min: Binary2LConfig::default().rebuild_min,
             any: self.any.as_ref().map(|a| a.state()),
             wal_seq: self.wal_seq,
         };
@@ -482,11 +410,7 @@ impl SegmentDatabase {
 
     /// Number of stored segments.
     pub fn len(&self) -> u64 {
-        match &self.index {
-            Index::TwoLevel(_, t) => t.len(),
-            Index::Scan(t) => t.len(),
-            Index::Stab(t) => t.len(),
-        }
+        self.index.len()
     }
 
     /// True when no segments are stored.
@@ -506,7 +430,10 @@ impl SegmentDatabase {
 
     /// Which index structure backs this database.
     pub fn kind(&self) -> IndexKind {
-        self.index.kind()
+        match self.index.config().fanout {
+            Some(1) => IndexKind::TwoLevelBinary,
+            _ => IndexKind::TwoLevelInterval,
+        }
     }
 
     /// Segments per block `B` — the external-memory model's block
@@ -522,7 +449,7 @@ impl SegmentDatabase {
     pub fn set_observability(&mut self, on: bool) {
         self.obs = if on {
             Some(DbObserver::new(
-                self.index.kind(),
+                self.kind(),
                 self.len(),
                 self.block_segments(),
             ))
@@ -556,7 +483,7 @@ impl SegmentDatabase {
             100.0 * self.len() as f64 / (blocks * self.block_segments() as f64)
         };
         Some(Json::obj([
-            ("index", Json::Str(format!("{:?}", self.index.kind()))),
+            ("index", Json::Str(format!("{:?}", self.kind()))),
             ("segments", Json::U64(self.len())),
             ("block_segments", Json::U64(self.block_segments())),
             ("space_blocks", Json::U64(self.space_blocks() as u64)),
@@ -721,15 +648,10 @@ impl SegmentDatabase {
     /// build, never after it ([`SegmentDatabase::validate`] checks the
     /// structures, not the geometry). A deleted segment inserted again
     /// exactly as it was is shown again in place; anything else is
-    /// stored, whatever its id (see [`Lazy::insert`]).
+    /// stored, whatever its id (see [`TwoLevelInterval::insert`]).
     pub fn insert(&mut self, seg: Segment) -> Result<(), DbError> {
         let t = self.direction.apply_segment(&seg)?;
-        match &mut self.index {
-            Index::TwoLevel(_, x) => x.insert(&self.pager, t)?,
-            Index::Scan(_) | Index::Stab(_) => {
-                return Err(DbError::Unsupported("insert into baseline"))
-            }
-        }
+        self.index.insert(&self.pager, t)?;
         if let Some(any) = &mut self.any {
             any.insert(&self.pager, t)?;
         }
@@ -772,28 +694,20 @@ impl SegmentDatabase {
     }
 
     /// Delete a stored segment (id and geometry must both match; returns
-    /// whether it was stored). Both two-level structures delete the same
-    /// way — a membership probe, then a lazy tombstone naming the whole
-    /// segment, so a moved copy under the same id stays visible (see
-    /// [`Lazy::remove`]).
+    /// whether it was stored): a membership probe, then a lazy tombstone
+    /// naming the whole segment, so a moved copy under the same id stays
+    /// visible (see [`TwoLevelInterval::remove`]).
     pub fn remove(&mut self, seg: &Segment) -> Result<bool, DbError> {
         let t = self.direction.apply_segment(seg)?;
         if let Some(any) = &mut self.any {
             any.remove(&self.pager, &t)?;
         }
-        match &mut self.index {
-            Index::TwoLevel(_, x) => Ok(x.remove(&self.pager, &t)?),
-            Index::Scan(_) | Index::Stab(_) => Err(DbError::Unsupported("delete from baseline")),
-        }
+        Ok(self.index.remove(&self.pager, &t)?)
     }
 
-    /// Segments the index currently hides (always 0 for the baselines,
-    /// which take no deletes).
+    /// Segments the index currently hides.
     pub fn tomb_count(&self) -> u64 {
-        match &self.index {
-            Index::TwoLevel(_, x) => x.tomb_count(),
-            Index::Scan(_) | Index::Stab(_) => 0,
-        }
+        self.index.tomb_count()
     }
 
     /// Fold lazy-delete tombstones back into the index ahead of the
@@ -801,10 +715,7 @@ impl SegmentDatabase {
     /// the pages the deleted segments still occupy. Returns whether any
     /// work was done.
     pub fn compact(&mut self) -> Result<bool, DbError> {
-        match &mut self.index {
-            Index::TwoLevel(_, x) => Ok(x.compact(&self.pager)?),
-            Index::Scan(_) | Index::Stab(_) => Ok(false),
-        }
+        Ok(self.index.compact(&self.pager)?)
     }
 
     /// The WAL checkpoint recorded at the last save (see
@@ -819,12 +730,10 @@ impl SegmentDatabase {
         self.wal_seq = seq;
     }
 
-    /// Deep structural validation of the whole index.
+    /// Deep structural validation of the whole index, the stored set's
+    /// NCT property included.
     pub fn validate(&self) -> Result<(), DbError> {
-        match &self.index {
-            Index::TwoLevel(_, x) => x.validate(&self.pager)?,
-            Index::Scan(_) | Index::Stab(_) => {}
-        }
+        self.index.validate(&self.pager)?;
         if let Some(any) = &self.any {
             any.validate(&self.pager)?;
         }
@@ -840,24 +749,13 @@ impl SegmentDatabase {
 
     /// One shared traversal of the index answering every slot of
     /// `multi` with `hidden` withheld — the only way a query reads index
-    /// pages (see [`crate::batch`]). The baselines take no writes
-    /// ([`crate::WriteEngine::recover`] refuses them), so they are never
-    /// asked to hide anything.
+    /// pages (see [`crate::batch`]).
     pub(crate) fn walk_group(
         &self,
         multi: &mut MultiSink<'_>,
         hidden: &Hidden,
     ) -> Result<QueryTrace, DbError> {
-        Ok(match &self.index {
-            Index::TwoLevel(_, x) => x.query_group(&self.pager, multi, hidden)?,
-            Index::Scan(_) | Index::Stab(_) if hidden.len() > 0 => {
-                return Err(DbError::Unsupported(
-                    "hidden segments under a baseline index",
-                ))
-            }
-            Index::Scan(x) => x.query_group(&self.pager, multi)?,
-            Index::Stab(x) => x.query_group(&self.pager, multi)?,
-        })
+        Ok(self.index.query_group(&self.pager, multi, hidden)?)
     }
 
     /// Feed one finished query into the observer, when one is on.
@@ -889,16 +787,9 @@ impl SegmentDatabase {
         r.observe("hits_per_query", trace.hits as u64);
         r.observe("first_level_nodes", trace.first_level_nodes as u64);
         r.observe("second_level_probes", trace.second_level_probes as u64);
-        // The stab baseline's output term is its candidate count, not the
-        // filtered hits — that is exactly the `t_stab ≥ t` the paper
-        // holds against it.
-        let t_items = match self.index.kind() {
-            IndexKind::StabThenFilter => trace.second_level_probes as u64,
-            _ => trace.hits as u64,
-        };
         let mut fitter = obs.fitter();
         fitter.set_n(self.len());
-        trace.cost = fitter.record(t_items, trace.io.total_io());
+        trace.cost = fitter.record(trace.hits as u64, trace.io.total_io());
         if trace.cost.is_some_and(|c| !c.within) {
             r.incr("cost_violations", 1);
         }
@@ -912,12 +803,7 @@ mod tests {
     use segdb_geom::gen::{mixed_map, vertical_queries};
     use segdb_geom::query::scan_oracle;
 
-    const KINDS: [IndexKind; 4] = [
-        IndexKind::TwoLevelBinary,
-        IndexKind::TwoLevelInterval,
-        IndexKind::FullScan,
-        IndexKind::StabThenFilter,
-    ];
+    const KINDS: [IndexKind; 2] = [IndexKind::TwoLevelBinary, IndexKind::TwoLevelInterval];
 
     /// The serving layer shares one database across worker threads; this
     /// is the compile-time contract it stands on.

@@ -44,7 +44,16 @@
 //! inserts accumulate.
 //!
 //! **Deletes** — an extension beyond the paper's semi-dynamic Theorem 2:
-//! lazy tombstones, exactly as in [`crate::binary2l`], both [`Lazy`]'s.
+//! lazy tombstones, [`Lazy`]'s: a membership probe shaped like the
+//! insert's descent, a tombstone every read withholds, and a rebuild
+//! from the live set once the tombstone chain reaches the live count.
+//!
+//! **Solution 1** (§3, Theorem 1) is this structure at `fanout: Some(1)`:
+//! one base line per node at the x-median of the endpoints reaching it,
+//! its `C` set and `L`/`R` PST pair, two children, and no `G` (a segment
+//! crossing the node's only boundary has no central fragment). Its
+//! height is `O(log₂ n)` and its space `O(n)` blocks, the bounds of
+//! Theorem 1; the same walk answers the §3 search.
 
 pub mod gtree;
 pub mod msrec;
@@ -53,7 +62,7 @@ pub mod node;
 use crate::batch::Slots;
 use crate::chain;
 use crate::report::QueryTrace;
-use crate::tombs::{Lazy, Pages};
+use crate::tombs::Lazy;
 use gtree::{allocation, path as g_path, skeleton, GNode};
 use msrec::{MsOrder, MsRec};
 use node::{Internal, InternalView, Node, NodeView};
@@ -71,7 +80,7 @@ use std::cmp::Ordering;
 const JUMP_SCAN_CAP: usize = 64;
 
 /// Construction knobs for [`TwoLevelInterval`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interval2LConfig {
     /// PST flavour for the short-fragment structures.
     pub pst: PstConfig,
@@ -183,12 +192,12 @@ fn place(boundaries: &[i64], s: &Segment) -> Placement {
 /// let (hits, _) = t.query(&pager, &VerticalQuery::segment(500, 0, 95)).unwrap();
 /// assert_eq!(hits.len(), 10);
 /// ```
-pub type TwoLevelInterval = Lazy<IntervalPages>;
+pub type TwoLevelInterval = Lazy;
 
 /// The pages of a [`TwoLevelInterval`]: the slab tree and its
 /// second-level structures, hidden segments included.
 #[derive(Debug)]
-pub struct IntervalPages {
+pub(crate) struct IntervalPages {
     root: PageId,
     cfg: Interval2LConfig,
     k_max: usize,
@@ -215,6 +224,11 @@ impl TwoLevelInterval {
         Lazy::attach_to(pager, pages, len, tomb_head, tomb_records)
     }
 
+    /// The config the structure was built or attached with.
+    pub fn config(&self) -> Interval2LConfig {
+        self.pages.cfg
+    }
+
     /// Structural summary — how the §4 construction split the segments
     /// (used by the paper-figure fidelity tests and examples).
     pub fn describe(&self, pager: &Pager) -> Result<GStats> {
@@ -224,8 +238,8 @@ impl TwoLevelInterval {
     }
 }
 
-impl Pages for IntervalPages {
-    fn root(&self) -> PageId {
+impl IntervalPages {
+    pub(crate) fn root(&self) -> PageId {
         self.root
     }
 
@@ -244,7 +258,7 @@ impl Pages for IntervalPages {
     /// answers from the interval set's stored counts and each G run is
     /// measured by two B⁺-tree rank descents over the stored subtree
     /// counts — the run's pages are never read.
-    fn walk_group(
+    pub(crate) fn walk_group(
         &self,
         pager: &Pager,
         slots: &mut Slots<'_, '_>,
@@ -257,7 +271,7 @@ impl Pages for IntervalPages {
     /// Semi-dynamic, Theorem 2(iii): route to the owning node, insert
     /// into the three structures, partially rebuild α-unbalanced
     /// subtrees.
-    fn store(&mut self, pager: &Pager, seg: Segment) -> Result<()> {
+    pub(crate) fn store(&mut self, pager: &Pager, seg: Segment) -> Result<()> {
         let mut path: Vec<PageId> = Vec::new();
         let mut page = self.root;
         loop {
@@ -339,27 +353,25 @@ impl Pages for IntervalPages {
         self.rebalance_path(pager, &path)
     }
 
-    fn build(&mut self, pager: &Pager, segs: Vec<Segment>) -> Result<()> {
+    pub(crate) fn build(&mut self, pager: &Pager, segs: Vec<Segment>) -> Result<()> {
         self.root = self.build_rec(pager, segs)?;
         Ok(())
     }
 
-    fn collect(&self, pager: &Pager) -> Result<Vec<Segment>> {
+    pub(crate) fn collect(&self, pager: &Pager) -> Result<Vec<Segment>> {
         let mut out = Vec::new();
         self.collect_rec(pager, self.root, &mut out)?;
         Ok(out)
     }
 
-    fn destroy(&mut self, pager: &Pager) -> Result<()> {
+    pub(crate) fn destroy(&mut self, pager: &Pager) -> Result<()> {
         self.destroy_rec(pager, self.root)
     }
 
-    fn validate(&self, pager: &Pager) -> Result<u64> {
+    pub(crate) fn validate(&self, pager: &Pager) -> Result<u64> {
         self.validate_rec(pager, self.root, None, None)
     }
-}
 
-impl IntervalPages {
     fn new(pager: &Pager, cfg: Interval2LConfig, root: PageId) -> Self {
         let k_max = cfg
             .fanout

@@ -8,9 +8,7 @@
 //! data pages.
 
 use crate::anyquery::AnyQueryState;
-use crate::binary2l::Binary2LConfig;
 use crate::interval2l::Interval2LConfig;
-use crate::IndexKind;
 use segdb_geom::transform::Direction;
 use segdb_pager::{ByteReader, ByteWriter, PageId, PagerError, Result};
 use segdb_pst::PstConfig;
@@ -27,6 +25,18 @@ const PRE_V3: &str =
     "database format SEGDB001/SEGDB002 (pre-v3) is not supported: this build reads SEGDB003 only";
 const V3_ID_TOMBS: &str =
     "SEGDB003 superblock claims a pre-v3 id-format tombstone chain, which this build cannot read";
+/// The index kind tag every superblock carries: the two-level interval
+/// structure, whose stored `fanout` says which configuration it is.
+const KIND_TWO_LEVEL: u8 = 2;
+/// Kind tags of layouts this build no longer reads, each refused by
+/// name: rebuild such a file from its segments.
+const REMOVED_BINARY: &str = "SEGDB003 superblock holds the removed TwoLevelBinary layout \
+     (kind tag 1): this build stores Solution 1 as the two-level interval index at fanout 1; \
+     rebuild the file";
+const REMOVED_FULL_SCAN: &str = "SEGDB003 superblock holds a FullScan baseline index \
+     (kind tag 3), which databases no longer store; rebuild the file";
+const REMOVED_STAB: &str = "SEGDB003 superblock holds a StabThenFilter baseline index \
+     (kind tag 4), which databases no longer store; rebuild the file";
 /// Superblock buffer size (well under any page's metadata area). The
 /// trailing 9 bytes are the tombstone-format byte (always 1: full
 /// segments) and `wal_seq`.
@@ -39,29 +49,17 @@ const TOMB_FORMAT_AT: usize = SUPERBLOCK_SIZE - 9;
 pub struct Superblock {
     /// Fixed query direction.
     pub direction: (i64, i64),
-    /// Which index backs the database.
-    pub kind: IndexKind,
-    /// Root page of the index (interpretation depends on `kind`).
+    /// The index config; `fanout: Some(1)` is Solution 1.
+    pub cfg: Interval2LConfig,
+    /// Root page of the index.
     pub root: PageId,
     /// Stored segment count.
     pub len: u64,
-    /// Extra root (StabThenFilter: segment chain; either two-level
-    /// structure: tombstone chain head, meaningless when `aux2` is 0).
+    /// Tombstone chain head, meaningless when `aux2` is 0.
     pub aux: PageId,
-    /// Extra counter (either two-level structure: records in the
-    /// tombstone chain, where a segment recorded an odd number of times
-    /// is hidden; 0 means no chain, whatever `aux` says).
+    /// Records in the tombstone chain, where a segment recorded an odd
+    /// number of times is hidden; 0 means no chain, whatever `aux` says.
     pub aux2: u64,
-    /// PST fanout (0 = packed default).
-    pub pst_fanout: u32,
-    /// First-level fanout for Solution 2 (0 = page default).
-    pub fanout: u32,
-    /// Bridge density `d`.
-    pub bridge_d: u32,
-    /// Bridges enabled.
-    pub bridges: bool,
-    /// Weight-rebuild threshold.
-    pub rebuild_min: u64,
     /// Optional arbitrary-direction query extension (§5 future work).
     pub any: Option<AnyQueryState>,
     /// Highest WAL sequence number folded into the index (the write
@@ -69,23 +67,13 @@ pub struct Superblock {
     pub wal_seq: u64,
 }
 
-fn kind_tag(kind: IndexKind) -> u8 {
-    match kind {
-        IndexKind::TwoLevelBinary => 1,
-        IndexKind::TwoLevelInterval => 2,
-        IndexKind::FullScan => 3,
-        IndexKind::StabThenFilter => 4,
-    }
+/// A config value as stored; a page-size default (`None`) is 0.
+fn stored(v: usize) -> Result<u32> {
+    u32::try_from(v).map_err(|_| PagerError::Corrupt("config value out of range"))
 }
 
-fn kind_from(tag: u8) -> Result<IndexKind> {
-    Ok(match tag {
-        1 => IndexKind::TwoLevelBinary,
-        2 => IndexKind::TwoLevelInterval,
-        3 => IndexKind::FullScan,
-        4 => IndexKind::StabThenFilter,
-        _ => return Err(PagerError::Corrupt("unknown index kind in superblock")),
-    })
+fn zero_none(v: u32) -> Option<usize> {
+    (v != 0).then_some(v as usize)
 }
 
 impl Superblock {
@@ -96,16 +84,16 @@ impl Superblock {
         w.skip(8)?; // magic, written below
         w.i64(self.direction.0)?;
         w.i64(self.direction.1)?;
-        w.u8(kind_tag(self.kind))?;
+        w.u8(KIND_TWO_LEVEL)?;
         w.u32(self.root)?;
         w.u64(self.len)?;
         w.u32(self.aux)?;
         w.u64(self.aux2)?;
-        w.u32(self.pst_fanout)?;
-        w.u32(self.fanout)?;
-        w.u32(self.bridge_d)?;
-        w.u8(u8::from(self.bridges))?;
-        w.u64(self.rebuild_min)?;
+        w.u32(stored(self.cfg.pst.fanout.unwrap_or(0))?)?;
+        w.u32(stored(self.cfg.fanout.unwrap_or(0))?)?;
+        w.u32(stored(self.cfg.bridge_d)?)?;
+        w.u8(u8::from(self.cfg.bridges))?;
+        w.u64(self.cfg.rebuild_min)?;
         match &self.any {
             None => w.u8(0)?,
             Some(a) => {
@@ -122,7 +110,8 @@ impl Superblock {
     }
 
     /// Deserialize from a metadata blob. Anything but the current
-    /// format is refused — a pre-v3 magic with a message that names it.
+    /// format is refused — a pre-v3 magic or a removed index layout with
+    /// a message that names it.
     pub fn decode(buf: &[u8]) -> Result<Superblock> {
         match buf.get(..8) {
             Some(magic) if magic == MAGIC => {}
@@ -137,18 +126,30 @@ impl Superblock {
         }
         let mut r = ByteReader::new(buf);
         r.skip(8)?;
+        let direction = (r.i64()?, r.i64()?);
+        match r.u8()? {
+            KIND_TWO_LEVEL => {}
+            1 => return Err(PagerError::Corrupt(REMOVED_BINARY)),
+            3 => return Err(PagerError::Corrupt(REMOVED_FULL_SCAN)),
+            4 => return Err(PagerError::Corrupt(REMOVED_STAB)),
+            _ => return Err(PagerError::Corrupt("unknown index kind in superblock")),
+        }
+        let (root, len, aux, aux2) = (r.u32()?, r.u64()?, r.u32()?, r.u64()?);
         Ok(Superblock {
-            direction: (r.i64()?, r.i64()?),
-            kind: kind_from(r.u8()?)?,
-            root: r.u32()?,
-            len: r.u64()?,
-            aux: r.u32()?,
-            aux2: r.u64()?,
-            pst_fanout: r.u32()?,
-            fanout: r.u32()?,
-            bridge_d: r.u32()?,
-            bridges: r.u8()? != 0,
-            rebuild_min: r.u64()?,
+            direction,
+            root,
+            len,
+            aux,
+            aux2,
+            cfg: Interval2LConfig {
+                pst: PstConfig {
+                    fanout: zero_none(r.u32()?),
+                },
+                fanout: zero_none(r.u32()?),
+                bridge_d: r.u32()? as usize,
+                bridges: r.u8()? != 0,
+                rebuild_min: r.u64()?,
+            },
             any: if r.u8()? == 1 {
                 Some(AnyQueryState::decode(&mut r)?)
             } else {
@@ -165,67 +166,47 @@ impl Superblock {
         Direction::new(self.direction.0, self.direction.1)
             .map_err(|_| PagerError::Corrupt("bad direction in superblock"))
     }
-
-    /// The PST config this superblock records.
-    pub fn pst_config(&self) -> PstConfig {
-        if self.pst_fanout == 0 {
-            PstConfig::packed()
-        } else {
-            PstConfig {
-                fanout: Some(self.pst_fanout as usize),
-            }
-        }
-    }
-
-    /// The Solution-1 config this superblock records.
-    pub fn binary_config(&self) -> Binary2LConfig {
-        Binary2LConfig {
-            pst: self.pst_config(),
-            rebuild_min: self.rebuild_min,
-        }
-    }
-
-    /// The Solution-2 config this superblock records.
-    pub fn interval_config(&self) -> Interval2LConfig {
-        Interval2LConfig {
-            pst: self.pst_config(),
-            fanout: if self.fanout == 0 {
-                None
-            } else {
-                Some(self.fanout as usize)
-            },
-            bridge_d: self.bridge_d as usize,
-            bridges: self.bridges,
-            rebuild_min: self.rebuild_min,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn roundtrip() {
-        let sb = Superblock {
+    fn superblock(cfg: Interval2LConfig) -> Superblock {
+        Superblock {
             direction: (-3, 7),
-            kind: IndexKind::TwoLevelInterval,
+            cfg,
             root: 42,
             len: 1000,
             aux: 7,
             aux2: 9,
-            pst_fanout: 0,
-            fanout: 16,
-            bridge_d: 4,
-            bridges: true,
-            rebuild_min: 32,
             any: None,
             wal_seq: 777,
-        };
-        let buf = sb.encode().unwrap();
-        assert_eq!(Superblock::decode(&buf).unwrap(), sb);
-        assert!(sb.direction_obj().is_ok());
-        assert_eq!(sb.interval_config().bridge_d, 4);
+        }
+    }
+
+    /// Offset of the index kind tag: after the magic and the direction.
+    const KIND_AT: usize = 8 + 16;
+
+    #[test]
+    fn roundtrip() {
+        for cfg in [
+            Interval2LConfig::default(),
+            Interval2LConfig {
+                pst: PstConfig::binary(),
+                fanout: Some(16),
+                bridge_d: 4,
+                bridges: false,
+                rebuild_min: 8,
+            },
+            crate::IndexKind::TwoLevelBinary.config(),
+        ] {
+            let sb = superblock(cfg);
+            let buf = sb.encode().unwrap();
+            assert_eq!(buf[KIND_AT], KIND_TWO_LEVEL);
+            assert_eq!(Superblock::decode(&buf).unwrap(), sb);
+            assert!(sb.direction_obj().is_ok());
+        }
     }
 
     #[test]
@@ -236,21 +217,7 @@ mod tests {
 
     #[test]
     fn older_formats_are_refused_by_name() {
-        let sb = Superblock {
-            direction: (0, 1),
-            kind: IndexKind::TwoLevelInterval,
-            root: 5,
-            len: 10,
-            aux: 3,
-            aux2: 2,
-            pst_fanout: 0,
-            fanout: 0,
-            bridge_d: 2,
-            bridges: true,
-            rebuild_min: 32,
-            any: None,
-            wal_seq: 123,
-        };
+        let sb = superblock(Interval2LConfig::default());
         let good = sb.encode().unwrap();
         assert_eq!(&good[..8], MAGIC);
         assert_eq!(good[TOMB_FORMAT_AT], 1);
@@ -274,33 +241,29 @@ mod tests {
         assert_eq!(Superblock::decode(&good).unwrap(), sb);
     }
 
+    /// The separate Solution-1 layout and the two baselines were stored
+    /// under kind tags 1, 3 and 4: each is refused with a message that
+    /// names it, never read as the two-level layout.
     #[test]
-    fn all_kinds_roundtrip() {
-        for kind in [
-            IndexKind::TwoLevelBinary,
-            IndexKind::TwoLevelInterval,
-            IndexKind::FullScan,
-            IndexKind::StabThenFilter,
+    fn removed_layouts_are_refused_by_name() {
+        let good = superblock(Interval2LConfig::default()).encode().unwrap();
+        for (tag, name) in [
+            (1u8, "TwoLevelBinary"),
+            (3, "FullScan"),
+            (4, "StabThenFilter"),
         ] {
-            let sb = Superblock {
-                direction: (0, 1),
-                kind,
-                root: 1,
-                len: 2,
-                aux: 3,
-                aux2: 0,
-                pst_fanout: 2,
-                fanout: 0,
-                bridge_d: 2,
-                bridges: false,
-                rebuild_min: 8,
-                any: None,
-                wal_seq: 0,
-            };
-            assert_eq!(
-                Superblock::decode(&sb.encode().unwrap()).unwrap().kind,
-                kind
-            );
+            let mut old = good.clone();
+            old[KIND_AT] = tag;
+            match Superblock::decode(&old) {
+                Err(PagerError::Corrupt(why)) => {
+                    assert!(why.contains(name), "tag {tag}: {why}");
+                    assert!(why.contains(&format!("kind tag {tag}")), "tag {tag}: {why}");
+                }
+                other => panic!("tag {tag}: {other:?}"),
+            }
         }
+        let mut unknown = good.clone();
+        unknown[KIND_AT] = 9;
+        assert!(Superblock::decode(&unknown).is_err());
     }
 }

@@ -1,5 +1,6 @@
-//! Lazy deletes, the one way both two-level structures delete: [`Lazy`],
-//! the one owner of their live count and tombstones.
+//! Lazy deletes, the one way the two-level structure deletes in either
+//! configuration: [`Lazy`], the one owner of its live count and
+//! tombstones.
 //!
 //! A deleted segment stays in the index pages, hidden from every read:
 //! resident in a [`Hidden`] set each group walk hands to [`Slots`],
@@ -8,52 +9,30 @@
 //! Showing one again records it once more: a segment recorded an odd
 //! number of times is hidden, whatever the order of the records, which
 //! [`chain::push`] does not keep across pages. The hidden segments stay
-//! in the pages, so what the pages store must stay NCT.
+//! in the pages, so what the pages store must stay NCT, which
+//! [`Lazy::validate`] checks.
 
 use crate::batch::{holds, one_slot, Hidden, Slots, NO_HIDDEN};
 use crate::chain;
+use crate::facade::DbError;
+use crate::interval2l::IntervalPages;
 use crate::report::QueryTrace;
+use segdb_geom::nct::verify_non_crossing;
 use segdb_geom::{MultiSink, ReportSink, Segment, VerticalQuery};
 use segdb_pager::{PageId, Pager, PagerError, Result, StatScope, NULL_PAGE};
-use segdb_pst::BatchQuery;
-
-/// What a two-level structure supplies to [`Lazy`]: its pages, which
-/// hold every stored segment, hidden ones included.
-pub(crate) trait Pages: std::fmt::Debug + Send + Sync {
-    fn root(&self) -> PageId;
-    /// The group walk every read takes: `group` in abscissa order, hits
-    /// delivered through `slots`.
-    fn walk_group(
-        &self,
-        pager: &Pager,
-        slots: &mut Slots<'_, '_>,
-        group: &mut [BatchQuery],
-        trace: &mut QueryTrace,
-    ) -> Result<()>;
-    /// The insert's descent, partial rebuilds included.
-    fn store(&mut self, pager: &Pager, seg: Segment) -> Result<()>;
-    /// New pages holding `segs`.
-    fn build(&mut self, pager: &Pager, segs: Vec<Segment>) -> Result<()>;
-    fn collect(&self, pager: &Pager) -> Result<Vec<Segment>>;
-    /// Free every page.
-    fn destroy(&mut self, pager: &Pager) -> Result<()>;
-    /// Check every invariant of the pages; returns the stored count.
-    fn validate(&self, pager: &Pager) -> Result<u64>;
-}
 
 /// A two-level structure that deletes lazily: its pages, its live
 /// count and its tombstones, every decision about which is made here.
-/// [`crate::TwoLevelBinary`] and [`crate::TwoLevelInterval`] are its two
-/// instances.
+/// [`crate::TwoLevelInterval`] is its one instance.
 #[derive(Debug)]
-pub struct Lazy<P: ?Sized> {
+pub struct Lazy {
     /// Live (stored, not hidden) segment count.
     len: u64,
     hidden: Hidden,
     /// The tombstone chain, and the records in it.
     head: PageId,
     records: u64,
-    pub(crate) pages: P,
+    pub(crate) pages: IntervalPages,
 }
 
 /// What the chain at `head` hides — every segment recorded an odd
@@ -69,11 +48,13 @@ fn replay(pager: &Pager, head: PageId) -> Result<(Hidden, u64)> {
     Ok((hidden, records))
 }
 
-// `Pages` is this crate's own: only its two structures implement it.
-#[allow(private_bounds)]
-impl<P: Pages> Lazy<P> {
+impl Lazy {
     /// `pages` holding `segs`.
-    pub(crate) fn build_over(pager: &Pager, mut pages: P, segs: Vec<Segment>) -> Result<Self> {
+    pub(crate) fn build_over(
+        pager: &Pager,
+        mut pages: IntervalPages,
+        segs: Vec<Segment>,
+    ) -> Result<Self> {
         let len = segs.len() as u64;
         pages.build(pager, segs)?;
         Lazy::attach_to(pager, pages, len, NULL_PAGE, 0)
@@ -85,7 +66,7 @@ impl<P: Pages> Lazy<P> {
     /// `records` records is refused, as its parity could be anything.
     pub(crate) fn attach_to(
         pager: &Pager,
-        pages: P,
+        pages: IntervalPages,
         len: u64,
         head: PageId,
         records: u64,
@@ -111,10 +92,7 @@ impl<P: Pages> Lazy<P> {
         self.pages.destroy(pager)?;
         chain::destroy(pager, self.head)
     }
-}
 
-#[allow(private_bounds)]
-impl<P: Pages + ?Sized> Lazy<P> {
     /// Serializable identity: `(root page, live count, tombstone chain,
     /// tombstone records)`. The config is context the owner persists
     /// alongside.
@@ -249,20 +227,24 @@ impl<P: Pages + ?Sized> Lazy<P> {
     }
 
     /// Deep validation: every invariant of the pages, the stored count
-    /// against the live and hidden ones, and the resident tombstones
-    /// against their chain.
-    pub fn validate(&self, pager: &Pager) -> Result<()> {
+    /// against the live and hidden ones, the resident tombstones against
+    /// their chain, and that what the pages store — hidden segments
+    /// included — is NCT. Ids may repeat there (see [`Lazy::insert`]),
+    /// so only the geometry is checked; a violation names its pair.
+    pub fn validate(&self, pager: &Pager) -> std::result::Result<(), DbError> {
         if self.pages.validate(pager)? != self.len + self.tomb_count() {
-            return Err(PagerError::Corrupt(
-                "stored count is not the live plus the hidden count",
-            ));
+            return Err(
+                PagerError::Corrupt("stored count is not the live plus the hidden count").into(),
+            );
         }
         let (chained, records) = replay(pager, self.head)?;
         if records != self.records || !chained.iter().eq(self.hidden.iter()) {
             return Err(PagerError::Corrupt(
                 "resident tombstones disagree with the tombstone chain",
-            ));
+            )
+            .into());
         }
+        verify_non_crossing(&self.pages.collect(pager)?)?;
         Ok(())
     }
 }

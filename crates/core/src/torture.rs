@@ -7,8 +7,8 @@
 //!    [`segdb_pager::FaultDevice`] (the build ends in a `save`, so the
 //!    durable image starts consistent);
 //! 2. arm a seed-derived [`FaultPlan`] (pure crash, transient-error, or
-//!    torn-heavy mode) and run a seeded workload of inserts / removes
-//!    (dynamic kinds only), oracle-verified queries, and occasional
+//!    torn-heavy mode) and run a seeded workload of inserts / removes,
+//!    oracle-verified queries, and occasional
 //!    `save`s, keeping an in-memory oracle of the segment set as of the
 //!    last *successful* save;
 //! 3. at the first storage fault (or the scheduled power cut), stop,
@@ -229,41 +229,35 @@ pub fn run_scenario(cfg: &TortureConfig) -> Result<TortureOutcome, DbError> {
 
     handle.arm(derive_plan(cfg.seed));
     let mut wrng = SmallRng::seed_from_u64(cfg.seed ^ WORK_SALT);
-    let dynamic = matches!(
-        cfg.kind,
-        IndexKind::TwoLevelBinary | IndexKind::TwoLevelInterval
-    );
     let fault = |e: DbError, outcome: &mut TortureOutcome| {
         outcome.crashed = true;
         outcome.first_error = Some(e.to_string());
     };
     'work: for round in 0..cfg.rounds as u64 {
-        if dynamic {
-            for _ in 0..4 {
-                let insert = wrng.gen_bool(0.7);
-                if (insert || current.len() <= cfg.n / 2) && !pending.is_empty() {
-                    let s = pending[pending.len() - 1];
-                    match db.insert(s) {
-                        Ok(()) => {
-                            pending.pop();
-                            current.push(s);
-                        }
-                        Err(e) => {
-                            fault(e, &mut outcome);
-                            break 'work;
-                        }
+        for _ in 0..4 {
+            let insert = wrng.gen_bool(0.7);
+            if (insert || current.len() <= cfg.n / 2) && !pending.is_empty() {
+                let s = pending[pending.len() - 1];
+                match db.insert(s) {
+                    Ok(()) => {
+                        pending.pop();
+                        current.push(s);
                     }
-                } else if current.len() > 1 {
-                    let i = wrng.gen_range(0..current.len());
-                    let s = current[i];
-                    match db.remove(&s) {
-                        Ok(_) => {
-                            current.swap_remove(i);
-                        }
-                        Err(e) => {
-                            fault(e, &mut outcome);
-                            break 'work;
-                        }
+                    Err(e) => {
+                        fault(e, &mut outcome);
+                        break 'work;
+                    }
+                }
+            } else if current.len() > 1 {
+                let i = wrng.gen_range(0..current.len());
+                let s = current[i];
+                match db.remove(&s) {
+                    Ok(_) => {
+                        current.swap_remove(i);
+                    }
+                    Err(e) => {
+                        fault(e, &mut outcome);
+                        break 'work;
                     }
                 }
             }
@@ -333,13 +327,5 @@ mod tests {
         assert_eq!(a, b, "same config must replay the identical outcome");
         assert!(a.recovery_queries_verified >= 20);
         assert_eq!(trace_digest(&a.fault_trace), trace_digest(&b.fault_trace));
-    }
-
-    #[test]
-    fn static_kinds_survive_pure_crash_plans() {
-        for kind in [IndexKind::FullScan, IndexKind::StabThenFilter] {
-            let out = run_scenario(&TortureConfig::new(kind, 3)).unwrap();
-            assert!(out.recovery_queries_verified >= 20, "{kind:?}");
-        }
     }
 }

@@ -44,7 +44,7 @@
 //! unsynced tail — exactly the ops never acknowledged.
 
 use crate::batch::{holds, Hidden};
-use crate::facade::{DbError, IndexKind, SegmentDatabase};
+use crate::facade::{DbError, SegmentDatabase};
 use crate::report::{QueryAnswer, QueryMode, QueryTrace};
 use segdb_geom::transform::Direction;
 use segdb_geom::{Point, Segment, VerticalQuery};
@@ -270,21 +270,6 @@ impl WriteEngine {
         wal_dev: Box<dyn Device>,
         cfg: WriterConfig,
     ) -> Result<(Self, RecoveryReport), DbError> {
-        // An index that cannot take the fold must not get to
-        // acknowledge the writes.
-        match db.kind() {
-            IndexKind::TwoLevelBinary | IndexKind::TwoLevelInterval => {}
-            IndexKind::FullScan => {
-                return Err(DbError::Unsupported(
-                    "a write engine over a FullScan index (the baseline takes no writes)",
-                ))
-            }
-            IndexKind::StabThenFilter => {
-                return Err(DbError::Unsupported(
-                    "a write engine over a StabThenFilter index (the baseline takes no writes)",
-                ))
-            }
-        }
         let (mut wal, records) = Wal::open(wal_dev, cfg.group_window)?;
         let checkpoint = db.wal_seq();
         wal.set_seq_floor(checkpoint);
@@ -799,26 +784,6 @@ mod tests {
         // Deleting something absent is acknowledged but not applied.
         let ack = eng.delete(5, seg(999, 1)).unwrap();
         assert!(!ack.applied);
-    }
-
-    /// A baseline index cannot take the fold, so an engine over one
-    /// would acknowledge writes and then lose them: refused up front.
-    #[test]
-    fn baseline_indexes_are_refused_at_recover() {
-        for kind in [IndexKind::FullScan, IndexKind::StabThenFilter] {
-            let db = SegmentDatabase::builder()
-                .page_size(512)
-                .index(kind)
-                .build(vec![seg(0, 0)])
-                .unwrap();
-            let cfg = WriterConfig::default();
-            match WriteEngine::recover(db, Box::new(Disk::new(512)), cfg) {
-                Err(DbError::Unsupported(what)) => {
-                    assert!(what.contains(&format!("{kind:?}")), "{what}")
-                }
-                other => panic!("{kind:?}: {:?}", other.map(|(_, report)| report)),
-            }
-        }
     }
 
     #[test]

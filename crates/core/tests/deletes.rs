@@ -4,8 +4,7 @@
 //! ordinary insert, or exactly as it was, shown again in place. What the
 //! pages store stays non-crossing, hidden segments included.
 
-use segdb_core::binary2l::{Binary2LConfig, TwoLevelBinary};
-use segdb_core::interval2l::{Interval2LConfig, TwoLevelInterval};
+use segdb_core::interval2l::TwoLevelInterval;
 use segdb_core::report::ids;
 use segdb_core::{IndexKind, QueryMode, SegmentDatabase};
 use segdb_geom::gen::{mixed_map, strips, vertical_queries};
@@ -32,15 +31,9 @@ fn placements(kind: IndexKind, page: usize, set: &[Segment]) -> [u64; 3] {
         page_size: page,
         cache_pages: 0,
     });
-    if kind == IndexKind::TwoLevelBinary {
-        let t = TwoLevelBinary::build(&p, Binary2LConfig::default(), set.to_vec()).unwrap();
-        let st = t.describe(&p).unwrap();
-        [st.in_leaves, st.on_line, st.crossing]
-    } else {
-        let t = TwoLevelInterval::build(&p, Interval2LConfig::default(), set.to_vec()).unwrap();
-        let st = t.describe(&p).unwrap();
-        [st.in_leaves, st.on_line, st.crossing]
-    }
+    let t = TwoLevelInterval::build(&p, kind.config(), set.to_vec()).unwrap();
+    let st = t.describe(&p).unwrap();
+    [st.in_leaves, st.on_line, st.crossing]
 }
 
 /// Every line through a segment of `probe`: the database answers what

@@ -1,15 +1,25 @@
-//! Dedicated Solution-2 (Theorem 2) tests: oracle agreement on every
-//! workload family, boundary-exact probes, the bridges on/off ablation,
-//! insert storms with validation, and complexity-shape checks.
+//! Dedicated tests of the two-level structure in both of the paper's
+//! configurations — Theorem 2's default and Theorem 1's one boundary per
+//! node ([`both`]): oracle agreement on every workload family,
+//! boundary-exact probes, the bridges on/off ablation, insert storms
+//! with validation, and complexity-shape checks.
 
 use segdb_core::interval2l::{Interval2LConfig, TwoLevelInterval};
 use segdb_core::report::ids;
-use segdb_core::FullScan;
+use segdb_core::{FullScan, IndexKind};
 use segdb_geom::gen::{self, vertical_queries, Family};
 use segdb_geom::query::scan_oracle;
 use segdb_geom::{Segment, VerticalQuery};
 use segdb_pager::{Pager, PagerConfig};
 
+/// Both configurations the database builds, by name: Theorem 2's
+/// default and Solution 1 (§3), one boundary per node.
+fn both() -> [(&'static str, Interval2LConfig); 2] {
+    [
+        ("k=B", IndexKind::TwoLevelInterval.config()),
+        ("k=1", IndexKind::TwoLevelBinary.config()),
+    ]
+}
 fn pager(page: usize) -> Pager {
     Pager::new(PagerConfig {
         page_size: page,
@@ -49,14 +59,17 @@ fn boundary_queries(set: &[Segment]) -> Vec<VerticalQuery> {
 fn matches_oracle_on_all_families_and_pages() {
     for family in Family::ALL {
         let set = family.generate(600, 11);
-        for page in [512usize, 1024, 4096] {
+        for ((name, cfg), page) in both()
+            .into_iter()
+            .flat_map(|c| [(c, 512usize), (c, 1024), (c, 4096)])
+        {
             let p = pager(page);
-            let t = TwoLevelInterval::build(&p, Interval2LConfig::default(), set.clone()).unwrap();
+            let t = TwoLevelInterval::build(&p, cfg, set.clone()).unwrap();
             t.validate(&p).unwrap();
             assert_eq!(t.len(), set.len() as u64);
             let mut queries = vertical_queries(&set, 25, 100, 31);
             queries.extend(boundary_queries(&set));
-            check(&set, &t, &p, &queries, family.name());
+            check(&set, &t, &p, &queries, &format!("{} {name}", family.name()));
         }
     }
 }
@@ -98,23 +111,25 @@ fn bridges_off_matches_bridges_on() {
 #[test]
 fn incremental_insert_matches_oracle_and_validates() {
     let set = gen::mixed_map(500, 41);
-    let p = pager(512);
-    let mut t = TwoLevelInterval::build(&p, Interval2LConfig::default(), vec![]).unwrap();
-    for (i, s) in set.iter().enumerate() {
-        t.insert(&p, *s).unwrap();
-        if i % 120 == 0 {
-            t.validate(&p).unwrap();
+    for (name, cfg) in both() {
+        let p = pager(512);
+        let mut t = TwoLevelInterval::build(&p, cfg, vec![]).unwrap();
+        for (i, s) in set.iter().enumerate() {
+            t.insert(&p, *s).unwrap();
+            if i % 120 == 0 {
+                t.validate(&p).unwrap();
+            }
         }
+        t.validate(&p).unwrap();
+        assert_eq!(t.len(), set.len() as u64);
+        let mut queries = vertical_queries(&set, 25, 120, 43);
+        queries.extend(boundary_queries(&set));
+        check(&set, &t, &p, &queries, name);
+        // Everything is retrievable.
+        let mut all = ids(&t.scan_all(&p).unwrap());
+        all.dedup();
+        assert_eq!(all.len(), set.len(), "{name}");
     }
-    t.validate(&p).unwrap();
-    assert_eq!(t.len(), set.len() as u64);
-    let mut queries = vertical_queries(&set, 25, 120, 43);
-    queries.extend(boundary_queries(&set));
-    check(&set, &t, &p, &queries, "incremental");
-    // Everything is retrievable.
-    let mut all = ids(&t.scan_all(&p).unwrap());
-    all.dedup();
-    assert_eq!(all.len(), set.len());
 }
 
 #[test]
@@ -144,130 +159,158 @@ fn mixed_build_then_insert_long_segments() {
 fn query_io_beats_full_scan_and_first_level_is_shallow() {
     let p = pager(4096);
     let set = gen::strips(40_000, 1 << 18, 16, 250, 13);
-    let t = TwoLevelInterval::build(&p, Interval2LConfig::default(), set.clone()).unwrap();
     let fs = FullScan::build(&p, &set).unwrap();
     let queries = vertical_queries(&set, 20, 10, 19);
-    let (mut t_io, mut fs_io, mut max_depth) = (0u64, 0u64, 0u32);
-    for q in &queries {
-        let (h1, tr1) = t.query(&p, q).unwrap();
-        let (h2, tr2) = fs.query(&p, q).unwrap();
-        assert_eq!(ids(&h1), ids(&h2));
-        t_io += tr1.io.reads;
-        fs_io += tr2.io.reads;
-        max_depth = max_depth.max(tr1.first_level_nodes);
-    }
-    assert!(t_io * 10 < fs_io, "index {t_io} vs scan {fs_io}");
     // With k ≈ 33 at 4 KiB pages and 40k segments, the first level is
-    // 2–3 levels deep (log_k n), far below log₂ n ≈ 15.
-    assert!(max_depth <= 5, "first-level depth {max_depth}");
+    // 2–3 levels deep (log_k n), far below log₂ n ≈ 15; at k = 1 it is
+    // a binary tree, within a few levels of log₂ n.
+    let log2_n = (set.len() as f64).log2().ceil() as u32;
+    for ((name, cfg), depth_bound) in both().into_iter().zip([5, log2_n + 3]) {
+        let t = TwoLevelInterval::build(&p, cfg, set.clone()).unwrap();
+        let (mut t_io, mut fs_io, mut max_depth) = (0u64, 0u64, 0u32);
+        for q in &queries {
+            let (h1, tr1) = t.query(&p, q).unwrap();
+            let (h2, tr2) = fs.query(&p, q).unwrap();
+            assert_eq!(ids(&h1), ids(&h2));
+            t_io += tr1.io.reads;
+            fs_io += tr2.io.reads;
+            max_depth = max_depth.max(tr1.first_level_nodes);
+        }
+        assert!(t_io * 10 < fs_io, "{name}: index {t_io} vs scan {fs_io}");
+        assert!(
+            max_depth <= depth_bound,
+            "{name}: first-level depth {max_depth}"
+        );
+    }
 }
 
+/// Theorem 2's `O(n log₂ B)` blocks, and Theorem 1's `O(n)` at k = 1.
 #[test]
 fn space_is_n_log_b_ish() {
     let p = pager(1024);
     let set = gen::strips(20_000, 1 << 16, 16, 300, 23);
-    let before = p.live_pages();
-    let t = TwoLevelInterval::build(&p, Interval2LConfig::default(), set.clone()).unwrap();
-    let used = p.live_pages() - before;
     let b = segdb_core::chain::cap(1024);
     let n_blocks = set.len() / b + 1;
     let log_b = (b as f64).log2().ceil() as usize;
-    assert!(
-        used < 14 * n_blocks * log_b,
-        "used {used}, n/B·log₂B = {}",
-        n_blocks * log_b
-    );
-    t.destroy(&p).unwrap();
-    assert_eq!(p.live_pages(), before);
+    for ((name, cfg), bound) in both()
+        .into_iter()
+        .zip([14 * n_blocks * log_b, 12 * n_blocks])
+    {
+        let before = p.live_pages();
+        let t = TwoLevelInterval::build(&p, cfg, set.clone()).unwrap();
+        let used = p.live_pages() - before;
+        assert!(
+            used < bound,
+            "{name}: used {used} blocks, bound {bound}, n/B = {n_blocks}"
+        );
+        t.destroy(&p).unwrap();
+        assert_eq!(p.live_pages(), before);
+    }
 }
 
 #[test]
 fn empty_and_degenerate() {
-    let p = pager(512);
-    let t = TwoLevelInterval::build(&p, Interval2LConfig::default(), vec![]).unwrap();
-    t.validate(&p).unwrap();
-    let (hits, _) = t.query(&p, &VerticalQuery::Line { x: 0 }).unwrap();
-    assert!(hits.is_empty());
-    // A single vertical segment (exercises C_i paths).
-    let v = vec![Segment::new(1, (5, 0), (5, 10)).unwrap()];
-    let t = TwoLevelInterval::build(&p, Interval2LConfig::default(), v.clone()).unwrap();
-    check(
-        &v,
-        &t,
-        &p,
-        &[
-            VerticalQuery::Line { x: 5 },
-            VerticalQuery::segment(5, 10, 20),
-            VerticalQuery::segment(5, 11, 20),
-            VerticalQuery::Line { x: 4 },
-        ],
-        "single-vertical",
-    );
+    for (name, cfg) in both() {
+        let p = pager(512);
+        let t = TwoLevelInterval::build(&p, cfg, vec![]).unwrap();
+        t.validate(&p).unwrap();
+        let (hits, _) = t.query(&p, &VerticalQuery::Line { x: 0 }).unwrap();
+        assert!(hits.is_empty(), "{name}");
+        // A single vertical segment (exercises C_i paths), and a single
+        // diagonal one.
+        let v = vec![Segment::new(1, (5, 0), (5, 10)).unwrap()];
+        let t = TwoLevelInterval::build(&p, cfg, v.clone()).unwrap();
+        check(
+            &v,
+            &t,
+            &p,
+            &[
+                VerticalQuery::Line { x: 5 },
+                VerticalQuery::segment(5, 10, 20),
+                VerticalQuery::segment(5, 11, 20),
+                VerticalQuery::Line { x: 4 },
+            ],
+            name,
+        );
+        let d = vec![Segment::new(1, (0, 0), (5, 5)).unwrap()];
+        let t = TwoLevelInterval::build(&p, cfg, d.clone()).unwrap();
+        check(&d, &t, &p, &[VerticalQuery::segment(3, 0, 5)], name);
+    }
 }
 
 #[test]
 fn tiny_fanout_forced() {
-    // Force k = 2 to stress boundary/edge-slab logic on deep trees.
+    // Force k = 2 to stress boundary/edge-slab logic on deep trees; and
+    // k = 1 over binary PSTs (Lemma 2's costs) instead of packed ones.
     let set = gen::mixed_map(400, 51);
     let p = pager(4096);
-    let cfg = Interval2LConfig {
-        fanout: Some(2),
-        ..Interval2LConfig::default()
-    };
-    let t = TwoLevelInterval::build(&p, cfg, set.clone()).unwrap();
-    t.validate(&p).unwrap();
-    let mut queries = vertical_queries(&set, 30, 100, 3);
-    queries.extend(boundary_queries(&set));
-    check(&set, &t, &p, &queries, "k=2");
+    for cfg in [
+        Interval2LConfig {
+            fanout: Some(2),
+            ..Interval2LConfig::default()
+        },
+        Interval2LConfig {
+            pst: segdb_pst::PstConfig::binary(),
+            ..IndexKind::TwoLevelBinary.config()
+        },
+    ] {
+        let t = TwoLevelInterval::build(&p, cfg, set.clone()).unwrap();
+        t.validate(&p).unwrap();
+        let mut queries = vertical_queries(&set, 30, 100, 3);
+        queries.extend(boundary_queries(&set));
+        check(&set, &t, &p, &queries, &format!("{cfg:?}"));
+    }
 }
 
 #[test]
 fn lazy_deletion_extension() {
     let set = gen::mixed_map(400, 0xDE1);
-    let p = pager(512);
-    let mut t = TwoLevelInterval::build(&p, Interval2LConfig::default(), set.clone()).unwrap();
-    // Remove a third; query correctness against the survivor oracle.
-    let (gone, kept): (Vec<Segment>, Vec<Segment>) = set.iter().partition(|s| s.id % 3 == 0);
-    for s in &gone {
-        assert!(t.remove(&p, s).unwrap(), "missing {s}");
-        assert!(!t.remove(&p, s).unwrap(), "double remove {s}");
+    for (_, cfg) in both() {
+        let p = pager(512);
+        let mut t = TwoLevelInterval::build(&p, cfg, set.clone()).unwrap();
+        // Remove a third; query correctness against the survivor oracle.
+        let (gone, kept): (Vec<Segment>, Vec<Segment>) = set.iter().partition(|s| s.id % 3 == 0);
+        for s in &gone {
+            assert!(t.remove(&p, s).unwrap(), "missing {s}");
+            assert!(!t.remove(&p, s).unwrap(), "double remove {s}");
+        }
+        t.validate(&p).unwrap();
+        assert_eq!(t.len() as usize, kept.len());
+        check(
+            &kept,
+            &t,
+            &p,
+            &vertical_queries(&kept, 30, 120, 0xDE1),
+            "post-delete",
+        );
+        // Deleting enough triggers the rebuild that purges tombstones.
+        let (gone2, kept2): (Vec<Segment>, Vec<Segment>) = kept.iter().partition(|s| s.id % 2 == 0);
+        for s in &gone2 {
+            assert!(t.remove(&p, s).unwrap());
+        }
+        t.validate(&p).unwrap();
+        assert_eq!(t.len() as usize, kept2.len());
+        check(
+            &kept2,
+            &t,
+            &p,
+            &vertical_queries(&kept2, 20, 150, 0xDE2),
+            "post-rebuild",
+        );
+        // Re-inserting a previously tombstoned id must resurface it.
+        let back = gone[0];
+        t.insert(&p, back).unwrap();
+        t.validate(&p).unwrap();
+        let mut expect = kept2.clone();
+        expect.push(back);
+        check(
+            &expect,
+            &t,
+            &p,
+            &[VerticalQuery::Line { x: back.a.x }],
+            "resurrect",
+        );
     }
-    t.validate(&p).unwrap();
-    assert_eq!(t.len() as usize, kept.len());
-    check(
-        &kept,
-        &t,
-        &p,
-        &vertical_queries(&kept, 30, 120, 0xDE1),
-        "post-delete",
-    );
-    // Deleting enough triggers the rebuild that purges tombstones.
-    let (gone2, kept2): (Vec<Segment>, Vec<Segment>) = kept.iter().partition(|s| s.id % 2 == 0);
-    for s in &gone2 {
-        assert!(t.remove(&p, s).unwrap());
-    }
-    t.validate(&p).unwrap();
-    assert_eq!(t.len() as usize, kept2.len());
-    check(
-        &kept2,
-        &t,
-        &p,
-        &vertical_queries(&kept2, 20, 150, 0xDE2),
-        "post-rebuild",
-    );
-    // Re-inserting a previously tombstoned id must resurface it.
-    let back = gone[0];
-    t.insert(&p, back).unwrap();
-    t.validate(&p).unwrap();
-    let mut expect = kept2.clone();
-    expect.push(back);
-    check(
-        &expect,
-        &t,
-        &p,
-        &[VerticalQuery::Line { x: back.a.x }],
-        "resurrect",
-    );
 }
 
 /// `remove` finds a segment by a point probe at its left endpoint. It

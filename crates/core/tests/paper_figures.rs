@@ -4,9 +4,9 @@
 //! figure's *situation* — the construction rules it illustrates — and
 //! assert the structural facts the paper states about it.
 
-use segdb_core::binary2l::{Binary2LConfig, TwoLevelBinary};
 use segdb_core::interval2l::{Interval2LConfig, TwoLevelInterval};
 use segdb_core::report::ids;
+use segdb_core::IndexKind;
 use segdb_geom::query::scan_oracle;
 use segdb_geom::{Segment, VerticalQuery};
 use segdb_pager::{Pager, PagerConfig};
@@ -39,7 +39,7 @@ fn figure_4_solution1_decomposition() {
     ];
     // Tiny page so the leaves keep B = 2-ish capacity like the figure.
     let p = pager(256);
-    let t = TwoLevelBinary::build(&p, Binary2LConfig::default(), set.clone()).unwrap();
+    let t = TwoLevelInterval::build(&p, IndexKind::TwoLevelBinary.config(), set.clone()).unwrap();
     t.validate(&p).unwrap();
     let st = t.describe(&p).unwrap();
     // The construction facts of §3 the figure illustrates:
@@ -197,7 +197,8 @@ fn footnote_4_nodes_fit_blocks() {
     let set = segdb_geom::gen::mixed_map(2000, 0xF4);
     for page in [256usize, 512] {
         let p = pager(page);
-        let t = TwoLevelBinary::build(&p, Binary2LConfig::default(), set.clone()).unwrap();
+        let t =
+            TwoLevelInterval::build(&p, IndexKind::TwoLevelBinary.config(), set.clone()).unwrap();
         t.validate(&p).unwrap();
         let p2 = pager(page.max(512));
         let t2 = TwoLevelInterval::build(&p2, Interval2LConfig::default(), set.clone()).unwrap();

@@ -46,7 +46,15 @@ pub fn verify_nct(set: &[Segment]) -> Result<(), GeomError> {
     if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
         return Err(GeomError::Overlap(w[0], w[1]));
     }
+    verify_non_crossing(set)
+}
 
+/// The geometry half of [`verify_nct`]: check that no two segments of
+/// `set` cross or overlap collinearly, whatever their ids, and return
+/// the first violation in the same order. A store whose ids may repeat
+/// (two stored copies of one id, one of them deleted) checks what it
+/// stores with this.
+pub fn verify_non_crossing(set: &[Segment]) -> Result<(), GeomError> {
     // Segments are named by their rank in the sweep order.
     let mut order: Vec<(i64, usize)> = set.iter().enumerate().map(|(i, s)| (s.a.x, i)).collect();
     order.sort_unstable();

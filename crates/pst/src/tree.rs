@@ -12,7 +12,7 @@ use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Configuration of a PST instance.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PstConfig {
     /// Child count per internal node. `None` = page-size default (the
     /// packed, `Θ(B)`-ary accelerated variant).

@@ -130,14 +130,6 @@ pub enum NetFaultKind {
     Trickle,
 }
 
-impl NetFaultKind {
-    /// Disruptive faults kill the attempt they land on; benign ones
-    /// (latency, trickle) only disturb timing.
-    pub fn is_disruptive(&self) -> bool {
-        !matches!(self, NetFaultKind::Latency { .. } | NetFaultKind::Trickle)
-    }
-}
-
 /// One injected wire fault, for trace comparison across replays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetFaultEvent {
@@ -535,15 +527,6 @@ impl ChaosStream {
             chaos,
             rbuf: Vec::new(),
         })
-    }
-
-    /// Wrap an existing stream (no connect draw).
-    pub fn from_stream(stream: TcpStream, chaos: Option<NetFaultHandle>) -> ChaosStream {
-        ChaosStream {
-            stream,
-            chaos,
-            rbuf: Vec::new(),
-        }
     }
 
     /// Send one request line (`line` excludes the newline) as a single

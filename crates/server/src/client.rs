@@ -417,13 +417,6 @@ impl Client {
         self.call_line(&line)
     }
 
-    /// Convenience: the `shard_map` document — role `"single"` on a
-    /// plain server, the rendered x-range shard map on a router.
-    pub fn remote_shard_map(&mut self) -> Result<Json, CallError> {
-        let line = self.stamped("shard_map");
-        self.call_line(&line)
-    }
-
     /// Convenience: run one query shape and return the sorted hit ids.
     /// `method` is one of the wire query methods; `params` the integer
     /// coordinates it needs.

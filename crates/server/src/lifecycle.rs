@@ -70,12 +70,15 @@ impl ModeStats {
         }
     }
 
-    fn observe(&mut self, r: &RequestRecord) {
-        self.queue_us.observe(r.queue_us);
-        self.exec_us.observe(r.exec_us);
+    fn observe_exec(&mut self, queue_us: u64, exec_us: u64, pages: u64) {
+        self.queue_us.observe(queue_us);
+        self.exec_us.observe(exec_us);
+        self.pages.observe(pages);
+    }
+
+    fn observe_write(&mut self, r: &RequestRecord) {
         self.write_us.observe(r.write_us);
         self.total_us.observe(r.total_us);
-        self.pages.observe(r.pages);
     }
 
     fn latency_json(&self) -> Json {
@@ -200,12 +203,24 @@ impl Lifecycle {
         }
     }
 
-    /// Record one finished request into the histograms and the slowlog.
-    pub fn record(&self, record: RequestRecord) {
+    /// Record the stages a request has finished before its reply is
+    /// handed to the front-end: it is counted (in `queue_us`), with its
+    /// queue wait, walk and pages. Counting it here, not after the write,
+    /// means a client that holds its reply finds the request in `stats`.
+    pub fn record_exec(&self, mode: &'static str, queue_us: u64, exec_us: u64, pages: u64) {
+        relock(&self.modes)
+            .entry(mode)
+            .or_insert_with(ModeStats::new)
+            .observe_exec(queue_us, exec_us, pages);
+    }
+
+    /// Record the write lap of a request [`Lifecycle::record_exec`]
+    /// counted: its write and total times, and the slowlog's offer.
+    pub fn record_write(&self, record: RequestRecord) {
         relock(&self.modes)
             .entry(record.mode)
             .or_insert_with(ModeStats::new)
-            .observe(&record);
+            .observe_write(&record);
         relock(&self.slowlog).offer(record);
     }
 
@@ -320,11 +335,16 @@ mod tests {
     #[test]
     fn lifecycle_buckets_by_mode_and_feeds_both_sinks() {
         let lc = Lifecycle::new(4, 0);
-        lc.record(rec(1, 30));
-        lc.record(RequestRecord {
-            mode: "count",
-            ..rec(2, 70)
-        });
+        for r in [
+            rec(1, 30),
+            RequestRecord {
+                mode: "count",
+                ..rec(2, 70)
+            },
+        ] {
+            lc.record_exec(r.mode, r.queue_us, r.exec_us, r.pages);
+            lc.record_write(r);
+        }
         let lat = lc.latency_json();
         for mode in ["collect", "count"] {
             let total = lat.get(mode).unwrap().get("total_us").unwrap();

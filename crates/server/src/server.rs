@@ -338,6 +338,11 @@ impl Handler for Shared {
 
     fn handle(&self, conn: &mut Self::Conn, request: Request, _raw: &str) -> Reply {
         let done = submit(self, request);
+        // Counted before the reply can reach the client (see
+        // `Lifecycle::record_exec`); only the write lap waits.
+        if let Some(p) = &done.pending {
+            (self.lifecycle).record_exec(p.info.mode, p.queue_us, p.exec_us, p.info.pages);
+        }
         *conn = done.pending;
         done.reply
     }
@@ -348,7 +353,7 @@ impl Handler for Shared {
         // includes the stall that killed the connection).
         if let Some(mut pending) = conn.take() {
             let write_us = pending.timer.lap_us();
-            self.lifecycle.record(RequestRecord {
+            self.lifecycle.record_write(RequestRecord {
                 id: pending.id,
                 op: pending.info.op,
                 mode: pending.info.mode,

@@ -11,16 +11,39 @@
 //! cargo run --release --example gis_layers
 //! ```
 
-use segdb::core::{IndexKind, SegmentDatabase};
+use segdb::core::{FullScan, IndexKind, QueryTrace, SegmentDatabase, StabThenFilter};
 use segdb::geom::gen::{mixed_map, vertical_queries};
-use segdb::geom::Segment;
+use segdb::geom::{Segment, VerticalQuery};
+use segdb::pager::{Pager, PagerConfig};
 
-fn build(kind: IndexKind, set: Vec<Segment>) -> SegmentDatabase {
-    SegmentDatabase::builder()
-        .page_size(4096)
-        .index(kind)
-        .build(set)
-        .expect("valid NCT map")
+/// Run every probe through `query`, print one table row, and return each
+/// probe's answer as sorted ids.
+fn row(
+    name: &str,
+    blocks: usize,
+    probes: &[VerticalQuery],
+    query: impl Fn(&VerticalQuery) -> (Vec<Segment>, QueryTrace),
+) -> Vec<Vec<u64>> {
+    let (mut reads, mut hits, mut depth) = (0u64, 0u64, 0u64);
+    let mut answers = Vec::new();
+    for q in probes {
+        let (h, t) = query(q);
+        reads += t.io.reads;
+        hits += t.hits as u64;
+        depth = depth.max(t.first_level_nodes as u64);
+        let mut ids: Vec<u64> = h.iter().map(|s| s.id).collect();
+        ids.sort_unstable();
+        answers.push(ids);
+    }
+    println!(
+        "{:<18} {:>8} {:>12.1} {:>12.1} {:>10}",
+        name,
+        blocks,
+        reads as f64 / probes.len() as f64,
+        hits as f64 / probes.len() as f64,
+        depth,
+    );
+    answers
 }
 
 fn main() {
@@ -33,37 +56,38 @@ fn main() {
         "\n{:<18} {:>8} {:>12} {:>12} {:>10}",
         "index", "blocks", "reads/query", "hits/query", "1st-level"
     );
-    let mut expected: Option<Vec<Vec<u64>>> = None;
-    for kind in [
-        IndexKind::TwoLevelInterval,
-        IndexKind::TwoLevelBinary,
-        IndexKind::StabThenFilter,
-        IndexKind::FullScan,
-    ] {
-        let db = build(kind, map.clone());
-        let (mut reads, mut hits, mut depth) = (0u64, 0u64, 0u64);
-        let mut answers = Vec::new();
-        for q in &probes {
-            let (h, t) = db.query_canonical(q).expect("query");
-            reads += t.io.reads;
-            hits += t.hits as u64;
-            depth = depth.max(t.first_level_nodes as u64);
-            answers.push(h.iter().map(|s| s.id).collect::<Vec<u64>>());
-        }
-        // All indexes agree on every probe (checked across loop turns).
-        match &expected {
-            None => expected = Some(answers),
-            Some(e) => assert_eq!(e, &answers, "index disagreement"),
-        }
-        println!(
-            "{:<18} {:>8} {:>12.1} {:>12.1} {:>10}",
-            format!("{kind:?}"),
-            db.space_blocks(),
-            reads as f64 / probes.len() as f64,
-            hits as f64 / probes.len() as f64,
-            depth,
-        );
+    let mut answers = Vec::new();
+    for kind in [IndexKind::TwoLevelInterval, IndexKind::TwoLevelBinary] {
+        let db = SegmentDatabase::builder()
+            .page_size(4096)
+            .index(kind)
+            .build(map.clone())
+            .expect("valid NCT map");
+        answers.push(row(&format!("{kind:?}"), db.space_blocks(), &probes, |q| {
+            db.query_canonical(q).expect("query")
+        }));
     }
+    // The baselines are built straight on a pager of their own.
+    let pager = || {
+        Pager::new(PagerConfig {
+            page_size: 4096,
+            cache_pages: 0,
+        })
+    };
+    let p = pager();
+    let stab = StabThenFilter::build(&p, &map).expect("stab build");
+    answers.push(row("StabThenFilter", p.live_pages(), &probes, |q| {
+        stab.query(&p, q).expect("query")
+    }));
+    let p = pager();
+    let scan = FullScan::build(&p, &map).expect("scan build");
+    answers.push(row("FullScan", p.live_pages(), &probes, |q| {
+        scan.query(&p, q).expect("query")
+    }));
+    assert!(
+        answers.windows(2).all(|w| w[0] == w[1]),
+        "index disagreement"
+    );
 
     println!(
         "\ngis_layers OK (all indexes agreed on {} probes)",

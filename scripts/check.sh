@@ -236,6 +236,17 @@ grep -o '\["[0-9]*","[0-9.]*","[0-9.]*","[0-9.]*"' "$SMOKE/BENCH_e5.json" |
         END { exit !(rows == 3 && dear == 0) }' || {
     echo "E5: some row's del or upd io/op exceeds 4 x its ins io/op (or a row is missing)"; exit 1; }
 
+echo "==> index kinds (binary | interval only)"
+# The baselines are no longer index kinds: asking for one is a usage
+# error (exit 2) that names the two kinds there are.
+set +e
+"$CLI" build "$SMOKE/scan.db" "$SMOKE/map.csv" --index scan > /dev/null 2> "$SMOKE/scan.err"
+STATUS=$?
+set -e
+[ "$STATUS" -eq 2 ] && grep -q '"error":"usage"' "$SMOKE/scan.err" &&
+    grep -q 'binary | interval' "$SMOKE/scan.err" || {
+    echo "build --index scan: exit $STATUS, stderr: $(cat "$SMOKE/scan.err")"; exit 1; }
+
 echo "==> live-tombstone smoke (offline remove, then fresh processes must not see it)"
 # An offline remove leaves a live tombstone in the file. Every reader
 # below is a new process, so each loads the tombstone chain at open.
@@ -247,6 +258,12 @@ for INDEX in interval binary; do
     BEFORE=$("$CLI" query "$TOMB" line "$QX" 0 --count | head -n 1)
     "$CLI" remove "$TOMB" ${VICTIM//,/ } | grep -q "^removed #$VICTIM_ID " || {
         echo "$INDEX: offline remove of $VICTIM not acknowledged"; exit 1; }
+    # Solution 1 is stored as the interval layout at fanout 1: a fresh
+    # process must still read it back as Solution 1.
+    WANT_KIND=$([ "$INDEX" = binary ] && echo TwoLevelBinary || echo TwoLevelInterval)
+    "$CLI" info "$TOMB" | grep -Eq "^index: +$WANT_KIND\$" || {
+        echo "$INDEX: info does not reopen the file as $WANT_KIND:"
+        "$CLI" info "$TOMB"; exit 1; }
     "$CLI" query "$TOMB" line "$QX" 0 | grep -v '^#' | cut -d, -f1 | sort -n \
         > "$SMOKE/tomb-local.ids"
     grep -qx "$VICTIM_ID" "$SMOKE/tomb-local.ids" && {

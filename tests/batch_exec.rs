@@ -1,5 +1,5 @@
 //! Batched execution end-to-end: the shared-walk executor must be
-//! oracle-bit-identical to sequential execution across all four index
+//! oracle-bit-identical to sequential execution across both index
 //! kinds × four query shapes × every `QueryMode` — in batches that mix
 //! modes freely — and a transient device fault hitting one query of a
 //! batch must not poison its batchmates. The final tests drive the
@@ -25,12 +25,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
-const KINDS: [IndexKind; 4] = [
-    IndexKind::TwoLevelBinary,
-    IndexKind::TwoLevelInterval,
-    IndexKind::FullScan,
-    IndexKind::StabThenFilter,
-];
+const KINDS: [IndexKind; 2] = [IndexKind::TwoLevelBinary, IndexKind::TwoLevelInterval];
 
 const MODES: [QueryMode; 6] = [
     QueryMode::Collect,
@@ -988,6 +983,60 @@ fn a_write_is_served_while_the_other_worker_is_mid_group() {
     assert_eq!(group_ids.len(), 2, "{batches:?}");
     assert!(group_ids[0] != 0 && group_ids[0] == group_ids[1]);
     assert_eq!(batches[&9001], (0, 0), "the write ran alone");
+    server.shutdown();
+    server.wait();
+}
+
+/// Requests the server's `stats` reply counts, over every query mode
+/// (the `count` of each mode's `queue_us` histogram).
+fn counted_requests(stats: &Json) -> u64 {
+    let Some(Json::Obj(modes)) = stats.get("latency") else {
+        return 0;
+    };
+    (modes.iter())
+        .filter_map(|(_, m)| m.get("queue_us")?.get("count")?.as_f64())
+        .sum::<f64>() as u64
+}
+
+/// A client that has read its reply finds its request counted by
+/// `stats` asked on another connection at once: the server counts a
+/// request before it hands the reply to the socket, not after. Four
+/// clients run the check side by side, so each `stats` must count at
+/// least every reply any of them had read before it was asked.
+#[test]
+fn a_replied_request_is_already_counted_by_stats() {
+    const CLIENTS: usize = 4;
+    const CHECKS: u64 = 1000;
+    let server = Server::start(
+        Arc::new(build(IndexKind::TwoLevelInterval, mixed_map(60, 3))),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let addr = server.addr().to_string();
+    let connect = || {
+        Client::new(ClientConfig {
+            addr: addr.clone(),
+            ..ClientConfig::default()
+        })
+    };
+    let before = counted_requests(&connect().remote_stats().unwrap());
+    let replied = std::sync::atomic::AtomicU64::new(0);
+    thread::scope(|s| {
+        for _ in 0..CLIENTS {
+            s.spawn(|| {
+                let (mut querier, mut observer) = (connect(), connect());
+                for _ in 0..CHECKS {
+                    querier.query_ids("query_line", &[("x", 500)]).unwrap();
+                    let read = 1 + replied.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    let counted = counted_requests(&observer.remote_stats().unwrap()) - before;
+                    assert!(
+                        counted >= read,
+                        "stats counts {counted} of {read} replies read"
+                    );
+                }
+            });
+        }
+    });
     server.shutdown();
     server.wait();
 }

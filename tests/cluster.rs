@@ -26,12 +26,7 @@ use segdb_server::load::{self, LoadConfig};
 use segdb_server::{Router, RouterConfig, Server, ServerConfig, ShardMap};
 use std::sync::Arc;
 
-const INDEXES: [IndexKind; 4] = [
-    IndexKind::TwoLevelBinary,
-    IndexKind::TwoLevelInterval,
-    IndexKind::FullScan,
-    IndexKind::StabThenFilter,
-];
+const INDEXES: [IndexKind; 2] = [IndexKind::TwoLevelBinary, IndexKind::TwoLevelInterval];
 
 fn build_db(kind: IndexKind, set: Vec<Segment>) -> Arc<SegmentDatabase> {
     Arc::new(

@@ -1,7 +1,7 @@
 //! Concurrency stress, loom-free: plain `std::thread` workers replaying
 //! a fixed-seed query batch over one shared `Arc<SegmentDatabase>` must
-//! produce answers bit-identical to the single-threaded run — for all
-//! four index kinds, with a sharded buffer pool under real contention.
+//! produce answers bit-identical to the single-threaded run — for
+//! both index kinds, with a sharded buffer pool under real contention.
 //!
 //! The read path holds no state across queries besides the page cache,
 //! and cache hits return `Arc`-shared immutable page images, so
@@ -15,12 +15,7 @@ use segdb::geom::gen::{mixed_map, vertical_queries};
 use std::sync::Arc;
 use std::thread;
 
-const INDEXES: [IndexKind; 4] = [
-    IndexKind::TwoLevelBinary,
-    IndexKind::TwoLevelInterval,
-    IndexKind::FullScan,
-    IndexKind::StabThenFilter,
-];
+const INDEXES: [IndexKind; 2] = [IndexKind::TwoLevelBinary, IndexKind::TwoLevelInterval];
 
 const THREADS: usize = 4;
 const ROUNDS: usize = 2;

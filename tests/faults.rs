@@ -46,16 +46,6 @@ fn torture_two_level_interval() {
     assert!(events > 0, "no fault was ever injected");
 }
 
-#[test]
-fn torture_full_scan() {
-    sweep(IndexKind::FullScan);
-}
-
-#[test]
-fn torture_stab_then_filter() {
-    sweep(IndexKind::StabThenFilter);
-}
-
 /// The deflake guard: one seed, run twice, must replay the identical
 /// fault trace and outcome.
 #[test]

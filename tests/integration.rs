@@ -4,18 +4,13 @@
 //! on fixed inputs and on random NCT sets.
 
 use segdb::core::report::ids;
-use segdb::core::{IndexKind, SegmentDatabase};
+use segdb::core::{DbError, IndexKind, SegmentDatabase};
 use segdb::geom::gen::{vertical_queries, Family};
 use segdb::geom::query::scan_oracle;
-use segdb::geom::{Segment, VerticalQuery};
+use segdb::geom::{GeomError, Segment, VerticalQuery};
 use segdb_rng::check;
 
-const INDEXES: [IndexKind; 4] = [
-    IndexKind::TwoLevelBinary,
-    IndexKind::TwoLevelInterval,
-    IndexKind::FullScan,
-    IndexKind::StabThenFilter,
-];
+const INDEXES: [IndexKind; 2] = [IndexKind::TwoLevelBinary, IndexKind::TwoLevelInterval];
 
 #[test]
 fn every_index_matches_oracle_on_every_family() {
@@ -323,18 +318,11 @@ fn all_indexes_agree_with_oracle() {
                 .collect();
             for kind in INDEXES {
                 let builder = || SegmentDatabase::builder().page_size(512).index(kind);
-                let mut dbs = vec![builder().build(set.clone()).unwrap()];
-                if matches!(
-                    kind,
-                    IndexKind::TwoLevelBinary | IndexKind::TwoLevelInterval
-                ) {
-                    let mut grown = builder().build(vec![]).unwrap();
-                    for s in &set {
-                        grown.insert(*s).unwrap();
-                    }
-                    dbs.push(grown);
+                let mut grown = builder().build(vec![]).unwrap();
+                for s in &set {
+                    grown.insert(*s).unwrap();
                 }
-                for db in &dbs {
+                for db in &[builder().build(set.clone()).unwrap(), grown] {
                     db.validate().unwrap();
                     for q in &queries {
                         let (hits, _) = db.query_canonical(q).unwrap();
@@ -344,4 +332,53 @@ fn all_indexes_agree_with_oracle() {
             }
         },
     );
+}
+
+/// Inserts bypass the build's NCT check, so `validate()` checks what the
+/// pages store: forty long parallel diagonals inserted across a map
+/// cross its segments, and `validate()` names a crossing pair — one of
+/// them a diagonal — in both configurations.
+#[test]
+fn validate_names_a_pair_an_insert_made_cross() {
+    let set = Family::Mixed.generate(3000, 16);
+    let (x_lo, x_hi) = (
+        set.iter().map(|s| s.a.x).min().unwrap(),
+        set.iter().map(|s| s.b.x).max().unwrap(),
+    );
+    let (y_lo, y_hi) = (
+        set.iter().map(|s| s.y_span().0).min().unwrap(),
+        set.iter().map(|s| s.y_span().1).max().unwrap(),
+    );
+    let step = (y_hi - y_lo) / 40;
+    let diagonals: Vec<Segment> = (0..40)
+        .map(|i| {
+            let y = y_lo + i * step;
+            Segment::new(
+                1_000_000 + i as u64,
+                (x_lo, y),
+                (x_hi, y + (y_hi - y_lo) / 2),
+            )
+            .unwrap()
+        })
+        .collect();
+    for kind in INDEXES {
+        let mut db = SegmentDatabase::builder()
+            .page_size(1024)
+            .index(kind)
+            .build(set.clone())
+            .unwrap();
+        db.validate().unwrap();
+        for d in &diagonals {
+            db.insert(*d).unwrap();
+        }
+        match db.validate() {
+            Err(DbError::Geom(GeomError::Crossing(a, b) | GeomError::Overlap(a, b))) => {
+                assert!(
+                    a.max(b) >= 1_000_000,
+                    "{kind:?}: pair ({a}, {b}) has no diagonal"
+                )
+            }
+            other => panic!("{kind:?}: validate() after crossing inserts gave {other:?}"),
+        }
+    }
 }

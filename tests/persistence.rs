@@ -19,12 +19,7 @@ fn tmpfile(name: &str) -> std::path::PathBuf {
 fn every_kind_survives_reopen() {
     let set = mixed_map(400, 0xD15C);
     let queries = vertical_queries(&set, 20, 100, 0xD15C);
-    for kind in [
-        IndexKind::TwoLevelBinary,
-        IndexKind::TwoLevelInterval,
-        IndexKind::FullScan,
-        IndexKind::StabThenFilter,
-    ] {
+    for kind in [IndexKind::TwoLevelBinary, IndexKind::TwoLevelInterval] {
         let path = tmpfile(&format!("{kind:?}"));
         let expected: Vec<Vec<u64>> = {
             let db = SegmentDatabase::builder()
@@ -183,9 +178,11 @@ const META_AT: usize = 36;
 
 /// Only the current format opens. A file stamped with a pre-v3 magic —
 /// at the v3 superblock length or 9 bytes shorter, as those versions
-/// wrote it — and a v3 file whose tombstone-format byte says "bare
-/// ids" are refused with a message naming the format, and `open`
-/// leaves the file byte-for-byte alone.
+/// wrote it — a v3 file whose tombstone-format byte says "bare ids",
+/// and a v3 file whose index kind tag names a removed layout (the
+/// separate Solution-1 structure, or a baseline) are refused with a
+/// message naming the format, and `open` leaves the file byte-for-byte
+/// alone.
 #[test]
 fn older_formats_are_refused_by_name_and_left_untouched() {
     let path = tmpfile("old-format");
@@ -216,6 +213,17 @@ fn older_formats_are_refused_by_name_and_left_untouched() {
     assert_eq!(id_tombs[META_AT + meta_len - 9], 1);
     id_tombs[META_AT + meta_len - 9] = 0;
     cases.push(("id-format tombstone", id_tombs));
+    // The kind tag follows the magic and the direction.
+    for (tag, name) in [
+        (1u8, "TwoLevelBinary"),
+        (3, "FullScan"),
+        (4, "StabThenFilter"),
+    ] {
+        let mut removed = saved.clone();
+        assert_eq!(removed[META_AT + 24], 2);
+        removed[META_AT + 24] = tag;
+        cases.push((name, removed));
+    }
 
     for (names, bytes) in cases {
         std::fs::write(&path, &bytes).unwrap();
@@ -302,11 +310,11 @@ fn live_tombstones_survive_reopen() {
     }
 }
 
-/// Builds before `TwoLevelBinary` kept tombstones left its superblock's
-/// tombstone fields (`aux`, a `u32` at byte 37 of the blob, and the
-/// count at byte 41) at 0. A count of 0 means no chain whatever `aux`
-/// says, so such a file — and one whose `aux` holds anything at all —
-/// opens and answers as it did.
+/// A superblock's tombstone fields are `aux`, a `u32` at byte 37 of the
+/// blob, and the count at byte 41. A count of 0 means no chain whatever
+/// `aux` says — builds before `TwoLevelBinary` kept tombstones wrote 0
+/// there — so a file without tombstones whose `aux` holds anything at
+/// all opens and answers as it did.
 #[test]
 fn a_binary_file_without_tombstones_opens_whatever_aux_says() {
     const AUX_AT: usize = META_AT + 37;
@@ -320,11 +328,7 @@ fn a_binary_file_without_tombstones_opens_whatever_aux_says() {
         .build(set.clone())
         .unwrap();
     let saved = std::fs::read(&path).unwrap();
-    assert_eq!(
-        saved[AUX_AT..AUX_AT + 12],
-        [0u8; 12],
-        "aux and count as older builds wrote them"
-    );
+    assert_eq!(saved[AUX_AT + 4..AUX_AT + 12], [0u8; 8], "no tombstones");
     for aux in [0u32, 0x1234_5678] {
         let mut bytes = saved.clone();
         bytes[AUX_AT..AUX_AT + 4].copy_from_slice(&aux.to_le_bytes());

@@ -1,6 +1,6 @@
 //! Query modes through the facade: `Collect` must stay bit-identical to
 //! the Vec-returning `query_*` API, and `Count` / `Exists` / `Limit(k)`
-//! must agree with the brute-force oracle — across all four index
+//! must agree with the brute-force oracle — across both index
 //! kinds, all fixed-direction query shapes, and under injected read
 //! faults. The final test pins the tentpole's I/O win: counting on
 //! `TwoLevelInterval` must read strictly fewer pages than collecting.
@@ -12,12 +12,7 @@ use segdb::geom::gen::mixed_map;
 use segdb::geom::{Segment, VerticalQuery};
 use segdb::pager::{FaultDevice, FaultPlan};
 
-const KINDS: [IndexKind; 4] = [
-    IndexKind::TwoLevelBinary,
-    IndexKind::TwoLevelInterval,
-    IndexKind::FullScan,
-    IndexKind::StabThenFilter,
-];
+const KINDS: [IndexKind; 2] = [IndexKind::TwoLevelBinary, IndexKind::TwoLevelInterval];
 
 /// Deflake seeds shared with `tests/faults.rs`.
 const SEEDS: [u64; 3] = [2, 5, 11];

@@ -98,7 +98,10 @@ fn scenario(seed: u64) -> (bool, u64, u64) {
                 Err(e) => Err(e),
             }
         } else {
-            let seg = hseg(1000 + k, 5 + 3 * k as i64);
+            // Between the base heights (multiples of 10), so no insert
+            // repeats a base segment under a new id: the stored set stays
+            // NCT, which `validate()` checks.
+            let seg = hseg(1000 + k, 5 + 10 * k as i64);
             match eng.insert(req_id, seg) {
                 Ok(ack) => {
                     assert!(ack.applied);

@@ -497,7 +497,7 @@ fn a_delete_costs_pages_like_an_insert() {
     for (kind, n, want_insert, want_delete) in [
         (IndexKind::TwoLevelInterval, 4096usize, 2724u64, 6139u64),
         (IndexKind::TwoLevelInterval, 16_384, 3683, 8093),
-        (IndexKind::TwoLevelBinary, 4096, 3893, 7169),
+        (IndexKind::TwoLevelBinary, 4096, 3893, 7157),
         (IndexKind::TwoLevelBinary, 16_384, 4745, 8897),
     ] {
         let mut base = strips(n + OPS, 1 << 18, 16, 400, 0xC057);
