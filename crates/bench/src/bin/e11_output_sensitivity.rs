@@ -23,7 +23,9 @@ fn main() {
     let mut pts: Vec<(f64, f64)> = Vec::new();
     for height_mille in [1u32, 5, 25, 100, 400, 990] {
         let queries = vertical_queries(&set, 30, height_mille, 2027);
-        let agg = run_batch(&pager, &queries, |q| t.query(&pager, q).unwrap().0);
+        let agg = run_batch(&pager, &queries, |q, out| {
+            t.query_sink(&pager, q, out).unwrap();
+        });
         pts.push((agg.hits_per_query(), agg.reads_per_query()));
         rows.push(vec![
             format!("{height_mille}‰"),

@@ -8,7 +8,7 @@
 //! vertical segment), so the target output size matches across rows.
 
 use segdb_bench::{f1, run_batch, table};
-use segdb_core::{IndexKind, SegmentDatabase};
+use segdb_core::{IndexKind, QueryMode, SegmentDatabase};
 use segdb_geom::gen::fixed_height_queries;
 use segdb_geom::transform::Direction;
 use segdb_geom::Segment;
@@ -42,7 +42,10 @@ fn main() {
         let dir = Direction::new(dx, dy).unwrap();
         let sheared: Vec<Segment> = set.iter().map(|s| dir.apply_segment(s).unwrap()).collect();
         let queries = fixed_height_queries(&sheared, 60, 600, 0xE12);
-        let agg = run_batch(db.pager(), &queries, |q| db.query_canonical(q).unwrap().0);
+        let agg = run_batch(db.pager(), &queries, |q, out| {
+            let (answer, _) = db.query_canonical_mode(q, QueryMode::Collect).unwrap();
+            out.extend_from_slice(answer.segments().unwrap());
+        });
         rows.push(vec![
             name.to_string(),
             db.space_blocks().to_string(),

@@ -29,11 +29,8 @@ fn main() {
         let cfg = PstConfig { fanout };
         let pst = Pst::build(&pager, 0, Side::Right, cfg, set.clone()).unwrap();
         let blocks = pager.live_pages() - before;
-        let agg = run_batch(&pager, &queries, |q| {
-            let mut out = Vec::new();
-            pst.query_into(&pager, q.x(), q.lo(), q.hi(), &mut out)
-                .unwrap();
-            out
+        let agg = run_batch(&pager, &queries, |q, out| {
+            pst.query_sink(&pager, q.x(), q.lo(), q.hi(), out).unwrap();
         });
         rows.push(vec![
             fanout.map_or("page max".to_string(), |f| f.to_string()),
@@ -66,10 +63,9 @@ fn main() {
         let t = TwoLevelInterval::build(&pager, cfg, set.clone()).unwrap();
         let blocks = pager.live_pages() - before;
         let mut depth = 0u32;
-        let agg = run_batch(&pager, &queries, |q| {
-            let (hits, trace) = t.query(&pager, q).unwrap();
+        let agg = run_batch(&pager, &queries, |q, out| {
+            let trace = t.query_sink(&pager, q, out).unwrap();
             depth = depth.max(trace.first_level_nodes);
-            hits
         });
         rows.push(vec![
             match fanout {
@@ -99,7 +95,7 @@ fn main() {
         pager.reset_stats();
         for _ in 0..2 {
             for q in &queries {
-                let _ = t.query(&pager, q).unwrap();
+                t.query_sink(&pager, q, &mut Vec::new()).unwrap();
             }
         }
         let s = pager.stats();

@@ -36,10 +36,12 @@ fn main() {
             let build_secs = started.elapsed().as_secs_f64();
             let build_io = pager.stats().total_io();
             let blocks = pager.live_pages();
-            let agg = run_batch(&pager, &queries, |q| match &s {
-                S::A(t) => t.query(&pager, q).unwrap().0,
-                S::C(t) => t.query(&pager, q).unwrap().0,
-                S::D(t) => t.query(&pager, q).unwrap().0,
+            let agg = run_batch(&pager, &queries, |q, out| match &s {
+                S::A(t) => {
+                    t.query_sink(&pager, q, out).unwrap();
+                }
+                S::C(t) => *out = t.query(&pager, q).unwrap().0,
+                S::D(t) => *out = t.query(&pager, q).unwrap().0,
             });
             rows.push(vec![
                 n_items.to_string(),

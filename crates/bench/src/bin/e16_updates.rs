@@ -125,7 +125,7 @@ fn run_workload(base: &[Segment], fresh: &[Segment], eng: &WriteEngine) -> Costs
         .collect();
     for x in [100i64, 1 << 12, 1 << 17] {
         let q = VerticalQuery::Line { x };
-        let (ans, _) = eng.query_line_mode((x, 0), QueryMode::Count).unwrap();
+        let (ans, _) = eng.query(&q.into(), QueryMode::Count).unwrap();
         assert_eq!(
             ans.count(),
             scan_oracle(&live, &q).len() as u64,

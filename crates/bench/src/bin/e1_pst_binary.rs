@@ -27,11 +27,8 @@ fn main() {
             let blocks = pager.live_pages() - before;
             // Thin queries keep t small so the log term dominates.
             let queries = fixed_height_queries(&set, 100, 400, 7 * exp as u64);
-            let agg = run_batch(&pager, &queries, |q| {
-                let mut out = Vec::new();
-                pst.query_into(&pager, q.x(), q.lo(), q.hi(), &mut out)
-                    .unwrap();
-                out
+            let agg = run_batch(&pager, &queries, |q, out| {
+                pst.query_sink(&pager, q.x(), q.lo(), q.hi(), out).unwrap();
             });
             let b = page / 40; // segments per block
             let n_blocks = (n_items / b).max(1);

@@ -27,11 +27,8 @@ fn main() {
                 cache_pages: 0,
             });
             let bin = Pst::build(&p1, 0, Side::Right, PstConfig::binary(), set.clone()).unwrap();
-            let a1 = run_batch(&p1, &queries, |q| {
-                let mut out = Vec::new();
-                bin.query_into(&p1, q.x(), q.lo(), q.hi(), &mut out)
-                    .unwrap();
-                out
+            let a1 = run_batch(&p1, &queries, |q, out| {
+                bin.query_sink(&p1, q.x(), q.lo(), q.hi(), out).unwrap();
             });
 
             // Packed structure.
@@ -42,12 +39,8 @@ fn main() {
             let before = p2.live_pages();
             let packed = Pst::build(&p2, 0, Side::Right, PstConfig::packed(), set.clone()).unwrap();
             let blocks = p2.live_pages() - before;
-            let a2 = run_batch(&p2, &queries, |q| {
-                let mut out = Vec::new();
-                packed
-                    .query_into(&p2, q.x(), q.lo(), q.hi(), &mut out)
-                    .unwrap();
-                out
+            let a2 = run_batch(&p2, &queries, |q, out| {
+                packed.query_sink(&p2, q.x(), q.lo(), q.hi(), out).unwrap();
             });
 
             // Amortized insertion cost into a packed PST.

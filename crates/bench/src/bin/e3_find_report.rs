@@ -41,7 +41,7 @@ fn main() {
         for q in &queries {
             let mut out = Vec::new();
             let st: QueryStats = pst
-                .query_into(&pager, q.x(), q.lo(), q.hi(), &mut out)
+                .query_sink(&pager, q.x(), q.lo(), q.hi(), &mut out)
                 .unwrap();
             frontier_max = frontier_max.max(st.max_frontier);
             fruitless += st.fruitless_nodes as u64;

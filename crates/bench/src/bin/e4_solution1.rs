@@ -26,7 +26,9 @@ fn main() {
                     .unwrap();
             let blocks = pager.live_pages() - before;
             let queries = fixed_height_queries(&set, 60, 600, 31 + exp as u64);
-            let agg = run_batch(&pager, &queries, |q| t.query(&pager, q).unwrap().0);
+            let agg = run_batch(&pager, &queries, |q, out| {
+                t.query_sink(&pager, q, out).unwrap();
+            });
             let b = (page / 40).max(2);
             let n_blocks = (n_items / b).max(2) as f64;
             let predicted = n_blocks.log2() * n_blocks.log(b as f64).max(1.0);

@@ -82,11 +82,10 @@ fn main() {
         let blocks = pager.live_pages() - before;
         let mut jumps = 0u64;
         let mut probes = 0u64;
-        let agg = run_batch(&pager, &queries, |q| {
-            let (hits, trace) = t.query(&pager, q).unwrap();
+        let agg = run_batch(&pager, &queries, |q, out| {
+            let trace = t.query_sink(&pager, q, out).unwrap();
             jumps += trace.bridge_jumps as u64;
             probes += trace.second_level_probes as u64;
-            hits
         });
         let b = page / 40;
         rows.push(vec![

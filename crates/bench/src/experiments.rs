@@ -93,11 +93,11 @@ pub fn run_e10(n_items: usize, queries_per_cell: usize, shares: &[u32], heights:
             let (mut hits, mut stab_candidates) = (0u64, 0u64);
             let cell_start: Vec<u64> = stats.iter().map(|s| s.reads).collect();
             for q in &queries {
-                let (h, t) = s1.query(&p1, q).unwrap();
-                stats[0].observe(&t, h.len() as u64);
-                hits += h.len() as u64;
-                let (h, t) = s2.query(&p2, q).unwrap();
-                stats[1].observe(&t, h.len() as u64);
+                let t = s1.query_sink(&p1, q, &mut Vec::new()).unwrap();
+                stats[0].observe(&t, t.hits as u64);
+                hits += t.hits as u64;
+                let t = s2.query_sink(&p2, q, &mut Vec::new()).unwrap();
+                stats[1].observe(&t, t.hits as u64);
                 let (h, t) = s3.query(&p3, q).unwrap();
                 stats[2].observe(&t, h.len() as u64);
                 let (_, t) = s4.query(&p4, q).unwrap();

@@ -82,11 +82,12 @@ impl Agg {
 }
 
 /// Run a query batch against any structure exposing a query closure,
+/// which collects each query's hits into the list it is handed,
 /// measuring physical reads via the pager.
 pub fn run_batch(
     pager: &Pager,
     queries: &[VerticalQuery],
-    mut run: impl FnMut(&VerticalQuery) -> Vec<Segment>,
+    mut run: impl FnMut(&VerticalQuery, &mut Vec<Segment>),
 ) -> Agg {
     let mut agg = Agg {
         queries: queries.len() as u64,
@@ -94,7 +95,8 @@ pub fn run_batch(
     };
     for q in queries {
         let before = pager.stats();
-        let hits = run(q);
+        let mut hits = Vec::new();
+        run(q, &mut hits);
         let after = pager.stats();
         agg.reads += after.reads - before.reads;
         agg.hits += hits.len() as u64;

@@ -6,11 +6,11 @@
 //! segdb-cli gen <family> <n> <seed>                      # emit CSV to stdout
 //! segdb-cli build <db> <csv> [options]                   # build a persistent DB
 //! segdb-cli info <db>                                    # superblock + space summary
-//! segdb-cli query <db> line <x> <y>                      # stabbing line through (x,y)
+//! segdb-cli query <db> line <x> [y]                      # line through (x,y); y defaults to 0
 //! segdb-cli query <db> segment <x1> <y1> <x2> <y2>       # VS query (aligned endpoints)
 //! segdb-cli query <db> ray-up <x> <y> | ray-down <x> <y>
 //! segdb-cli query <db> free <x1> <y1> <x2> <y2>          # any-direction (§5 extension)
-//! segdb-cli query --remote <host:port> <shape> <coords…>  # via the resilient client
+//! segdb-cli query --remote <host:port> <shape> <coords…>  # the same query, served
 //!
 //! query modes (line / ray-up / ray-down / segment, local or remote):
 //!   --count                 answer with the hit count only (no segments
@@ -167,7 +167,7 @@
 //! tests drive [`run`] directly.
 
 use segdb_core::{
-    torture, DbError, IndexKind, QueryAnswer, QueryMode, QueryTrace, SegmentDatabase, XCuts,
+    torture, DbError, IndexKind, Query, QueryAnswer, QueryMode, QueryTrace, SegmentDatabase, XCuts,
 };
 use segdb_geom::gen::Family;
 use segdb_geom::Segment;
@@ -305,6 +305,39 @@ fn num(args: &[String], i: usize, what: &str) -> Result<i64, CliError> {
     want(args, i, what)?
         .parse()
         .map_err(|e| CliError::Usage(format!("bad {what}: {e}")))
+}
+
+/// Parse the query `<shape> <coords…>` at `args[at..]` — `line <x> [y]`
+/// (`y` defaults to 0, as on the wire), `ray-up <x> <y>`,
+/// `ray-down <x> <y>` or `segment <x1> <y1> <x2> <y2>`: the one
+/// spelling `query`, `query --remote` and `trace` share.
+fn parse_query(args: &[String], at: usize) -> Result<Query, CliError> {
+    let c = |i: usize, what: &str| num(args, at + i, what);
+    Ok(match want(args, at, "query shape")? {
+        "line" => Query::Line {
+            x: c(1, "x")?,
+            y: if args.len() > at + 2 { c(2, "y")? } else { 0 },
+        },
+        "ray-up" => Query::RayUp {
+            x: c(1, "x")?,
+            y: c(2, "y")?,
+        },
+        "ray-down" => Query::RayDown {
+            x: c(1, "x")?,
+            y: c(2, "y")?,
+        },
+        "segment" => Query::Segment {
+            x1: c(1, "x1")?,
+            y1: c(2, "y1")?,
+            x2: c(3, "x2")?,
+            y2: c(4, "y2")?,
+        },
+        other => {
+            return usage(format!(
+                "unknown query shape '{other}' (line|ray-up|ray-down|segment)"
+            ))
+        }
+    })
 }
 
 fn render_stats_human(snapshot: &Json) -> String {
@@ -482,34 +515,8 @@ fn render_answer(answer: &QueryAnswer, trace: &QueryTrace) -> String {
 
 /// `query --remote <addr> <shape> <coords…>`: run one query against a
 /// live server through the resilient (reconnect-and-retry) client.
-fn run_remote_query(args: &[String], mode: QueryMode) -> Result<String, CliError> {
-    let addr = want(args, 2, "address")?;
-    let shape = want(args, 3, "query shape")?;
-    let (method, params): (&str, Vec<(&str, i64)>) = match shape {
-        "line" => ("query_line", vec![("x", num(args, 4, "x")?)]),
-        "ray-up" => (
-            "query_ray_up",
-            vec![("x", num(args, 4, "x")?), ("y", num(args, 5, "y")?)],
-        ),
-        "ray-down" => (
-            "query_ray_down",
-            vec![("x", num(args, 4, "x")?), ("y", num(args, 5, "y")?)],
-        ),
-        "segment" => (
-            "query_segment",
-            vec![
-                ("x1", num(args, 4, "x1")?),
-                ("y1", num(args, 5, "y1")?),
-                ("x2", num(args, 6, "x2")?),
-                ("y2", num(args, 7, "y2")?),
-            ],
-        ),
-        other => {
-            return usage(format!(
-                "unknown remote query shape '{other}' (line|ray-up|ray-down|segment)"
-            ))
-        }
-    };
+fn run_remote_query(addr: &str, q: &Query, mode: QueryMode) -> Result<String, CliError> {
+    let (method, params) = segdb_server::proto::query_wire(q);
     let reply = remote_client(addr)
         .query_mode(method, &params, mode)
         .map_err(|e| CliError::Io(format!("remote query failed: {e}")))?;
@@ -613,32 +620,21 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let (mode, args) = split_query_mode(args)?;
             let args = args.as_slice();
             if want(args, 1, "db path")? == "--remote" {
-                return run_remote_query(args, mode);
+                let q = parse_query(args, 3)?;
+                return run_remote_query(want(args, 2, "address")?, &q, mode);
             }
             let db = SegmentDatabase::open(want(args, 1, "db path")?, 0)?;
-            let shape = want(args, 2, "query shape")?;
-            let (answer, trace) = match shape {
-                "line" => db.query_line_mode((num(args, 3, "x")?, num(args, 4, "y")?), mode)?,
-                "ray-up" => db.query_ray_up_mode((num(args, 3, "x")?, num(args, 4, "y")?), mode)?,
-                "ray-down" => {
-                    db.query_ray_down_mode((num(args, 3, "x")?, num(args, 4, "y")?), mode)?
+            let (answer, trace) = if want(args, 2, "query shape")? == "free" {
+                if mode != QueryMode::Collect {
+                    return usage("query modes apply to line|ray-up|ray-down|segment only");
                 }
-                "segment" => db.query_segment_mode(
+                let (hits, trace) = db.query_free_segment(
                     (num(args, 3, "x1")?, num(args, 4, "y1")?),
                     (num(args, 5, "x2")?, num(args, 6, "y2")?),
-                    mode,
-                )?,
-                "free" => {
-                    if mode != QueryMode::Collect {
-                        return usage("query modes apply to line|ray-up|ray-down|segment only");
-                    }
-                    let (hits, trace) = db.query_free_segment(
-                        (num(args, 3, "x1")?, num(args, 4, "y1")?),
-                        (num(args, 5, "x2")?, num(args, 6, "y2")?),
-                    )?;
-                    (QueryAnswer::Segments(hits), trace)
-                }
-                other => return usage(format!("unknown query shape '{other}'")),
+                )?;
+                (QueryAnswer::Segments(hits), trace)
+            } else {
+                db.query(&parse_query(args, 2)?, mode)?
             };
             Ok(render_answer(&answer, &trace))
         }
@@ -700,7 +696,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     .collect(),
             };
             for (x, y) in anchors {
-                db.query_line((x, y))?;
+                db.query(&Query::Line { x, y }, QueryMode::Collect)?;
             }
             let snapshot = db.metrics_json().expect("observability just enabled");
             if human {
@@ -720,32 +716,18 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             Ok(format!("{}\n", doc.render()))
         }
         "trace" => {
-            let db_path = want(args, 1, "db path")?;
-            let shape = want(args, 2, "query shape")?;
             let human = args.last().map(String::as_str) == Some("--human");
-            let mut db = SegmentDatabase::open(db_path, 0)?;
+            let args = &args[..args.len() - usize::from(human)];
+            let q = parse_query(args, 2)?;
+            let mut db = SegmentDatabase::open(want(args, 1, "db path")?, 0)?;
             db.set_observability(true);
-            segdb_obs::trace::clear();
-            let result = segdb_obs::trace::with_tracing(|| -> Result<_, CliError> {
-                Ok(match shape {
-                    "line" => db.query_line((num(args, 3, "x")?, num(args, 4, "y")?))?,
-                    "ray-up" => db.query_ray_up((num(args, 3, "x")?, num(args, 4, "y")?))?,
-                    "ray-down" => db.query_ray_down((num(args, 3, "x")?, num(args, 4, "y")?))?,
-                    "segment" => db.query_segment(
-                        (num(args, 3, "x1")?, num(args, 4, "y1")?),
-                        (num(args, 5, "x2")?, num(args, 6, "y2")?),
-                    )?,
-                    other => return usage(format!("unknown trace shape '{other}'")),
-                })
-            });
-            let (events, dropped) = segdb_obs::trace::drain();
-            let (hits, trace) = result?;
-            let summary = TraceSummary::from_events(&events, dropped);
+            let (answer, trace, summary) = db.traced_query(&q)?;
+            let hits = answer.segments().unwrap_or_default();
             if human {
-                Ok(render_trace_human(&hits, &trace, &summary))
+                Ok(render_trace_human(hits, &trace, &summary))
             } else {
                 let doc = Json::obj([
-                    ("shape", Json::Str(shape.into())),
+                    ("shape", Json::Str(args[2].clone())),
                     (
                         "hits",
                         Json::Arr(hits.iter().map(|s| Json::U64(s.id)).collect()),

@@ -4,6 +4,7 @@
 //! subcommand.
 
 use segdb_cli::{parse_csv, run, CliError};
+use segdb_server::Client;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Command, Stdio};
@@ -557,6 +558,63 @@ fn remote_query_and_stats_round_trip() {
     let status = child.0.wait().unwrap();
     assert!(status.success(), "{status:?}");
 
+    std::fs::remove_file(&csv_path).ok();
+    std::fs::remove_file(&db_path).ok();
+}
+
+/// Local and `--remote` queries parse `<shape> <coords…>` the same way,
+/// so on a sheared database they answer the same question — `line x y`
+/// included, whose `y` picks which line of the direction is asked.
+#[test]
+fn remote_queries_match_local_ones_under_a_shear() {
+    let csv_path = tmp("shear-remote.csv");
+    let db_path = tmp("shear-remote.db");
+    let csv = run(&a(&["gen", "mixed", "2000", "7"])).unwrap();
+    std::fs::write(&csv_path, &csv).unwrap();
+    run(&a(&["build", &db_path, &csv_path, "--direction", "1,2"])).unwrap();
+
+    let mut child = KillOnDrop(
+        Command::new(env!("CARGO_BIN_EXE_segdb-cli"))
+            .args(["serve", &db_path, "--addr", "127.0.0.1:0", "--workers", "2"])
+            .stdout(Stdio::piped())
+            .spawn()
+            .unwrap(),
+    );
+    let mut child_out = BufReader::new(child.0.stdout.take().unwrap());
+    let mut line = String::new();
+    child_out.read_line(&mut line).unwrap();
+    let addr = line
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner: {line}"))
+        .to_string();
+
+    let count = |target: &[&str], query: &[&str]| -> u64 {
+        let args = [&["query"], target, query, &["--count"]].concat();
+        let out = run(&a(&args)).unwrap();
+        out.lines().next().unwrap().parse().unwrap()
+    };
+    let remote: &[&str] = &["--remote", &addr];
+    // (500, 0) → (650, 300) lies on one line of direction (1, 2).
+    for query in [
+        &["line", "500", "0"][..],
+        &["line", "500", "300"],
+        &["ray-up", "500", "300"],
+        &["ray-down", "500", "300"],
+        &["segment", "500", "0", "650", "300"],
+    ] {
+        let local = count(&[&db_path], query);
+        assert_eq!(count(remote, query), local, "{query:?}");
+    }
+    assert_ne!(
+        count(remote, &["line", "500", "300"]),
+        count(remote, &["line", "500", "0"]),
+        "the line through (500, 300) is not the line through (500, 0)"
+    );
+
+    Client::send_shutdown(&addr).unwrap();
+    let status = child.0.wait().unwrap();
+    assert!(status.success(), "{status:?}");
     std::fs::remove_file(&csv_path).ok();
     std::fs::remove_file(&db_path).ok();
 }

@@ -133,19 +133,12 @@ impl AnyQueryIndex {
     }
 
     /// Report every stored segment intersecting the arbitrary query
-    /// segment `q` (same coordinate frame as the stored segments).
-    /// Returns `(hits, candidate_count)`.
-    pub fn query(&self, pager: &Pager, q: &Segment) -> Result<(Vec<Segment>, u32)> {
-        let mut out = Vec::new();
-        let candidates = self.query_sink(pager, q, &mut out)?;
-        Ok((out, candidates))
-    }
-
-    /// Streaming form of [`AnyQueryIndex::query`]: candidates stream
-    /// out of the x-projection overlap walk one at a time (no candidate
-    /// `Vec`), each is resolved against `byid` and exact-filtered, and
-    /// hits push into `sink`. Returns the candidate count; a sink
-    /// `Break` stops the overlap walk immediately.
+    /// segment `q` (same coordinate frame as the stored segments) into
+    /// `sink` (a `Vec<Segment>` collects). Candidates stream out of the
+    /// x-projection overlap walk one at a time (no candidate `Vec`), each
+    /// is resolved against `byid` and exact-filtered. Returns the
+    /// candidate count; a sink `Break` stops the overlap walk
+    /// immediately.
     pub fn query_sink(&self, pager: &Pager, q: &Segment, sink: &mut dyn ReportSink) -> Result<u32> {
         let mut candidates = 0u32;
         let mut err: Option<PagerError> = None;
@@ -175,61 +168,6 @@ impl AnyQueryIndex {
             return Err(e);
         }
         Ok(candidates)
-    }
-
-    /// Batched form of [`AnyQueryIndex::query`]: one overlap walk over
-    /// the queries' joint x-envelope feeds every query, and each
-    /// candidate id is resolved against `byid` **once** per batch
-    /// instead of once per query. Per-query candidate counts keep the
-    /// sequential meaning (candidates whose x-range overlaps *that*
-    /// query's x-range), so the `t_any ≥ t` accounting is unchanged.
-    pub fn query_batch(&self, pager: &Pager, qs: &[Segment]) -> Result<Vec<(Vec<Segment>, u32)>> {
-        if qs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let lo = qs.iter().map(|q| q.a.x.min(q.b.x)).min().unwrap();
-        let hi = qs.iter().map(|q| q.a.x.max(q.b.x)).max().unwrap();
-        let mut out: Vec<(Vec<Segment>, u32)> = qs.iter().map(|_| (Vec::new(), 0)).collect();
-        let mut err: Option<PagerError> = None;
-        let _ = self.xset.overlap_ctl(pager, Some(lo), Some(hi), &mut |c| {
-            let id = c.id;
-            let interested: Vec<usize> = qs
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| c.lo <= q.a.x.max(q.b.x) && c.hi >= q.a.x.min(q.b.x))
-                .map(|(i, _)| i)
-                .collect();
-            if interested.is_empty() {
-                return ControlFlow::Continue(());
-            }
-            let rec = (|| {
-                let mut cur = self
-                    .byid
-                    .lower_bound(pager, &move |r: &SegRec| id.cmp(&r.0.id))?;
-                cur.next(pager)?
-                    .filter(|r| r.0.id == id)
-                    .ok_or(PagerError::Corrupt("candidate id missing from byid tree"))
-            })();
-            match rec {
-                Ok(rec) => {
-                    for i in interested {
-                        out[i].1 += 1;
-                        if segments_intersect(&rec.0, &qs[i]) {
-                            out[i].0.push(rec.0);
-                        }
-                    }
-                    ControlFlow::Continue(())
-                }
-                Err(e) => {
-                    err = Some(e);
-                    ControlFlow::Break(())
-                }
-            }
-        })?;
-        if let Some(e) = err {
-            return Err(e);
-        }
-        Ok(out)
     }
 
     /// Insert a segment.
@@ -283,6 +221,13 @@ mod tests {
         })
     }
 
+    /// `q`'s hits and candidate count, collected.
+    fn query(idx: &AnyQueryIndex, p: &Pager, q: &Segment) -> (Vec<Segment>, u32) {
+        let mut hits = Vec::new();
+        let candidates = idx.query_sink(p, q, &mut hits).unwrap();
+        (hits, candidates)
+    }
+
     #[test]
     fn arbitrary_slopes_match_oracle() {
         let p = pager();
@@ -297,37 +242,10 @@ mod tests {
             Segment::new(9003, (0, 300), (900, 310)).unwrap(),
         ];
         for q in &queries {
-            let (hits, cands) = idx.query(&p, q).unwrap();
+            let (hits, cands) = query(&idx, &p, q);
             assert_eq!(ids(&hits), oracle(&set, q), "{q}");
             assert!(cands as usize >= hits.len());
         }
-    }
-
-    #[test]
-    fn batch_matches_sequential_queries() {
-        let p = pager();
-        let set = mixed_map(500, 0xD44);
-        let idx = AnyQueryIndex::build(&p, &set).unwrap();
-        let queries = [
-            Segment::new(9000, (0, 0), (500, 700)).unwrap(),
-            Segment::new(9001, (100, 800), (600, 100)).unwrap(),
-            Segment::new(9002, (50, 0), (51, 1000)).unwrap(),
-            Segment::new(9003, (0, 300), (900, 310)).unwrap(),
-        ];
-        p.reset_stats();
-        let seq: Vec<_> = queries.iter().map(|q| idx.query(&p, q).unwrap()).collect();
-        let seq_reads = p.stats().reads;
-        p.reset_stats();
-        let batched = idx.query_batch(&p, &queries).unwrap();
-        let batch_reads = p.stats().reads;
-        for ((sh, sc), (bh, bc)) in seq.iter().zip(&batched) {
-            assert_eq!(ids(sh), ids(bh));
-            assert_eq!(sc, bc, "candidate accounting must match");
-        }
-        assert!(
-            batch_reads <= seq_reads,
-            "batch {batch_reads} !<= seq {seq_reads}"
-        );
     }
 
     #[test]
@@ -341,11 +259,11 @@ mod tests {
         idx.validate(&p).unwrap();
         assert_eq!(idx.len(), set.len() as u64);
         let q = Segment::new(9000, (0, 0), (400, 500)).unwrap();
-        let (h1, _) = idx.query(&p, &q).unwrap();
+        let (h1, _) = query(&idx, &p, &q);
         assert_eq!(ids(&h1), oracle(&set, &q));
         assert!(idx.remove(&p, &set[0]).unwrap());
         assert!(!idx.remove(&p, &set[0]).unwrap());
-        let (h2, _) = idx.query(&p, &q).unwrap();
+        let (h2, _) = query(&idx, &p, &q);
         let mut want = oracle(&set[1..], &q);
         want.retain(|&i| i != set[0].id);
         assert_eq!(ids(&h2), want);
@@ -363,9 +281,6 @@ mod tests {
         assert_eq!(st, st2);
         let idx2 = AnyQueryIndex::attach(&p, st2).unwrap();
         let q = Segment::new(9000, (0, 0), (300, 400)).unwrap();
-        assert_eq!(
-            ids(&idx2.query(&p, &q).unwrap().0),
-            ids(&idx.query(&p, &q).unwrap().0)
-        );
+        assert_eq!(ids(&query(&idx2, &p, &q).0), ids(&query(&idx, &p, &q).0));
     }
 }

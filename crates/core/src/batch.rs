@@ -574,6 +574,7 @@ mod tests {
     use super::*;
     use crate::facade::IndexKind;
     use crate::report::ids;
+    use crate::testutil::collect;
     use segdb_geom::gen::{mixed_map, vertical_queries};
 
     const KINDS: [IndexKind; 2] = [IndexKind::TwoLevelBinary, IndexKind::TwoLevelInterval];
@@ -597,7 +598,7 @@ mod tests {
             let batched = db.query_batch_canonical_mode(&items);
             for ((q, _), res) in items.iter().zip(batched) {
                 let (ans, trace) = res.unwrap();
-                let (seq, _) = db.query_canonical(q).unwrap();
+                let (seq, _) = collect(&db, q).unwrap();
                 assert_eq!(
                     ids(ans.segments().unwrap()),
                     ids(&seq),
@@ -620,7 +621,7 @@ mod tests {
             let seq_pages: u64 = queries
                 .iter()
                 .map(|q| {
-                    let (_, t) = db.query_canonical(q).unwrap();
+                    let (_, t) = collect(&db, q).unwrap();
                     t.io.reads + t.io.cache_hits
                 })
                 .sum();
@@ -645,7 +646,7 @@ mod tests {
         let q = vertical_queries(&set, 1, 50, 3)[0];
         for kind in KINDS {
             let db = build(kind, &set);
-            let (seq, _) = db.query_canonical(&q).unwrap();
+            let (seq, _) = collect(&db, &q).unwrap();
             let items = vec![
                 (q, QueryMode::Collect),
                 (q, QueryMode::Count),

@@ -10,7 +10,7 @@ use crate::anyquery::AnyQueryIndex;
 use crate::batch::Hidden;
 use crate::interval2l::{Interval2LConfig, TwoLevelInterval};
 use crate::persist::Superblock;
-use crate::report::{normalize, QueryAnswer, QueryMode, QueryTrace};
+use crate::report::{normalize, Query, QueryAnswer, QueryMode, QueryTrace};
 use segdb_geom::nct::verify_nct;
 use segdb_geom::transform::Direction;
 use segdb_geom::{GeomError, MultiSink, Point, Segment, VerticalQuery};
@@ -458,11 +458,6 @@ impl SegmentDatabase {
         };
     }
 
-    /// Is the observability layer attached?
-    pub fn observability(&self) -> bool {
-        self.obs.is_some()
-    }
-
     /// Snapshot the observability metrics as JSON:
     /// `{index, segments, block_segments, space_blocks, cache_hit_ratio,
     /// fanout_utilization_pct, cost_model, metrics: {counters, histograms}}`.
@@ -494,19 +489,19 @@ impl SegmentDatabase {
         ]))
     }
 
-    /// Run a canonical-frame query with event tracing enabled and return
-    /// the enriched trace plus the aggregated span summary (first-level
-    /// visits, second-level probes, bridge jumps, per-crate node visits,
-    /// pager events). Powering the CLI `trace` subcommand.
+    /// Run `q` in collect mode with event tracing enabled and return the
+    /// answer, the enriched trace and the aggregated span summary
+    /// (first-level visits, second-level probes, bridge jumps, per-crate
+    /// node visits, pager events). Powering the CLI `trace` subcommand.
     pub fn traced_query(
         &self,
-        q: &VerticalQuery,
-    ) -> Result<(Vec<Segment>, QueryTrace, TraceSummary), DbError> {
+        q: &Query,
+    ) -> Result<(QueryAnswer, QueryTrace, TraceSummary), DbError> {
         segdb_obs::trace::clear();
-        let res = segdb_obs::trace::with_tracing(|| self.run(q));
+        let res = segdb_obs::trace::with_tracing(|| self.query(q, QueryMode::Collect));
         let (events, dropped) = segdb_obs::trace::drain();
-        let (hits, trace) = res?;
-        Ok((hits, trace, TraceSummary::from_events(&events, dropped)))
+        let (answer, trace) = res?;
+        Ok((answer, trace, TraceSummary::from_events(&events, dropped)))
     }
 
     /// Blocks of secondary storage currently allocated.
@@ -514,127 +509,26 @@ impl SegmentDatabase {
         self.pager.live_pages()
     }
 
-    /// Report every segment intersected by the **full line** of the
-    /// fixed direction through `anchor`.
-    pub fn query_line(
-        &self,
-        anchor: impl Into<Point>,
-    ) -> Result<(Vec<Segment>, QueryTrace), DbError> {
-        let q = self.direction.make_query(anchor.into(), None, None)?;
-        self.run(&q)
+    /// Translate a user-coordinate query into the canonical frame,
+    /// rejecting a segment whose endpoints do not share a line of the
+    /// fixed direction ([`DbError::NotAligned`]). The serving layer uses
+    /// this to express a whole request group in the canonical frame
+    /// before the shared walk.
+    pub fn canonical(&self, q: &Query) -> Result<VerticalQuery, DbError> {
+        q.in_frame(self.direction)
     }
 
-    /// Mode-shaped form of [`SegmentDatabase::query_line`].
-    pub fn query_line_mode(
-        &self,
-        anchor: impl Into<Point>,
-        mode: QueryMode,
-    ) -> Result<(QueryAnswer, QueryTrace), DbError> {
-        let q = self.direction.make_query(anchor.into(), None, None)?;
-        self.run_mode(&q, mode)
-    }
-
-    /// Report every segment intersected by the ray from `anchor` in the
-    /// fixed direction (increasing ordinate).
-    pub fn query_ray_up(
-        &self,
-        anchor: impl Into<Point>,
-    ) -> Result<(Vec<Segment>, QueryTrace), DbError> {
-        let a = anchor.into();
-        let q = self.direction.make_query(a, Some(a.y), None)?;
-        self.run(&q)
-    }
-
-    /// Mode-shaped form of [`SegmentDatabase::query_ray_up`].
-    pub fn query_ray_up_mode(
-        &self,
-        anchor: impl Into<Point>,
-        mode: QueryMode,
-    ) -> Result<(QueryAnswer, QueryTrace), DbError> {
-        let a = anchor.into();
-        let q = self.direction.make_query(a, Some(a.y), None)?;
-        self.run_mode(&q, mode)
-    }
-
-    /// Report every segment intersected by the ray from `anchor` against
-    /// the fixed direction (decreasing ordinate).
-    pub fn query_ray_down(
-        &self,
-        anchor: impl Into<Point>,
-    ) -> Result<(Vec<Segment>, QueryTrace), DbError> {
-        let a = anchor.into();
-        let q = self.direction.make_query(a, None, Some(a.y))?;
-        self.run(&q)
-    }
-
-    /// Mode-shaped form of [`SegmentDatabase::query_ray_down`].
-    pub fn query_ray_down_mode(
-        &self,
-        anchor: impl Into<Point>,
-        mode: QueryMode,
-    ) -> Result<(QueryAnswer, QueryTrace), DbError> {
-        let a = anchor.into();
-        let q = self.direction.make_query(a, None, Some(a.y))?;
-        self.run_mode(&q, mode)
-    }
-
-    /// Translate user-coordinate segment-query endpoints into the
-    /// canonical-frame query, rejecting misaligned endpoints. The
-    /// serving layer's batch collector uses this (plus
-    /// [`Direction::make_query`] for the anchor shapes) to express a
-    /// whole request group in the canonical frame before the shared
-    /// walk.
-    pub fn segment_query(&self, p1: Point, p2: Point) -> Result<VerticalQuery, DbError> {
-        let (t1, t2) = (
-            self.direction.apply_point(p1)?,
-            self.direction.apply_point(p2)?,
-        );
-        if t1.x != t2.x {
-            return Err(DbError::NotAligned);
-        }
-        let (lo, hi) = if t1.y <= t2.y {
-            (t1.y, t2.y)
-        } else {
-            (t2.y, t1.y)
-        };
-        Ok(self.direction.make_query(p1, Some(lo), Some(hi))?)
-    }
-
-    /// Report every segment intersected by the query segment `p1—p2`,
-    /// whose endpoints must lie on a common line of the fixed direction.
-    pub fn query_segment(
-        &self,
-        p1: impl Into<Point>,
-        p2: impl Into<Point>,
-    ) -> Result<(Vec<Segment>, QueryTrace), DbError> {
-        let q = self.segment_query(p1.into(), p2.into())?;
-        self.run(&q)
-    }
-
-    /// Mode-shaped form of [`SegmentDatabase::query_segment`].
-    pub fn query_segment_mode(
-        &self,
-        p1: impl Into<Point>,
-        p2: impl Into<Point>,
-        mode: QueryMode,
-    ) -> Result<(QueryAnswer, QueryTrace), DbError> {
-        let q = self.segment_query(p1.into(), p2.into())?;
-        self.run_mode(&q, mode)
-    }
-
-    /// Run a canonical-frame query directly (benchmarks use this to sweep
-    /// parameters without the anchor arithmetic).
-    pub fn query_canonical(
-        &self,
-        q: &VerticalQuery,
-    ) -> Result<(Vec<Segment>, QueryTrace), DbError> {
-        self.run(q)
-    }
-
-    /// Mode-shaped form of [`SegmentDatabase::query_canonical`]: the
-    /// same traversal feeds the mode's sink, so `Count` queries ride the
+    /// Report the segments `q` intersects, shaped by `mode`: the same
+    /// traversal feeds the mode's sink, so `Count` queries ride the
     /// count-from-headers fast paths and `Exists`/`Limit` queries stop
     /// reading pages as soon as the answer is decided.
+    pub fn query(&self, q: &Query, mode: QueryMode) -> Result<(QueryAnswer, QueryTrace), DbError> {
+        self.run_mode(&self.canonical(q)?, mode)
+    }
+
+    /// [`SegmentDatabase::query`] of a query already in the canonical
+    /// frame (benchmarks use this to sweep parameters without the anchor
+    /// arithmetic).
     pub fn query_canonical_mode(
         &self,
         q: &VerticalQuery,
@@ -678,12 +572,9 @@ impl SegmentDatabase {
             self.direction.apply_point(p2)?,
         )?;
         let scope = segdb_pager::StatScope::begin(&self.pager);
-        let (hits, candidates) = any.query(&self.pager, &q)?;
-        let hits = hits
-            .iter()
-            .map(|s| self.direction.unapply_segment(s))
-            .collect::<Result<Vec<_>, _>>()?;
-        let hits = normalize(hits);
+        let mut hits = Vec::new();
+        let candidates = any.query_sink(&self.pager, &q, &mut hits)?;
+        let hits = self.unshear(hits)?;
         let trace = QueryTrace {
             second_level_probes: candidates,
             hits: hits.len() as u32,
@@ -740,13 +631,6 @@ impl SegmentDatabase {
         Ok(())
     }
 
-    fn run(&self, q: &VerticalQuery) -> Result<(Vec<Segment>, QueryTrace), DbError> {
-        match self.run_mode(q, QueryMode::Collect)? {
-            (QueryAnswer::Segments(hits), trace) => Ok((hits, trace)),
-            _ => unreachable!("Collect always answers with segments"),
-        }
-    }
-
     /// One shared traversal of the index answering every slot of
     /// `multi` with `hidden` withheld — the only way a query reads index
     /// pages (see [`crate::batch`]).
@@ -800,6 +684,7 @@ impl SegmentDatabase {
 mod tests {
     use super::*;
     use crate::report::ids;
+    use crate::testutil::collect;
     use segdb_geom::gen::{mixed_map, vertical_queries};
     use segdb_geom::query::scan_oracle;
 
@@ -828,7 +713,7 @@ mod tests {
         );
         let expected: Vec<Vec<u64>> = queries
             .iter()
-            .map(|q| ids(&db.query_canonical(q).unwrap().0))
+            .map(|q| ids(&collect(&db, q).unwrap().0))
             .collect();
         let handles: Vec<_> = (0..4)
             .map(|_| {
@@ -837,7 +722,7 @@ mod tests {
                 let expected = expected.clone();
                 std::thread::spawn(move || {
                     for (q, want) in queries.iter().zip(&expected) {
-                        let (hits, _) = db.query_canonical(q).unwrap();
+                        let (hits, _) = collect(&db, q).unwrap();
                         assert_eq!(&ids(&hits), want);
                     }
                 })
@@ -869,7 +754,7 @@ mod tests {
             db.validate().unwrap();
             assert_eq!(db.len(), set.len() as u64);
             for q in &queries {
-                let (hits, _) = db.query_canonical(q).unwrap();
+                let (hits, _) = collect(&db, q).unwrap();
                 assert_eq!(ids(&hits), ids(&scan_oracle(&set, q)), "{kind:?} {q:?}");
             }
         }
@@ -890,9 +775,12 @@ mod tests {
             .unwrap()
             .build(raw.clone())
             .unwrap();
-        let (hits, _) = db.query_line((10, 0)).unwrap();
+        let (answer, _) = db
+            .query(&Query::Line { x: 10, y: 0 }, QueryMode::Collect)
+            .unwrap();
+        let hits = answer.segments().unwrap();
         // Answers come back in original coordinates.
-        for h in &hits {
+        for h in hits {
             assert_eq!(h, &raw[h.id as usize]);
         }
         // Brute-force check in original space: the query line through
@@ -907,7 +795,7 @@ mod tests {
             })
             .map(|s| s.id)
             .collect();
-        assert_eq!(ids(&hits), oracle);
+        assert_eq!(ids(hits), oracle);
     }
 
     #[test]
@@ -916,12 +804,18 @@ mod tests {
             .page_size(512)
             .build(vec![Segment::new(0, (0, 0), (10, 0)).unwrap()])
             .unwrap();
+        let segment = |x2, y2| Query::Segment {
+            x1: 5,
+            y1: -1,
+            x2,
+            y2,
+        };
         assert!(matches!(
-            db.query_segment((0, 0), (5, 3)),
+            db.query(&segment(10, 3), QueryMode::Count),
             Err(DbError::NotAligned)
         ));
-        let (hits, _) = db.query_segment((5, -1), (5, 1)).unwrap();
-        assert_eq!(hits.len(), 1);
+        let (answer, _) = db.query(&segment(5, 1), QueryMode::Count).unwrap();
+        assert_eq!(answer, QueryAnswer::Count(1));
     }
 
     #[test]
@@ -977,11 +871,13 @@ mod tests {
             .page_size(512)
             .build(set)
             .unwrap();
-        let (hits, _) = db.query_line((5, 0)).unwrap();
-        assert_eq!(hits.len(), 2);
-        let (hits, _) = db.query_ray_up((5, 5)).unwrap();
-        assert_eq!(ids(&hits), vec![1]);
-        let (hits, _) = db.query_ray_down((5, 5)).unwrap();
-        assert_eq!(ids(&hits), vec![0]);
+        for (q, want) in [
+            (Query::Line { x: 5, y: 0 }, vec![0, 1]),
+            (Query::RayUp { x: 5, y: 5 }, vec![1]),
+            (Query::RayDown { x: 5, y: 5 }, vec![0]),
+        ] {
+            let (answer, _) = db.query(&q, QueryMode::Collect).unwrap();
+            assert_eq!(ids(answer.segments().unwrap()), want, "{q:?}");
+        }
     }
 }

@@ -189,7 +189,8 @@ fn place(boundaries: &[i64], s: &Segment) -> Placement {
 ///     .map(|i| Segment::new(i, (0, 10 * i as i64), (1000, 10 * i as i64 + 1)).unwrap())
 ///     .collect();
 /// let t = TwoLevelInterval::build(&pager, Interval2LConfig::default(), set).unwrap();
-/// let (hits, _) = t.query(&pager, &VerticalQuery::segment(500, 0, 95)).unwrap();
+/// let mut hits = Vec::new();
+/// t.query_sink(&pager, &VerticalQuery::segment(500, 0, 95), &mut hits).unwrap();
 /// assert_eq!(hits.len(), 10);
 /// ```
 pub type TwoLevelInterval = Lazy;

@@ -25,10 +25,22 @@
 //!
 //! Both configurations insert by weight-balanced partial rebuilding
 //! (the BB\[α\] substitute) and delete lazily ([`Lazy`]). The
-//! user-facing [`SegmentDatabase`] facade handles fixed-direction
-//! queries through the exact shear of `segdb-geom`; the baselines the
-//! experiments compare against ([`FullScan`], [`StabThenFilter`]) are
-//! built directly from [`baseline`].
+//! baselines the experiments compare against ([`FullScan`],
+//! [`StabThenFilter`]) are built directly from [`baseline`].
+//!
+//! ## The read surface
+//!
+//! A query of the fixed direction is one [`Query`] value in user
+//! coordinates: a line, a ray up, a ray down or a segment.
+//! [`SegmentDatabase::canonical`] translates it through the exact shear
+//! of `segdb-geom`. The user-facing [`SegmentDatabase`] and the
+//! [`WriteEngine`] over it read through
+//! [`query(&Query, QueryMode)`](SegmentDatabase::query), plus the
+//! canonical-frame [`SegmentDatabase::query_canonical_mode`] and the
+//! shared-walk group call [`SegmentDatabase::query_batch_canonical_mode`].
+//! Below them each structure keeps one verb that takes a
+//! [`segdb_geom::ReportSink`] (a `Vec<Segment>` collects):
+//! [`Lazy::query_sink`] and [`anyquery::AnyQueryIndex::query_sink`].
 
 pub mod anyquery;
 pub mod baseline;
@@ -49,6 +61,6 @@ pub use baseline::{FullScan, StabThenFilter};
 pub use facade::{DbError, IndexKind, SegmentDatabase, SegmentDatabaseBuilder};
 pub use interval2l::{Interval2LConfig, TwoLevelInterval};
 pub use partition::{PartitionError, XCuts};
-pub use report::{QueryAnswer, QueryMode, QueryTrace};
+pub use report::{Query, QueryAnswer, QueryMode, QueryTrace};
 pub use tombs::Lazy;
 pub use writer::{HistoryError, RecoveryReport, WriteAck, WriteEngine, WriterConfig};

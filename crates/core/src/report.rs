@@ -1,6 +1,8 @@
-//! Query result handling and per-query instrumentation.
+//! Queries, their results and per-query instrumentation.
 
-use segdb_geom::{CountSink, ExistsSink, LimitSink, ReportSink, Segment};
+use crate::facade::DbError;
+use segdb_geom::transform::Direction;
+use segdb_geom::{CountSink, ExistsSink, LimitSink, ReportSink, Segment, VerticalQuery};
 use segdb_obs::cost::CostVerdict;
 use segdb_obs::Json;
 use segdb_pager::IoStats;
@@ -42,6 +44,88 @@ impl QueryMode {
             QueryMode::Count => Box::new(CountSink::new()),
             QueryMode::Exists => Box::new(ExistsSink::new()),
             QueryMode::Limit(k) => Box::new(LimitSink::new(*k as usize)),
+        }
+    }
+}
+
+/// A generalized query segment of the database's fixed direction, in
+/// user coordinates (§1 of the paper: line, ray or segment) — the one
+/// way a query is named, from the CLI and the wire down to the walk.
+/// [`crate::SegmentDatabase::canonical`] takes it to the canonical frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Query {
+    /// The full line of the fixed direction through `(x, y)`.
+    Line {
+        /// Anchor abscissa.
+        x: i64,
+        /// Anchor ordinate (any point of the line; 0 works for vertical).
+        y: i64,
+    },
+    /// The ray from `(x, y)` along the fixed direction.
+    RayUp {
+        /// Ray origin abscissa.
+        x: i64,
+        /// Ray origin ordinate.
+        y: i64,
+    },
+    /// The ray from `(x, y)` against the fixed direction.
+    RayDown {
+        /// Ray origin abscissa.
+        x: i64,
+        /// Ray origin ordinate.
+        y: i64,
+    },
+    /// The bounded query segment `(x1, y1)–(x2, y2)` (endpoints must lie
+    /// on a common line of the fixed direction).
+    Segment {
+        /// First endpoint abscissa.
+        x1: i64,
+        /// First endpoint ordinate.
+        y1: i64,
+        /// Second endpoint abscissa.
+        x2: i64,
+        /// Second endpoint ordinate.
+        y2: i64,
+    },
+}
+
+impl Query {
+    /// The canonical-frame query under `d`; a `Segment` whose endpoints
+    /// do not share a line of `d` is [`DbError::NotAligned`].
+    pub(crate) fn in_frame(&self, d: Direction) -> Result<VerticalQuery, DbError> {
+        Ok(match *self {
+            Query::Line { x, y } => d.make_query((x, y).into(), None, None)?,
+            Query::RayUp { x, y } => d.make_query((x, y).into(), Some(y), None)?,
+            Query::RayDown { x, y } => d.make_query((x, y).into(), None, Some(y))?,
+            Query::Segment { x1, y1, x2, y2 } => {
+                let (t1, t2) = (
+                    d.apply_point((x1, y1).into())?,
+                    d.apply_point((x2, y2).into())?,
+                );
+                if t1.x != t2.x {
+                    return Err(DbError::NotAligned);
+                }
+                let (lo, hi) = (t1.y.min(t2.y), t1.y.max(t2.y));
+                d.make_query((x1, y1).into(), Some(lo), Some(hi))?
+            }
+        })
+    }
+}
+
+/// A canonical query read as a user query of the vertical direction,
+/// where the two frames coincide.
+impl From<VerticalQuery> for Query {
+    fn from(q: VerticalQuery) -> Query {
+        match q {
+            VerticalQuery::Line { x } => Query::Line { x, y: 0 },
+            VerticalQuery::RayUp { x, y0 } => Query::RayUp { x, y: y0 },
+            VerticalQuery::RayDown { x, y0 } => Query::RayDown { x, y: y0 },
+            VerticalQuery::Segment { x, lo, hi } => Query::Segment {
+                x1: x,
+                y1: lo,
+                x2: x,
+                y2: hi,
+            },
         }
     }
 }

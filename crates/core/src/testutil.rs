@@ -7,6 +7,7 @@
 //! own tests or when the `testutil` feature is enabled (downstream test
 //! targets opt in with `segdb-core = { features = ["testutil"] }`).
 
+use crate::{DbError, QueryAnswer, QueryMode, QueryTrace, SegmentDatabase};
 use segdb_geom::predicates::{hits_vertical, segments_intersect};
 use segdb_geom::{Segment, VerticalQuery};
 
@@ -34,6 +35,20 @@ pub fn oracle_query(set: &[Segment], q: &VerticalQuery) -> Vec<u64> {
 /// intersects (closed-set semantics, the §5 extension's oracle).
 pub fn oracle_intersect(set: &[Segment], q: &Segment) -> Vec<u64> {
     oracle_ids(set, |s| s.id, |s| segments_intersect(s, q))
+}
+
+/// `db`'s collect-mode answer to the canonical query `q` as a plain
+/// list, with its trace — the side of an oracle comparison that runs
+/// through [`SegmentDatabase::query_canonical_mode`].
+pub fn collect(
+    db: &SegmentDatabase,
+    q: &VerticalQuery,
+) -> Result<(Vec<Segment>, QueryTrace), DbError> {
+    let (answer, trace) = db.query_canonical_mode(q, QueryMode::Collect)?;
+    let QueryAnswer::Segments(hits) = answer else {
+        panic!("a collect answer carries segments, got {answer:?}");
+    };
+    Ok((hits, trace))
 }
 
 #[cfg(test)]

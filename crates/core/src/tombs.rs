@@ -115,16 +115,9 @@ impl Lazy {
         self.hidden.len() as u64
     }
 
-    /// Answer a VS query; returns the hits and the query trace.
-    pub fn query(&self, pager: &Pager, q: &VerticalQuery) -> Result<(Vec<Segment>, QueryTrace)> {
-        let mut out = Vec::new();
-        let trace = self.query_sink(pager, q, &mut out)?;
-        Ok((out, trace))
-    }
-
-    /// Streaming form of [`Lazy::query`]: a group of one, so every hit is
-    /// pushed into `sink` in traversal order and a `Break` stops the walk
-    /// where it stands.
+    /// Answer a VS query into `sink` (a `Vec<Segment>` collects): a
+    /// group of one, so every hit is pushed in traversal order and a
+    /// `Break` stops the walk where it stands.
     pub fn query_sink(
         &self,
         pager: &Pager,

@@ -27,7 +27,7 @@
 //! harness for the `check.sh` smoke.
 
 use crate::facade::{DbError, IndexKind, SegmentDatabase};
-use crate::report::ids;
+use crate::report::{ids, QueryAnswer, QueryMode};
 use segdb_geom::gen::mixed_map;
 use segdb_geom::query::scan_oracle;
 use segdb_geom::{Segment, VerticalQuery};
@@ -181,12 +181,12 @@ pub fn trace_digest(trace: &[FaultEvent]) -> u64 {
 
 /// Check one live/recovered answer against the exhaustive oracle.
 fn verify(
-    hits: &[Segment],
+    answer: &QueryAnswer,
     oracle_set: &[Segment],
     q: &VerticalQuery,
     what: &'static str,
 ) -> Result<(), DbError> {
-    if ids(hits) != ids(&scan_oracle(oracle_set, q)) {
+    if answer.segments().map(ids) != Some(ids(&scan_oracle(oracle_set, q))) {
         return Err(DbError::Pager(PagerError::Corrupt(what)));
     }
     Ok(())
@@ -263,10 +263,10 @@ pub fn run_scenario(cfg: &TortureConfig) -> Result<TortureOutcome, DbError> {
             }
         }
         for q in query_battery(&current, 3, cfg.seed ^ QUERY_SALT ^ (round + 1)) {
-            match db.query_canonical(&q) {
-                Ok((hits, _)) => {
+            match db.query_canonical_mode(&q, QueryMode::Collect) {
+                Ok((answer, _)) => {
                     verify(
-                        &hits,
+                        &answer,
                         &current,
                         &q,
                         "torture: live query diverged from oracle",
@@ -298,9 +298,9 @@ pub fn run_scenario(cfg: &TortureConfig) -> Result<TortureOutcome, DbError> {
     let durable = handle.recover()?;
     let rdb = SegmentDatabase::open_device(durable, cfg.cache_pages, 1)?;
     for q in query_battery(&durable_oracle, 20, cfg.seed ^ QUERY_SALT) {
-        let (hits, _) = rdb.query_canonical(&q)?;
+        let (answer, _) = rdb.query_canonical_mode(&q, QueryMode::Collect)?;
         verify(
-            &hits,
+            &answer,
             &durable_oracle,
             &q,
             "torture: recovered query diverged from oracle",

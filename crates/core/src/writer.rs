@@ -45,7 +45,7 @@
 
 use crate::batch::{holds, Hidden};
 use crate::facade::{DbError, SegmentDatabase};
-use crate::report::{QueryAnswer, QueryMode, QueryTrace};
+use crate::report::{Query, QueryAnswer, QueryMode, QueryTrace};
 use segdb_geom::transform::Direction;
 use segdb_geom::{Point, Segment, VerticalQuery};
 use segdb_pager::Device;
@@ -596,58 +596,56 @@ impl WriteEngine {
 
     // ---- snapshot reads -------------------------------------------------
 
-    /// Line query through `anchor` (user coordinates), merged with the
-    /// delta overlay.
+    /// [`SegmentDatabase::query`] merged with the delta overlay: a group
+    /// of one through [`WriteEngine::query_batch_canonical_mode`].
+    pub fn query(&self, q: &Query, mode: QueryMode) -> Result<(QueryAnswer, QueryTrace), DbError> {
+        let q = q.in_frame(self.direction)?;
+        let mut results = self.query_batch_canonical_mode(&[(q, mode)]);
+        results.pop().expect("one result per item")
+    }
+
+    // The four shape calls below are kept only because the benchmark
+    // package calls them; each is `query` with the shape spelled out.
+
+    /// [`WriteEngine::query`] of the line through `anchor`.
     pub fn query_line_mode(
         &self,
         anchor: impl Into<Point>,
         mode: QueryMode,
     ) -> Result<(QueryAnswer, QueryTrace), DbError> {
-        let q = self.direction.make_query(anchor.into(), None, None)?;
-        self.query_canonical_mode(q, mode)
+        let Point { x, y } = anchor.into();
+        self.query(&Query::Line { x, y }, mode)
     }
 
-    /// Upward ray query from `anchor`, merged with the delta overlay.
+    /// [`WriteEngine::query`] of the upward ray from `anchor`.
     pub fn query_ray_up_mode(
         &self,
         anchor: impl Into<Point>,
         mode: QueryMode,
     ) -> Result<(QueryAnswer, QueryTrace), DbError> {
-        let a = anchor.into();
-        let q = self.direction.make_query(a, Some(a.y), None)?;
-        self.query_canonical_mode(q, mode)
+        let Point { x, y } = anchor.into();
+        self.query(&Query::RayUp { x, y }, mode)
     }
 
-    /// Downward ray query from `anchor`, merged with the delta overlay.
+    /// [`WriteEngine::query`] of the downward ray from `anchor`.
     pub fn query_ray_down_mode(
         &self,
         anchor: impl Into<Point>,
         mode: QueryMode,
     ) -> Result<(QueryAnswer, QueryTrace), DbError> {
-        let a = anchor.into();
-        let q = self.direction.make_query(a, None, Some(a.y))?;
-        self.query_canonical_mode(q, mode)
+        let Point { x, y } = anchor.into();
+        self.query(&Query::RayDown { x, y }, mode)
     }
 
-    /// Segment query `p1—p2`, merged with the delta overlay.
+    /// [`WriteEngine::query`] of the segment `p1—p2`.
     pub fn query_segment_mode(
         &self,
         p1: impl Into<Point>,
         p2: impl Into<Point>,
         mode: QueryMode,
     ) -> Result<(QueryAnswer, QueryTrace), DbError> {
-        let q = self.with_db(|db| db.segment_query(p1.into(), p2.into()))?;
-        self.query_canonical_mode(q, mode)
-    }
-
-    /// One canonical-frame query: a group of one.
-    fn query_canonical_mode(
-        &self,
-        q: VerticalQuery,
-        mode: QueryMode,
-    ) -> Result<(QueryAnswer, QueryTrace), DbError> {
-        let mut results = self.query_batch_canonical_mode(&[(q, mode)]);
-        results.pop().expect("one result per item")
+        let (Point { x: x1, y: y1 }, Point { x: x2, y: y2 }) = (p1.into(), p2.into());
+        self.query(&Query::Segment { x1, y1, x2, y2 }, mode)
     }
 
     /// Canonical-frame reads through the delta overlay — every engine
@@ -753,8 +751,12 @@ mod tests {
         eng
     }
 
+    const LINE_500: Query = Query::Line { x: 500, y: 0 };
+
     fn count(eng: &WriteEngine, x: i64) -> u64 {
-        let (ans, _) = eng.query_line_mode((x, 0), QueryMode::Count).unwrap();
+        let (ans, _) = eng
+            .query(&Query::Line { x, y: 0 }, QueryMode::Count)
+            .unwrap();
         ans.count()
     }
 
@@ -768,14 +770,14 @@ mod tests {
         let ack = eng.delete(3, seg(10, 100)).unwrap();
         assert!(ack.applied);
         assert_eq!(count(&eng, 500), 51);
-        let (ans, _) = eng.query_line_mode((500, 0), QueryMode::Collect).unwrap();
+        let (ans, _) = eng.query(&LINE_500, QueryMode::Collect).unwrap();
         let hits = ans.segments().unwrap();
         assert_eq!(hits.len(), 51);
         assert!(hits.iter().any(|s| s.id == 100));
         assert!(!hits.iter().any(|s| s.id == 10));
-        let (ans, _) = eng.query_line_mode((500, 0), QueryMode::Exists).unwrap();
+        let (ans, _) = eng.query(&LINE_500, QueryMode::Exists).unwrap();
         assert_eq!(ans, QueryAnswer::Exists(true));
-        let (ans, _) = eng.query_line_mode((500, 0), QueryMode::Limit(5)).unwrap();
+        let (ans, _) = eng.query(&LINE_500, QueryMode::Limit(5)).unwrap();
         assert_eq!(ans.segments().unwrap().len(), 5);
         // Deleting a delta insert cancels it without touching base.
         let ack = eng.delete(4, seg(101, 7)).unwrap();

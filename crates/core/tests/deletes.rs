@@ -41,8 +41,9 @@ fn placements(kind: IndexKind, page: usize, set: &[Segment]) -> [u64; 3] {
 fn assert_lines(db: &SegmentDatabase, live: &[Segment], probe: &[Segment], ctx: &str) {
     for s in probe {
         let q = VerticalQuery::Line { x: s.a.x };
-        let (hits, _) = db.query_canonical(&q).unwrap();
-        assert_eq!(ids(&hits), ids(&scan_oracle(live, &q)), "{ctx}: {q:?}");
+        let (hits, _) = db.query_canonical_mode(&q, QueryMode::Collect).unwrap();
+        let want = ids(&scan_oracle(live, &q));
+        assert_eq!(hits.segments().map(ids), Some(want), "{ctx}: {q:?}");
     }
     db.validate().unwrap();
 }

@@ -6,7 +6,7 @@
 
 use segdb_core::interval2l::{Interval2LConfig, TwoLevelInterval};
 use segdb_core::report::ids;
-use segdb_core::{FullScan, IndexKind};
+use segdb_core::{FullScan, IndexKind, QueryMode, QueryTrace};
 use segdb_geom::gen::{self, vertical_queries, Family};
 use segdb_geom::query::scan_oracle;
 use segdb_geom::{Segment, VerticalQuery};
@@ -27,9 +27,16 @@ fn pager(page: usize) -> Pager {
     })
 }
 
+/// `t`'s hits for `q`, collected, with the trace.
+fn collect(t: &TwoLevelInterval, p: &Pager, q: &VerticalQuery) -> (Vec<Segment>, QueryTrace) {
+    let mut hits = Vec::new();
+    let trace = t.query_sink(p, q, &mut hits).unwrap();
+    (hits, trace)
+}
+
 fn check(set: &[Segment], t: &TwoLevelInterval, p: &Pager, queries: &[VerticalQuery], tag: &str) {
     for q in queries {
-        let (hits, trace) = t.query(p, q).unwrap();
+        let (hits, trace) = collect(t, p, q);
         let expect = ids(&scan_oracle(set, q));
         let got = ids(&segdb_core::report::normalize(hits));
         assert_eq!(got, expect, "{tag} {q:?}");
@@ -88,8 +95,8 @@ fn bridges_off_matches_bridges_on() {
     let off = TwoLevelInterval::build(&p2, off_cfg, set.clone()).unwrap();
     let (mut on_io, mut off_io, mut jumps) = (0u64, 0u64, 0u32);
     for q in &queries {
-        let (h1, t1) = on.query(&p1, q).unwrap();
-        let (h2, t2) = off.query(&p2, q).unwrap();
+        let (h1, t1) = collect(&on, &p1, q);
+        let (h2, t2) = collect(&off, &p2, q);
         assert_eq!(ids(&h1), ids(&h2));
         assert_eq!(ids(&h1), ids(&scan_oracle(&set, q)));
         on_io += t1.io.reads;
@@ -169,7 +176,7 @@ fn query_io_beats_full_scan_and_first_level_is_shallow() {
         let t = TwoLevelInterval::build(&p, cfg, set.clone()).unwrap();
         let (mut t_io, mut fs_io, mut max_depth) = (0u64, 0u64, 0u32);
         for q in &queries {
-            let (h1, tr1) = t.query(&p, q).unwrap();
+            let (h1, tr1) = collect(&t, &p, q);
             let (h2, tr2) = fs.query(&p, q).unwrap();
             assert_eq!(ids(&h1), ids(&h2));
             t_io += tr1.io.reads;
@@ -214,7 +221,7 @@ fn empty_and_degenerate() {
         let p = pager(512);
         let t = TwoLevelInterval::build(&p, cfg, vec![]).unwrap();
         t.validate(&p).unwrap();
-        let (hits, _) = t.query(&p, &VerticalQuery::Line { x: 0 }).unwrap();
+        let (hits, _) = collect(&t, &p, &VerticalQuery::Line { x: 0 });
         assert!(hits.is_empty(), "{name}");
         // A single vertical segment (exercises C_i paths), and a single
         // diagonal one.
@@ -448,10 +455,10 @@ fn the_bridge_defect() {
     db.validate().unwrap();
     let mut short = Vec::new();
     for q in vertical_queries(&set, 4096, 120, 42) {
-        let (hits, _) = db.query_canonical(&q).unwrap();
+        let (hits, _) = db.query_canonical_mode(&q, QueryMode::Collect).unwrap();
         let want = set.iter().filter(|s| q.hits(s)).count();
-        if hits.len() != want {
-            short.push((q, want, hits.len()));
+        if hits.count() != want as u64 {
+            short.push((q, want, hits.count()));
         }
     }
     assert!(short.is_empty(), "(query, oracle, collected): {short:?}");

@@ -11,6 +11,13 @@ use segdb_geom::query::scan_oracle;
 use segdb_geom::{Segment, VerticalQuery};
 use segdb_pager::{Pager, PagerConfig};
 
+/// `t`'s hits for `q`, collected.
+fn collect(t: &TwoLevelInterval, p: &Pager, q: &VerticalQuery) -> Vec<Segment> {
+    let mut hits = Vec::new();
+    t.query_sink(p, q, &mut hits).unwrap();
+    hits
+}
+
 fn pager(page: usize) -> Pager {
     Pager::new(PagerConfig {
         page_size: page,
@@ -52,11 +59,11 @@ fn figure_4_solution1_decomposition() {
 
     // Query along the base line finds exactly C ∪ crossing-at-base.
     let q = VerticalQuery::Line { x: 50 };
-    let (hits, _) = t.query(&p, &q).unwrap();
+    let hits = collect(&t, &p, &q);
     assert_eq!(ids(&hits), vec![1, 2, 3]);
     // Thin window isolating the on-line segment.
     let q = VerticalQuery::segment(50, 45, 50);
-    let (hits, _) = t.query(&p, &q).unwrap();
+    let hits = collect(&t, &p, &q);
     assert_eq!(ids(&hits), vec![3]);
 }
 
@@ -107,7 +114,7 @@ fn figure_5_slab_assignment() {
         VerticalQuery::Line { x: 32 },
         VerticalQuery::Line { x: 97 },
     ] {
-        let (hits, _) = t.query(&p, &q).unwrap();
+        let hits = collect(&t, &p, &q);
         assert_eq!(ids(&hits), ids(&scan_oracle(&set, &q)), "{q:?}");
     }
 }
@@ -146,9 +153,7 @@ fn figure_6_fragment_split() {
     );
     // And the spanner is found from every slab.
     for x in [1i64, 60, 120, 199] {
-        let (hits, _) = t
-            .query(&p, &VerticalQuery::segment(x, 99_990, 100_010))
-            .unwrap();
+        let hits = collect(&t, &p, &VerticalQuery::segment(x, 99_990, 100_010));
         assert!(ids(&hits).contains(&1000), "x={x}");
     }
 }
@@ -181,7 +186,7 @@ fn figure_7_bridge_density() {
         let queries = segdb_geom::gen::vertical_queries(&set, 30, 10, 3);
         let mut jumps = 0;
         for q in &queries {
-            let (_, trace) = t.query(&p, q).unwrap();
+            let trace = t.query_sink(&p, q, &mut Vec::new()).unwrap();
             jumps += trace.bridge_jumps;
         }
         assert!(jumps > 0, "d={d}: no bridge jumps taken");

@@ -2,7 +2,7 @@
 //! paper's structural guarantees, and attaching it must not change what
 //! it measures.
 
-use segdb_core::{FullScan, IndexKind, SegmentDatabase, StabThenFilter};
+use segdb_core::{FullScan, IndexKind, QueryMode::Collect, SegmentDatabase, StabThenFilter};
 use segdb_geom::gen::{mixed_map, vertical_queries};
 use segdb_geom::{Segment, VerticalQuery};
 use segdb_pager::{Pager, PagerConfig};
@@ -33,7 +33,7 @@ fn solution1_first_level_visits_are_logarithmic() {
     let db = build(IndexKind::TwoLevelBinary, &set, 0);
     let bound = (2.0 * set.len() as f64).log2().ceil() as u32 + 3;
     for q in &queries {
-        let (_, trace) = db.query_canonical(q).unwrap();
+        let (_, trace) = db.query_canonical_mode(q, Collect).unwrap();
         assert!(
             trace.first_level_nodes <= bound,
             "{} first-level nodes > bound {bound} for {q:?}",
@@ -50,7 +50,7 @@ fn bridge_jumps_only_in_two_level_interval() {
     let (set, queries) = workload(1200, 43);
     let db = build(IndexKind::TwoLevelBinary, &set, 0);
     for q in &queries {
-        let (_, trace) = db.query_canonical(q).unwrap();
+        let (_, trace) = db.query_canonical_mode(q, Collect).unwrap();
         assert_eq!(trace.bridge_jumps, 0, "Solution 1 reported a bridge jump");
     }
 }
@@ -63,7 +63,7 @@ fn no_cache_hits_without_a_cache() {
     for kind in KINDS {
         let db = build(kind, &set, 0);
         for q in &queries {
-            let (_, trace) = db.query_canonical(q).unwrap();
+            let (_, trace) = db.query_canonical_mode(q, Collect).unwrap();
             assert_eq!(trace.io.cache_hits, 0, "{kind:?} hit a nonexistent cache");
         }
     }
@@ -100,8 +100,8 @@ fn observability_does_not_change_io_counts() {
         let mut observed = build(kind, &set, 0);
         observed.set_observability(true);
         for q in &queries {
-            let (hits_off, t_off) = plain.query_canonical(q).unwrap();
-            let (hits_on, t_on, summary) = observed.traced_query(q).unwrap();
+            let (hits_off, t_off) = plain.query_canonical_mode(q, Collect).unwrap();
+            let (hits_on, t_on, summary) = observed.traced_query(&(*q).into()).unwrap();
             assert_eq!(hits_off, hits_on, "{kind:?} answers differ");
             assert_eq!(t_off.io, t_on.io, "{kind:?} I/O differs with obs on");
             assert_eq!(
@@ -127,7 +127,7 @@ fn cost_verifier_warms_up_and_passes_honest_queries() {
         db.set_observability(true);
         let mut verdicts = 0u32;
         for q in &queries {
-            let (_, trace) = db.query_canonical(q).unwrap();
+            let (_, trace) = db.query_canonical_mode(q, Collect).unwrap();
             if let Some(v) = trace.cost {
                 verdicts += 1;
                 assert!(

@@ -177,7 +177,7 @@ fn drop_query(entries: &mut Vec<Entry>, from: usize, qi: u32) {
 /// let pst = Pst::build(&pager, 0, Side::Right, PstConfig::packed(), segs).unwrap();
 /// let mut hits = Vec::new();
 /// // Query segment x = 6, 0 ≤ y ≤ 10: segment 2 is too short to reach.
-/// pst.query_into(&pager, 6, Some(0), Some(10), &mut hits).unwrap();
+/// pst.query_sink(&pager, 6, Some(0), Some(10), &mut hits).unwrap();
 /// let mut ids: Vec<u64> = hits.iter().map(|s| s.id).collect();
 /// ids.sort();
 /// assert_eq!(ids, vec![1, 3]);
@@ -285,19 +285,8 @@ impl Pst {
     }
 
     /// Report every stored segment whose clipped part intersects the
-    /// vertical query `x = qx, lo ≤ y ≤ hi` (`None` = unbounded).
-    pub fn query_into(
-        &self,
-        pager: &Pager,
-        qx: i64,
-        lo: Option<i64>,
-        hi: Option<i64>,
-        out: &mut Vec<Segment>,
-    ) -> Result<QueryStats> {
-        self.query_sink(pager, qx, lo, hi, out)
-    }
-
-    /// Sink-driven form of [`Pst::query_into`]: a group of one through
+    /// vertical query `x = qx, lo ≤ y ≤ hi` (`None` = unbounded) into
+    /// `sink` (a `Vec<Segment>` collects): a group of one through
     /// [`Pst::query_group`]. Every hit streams into `sink` in traversal
     /// order; a `Break` abandons the rest of the frontier immediately,
     /// so no further node pages are read.
@@ -1026,7 +1015,7 @@ mod tests {
         hi: Option<i64>,
     ) -> (Vec<u64>, QueryStats) {
         let mut out = Vec::new();
-        let st = pst.query_into(p, qx, lo, hi, &mut out).unwrap();
+        let st = pst.query_sink(p, qx, lo, hi, &mut out).unwrap();
         let mut ids: Vec<u64> = out.iter().map(|s| s.id).collect();
         ids.sort_unstable();
         (ids, st)
@@ -1142,14 +1131,14 @@ mod tests {
         let (_, sb) = {
             let mut out = Vec::new();
             let st = bin
-                .query_into(&p1, 3, Some(0), Some(100), &mut out)
+                .query_sink(&p1, 3, Some(0), Some(100), &mut out)
                 .unwrap();
             (out, st)
         };
         let (_, sp) = {
             let mut out = Vec::new();
             let st = pack
-                .query_into(&p2, 3, Some(0), Some(100), &mut out)
+                .query_sink(&p2, 3, Some(0), Some(100), &mut out)
                 .unwrap();
             (out, st)
         };
@@ -1171,7 +1160,7 @@ mod tests {
         // Thin query: tiny window, far from the base line.
         let mut out = Vec::new();
         let st = pst
-            .query_into(&p, 1 << 12, Some(3000), Some(3010), &mut out)
+            .query_sink(&p, 1 << 12, Some(3000), Some(3010), &mut out)
             .unwrap();
         assert!(
             st.fruitless_nodes <= 4 * st.levels + 4,
@@ -1274,7 +1263,7 @@ mod tests {
             let mut seq_blocks = 0u32;
             for &(qx, lo, hi) in &windows {
                 let mut out = Vec::new();
-                let st = pst.query_into(&p, qx, lo, hi, &mut out).unwrap();
+                let st = pst.query_sink(&p, qx, lo, hi, &mut out).unwrap();
                 seq_blocks += st.blocks_read;
                 let mut ids: Vec<u64> = out.iter().map(|s| s.id).collect();
                 ids.sort_unstable();

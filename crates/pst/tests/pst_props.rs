@@ -35,7 +35,7 @@ fn line_based_set(strips: &[(usize, i64, i64, i64)]) -> Vec<Segment> {
 
 fn ids(pst: &Pst, p: &Pager, qx: i64, lo: Option<i64>, hi: Option<i64>) -> Vec<u64> {
     let mut out = Vec::new();
-    pst.query_into(p, qx, lo, hi, &mut out).unwrap();
+    pst.query_sink(p, qx, lo, hi, &mut out).unwrap();
     oracle_ids(&out, |s| s.id, |_| true)
 }
 

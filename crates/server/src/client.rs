@@ -30,7 +30,7 @@
 //! [`segdb_obs::net`] counters the server's `stats` method surfaces.
 
 use crate::chaos::{ChaosStream, NetFaultHandle};
-use crate::proto::code;
+use crate::proto::{self, code};
 use segdb_core::QueryMode;
 use segdb_geom::Segment;
 use segdb_obs::json::{self, Json};
@@ -417,9 +417,8 @@ impl Client {
         self.call_line(&line)
     }
 
-    /// Convenience: run one query shape and return the sorted hit ids.
-    /// `method` is one of the wire query methods; `params` the integer
-    /// coordinates it needs.
+    /// [`Client::query_mode`] in collect mode, answering the sorted hit
+    /// ids. Kept only because the benchmark package calls it.
     pub fn query_ids(
         &mut self,
         method: &str,
@@ -428,31 +427,17 @@ impl Client {
         Ok(self.query_mode(method, params, QueryMode::Collect)?.ids)
     }
 
-    /// Run one query shape under a [`QueryMode`] and return the
-    /// mode-shaped reply: `ids` carries segments only for modes that
-    /// materialize them (collect / limit), `count` is always filled.
+    /// Run one query under a [`QueryMode`] and return the mode-shaped
+    /// reply: `ids` carries segments only for modes that materialize
+    /// them (collect / limit), `count` is always filled. `method` and
+    /// `params` are a query's wire form, [`proto::query_wire`].
     pub fn query_mode(
         &mut self,
         method: &str,
         params: &[(&str, i64)],
         mode: QueryMode,
     ) -> Result<QueryReply, CallError> {
-        let mut fields: Vec<(String, Json)> = params
-            .iter()
-            .map(|(k, v)| (k.to_string(), Json::I64(*v)))
-            .collect();
-        if mode != QueryMode::Collect {
-            fields.push(("mode".to_string(), Json::Str(mode.name().to_string())));
-            if let QueryMode::Limit(k) = mode {
-                fields.push(("limit".to_string(), Json::U64(k as u64)));
-            }
-        }
-        let line = Json::obj([
-            ("id", Json::U64(self.fresh_id())),
-            ("method", Json::Str(method.to_string())),
-            ("params", Json::Obj(fields)),
-        ])
-        .render();
+        let line = proto::query_request(self.fresh_id(), method, params, mode);
         let result = self.call_line(&line)?;
         let ids = result
             .get("ids")
@@ -494,21 +479,7 @@ impl Client {
     /// every retry, so a write whose first ack was lost to a wire fault is
     /// answered from the server's dedup window instead of re-applied.
     fn write_line(&mut self, method: &str, seg: &Segment) -> String {
-        Json::obj([
-            ("id", Json::U64(self.fresh_id())),
-            ("method", Json::Str(method.to_string())),
-            (
-                "params",
-                Json::obj([
-                    ("seg", Json::U64(seg.id)),
-                    ("x1", Json::I64(seg.a.x)),
-                    ("y1", Json::I64(seg.a.y)),
-                    ("x2", Json::I64(seg.b.x)),
-                    ("y2", Json::I64(seg.b.y)),
-                ]),
-            ),
-        ])
-        .render()
+        proto::write_request(self.fresh_id(), method, seg)
     }
 
     /// Parse a write acknowledgement object.

@@ -25,7 +25,7 @@
 //! `shutdown`.
 
 use crate::chaos::NetFaultHandle;
-use crate::proto::{self, code, Method, Request};
+use crate::proto::{self, code, Command, Method, Request};
 use segdb_obs::Json;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -366,8 +366,10 @@ fn serve_connection<H: Handler>(front: &Front, handler: &H, stream: TcpStream) {
             Ok(request) => {
                 bump(&front.stats.requests);
                 match request.method {
-                    Method::Ping => Reply::ok(request.id, Json::Str("pong".to_string())),
-                    Method::Shutdown => {
+                    Method::Command(Command::Ping) => {
+                        Reply::ok(request.id, Json::Str("pong".to_string()))
+                    }
+                    Method::Command(Command::Shutdown) => {
                         bump(&front.stats.ok);
                         let _ =
                             write_line(&mut writer, &proto::ok_line(request.id, Json::Bool(true)));

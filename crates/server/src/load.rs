@@ -36,7 +36,7 @@
 
 use crate::chaos::{NetFaultHandle, NetFaultPlan, NetFaultStats};
 use crate::client::{Client, ClientConfig};
-use crate::proto::code;
+use crate::proto::{self, code};
 use segdb_core::QueryMode;
 use segdb_geom::gen::{vertical_queries, Family};
 use segdb_geom::query::scan_oracle;
@@ -238,24 +238,19 @@ pub fn latency_histogram() -> Histogram {
     Histogram::latency_us()
 }
 
-/// Render one write request line; `id` is both the wire correlation id
-/// and the server-side idempotence key.
-fn write_request_line(id: u64, method: &str, seg: &Segment) -> String {
-    Json::obj([
-        ("id", Json::U64(id)),
-        ("method", Json::Str(method.to_string())),
-        (
-            "params",
-            Json::obj([
-                ("seg", Json::U64(seg.id)),
-                ("x1", Json::I64(seg.a.x)),
-                ("y1", Json::I64(seg.a.y)),
-                ("x2", Json::I64(seg.b.x)),
-                ("y2", Json::I64(seg.b.y)),
-            ]),
-        ),
-    ])
-    .render()
+/// Query `i` of a stream cycling through the four generalized-segment
+/// shapes, cut from the bounded query `q` (the database is vertical, so
+/// the canonical form doubles as the user query and the oracle's).
+pub fn cycle_shape(i: usize, q: &VerticalQuery) -> VerticalQuery {
+    let VerticalQuery::Segment { x, lo, hi } = *q else {
+        unreachable!("vertical_queries yields bounded segments")
+    };
+    match i % 4 {
+        0 => VerticalQuery::Line { x },
+        1 => VerticalQuery::RayUp { x, y0: lo },
+        2 => VerticalQuery::RayDown { x, y0: hi },
+        _ => *q,
+    }
 }
 
 /// Deterministically expand the config into the request stream, cycling
@@ -309,7 +304,7 @@ pub fn build_requests(cfg: &LoadConfig) -> Vec<PreparedRequest> {
                     ("insert", seg)
                 };
                 return PreparedRequest {
-                    line: write_request_line(i as u64, method, &seg),
+                    line: proto::write_request(i as u64, method, &seg),
                     expected: Vec::new(),
                     mode: QueryMode::Collect,
                     kind: if delete {
@@ -319,44 +314,10 @@ pub fn build_requests(cfg: &LoadConfig) -> Vec<PreparedRequest> {
                     },
                 };
             }
-            let VerticalQuery::Segment { x, lo, hi } = *q else {
-                unreachable!("vertical_queries yields bounded segments")
-            };
-            let (method, params, oracle) = match i % 4 {
-                0 => ("query_line", vec![("x", x)], VerticalQuery::Line { x }),
-                1 => (
-                    "query_ray_up",
-                    vec![("x", x), ("y", lo)],
-                    VerticalQuery::RayUp { x, y0: lo },
-                ),
-                2 => (
-                    "query_ray_down",
-                    vec![("x", x), ("y", hi)],
-                    VerticalQuery::RayDown { x, y0: hi },
-                ),
-                _ => (
-                    "query_segment",
-                    vec![("x1", x), ("y1", lo), ("x2", x), ("y2", hi)],
-                    VerticalQuery::Segment { x, lo, hi },
-                ),
-            };
+            let oracle = cycle_shape(i, q);
+            let (method, params) = proto::query_wire(&oracle.into());
             let mode = cfg.mode.mode_for(i);
-            let mut fields: Vec<(String, Json)> = params
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), Json::I64(v)))
-                .collect();
-            if mode != QueryMode::Collect {
-                fields.push(("mode".to_string(), Json::Str(mode.name().to_string())));
-                if let QueryMode::Limit(k) = mode {
-                    fields.push(("limit".to_string(), Json::U64(k as u64)));
-                }
-            }
-            let line = Json::obj([
-                ("id", Json::U64(i as u64)),
-                ("method", Json::Str(method.to_string())),
-                ("params", Json::Obj(fields)),
-            ])
-            .render();
+            let line = proto::query_request(i as u64, method, &params, mode);
             let mut expected: Vec<u64> = if write_pct > 0 {
                 Vec::new()
             } else {
@@ -805,32 +766,13 @@ fn sweep_shadow(cfg: &LoadConfig, report: &mut LoadReport) {
     });
     let _ = client.flush();
     for (i, q) in sweeps.iter().enumerate() {
-        let VerticalQuery::Segment { x, lo, hi } = *q else {
-            unreachable!("vertical_queries yields bounded segments")
-        };
-        let (method, params, oracle): (_, Vec<(&str, i64)>, _) = match i % 4 {
-            0 => ("query_line", vec![("x", x)], VerticalQuery::Line { x }),
-            1 => (
-                "query_ray_up",
-                vec![("x", x), ("y", lo)],
-                VerticalQuery::RayUp { x, y0: lo },
-            ),
-            2 => (
-                "query_ray_down",
-                vec![("x", x), ("y", hi)],
-                VerticalQuery::RayDown { x, y0: hi },
-            ),
-            _ => (
-                "query_segment",
-                vec![("x1", x), ("y1", lo), ("x2", x), ("y2", hi)],
-                VerticalQuery::Segment { x, lo, hi },
-            ),
-        };
+        let oracle = cycle_shape(i, q);
+        let (method, params) = proto::query_wire(&oracle.into());
         let mut expect: Vec<u64> = scan_oracle(&shadow, &oracle).iter().map(|s| s.id).collect();
         expect.sort_unstable();
         report.sweep_checked += 1;
-        match client.query_ids(method, &params) {
-            Ok(ids) if ids == expect => {}
+        match client.query_mode(method, &params, QueryMode::Collect) {
+            Ok(reply) if reply.ids == expect => {}
             _ => report.sweep_wrong += 1,
         }
     }

@@ -21,7 +21,7 @@
 //! with the same id is answered from the stored acknowledgement, so a
 //! client that lost a response can safely replay the exact line.
 
-use segdb_core::QueryMode;
+use segdb_core::{Query, QueryMode};
 use segdb_geom::Segment;
 use segdb_obs::json::{self, Json};
 use segdb_wal::{WalOp, WalRecord};
@@ -54,53 +54,23 @@ pub mod code {
     pub const DEGRADED: &str = "degraded";
 }
 
-/// A generalized-segment query shape, in user coordinates (§1 of the
-/// paper: line / ray / segment of the database's fixed direction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryShape {
-    /// The full line of the fixed direction through `(x, y)`.
-    Line {
-        /// Anchor abscissa.
-        x: i64,
-        /// Anchor ordinate (any point of the line; 0 works for vertical).
-        y: i64,
-    },
-    /// The ray from `(x, y)` along the fixed direction.
-    RayUp {
-        /// Ray origin abscissa.
-        x: i64,
-        /// Ray origin ordinate.
-        y: i64,
-    },
-    /// The ray from `(x, y)` against the fixed direction.
-    RayDown {
-        /// Ray origin abscissa.
-        x: i64,
-        /// Ray origin ordinate.
-        y: i64,
-    },
-    /// The bounded query segment `(x1, y1)–(x2, y2)` (endpoints must lie
-    /// on a common line of the fixed direction).
-    Segment {
-        /// First endpoint abscissa.
-        x1: i64,
-        /// First endpoint ordinate.
-        y1: i64,
-        /// Second endpoint abscissa.
-        x2: i64,
-        /// Second endpoint ordinate.
-        y2: i64,
-    },
-}
-
-/// A decoded request method.
+/// A decoded request method: a query, or a command. Workers run
+/// queries in shared walks and commands one at a time, so the two never
+/// share a type below the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Method {
     /// Run a query under a [`QueryMode`] and return ids (when the mode
     /// carries segments), the count, and the per-query trace.
-    Query(QueryShape, QueryMode),
+    Query(Query, QueryMode),
+    /// Any other request.
+    Command(Command),
+}
+
+/// Every request method that is not a plain query.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Command {
     /// Run a query with event tracing on and return the span summary too.
-    Trace(QueryShape),
+    Trace(Query),
     /// Snapshot database + server statistics.
     Stats,
     /// The K worst requests seen so far (id, mode, stage timings,
@@ -204,7 +174,7 @@ const QUERY_METHODS: [&str; 4] = [
     "query_segment",
 ];
 
-fn parse_shape(name: &str, params: &Json) -> Result<QueryShape, String> {
+fn parse_shape(name: &str, params: &Json) -> Result<Query, String> {
     let int = |k: &str| -> Result<i64, String> {
         params
             .get(k)
@@ -212,19 +182,19 @@ fn parse_shape(name: &str, params: &Json) -> Result<QueryShape, String> {
             .ok_or_else(|| format!("missing integer field `{k}`"))
     };
     match name {
-        "query_line" => Ok(QueryShape::Line {
+        "query_line" => Ok(Query::Line {
             x: int("x")?,
             y: params.get("y").and_then(as_i64).unwrap_or(0),
         }),
-        "query_ray_up" => Ok(QueryShape::RayUp {
+        "query_ray_up" => Ok(Query::RayUp {
             x: int("x")?,
             y: int("y")?,
         }),
-        "query_ray_down" => Ok(QueryShape::RayDown {
+        "query_ray_down" => Ok(Query::RayDown {
             x: int("x")?,
             y: int("y")?,
         }),
-        "query_segment" => Ok(QueryShape::Segment {
+        "query_segment" => Ok(Query::Segment {
             x1: int("x1")?,
             y1: int("y1")?,
             x2: int("x2")?,
@@ -232,6 +202,42 @@ fn parse_shape(name: &str, params: &Json) -> Result<QueryShape, String> {
         }),
         other => Err(format!("unknown query shape `{other}`")),
     }
+}
+
+/// The wire method and integer params of `q` — the one table from a
+/// query to its request; [`parse_request`] reads it back.
+pub fn query_wire(q: &Query) -> (&'static str, Vec<(&'static str, i64)>) {
+    match *q {
+        Query::Line { x, y } => ("query_line", vec![("x", x), ("y", y)]),
+        Query::RayUp { x, y } => ("query_ray_up", vec![("x", x), ("y", y)]),
+        Query::RayDown { x, y } => ("query_ray_down", vec![("x", x), ("y", y)]),
+        Query::Segment { x1, y1, x2, y2 } => (
+            "query_segment",
+            vec![("x1", x1), ("y1", y1), ("x2", x2), ("y2", y2)],
+        ),
+    }
+}
+
+/// Render one query request line: correlation `id`, the wire `method`
+/// and `params` of [`query_wire`], and `mode` (omitted for
+/// [`QueryMode::Collect`], the default).
+pub fn query_request(id: u64, method: &str, params: &[(&str, i64)], mode: QueryMode) -> String {
+    let mut fields: Vec<(String, Json)> = params
+        .iter()
+        .map(|(k, v)| (k.to_string(), Json::I64(*v)))
+        .collect();
+    if mode != QueryMode::Collect {
+        fields.push(("mode".to_string(), Json::Str(mode.name().to_string())));
+        if let QueryMode::Limit(k) = mode {
+            fields.push(("limit".to_string(), Json::U64(k as u64)));
+        }
+    }
+    Json::obj([
+        ("id", Json::U64(id)),
+        ("method", Json::Str(method.to_string())),
+        ("params", Json::Obj(fields)),
+    ])
+    .render()
 }
 
 /// Parse the segment a write method carries: integer `seg` (the
@@ -286,20 +292,28 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     };
     let empty = Json::Obj(Vec::new());
     let params = v.get("params").unwrap_or(&empty);
-    let method = match method {
-        "ping" => Method::Ping,
-        "stats" => Method::Stats,
-        "slowlog" => Method::SlowLog,
-        "shutdown" => Method::Shutdown,
-        "flush" => Method::Flush,
-        "health" => Method::Health,
-        "shard_map" => Method::ShardMap,
+    let command = match method {
+        m if QUERY_METHODS.contains(&m) => {
+            let q = parse_shape(m, params).map_err(|m| ProtoError::bad(id, m))?;
+            let mode = parse_mode(params).map_err(|m| ProtoError::bad(id, m))?;
+            return Ok(Request {
+                id,
+                method: Method::Query(q, mode),
+            });
+        }
+        "ping" => Command::Ping,
+        "stats" => Command::Stats,
+        "slowlog" => Command::SlowLog,
+        "shutdown" => Command::Shutdown,
+        "flush" => Command::Flush,
+        "health" => Command::Health,
+        "shard_map" => Command::ShardMap,
         "wal_since" => {
             let from = params
                 .get("from")
                 .and_then(as_u64)
                 .ok_or_else(|| ProtoError::bad(id, "wal_since needs an integer field `from`"))?;
-            Method::WalSince { from }
+            Command::WalSince { from }
         }
         "sync_from" => {
             let Some(peer) = params.get("peer").and_then(Json::as_str) else {
@@ -314,7 +328,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                     ProtoError::bad(id, "sync_from field `from` must be an integer")
                 })?),
             };
-            Method::SyncFrom {
+            Command::SyncFrom {
                 peer: peer.to_string(),
                 from,
             }
@@ -330,21 +344,17 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
             }
             let seg = parse_segment(params).map_err(|m| ProtoError::bad(id, m))?;
             if method == "insert" {
-                Method::Insert(seg)
+                Command::Insert(seg)
             } else {
-                Method::Delete(seg)
+                Command::Delete(seg)
             }
         }
         "trace" => {
             let Some(shape) = params.get("shape").and_then(Json::as_str) else {
                 return Err(ProtoError::bad(id, "trace needs a string field `shape`"));
             };
-            Method::Trace(parse_shape(shape, params).map_err(|m| ProtoError::bad(id, m))?)
+            Command::Trace(parse_shape(shape, params).map_err(|m| ProtoError::bad(id, m))?)
         }
-        m if QUERY_METHODS.contains(&m) => Method::Query(
-            parse_shape(m, params).map_err(|m| ProtoError::bad(id, m))?,
-            parse_mode(params).map_err(|m| ProtoError::bad(id, m))?,
-        ),
         other => {
             return Err(ProtoError {
                 id,
@@ -353,7 +363,10 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
             })
         }
     };
-    Ok(Request { id, method })
+    Ok(Request {
+        id,
+        method: Method::Command(command),
+    })
 }
 
 fn id_json(id: Option<u64>) -> Json {
@@ -370,6 +383,29 @@ pub fn ok_line(id: Option<u64>, result: Json) -> String {
     .render()
 }
 
+/// The fields naming `seg` in a write request's params and in a WAL
+/// record — what [`parse_segment`] reads back.
+fn segment_fields(seg: &Segment) -> [(&'static str, Json); 5] {
+    [
+        ("seg", Json::U64(seg.id)),
+        ("x1", Json::I64(seg.a.x)),
+        ("y1", Json::I64(seg.a.y)),
+        ("x2", Json::I64(seg.b.x)),
+        ("y2", Json::I64(seg.b.y)),
+    ]
+}
+
+/// Render one write request line (`insert` / `delete`) for `seg`; `id`
+/// is both the correlation id and the server-side idempotence key.
+pub fn write_request(id: u64, method: &str, seg: &Segment) -> String {
+    Json::obj([
+        ("id", Json::U64(id)),
+        ("method", Json::Str(method.to_string())),
+        ("params", Json::obj(segment_fields(seg))),
+    ])
+    .render()
+}
+
 /// Render one WAL record as the catch-up wire object carried in a
 /// `wal_since` reply (flat: seq, req_id, op, and the segment fields in
 /// the same shape `insert`/`delete` requests use).
@@ -378,16 +414,12 @@ pub fn wal_record_json(rec: &WalRecord) -> Json {
         WalOp::Insert(seg) => ("insert", seg),
         WalOp::Delete(seg) => ("delete", seg),
     };
-    Json::obj([
+    let head = [
         ("seq", Json::U64(rec.seq)),
         ("req_id", Json::U64(rec.req_id)),
         ("op", Json::Str(op.to_string())),
-        ("seg", Json::U64(seg.id)),
-        ("x1", Json::I64(seg.a.x)),
-        ("y1", Json::I64(seg.a.y)),
-        ("x2", Json::I64(seg.b.x)),
-        ("y2", Json::I64(seg.b.y)),
-    ])
+    ];
+    Json::obj(head.into_iter().chain(segment_fields(&seg)))
 }
 
 /// Decode one catch-up wire object back into a WAL record (the inverse
@@ -430,6 +462,10 @@ pub fn err_line(id: Option<u64>, code: &str, message: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use segdb_core::{DbError, SegmentDatabase};
+    use segdb_geom::transform::DIR_LIMIT;
+    use segdb_geom::{Point, COORD_LIMIT};
+    use segdb_rng::{check, SmallRng};
 
     #[test]
     fn parses_every_method() {
@@ -437,13 +473,13 @@ mod tests {
         assert_eq!(r.id, Some(7));
         assert_eq!(
             r.method,
-            Method::Query(QueryShape::Line { x: 3, y: 0 }, QueryMode::Collect)
+            Method::Query(Query::Line { x: 3, y: 0 }, QueryMode::Collect)
         );
         let r = parse_request(r#"{"method":"query_ray_up","params":{"x":-1,"y":-9}}"#).unwrap();
         assert_eq!(r.id, None);
         assert_eq!(
             r.method,
-            Method::Query(QueryShape::RayUp { x: -1, y: -9 }, QueryMode::Collect)
+            Method::Query(Query::RayUp { x: -1, y: -9 }, QueryMode::Collect)
         );
         let r = parse_request(
             r#"{"id":1,"method":"query_segment","params":{"x1":5,"y1":0,"x2":5,"y2":9}}"#,
@@ -452,7 +488,7 @@ mod tests {
         assert_eq!(
             r.method,
             Method::Query(
-                QueryShape::Segment {
+                Query::Segment {
                     x1: 5,
                     y1: 0,
                     x2: 5,
@@ -465,18 +501,21 @@ mod tests {
             r#"{"id":2,"method":"trace","params":{"shape":"query_ray_down","x":4,"y":2}}"#,
         )
         .unwrap();
-        assert_eq!(r.method, Method::Trace(QueryShape::RayDown { x: 4, y: 2 }));
+        assert_eq!(
+            r.method,
+            Method::Command(Command::Trace(Query::RayDown { x: 4, y: 2 }))
+        );
         for (m, want) in [
-            ("ping", Method::Ping),
-            ("stats", Method::Stats),
-            ("slowlog", Method::SlowLog),
-            ("shutdown", Method::Shutdown),
-            ("flush", Method::Flush),
-            ("health", Method::Health),
-            ("shard_map", Method::ShardMap),
+            ("ping", Command::Ping),
+            ("stats", Command::Stats),
+            ("slowlog", Command::SlowLog),
+            ("shutdown", Command::Shutdown),
+            ("flush", Command::Flush),
+            ("health", Command::Health),
+            ("shard_map", Command::ShardMap),
         ] {
             let r = parse_request(&format!(r#"{{"method":"{m}"}}"#)).unwrap();
-            assert_eq!(r.method, want);
+            assert_eq!(r.method, Method::Command(want));
         }
     }
 
@@ -487,12 +526,18 @@ mod tests {
             r#"{"id":5,"method":"insert","params":{"seg":9,"x1":1,"y1":2,"x2":3,"y2":2}}"#,
         )
         .unwrap();
-        assert_eq!((r.id, r.method), (Some(5), Method::Insert(seg)));
+        assert_eq!(
+            (r.id, r.method),
+            (Some(5), Method::Command(Command::Insert(seg)))
+        );
         let r = parse_request(
             r#"{"id":6,"method":"delete","params":{"seg":9,"x1":1,"y1":2,"x2":3,"y2":2}}"#,
         )
         .unwrap();
-        assert_eq!((r.id, r.method), (Some(6), Method::Delete(seg)));
+        assert_eq!(
+            (r.id, r.method),
+            (Some(6), Method::Command(Command::Delete(seg)))
+        );
         // A write without a correlation id cannot be retried safely, so
         // the protocol refuses it outright.
         let e =
@@ -523,10 +568,7 @@ mod tests {
                 r#"{{"id":1,"method":"query_line","params":{{"x":3,"mode":"{mode}"}}}}"#
             ))
             .unwrap();
-            assert_eq!(
-                r.method,
-                Method::Query(QueryShape::Line { x: 3, y: 0 }, want)
-            );
+            assert_eq!(r.method, Method::Query(Query::Line { x: 3, y: 0 }, want));
         }
         let r = parse_request(
             r#"{"id":1,"method":"query_line","params":{"x":3,"mode":"limit","limit":5}}"#,
@@ -534,7 +576,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             r.method,
-            Method::Query(QueryShape::Line { x: 3, y: 0 }, QueryMode::Limit(5))
+            Method::Query(Query::Line { x: 3, y: 0 }, QueryMode::Limit(5))
         );
         let e = parse_request(r#"{"id":2,"method":"query_line","params":{"x":3,"mode":"limit"}}"#)
             .unwrap_err();
@@ -547,26 +589,26 @@ mod tests {
     #[test]
     fn parses_catch_up_methods_and_round_trips_records() {
         let r = parse_request(r#"{"id":1,"method":"wal_since","params":{"from":7}}"#).unwrap();
-        assert_eq!(r.method, Method::WalSince { from: 7 });
+        assert_eq!(r.method, Method::Command(Command::WalSince { from: 7 }));
         let e = parse_request(r#"{"id":2,"method":"wal_since"}"#).unwrap_err();
         assert_eq!((e.id, e.code), (Some(2), code::BAD_REQUEST));
         let r = parse_request(r#"{"id":3,"method":"sync_from","params":{"peer":"127.0.0.1:9"}}"#)
             .unwrap();
         assert_eq!(
             r.method,
-            Method::SyncFrom {
+            Method::Command(Command::SyncFrom {
                 peer: "127.0.0.1:9".into(),
                 from: None
-            }
+            })
         );
         let r = parse_request(r#"{"id":4,"method":"sync_from","params":{"peer":"h:1","from":12}}"#)
             .unwrap();
         assert_eq!(
             r.method,
-            Method::SyncFrom {
+            Method::Command(Command::SyncFrom {
                 peer: "h:1".into(),
                 from: Some(12)
-            }
+            })
         );
         let e = parse_request(r#"{"id":5,"method":"sync_from","params":{"from":12}}"#).unwrap_err();
         assert_eq!((e.id, e.code), (Some(5), code::BAD_REQUEST));
@@ -584,6 +626,104 @@ mod tests {
         }
         let e = parse_wal_record(&json::parse(r#"{"seq":1,"req_id":2}"#).unwrap()).unwrap_err();
         assert!(e.contains("seg"), "{e}");
+    }
+
+    /// Query shape `shape % 4` from raw coordinates; the segment runs
+    /// from `(a, b)` to `(c, d)`.
+    fn query_of(shape: u8, (a, b, c, d): (i64, i64, i64, i64)) -> Query {
+        match shape % 4 {
+            0 => Query::Line { x: a, y: b },
+            1 => Query::RayUp { x: a, y: b },
+            2 => Query::RayDown { x: a, y: b },
+            _ => Query::Segment {
+                x1: a,
+                y1: b,
+                x2: c,
+                y2: d,
+            },
+        }
+    }
+
+    /// Every shape, coordinates anywhere in range (the limits included),
+    /// every mode: the request line rendered from [`query_wire`] parses
+    /// back to the very `Method::Query` it came from.
+    #[test]
+    fn query_wire_round_trips_through_parse_request() {
+        let coord = |rng: &mut SmallRng| match rng.gen_range(0..4u8) {
+            0 => COORD_LIMIT,
+            1 => -COORD_LIMIT,
+            _ => rng.gen_range(-COORD_LIMIT..COORD_LIMIT + 1),
+        };
+        check::run(
+            "proto_query_wire_round_trips_through_parse_request",
+            300,
+            |rng| {
+                let coords = (coord(rng), coord(rng), coord(rng), coord(rng));
+                let modes = (rng.gen_range(0..4u8), rng.next_u64() as u32);
+                (rng.gen_range(0..4u8), coords, modes, rng.next_u64() >> 1)
+            },
+            |&(shape, coords, (mode, k), id)| {
+                let q = query_of(shape, coords);
+                let modes = [QueryMode::Collect, QueryMode::Count, QueryMode::Exists];
+                let mode = modes
+                    .get(mode as usize)
+                    .copied()
+                    .unwrap_or(QueryMode::Limit(k));
+                let (method, params) = query_wire(&q);
+                let line = query_request(id, method, &params, mode);
+                let req = parse_request(&line).unwrap();
+                assert_eq!(
+                    (req.id, req.method),
+                    (Some(id), Method::Query(q, mode)),
+                    "{line}"
+                );
+            },
+        );
+    }
+
+    /// Under a sheared direction, [`SegmentDatabase::canonical`] is
+    /// [`Direction::make_query`](segdb_geom::transform::Direction::make_query)
+    /// at the same anchor and bounds, and a segment off the direction's
+    /// line is [`DbError::NotAligned`].
+    #[test]
+    fn canonical_is_make_query_under_a_shear() {
+        // Inside this span every sheared coordinate stays in range.
+        let span = COORD_LIMIT / (2 * DIR_LIMIT);
+        check::run(
+            "proto_canonical_is_make_query_under_a_shear",
+            200,
+            |rng| {
+                let dir = (rng.gen_range(-8..9i64), rng.gen_range(1..9i64));
+                let anchor = (rng.gen_range(-span..span), rng.gen_range(-span..span));
+                (
+                    rng.gen_range(0..4u8),
+                    dir,
+                    anchor,
+                    rng.gen_range(-64..65i64),
+                )
+            },
+            |&(shape, (dx, dy), (x, y), t)| {
+                let db = SegmentDatabase::builder().direction(dx, dy).unwrap();
+                let db = db.build(Vec::new()).unwrap();
+                let d = db.direction();
+                let (x2, y2) = (x + t * d.dx(), y + t * d.dy());
+                let q = query_of(shape, (x, y, x2, y2));
+                let (lo, hi) = match q {
+                    Query::Line { .. } => (None, None),
+                    Query::RayUp { .. } => (Some(y), None),
+                    Query::RayDown { .. } => (None, Some(y)),
+                    Query::Segment { .. } => (Some(y.min(y2)), Some(y.max(y2))),
+                };
+                let want = d.make_query(Point::new(x, y), lo, hi).unwrap();
+                assert_eq!(db.canonical(&q).unwrap(), want, "{q:?} along {d:?}");
+                let off = query_of(3, (x, y, x2 + 1, y2));
+                let refused = db.canonical(&off);
+                assert!(
+                    matches!(refused, Err(DbError::NotAligned)),
+                    "{off:?} along {d:?}"
+                );
+            },
+        );
     }
 
     #[test]

@@ -68,9 +68,9 @@ use crate::breaker::{Breaker, BreakerConfig, BreakerState};
 use crate::chaos::NetFaultHandle;
 use crate::client::{CallError, Client, ClientConfig};
 use crate::frontend::{bump, lock, Front, FrontConfig, Handler, Reply, DEFAULT_MAX_CONNECTIONS};
-use crate::proto::{self, code, Method, QueryShape, Request};
+use crate::proto::{self, code, Command, Method, Request};
 use segdb_core::partition::XCuts;
-use segdb_core::QueryMode;
+use segdb_core::{Query, QueryMode};
 use segdb_geom::Segment;
 use segdb_obs::json::{self, Json};
 use segdb_obs::Histogram;
@@ -762,14 +762,12 @@ fn shard_error_line(shared: &Shared, id: Option<u64>, i: usize, err: &CallError)
     }
 }
 
-/// Inclusive x-extent of a query shape (the abscissa for the line/ray
+/// Inclusive x-extent of a query (the abscissa for the line/ray
 /// shapes; the endpoint extent for the segment shape).
-fn shape_x_extent(shape: QueryShape) -> (i64, i64) {
-    match shape {
-        QueryShape::Line { x, .. }
-        | QueryShape::RayUp { x, .. }
-        | QueryShape::RayDown { x, .. } => (x, x),
-        QueryShape::Segment { x1, x2, .. } => (x1.min(x2), x1.max(x2)),
+fn x_extent(q: Query) -> (i64, i64) {
+    match q {
+        Query::Line { x, .. } | Query::RayUp { x, .. } | Query::RayDown { x, .. } => (x, x),
+        Query::Segment { x1, x2, .. } => (x1.min(x2), x1.max(x2)),
     }
 }
 
@@ -846,19 +844,22 @@ fn route(
     method: Method,
     raw_line: &str,
 ) -> Result<String, String> {
-    match method {
-        Method::Query(shape, mode) => route_query(shared, clients, id, shape, mode, raw_line),
-        Method::Insert(seg) | Method::Delete(seg) => {
+    let command = match method {
+        Method::Query(q, mode) => return route_query(shared, clients, id, q, mode, raw_line),
+        Method::Command(command) => command,
+    };
+    match command {
+        Command::Insert(seg) | Command::Delete(seg) => {
             route_write(shared, clients, id, &seg, raw_line)
         }
-        Method::Trace(shape) => {
-            let owner = shared.map.cuts().owner_of_x(shape_x_extent(shape).0);
+        Command::Trace(q) => {
+            let owner = shared.map.cuts().owner_of_x(x_extent(q).0);
             match shard_read(shared, clients, owner, raw_line) {
                 Ok(result) => Ok(proto::ok_line(id, result)),
                 Err(e) => Err(shard_error_line(shared, id, owner, &e)),
             }
         }
-        Method::Flush => {
+        Command::Flush => {
             let mut outcome = Ok(proto::ok_line(id, Json::Bool(true)));
             for s in 0..shared.map.shard_count() {
                 if let FanOutcome::Failed(e) = fan_write_to_shard(shared, clients, s, raw_line) {
@@ -868,18 +869,18 @@ fn route(
             }
             outcome
         }
-        Method::WalSince { .. } | Method::SyncFrom { .. } => Err(proto::err_line(
+        Command::WalSince { .. } | Command::SyncFrom { .. } => Err(proto::err_line(
             id,
             code::BAD_REQUEST,
             "replica catch-up targets one replica directly: send `wal_since`/`sync_from` to the replica's own address, not the router",
         )),
-        Method::Stats => Ok(proto::ok_line(id, stats_json(shared, clients))),
-        Method::SlowLog => Ok(proto::ok_line(id, slowlog_json(shared, clients))),
-        Method::Health => Ok(proto::ok_line(id, health_json(shared, clients))),
-        Method::ShardMap => Ok(proto::ok_line(id, shared.map.to_json())),
+        Command::Stats => Ok(proto::ok_line(id, stats_json(shared, clients))),
+        Command::SlowLog => Ok(proto::ok_line(id, slowlog_json(shared, clients))),
+        Command::Health => Ok(proto::ok_line(id, health_json(shared, clients))),
+        Command::ShardMap => Ok(proto::ok_line(id, shared.map.to_json())),
         // Answered inline by the front-end; kept total for safety.
-        Method::Ping => Ok(proto::ok_line(id, Json::Str("pong".to_string()))),
-        Method::Shutdown => Ok(proto::ok_line(id, Json::Bool(true))),
+        Command::Ping => Ok(proto::ok_line(id, Json::Str("pong".to_string()))),
+        Command::Shutdown => Ok(proto::ok_line(id, Json::Bool(true))),
     }
 }
 
@@ -887,11 +888,11 @@ fn route_query(
     shared: &Shared,
     clients: &mut [Vec<Client>],
     id: Option<u64>,
-    shape: QueryShape,
+    q: Query,
     mode: QueryMode,
     raw_line: &str,
 ) -> Result<String, String> {
-    let (xmin, xmax) = shape_x_extent(shape);
+    let (xmin, xmax) = x_extent(q);
     let (lo, hi) = query_targets(shared.map.cuts(), mode, xmin, xmax);
     let fanout = hi - lo + 1;
     match mode {
@@ -1311,11 +1312,11 @@ mod tests {
 
     #[test]
     fn shape_extent_covers_all_shapes() {
-        assert_eq!(shape_x_extent(QueryShape::Line { x: 7, y: 0 }), (7, 7));
-        assert_eq!(shape_x_extent(QueryShape::RayUp { x: -2, y: 1 }), (-2, -2));
-        assert_eq!(shape_x_extent(QueryShape::RayDown { x: 3, y: 1 }), (3, 3));
+        assert_eq!(x_extent(Query::Line { x: 7, y: 0 }), (7, 7));
+        assert_eq!(x_extent(Query::RayUp { x: -2, y: 1 }), (-2, -2));
+        assert_eq!(x_extent(Query::RayDown { x: 3, y: 1 }), (3, 3));
         assert_eq!(
-            shape_x_extent(QueryShape::Segment {
+            x_extent(Query::Segment {
                 x1: 9,
                 y1: 0,
                 x2: 4,

@@ -39,12 +39,12 @@ use crate::frontend::{
     bump, lock, Front, FrontConfig, Handler, Reply, DEFAULT_MAX_CONNECTIONS, READ_POLL,
 };
 use crate::lifecycle::{Lifecycle, RequestRecord};
-use crate::proto::{self, code, Method, QueryShape, Request};
+use crate::proto::{self, code, Command, Method, Request};
 use segdb_core::report::ids;
 use segdb_core::{
-    DbError, QueryAnswer, QueryMode, QueryTrace, SegmentDatabase, WriteAck, WriteEngine,
+    DbError, Query, QueryAnswer, QueryMode, QueryTrace, SegmentDatabase, WriteAck, WriteEngine,
 };
-use segdb_geom::Segment;
+use segdb_geom::VerticalQuery;
 use segdb_obs::{Json, StageTimer, TraceSummary};
 use std::collections::VecDeque;
 use std::io;
@@ -151,14 +151,11 @@ impl Backend {
         }
     }
 
-    /// Run one query shape in collect mode, materializing the segments
-    /// (the `trace` wire method's walk) — a group of one.
-    fn trace_collect(&self, shape: QueryShape) -> Result<(Vec<Segment>, QueryTrace), DbError> {
-        let q = self.with_db(|db| shape_canonical(db, shape))?;
-        let mut results = self.query_batch(&[(q, QueryMode::Collect)]);
-        match results.pop().expect("one result per item")? {
-            (QueryAnswer::Segments(hits), trace) => Ok((hits, trace)),
-            _ => unreachable!("collect-mode answers carry segments"),
+    /// Run one query — a group of one (delta-merged when writable).
+    fn query(&self, q: &Query, mode: QueryMode) -> Result<(QueryAnswer, QueryTrace), DbError> {
+        match self {
+            Backend::ReadOnly(db) => db.query(q, mode),
+            Backend::Writable(eng) => eng.query(q, mode),
         }
     }
 
@@ -166,29 +163,13 @@ impl Backend {
     /// (delta-merged per query when writable).
     fn query_batch(
         &self,
-        items: &[(segdb_geom::VerticalQuery, QueryMode)],
+        items: &[(VerticalQuery, QueryMode)],
     ) -> Vec<Result<(QueryAnswer, QueryTrace), DbError>> {
         match self {
             Backend::ReadOnly(db) => db.query_batch_canonical_mode(items),
             Backend::Writable(eng) => eng.query_batch_canonical_mode(items),
         }
     }
-}
-
-/// Express one wire query shape as its canonical-frame query (the same
-/// translation the facade's shape entry points apply).
-fn shape_canonical(
-    db: &SegmentDatabase,
-    shape: QueryShape,
-) -> Result<segdb_geom::VerticalQuery, DbError> {
-    Ok(match shape {
-        QueryShape::Line { x, y } => db.direction().make_query((x, y).into(), None, None)?,
-        QueryShape::RayUp { x, y } => db.direction().make_query((x, y).into(), Some(y), None)?,
-        QueryShape::RayDown { x, y } => db.direction().make_query((x, y).into(), None, Some(y))?,
-        QueryShape::Segment { x1, y1, x2, y2 } => {
-            db.segment_query((x1, y1).into(), (x2, y2).into())?
-        }
-    })
 }
 
 /// Monotone worker-pool counters; the `stats` method reports them next
@@ -199,15 +180,22 @@ struct ServerStats {
     timeouts: AtomicU64,
 }
 
-/// One admitted request travelling from a connection reader to a worker.
-/// The [`StageTimer`] starts at admission; the worker's first lap is the
-/// queue wait, its second the index walk, and the connection reader
-/// closes the lifecycle when the reply hits the socket.
+/// One admitted request travelling from a connection reader to a worker,
+/// queued beside the [`Method`] it asks for. The [`StageTimer`] starts at
+/// admission; the worker's first lap is the queue wait, its second the
+/// index walk, and the connection reader closes the lifecycle when the
+/// reply hits the socket.
 struct Job {
     id: Option<u64>,
-    method: Method,
     slot: Arc<ReplySlot>,
     timer: StageTimer,
+}
+
+/// What a worker takes from the queue: a run of queries for one shared
+/// walk, or one command.
+enum Group {
+    Queries(Vec<(Job, Query, QueryMode)>),
+    Command(Job, Command),
 }
 
 /// Why a request was refused: wire error code and message.
@@ -305,7 +293,7 @@ impl ReplySlot {
 
 struct Shared {
     backend: Backend,
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<VecDeque<(Job, Method)>>,
     not_empty: Condvar,
     front: Arc<Front>,
     queue_depth: usize,
@@ -522,24 +510,22 @@ fn compact_loop(shared: &Shared, engine: &WriteEngine, min_tombs: u64, interval:
 /// The share is taken from wherever the queries sit (requests from
 /// distinct connections have no mutual order); other jobs keep their
 /// positions. With no more jobs queued than workers the share is one —
-/// the group forms from backlog alone, never from waiting. Empty when
-/// the queue is.
-fn take_group(queue: &mut VecDeque<Job>, workers: usize) -> Vec<Job> {
+/// the group forms from backlog alone, never from waiting. `None` when
+/// the queue is empty.
+fn take_group(queue: &mut VecDeque<(Job, Method)>, workers: usize) -> Option<Group> {
     let share = queue.len().div_ceil(workers).min(GROUP_CAP);
-    let Some(first) = queue.pop_front() else {
-        return Vec::new();
+    let mut group = match queue.pop_front()? {
+        (job, Method::Query(q, mode)) => vec![(job, q, mode)],
+        (job, Method::Command(command)) => return Some(Group::Command(job, command)),
     };
-    let is_query = matches!(first.method, Method::Query(..));
-    let mut group = vec![first];
     let mut i = 0;
-    while is_query && i < queue.len() && group.len() < share {
-        if matches!(queue[i].method, Method::Query(..)) {
-            group.extend(queue.remove(i));
-        } else {
-            i += 1;
+    while i < queue.len() && group.len() < share {
+        match queue[i].1 {
+            Method::Query(q, mode) => group.extend(queue.remove(i).map(|(job, _)| (job, q, mode))),
+            Method::Command(_) => i += 1,
         }
     }
-    group
+    Some(Group::Queries(group))
 }
 
 fn worker_loop(shared: &Shared) {
@@ -548,7 +534,7 @@ fn worker_loop(shared: &Shared) {
             let mut queue = lock(&shared.queue);
             loop {
                 let group = take_group(&mut queue, shared.workers);
-                if !group.is_empty() || shared.front.stopping() {
+                if group.is_some() || shared.front.stopping() {
                     break group;
                 }
                 queue = shared
@@ -557,21 +543,19 @@ fn worker_loop(shared: &Shared) {
                     .unwrap_or_else(|p| p.into_inner());
             }
         };
-        match group.first().map(|job| &job.method) {
+        match group {
             None => break, // stopping
-            Some(Method::Query(..)) => execute_queries(shared, group),
-            Some(_) => {
-                for mut job in group {
-                    let queue_us = job.timer.lap_us();
-                    let outcome = execute(shared, job.id, &job.method);
-                    finish(job, queue_us, outcome);
-                }
+            Some(Group::Queries(jobs)) => execute_queries(shared, jobs),
+            Some(Group::Command(mut job, command)) => {
+                let queue_us = job.timer.lap_us();
+                let outcome = execute(shared, job.id, &command);
+                finish(job, queue_us, outcome);
             }
         }
     }
     // Refuse whatever was still queued when the stop flag went up.
     let mut queue = lock(&shared.queue);
-    while let Some(job) = queue.pop_front() {
+    while let Some((job, _)) = queue.pop_front() {
         job.slot.fill(Done::refused(
             job.id,
             code::SHUTTING_DOWN,
@@ -607,40 +591,35 @@ fn finish(job: Job, queue_us: u64, outcome: Outcome) {
 /// each request's [`ReplySlot`] by its own correlation id. Jobs whose
 /// requester already timed out are dropped before the walk; a group of
 /// one reports `batch_id = 0`.
-fn execute_queries(shared: &Shared, jobs: Vec<Job>) {
-    let mut live: Vec<Job> = jobs
+fn execute_queries(shared: &Shared, jobs: Vec<(Job, Query, QueryMode)>) {
+    let mut live: Vec<_> = jobs
         .into_iter()
-        .filter(|j| !j.slot.is_abandoned())
+        .filter(|(job, ..)| !job.slot.is_abandoned())
         .collect();
     let mut queue_laps: Vec<u64> = Vec::with_capacity(live.len());
-    let mut prepared: Vec<Result<(segdb_geom::VerticalQuery, QueryMode), DbError>> =
+    let mut prepared: Vec<Result<(VerticalQuery, QueryMode), DbError>> =
         Vec::with_capacity(live.len());
-    for job in &mut live {
+    for (job, q, mode) in &mut live {
         queue_laps.push(job.timer.lap_us());
-        let Method::Query(shape, mode) = job.method else {
-            unreachable!("only query jobs are grouped");
-        };
+        let mode = *mode;
         prepared.push(
             shared
                 .backend
-                .with_db(|db| shape_canonical(db, shape))
+                .with_db(|db| db.canonical(q))
                 .map(|q| (q, mode)),
         );
     }
-    let items: Vec<(segdb_geom::VerticalQuery, QueryMode)> = prepared
+    let items: Vec<(VerticalQuery, QueryMode)> = prepared
         .iter()
         .filter_map(|p| p.as_ref().ok().copied())
         .collect();
     let mut results = shared.backend.query_batch(&items).into_iter();
-    for ((job, prep), queue_us) in live.into_iter().zip(prepared).zip(queue_laps) {
-        let Method::Query(shape, _) = job.method else {
-            unreachable!("only query jobs are grouped");
-        };
+    for (((job, q, _), prep), queue_us) in live.into_iter().zip(prepared).zip(queue_laps) {
         let outcome = prep
             .and_then(|_| results.next().expect("one result per prepared query"))
             .map(|(answer, trace)| {
                 let info = ExecInfo {
-                    op: shape_op(shape),
+                    op: proto::query_wire(&q).0,
                     mode: trace.mode.name(),
                     pages: trace.io.reads + trace.io.cache_hits,
                     hits: answer.count(),
@@ -671,12 +650,12 @@ fn submit(shared: &Shared, request: Request) -> Done {
                 "job queue full; back off and retry",
             );
         }
-        queue.push_back(Job {
+        let job = Job {
             id: request.id,
-            method: request.method,
             slot: Arc::clone(&slot),
             timer: StageTimer::start(),
-        });
+        };
+        queue.push_back((job, request.method));
     }
     shared.not_empty.notify_one();
     slot.wait_for(shared.request_timeout).unwrap_or_else(|| {
@@ -707,16 +686,6 @@ fn answer_json(answer: &QueryAnswer, trace: &QueryTrace) -> Vec<(&'static str, J
 fn db_refusal(e: DbError) -> Refusal {
     let code = if e.is_transient() { code::IO } else { code::DB };
     (code, e.to_string())
-}
-
-/// The wire method name of a query shape (the lifecycle record's `op`).
-fn shape_op(shape: QueryShape) -> &'static str {
-    match shape {
-        QueryShape::Line { .. } => "query_line",
-        QueryShape::RayUp { .. } => "query_ray_up",
-        QueryShape::RayDown { .. } => "query_ray_down",
-        QueryShape::Segment { .. } => "query_segment",
-    }
 }
 
 /// The engine behind the write and catch-up methods, or the `read_only`
@@ -756,52 +725,52 @@ fn execute_write(
 
 /// Execute one non-query job. Counting and encoding the outcome is the
 /// caller's business ([`finish`] and the front-end).
-fn execute(shared: &Shared, id: Option<u64>, method: &Method) -> Outcome {
+fn execute(shared: &Shared, id: Option<u64>, command: &Command) -> Outcome {
     // The protocol guarantees writes carry a correlation id — it doubles
     // as the idempotence key.
     let key = id.unwrap_or(0);
-    let result = match *method {
-        Method::Query(..) => unreachable!("query jobs run through execute_queries"),
-        Method::Insert(seg) => return execute_write(shared, "insert", |e| e.insert(key, seg)),
-        Method::Delete(seg) => return execute_write(shared, "delete", |e| e.delete(key, seg)),
-        Method::Flush => {
+    let result = match *command {
+        Command::Insert(seg) => return execute_write(shared, "insert", |e| e.insert(key, seg)),
+        Command::Delete(seg) => return execute_write(shared, "delete", |e| e.delete(key, seg)),
+        Command::Flush => {
             engine_or_read_only(shared)?.flush().map_err(db_refusal)?;
             Json::Bool(true)
         }
-        Method::Trace(shape) => {
+        Command::Trace(q) => {
             segdb_obs::trace::clear();
-            let result = segdb_obs::trace::with_tracing(|| shared.backend.trace_collect(shape));
+            let result =
+                segdb_obs::trace::with_tracing(|| shared.backend.query(&q, QueryMode::Collect));
             let (events, dropped) = segdb_obs::trace::drain();
-            let (hits, trace) = result.map_err(db_refusal)?;
+            let (answer, trace) = result.map_err(db_refusal)?;
             let info = ExecInfo {
                 op: "trace",
                 mode: "trace",
                 pages: trace.io.reads + trace.io.cache_hits,
-                hits: hits.len() as u64,
+                hits: answer.count(),
                 batch_id: 0,
                 batch_size: 0,
             };
-            let mut fields = answer_json(&QueryAnswer::Segments(hits), &trace);
+            let mut fields = answer_json(&answer, &trace);
             fields.push((
                 "spans",
                 TraceSummary::from_events(&events, dropped).to_json(),
             ));
             return Ok((Json::obj(fields), Some(info)));
         }
-        Method::Stats => stats_json(shared),
-        Method::SlowLog => shared.lifecycle.slowlog_json(),
-        Method::Health => Json::obj([
+        Command::Stats => stats_json(shared),
+        Command::SlowLog => shared.lifecycle.slowlog_json(),
+        Command::Health => Json::obj([
             ("ok", Json::Bool(true)),
             ("role", Json::Str("server".to_string())),
             ("writable", Json::Bool(shared.backend.engine().is_some())),
             ("segments", Json::U64(shared.backend.with_db(|db| db.len()))),
         ]),
         // A single node is its own one-shard "cluster".
-        Method::ShardMap => Json::obj([
+        Command::ShardMap => Json::obj([
             ("role", Json::Str("single".to_string())),
             ("shards", Json::Arr(Vec::new())),
         ]),
-        Method::WalSince { from } => {
+        Command::WalSince { from } => {
             let engine = engine_or_read_only(shared)?;
             let recs = engine
                 .records_since(from)
@@ -815,12 +784,12 @@ fn execute(shared: &Shared, id: Option<u64>, method: &Method) -> Outcome {
                 ),
             ])
         }
-        Method::SyncFrom { ref peer, from } => {
+        Command::SyncFrom { ref peer, from } => {
             sync_from_peer(engine_or_read_only(shared)?, peer, from)?
         }
         // Answered inline by the front-end; kept total for safety.
-        Method::Ping => Json::Str("pong".to_string()),
-        Method::Shutdown => Json::Bool(true),
+        Command::Ping => Json::Str("pong".to_string()),
+        Command::Shutdown => Json::Bool(true),
     };
     Ok((result, None))
 }
@@ -1030,24 +999,37 @@ mod tests {
 
     /// A queue of jobs numbered by position; `Q` is a query, anything
     /// else a write (a `flush`).
-    fn queue_of(kinds: &str) -> VecDeque<Job> {
+    fn queue_of(kinds: &str) -> VecDeque<(Job, Method)> {
         kinds
             .chars()
             .enumerate()
-            .map(|(i, kind)| Job {
-                id: Some(i as u64),
-                method: match kind {
-                    'Q' => Method::Query(QueryShape::Line { x: 0, y: 0 }, QueryMode::Count),
-                    _ => Method::Flush,
-                },
-                slot: Arc::new(ReplySlot::default()),
-                timer: StageTimer::start(),
+            .map(|(i, kind)| {
+                let job = Job {
+                    id: Some(i as u64),
+                    slot: Arc::new(ReplySlot::default()),
+                    timer: StageTimer::start(),
+                };
+                match kind {
+                    'Q' => (
+                        job,
+                        Method::Query(Query::Line { x: 0, y: 0 }, QueryMode::Count),
+                    ),
+                    _ => (job, Method::Command(Command::Flush)),
+                }
             })
             .collect()
     }
 
-    fn ids(jobs: impl IntoIterator<Item = Job>) -> Vec<u64> {
+    fn ids<'a>(jobs: impl IntoIterator<Item = &'a Job>) -> Vec<u64> {
         jobs.into_iter().map(|job| job.id.unwrap()).collect()
+    }
+
+    fn group_ids(group: Option<Group>) -> Vec<u64> {
+        match group {
+            None => Vec::new(),
+            Some(Group::Queries(jobs)) => ids(jobs.iter().map(|(job, ..)| job)),
+            Some(Group::Command(job, _)) => ids([&job]),
+        }
     }
 
     #[test]
@@ -1072,13 +1054,17 @@ mod tests {
         for (kinds, workers, group, rest) in cases {
             let mut queue = queue_of(kinds);
             let taken = take_group(&mut queue, workers);
-            assert_eq!(ids(taken), group, "{kinds} / {workers} workers");
-            assert_eq!(ids(queue), rest, "{kinds} / {workers} workers");
+            assert_eq!(group_ids(taken), group, "{kinds} / {workers} workers");
+            assert_eq!(
+                ids(queue.iter().map(|(job, _)| job)),
+                rest,
+                "{kinds} / {workers} workers"
+            );
         }
         // The cap bounds a group however deep the backlog.
         let mut queue = queue_of(&"Q".repeat(3 * GROUP_CAP));
-        assert_eq!(take_group(&mut queue, 1).len(), GROUP_CAP);
+        assert_eq!(group_ids(take_group(&mut queue, 1)).len(), GROUP_CAP);
         assert_eq!(queue.len(), 2 * GROUP_CAP);
-        assert!(take_group(&mut VecDeque::new(), 2).is_empty());
+        assert!(take_group(&mut VecDeque::new(), 2).is_none());
     }
 }

@@ -6,7 +6,7 @@
 //! cargo run --release --example cost_model
 //! ```
 
-use segdb::core::{IndexKind, SegmentDatabase};
+use segdb::core::{IndexKind, Query, QueryMode::Collect, SegmentDatabase};
 use segdb::geom::gen::{strips, vertical_queries};
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
             .unwrap();
         let mut reads = 0u64;
         for q in &probes {
-            let (_, t) = db.query_canonical(q).unwrap();
+            let (_, t) = db.query(&Query::from(*q), Collect).unwrap();
             reads += t.io.reads;
         }
         println!(
@@ -49,7 +49,7 @@ fn main() {
         db.pager().reset_stats();
         for _ in 0..2 {
             for q in &probes {
-                let (_, _t) = db.query_canonical(q).unwrap();
+                db.query(&Query::from(*q), Collect).unwrap();
             }
         }
         let s = db.pager().stats();

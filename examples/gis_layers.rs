@@ -11,7 +11,9 @@
 //! cargo run --release --example gis_layers
 //! ```
 
-use segdb::core::{FullScan, IndexKind, QueryTrace, SegmentDatabase, StabThenFilter};
+use segdb::core::{
+    FullScan, IndexKind, Query, QueryMode, QueryTrace, SegmentDatabase, StabThenFilter,
+};
 use segdb::geom::gen::{mixed_map, vertical_queries};
 use segdb::geom::{Segment, VerticalQuery};
 use segdb::pager::{Pager, PagerConfig};
@@ -64,7 +66,10 @@ fn main() {
             .build(map.clone())
             .expect("valid NCT map");
         answers.push(row(&format!("{kind:?}"), db.space_blocks(), &probes, |q| {
-            db.query_canonical(q).expect("query")
+            let (answer, trace) = db
+                .query(&Query::from(*q), QueryMode::Collect)
+                .expect("query");
+            (answer.segments().unwrap_or_default().to_vec(), trace)
         }));
     }
     // The baselines are built straight on a pager of their own.

@@ -5,7 +5,7 @@
 //! cargo run --release --example persistent_store
 //! ```
 
-use segdb::core::{IndexKind, SegmentDatabase};
+use segdb::core::{IndexKind, Query, QueryMode::Collect, SegmentDatabase};
 use segdb::geom::gen::mixed_map;
 use segdb::geom::Segment;
 
@@ -35,10 +35,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Reopen with a warm cache and query.
     let mut db = SegmentDatabase::open(&path, 256)?;
     assert_eq!(db.len(), n as u64);
-    let (hits, trace) = db.query_segment((300, 0), (300, 400))?;
+    let corridor = Query::Segment {
+        x1: 300,
+        y1: 0,
+        x2: 300,
+        y2: 400,
+    };
+    let (hits, trace) = db.query(&corridor, Collect)?;
     println!(
         "reopened: corridor query hits {} segments with {} physical reads",
-        hits.len(),
+        hits.count(),
         trace.io.reads
     );
 
@@ -50,7 +56,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let db = SegmentDatabase::open(&path, 0)?;
     assert_eq!(db.len(), n as u64 + 1);
-    let (hits, _) = db.query_line(((1 << 20) + 4, 0))?;
+    let (answer, _) = db.query(
+        &Query::Line {
+            x: (1 << 20) + 4,
+            y: 0,
+        },
+        Collect,
+    )?;
+    let hits = answer.segments().unwrap_or_default();
     assert_eq!(hits.len(), 1);
     println!("mutation survived the reopen: {}", hits[0]);
 

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use segdb::core::{IndexKind, SegmentDatabase};
+use segdb::core::{IndexKind, Query, QueryMode::Collect, SegmentDatabase};
 use segdb::geom::Segment;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,19 +33,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 1. Stabbing query: everything crossing the vertical line x = 50.
-    let (hits, trace) = db.query_line((50, 0))?;
+    let (answer, trace) = db.query(&Query::Line { x: 50, y: 0 }, Collect)?;
+    let hits = answer.segments().unwrap_or_default();
     println!(
         "\nline x=50 hits {} segments with {} read I/Os:",
         hits.len(),
         trace.io.reads
     );
-    for s in &hits {
+    for s in hits {
         println!("  {s}");
     }
     assert_eq!(hits.len(), 4);
 
     // 2. VS query (the paper's contribution): a bounded vertical probe.
-    let (hits, _) = db.query_segment((50, 25), (50, 35))?;
+    let probe = Query::Segment {
+        x1: 50,
+        y1: 25,
+        x2: 50,
+        y2: 35,
+    };
+    let (answer, _) = db.query(&probe, Collect)?;
+    let hits = answer.segments().unwrap_or_default();
     println!(
         "\nsegment x=50, 25≤y≤35 hits: {:?}",
         hits.iter().map(|s| s.id).collect::<Vec<_>>()
@@ -53,7 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(hits.len(), 2); // wall + path touch point
 
     // 3. Ray query: upwards from (50, 35).
-    let (hits, _) = db.query_ray_up((50, 35))?;
+    let (answer, _) = db.query(&Query::RayUp { x: 50, y: 35 }, Collect)?;
+    let hits = answer.segments().unwrap_or_default();
     println!(
         "ray up from (50,35) hits: {:?}",
         hits.iter().map(|s| s.id).collect::<Vec<_>>()
@@ -66,7 +75,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Segment::new(10, (0, 0), (100, 0))?,
         Segment::new(11, (0, 50), (100, 50))?,
     ])?;
-    let (hits, _) = db.query_line((10, 0))?;
+    let (answer, _) = db.query(&Query::Line { x: 10, y: 0 }, Collect)?;
+    let hits = answer.segments().unwrap_or_default();
     println!(
         "\nslanted line through (10,0) along (1,2) hits: {:?}",
         hits.iter().map(|s| s.id).collect::<Vec<_>>()

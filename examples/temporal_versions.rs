@@ -16,7 +16,7 @@
 //! cargo run --release --example temporal_versions
 //! ```
 
-use segdb::core::{IndexKind, SegmentDatabase};
+use segdb::core::{IndexKind, Query, QueryMode::Collect, SegmentDatabase};
 use segdb::geom::gen::temporal;
 use segdb::geom::Segment;
 
@@ -32,23 +32,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Timeslice at mid-horizon.
     let t0 = HORIZON / 2;
-    let (alive, trace) = db.query_line((t0, 0))?;
+    let (alive, trace) = db.query(&Query::Line { x: t0, y: 0 }, Collect)?;
     println!(
         "timeslice t={t0}: {} versions alive ({} read I/Os, {} first-level nodes)",
-        alive.len(),
+        alive.count(),
         trace.io.reads,
         trace.first_level_nodes
     );
 
     // Key-range timeslice: records 1000..=2000 (y = 2·id).
-    let (slice, trace) = db.query_segment((t0, 2000), (t0, 4000))?;
+    let key_range = Query::Segment {
+        x1: t0,
+        y1: 2000,
+        x2: t0,
+        y2: 4000,
+    };
+    let (slice, trace) = db.query(&key_range, Collect)?;
     println!(
         "key-range timeslice ids 1000..=2000: {} alive ({} read I/Os)",
-        slice.len(),
+        slice.count(),
         trace.io.reads
     );
-    assert!(slice.iter().all(|s| (1000..=2000).contains(&(s.a.y / 2))));
-    assert!(slice.len() <= alive.len());
+    let hits = slice.segments().unwrap_or_default();
+    assert!(hits.iter().all(|s| (1000..=2000).contains(&(s.a.y / 2))));
+    assert!(slice.count() <= alive.count());
 
     // Append new versions (semi-dynamic insertion, Theorem 2(iii)).
     let before = db.len();
@@ -62,9 +69,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     db.validate()?;
 
     // The fresh versions are visible to late timeslices.
-    let (late, _) = db.query_ray_up((HORIZON + 10, 2 * n as i64))?;
-    println!("late timeslice sees {} appended versions", late.len());
-    assert_eq!(late.len(), 1000);
+    let fresh = Query::RayUp {
+        x: HORIZON + 10,
+        y: 2 * n as i64,
+    };
+    let (late, _) = db.query(&fresh, Collect)?;
+    println!("late timeslice sees {} appended versions", late.count());
+    assert_eq!(late.count(), 1000);
 
     println!("temporal_versions OK");
     Ok(())

@@ -18,7 +18,8 @@
 //! cargo run --release --example trajectories
 //! ```
 
-use segdb::core::{IndexKind, SegmentDatabase};
+use segdb::core::report::ids;
+use segdb::core::{IndexKind, Query, QueryMode::Collect, SegmentDatabase};
 use segdb::geom::Segment;
 
 const HORIZON: i64 = 10_000;
@@ -57,10 +58,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{n} car trajectories in {} blocks", db.space_blocks());
 
     let t = 5_000i64;
-    let (between, trace) = db.query_segment((t, 100_000), (t, 150_000))?;
+    let window = Query::Segment {
+        x1: t,
+        y1: 100_000,
+        x2: t,
+        y2: 150_000,
+    };
+    let (between, trace) = db.query(&window, Collect)?;
     println!(
         "cars between mile-pos 100k and 150k at t={t}: {} ({} read I/Os)",
-        between.len(),
+        between.count(),
         trace.io.reads
     );
 
@@ -71,16 +78,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .direction(1, 130)?
         .index(IndexKind::TwoLevelInterval)
         .build(cars.clone())?;
-    let (met, trace) = patrol.query_line((0, -1_600_000))?;
+    let (met, trace) = patrol.query(
+        &Query::Line {
+            x: 0,
+            y: -1_600_000,
+        },
+        Collect,
+    )?;
     println!(
         "patrol car (v=130 from pos -1.6M) meets {} cars ({} read I/Os)",
-        met.len(),
+        met.count(),
         trace.io.reads
     );
     // The patrol gains 10–90 position units per tick, so within the
     // horizon it sweeps up the tail of the queue.
     assert!(
-        met.len() > 100,
+        met.count() > 100,
         "a fast pursuer meets the tail of the queue"
     );
 
@@ -94,9 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .map(|c| c.id)
         .collect();
-    let mut met_ids: Vec<u64> = met.iter().map(|s| s.id).collect();
-    met_ids.sort_unstable();
-    assert_eq!(met_ids, brute);
+    assert_eq!(ids(met.segments().unwrap_or_default()), brute);
 
     println!("trajectories OK");
     Ok(())

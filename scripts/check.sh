@@ -63,6 +63,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
+# One read surface: each query is named once, by `Query`, and each
+# layer keeps one query verb. The count is what ROADMAP item 12 left.
+echo "==> read surface: at most 140 method-level pub fns in crates/core/src"
+PUB_FNS=$(find crates/core/src -name '*.rs' -exec cat {} + | grep -c '^    pub fn')
+[ "$PUB_FNS" -le 140 ] || {
+    echo "crates/core/src has $PUB_FNS method-level pub fns, more than 140"; exit 1; }
+
 echo "==> serve/load smoke round-trip"
 CLI=target/release/segdb-cli
 LOAD=target/release/segdb-load
@@ -132,6 +139,29 @@ done
 SEGDB_BENCH_DIR="$SMOKE" "$LOAD" --addr "$ADDR" --family mixed --n 300 --seed 21 \
     --connections 1 --requests 1 --shutdown > /dev/null
 wait "$SERVE_PID"
+
+echo "==> sheared parity smoke (direction 1,2: local and --remote ask the same query)"
+"$CLI" gen mixed 2000 7 > "$SMOKE/shear.csv"
+"$CLI" build "$SMOKE/shear.db" "$SMOKE/shear.csv" --direction 1,2 > /dev/null
+"$CLI" serve "$SMOKE/shear.db" --addr 127.0.0.1:0 --workers 2 > "$SMOKE/serve-shear.out" &
+SERVE_PID=$!
+ADDR=$(listening_on "$SMOKE/serve-shear.out" "sheared server")
+# (500, 0) and (650, 300) lie on one line of direction (1, 2).
+for q in "line 500 0" "line 500 300" "ray-up 500 300" "ray-down 500 300" \
+    "segment 500 0 650 300"; do
+    for mode in --count --exists; do
+        # shellcheck disable=SC2086 # $q is the shape and its coordinates
+        LOCAL=$("$CLI" query "$SMOKE/shear.db" $q $mode | head -n 1)
+        # shellcheck disable=SC2086
+        REMOTE=$("$CLI" query --remote "$ADDR" $q $mode | head -n 1)
+        [ "$LOCAL" = "$REMOTE" ] || {
+            echo "query $q $mode: local answers $LOCAL, remote $REMOTE"; exit 1; }
+    done
+done
+[ "$("$CLI" query --remote "$ADDR" line 500 300 --count | head -n 1)" != \
+    "$("$CLI" query --remote "$ADDR" line 500 0 --count | head -n 1)" ] || {
+    echo "remote line through (500, 300) answers as the one through (500, 0)"; exit 1; }
+kill "$SERVE_PID"; wait "$SERVE_PID" 2>/dev/null || true
 
 echo "==> backlog smoke (64 connections on 2 workers: verified answers, shared walks)"
 "$CLI" gen mixed 40000 42 > "$SMOKE/base.csv"
@@ -464,4 +494,4 @@ echo "$OUT1" | grep -q '"observed_io_errors":0}' && {
 echo "$OUT1" | grep -q '"recovery_queries_verified":0,' && {
     echo "no recovery query was verified: $OUT1"; exit 1; }
 
-echo "OK: registry-free, build, tests, benchmark package, bench_pair, clippy, fmt, serve + lifecycle + net-chaos + write-path + update-cost + live-tombstone + cluster + replicated-failover + crash-recovery smoke all clean."
+echo "OK: registry-free, build, tests, benchmark package, bench_pair, clippy, fmt, read surface, serve + sheared parity + lifecycle + net-chaos + write-path + update-cost + live-tombstone + cluster + replicated-failover + crash-recovery smoke all clean."

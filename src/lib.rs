@@ -19,7 +19,7 @@
 //! `examples/` directory.
 //!
 //! ```
-//! use segdb::core::{IndexKind, SegmentDatabase};
+//! use segdb::core::{IndexKind, Query, QueryMode, SegmentDatabase};
 //! use segdb::geom::Segment;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,8 +30,9 @@
 //!         Segment::new(1, (0, 0), (100, 40))?,
 //!         Segment::new(2, (20, 60), (80, 60))?,
 //!     ])?;
-//! let (hits, trace) = db.query_segment((50, 0), (50, 100))?;
-//! assert_eq!(hits.len(), 2);
+//! let q = Query::Segment { x1: 50, y1: 0, x2: 50, y2: 100 };
+//! let (hits, trace) = db.query(&q, QueryMode::Collect)?;
+//! assert_eq!(hits.count(), 2);
 //! println!("answered in {} block reads", trace.io.reads);
 //! # Ok(())
 //! # }

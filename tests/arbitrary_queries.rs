@@ -4,7 +4,7 @@
 
 use segdb::core::report::ids;
 use segdb::core::testutil::oracle_intersect as oracle;
-use segdb::core::{IndexKind, SegmentDatabase};
+use segdb::core::{IndexKind, Query, QueryMode::Count, SegmentDatabase};
 use segdb::geom::gen::mixed_map;
 use segdb::geom::Segment;
 
@@ -33,8 +33,8 @@ fn free_segment_queries_match_brute_force() {
         assert!(trace.second_level_probes as usize >= hits.len());
     }
     // Fixed-direction queries still work side by side.
-    let (hits, _) = db.query_line((100, 0)).unwrap();
-    assert!(!hits.is_empty());
+    let (hits, _) = db.query(&Query::Line { x: 100, y: 0 }, Count).unwrap();
+    assert!(hits.count() > 0);
 }
 
 #[test]

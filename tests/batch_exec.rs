@@ -11,7 +11,9 @@
 
 use segdb::core::report::ids;
 use segdb::core::testutil::oracle_query;
-use segdb::core::{IndexKind, QueryAnswer, QueryMode, SegmentDatabase, WriteEngine, WriterConfig};
+use segdb::core::{
+    IndexKind, Query, QueryAnswer, QueryMode, SegmentDatabase, WriteEngine, WriterConfig,
+};
 use segdb::geom::gen::{mixed_map, vertical_queries, Family};
 use segdb::geom::{Segment, VerticalQuery};
 use segdb::obs::Json;
@@ -489,9 +491,8 @@ fn page_parity_holds_through_the_write_overlay() {
             "delta hit reads nothing"
         );
         assert_eq!(out[0].as_ref().unwrap().0, QueryAnswer::Exists(false));
-        let (alone, trace) = engine
-            .query_line_mode((x_lo, 0), QueryMode::Exists)
-            .unwrap();
+        let line = Query::Line { x: x_lo, y: 0 };
+        let (alone, trace) = engine.query(&line, QueryMode::Exists).unwrap();
         assert_eq!((alone, pages(&trace)), (QueryAnswer::Exists(true), 0));
     }
 }
@@ -615,14 +616,7 @@ fn writer_overlay_batches_match_sequential() {
     let results = engine.query_batch_canonical_mode(&items);
     for ((q, mode), result) in items.iter().zip(results) {
         let (batched, _) = result.unwrap();
-        let (sequential, _) = match *q {
-            VerticalQuery::Line { x } => engine.query_line_mode((x, 0), *mode).unwrap(),
-            VerticalQuery::RayUp { x, y0 } => engine.query_ray_up_mode((x, y0), *mode).unwrap(),
-            VerticalQuery::RayDown { x, y0 } => engine.query_ray_down_mode((x, y0), *mode).unwrap(),
-            VerticalQuery::Segment { x, lo, hi } => {
-                engine.query_segment_mode((x, lo), (x, hi), *mode).unwrap()
-            }
-        };
+        let (sequential, _) = engine.query(&(*q).into(), *mode).unwrap();
         match mode {
             QueryMode::Limit(_) => {
                 assert_eq!(
@@ -918,7 +912,8 @@ fn a_write_is_served_while_the_other_worker_is_mid_group() {
                     id_base: 1000 * (i as u64 + 1),
                     ..ClientConfig::default()
                 });
-                (x, client.query_ids("query_line", &[("x", x)]).unwrap())
+                let reply = client.query_mode("query_line", &[("x", x)], QueryMode::Collect);
+                (x, reply.unwrap().ids)
             })
         })
         .collect();
@@ -1026,7 +1021,7 @@ fn a_replied_request_is_already_counted_by_stats() {
             s.spawn(|| {
                 let (mut querier, mut observer) = (connect(), connect());
                 for _ in 0..CHECKS {
-                    querier.query_ids("query_line", &[("x", 500)]).unwrap();
+                    (querier.query_mode("query_line", &[("x", 500)], QueryMode::Collect)).unwrap();
                     let read = 1 + replied.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                     let counted = counted_requests(&observer.remote_stats().unwrap()) - before;
                     assert!(

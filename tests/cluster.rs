@@ -14,7 +14,7 @@
 //! `segdb-load --cluster` report carrying per-shard latency histograms.
 
 use segdb::core::{
-    IndexKind, QueryAnswer, QueryMode, SegmentDatabase, WriteEngine, WriterConfig, XCuts,
+    IndexKind, Query, QueryAnswer, QueryMode, SegmentDatabase, WriteEngine, WriterConfig, XCuts,
 };
 use segdb::geom::gen::mixed_map;
 use segdb::geom::Segment;
@@ -23,7 +23,7 @@ use segdb::pager::Disk;
 use segdb_server::chaos::{NetFaultHandle, NetFaultPlan};
 use segdb_server::client::{CallError, Client, ClientConfig};
 use segdb_server::load::{self, LoadConfig};
-use segdb_server::{Router, RouterConfig, Server, ServerConfig, ShardMap};
+use segdb_server::{proto, Router, RouterConfig, Server, ServerConfig, ShardMap};
 use std::sync::Arc;
 
 const INDEXES: [IndexKind; 2] = [IndexKind::TwoLevelBinary, IndexKind::TwoLevelInterval];
@@ -124,38 +124,18 @@ impl Cluster {
     }
 }
 
-/// The single-node call answering the same question a wire method asks.
-type LocalQuery = Box<dyn Fn(&SegmentDatabase, QueryMode) -> QueryAnswer>;
-
-/// The wire method + params of shape `i % 4` at abscissa `x`, spanning
-/// y ∈ [lo, hi], with the single-node call answering the same question.
-fn shape(
-    i: usize,
-    x: i64,
-    lo: i64,
-    hi: i64,
-) -> (&'static str, Vec<(&'static str, i64)>, LocalQuery) {
+/// Shape `i % 4` at abscissa `x`, spanning y ∈ [lo, hi].
+fn shape(i: usize, x: i64, lo: i64, hi: i64) -> Query {
     match i % 4 {
-        0 => (
-            "query_line",
-            vec![("x", x)],
-            Box::new(move |db, m| db.query_line_mode((x, 0), m).unwrap().0),
-        ),
-        1 => (
-            "query_ray_up",
-            vec![("x", x), ("y", lo)],
-            Box::new(move |db, m| db.query_ray_up_mode((x, lo), m).unwrap().0),
-        ),
-        2 => (
-            "query_ray_down",
-            vec![("x", x), ("y", hi)],
-            Box::new(move |db, m| db.query_ray_down_mode((x, hi), m).unwrap().0),
-        ),
-        _ => (
-            "query_segment",
-            vec![("x1", x), ("y1", lo), ("x2", x), ("y2", hi)],
-            Box::new(move |db, m| db.query_segment_mode((x, lo), (x, hi), m).unwrap().0),
-        ),
+        0 => Query::Line { x, y: 0 },
+        1 => Query::RayUp { x, y: lo },
+        2 => Query::RayDown { x, y: hi },
+        _ => Query::Segment {
+            x1: x,
+            y1: lo,
+            x2: x,
+            y2: hi,
+        },
     }
 }
 
@@ -185,8 +165,9 @@ fn verify_against_oracle(
         QueryMode::Limit(3),
     ];
     for (i, &(x, lo, hi)) in probes.iter().enumerate() {
-        let (method, params, local) = shape(i, x, lo, hi);
-        let expected = collect_ids(local(oracle, QueryMode::Collect));
+        let q = shape(i, x, lo, hi);
+        let (method, params) = proto::query_wire(&q);
+        let expected = collect_ids(oracle.query(&q, QueryMode::Collect).unwrap().0);
         for mode in modes {
             let reply = client
                 .query_mode(method, &params, mode)
@@ -200,7 +181,7 @@ fn verify_against_oracle(
             );
             // The single node must agree mode by mode, not just on the
             // collect set it was sampled from.
-            match local(oracle, mode) {
+            match oracle.query(&q, mode).unwrap().0 {
                 QueryAnswer::Segments(hits) if mode == QueryMode::Collect => {
                     assert_eq!(reply.ids.len(), hits.len(), "{context}: collect width")
                 }
@@ -300,12 +281,8 @@ fn boundary_replicated_segments_merge_exactly_once() {
             "x={x}: duplicate or unsorted ids {:?}",
             reply.ids
         );
-        let expected = collect_ids(
-            oracle
-                .query_line_mode((x, 0), QueryMode::Collect)
-                .unwrap()
-                .0,
-        );
+        let line = Query::Line { x, y: 0 };
+        let expected = collect_ids(oracle.query(&line, QueryMode::Collect).unwrap().0);
         assert_eq!(reply.ids, expected, "x={x}: collect diverged");
         // Count routes to the owner alone and must agree despite the
         // boundary replication.

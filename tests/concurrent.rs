@@ -10,6 +10,7 @@
 //! workspace's standing witness that it does not.
 
 use segdb::core::report::ids;
+use segdb::core::testutil::collect;
 use segdb::core::{IndexKind, SegmentDatabase};
 use segdb::geom::gen::{mixed_map, vertical_queries};
 use std::sync::Arc;
@@ -38,7 +39,7 @@ fn concurrent_queries_are_bit_identical_for_every_kind() {
         let expected: Arc<Vec<Vec<u64>>> = Arc::new(
             queries
                 .iter()
-                .map(|q| ids(&db.query_canonical(q).unwrap().0))
+                .map(|q| ids(&collect(&db, q).unwrap().0))
                 .collect(),
         );
         let queries = Arc::new(queries.clone());
@@ -53,7 +54,7 @@ fn concurrent_queries_are_bit_identical_for_every_kind() {
                     let n = queries.len();
                     for step in 0..n * ROUNDS {
                         let j = (t * n / THREADS + step) % n;
-                        let (hits, _) = db.query_canonical(&queries[j]).unwrap();
+                        let (hits, _) = collect(&db, &queries[j]).unwrap();
                         assert_eq!(ids(&hits), expected[j], "{kind:?} query {j}");
                     }
                 })

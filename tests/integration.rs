@@ -4,7 +4,8 @@
 //! on fixed inputs and on random NCT sets.
 
 use segdb::core::report::ids;
-use segdb::core::{DbError, IndexKind, SegmentDatabase};
+use segdb::core::testutil::collect;
+use segdb::core::{DbError, IndexKind, Query, QueryMode, SegmentDatabase};
 use segdb::geom::gen::{vertical_queries, Family};
 use segdb::geom::query::scan_oracle;
 use segdb::geom::{GeomError, Segment, VerticalQuery};
@@ -33,7 +34,7 @@ fn every_index_matches_oracle_on_every_family() {
                 .unwrap();
             db.validate().unwrap();
             for q in &queries {
-                let (hits, _) = db.query_canonical(q).unwrap();
+                let (hits, _) = collect(&db, q).unwrap();
                 assert_eq!(
                     ids(&hits),
                     ids(&scan_oracle(&set, q)),
@@ -56,7 +57,7 @@ fn page_size_never_changes_answers() {
             .unwrap();
         queries
             .iter()
-            .map(|q| ids(&db.query_canonical(q).unwrap().0))
+            .map(|q| ids(&collect(&db, q).unwrap().0))
             .collect()
     };
     for page in [256usize, 512, 2048, 8192] {
@@ -68,7 +69,7 @@ fn page_size_never_changes_answers() {
                 .unwrap();
             for (q, expect) in queries.iter().zip(&reference) {
                 assert_eq!(
-                    &ids(&db.query_canonical(q).unwrap().0),
+                    &ids(&collect(&db, q).unwrap().0),
                     expect,
                     "page {page} {kind:?}"
                 );
@@ -93,8 +94,8 @@ fn cache_never_changes_answers_only_io() {
     let (mut cold_reads, mut warm_reads) = (0u64, 0u64);
     for _ in 0..2 {
         for q in &queries {
-            let (h1, t1) = cold.query_canonical(q).unwrap();
-            let (h2, t2) = warm.query_canonical(q).unwrap();
+            let (h1, t1) = collect(&cold, q).unwrap();
+            let (h2, t2) = collect(&warm, q).unwrap();
             assert_eq!(ids(&h1), ids(&h2));
             cold_reads += t1.io.reads;
             warm_reads += t2.io.reads;
@@ -135,15 +136,17 @@ fn fixed_slope_queries_match_brute_force_all_indexes() {
             .build(set.clone())
             .unwrap();
         for ax in [-50i64, 0, 123, 399] {
-            let (hits, _) = db.query_line((ax, 0)).unwrap();
+            let line = Query::Line { x: ax, y: 0 };
+            let (answer, _) = db.query(&line, QueryMode::Collect).unwrap();
+            let hits = answer.segments().unwrap();
             let expect: Vec<u64> = set
                 .iter()
                 .filter(|s| line_hit(s, ax, 0))
                 .map(|s| s.id)
                 .collect();
-            assert_eq!(ids(&hits), expect, "{kind:?} anchor {ax}");
+            assert_eq!(ids(hits), expect, "{kind:?} anchor {ax}");
             // Answers must round-trip to original coordinates.
-            for h in &hits {
+            for h in hits {
                 assert_eq!(h, &set[h.id as usize]);
             }
         }
@@ -170,7 +173,7 @@ fn mutation_storm_stays_consistent() {
         if i % 100 == 99 {
             db.validate().unwrap();
             let q = VerticalQuery::Line { x: set[i].a.x };
-            let (hits, _) = db.query_canonical(&q).unwrap();
+            let (hits, _) = collect(&db, &q).unwrap();
             assert_eq!(ids(&hits), ids(&scan_oracle(&live, &q)), "step {i}");
         }
     }
@@ -191,16 +194,14 @@ fn whole_database_is_recoverable_by_queries() {
     let mut seen = std::collections::BTreeSet::new();
     let xmax = set.iter().map(|s| s.b.x).max().unwrap();
     for x in (0..=xmax).step_by(97) {
-        let (hits, _) = db.query_canonical(&VerticalQuery::Line { x }).unwrap();
+        let (hits, _) = collect(&db, &VerticalQuery::Line { x }).unwrap();
         for h in hits {
             seen.insert(h.id);
         }
     }
     // Also probe each segment's own left endpoint to catch the rest.
     for s in &set {
-        let (hits, _) = db
-            .query_canonical(&VerticalQuery::Line { x: s.a.x })
-            .unwrap();
+        let (hits, _) = collect(&db, &VerticalQuery::Line { x: s.a.x }).unwrap();
         for h in hits {
             seen.insert(h.id);
         }
@@ -230,8 +231,8 @@ fn soak_200k_both_structures() {
     db1.validate().unwrap();
     db2.validate().unwrap();
     for q in &queries {
-        let (h1, _) = db1.query_canonical(q).unwrap();
-        let (h2, _) = db2.query_canonical(q).unwrap();
+        let (h1, _) = collect(&db1, q).unwrap();
+        let (h2, _) = collect(&db2, q).unwrap();
         assert_eq!(ids(&h1), ids(&h2), "{q:?}");
     }
 }
@@ -251,7 +252,7 @@ fn tiny_pages_fail_gracefully() {
             {
                 Err(_) => {}
                 Ok(db) => {
-                    let (hits, _) = db.query_canonical(&VerticalQuery::Line { x: 5 }).unwrap();
+                    let (hits, _) = collect(&db, &VerticalQuery::Line { x: 5 }).unwrap();
                     assert_eq!(
                         ids(&hits),
                         ids(&scan_oracle(&set, &VerticalQuery::Line { x: 5 }))
@@ -325,7 +326,7 @@ fn all_indexes_agree_with_oracle() {
                 for db in &[builder().build(set.clone()).unwrap(), grown] {
                     db.validate().unwrap();
                     for q in &queries {
-                        let (hits, _) = db.query_canonical(q).unwrap();
+                        let (hits, _) = collect(db, q).unwrap();
                         assert_eq!(ids(&hits), ids(&scan_oracle(&set, q)), "{kind:?} {q:?}");
                     }
                 }

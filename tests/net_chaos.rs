@@ -10,13 +10,13 @@
 //! this binary serialises behind one mutex and asserts monotone
 //! *deltas* inside the guard, never absolute values.
 
-use segdb::core::{IndexKind, SegmentDatabase};
+use segdb::core::{IndexKind, QueryMode, SegmentDatabase};
 use segdb::geom::gen::{mixed_map, vertical_queries};
 use segdb::geom::query::scan_oracle;
 use segdb::geom::{Segment, VerticalQuery};
 use segdb_server::chaos::{NetFaultHandle, NetFaultPlan};
 use segdb_server::client::{Client, ClientConfig};
-use segdb_server::{Server, ServerConfig};
+use segdb_server::{load, proto, Server, ServerConfig};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 const INDEXES: [IndexKind; 2] = [IndexKind::TwoLevelBinary, IndexKind::TwoLevelInterval];
@@ -55,27 +55,9 @@ fn client_for(server: &Server, chaos: Option<NetFaultHandle>) -> Client {
 /// The wire method + params for query `i` of the stream, cycling the
 /// four generalized-segment shapes, with the matching oracle query.
 fn shape(i: usize, q: &VerticalQuery) -> (&'static str, Vec<(&'static str, i64)>, VerticalQuery) {
-    let VerticalQuery::Segment { x, lo, hi } = *q else {
-        unreachable!("vertical_queries yields bounded segments")
-    };
-    match i % 4 {
-        0 => ("query_line", vec![("x", x)], VerticalQuery::Line { x }),
-        1 => (
-            "query_ray_up",
-            vec![("x", x), ("y", lo)],
-            VerticalQuery::RayUp { x, y0: lo },
-        ),
-        2 => (
-            "query_ray_down",
-            vec![("x", x), ("y", hi)],
-            VerticalQuery::RayDown { x, y0: hi },
-        ),
-        _ => (
-            "query_segment",
-            vec![("x1", x), ("y1", lo), ("x2", x), ("y2", hi)],
-            VerticalQuery::Segment { x, lo, hi },
-        ),
-    }
+    let oracle = load::cycle_shape(i, q);
+    let (method, params) = proto::query_wire(&oracle.into());
+    (method, params, oracle)
 }
 
 /// Replay `queries` through `client` and check every answer against the
@@ -84,8 +66,9 @@ fn verify_stream(client: &mut Client, set: &[Segment], queries: &[VerticalQuery]
     for (i, q) in queries.iter().enumerate() {
         let (method, params, oracle_q) = shape(i, q);
         let got = client
-            .query_ids(method, &params)
-            .unwrap_or_else(|e| panic!("{context}: {method} #{i} failed: {e}"));
+            .query_mode(method, &params, QueryMode::Collect)
+            .unwrap_or_else(|e| panic!("{context}: {method} #{i} failed: {e}"))
+            .ids;
         let expected: Vec<u64> = scan_oracle(set, &oracle_q).iter().map(|s| s.id).collect();
         assert_eq!(got, expected, "{context}: {method} #{i} diverged");
     }
@@ -163,8 +146,9 @@ fn chaotic_run(seed: u64) -> (u64, u64, Vec<Vec<u64>>) {
         .map(|(i, q)| {
             let (method, params, _) = shape(i, q);
             client
-                .query_ids(method, &params)
+                .query_mode(method, &params, QueryMode::Collect)
                 .unwrap_or_else(|e| panic!("seed {seed}: {method} #{i} failed: {e}"))
+                .ids
         })
         .collect();
     let digest = chaos.digest();
@@ -220,8 +204,9 @@ fn server_side_accept_chaos_is_survived_and_reported() {
         let (method, params, oracle_q) = shape(i, q);
         client.disconnect();
         let got = client
-            .query_ids(method, &params)
-            .unwrap_or_else(|e| panic!("{method} #{i} failed: {e}"));
+            .query_mode(method, &params, QueryMode::Collect)
+            .unwrap_or_else(|e| panic!("{method} #{i} failed: {e}"))
+            .ids;
         let expected: Vec<u64> = scan_oracle(&set, &oracle_q).iter().map(|s| s.id).collect();
         assert_eq!(got, expected, "{method} #{i} diverged under accept chaos");
     }

@@ -3,10 +3,11 @@
 //! index kind, including after post-reopen mutations.
 
 use segdb::core::report::ids;
-use segdb::core::{DbError, IndexKind, QueryMode, SegmentDatabase};
+use segdb::core::testutil::collect;
+use segdb::core::{DbError, IndexKind, Query, QueryMode, QueryMode::Collect, SegmentDatabase};
 use segdb::geom::gen::{mixed_map, vertical_queries, Family};
 use segdb::geom::query::scan_oracle;
-use segdb::geom::Segment;
+use segdb::geom::{Segment, VerticalQuery};
 use segdb::pager::PagerError;
 
 fn tmpfile(name: &str) -> std::path::PathBuf {
@@ -30,18 +31,14 @@ fn every_kind_survives_reopen() {
                 .unwrap();
             queries
                 .iter()
-                .map(|q| ids(&db.query_canonical(q).unwrap().0))
+                .map(|q| ids(&collect(&db, q).unwrap().0))
                 .collect()
         }; // db dropped: file closed
         let db = SegmentDatabase::open(&path, 0).unwrap();
         db.validate().unwrap();
         assert_eq!(db.len(), set.len() as u64, "{kind:?}");
         for (q, want) in queries.iter().zip(&expected) {
-            assert_eq!(
-                &ids(&db.query_canonical(q).unwrap().0),
-                want,
-                "{kind:?} {q:?}"
-            );
+            assert_eq!(&ids(&collect(&db, q).unwrap().0), want, "{kind:?} {q:?}");
         }
         std::fs::remove_file(&path).ok();
     }
@@ -67,23 +64,19 @@ fn mutations_persist_after_save() {
     let db = SegmentDatabase::open(&path, 0).unwrap();
     db.validate().unwrap();
     assert_eq!(db.len(), set.len() as u64);
-    let (hits, _) = db.query_line(((1 << 20) + 2, 0)).unwrap();
+    let (hits, _) = collect(&db, &VerticalQuery::Line { x: (1 << 20) + 2 }).unwrap();
     assert_eq!(ids(&hits), vec![999_999]);
-    let (hits, _) = db.query_line((set[0].a.x, 0)).unwrap();
+    let line = VerticalQuery::Line { x: set[0].a.x };
+    let (hits, _) = collect(&db, &line).unwrap();
     let mut live = set.clone();
     live.remove(0);
-    assert_eq!(
-        ids(&hits),
-        ids(&scan_oracle(
-            &live,
-            &segdb::geom::VerticalQuery::Line { x: set[0].a.x }
-        ))
-    );
+    assert_eq!(ids(&hits), ids(&scan_oracle(&live, &line)));
     std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn direction_persists() {
+    const LINE_50: Query = Query::Line { x: 50, y: 0 };
     let path = tmpfile("direction");
     let raw: Vec<Segment> = (0..100)
         .map(|i| Segment::new(i, (0, 10 * i as i64), (300, 10 * i as i64 + 2)).unwrap())
@@ -96,15 +89,16 @@ fn direction_persists() {
             .persist_to(&path)
             .build(raw.clone())
             .unwrap();
-        ids(&db.query_line((50, 0)).unwrap().0)
+        db.query(&LINE_50, Collect).unwrap().0
     };
     let db = SegmentDatabase::open(&path, 0).unwrap();
     assert_eq!(db.direction().dx(), 1);
     assert_eq!(db.direction().dy(), 2);
-    assert_eq!(ids(&db.query_line((50, 0)).unwrap().0), expected);
+    let (answer, _) = db.query(&LINE_50, Collect).unwrap();
+    assert_eq!(answer, expected);
     // Answers still come back in original coordinates.
-    for h in db.query_line((50, 0)).unwrap().0 {
-        assert_eq!(h, raw[h.id as usize]);
+    for h in answer.segments().unwrap() {
+        assert_eq!(h, &raw[h.id as usize]);
     }
     std::fs::remove_file(&path).ok();
 }
@@ -131,12 +125,12 @@ fn cache_on_reopen_is_transparent() {
             .unwrap();
         queries
             .iter()
-            .map(|q| ids(&db.query_canonical(q).unwrap().0))
+            .map(|q| ids(&collect(&db, q).unwrap().0))
             .collect()
     };
     let db = SegmentDatabase::open(&path, 256).unwrap();
     for (q, want) in queries.iter().zip(&expected) {
-        assert_eq!(&ids(&db.query_canonical(q).unwrap().0), want);
+        assert_eq!(&ids(&collect(&db, q).unwrap().0), want);
     }
     assert!(db.pager().stats().cache_hits > 0 || db.pager().stats().reads > 0);
     std::fs::remove_file(&path).ok();
@@ -163,7 +157,7 @@ fn truncated_file_fails_cleanly_never_panics() {
             Err(_) => {}
             Ok(db) => {
                 // Header may have survived; deeper pages are gone.
-                let _ = db.query_line((0, 0));
+                let _ = db.query(&Query::Line { x: 0, y: 0 }, Collect);
             }
         }
         std::fs::remove_file(&cut).ok();
@@ -275,11 +269,7 @@ fn live_tombstones_survive_reopen() {
         let answers_live = |db: &SegmentDatabase| {
             for q in &queries {
                 let want = ids(&scan_oracle(live, q));
-                assert_eq!(
-                    ids(&db.query_canonical(q).unwrap().0),
-                    want,
-                    "{kind:?} {q:?}"
-                );
+                assert_eq!(ids(&collect(db, q).unwrap().0), want, "{kind:?} {q:?}");
                 assert_eq!(
                     db.query_canonical_mode(q, QueryMode::Count)
                         .unwrap()
@@ -337,7 +327,7 @@ fn a_binary_file_without_tombstones_opens_whatever_aux_says() {
         db.validate().unwrap();
         assert_eq!((db.len(), db.tomb_count()), (set.len() as u64, 0));
         for q in &queries {
-            let got = ids(&db.query_canonical(q).unwrap().0);
+            let got = ids(&collect(&db, q).unwrap().0);
             assert_eq!(got, ids(&scan_oracle(&set, q)), "aux {aux:#x} {q:?}");
         }
     }
@@ -411,7 +401,7 @@ fn shown_again_records_survive_reopen() {
             for q in &queries {
                 let want = ids(&scan_oracle(&live, q));
                 assert_eq!(
-                    ids(&db.query_canonical(q).unwrap().0),
+                    ids(&collect(db, q).unwrap().0),
                     want,
                     "{kind:?} {tag} {q:?}"
                 );

@@ -1,13 +1,13 @@
-//! Query modes through the facade: `Collect` must stay bit-identical to
-//! the Vec-returning `query_*` API, and `Count` / `Exists` / `Limit(k)`
+//! Query modes through the facade: `Collect` through the user-frame
+//! `query` must stay bit-identical to the canonical path, and `Count` / `Exists` / `Limit(k)`
 //! must agree with the brute-force oracle — across both index
 //! kinds, all fixed-direction query shapes, and under injected read
 //! faults. The final test pins the tentpole's I/O win: counting on
 //! `TwoLevelInterval` must read strictly fewer pages than collecting.
 
 use segdb::core::report::ids;
-use segdb::core::testutil::oracle_query;
-use segdb::core::{IndexKind, QueryAnswer, QueryMode, SegmentDatabase};
+use segdb::core::testutil::{collect, oracle_query};
+use segdb::core::{IndexKind, Query, QueryAnswer, QueryMode, SegmentDatabase};
 use segdb::geom::gen::mixed_map;
 use segdb::geom::{Segment, VerticalQuery};
 use segdb::pager::{FaultDevice, FaultPlan};
@@ -54,13 +54,7 @@ fn try_mode(
     q: &VerticalQuery,
     mode: QueryMode,
 ) -> Result<QueryAnswer, segdb::core::DbError> {
-    let (answer, _) = match *q {
-        VerticalQuery::Line { x } => db.query_line_mode((x, 0), mode)?,
-        VerticalQuery::RayUp { x, y0 } => db.query_ray_up_mode((x, y0), mode)?,
-        VerticalQuery::RayDown { x, y0 } => db.query_ray_down_mode((x, y0), mode)?,
-        VerticalQuery::Segment { x, lo, hi } => db.query_segment_mode((x, lo), (x, hi), mode)?,
-    };
-    Ok(answer)
+    Ok(db.query(&(*q).into(), mode)?.0)
 }
 
 /// Assert every mode against the oracle answer for one query.
@@ -108,22 +102,15 @@ fn modes_agree_with_oracle_across_kinds() {
     }
 }
 
-/// `Collect` answers (segments *and* their order) are exactly what the
-/// pre-sink `query_*` API returns — the refactor's no-regression pin.
+/// `Collect` answers (segments *and* their order) through the
+/// user-frame `query` are exactly the canonical path's.
 #[test]
 fn collect_is_bit_identical_to_vec_api() {
     for kind in KINDS {
         let set = mixed_map(400, 0xC0DE);
         let db = build(kind, set.clone());
         for q in battery(&set) {
-            let via_vec = match q {
-                VerticalQuery::Line { x } => db.query_line((x, 0)).unwrap().0,
-                VerticalQuery::RayUp { x, y0 } => db.query_ray_up((x, y0)).unwrap().0,
-                VerticalQuery::RayDown { x, y0 } => db.query_ray_down((x, y0)).unwrap().0,
-                VerticalQuery::Segment { x, lo, hi } => {
-                    db.query_segment((x, lo), (x, hi)).unwrap().0
-                }
-            };
+            let (via_vec, _) = collect(&db, &q).unwrap();
             let via_mode = run_mode(&db, &q, QueryMode::Collect);
             assert_eq!(via_mode.segments().unwrap(), &via_vec[..], "{kind:?} {q:?}");
         }
@@ -208,11 +195,12 @@ fn count_reads_fewer_pages_than_collect_on_interval() {
     xs.sort_unstable();
     let x = xs[xs.len() / 2];
 
-    let (collected, collect_trace) = db.query_line_mode((x, 0), QueryMode::Collect).unwrap();
+    let line = Query::Line { x, y: 0 };
+    let (collected, collect_trace) = db.query(&line, QueryMode::Collect).unwrap();
     let t = collected.count();
     assert!(t > 50, "query too small to be interesting: T = {t}");
 
-    let (counted, count_trace) = db.query_line_mode((x, 0), QueryMode::Count).unwrap();
+    let (counted, count_trace) = db.query(&line, QueryMode::Count).unwrap();
     assert_eq!(counted.count(), t, "count must agree with collect");
 
     let collect_reads = collect_trace.io.reads;

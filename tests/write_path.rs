@@ -74,7 +74,10 @@ fn insert_delete_flush_round_trip() {
     let b = client.insert(&hseg(101, 7)).unwrap();
     assert!(b.applied && b.seq > a.seq);
     assert_eq!(line_count(&mut client, 500), 22);
-    let ids = client.query_ids("query_line", &[("x", 500)]).unwrap();
+    let ids = client
+        .query_mode("query_line", &[("x", 500)], QueryMode::Collect)
+        .unwrap()
+        .ids;
     assert!(ids.contains(&100) && ids.contains(&101));
 
     // Delete one base segment and one delta insert.
@@ -83,7 +86,10 @@ fn insert_delete_flush_round_trip() {
     let d2 = client.delete(&hseg(101, 7)).unwrap();
     assert!(d2.applied);
     assert_eq!(line_count(&mut client, 500), 20);
-    let ids = client.query_ids("query_line", &[("x", 500)]).unwrap();
+    let ids = client
+        .query_mode("query_line", &[("x", 500)], QueryMode::Collect)
+        .unwrap()
+        .ids;
     assert!(!ids.contains(&3) && !ids.contains(&101));
 
     // Deleting something absent is acknowledged but not applied.
