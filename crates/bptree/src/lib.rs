@@ -33,4 +33,4 @@ pub mod tree;
 
 pub use cursor::Cursor;
 pub use record::{Probe, Record, RecordOrd};
-pub use tree::{BPlusTree, TreeState};
+pub use tree::{BPlusTree, LoadedLeaves, TreeState};

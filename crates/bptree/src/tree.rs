@@ -76,6 +76,34 @@ pub struct BPlusTree<R: Record, O: RecordOrd<R>> {
     _r: PhantomData<R>,
 }
 
+/// The leaves of a freshly bulk-loaded tree, in key order: the position
+/// in the loaded slice of each leaf's first record, and the leaf's page.
+#[derive(Debug, Clone)]
+pub struct LoadedLeaves {
+    starts: Vec<usize>,
+    pages: Vec<PageId>,
+}
+
+impl LoadedLeaves {
+    /// The leaf [`BPlusTree::leaf_page_of`] returns for `probe`, found in
+    /// memory: `records` is the slice the tree was loaded from, and no
+    /// record may have moved since. A descent routes to the last subtree
+    /// whose first record is at or before `probe`, so it ends at the leaf
+    /// holding the last such record (the first leaf when there is none).
+    pub fn landing<R>(&self, records: &[R], probe: &impl Probe<R>) -> PageId {
+        let at_or_before = records.partition_point(|r| probe.cmp_record(r) != Ordering::Less);
+        let last = at_or_before.max(1) - 1;
+        self.pages[self.starts.partition_point(|&first| first <= last) - 1]
+    }
+}
+
+/// The state of a handle whose pages are not written yet.
+const NO_PAGES: TreeState = TreeState {
+    root: NULL_PAGE,
+    height: 0,
+    len: 0,
+};
+
 /// One node visit of a read walk: the page image, to be read in place
 /// through a [`NodeView`].
 fn read_page(pager: &Pager, id: PageId) -> Result<Arc<[u8]>> {
@@ -100,26 +128,10 @@ fn write_node<R: Record>(pager: &Pager, id: PageId, node: &Node<R>) -> Result<()
 impl<R: Record, O: RecordOrd<R>> BPlusTree<R, O> {
     /// Create an empty tree (allocates one leaf page).
     pub fn create(pager: &Pager, ord: O) -> Result<Self> {
-        let leaf_cap = Node::<R>::leaf_capacity(pager.page_size());
-        let int_cap = Node::<R>::internal_capacity(pager.page_size());
-        if leaf_cap < 2 || int_cap < 2 {
-            return Err(PagerError::PageOverflow {
-                what: "b+tree node",
-                requested: 2,
-                capacity: leaf_cap.min(int_cap),
-            });
-        }
-        let root = pager.allocate()?;
-        write_node(pager, root, &empty_leaf::<R>())?;
-        Ok(BPlusTree {
-            root,
-            height: 0,
-            len: 0,
-            leaf_cap,
-            int_cap,
-            ord,
-            _r: PhantomData,
-        })
+        let mut tree = Self::attach(pager, ord, NO_PAGES)?;
+        tree.root = pager.allocate()?;
+        write_node(pager, tree.root, &empty_leaf::<R>())?;
+        Ok(tree)
     }
 
     /// Bulk-load from records **sorted** under `ord` (debug-asserted).
@@ -127,18 +139,28 @@ impl<R: Record, O: RecordOrd<R>> BPlusTree<R, O> {
     /// minimum occupancy), the cheapest way the 2LDS builders materialize
     /// their multislab lists.
     pub fn bulk_load(pager: &Pager, ord: O, records: &[R]) -> Result<Self> {
-        let mut tree = Self::create(pager, ord)?;
+        Ok(Self::bulk_load_leaves(pager, ord, records)?.0)
+    }
+
+    /// [`BPlusTree::bulk_load`], also returning where its leaves went:
+    /// a builder that must point into the new tree (a fractional-cascading
+    /// bridge) finds a leaf in memory instead of descending to it.
+    pub fn bulk_load_leaves(pager: &Pager, ord: O, records: &[R]) -> Result<(Self, LoadedLeaves)> {
         if records.is_empty() {
-            return Ok(tree);
+            let tree = Self::create(pager, ord)?;
+            let leaves = LoadedLeaves {
+                starts: vec![0],
+                pages: vec![tree.root],
+            };
+            return Ok((tree, leaves));
         }
+        let mut tree = Self::attach(pager, ord, NO_PAGES)?;
         debug_assert!(
             records
                 .windows(2)
                 .all(|w| tree.ord.cmp_records(&w[0], &w[1]) == Ordering::Less),
             "bulk_load input must be strictly sorted"
         );
-        // The fresh empty root leaf is replaced; free it.
-        pager.free(tree.root)?;
 
         // Split `records` into chunks of size cap, rebalancing the last two.
         let chunks = split_chunks(records.len(), tree.leaf_cap, (tree.leaf_cap / 2).max(1));
@@ -147,9 +169,11 @@ impl<R: Record, O: RecordOrd<R>> BPlusTree<R, O> {
         for _ in 0..chunks.len() {
             pages.push(pager.allocate()?);
         }
+        let mut starts = Vec::with_capacity(chunks.len());
         let mut off = 0usize;
         for (i, &sz) in chunks.iter().enumerate() {
             let recs = &records[off..off + sz];
+            starts.push(off);
             off += sz;
             let node = Node::Leaf {
                 records: recs.to_vec(),
@@ -162,6 +186,7 @@ impl<R: Record, O: RecordOrd<R>> BPlusTree<R, O> {
             write_node(pager, pages[i], &node)?;
             level.push((pages[i], recs[0], sz as u64));
         }
+        let leaves = LoadedLeaves { starts, pages };
         // Build internal levels until a single node remains. Every
         // internal node records its children's exact subtree counts
         // (the v2 layout), the fuel for count-mode queries.
@@ -191,7 +216,7 @@ impl<R: Record, O: RecordOrd<R>> BPlusTree<R, O> {
         tree.root = level[0].0;
         tree.height = height;
         tree.len = records.len() as u64;
-        Ok(tree)
+        Ok((tree, leaves))
     }
 
     /// The serializable identity of this tree.
@@ -270,7 +295,9 @@ impl<R: Record, O: RecordOrd<R>> BPlusTree<R, O> {
     }
 
     /// The page id of the leaf a lower-bound descent for `probe` lands
-    /// on. Used by fractional cascading to materialize bridge pointers.
+    /// on: the last leaf whose first record sorts at or before `probe`
+    /// (the first leaf when none does). [`LoadedLeaves::landing`] is the
+    /// same answer without the descent.
     pub fn leaf_page_of(&self, pager: &Pager, probe: &impl Probe<R>) -> Result<PageId> {
         let mut id = self.root;
         loop {
@@ -319,42 +346,6 @@ impl<R: Record, O: RecordOrd<R>> BPlusTree<R, O> {
     /// Number of records at or after the lower bound of `probe`.
     pub fn count_from(&self, pager: &Pager, probe: &impl Probe<R>) -> Result<u64> {
         Ok(self.len.saturating_sub(self.rank(pager, probe)?))
-    }
-
-    /// Find the record comparing `Equal` to `rec` (under the tree order)
-    /// and patch it in place with `f`. `f` must not change fields the
-    /// comparator reads. Returns whether a record was patched.
-    pub fn modify(&self, pager: &Pager, rec: &R, f: impl FnOnce(&mut R)) -> Result<bool> {
-        let mut id = self.root;
-        loop {
-            match read_node::<R>(pager, id)? {
-                Node::Internal { children, seps, .. } => {
-                    let idx = seps
-                        .iter()
-                        .take_while(|s| self.ord.cmp_records(rec, s) != Ordering::Less)
-                        .count();
-                    id = children[idx];
-                }
-                Node::Leaf { mut records, next } => {
-                    let pos = records
-                        .iter()
-                        .position(|r| self.ord.cmp_records(r, rec) == Ordering::Equal);
-                    return match pos {
-                        None => Ok(false),
-                        Some(pos) => {
-                            f(&mut records[pos]);
-                            debug_assert_eq!(
-                                self.ord.cmp_records(&records[pos], rec),
-                                Ordering::Equal,
-                                "modify changed the record's order"
-                            );
-                            write_node(pager, id, &Node::Leaf { records, next })?;
-                            Ok(true)
-                        }
-                    };
-                }
-            }
-        }
     }
 
     /// Cursor at the smallest record.
@@ -1363,6 +1354,41 @@ mod tests {
                     (inc.len(), bulk.len()),
                     (recs.len() as u64, recs.len() as u64)
                 );
+            },
+        );
+    }
+
+    /// The leaf a bulk load reports for a probe, found in memory, is the
+    /// leaf a descent of the loaded tree lands on — for up to 2 000 keys,
+    /// pages from one-level to four-level trees, and probes before, among,
+    /// on and after the keys (the empty list included).
+    #[test]
+    fn landing_matches_leaf_page_of() {
+        check::run(
+            "landing_matches_leaf_page_of",
+            64,
+            |rng| {
+                let mut keys = sorted_keys(rng, 3000, 2001);
+                if rng.gen_bool(0.1) {
+                    keys.clear();
+                }
+                let page = [96usize, 128, 256, 4096][rng.gen_range(0..4usize)];
+                let probes: Vec<i64> = (0..40).map(|_| rng.gen_range(-3010..3010i64)).collect();
+                (keys, page, probes)
+            },
+            |(keys, page, probes)| {
+                let p = pager(*page);
+                let recs: Vec<KeyValue> = keys.iter().map(|&k| kv(k)).collect();
+                let (tree, leaves) = BPlusTree::bulk_load_leaves(&p, KeyOrder, &recs).unwrap();
+                let on_keys = keys.iter().step_by(7).copied();
+                for k in probes.iter().copied().chain(on_keys) {
+                    assert_eq!(
+                        leaves.landing(&recs, &probe(k)),
+                        tree.leaf_page_of(&p, &probe(k)).unwrap(),
+                        "probe {k} over {} keys on {page}-byte pages",
+                        recs.len()
+                    );
+                }
             },
         );
     }

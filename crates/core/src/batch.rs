@@ -19,7 +19,7 @@
 //!   traversal order, a larger group may surface a different `k`.
 //! * Count-only slots take the count-from-header fast paths (stored
 //!   subtree counts); hidden segments — an index's lazy deletes, the
-//!   writer's un-folded ones — are subtracted per slot (see [`Slots`]),
+//!   writer's un-folded ones — are subtracted per slot (see `Slots`),
 //!   segment-wanting slots filter them inline.
 //! * A group of one reports `batch_id = 0` / `batch_size = 0`.
 //!

@@ -509,21 +509,12 @@ impl SegmentDatabase {
         self.pager.live_pages()
     }
 
-    /// Translate a user-coordinate query into the canonical frame,
-    /// rejecting a segment whose endpoints do not share a line of the
-    /// fixed direction ([`DbError::NotAligned`]). The serving layer uses
-    /// this to express a whole request group in the canonical frame
-    /// before the shared walk.
-    pub fn canonical(&self, q: &Query) -> Result<VerticalQuery, DbError> {
-        q.in_frame(self.direction)
-    }
-
     /// Report the segments `q` intersects, shaped by `mode`: the same
     /// traversal feeds the mode's sink, so `Count` queries ride the
     /// count-from-headers fast paths and `Exists`/`Limit` queries stop
     /// reading pages as soon as the answer is decided.
     pub fn query(&self, q: &Query, mode: QueryMode) -> Result<(QueryAnswer, QueryTrace), DbError> {
-        self.run_mode(&self.canonical(q)?, mode)
+        self.run_mode(&q.in_frame(self.direction)?, mode)
     }
 
     /// [`SegmentDatabase::query`] of a query already in the canonical

@@ -66,7 +66,7 @@ use crate::tombs::Lazy;
 use gtree::{allocation, path as g_path, skeleton, GNode};
 use msrec::{MsOrder, MsRec};
 use node::{Internal, InternalView, Node, NodeView};
-use segdb_bptree::{BPlusTree, Cursor, TreeState};
+use segdb_bptree::{BPlusTree, Cursor, LoadedLeaves, TreeState};
 use segdb_geom::predicates::y_at_x_cmp;
 use segdb_geom::Segment;
 use segdb_itree::overlap::{IntervalSet, IntervalSetState};
@@ -1178,8 +1178,8 @@ fn write_node(pager: &Pager, id: PageId, node: &Node) -> Result<()> {
     pager.overwrite_page(id, |buf| node.encode(buf))?
 }
 
-/// Build the final multislab B⁺-trees for a node's G, then materialize
-/// fractional-cascading bridge pointers.
+/// Build the multislab B⁺-trees of a node's G, each with its
+/// fractional-cascading bridge pointers already in place.
 ///
 /// Bridge selection follows §4.3's `d`-property: per (parent, child)
 /// pair, merge the two lists at the parent's split line and mark every
@@ -1195,6 +1195,11 @@ fn write_node(pager: &Pager, id: PageId, node: &Node) -> Result<()> {
 /// to or before the child's run start, which is what the forward-scan
 /// re-anchor in [`TwoLevelInterval::query`] needs
 /// ([`TwoLevelInterval::validate`] checks it per pointer).
+///
+/// The skeleton is in pre-order, so a reverse walk loads every child
+/// list before its parent: each bridge is found in memory
+/// ([`LoadedLeaves::landing`]) and written with its carrier, and every
+/// list page is written once.
 fn build_g_lists(
     pager: &Pager,
     cfg: Interval2LConfig,
@@ -1203,68 +1208,79 @@ fn build_g_lists(
     mut real: Vec<Vec<MsRec>>,
     states: &mut [TreeState],
 ) -> Result<()> {
-    // Sort geometrically and bulk-load the pure lists.
-    for (gi, list) in real.iter_mut().enumerate() {
+    let mut leaves: Vec<Option<LoadedLeaves>> = vec![None; skel.len()];
+    for (gi, node) in skel.iter().enumerate().rev() {
+        let mut list = std::mem::take(&mut real[gi]);
         if list.is_empty() {
             states[gi] = absent_list();
             continue;
         }
-        let line = boundaries[skel[gi].a - 1];
+        let line = boundaries[node.a - 1];
         list.sort_by(|a, b| MsOrder::cmp_at(line, a, b));
-        let tree = BPlusTree::bulk_load(pager, MsOrder { line }, list)?;
+        if cfg.bridges && !node.is_leaf() {
+            let mid_line = boundaries[node.mid()];
+            for (child, is_left) in [(node.left, true), (node.right, false)] {
+                if let Some(loaded) = leaves[child].take() {
+                    let lines = (mid_line, boundaries[skel[child].a - 1]);
+                    place_bridges(
+                        &mut list,
+                        &real[child],
+                        &loaded,
+                        lines,
+                        cfg.bridge_d,
+                        is_left,
+                    );
+                }
+            }
+        }
+        let (tree, loaded) = BPlusTree::bulk_load_leaves(pager, MsOrder { line }, &list)?;
         states[gi] = tree.state();
-    }
-    if !cfg.bridges {
-        return Ok(());
-    }
-
-    // Bridge pass.
-    for (gi, node) in skel.iter().enumerate() {
-        if node.is_leaf() || real[gi].is_empty() {
-            continue;
-        }
-        let pline = boundaries[skel[gi].a - 1];
-        let ptree = BPlusTree::attach(pager, MsOrder { line: pline }, states[gi])?;
-        let mid_line = boundaries[node.mid()];
-        for (child, is_left) in [(node.left, true), (node.right, false)] {
-            if real[child].is_empty() {
-                continue;
-            }
-            let cline = boundaries[skel[child].a - 1];
-            let ctree = BPlusTree::attach(pager, MsOrder { line: cline }, states[child])?;
-            // Merge-walk both real lists at the parent's split line.
-            let (pl, cl) = (&real[gi], &real[child]);
-            let (mut i, mut j) = (0usize, 0usize);
-            let mut count = 0usize;
-            let mut carrier: Option<MsRec> = None;
-            let mut bridged: Option<Segment> = None; // the last carrier patched
-            while i < pl.len() || j < cl.len() {
-                let take_parent = match (pl.get(i), cl.get(j)) {
-                    (Some(a), Some(b)) => MsOrder::cmp_at(mid_line, a, b) != Ordering::Greater,
-                    (Some(_), None) => true,
-                    (None, _) => false,
-                };
-                if take_parent {
-                    carrier = Some(pl[i]);
-                    i += 1;
-                } else {
-                    j += 1;
-                }
-                count += 1;
-                if count.is_multiple_of(cfg.bridge_d + 1) {
-                    if let Some(c) = carrier.filter(|c| bridged != Some(c.seg)) {
-                        patch_bridge(pager, &ptree, &ctree, cline, c, is_left)?;
-                        bridged = Some(c.seg);
-                    }
-                }
-            }
-        }
+        leaves[gi] = Some(loaded);
+        real[gi] = list;
     }
     Ok(())
 }
 
+/// Merge-walk a parent list and one child list (`child`, loaded into
+/// `leaves`) at the parent's split line, and point the carrier of every
+/// `(d+1)`-th merged element at the child leaf a descent for it at the
+/// child's reference line `cline` lands on.
+fn place_bridges(
+    parent: &mut [MsRec],
+    child: &[MsRec],
+    leaves: &LoadedLeaves,
+    (mid_line, cline): (i64, i64),
+    d: usize,
+    is_left: bool,
+) {
+    let (mut i, mut j) = (0usize, 0usize);
+    let mut count = 0usize;
+    while i < parent.len() || j < child.len() {
+        let take_parent = match (parent.get(i), child.get(j)) {
+            (Some(a), Some(b)) => MsOrder::cmp_at(mid_line, a, b) != Ordering::Greater,
+            (Some(_), None) => true,
+            (None, _) => false,
+        };
+        if take_parent {
+            i += 1;
+        } else {
+            j += 1;
+        }
+        count += 1;
+        if count.is_multiple_of(d + 1) && i > 0 {
+            let carrier = parent[i - 1];
+            let leaf = leaves.landing(child, &|r: &MsRec| MsOrder::cmp_at(cline, &carrier, r));
+            if is_left {
+                parent[i - 1].bridge_left = leaf;
+            } else {
+                parent[i - 1].bridge_right = leaf;
+            }
+        }
+    }
+}
+
 /// A bridge must land at or before the first child position at or after
-/// its carrier — where [`patch_bridge`] aims it — or a jump through it
+/// its carrier — where [`build_g_lists`] aims it — or a jump through it
 /// could skip the head of a run.
 fn check_bridge(
     pager: &Pager,
@@ -1284,31 +1300,6 @@ fn check_bridge(
     };
     if landed > position(*carrier)? {
         return Err(PagerError::Corrupt("bridge lands past its carrier"));
-    }
-    Ok(())
-}
-
-/// Point `carrier` (a real parent element) at the child leaf holding the
-/// first child position at or after it.
-fn patch_bridge(
-    pager: &Pager,
-    ptree: &BPlusTree<MsRec, MsOrder>,
-    ctree: &BPlusTree<MsRec, MsOrder>,
-    cline: i64,
-    carrier: MsRec,
-    is_left: bool,
-) -> Result<()> {
-    let probe = move |r: &MsRec| MsOrder::cmp_at(cline, &carrier, r);
-    let leaf = ctree.leaf_page_of(pager, &probe)?;
-    let patched = ptree.modify(pager, &carrier, |r| {
-        if is_left {
-            r.bridge_left = leaf;
-        } else {
-            r.bridge_right = leaf;
-        }
-    })?;
-    if !patched {
-        return Err(PagerError::Corrupt("bridge carrier element vanished"));
     }
     Ok(())
 }

@@ -32,7 +32,7 @@
 //!
 //! A query of the fixed direction is one [`Query`] value in user
 //! coordinates: a line, a ray up, a ray down or a segment.
-//! [`SegmentDatabase::canonical`] translates it through the exact shear
+//! [`Query::in_frame`] translates it through the exact shear
 //! of `segdb-geom`. The user-facing [`SegmentDatabase`] and the
 //! [`WriteEngine`] over it read through
 //! [`query(&Query, QueryMode)`](SegmentDatabase::query), plus the

@@ -51,7 +51,7 @@ impl QueryMode {
 /// A generalized query segment of the database's fixed direction, in
 /// user coordinates (§1 of the paper: line, ray or segment) — the one
 /// way a query is named, from the CLI and the wire down to the walk.
-/// [`crate::SegmentDatabase::canonical`] takes it to the canonical frame.
+/// [`Query::in_frame`] takes it to the canonical frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Query {
     /// The full line of the fixed direction through `(x, y)`.
@@ -90,9 +90,12 @@ pub enum Query {
 }
 
 impl Query {
-    /// The canonical-frame query under `d`; a `Segment` whose endpoints
-    /// do not share a line of `d` is [`DbError::NotAligned`].
-    pub(crate) fn in_frame(&self, d: Direction) -> Result<VerticalQuery, DbError> {
+    /// The canonical-frame query under `d` — the one translation of a
+    /// user-coordinate query; a `Segment` whose endpoints do not share a
+    /// line of `d` is [`DbError::NotAligned`]. It needs only the fixed
+    /// direction, so the serving layer translates a whole request group
+    /// before the shared walk without holding the database.
+    pub fn in_frame(&self, d: Direction) -> Result<VerticalQuery, DbError> {
         Ok(match *self {
             Query::Line { x, y } => d.make_query((x, y).into(), None, None)?,
             Query::RayUp { x, y } => d.make_query((x, y).into(), Some(y), None)?,

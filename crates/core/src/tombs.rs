@@ -166,7 +166,7 @@ impl Lazy {
     }
 
     /// Delete a stored segment (id and geometry must both match) — one
-    /// membership probe ([`holds`]: the point query at its left endpoint,
+    /// membership probe (`holds`: the point query at its left endpoint,
     /// shaped like the insert's descent) and one chain record. The whole
     /// structure is rebuilt from the live set once the chain's records
     /// reach the live count. Returns whether the segment was present.

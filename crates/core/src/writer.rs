@@ -18,7 +18,7 @@
 //!   (`+ |inserts ∩ q|` for counts).
 //! * **Membership probe** — a delete is logged only if its exact
 //!   segment is visible, and a replayed insert only if it is not. Both
-//!   ask [`crate::batch::holds`]: the point query at the segment's left
+//!   ask `batch::holds`: the point query at the segment's left
 //!   endpoint through the walk every read takes, with the delta's
 //!   deletes hidden — `O(log_B n)`-shaped like the insert's descent, not
 //!   a query of the line through the segment. The fold's
@@ -27,7 +27,7 @@
 //!   the database write lock and replays the pending ops through the
 //!   native [`SegmentDatabase::insert`]/[`SegmentDatabase::remove`]
 //!   machinery (the paper's amortized partial rebuilds, Lemma 3 /
-//!   BB[α]), checkpoints `wal_seq` via [`SegmentDatabase::save`], and
+//!   BB\[α\]), checkpoints `wal_seq` via [`SegmentDatabase::save`], and
 //!   truncates the WAL. Readers never observe a half-applied fold: they
 //!   hold the read lock for the whole base-walk *and* delta snapshot.
 //!

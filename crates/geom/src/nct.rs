@@ -2,7 +2,7 @@
 //! touching* (NCT) segment sets.
 //!
 //! The checker sweeps segments by `xmin`, keeping the ones already swept
-//! in a y-index ([`ActiveByY`]). Each step visits only the indexed
+//! in a y-index (`ActiveByY`). Each step visits only the indexed
 //! segments whose closed y-extent meets the new one's; of those it
 //! classifies the ones still active (their x-extent reaches the sweep
 //! position; four exact orientation tests each) and drops the rest from

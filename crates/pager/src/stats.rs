@@ -4,7 +4,7 @@
 //! block transfers, so the counters here are the primary measurement
 //! instrument of the whole reproduction. Two banks record every event:
 //!
-//! * the pager's own [`Counters`] — relaxed atomics, so totals stay exact
+//! * the pager's own `Counters` — relaxed atomics, so totals stay exact
 //!   when many threads query one database over a shared reference;
 //! * a **per-thread** bank ([`thread_io`]) — plain `Cell`s in a
 //!   thread-local, so a [`StatScope`] around one query measures exactly

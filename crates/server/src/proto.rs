@@ -462,9 +462,9 @@ pub fn err_line(id: Option<u64>, code: &str, message: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use segdb_core::{DbError, SegmentDatabase};
+    use segdb_core::DbError;
     use segdb_geom::transform::DIR_LIMIT;
-    use segdb_geom::{Point, COORD_LIMIT};
+    use segdb_geom::{Direction, Point, COORD_LIMIT};
     use segdb_rng::{check, SmallRng};
 
     #[test]
@@ -681,7 +681,7 @@ mod tests {
         );
     }
 
-    /// Under a sheared direction, [`SegmentDatabase::canonical`] is
+    /// Under a sheared direction, [`Query::in_frame`] is
     /// [`Direction::make_query`](segdb_geom::transform::Direction::make_query)
     /// at the same anchor and bounds, and a segment off the direction's
     /// line is [`DbError::NotAligned`].
@@ -703,9 +703,7 @@ mod tests {
                 )
             },
             |&(shape, (dx, dy), (x, y), t)| {
-                let db = SegmentDatabase::builder().direction(dx, dy).unwrap();
-                let db = db.build(Vec::new()).unwrap();
-                let d = db.direction();
+                let d = Direction::new(dx, dy).unwrap();
                 let (x2, y2) = (x + t * d.dx(), y + t * d.dy());
                 let q = query_of(shape, (x, y, x2, y2));
                 let (lo, hi) = match q {
@@ -715,9 +713,9 @@ mod tests {
                     Query::Segment { .. } => (Some(y.min(y2)), Some(y.max(y2))),
                 };
                 let want = d.make_query(Point::new(x, y), lo, hi).unwrap();
-                assert_eq!(db.canonical(&q).unwrap(), want, "{q:?} along {d:?}");
+                assert_eq!(q.in_frame(d).unwrap(), want, "{q:?} along {d:?}");
                 let off = query_of(3, (x, y, x2 + 1, y2));
-                let refused = db.canonical(&off);
+                let refused = off.in_frame(d);
                 assert!(
                     matches!(refused, Err(DbError::NotAligned)),
                     "{off:?} along {d:?}"

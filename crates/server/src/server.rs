@@ -2,8 +2,8 @@
 //!
 //! Thread anatomy:
 //!
-//! * the [`crate::frontend`] threads — one acceptor, one reader per
-//!   connection — which decode requests and hand each to [`submit`];
+//! * the `frontend` threads — one acceptor, one reader per
+//!   connection — which decode requests and hand each to `submit`;
 //! * a fixed pool of **workers** executes queued jobs against the shared
 //!   backend — a read-only [`SegmentDatabase`] (the `Send + Sync` read
 //!   path the sharded page cache provides) or a [`WriteEngine`]
@@ -16,13 +16,13 @@
 //!
 //! A worker that pops a query also takes its share of the queries
 //! already queued behind it and runs the group as **one** shared index
-//! walk ([`take_group`]); it never waits for more to arrive, so with no
+//! walk (`take_group`); it never waits for more to arrive, so with no
 //! backlog every query runs alone (DESIGN.md §11).
 //!
 //! Overload policy is refuse-fast: the job queue is bounded and a full
 //! queue answers `overloaded` immediately instead of queueing without
 //! bound; a request that misses its deadline answers `timeout`, its
-//! [`ReplySlot`] is marked abandoned, and workers skip abandoned jobs
+//! `ReplySlot` is marked abandoned, and workers skip abandoned jobs
 //! that have not started — so under sustained overload dead jobs shed
 //! from the queue instead of burning worker capacity. Shutdown (API
 //! call or wire `shutdown`) stops the front-end, drains queued jobs
@@ -30,7 +30,7 @@
 //!
 //! Connection hardening (admission gate, idle reaping, write deadlines,
 //! bounded drain, oversized lines — DESIGN.md §10 "Network failure
-//! model") lives in [`crate::frontend`]; its counters and the worker
+//! model") lives in `frontend`; its counters and the worker
 //! pool's are tallied together in the `stats` method (`server` block
 //! plus the process-wide `net` block from [`segdb_obs::net`]).
 
@@ -44,7 +44,7 @@ use segdb_core::report::ids;
 use segdb_core::{
     DbError, Query, QueryAnswer, QueryMode, QueryTrace, SegmentDatabase, WriteAck, WriteEngine,
 };
-use segdb_geom::VerticalQuery;
+use segdb_geom::{Direction, VerticalQuery};
 use segdb_obs::{Json, StageTimer, TraceSummary};
 use std::collections::VecDeque;
 use std::io;
@@ -293,6 +293,9 @@ impl ReplySlot {
 
 struct Shared {
     backend: Backend,
+    /// The database's fixed query direction: all a query's translation
+    /// needs, so a group is translated without the database lock.
+    direction: Direction,
     queue: Mutex<VecDeque<(Job, Method)>>,
     not_empty: Condvar,
     front: Arc<Front>,
@@ -412,6 +415,7 @@ impl Server {
             accept_chaos: cfg.chaos,
         })?;
         let shared = Arc::new(Shared {
+            direction: backend.with_db(|db| db.direction()),
             backend,
             queue: Mutex::new(VecDeque::new()),
             not_empty: Condvar::new(),
@@ -601,13 +605,7 @@ fn execute_queries(shared: &Shared, jobs: Vec<(Job, Query, QueryMode)>) {
         Vec::with_capacity(live.len());
     for (job, q, mode) in &mut live {
         queue_laps.push(job.timer.lap_us());
-        let mode = *mode;
-        prepared.push(
-            shared
-                .backend
-                .with_db(|db| db.canonical(q))
-                .map(|q| (q, mode)),
-        );
+        prepared.push(q.in_frame(shared.direction).map(|q| (q, *mode)));
     }
     let items: Vec<(VerticalQuery, QueryMode)> = prepared
         .iter()

@@ -45,16 +45,18 @@ awk -v rss="$RSS" 'BEGIN { exit !(rss != "" && rss <= 160) }' || {
     echo "bench_pair smoke: embedded_hot peak_rss_mb '$RSS' is above 160 MiB"; exit 1; }
 rm -rf "$(echo "$PAIR" | sed -n 's/^result lines and run logs: //p')"
 # served_read builds from untrusted input, so its set-up runs the NCT
-# check over 100 k segments: the y-indexed sweep takes about 0.1 s of a
-# ~0.8 s set-up, the quadratic list scan it replaced about 3.8 s of ~4.2 s.
+# check over 100 k segments and a Solution-2 build: the set-up takes
+# about 0.19 s, of which the y-indexed sweep is about 0.1 s. The gate is
+# twice that, rounded up: a quadratic NCT scan (about 3.8 s) or a build
+# that patches each bridge into a written leaf (about 0.5 s) fails it.
 echo "==> bench_pair smoke (served_read, working tree vs itself, 1 pair)"
 PAIR=$(scripts/bench_pair.sh . . 1 --workload served_read --seconds 1)
 echo "$PAIR" | grep -q 'failed: parent 0, change 0; .* identical over 1 pairs' || {
     echo "bench_pair smoke: unexpected summary"; echo "$PAIR"; exit 1; }
 SETUP=$(echo "$PAIR" | sed 's/\[[^]]*\]//g' |
     awk '$1 == "served_read" && $2 == "setup_s" { print $4 }')
-awk -v s="$SETUP" 'BEGIN { exit !(s != "" && s <= 2.0) }' || {
-    echo "bench_pair smoke: served_read setup_s '$SETUP' is above 2.0 s"; exit 1; }
+awk -v s="$SETUP" 'BEGIN { exit !(s != "" && s <= 0.4) }' || {
+    echo "bench_pair smoke: served_read setup_s '$SETUP' is above 0.4 s"; exit 1; }
 rm -rf "$(echo "$PAIR" | sed -n 's/^result lines and run logs: //p')"
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
@@ -62,6 +64,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
+
+# A doc link to a private or missing item renders as a dead link.
+echo "==> cargo doc --workspace --no-deps (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # One read surface: each query is named once, by `Query`, and each
 # layer keeps one query verb. The count is what ROADMAP item 12 left.
