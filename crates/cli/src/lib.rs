@@ -114,16 +114,17 @@
 //!   --page-size <bytes>     block size (default 512)
 //! ```
 //!
-//! `torture` runs `scenarios × 4` seeded crash-recovery scenarios (one
+//! `torture` runs `scenarios × 2` seeded crash-recovery scenarios (one
 //! sweep per index kind) over a deterministic fault-injecting device —
 //! see `segdb_core::torture` — and prints one JSON line of aggregate
-//! counters plus a fault-trace digest. The output is a pure function of
+//! counters, a digest of every scenario's fault trace in run order, and
+//! the storage-fault ledger. The output is a pure function of
 //! the arguments: running the same invocation twice must print the
 //! identical line (the deflake guarantee `check.sh` asserts).
 //!
 //! `stats` runs a deterministic sample workload of line queries with the
-//! observability layer attached and prints the metric registry snapshot
-//! plus the cost-model fit (JSON by default, `--human` for a table).
+//! observability layer attached and prints the observer's counters and
+//! histograms plus the cost-model fit (JSON by default, `--human` for a table).
 //! When a CSV data file is given, query anchors are sampled from the
 //! stored segments so the workload actually reports hits; otherwise
 //! anchors sweep a fixed coordinate window. `trace` runs one query
@@ -1040,7 +1041,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let kinds = [IndexKind::TwoLevelBinary, IndexKind::TwoLevelInterval];
             let (mut ran, mut crashed, mut fault_events) = (0u64, 0u64, 0u64);
             let (mut live_q, mut rec_q, mut saves) = (0u64, 0u64, 0u64);
-            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            let mut digests = Vec::new();
             for kind in kinds {
                 for s in seed..seed + scenarios as u64 {
                     let cfg = torture::TortureConfig {
@@ -1056,11 +1057,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     live_q += out.live_queries_verified;
                     rec_q += out.recovery_queries_verified;
                     saves += out.saves;
-                    digest ^= torture::trace_digest(&out.fault_trace);
-                    digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
+                    digests.push(torture::trace_digest(&out.fault_trace));
                 }
             }
-            let faults = segdb_obs::faults::totals().snapshot();
+            let digest = segdb_rng::fnv1a(digests.into_iter().flat_map(u64::to_le_bytes));
             let doc = Json::obj([
                 ("scenarios", Json::U64(ran)),
                 ("crashed", Json::U64(crashed)),
@@ -1069,7 +1069,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 ("recovery_queries_verified", Json::U64(rec_q)),
                 ("saves", Json::U64(saves)),
                 ("trace_digest", Json::Str(format!("{digest:016x}"))),
-                ("faults", faults.to_json()),
+                ("faults", segdb_pager::fault::faults_json()),
             ]);
             Ok(format!("{}\n", doc.render()))
         }

@@ -16,7 +16,7 @@ use segdb_geom::transform::Direction;
 use segdb_geom::{GeomError, MultiSink, Point, Segment, VerticalQuery};
 use segdb_obs::cost::{CostKind, CostModel, Fitter};
 use segdb_obs::trace::TraceSummary;
-use segdb_obs::{Json, Registry};
+use segdb_obs::{Histogram, Json};
 use segdb_pager::{Device, FileDevice, Pager, PagerError};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -108,30 +108,76 @@ impl From<PagerError> for DbError {
     }
 }
 
-/// Per-database observability state: a metric registry plus the cost
-/// fitter judging each query against the paper's bound. Both are
-/// thread-safe so observed queries can run concurrently (the registry
-/// locks internally; the fitter sits behind its own mutex).
+segdb_obs::tally! {
+    /// The query observer's counters, in the order `metrics.counters`
+    /// lists them; `queries_<mode>` is indexed by the query's mode.
+    enum Observed: ObservedTally {
+        CacheHits = "cache_hits",
+        CostViolations = "cost_violations",
+        PageReads = "page_reads",
+        PageWrites = "page_writes",
+        PagesSaved = "pages_saved",
+        Queries = "queries",
+        Collect = "queries_collect",
+        Count = "queries_count",
+        Exists = "queries_exists",
+        Limit = "queries_limit",
+    }
+}
+
+/// What the observer updates under its one lock: the cost fitter judging
+/// each query against the paper's bound, and the per-query histograms
+/// in the order `metrics.histograms` lists them.
+#[derive(Debug)]
+struct QueryShapes {
+    fitter: Fitter,
+    first_level_nodes: Histogram,
+    hits_per_query: Histogram,
+    io_per_query: Histogram,
+    second_level_probes: Histogram,
+}
+
+impl QueryShapes {
+    /// The histograms as `metrics.histograms`: every query feeds all
+    /// four, so they are listed once the first query is in.
+    fn histograms_json(&self) -> Json {
+        if self.io_per_query.count() == 0 {
+            return Json::Obj(Vec::new());
+        }
+        Json::obj([
+            ("first_level_nodes", self.first_level_nodes.to_json()),
+            ("hits_per_query", self.hits_per_query.to_json()),
+            ("io_per_query", self.io_per_query.to_json()),
+            ("second_level_probes", self.second_level_probes.to_json()),
+        ])
+    }
+}
+
+/// Per-database observability state: counters bumped lock-free, and the
+/// fitter and histograms behind one mutex, so observed queries can run
+/// concurrently and observing one formats no string and looks up no map.
 #[derive(Debug)]
 struct DbObserver {
-    registry: Registry,
-    fitter: Mutex<Fitter>,
+    counts: ObservedTally,
+    shapes: Mutex<QueryShapes>,
 }
 
 impl DbObserver {
     fn new(kind: IndexKind, len: u64, block_segments: u64) -> DbObserver {
         DbObserver {
-            registry: Registry::new(),
-            fitter: Mutex::new(Fitter::new(CostModel::new(
-                kind.cost_kind(),
-                len,
-                block_segments,
-            ))),
+            counts: ObservedTally::new(),
+            shapes: Mutex::new(QueryShapes {
+                fitter: Fitter::new(CostModel::new(kind.cost_kind(), len, block_segments)),
+                first_level_nodes: Histogram::default(),
+                hits_per_query: Histogram::default(),
+                io_per_query: Histogram::default(),
+                second_level_probes: Histogram::default(),
+            }),
         }
     }
 
-    fn fitter(&self) -> std::sync::MutexGuard<'_, Fitter> {
-        self.fitter.lock().unwrap_or_else(|p| p.into_inner())
+    fn shapes(&self) -> std::sync::MutexGuard<'_, QueryShapes> {
+        self.shapes.lock().unwrap_or_else(|p| p.into_inner())
     }
 }
 
@@ -234,8 +280,8 @@ impl SegmentDatabaseBuilder {
         self
     }
 
-    /// Attach the observability layer: a per-database metric registry
-    /// (I/O per query, hits per query, cache hit ratio, …) and the
+    /// Attach the observability layer: per-database query counters and
+    /// histograms (I/O per query, hits per query, cache hit ratio, …) and the
     /// cost-model verifier that judges every query against the paper's
     /// fitted bound (see [`SegmentDatabase::metrics_json`]). Queries then
     /// carry [`QueryTrace::cost`] once the fitter has warmed up.
@@ -464,8 +510,8 @@ impl SegmentDatabase {
     /// `None` when observability is off.
     pub fn metrics_json(&self) -> Option<Json> {
         let obs = self.obs.as_ref()?;
-        let reads = obs.registry.counter("page_reads");
-        let hits = obs.registry.counter("cache_hits");
+        let reads = obs.counts.get(Observed::PageReads);
+        let hits = obs.counts.get(Observed::CacheHits);
         let ratio = if reads + hits == 0 {
             0.0
         } else {
@@ -477,6 +523,7 @@ impl SegmentDatabase {
         } else {
             100.0 * self.len() as f64 / (blocks * self.block_segments() as f64)
         };
+        let shapes = obs.shapes();
         Some(Json::obj([
             ("index", Json::Str(format!("{:?}", self.kind()))),
             ("segments", Json::U64(self.len())),
@@ -484,8 +531,14 @@ impl SegmentDatabase {
             ("space_blocks", Json::U64(self.space_blocks() as u64)),
             ("cache_hit_ratio", Json::F64(ratio)),
             ("fanout_utilization_pct", Json::F64(util)),
-            ("cost_model", obs.fitter().to_json()),
-            ("metrics", obs.registry.to_json()),
+            ("cost_model", shapes.fitter.to_json()),
+            (
+                "metrics",
+                Json::obj([
+                    ("counters", obs.counts.to_json()),
+                    ("histograms", shapes.histograms_json()),
+                ]),
+            ),
         ]))
     }
 
@@ -649,24 +702,32 @@ impl SegmentDatabase {
         Ok(normalize(hits))
     }
 
-    /// Feed one finished query into the registry and the cost fitter.
+    /// Feed one finished query into the observer's counters, histograms
+    /// and cost fitter.
     fn observe_query(&self, obs: &DbObserver, trace: &mut QueryTrace) {
-        let r = &obs.registry;
-        r.incr("queries", 1);
-        r.incr(&format!("queries_{}", trace.mode.name()), 1);
-        r.incr("pages_saved", trace.pages_saved);
-        r.incr("page_reads", trace.io.reads);
-        r.incr("page_writes", trace.io.writes);
-        r.incr("cache_hits", trace.io.cache_hits);
-        r.observe("io_per_query", trace.io.total_io());
-        r.observe("hits_per_query", trace.hits as u64);
-        r.observe("first_level_nodes", trace.first_level_nodes as u64);
-        r.observe("second_level_probes", trace.second_level_probes as u64);
-        let mut fitter = obs.fitter();
-        fitter.set_n(self.len());
-        trace.cost = fitter.record(trace.hits as u64, trace.io.total_io());
+        let c = &obs.counts;
+        c.bump(Observed::Queries);
+        c.bump(match trace.mode {
+            QueryMode::Collect => Observed::Collect,
+            QueryMode::Count => Observed::Count,
+            QueryMode::Exists => Observed::Exists,
+            QueryMode::Limit(_) => Observed::Limit,
+        });
+        c.add(Observed::PagesSaved, trace.pages_saved);
+        c.add(Observed::PageReads, trace.io.reads);
+        c.add(Observed::PageWrites, trace.io.writes);
+        c.add(Observed::CacheHits, trace.io.cache_hits);
+        let mut shapes = obs.shapes();
+        let s = &mut *shapes;
+        s.io_per_query.observe(trace.io.total_io());
+        s.hits_per_query.observe(trace.hits as u64);
+        s.first_level_nodes.observe(trace.first_level_nodes as u64);
+        s.second_level_probes
+            .observe(trace.second_level_probes as u64);
+        s.fitter.set_n(self.len());
+        trace.cost = s.fitter.record(trace.hits as u64, trace.io.total_io());
         if trace.cost.is_some_and(|c| !c.within) {
-            r.incr("cost_violations", 1);
+            c.bump(Observed::CostViolations);
         }
     }
 }

@@ -213,14 +213,12 @@ impl QueryTrace {
             ("pages_saved", Json::U64(self.pages_saved)),
             (
                 "io",
-                Json::obj([
-                    ("reads", Json::U64(self.io.reads)),
-                    ("writes", Json::U64(self.io.writes)),
-                    ("cache_hits", Json::U64(self.io.cache_hits)),
-                    ("allocations", Json::U64(self.io.allocations)),
-                    ("frees", Json::U64(self.io.frees)),
-                    ("total", Json::U64(self.io.total_io())),
-                ]),
+                Json::obj(
+                    self.io
+                        .fields()
+                        .into_iter()
+                        .chain([("total", Json::U64(self.io.total_io()))]),
+                ),
             ),
             ("cost", self.cost.map_or(Json::Null, |c| c.to_json())),
             ("batch_id", Json::U64(self.batch_id)),

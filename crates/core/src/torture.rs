@@ -31,7 +31,7 @@ use crate::report::{ids, QueryAnswer, QueryMode};
 use segdb_geom::gen::mixed_map;
 use segdb_geom::query::scan_oracle;
 use segdb_geom::{Segment, VerticalQuery};
-use segdb_pager::{FaultDevice, FaultEvent, FaultKind, FaultPlan, FaultStats, PagerError};
+use segdb_pager::{FaultDevice, FaultEvent, FaultKind, FaultPlan, PagerError};
 use segdb_rng::SmallRng;
 
 /// Salt for the segment-set RNG stream.
@@ -84,10 +84,9 @@ pub struct TortureOutcome {
     pub crashed: bool,
     /// The first storage error observed by the workload, if any.
     pub first_error: Option<String>,
-    /// Every injected fault, in order.
+    /// Every injected fault, in order ([`segdb_pager::FaultStats::of`]
+    /// counts it by kind).
     pub fault_trace: Vec<FaultEvent>,
-    /// Per-device injection counters.
-    pub injected: FaultStats,
     /// Queries answered by the live database and verified against the
     /// oracle before the fault.
     pub live_queries_verified: u64,
@@ -154,29 +153,19 @@ pub fn query_battery(set: &[Segment], count: usize, seed: u64) -> Vec<VerticalQu
         .collect()
 }
 
-/// FNV-1a digest of a fault trace — a compact fingerprint for
-/// determinism assertions (two replays of one seed must agree).
+/// Order-dependent digest of a fault trace ([`segdb_rng::fnv1a`] over
+/// each event's op index, 1-based ledger key and torn-write length) — a
+/// compact fingerprint for determinism assertions (two replays of one
+/// seed must agree).
 pub fn trace_digest(trace: &[FaultEvent]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    for ev in trace {
-        eat(ev.op);
-        let (code, arg) = match ev.kind {
-            FaultKind::ReadError => (1, 0),
-            FaultKind::WriteError => (2, 0),
-            FaultKind::SyncError => (3, 0),
-            FaultKind::TornWrite { kept } => (4, kept as u64),
-            FaultKind::PowerCut => (5, 0),
+    let words = trace.iter().flat_map(|ev| {
+        let kept = match ev.kind {
+            FaultKind::TornWrite { kept } => u64::from(kept),
+            _ => 0,
         };
-        eat(code);
-        eat(arg);
-    }
-    h
+        [ev.op, ev.kind.key() as u64 + 1, kept]
+    });
+    segdb_rng::fnv1a(words.flat_map(u64::to_le_bytes))
 }
 
 /// Check one live/recovered answer against the exhaustive oracle.
@@ -220,7 +209,6 @@ pub fn run_scenario(cfg: &TortureConfig) -> Result<TortureOutcome, DbError> {
         crashed: false,
         first_error: None,
         fault_trace: Vec::new(),
-        injected: FaultStats::default(),
         live_queries_verified: 0,
         recovery_queries_verified: 0,
         saves: 0,
@@ -310,7 +298,6 @@ pub fn run_scenario(cfg: &TortureConfig) -> Result<TortureOutcome, DbError> {
     rdb.validate()?;
 
     outcome.fault_trace = handle.trace();
-    outcome.injected = handle.stats();
     outcome.recovered_len = rdb.len();
     Ok(outcome)
 }

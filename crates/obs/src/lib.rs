@@ -13,23 +13,21 @@
 //!   `SecondLevelProbe`, `BridgeJump`, per-crate node visits). Disabled
 //!   by default; when disabled every emit site is a single branch on a
 //!   thread-local [`std::cell::Cell`] — a no-op in the pager hot path.
-//! * [`metrics`] — a registry of named counters and fixed-bucket
-//!   histograms (I/O per query, hits per query, cache hit ratio…),
-//!   snapshotable as JSON.
+//! * [`mod@tally`] — [`Tally`], the one event-counter type: its owner
+//!   declares a fixed list of names once ([`tally!`]), each name is one
+//!   relaxed atomic, and the JSON lists them in declared order. The
+//!   storage-fault ledger (`segdb_pager::fault::FAULTS`), the wire-fault
+//!   ledger (`segdb_server::chaos::NET`), the serving front-end's,
+//!   worker pool's and router's tallies and the query observer's
+//!   counters are all declared instances of it.
+//! * [`metrics`] — fixed-bucket [`Histogram`]s (I/O per query, hits per
+//!   query, per-stage latencies…), snapshotable as JSON.
 //! * [`json`] — a minimal in-repo JSON value type, serializer and
 //!   parser, so machine-readable output needs no external crates.
-//! * [`faults`] — process-global injected/observed fault counters fed by
-//!   the fault-injection device and the pager's error propagation (see
-//!   DESIGN.md §9 "Failure model & recovery").
-//! * [`net`] — the wire-level sibling of [`faults`]: injected/observed
-//!   network-fault counters plus client retry/reconnect and server
-//!   write-drop/reap/shed tallies, fed by `segdb-server`'s chaos layer,
-//!   resilient client and connection hardening (see DESIGN.md §10
-//!   "Network failure model").
 //! * [`stage`] — a microsecond lap timer partitioning one request's
 //!   lifetime into stages (queue wait, index walk, reply write); the
-//!   serving layer feeds its laps into per-stage [`metrics`] histograms
-//!   (see DESIGN.md §12 "Request lifecycle").
+//!   serving layer feeds its laps into per-stage [`Histogram`]s (see
+//!   DESIGN.md §12 "Request lifecycle").
 //! * [`cost`] — the paper-bound cost model: given `(N, B)` and the
 //!   index kind it computes the analytic I/O bound shape, fits the
 //!   constant from observed queries, and flags queries whose measured
@@ -39,15 +37,15 @@
 //! the repo-level README ("Observability") and DESIGN.md.
 
 pub mod cost;
-pub mod faults;
 pub mod json;
 pub mod metrics;
-pub mod net;
 pub mod stage;
+pub mod tally;
 pub mod trace;
 
 pub use cost::{CostKind, CostModel, CostVerdict, Fitter};
 pub use json::Json;
-pub use metrics::{Histogram, Registry};
+pub use metrics::Histogram;
 pub use stage::StageTimer;
+pub use tally::Tally;
 pub use trace::{Event, EventKind, TraceSummary};

@@ -1,15 +1,8 @@
-//! Metric registry: named counters and fixed-bucket histograms.
-//!
-//! The registry is interior-mutable (`&self` recording) because the
-//! query paths of the index structures work through shared references —
-//! same design as the pager's I/O counters. Since the serving layer
-//! (`segdb-server`) runs those query paths from many worker threads over
-//! one shared database, the maps live behind `Mutex`es: recording is a
-//! short lock around a `BTreeMap` bump, far off any I/O-bound hot path.
+//! Fixed-bucket histograms. A histogram is plain data (`&mut self`
+//! recording); an owner that records from many threads keeps it behind
+//! its own lock, beside whatever else that lock guards.
 
 use crate::json::Json;
-use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard};
 
 /// Power-of-two bucket upper bounds used by default: `< 1`, `< 2`,
 /// `< 4`, …, `< 2^15`, plus an overflow bucket. I/O-per-query counts of
@@ -185,77 +178,6 @@ impl Histogram {
     }
 }
 
-/// A named bank of counters and histograms. Thread-safe: recording
-/// through `&self` from concurrent query threads is supported.
-#[derive(Debug, Default)]
-pub struct Registry {
-    counters: Mutex<BTreeMap<String, u64>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
-}
-
-/// Recover from lock poisoning: metrics are monotone plain data, and a
-/// panicked query thread must not take observability down with it.
-fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-impl Registry {
-    /// Fresh empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// Add `by` to counter `name` (created at 0).
-    pub fn incr(&self, name: &str, by: u64) {
-        *relock(&self.counters).entry(name.to_string()).or_insert(0) += by;
-    }
-
-    /// Record `value` into histogram `name` (created with the default
-    /// power-of-two buckets).
-    pub fn observe(&self, name: &str, value: u64) {
-        relock(&self.histograms)
-            .entry(name.to_string())
-            .or_default()
-            .observe(value);
-    }
-
-    /// Current value of a counter (0 if absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        relock(&self.counters).get(name).copied().unwrap_or(0)
-    }
-
-    /// Clone of a histogram, if recorded.
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        relock(&self.histograms).get(name).cloned()
-    }
-
-    /// Drop all recorded values.
-    pub fn reset(&self) {
-        relock(&self.counters).clear();
-        relock(&self.histograms).clear();
-    }
-
-    /// Snapshot as `{counters: {...}, histograms: {...}}`.
-    pub fn to_json(&self) -> Json {
-        let counters = Json::Obj(
-            relock(&self.counters)
-                .iter()
-                .map(|(k, &v)| (k.clone(), Json::U64(v)))
-                .collect(),
-        );
-        let histograms = Json::Obj(
-            relock(&self.histograms)
-                .iter()
-                .map(|(k, h)| (k.clone(), h.to_json()))
-                .collect(),
-        );
-        Json::Obj(vec![
-            ("counters".into(), counters),
-            ("histograms".into(), histograms),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,45 +341,5 @@ mod tests {
         let s = Histogram::latency_us().summary_json();
         assert_eq!(s.get("count"), Some(&Json::U64(0)));
         assert_eq!(s.get("p99"), Some(&Json::U64(0)));
-    }
-
-    #[test]
-    fn registry_is_thread_safe() {
-        let r = std::sync::Arc::new(Registry::new());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let r = std::sync::Arc::clone(&r);
-                std::thread::spawn(move || {
-                    for i in 0..1000u64 {
-                        r.incr("queries", 1);
-                        r.observe("io_per_query", i % 32);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(r.counter("queries"), 4000);
-        assert_eq!(r.histogram("io_per_query").unwrap().count(), 4000);
-    }
-
-    #[test]
-    fn registry_snapshot() {
-        let r = Registry::new();
-        r.incr("queries", 1);
-        r.incr("queries", 2);
-        r.observe("io_per_query", 7);
-        assert_eq!(r.counter("queries"), 3);
-        let j = r.to_json();
-        assert_eq!(
-            j.get("counters").unwrap().get("queries"),
-            Some(&Json::U64(3))
-        );
-        assert!(j.get("histograms").unwrap().get("io_per_query").is_some());
-        let text = j.render();
-        crate::json::parse(&text).expect("snapshot is valid JSON");
-        r.reset();
-        assert_eq!(r.counter("queries"), 0);
     }
 }

@@ -13,20 +13,21 @@
 //! over in emission order and clears the ring.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Process-wide total of events lost to ring overwrite, accumulated
-/// whenever a thread's ring is drained. Lets the serving layer report
-/// "traces were truncated" even though the rings themselves are
-/// thread-local and ephemeral.
-static DROPPED_TOTAL: AtomicU64 = AtomicU64::new(0);
-
-/// Events lost to ring overwrite across all threads so far (monotone;
-/// counted at drain time). Surfaced in the server `stats` reply so a
-/// truncated trace is detectable instead of silently partial.
-pub fn dropped_total() -> u64 {
-    DROPPED_TOTAL.load(Ordering::Relaxed)
+crate::tally! {
+    /// What the tracer counts process-wide: the server's `stats` reply
+    /// renders [`COUNTS`] as its `trace` block.
+    pub enum TraceCount: TraceTally {
+        /// Events lost to ring overwrite, across all threads, counted
+        /// whenever a thread's ring is drained — so a truncated trace is
+        /// detectable even though the rings themselves are thread-local
+        /// and ephemeral.
+        Dropped = "dropped_events",
+    }
 }
+
+/// The tracer's process-wide tally.
+pub static COUNTS: TraceTally = TraceTally::new();
 
 /// Default ring capacity (events). A query against a million-segment
 /// index emits a few hundred events, so the default tail holds many
@@ -183,7 +184,7 @@ fn emit_slow(kind: EventKind, a: u64, b: u64) {
 pub fn drain() -> (Vec<Event>, u64) {
     let (events, dropped) = RING.with(|r| r.borrow_mut().drain());
     if dropped > 0 {
-        DROPPED_TOTAL.fetch_add(dropped, Ordering::Relaxed);
+        COUNTS.add(TraceCount::Dropped, dropped);
     }
     (events, dropped)
 }
@@ -322,7 +323,7 @@ mod tests {
     #[test]
     fn ring_overwrites_oldest() {
         clear();
-        let before = dropped_total();
+        let before = COUNTS.get(TraceCount::Dropped);
         with_tracing(|| {
             for i in 0..(DEFAULT_CAPACITY as u64 + 10) {
                 emit(EventKind::PageRead, i, 0);
@@ -334,7 +335,7 @@ mod tests {
         assert_eq!(events[0].a, 10, "oldest 10 overwritten");
         assert_eq!(events.last().unwrap().a, DEFAULT_CAPACITY as u64 + 9);
         assert!(
-            dropped_total() >= before + 10,
+            COUNTS.get(TraceCount::Dropped) >= before + 10,
             "drain feeds the process-wide dropped total"
         );
         // The summary carries the figure through to JSON consumers.

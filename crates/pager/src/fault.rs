@@ -42,6 +42,10 @@
 //! replays the identical fault trace ([`FaultHandle::trace`]) — the
 //! deflake guarantee the torture tests assert.
 //!
+//! Every injected fault lands in the handle's trace and in the
+//! process-wide storage-fault ledger [`FAULTS`]; the per-device
+//! [`FaultStats`] are the trace counted by kind.
+//!
 //! The device starts **disarmed**: a harness builds its database
 //! fault-free, then calls [`FaultHandle::arm`] to start the schedule
 //! (resetting the op counter and RNG). Injection applies to `read`,
@@ -52,8 +56,57 @@
 use crate::device::{Device, Disk};
 use crate::error::{PagerError, Result};
 use crate::PageId;
+use segdb_obs::Json;
 use segdb_rng::SmallRng;
 use std::sync::{Arc, Mutex, MutexGuard};
+
+segdb_obs::tally! {
+    /// The storage-fault ledger's keys, in the order the `faults` block
+    /// of a server's `stats` reply and of `segdb-cli torture` lists them.
+    pub enum Fault: FaultTally {
+        /// Transient read errors manufactured by a fault device.
+        ReadError = "injected_read_errors",
+        /// Transient write errors manufactured by a fault device.
+        WriteError = "injected_write_errors",
+        /// Transient sync errors manufactured by a fault device.
+        SyncError = "injected_sync_errors",
+        /// Torn (partially applied) writes manufactured by a fault device.
+        TornWrite = "injected_torn_writes",
+        /// Simulated power cuts.
+        PowerCut = "injected_power_cuts",
+        /// I/O errors that reached a public pager verb and were
+        /// propagated (not panicked on) to the caller.
+        ObservedIoError = "observed_io_errors",
+    }
+}
+
+/// The process-wide storage-fault ledger. Injected faults are counted
+/// by every [`FaultDevice`], observed ones by the pager's public verbs,
+/// so a healthy stack shows `observed_io_errors` tracking the injected
+/// total instead of dying on the first fault. The counts accumulate
+/// across devices and tests; tests assert monotone deltas.
+pub static FAULTS: FaultTally = FaultTally::new();
+
+impl Fault {
+    /// The keys of injected faults (every key but the observed one).
+    pub const INJECTED: [Fault; 5] = [
+        Fault::ReadError,
+        Fault::WriteError,
+        Fault::SyncError,
+        Fault::TornWrite,
+        Fault::PowerCut,
+    ];
+}
+
+/// [`FAULTS`] as the `faults` reply block: the counters in declared
+/// order, with the injected sum `injected_total` before
+/// `observed_io_errors`.
+pub fn faults_json() -> Json {
+    let mut fields = FAULTS.fields();
+    let total = FAULTS.sum(&Fault::INJECTED);
+    fields.insert(Fault::INJECTED.len(), ("injected_total", Json::U64(total)));
+    Json::obj(fields)
+}
 
 /// The seeded fault schedule of one [`FaultDevice`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,6 +167,19 @@ pub enum FaultKind {
     PowerCut,
 }
 
+impl FaultKind {
+    /// The ledger key this kind is counted under.
+    pub fn key(self) -> Fault {
+        match self {
+            FaultKind::ReadError => Fault::ReadError,
+            FaultKind::WriteError => Fault::WriteError,
+            FaultKind::SyncError => Fault::SyncError,
+            FaultKind::TornWrite { .. } => Fault::TornWrite,
+            FaultKind::PowerCut => Fault::PowerCut,
+        }
+    }
+}
+
 /// One injected fault, for trace comparison across replays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
@@ -123,8 +189,8 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// Per-device injection counters (deterministic, unlike the process-wide
-/// [`segdb_obs::faults`] totals which accumulate across devices).
+/// Per-device injection counts: the device's trace counted by kind
+/// (deterministic, unlike [`FAULTS`], which accumulates across devices).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
     /// Transient read errors injected.
@@ -140,6 +206,18 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
+    /// Count `trace` by kind.
+    pub fn of(trace: &[FaultEvent]) -> FaultStats {
+        let n = |key| trace.iter().filter(|e| e.kind.key() == key).count() as u64;
+        FaultStats {
+            read_errors: n(Fault::ReadError),
+            write_errors: n(Fault::WriteError),
+            sync_errors: n(Fault::SyncError),
+            torn_writes: n(Fault::TornWrite),
+            power_cuts: n(Fault::PowerCut),
+        }
+    }
+
     /// Every injected fault, summed.
     pub fn total(&self) -> u64 {
         self.read_errors + self.write_errors + self.sync_errors + self.torn_writes + self.power_cuts
@@ -167,7 +245,6 @@ struct FaultCore {
     crashed: bool,
     ops: u64,
     trace: Vec<FaultEvent>,
-    stats: FaultStats,
 }
 
 impl FaultCore {
@@ -182,12 +259,7 @@ impl FaultCore {
         self.ops += 1;
         if self.armed && self.plan.power_cut_at.is_some_and(|cut| op >= cut) {
             self.crashed = true;
-            self.trace.push(FaultEvent {
-                op,
-                kind: FaultKind::PowerCut,
-            });
-            self.stats.power_cuts += 1;
-            segdb_obs::faults::totals().injected_power_cut();
+            self.record(op, FaultKind::PowerCut);
             return Err(PagerError::Io("simulated power cut: device offline".into()));
         }
         Ok(op)
@@ -201,26 +273,7 @@ impl FaultCore {
 
     fn record(&mut self, op: u64, kind: FaultKind) {
         self.trace.push(FaultEvent { op, kind });
-        let t = segdb_obs::faults::totals();
-        match kind {
-            FaultKind::ReadError => {
-                self.stats.read_errors += 1;
-                t.injected_read_error();
-            }
-            FaultKind::WriteError => {
-                self.stats.write_errors += 1;
-                t.injected_write_error();
-            }
-            FaultKind::SyncError => {
-                self.stats.sync_errors += 1;
-                t.injected_sync_error();
-            }
-            FaultKind::TornWrite { .. } => {
-                self.stats.torn_writes += 1;
-                t.injected_torn_write();
-            }
-            FaultKind::PowerCut => unreachable!("power cuts are recorded in begin_op"),
-        }
+        FAULTS.bump(kind.key());
     }
 
     fn replay_redo(&mut self) -> Result<()> {
@@ -318,7 +371,6 @@ impl FaultDevice {
             crashed: false,
             ops: 0,
             trace: Vec::new(),
-            stats: FaultStats::default(),
         }));
         (
             FaultDevice {
@@ -363,9 +415,9 @@ impl FaultHandle {
         lock(&self.core).redo.len()
     }
 
-    /// Per-device injection counters.
+    /// Per-device injection counts: the trace counted by kind.
     pub fn stats(&self) -> FaultStats {
-        lock(&self.core).stats
+        FaultStats::of(&lock(&self.core).trace)
     }
 
     /// Every injected fault so far, in order.

@@ -18,7 +18,8 @@
 //!   rather than in native pointers.
 //! * [`fault`] — a deterministic fault-injection [`Device`] wrapper
 //!   (transient errors, torn writes, simulated power cuts) driving the
-//!   workspace crash-recovery torture suite (`tests/faults.rs`).
+//!   workspace crash-recovery torture suite (`tests/faults.rs`), and
+//!   the process-wide storage-fault ledger [`fault::FAULTS`].
 //!
 //! All structures in the workspace store each logical node in exactly one
 //! page, mirroring the paper's "each node is contained in exactly one

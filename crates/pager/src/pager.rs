@@ -40,7 +40,7 @@
 use crate::device::{zeroed_image, Device, Disk};
 use crate::error::Result;
 use crate::shard::ShardedCache;
-use crate::stats::{Counters, IoStats};
+use crate::stats::{self, Io, IoStats, IoTally};
 use crate::PageId;
 use segdb_obs::trace::{emit, EventKind};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -68,7 +68,7 @@ impl Default for PagerConfig {
 pub struct Pager {
     device: RwLock<Box<dyn Device>>,
     cache: ShardedCache,
-    counters: Counters,
+    counters: IoTally,
     page_size: usize,
 }
 
@@ -105,7 +105,7 @@ impl Pager {
         Pager {
             device: RwLock::new(device),
             cache: ShardedCache::new(cache_pages, shards),
-            counters: Counters::default(),
+            counters: IoTally::new(),
             page_size,
         }
     }
@@ -156,7 +156,7 @@ impl Pager {
 
     /// Snapshot of I/O counters.
     pub fn stats(&self) -> IoStats {
-        self.counters.snapshot()
+        IoStats::of(&self.counters)
     }
 
     /// Zero all I/O counters (space counters included).
@@ -178,7 +178,7 @@ impl Pager {
     /// caller will `overwrite_page` it with real content).
     pub fn allocate(&self) -> Result<PageId> {
         let id = observe_io(self.device_write().allocate())?;
-        self.counters.record_alloc();
+        stats::record(&self.counters, Io::Alloc);
         emit(EventKind::PageAlloc, u64::from(id), 0);
         Ok(id)
     }
@@ -187,7 +187,7 @@ impl Pager {
     pub fn free(&self, id: PageId) -> Result<()> {
         self.cache.remove(id);
         observe_io(self.device_write().free(id))?;
-        self.counters.record_free();
+        stats::record(&self.counters, Io::Free);
         emit(EventKind::PageFree, u64::from(id), 0);
         Ok(())
     }
@@ -196,12 +196,12 @@ impl Pager {
     /// on miss, a hit otherwise. No lock is held when this returns.
     fn fetch(&self, id: PageId) -> Result<Arc<[u8]>> {
         if let Some(img) = self.cache.get_cloned(id) {
-            self.counters.record_hit();
+            stats::record(&self.counters, Io::Hit);
             emit(EventKind::CacheHit, u64::from(id), 0);
             return Ok(img);
         }
         let img = self.device_read().read(id)?;
-        self.counters.record_read();
+        stats::record(&self.counters, Io::Read);
         emit(EventKind::PageRead, u64::from(id), 0);
         // insert_if_absent semantics: if another thread admitted (or a
         // writer dirtied) this page meanwhile, keep the resident image.
@@ -218,7 +218,7 @@ impl Pager {
     fn writeback(&self, ev: &crate::cache::Evicted) -> Result<()> {
         if ev.dirty {
             self.device_write().write(ev.page, Arc::clone(&ev.data))?;
-            self.counters.record_write();
+            stats::record(&self.counters, Io::Write);
             emit(EventKind::PageWrite, u64::from(ev.page), 0);
         }
         Ok(())
@@ -233,7 +233,7 @@ impl Pager {
             self.cache.admit_dirty(id, img, |ev| self.writeback(ev))?;
         } else {
             self.device_write().write(id, img)?;
-            self.counters.record_write();
+            stats::record(&self.counters, Io::Write);
             emit(EventKind::PageWrite, u64::from(id), 0);
         }
         Ok(())
@@ -290,7 +290,7 @@ impl Pager {
     fn clean_pool_inner(&self) -> Result<()> {
         self.cache.clean_all(|page, data| {
             self.device_write().write(page, Arc::clone(data))?;
-            self.counters.record_write();
+            stats::record(&self.counters, Io::Write);
             emit(EventKind::PageWrite, u64::from(page), 0);
             Ok(())
         })
@@ -315,13 +315,13 @@ impl Pager {
     }
 }
 
-/// Count an I/O failure in the process-global observed-fault totals
-/// ([`segdb_obs::faults`]) on its way to the caller. Applied once per
+/// Count an I/O failure in the process-wide storage-fault ledger
+/// ([`crate::fault::FAULTS`]) on its way to the caller. Applied once per
 /// public verb, so one failed operation counts once even when it spans
 /// several internal device calls.
 fn observe_io<T>(r: Result<T>) -> Result<T> {
     if let Err(crate::error::PagerError::Io(_)) = &r {
-        segdb_obs::faults::totals().observed_io_error();
+        crate::fault::FAULTS.bump(crate::fault::Fault::ObservedIoError);
     }
     r
 }

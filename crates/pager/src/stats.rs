@@ -4,8 +4,9 @@
 //! block transfers, so the counters here are the primary measurement
 //! instrument of the whole reproduction. Two banks record every event:
 //!
-//! * the pager's own `Counters` — relaxed atomics, so totals stay exact
-//!   when many threads query one database over a shared reference;
+//! * the pager's own tally of `Io` events — relaxed atomics, so totals
+//!   stay exact when many threads query one database over a shared
+//!   reference;
 //! * a **per-thread** bank ([`thread_io`]) — plain `Cell`s in a
 //!   thread-local, so a [`StatScope`] around one query measures exactly
 //!   that thread's I/O even while other worker threads hammer the same
@@ -15,10 +16,23 @@
 //! On a single thread both banks agree, so all pre-existing
 //! deterministic I/O-count experiments are unchanged.
 
+use segdb_obs::tally::Keys;
+use segdb_obs::Json;
 use std::cell::Cell;
 use std::fmt;
 use std::ops::{Add, Sub};
-use std::sync::atomic::{AtomicU64, Ordering};
+
+segdb_obs::tally! {
+    /// The pager events [`IoStats`] counts, in the order the `io` blocks
+    /// of a query trace and of a server's `stats` reply list them.
+    pub(crate) enum Io: IoTally {
+        Read = "reads",
+        Write = "writes",
+        Hit = "cache_hits",
+        Alloc = "allocations",
+        Free = "frees",
+    }
+}
 
 /// Snapshot of I/O activity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -48,6 +62,39 @@ impl IoStats {
     #[inline]
     pub fn live_pages(&self) -> i64 {
         self.allocations as i64 - self.frees as i64
+    }
+
+    /// One count per [`Io`] event, read through `count`.
+    fn read(count: impl Fn(Io) -> u64) -> IoStats {
+        IoStats {
+            reads: count(Io::Read),
+            writes: count(Io::Write),
+            allocations: count(Io::Alloc),
+            frees: count(Io::Free),
+            cache_hits: count(Io::Hit),
+        }
+    }
+
+    /// `(name, count)` of every count, in the order the `io` blocks of a
+    /// query trace and of a server's `stats` reply list them.
+    pub fn fields(&self) -> Vec<(&'static str, Json)> {
+        let counts = [
+            self.reads,
+            self.writes,
+            self.cache_hits,
+            self.allocations,
+            self.frees,
+        ];
+        Io::NAMES
+            .iter()
+            .zip(counts)
+            .map(|(&name, n)| (name, Json::U64(n)))
+            .collect()
+    }
+
+    /// A snapshot of a pager's tally.
+    pub(crate) fn of(tally: &IoTally) -> IoStats {
+        IoStats::read(|k| tally.get(k))
     }
 }
 
@@ -87,17 +134,9 @@ impl fmt::Display for IoStats {
     }
 }
 
-#[derive(Default)]
-struct ThreadBank {
-    reads: Cell<u64>,
-    writes: Cell<u64>,
-    allocations: Cell<u64>,
-    frees: Cell<u64>,
-    cache_hits: Cell<u64>,
-}
-
 thread_local! {
-    static THREAD_IO: ThreadBank = ThreadBank::default();
+    /// The calling thread's bank: one plain cell per [`Io`] event.
+    static THREAD_IO: [Cell<u64>; 5] = Default::default();
 }
 
 /// Cumulative I/O performed **by the current thread** since it started
@@ -105,77 +144,15 @@ thread_local! {
 /// per-query I/O attribution survives concurrent queries on a shared
 /// database.
 pub fn thread_io() -> IoStats {
-    THREAD_IO.with(|t| IoStats {
-        reads: t.reads.get(),
-        writes: t.writes.get(),
-        allocations: t.allocations.get(),
-        frees: t.frees.get(),
-        cache_hits: t.cache_hits.get(),
-    })
+    THREAD_IO.with(|t| IoStats::read(|k| t[k as usize].get()))
 }
 
-macro_rules! bump_thread {
-    ($field:ident) => {
-        THREAD_IO.with(|t| t.$field.set(t.$field.get() + 1))
-    };
-}
-
-/// Interior-mutable counter bank owned by the pager. Relaxed atomics:
-/// exact totals, no ordering guarantees needed (snapshots are advisory
-/// aggregates, never synchronization points).
-#[derive(Debug, Default)]
-pub(crate) struct Counters {
-    reads: AtomicU64,
-    writes: AtomicU64,
-    allocations: AtomicU64,
-    frees: AtomicU64,
-    cache_hits: AtomicU64,
-}
-
-impl Counters {
-    #[inline]
-    pub fn record_read(&self) {
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        bump_thread!(reads);
-    }
-    #[inline]
-    pub fn record_write(&self) {
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        bump_thread!(writes);
-    }
-    #[inline]
-    pub fn record_alloc(&self) {
-        self.allocations.fetch_add(1, Ordering::Relaxed);
-        bump_thread!(allocations);
-    }
-    #[inline]
-    pub fn record_free(&self) {
-        self.frees.fetch_add(1, Ordering::Relaxed);
-        bump_thread!(frees);
-    }
-    #[inline]
-    pub fn record_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        bump_thread!(cache_hits);
-    }
-
-    pub fn snapshot(&self) -> IoStats {
-        IoStats {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            allocations: self.allocations.load(Ordering::Relaxed),
-            frees: self.frees.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-        }
-    }
-
-    pub fn reset(&self) {
-        self.reads.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
-        self.allocations.store(0, Ordering::Relaxed);
-        self.frees.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-    }
+/// Count one pager event in the pager's `tally` and in the calling
+/// thread's bank.
+#[inline]
+pub(crate) fn record(tally: &IoTally, event: Io) {
+    tally.bump(event);
+    THREAD_IO.with(|t| t[event as usize].set(t[event as usize].get() + 1));
 }
 
 /// Measures the I/O performed between construction and [`StatScope::finish`]
@@ -239,14 +216,11 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let c = Counters::default();
-        c.record_read();
-        c.record_read();
-        c.record_write();
-        c.record_alloc();
-        c.record_free();
-        c.record_hit();
-        let s = c.snapshot();
+        let c = IoTally::new();
+        for event in [Io::Read, Io::Read, Io::Write, Io::Alloc, Io::Free, Io::Hit] {
+            record(&c, event);
+        }
+        let s = IoStats::of(&c);
         assert_eq!(s.reads, 2);
         assert_eq!(s.writes, 1);
         assert_eq!(s.allocations, 1);
@@ -254,23 +228,46 @@ mod tests {
         assert_eq!(s.cache_hits, 1);
         assert_eq!(s.live_pages(), 0);
         c.reset();
-        assert_eq!(c.snapshot(), IoStats::default());
+        assert_eq!(IoStats::of(&c), IoStats::default());
+    }
+
+    #[test]
+    fn fields_and_snapshots_follow_the_declared_names() {
+        let s = IoStats {
+            reads: 1,
+            writes: 2,
+            allocations: 3,
+            frees: 4,
+            cache_hits: 5,
+        };
+        let c = IoTally::new();
+        for (event, n) in [
+            (Io::Read, 1),
+            (Io::Write, 2),
+            (Io::Alloc, 3),
+            (Io::Free, 4),
+            (Io::Hit, 5),
+        ] {
+            c.add(event, n);
+        }
+        assert_eq!(IoStats::of(&c), s);
+        assert_eq!(Json::obj(s.fields()), c.to_json());
     }
 
     #[test]
     fn thread_bank_is_per_thread() {
-        let c = std::sync::Arc::new(Counters::default());
+        let c = std::sync::Arc::new(IoTally::new());
         let before = thread_io();
         let c2 = std::sync::Arc::clone(&c);
         std::thread::spawn(move || {
             for _ in 0..10 {
-                c2.record_read();
+                record(&c2, Io::Read);
             }
         })
         .join()
         .unwrap();
         // The other thread's reads land in the shared bank but not ours.
-        assert_eq!(c.snapshot().reads, 10);
+        assert_eq!(IoStats::of(&c).reads, 10);
         assert_eq!(thread_io().reads, before.reads);
     }
 }

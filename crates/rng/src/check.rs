@@ -80,10 +80,7 @@ fn find_failure<T: Shrink>(
     gen: impl Fn(&mut SmallRng) -> T,
     prop: impl Fn(&T),
 ) -> Option<(u64, u32, T, String)> {
-    // FNV-1a over the name.
-    let seed = name.bytes().fold(0xCBF2_9CE4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
-    });
+    let seed = crate::fnv1a(name.bytes());
     (0..cases).find_map(|case| {
         let mut input = gen(&mut SmallRng::seed_from_u64(
             seed.wrapping_add(u64::from(case)),

@@ -20,7 +20,9 @@
 //! the import line.
 //!
 //! [`check`] is the workspace's one property runner, built on
-//! [`SmallRng`].
+//! [`SmallRng`]. [`fnv1a`] is the workspace's one fingerprint of a byte
+//! sequence: property seeds derive from test names through it, and both
+//! fault injectors digest their traces with it.
 
 pub mod check;
 
@@ -32,6 +34,14 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// 64-bit FNV-1a over `bytes`: order-dependent, and stable across
+/// processes, so replay checks compare the digests two runs print.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+    })
 }
 
 /// A small, fast, seeded PRNG (xoshiro256\*\*).

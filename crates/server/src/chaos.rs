@@ -25,18 +25,98 @@
 //! guarantee the storage torture suite gets from `FaultDevice`. Faults
 //! split into *disruptive* kinds (the attempt they land on dies; the
 //! resilient client observes exactly one failure per injection) and
-//! *benign* perturbations (latency, trickle) that disturb timing only;
-//! `segdb_obs::net` keeps the global injected/observed ledger the
-//! torture suite balances.
+//! *benign* perturbations (latency, trickle) that disturb timing only.
+//! Every injected fault lands in the handle's trace and in the
+//! process-wide wire-fault ledger [`NET`], which also counts what the
+//! resilient client observed and what the serving front-end handled —
+//! the ledger the torture suite balances.
 //!
 //! The handle starts **disarmed**: wrapped streams and listeners are
 //! transparent until [`NetFaultHandle::arm`] starts the schedule.
 
+use segdb_obs::Json;
 use segdb_rng::SmallRng;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+segdb_obs::tally! {
+    /// The wire-fault ledger's keys, in the order the `net` block of a
+    /// server's `stats` reply lists them: faults the chaos layer
+    /// injected, then what the resilient client observed and retried,
+    /// then what the serving front-end handled.
+    pub enum Net: NetTally {
+        /// Accepted connections dropped on the floor by the chaos listener.
+        AcceptReset = "injected_accept_resets",
+        /// Client connect attempts aborted before dialing.
+        ConnectReset = "injected_connect_resets",
+        /// Injected errors on a request send (nothing reached the wire).
+        SendError = "injected_send_errors",
+        /// Truncated sends: only a prefix of the frame reached the wire.
+        TruncatedSend = "injected_truncated_sends",
+        /// Injected errors on a response read.
+        RecvError = "injected_recv_errors",
+        /// Mid-frame disconnects (socket killed while awaiting a response).
+        Disconnect = "injected_disconnects",
+        /// Injected latency pauses (benign: survivable in place).
+        Latency = "injected_latencies",
+        /// Slow-loris trickle reads (benign: survivable in place).
+        Trickle = "injected_trickles",
+        /// Wire-level disruptions a resilient client saw and survived.
+        ObservedFault = "observed_faults",
+        /// Client request retries (same or new connection).
+        ClientRetry = "client_retries",
+        /// Client reconnects after a dead connection.
+        ClientReconnect = "client_reconnects",
+        /// Server connections dropped because a reply write missed its
+        /// deadline (stalled peer).
+        ServerWriteDrop = "server_write_drops",
+        /// Server connections reaped for idling or trickling a request
+        /// line past the idle deadline.
+        ServerReap = "server_reaped",
+        /// Connections refused at the admission gate with `overloaded`.
+        ServerShed = "server_shed",
+    }
+}
+
+/// The process-wide wire-fault ledger. A healthy run shows
+/// `observed_faults` equal to the disruptive injected sum: every
+/// manufactured disruption was seen and survived, none double-counted.
+/// The counts accumulate across handles and tests; tests assert
+/// monotone deltas.
+pub static NET: NetTally = NetTally::new();
+
+impl Net {
+    /// Injected faults that kill the attempt they land on — the family
+    /// `observed_faults` must track one-for-one.
+    pub const DISRUPTIVE: [Net; 6] = [
+        Net::AcceptReset,
+        Net::ConnectReset,
+        Net::SendError,
+        Net::TruncatedSend,
+        Net::RecvError,
+        Net::Disconnect,
+    ];
+}
+
+/// [`NET`] as the `net` reply block: the counters in declared order,
+/// with the sums `injected_disruptive` and `injected_total` (benign
+/// perturbations included) after the injected kinds.
+pub fn net_json() -> Json {
+    let mut fields = NET.fields();
+    let disruptive = NET.sum(&Net::DISRUPTIVE);
+    let total = disruptive + NET.sum(&[Net::Latency, Net::Trickle]);
+    let at = Net::ObservedFault as usize;
+    fields.splice(
+        at..at,
+        [
+            ("injected_disruptive", Json::U64(disruptive)),
+            ("injected_total", Json::U64(total)),
+        ],
+    );
+    Json::obj(fields)
+}
 
 /// The seeded wire-fault schedule of one [`NetFaultHandle`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,6 +210,22 @@ pub enum NetFaultKind {
     Trickle,
 }
 
+impl NetFaultKind {
+    /// The ledger key this kind is counted under.
+    pub fn key(self) -> Net {
+        match self {
+            NetFaultKind::ConnectReset => Net::ConnectReset,
+            NetFaultKind::AcceptReset => Net::AcceptReset,
+            NetFaultKind::SendError => Net::SendError,
+            NetFaultKind::TruncatedSend { .. } => Net::TruncatedSend,
+            NetFaultKind::RecvError => Net::RecvError,
+            NetFaultKind::Disconnect => Net::Disconnect,
+            NetFaultKind::Latency { .. } => Net::Latency,
+            NetFaultKind::Trickle => Net::Trickle,
+        }
+    }
+}
+
 /// One injected wire fault, for trace comparison across replays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetFaultEvent {
@@ -139,9 +235,8 @@ pub struct NetFaultEvent {
     pub kind: NetFaultKind,
 }
 
-/// Per-handle injection counters (deterministic, unlike the
-/// process-wide [`segdb_obs::net`] totals which accumulate across
-/// handles).
+/// Per-handle injection counts: the handle's trace counted by kind
+/// (deterministic, unlike [`NET`], which accumulates across handles).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NetFaultStats {
     /// Connect resets injected.
@@ -163,6 +258,21 @@ pub struct NetFaultStats {
 }
 
 impl NetFaultStats {
+    /// Count `trace` by kind.
+    pub fn of(trace: &[NetFaultEvent]) -> NetFaultStats {
+        let n = |key| trace.iter().filter(|e| e.kind.key() == key).count() as u64;
+        NetFaultStats {
+            connect_resets: n(Net::ConnectReset),
+            accept_resets: n(Net::AcceptReset),
+            send_errors: n(Net::SendError),
+            truncated_sends: n(Net::TruncatedSend),
+            recv_errors: n(Net::RecvError),
+            disconnects: n(Net::Disconnect),
+            latencies: n(Net::Latency),
+            trickles: n(Net::Trickle),
+        }
+    }
+
     /// Every injected fault, benign perturbations included.
     pub fn total(&self) -> u64 {
         self.disruptive() + self.latencies + self.trickles
@@ -179,26 +289,20 @@ impl NetFaultStats {
     }
 }
 
-/// Order-independent FNV-1a digest of a fault trace, for cheap replay
-/// equality checks across processes (two identical runs must print the
-/// identical digest).
+/// Order-dependent digest of a fault trace ([`segdb_rng::fnv1a`] over
+/// each event's op index, ledger key and payload), for cheap replay
+/// equality checks across processes: two identical runs print the
+/// identical digest.
 pub fn trace_digest(trace: &[NetFaultEvent]) -> u64 {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for e in trace {
-        let kind: u64 = match e.kind {
-            NetFaultKind::ConnectReset => 1,
-            NetFaultKind::AcceptReset => 2,
-            NetFaultKind::SendError => 3,
-            NetFaultKind::TruncatedSend { sent } => 4 | (u64::from(sent) << 8),
-            NetFaultKind::RecvError => 5,
-            NetFaultKind::Disconnect => 6,
-            NetFaultKind::Latency { ms } => 7 | (u64::from(ms) << 8),
-            NetFaultKind::Trickle => 8,
+    let words = trace.iter().flat_map(|e| {
+        let payload = match e.kind {
+            NetFaultKind::TruncatedSend { sent } => u64::from(sent),
+            NetFaultKind::Latency { ms } => u64::from(ms),
+            _ => 0,
         };
-        digest ^= e.op.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ kind;
-        digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    digest
+        [e.op, e.kind.key() as u64, payload]
+    });
+    segdb_rng::fnv1a(words.flat_map(u64::to_le_bytes))
 }
 
 struct ChaosCore {
@@ -207,7 +311,6 @@ struct ChaosCore {
     armed: bool,
     ops: u64,
     trace: Vec<NetFaultEvent>,
-    stats: NetFaultStats,
 }
 
 impl ChaosCore {
@@ -217,41 +320,7 @@ impl ChaosCore {
 
     fn record(&mut self, op: u64, kind: NetFaultKind) {
         self.trace.push(NetFaultEvent { op, kind });
-        let t = segdb_obs::net::totals();
-        match kind {
-            NetFaultKind::ConnectReset => {
-                self.stats.connect_resets += 1;
-                t.injected_connect_reset();
-            }
-            NetFaultKind::AcceptReset => {
-                self.stats.accept_resets += 1;
-                t.injected_accept_reset();
-            }
-            NetFaultKind::SendError => {
-                self.stats.send_errors += 1;
-                t.injected_send_error();
-            }
-            NetFaultKind::TruncatedSend { .. } => {
-                self.stats.truncated_sends += 1;
-                t.injected_truncated_send();
-            }
-            NetFaultKind::RecvError => {
-                self.stats.recv_errors += 1;
-                t.injected_recv_error();
-            }
-            NetFaultKind::Disconnect => {
-                self.stats.disconnects += 1;
-                t.injected_disconnect();
-            }
-            NetFaultKind::Latency { .. } => {
-                self.stats.latencies += 1;
-                t.injected_latency();
-            }
-            NetFaultKind::Trickle => {
-                self.stats.trickles += 1;
-                t.injected_trickle();
-            }
-        }
+        NET.bump(kind.key());
     }
 }
 
@@ -303,7 +372,6 @@ impl NetFaultHandle {
                 armed: false,
                 ops: 0,
                 trace: Vec::new(),
-                stats: NetFaultStats::default(),
             })),
         }
     }
@@ -329,9 +397,9 @@ impl NetFaultHandle {
         lock(&self.core).ops
     }
 
-    /// Per-handle injection counters.
+    /// Per-handle injection counts: the trace counted by kind.
     pub fn stats(&self) -> NetFaultStats {
-        lock(&self.core).stats
+        NetFaultStats::of(&lock(&self.core).trace)
     }
 
     /// Every injected fault so far, in order.

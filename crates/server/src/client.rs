@@ -26,10 +26,11 @@
 //! `id` and [`Client::call_line`] verifies the echo: a response whose
 //! numeric id differs from the request's is treated as a wire fault
 //! and retried on a fresh connection. Wire disruptions and resilience
-//! actions are tallied in [`ClientStats`] and the process-wide
-//! [`segdb_obs::net`] counters the server's `stats` method surfaces.
+//! actions are tallied in [`ClientStats`] and in the process-wide
+//! wire-fault ledger [`crate::chaos::NET`], which the server's `stats`
+//! method surfaces.
 
-use crate::chaos::{ChaosStream, NetFaultHandle};
+use crate::chaos::{ChaosStream, Net, NetFaultHandle, NET};
 use crate::proto::{self, code};
 use segdb_core::QueryMode;
 use segdb_geom::Segment;
@@ -259,7 +260,7 @@ impl Client {
         for attempt in 0..budget {
             if attempt > 0 {
                 self.stats.retries += 1;
-                segdb_obs::net::totals().client_retry();
+                NET.bump(Net::ClientRetry);
                 self.backoff(attempt - 1);
             }
             self.stats.attempts += 1;
@@ -273,7 +274,7 @@ impl Client {
                         if want != got {
                             self.disconnect();
                             self.stats.observed_faults += 1;
-                            segdb_obs::net::totals().observed_fault();
+                            NET.bump(Net::ObservedFault);
                             last = format!("id mismatch: sent {want}, received {got}");
                             continue;
                         }
@@ -301,7 +302,7 @@ impl Client {
                     // never reuse it for the retry.
                     self.disconnect();
                     self.stats.observed_faults += 1;
-                    segdb_obs::net::totals().observed_fault();
+                    NET.bump(Net::ObservedFault);
                     last = what;
                 }
                 Err(e) => return Err(e),
@@ -323,7 +324,7 @@ impl Client {
                 Ok(conn) => {
                     if self.ever_connected {
                         self.stats.reconnects += 1;
-                        segdb_obs::net::totals().client_reconnect();
+                        NET.bump(Net::ClientReconnect);
                     }
                     self.ever_connected = true;
                     self.conn = Some(conn);

@@ -17,14 +17,14 @@
 //!   whose next full line misses [`FrontConfig::idle_timeout`], `ping`
 //!   and `shutdown` answered inline, reply **write deadlines** with the
 //!   connection dropped (a *write drop*) when one fails;
-//! * the counters all of that produces ([`FrontStats`]), `ok` / `errors`
+//! * the counters all of that produces ([`FrontTally`]), `ok` / `errors`
 //!   included: every reply passes through one place that counts it.
 //!
 //! A [`Handler`] supplies the rest: per-connection state, `request + raw
 //! line → reply`, a hook after the reply write, and a hook after a wire
 //! `shutdown`.
 
-use crate::chaos::NetFaultHandle;
+use crate::chaos::{Net, NetFaultHandle, NET};
 use crate::proto::{self, code, Command, Method, Request};
 use segdb_obs::Json;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -105,21 +105,20 @@ pub(crate) trait Handler: Send + Sync + 'static {
     fn wire_shutdown(&self) {}
 }
 
-/// Monotone front-end counters, part of the `stats` reply's `server`
-/// block.
-#[derive(Debug, Default)]
-pub(crate) struct FrontStats {
-    connections: AtomicU64,
-    requests: AtomicU64,
-    ok: AtomicU64,
-    errors: AtomicU64,
-    write_drops: AtomicU64,
-    reaped: AtomicU64,
-    shed: AtomicU64,
-}
-
-pub(crate) fn bump(counter: &AtomicU64) {
-    counter.fetch_add(1, Ordering::Relaxed);
+segdb_obs::tally! {
+    /// Monotone front-end counters, part of the `stats` reply's `server`
+    /// block in this order: connections admitted, requests decoded,
+    /// replies by outcome, and connections dropped on a failed write,
+    /// reaped past the idle deadline or shed at the admission gate.
+    pub(crate) enum FrontCount: FrontTally {
+        Connections = "connections",
+        Requests = "requests",
+        Ok = "ok",
+        Errors = "errors",
+        WriteDrops = "write_drops",
+        Reaped = "reaped",
+        Shed = "shed",
+    }
 }
 
 /// Recover from mutex poisoning: a panicked thread must not wedge the
@@ -139,7 +138,7 @@ pub(crate) struct Front {
     conns: Mutex<usize>,
     conn_exited: Condvar,
     conn_seq: AtomicU64,
-    stats: FrontStats,
+    stats: FrontTally,
 }
 
 impl Front {
@@ -155,7 +154,7 @@ impl Front {
             conns: Mutex::new(0),
             conn_exited: Condvar::new(),
             conn_seq: AtomicU64::new(0),
-            stats: FrontStats::default(),
+            stats: FrontTally::new(),
         };
         Ok((Arc::new(front), listener))
     }
@@ -209,21 +208,10 @@ impl Front {
 
     /// The front-end's share of the `stats` reply's `server` block.
     pub(crate) fn stats_fields(&self) -> Vec<(&'static str, Json)> {
-        let s = &self.stats;
-        let get = |c: &AtomicU64| Json::U64(c.load(Ordering::Relaxed));
-        vec![
-            (
-                "max_connections",
-                Json::U64(self.cfg.max_connections as u64),
-            ),
-            ("connections", get(&s.connections)),
-            ("requests", get(&s.requests)),
-            ("ok", get(&s.ok)),
-            ("errors", get(&s.errors)),
-            ("write_drops", get(&s.write_drops)),
-            ("reaped", get(&s.reaped)),
-            ("shed", get(&s.shed)),
-        ]
+        let max = Json::U64(self.cfg.max_connections as u64);
+        let mut fields = vec![("max_connections", max)];
+        fields.extend(self.stats.fields());
+        fields
     }
 
     /// Decrement the live-connection registry and wake the drain waiter.
@@ -236,8 +224,8 @@ impl Front {
     /// A reply write failed (stalled peer past the write deadline, or a
     /// peer that vanished); the connection is dropped and the drop counted.
     fn record_write_drop(&self) {
-        bump(&self.stats.write_drops);
-        segdb_obs::net::totals().server_write_drop();
+        self.stats.bump(FrontCount::WriteDrops);
+        NET.bump(Net::ServerWriteDrop);
     }
 }
 
@@ -281,8 +269,8 @@ fn accept_loop<H: Handler>(listener: &TcpListener, front: &Arc<Front>, handler: 
             // Shed at the gate: an explicit `overloaded` refusal beats
             // accepting unboundedly — resilient clients back off and
             // retry instead of stacking up dead readers.
-            bump(&front.stats.shed);
-            segdb_obs::net::totals().server_shed();
+            front.stats.bump(FrontCount::Shed);
+            NET.bump(Net::ServerShed);
             let _ = stream.set_write_timeout(Some(front.cfg.write_timeout));
             let _ = write_line(
                 &mut stream,
@@ -294,7 +282,7 @@ fn accept_loop<H: Handler>(listener: &TcpListener, front: &Arc<Front>, handler: 
             );
             continue;
         }
-        bump(&front.stats.connections);
+        front.stats.bump(FrontCount::Connections);
         let (conn_front, conn_handler) = (Arc::clone(front), Arc::clone(handler));
         // Detached: readers notice the stop flag within READ_POLL.
         let spawned = thread::Builder::new()
@@ -333,7 +321,7 @@ fn serve_connection<H: Handler>(front: &Front, handler: &H, stream: TcpStream) {
             match read_bounded_line(&mut reader, front.cfg.max_line_bytes, &front.stop, deadline) {
                 Ok(LineRead::Line(line)) => line,
                 Ok(LineRead::Oversized { terminated }) => {
-                    bump(&front.stats.errors);
+                    front.stats.bump(FrontCount::Errors);
                     if write_line(
                         &mut writer,
                         &proto::err_line(None, code::OVERSIZED, "request line exceeds limit"),
@@ -351,8 +339,8 @@ fn serve_connection<H: Handler>(front: &Front, handler: &H, stream: TcpStream) {
                     return;
                 }
                 Ok(LineRead::IdleExpired) => {
-                    bump(&front.stats.reaped);
-                    segdb_obs::net::totals().server_reap();
+                    front.stats.bump(FrontCount::Reaped);
+                    NET.bump(Net::ServerReap);
                     return;
                 }
                 Ok(LineRead::Eof) | Ok(LineRead::Stopped) | Err(_) => return,
@@ -364,13 +352,13 @@ fn serve_connection<H: Handler>(front: &Front, handler: &H, stream: TcpStream) {
                 ok: false,
             },
             Ok(request) => {
-                bump(&front.stats.requests);
+                front.stats.bump(FrontCount::Requests);
                 match request.method {
                     Method::Command(Command::Ping) => {
                         Reply::ok(request.id, Json::Str("pong".to_string()))
                     }
                     Method::Command(Command::Shutdown) => {
-                        bump(&front.stats.ok);
+                        front.stats.bump(FrontCount::Ok);
                         let _ =
                             write_line(&mut writer, &proto::ok_line(request.id, Json::Bool(true)));
                         front.stop();
@@ -381,10 +369,10 @@ fn serve_connection<H: Handler>(front: &Front, handler: &H, stream: TcpStream) {
                 }
             }
         };
-        bump(if reply.ok {
-            &front.stats.ok
+        front.stats.bump(if reply.ok {
+            FrontCount::Ok
         } else {
-            &front.stats.errors
+            FrontCount::Errors
         });
         let wrote = write_line(&mut writer, &reply.line);
         handler.written(&mut conn);

@@ -13,8 +13,8 @@
 //! client's own log line for the same request.
 //!
 //! Recording is a short mutex hold around plain-data updates, far off
-//! the I/O-bound walk itself — the same locking posture as
-//! `segdb_obs::metrics::Registry`.
+//! the I/O-bound walk itself — the same locking posture as the query
+//! observer's histograms in `segdb_core`.
 
 use segdb_obs::{Histogram, Json};
 use std::collections::BTreeMap;

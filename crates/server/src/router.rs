@@ -67,7 +67,7 @@
 use crate::breaker::{Breaker, BreakerConfig, BreakerState};
 use crate::chaos::NetFaultHandle;
 use crate::client::{CallError, Client, ClientConfig};
-use crate::frontend::{bump, lock, Front, FrontConfig, Handler, Reply, DEFAULT_MAX_CONNECTIONS};
+use crate::frontend::{lock, Front, FrontConfig, Handler, Reply, DEFAULT_MAX_CONNECTIONS};
 use crate::proto::{self, code, Command, Method, Request};
 use segdb_core::partition::XCuts;
 use segdb_core::{Query, QueryMode};
@@ -77,7 +77,6 @@ use segdb_obs::Histogram;
 use std::collections::BTreeSet;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -313,20 +312,46 @@ impl Default for RouterConfig {
     }
 }
 
+segdb_obs::tally! {
+    /// Upstream calls to one shard, or to one replica, and how many
+    /// failed.
+    enum Call: CallTally {
+        Requests = "requests",
+        Errors = "errors",
+    }
+}
+
+segdb_obs::tally! {
+    /// How reads were steered around a failing replica: the `failover`
+    /// block of the router's `stats` reply.
+    enum Failover: FailoverTally {
+        /// Reads answered by a replica other than the preferred one.
+        Failovers = "failovers",
+        /// Hedged first attempts that missed their tight deadline.
+        Hedges = "hedges",
+    }
+}
+
+segdb_obs::tally! {
+    /// The router's share of the `server` block of its `stats` reply.
+    enum Routed: RoutedTally {
+        /// Replies that admitted a whole replica set unreachable.
+        Degraded = "degraded",
+    }
+}
+
 /// Per-shard upstream accounting: calls, failures, and the round-trip
 /// latency histogram `segdb-load --cluster` surfaces per shard.
 #[derive(Debug)]
 struct ShardTally {
-    requests: AtomicU64,
-    errors: AtomicU64,
+    calls: CallTally,
     latency: Mutex<Histogram>,
 }
 
 impl ShardTally {
     fn new() -> ShardTally {
         ShardTally {
-            requests: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
+            calls: CallTally::new(),
             latency: Mutex::new(Histogram::latency_us()),
         }
     }
@@ -338,21 +363,18 @@ impl ShardTally {
 struct ReplicaSlot {
     addr: String,
     breaker: Mutex<Breaker>,
-    requests: AtomicU64,
-    errors: AtomicU64,
+    calls: CallTally,
 }
 
 struct Shared {
     map: ShardMap,
     cfg: RouterConfig,
     front: Arc<Front>,
-    /// Replies that admitted a whole replica set unreachable.
-    degraded: AtomicU64,
+    routed: RoutedTally,
     shards: Vec<ShardTally>,
     replicas: Vec<Vec<ReplicaSlot>>,
     started: Instant,
-    failovers: AtomicU64,
-    hedges: AtomicU64,
+    failover: FailoverTally,
 }
 
 impl Shared {
@@ -363,12 +385,11 @@ impl Shared {
             map,
             cfg,
             front,
-            degraded: AtomicU64::new(0),
+            routed: RoutedTally::new(),
             shards,
             replicas,
             started: Instant::now(),
-            failovers: AtomicU64::new(0),
-            hedges: AtomicU64::new(0),
+            failover: FailoverTally::new(),
         }
     }
 
@@ -414,8 +435,7 @@ fn build_replica_slots(map: &ShardMap, cfg: &RouterConfig) -> Vec<Vec<ReplicaSlo
                 .map(|addr| ReplicaSlot {
                     addr: addr.clone(),
                     breaker: Mutex::new(Breaker::new(cfg.breaker)),
-                    requests: AtomicU64::new(0),
-                    errors: AtomicU64::new(0),
+                    calls: CallTally::new(),
                 })
                 .collect()
         })
@@ -529,14 +549,15 @@ fn replica_call<T>(
     call: impl FnOnce() -> Result<T, CallError>,
 ) -> Result<T, CallError> {
     let started = Instant::now();
-    bump(&shared.shards[s].requests);
-    bump(&shared.replicas[s][r].requests);
+    let (shard, replica) = (&shared.shards[s], &shared.replicas[s][r]);
+    shard.calls.bump(Call::Requests);
+    replica.calls.bump(Call::Requests);
     let result = call();
     let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    lock(&shared.shards[s].latency).observe(us);
+    lock(&shard.latency).observe(us);
     if result.is_err() {
-        bump(&shared.shards[s].errors);
-        bump(&shared.replicas[s][r].errors);
+        shard.calls.bump(Call::Errors);
+        replica.calls.bump(Call::Errors);
     }
     result
 }
@@ -620,7 +641,7 @@ fn shard_read(
             Ok(v) => {
                 lock(&slot.breaker).record_success(shared.now_ms());
                 if pos > 0 {
-                    bump(&shared.failovers);
+                    shared.failover.bump(Failover::Failovers);
                 }
                 return Ok(v);
             }
@@ -635,7 +656,7 @@ fn shard_read(
                     // of a dead replica — count the hedge, keep the
                     // breaker out of it, and come back with the full
                     // budget only if every alternative fails.
-                    bump(&shared.hedges);
+                    shared.failover.bump(Failover::Hedges);
                     hedged_first = Some(r);
                 } else {
                     lock(&slot.breaker).record_failure(shared.now_ms());
@@ -752,7 +773,7 @@ fn shard_error_line(shared: &Shared, id: Option<u64>, i: usize, err: &CallError)
             proto::err_line(id, c, &format!("shard {i} ({addr}): {message}"))
         }
         _ => {
-            bump(&shared.degraded);
+            shared.routed.bump(Routed::Degraded);
             proto::err_line(
                 id,
                 code::DEGRADED,
@@ -1065,29 +1086,21 @@ fn shard_tally_json(shared: &Shared, s: usize, now_ms: u64) -> Json {
         .iter()
         .map(|slot| {
             let breaker = lock(&slot.breaker);
-            Json::obj([
-                ("addr", Json::Str(slot.addr.clone())),
-                ("requests", Json::U64(slot.requests.load(Ordering::Relaxed))),
-                ("errors", Json::U64(slot.errors.load(Ordering::Relaxed))),
-                (
-                    "breaker",
-                    Json::Str(breaker.state(now_ms).name().to_string()),
-                ),
-                ("opens", Json::U64(breaker.opens())),
-            ])
+            let state = Json::Str(breaker.state(now_ms).name().to_string());
+            let mut fields = vec![("addr", Json::Str(slot.addr.clone()))];
+            fields.extend(slot.calls.fields());
+            fields.extend([("breaker", state), ("opens", Json::U64(breaker.opens()))]);
+            Json::obj(fields)
         })
         .collect();
-    Json::obj([
-        ("addr", Json::Str(shared.map.addrs()[s].clone())),
-        (
-            "requests",
-            Json::U64(tally.requests.load(Ordering::Relaxed)),
-        ),
-        ("errors", Json::U64(tally.errors.load(Ordering::Relaxed))),
+    let mut fields = vec![("addr", Json::Str(shared.map.addrs()[s].clone()))];
+    fields.extend(tally.calls.fields());
+    fields.extend([
         ("latency_us", latency.summary_json()),
         ("histogram", latency.to_json()),
         ("replicas", Json::Arr(replicas)),
-    ])
+    ]);
+    Json::obj(fields)
 }
 
 /// Total breaker trips across every replica of every shard.
@@ -1122,19 +1135,11 @@ fn stats_json(shared: &Shared, clients: &mut [Vec<Client>]) -> Json {
     let tallies = (0..shared.map.shard_count())
         .map(|i| shard_tally_json(shared, i, now))
         .collect();
-    let failover = Json::obj([
-        (
-            "failovers",
-            Json::U64(shared.failovers.load(Ordering::Relaxed)),
-        ),
-        ("hedges", Json::U64(shared.hedges.load(Ordering::Relaxed))),
-        ("breaker_opens", Json::U64(breaker_opens_total(shared))),
-    ]);
+    let mut failover = shared.failover.fields();
+    failover.push(("breaker_opens", Json::U64(breaker_opens_total(shared))));
+    let failover = Json::obj(failover);
     let mut server = shared.front.stats_fields();
-    server.push((
-        "degraded",
-        Json::U64(shared.degraded.load(Ordering::Relaxed)),
-    ));
+    server.extend(shared.routed.fields());
     Json::obj([
         ("role", Json::Str("router".to_string())),
         // Stored replicas across the cluster (boundary-crossing long
@@ -1441,8 +1446,8 @@ mod tests {
             let result = shard_read(&shared, &mut clients, 0, line).unwrap();
             assert_eq!(reply_count(&result), 0);
         }
-        assert_eq!(shared.failovers.load(Ordering::Relaxed), 3);
-        assert_eq!(shared.replicas[0][0].errors.load(Ordering::Relaxed), 3);
+        assert_eq!(shared.failover.get(Failover::Failovers), 3);
+        assert_eq!(shared.replicas[0][0].calls.get(Call::Errors), 3);
         let now = shared.now_ms();
         assert_eq!(
             lock(&shared.replicas[0][0].breaker).state(now),
@@ -1454,8 +1459,8 @@ mod tests {
         // error against replica 0.
         let result = shard_read(&shared, &mut clients, 0, line).unwrap();
         assert_eq!(reply_count(&result), 0);
-        assert_eq!(shared.failovers.load(Ordering::Relaxed), 3);
-        assert_eq!(shared.replicas[0][0].errors.load(Ordering::Relaxed), 3);
+        assert_eq!(shared.failover.get(Failover::Failovers), 3);
+        assert_eq!(shared.replicas[0][0].calls.get(Call::Errors), 3);
         assert_eq!(breaker_opens_total(&shared), 1);
         drop(clients);
         assert_eq!(

@@ -32,11 +32,11 @@
 //! bounded drain, oversized lines — DESIGN.md §10 "Network failure
 //! model") lives in `frontend`; its counters and the worker
 //! pool's are tallied together in the `stats` method (`server` block
-//! plus the process-wide `net` block from [`segdb_obs::net`]).
+//! plus the process-wide `net` block from [`crate::chaos::NET`]).
 
-use crate::chaos::NetFaultHandle;
+use crate::chaos::{self, NetFaultHandle};
 use crate::frontend::{
-    bump, lock, Front, FrontConfig, Handler, Reply, DEFAULT_MAX_CONNECTIONS, READ_POLL,
+    lock, Front, FrontConfig, Handler, Reply, DEFAULT_MAX_CONNECTIONS, READ_POLL,
 };
 use crate::lifecycle::{Lifecycle, RequestRecord};
 use crate::proto::{self, code, Command, Method, Request};
@@ -172,12 +172,14 @@ impl Backend {
     }
 }
 
-/// Monotone worker-pool counters; the `stats` method reports them next
-/// to the front-end's.
-#[derive(Debug, Default)]
-struct ServerStats {
-    overloaded: AtomicU64,
-    timeouts: AtomicU64,
+segdb_obs::tally! {
+    /// Monotone worker-pool counters — requests refused on a full job
+    /// queue, and requests that missed their deadline; the `stats`
+    /// method reports them next to the front-end's.
+    enum Pool: PoolTally {
+        Overloaded = "overloaded",
+        Timeouts = "timeouts",
+    }
 }
 
 /// One admitted request travelling from a connection reader to a worker,
@@ -302,7 +304,7 @@ struct Shared {
     queue_depth: usize,
     request_timeout: Duration,
     workers: usize,
-    stats: ServerStats,
+    stats: PoolTally,
     /// Per-mode stage histograms + the slow-query log (DESIGN.md §12).
     lifecycle: Lifecycle,
 }
@@ -423,7 +425,7 @@ impl Server {
             queue_depth: cfg.queue_depth,
             request_timeout: cfg.request_timeout,
             workers: cfg.workers.max(1),
-            stats: ServerStats::default(),
+            stats: PoolTally::new(),
             lifecycle: Lifecycle::new(
                 cfg.slowlog_entries,
                 u64::try_from(cfg.slowlog_threshold.as_micros()).unwrap_or(u64::MAX),
@@ -641,7 +643,7 @@ fn submit(shared: &Shared, request: Request) -> Done {
             return Done::refused(request.id, code::SHUTTING_DOWN, "server is shutting down");
         }
         if queue.len() >= shared.queue_depth {
-            bump(&shared.stats.overloaded);
+            shared.stats.bump(Pool::Overloaded);
             return Done::refused(
                 request.id,
                 code::OVERLOADED,
@@ -657,7 +659,7 @@ fn submit(shared: &Shared, request: Request) -> Done {
     }
     shared.not_empty.notify_one();
     slot.wait_for(shared.request_timeout).unwrap_or_else(|| {
-        bump(&shared.stats.timeouts);
+        shared.stats.bump(Pool::Timeouts);
         Done::refused(request.id, code::TIMEOUT, "request missed its deadline")
     })
 }
@@ -883,28 +885,17 @@ fn stats_json(shared: &Shared) -> Json {
     } else {
         io.cache_hits as f64 / lookups as f64
     };
-    let get = |c: &AtomicU64| Json::U64(c.load(Ordering::Relaxed));
     let mut server = vec![
         ("workers", Json::U64(shared.workers as u64)),
         ("queue_depth", Json::U64(shared.queue_depth as u64)),
-        ("overloaded", get(&shared.stats.overloaded)),
-        ("timeouts", get(&shared.stats.timeouts)),
     ];
+    server.extend(shared.stats.fields());
     server.extend(shared.front.stats_fields());
     Json::obj([
         ("segments", Json::U64(segments)),
         ("index", Json::Str(index)),
         ("space_blocks", Json::U64(space_blocks)),
-        (
-            "io",
-            Json::obj([
-                ("reads", Json::U64(io.reads)),
-                ("writes", Json::U64(io.writes)),
-                ("cache_hits", Json::U64(io.cache_hits)),
-                ("allocations", Json::U64(io.allocations)),
-                ("frees", Json::U64(io.frees)),
-            ]),
-        ),
+        ("io", Json::obj(io.fields())),
         (
             "cache",
             Json::obj([
@@ -917,15 +908,9 @@ fn stats_json(shared: &Shared) -> Json {
         ("server", Json::obj(server)),
         ("latency", shared.lifecycle.latency_json()),
         ("pages", shared.lifecycle.pages_json()),
-        (
-            "trace",
-            Json::obj([(
-                "dropped_events",
-                Json::U64(segdb_obs::trace::dropped_total()),
-            )]),
-        ),
-        ("faults", segdb_obs::faults::totals().snapshot().to_json()),
-        ("net", segdb_obs::net::totals().snapshot().to_json()),
+        ("trace", segdb_obs::trace::COUNTS.to_json()),
+        ("faults", segdb_pager::fault::faults_json()),
+        ("net", chaos::net_json()),
         ("metrics", metrics),
     ])
 }

@@ -6,15 +6,15 @@
 //! process-wide accounting balances (every disruptive injection is
 //! observed by the client exactly once).
 //!
-//! The `segdb_obs::net` counters are process-global, so every test in
-//! this binary serialises behind one mutex and asserts monotone
-//! *deltas* inside the guard, never absolute values.
+//! The wire-fault ledger `segdb_server::chaos::NET` is process-global,
+//! so every test in this binary serialises behind one mutex and asserts
+//! monotone *deltas* inside the guard, never absolute values.
 
 use segdb::core::{IndexKind, QueryMode, SegmentDatabase};
 use segdb::geom::gen::{mixed_map, vertical_queries};
 use segdb::geom::query::scan_oracle;
 use segdb::geom::{Segment, VerticalQuery};
-use segdb_server::chaos::{NetFaultHandle, NetFaultPlan};
+use segdb_server::chaos::{Net, NetFaultHandle, NetFaultPlan, NET};
 use segdb_server::client::{Client, ClientConfig};
 use segdb_server::{load, proto, Server, ServerConfig};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -24,6 +24,11 @@ const INDEXES: [IndexKind; 2] = [IndexKind::TwoLevelBinary, IndexKind::TwoLevelI
 /// One gate for the whole binary: the net-fault counters are shared by
 /// every armed handle in the process.
 static GATE: Mutex<()> = Mutex::new(());
+
+/// The wire-fault ledger's `(observed faults, disruptive injections)`.
+fn ledger() -> (u64, u64) {
+    (NET.get(Net::ObservedFault), NET.sum(&Net::DISRUPTIVE))
+}
 
 fn gate() -> MutexGuard<'static, ()> {
     GATE.lock().unwrap_or_else(|p| p.into_inner())
@@ -77,7 +82,7 @@ fn verify_stream(client: &mut Client, set: &[Segment], queries: &[VerticalQuery]
 #[test]
 fn chaotic_client_matches_the_oracle_for_every_kind_across_seeds() {
     let _g = gate();
-    let before = segdb_obs::net::totals().snapshot();
+    let before = ledger();
     let mut runs = 0u32;
     let mut injected_total = 0u64;
     for kind in INDEXES {
@@ -118,10 +123,10 @@ fn chaotic_client_matches_the_oracle_for_every_kind_across_seeds() {
     );
     // Process-wide balance over the whole sweep, as the server's
     // `stats` method reports it.
-    let after = segdb_obs::net::totals().snapshot();
+    let after = ledger();
     assert_eq!(
-        after.observed_faults - before.observed_faults,
-        after.injected_disruptive() - before.injected_disruptive(),
+        after.0 - before.0,
+        after.1 - before.1,
         "global injected/observed ledger diverged: {before:?} -> {after:?}"
     );
 }
@@ -178,7 +183,7 @@ fn same_seed_replays_the_identical_fault_trace() {
 #[test]
 fn server_side_accept_chaos_is_survived_and_reported() {
     let _g = gate();
-    let before = segdb_obs::net::totals().snapshot();
+    let before = ledger();
     let seed = 0xD00F;
     let set = mixed_map(300, seed);
     let queries = vertical_queries(&set, 30, 120, seed ^ 0xBEEF);
@@ -225,12 +230,12 @@ fn server_side_accept_chaos_is_survived_and_reported() {
             .and_then(segdb::obs::Json::as_f64)
             .unwrap_or_else(|| panic!("net block carries {key}")) as u64
     };
-    let after = segdb_obs::net::totals().snapshot();
-    assert_eq!(wire("injected_accept_resets"), after.injected_accept_resets);
-    assert_eq!(wire("observed_faults"), after.observed_faults);
+    let after = ledger();
+    assert_eq!(wire("injected_accept_resets"), NET.get(Net::AcceptReset));
+    assert_eq!(wire("observed_faults"), after.0);
     assert_eq!(
-        after.observed_faults - before.observed_faults,
-        after.injected_disruptive() - before.injected_disruptive(),
+        after.0 - before.0,
+        after.1 - before.1,
         "accept-reset ledger diverged: {before:?} -> {after:?}"
     );
     server.shutdown();

@@ -210,7 +210,7 @@ fn count_reads_fewer_pages_than_collect_on_interval() {
         "Count must read strictly fewer pages: {count_reads} vs {collect_reads} (T = {t})"
     );
 
-    // The obs registry tallies per-mode queries and the saved pages.
+    // The query observer tallies per-mode queries and the saved pages.
     let metrics = db.metrics_json().unwrap();
     let counter = |k: &str| {
         metrics

@@ -5,9 +5,10 @@
 //! membership probe behind `delete` and `sync_apply` is exact, and a
 //! delete is priced in pages beside an insert.
 //!
-//! The chaos test shares the process-global `segdb_obs::net` counters
-//! with nothing else in this binary, so no cross-test gate is needed —
-//! each test asserts only state it created itself.
+//! The chaos test shares the process-global wire-fault ledger
+//! `segdb_server::chaos::NET` with nothing else in this binary, so no
+//! cross-test gate is needed — each test asserts only state it created
+//! itself.
 
 use segdb::core::testutil::oracle_query;
 use segdb::core::{IndexKind, QueryMode, SegmentDatabase, WriteEngine, WriterConfig};
