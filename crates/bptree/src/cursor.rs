@@ -6,9 +6,10 @@
 //! every query bound in the paper. Records are read from the image one
 //! at a time, as the cursor reaches them.
 
-use crate::node::{leaf_record, NodeView};
-use crate::record::Record;
+use crate::node::{leaf_record, partition_point, NodeView};
+use crate::record::{Probe, Record};
 use segdb_pager::{PageId, Pager, PagerError, Result, NULL_PAGE};
+use std::cmp::Ordering;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -78,6 +79,32 @@ impl<R: Record> Cursor<R> {
         Cursor::at(pager, img, count, next, 0)
     }
 
+    /// Move forward to the first record `r` with `probe ≤ r`, without a
+    /// root descent: a leaf whose last record sorts before `probe` is
+    /// left on that one comparison (one read per step), and only the
+    /// leaf holding the position is binary-searched. Returns `false`,
+    /// short of the position, rather than step more than `max_steps`
+    /// leaves (§4.3's bridge landing passes the list's height).
+    pub fn seek(&mut self, pager: &Pager, probe: &impl Probe<R>, max_steps: u32) -> Result<bool> {
+        let before = |img: &[u8], i: usize| -> Result<bool> {
+            Ok(probe.cmp_record(&leaf_record::<R>(img, i)?) == Ordering::Greater)
+        };
+        let mut steps = 0;
+        while self.next != NULL_PAGE && (self.count == 0 || before(&self.leaf, self.count - 1)?) {
+            if steps == max_steps {
+                return Ok(false);
+            }
+            steps += 1;
+            (self.leaf, self.count, self.next) =
+                open_leaf::<R>(pager, self.next, "leaf chain points to internal node")?;
+            self.idx = 0;
+        }
+        let from = self.idx.min(self.count);
+        self.idx = from + partition_point(self.count - from, |i| before(&self.leaf, from + i))?;
+        self.normalize(pager)?;
+        Ok(true)
+    }
+
     /// Read the record at `idx` of the current leaf, if there is one.
     fn load(&mut self) -> Result<()> {
         self.cur = if self.idx < self.count {
@@ -128,36 +155,11 @@ impl<R: Record> Cursor<R> {
         Ok(Some(r))
     }
 
-    /// Consume records while `pred` holds, collecting them into `out`.
-    /// Stops at the first record failing `pred` (which stays current).
-    pub fn take_while_into(
-        &mut self,
-        pager: &Pager,
-        mut pred: impl FnMut(&R) -> bool,
-        out: &mut Vec<R>,
-    ) -> Result<()> {
-        self.for_each_while(pager, &mut pred, |r| out.push(r))
-    }
-
-    /// Visit records while `pred` holds, applying `f` to each. Stops at
-    /// the first record failing `pred` (which stays current).
-    pub fn for_each_while(
-        &mut self,
-        pager: &Pager,
-        mut pred: impl FnMut(&R) -> bool,
-        mut f: impl FnMut(R),
-    ) -> Result<()> {
-        let _ = self.for_each_while_ctl(pager, &mut pred, |r| {
-            f(*r);
-            ControlFlow::Continue(())
-        })?;
-        Ok(())
-    }
-
-    /// Like [`Cursor::for_each_while`], but `f` steers the walk: on
-    /// `Break` the cursor stops immediately *without* prefetching the
-    /// next leaf, so an early-exiting query never pays for pages past
-    /// the record that satisfied it.
+    /// Visit records while `pred` holds, applying `f` to each; stops at
+    /// the first record failing `pred` (which stays current). `f` steers
+    /// the walk too: on `Break` the cursor stops immediately *without*
+    /// prefetching the next leaf, so an early-exiting query never pays
+    /// for pages past the record that satisfied it.
     pub fn for_each_while_ctl(
         &mut self,
         pager: &Pager,
@@ -193,6 +195,19 @@ mod tests {
         }
     }
 
+    /// Consume records while `pred` holds, collecting them into `out`.
+    fn take_while_into(
+        c: &mut Cursor<KeyValue>,
+        p: &Pager,
+        pred: impl FnMut(&KeyValue) -> bool,
+        out: &mut Vec<KeyValue>,
+    ) {
+        let _ = c.for_each_while_ctl(p, pred, |r| {
+            out.push(*r);
+            ControlFlow::Continue(())
+        });
+    }
+
     #[test]
     fn take_while_and_peek() {
         let p = Pager::new(PagerConfig {
@@ -204,12 +219,12 @@ mod tests {
         let mut c = t.cursor_first(&p).unwrap();
         assert_eq!(c.peek().unwrap().key, 0);
         let mut out = Vec::new();
-        c.take_while_into(&p, |r| r.key < 20, &mut out).unwrap();
+        take_while_into(&mut c, &p, |r| r.key < 20, &mut out);
         assert_eq!(out.len(), 20);
         assert_eq!(c.peek().unwrap().key, 20);
         // Continue to the end.
         let mut rest = Vec::new();
-        c.take_while_into(&p, |_| true, &mut rest).unwrap();
+        take_while_into(&mut c, &p, |_| true, &mut rest);
         assert_eq!(rest.len(), 30);
         assert!(c.peek().is_none());
         assert!(c.next(&p).unwrap().is_none());
@@ -232,6 +247,36 @@ mod tests {
         assert_eq!(n, 70);
         // First leaf was buffered during positioning; 9 more leaf reads.
         assert_eq!(p.stats().reads, 9);
+    }
+
+    /// From any leaf at or before the position, `seek` stops where
+    /// `lower_bound` does, reading only the leaves it steps onto; with
+    /// too small a budget it says so.
+    #[test]
+    fn seek_lands_where_lower_bound_does() {
+        let p = Pager::new(PagerConfig {
+            page_size: 128,
+            cache_pages: 0,
+        });
+        let recs: Vec<KeyValue> = (0..70).map(|k| kv(2 * k)).collect(); // 10 leaves of 7
+        let t = BPlusTree::bulk_load(&p, KeyOrder, &recs).unwrap();
+        let probe = |k: i64| move |r: &KeyValue| k.cmp(&r.key);
+        for k in -1..142 {
+            let want = t.lower_bound(&p, &probe(k)).unwrap().peek().copied();
+            let mut c = Cursor::<KeyValue>::jump(&p, first_leaf(&t, &p)).unwrap();
+            p.reset_stats();
+            assert!(c.seek(&p, &probe(k), 10).unwrap());
+            assert_eq!(c.peek().copied(), want, "probe {k}");
+            let leaf = (k.clamp(0, 139) as u64).div_ceil(2).min(69) / 7;
+            assert_eq!(p.stats().reads, leaf, "probe {k}");
+            let mut short = Cursor::<KeyValue>::jump(&p, first_leaf(&t, &p)).unwrap();
+            assert_eq!(short.seek(&p, &probe(k), 1).unwrap(), k <= 26, "probe {k}");
+        }
+    }
+
+    fn first_leaf(t: &BPlusTree<KeyValue, KeyOrder>, p: &Pager) -> PageId {
+        t.leaf_page_of(p, &|r: &KeyValue| i64::MIN.cmp(&r.key))
+            .unwrap()
     }
 
     #[test]

@@ -188,7 +188,10 @@ pub(crate) fn leaf_record<R: Record>(img: &[u8], i: usize) -> Result<R> {
 /// Binary search: the first index in `0..n` where `before` turns false.
 /// `before` must be monotone (true, then false) — the B⁺-tree order
 /// guarantees it for every probe the tree accepts.
-fn partition_point(n: usize, mut before: impl FnMut(usize) -> Result<bool>) -> Result<usize> {
+pub(crate) fn partition_point(
+    n: usize,
+    mut before: impl FnMut(usize) -> Result<bool>,
+) -> Result<usize> {
     let (mut lo, mut hi) = (0, n);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;

@@ -273,11 +273,6 @@ impl<R: Record, O: RecordOrd<R>> BPlusTree<R, O> {
         self.root
     }
 
-    /// The comparator.
-    pub fn ord(&self) -> &O {
-        &self.ord
-    }
-
     /// Position a cursor at the first record `r` with `probe ≤ r`
     /// (lower bound). Costs one read per level.
     pub fn lower_bound(&self, pager: &Pager, probe: &impl Probe<R>) -> Result<Cursor<R>> {
@@ -341,11 +336,6 @@ impl<R: Record, O: RecordOrd<R>> BPlusTree<R, O> {
         hi: &impl Probe<R>,
     ) -> Result<u64> {
         Ok(self.rank(pager, hi)?.saturating_sub(self.rank(pager, lo)?))
-    }
-
-    /// Number of records at or after the lower bound of `probe`.
-    pub fn count_from(&self, pager: &Pager, probe: &impl Probe<R>) -> Result<u64> {
-        Ok(self.len.saturating_sub(self.rank(pager, probe)?))
     }
 
     /// Cursor at the smallest record.
@@ -628,15 +618,24 @@ impl<R: Record, O: RecordOrd<R>> BPlusTree<R, O> {
 
     /// Free every page of the tree (used by amortized rebuilds).
     pub fn destroy(self, pager: &Pager) -> Result<()> {
-        fn walk<R: Record>(pager: &Pager, id: PageId) -> Result<()> {
-            if let Node::Internal { children, .. } = read_node::<R>(pager, id)? {
-                for c in children {
-                    walk::<R>(pager, c)?;
+        self.pages(pager, &mut |id| pager.free(id))
+    }
+
+    /// Visit every page of the tree, each node after its children.
+    pub fn pages(&self, pager: &Pager, f: &mut dyn FnMut(PageId) -> Result<()>) -> Result<()> {
+        fn walk<R: Record>(
+            pager: &Pager,
+            id: PageId,
+            f: &mut dyn FnMut(PageId) -> Result<()>,
+        ) -> Result<()> {
+            if let NodeView::Internal(n) = NodeView::<R>::new(&read_page(pager, id)?)? {
+                for j in 0..=n.len() {
+                    walk::<R>(pager, n.child(j), f)?;
                 }
             }
-            pager.free(id)
+            f(id)
         }
-        walk::<R>(pager, self.root)
+        walk::<R>(pager, self.root, f)
     }
 
     /// Deep structural validation (tests / debug builds).
@@ -1482,7 +1481,7 @@ mod tests {
         let t = BPlusTree::bulk_load(&p, KeyOrder, &recs).unwrap();
         assert_eq!(t.count_range(&p, &probe(100), &probe(350)).unwrap(), 250);
         assert_eq!(t.count_range(&p, &probe(350), &probe(100)).unwrap(), 0);
-        assert_eq!(t.count_from(&p, &probe(990)).unwrap(), 10);
+        assert_eq!(t.len() - t.rank(&p, &probe(990)).unwrap(), 10);
         // Count answered without touching the range's leaves: far fewer
         // reads than the 250-record cursor walk would pay.
         p.reset_stats();
@@ -1527,6 +1526,6 @@ mod tests {
         t.validate(&p).unwrap();
         assert_eq!(t.len(), 300);
         assert_eq!(t.rank(&p, &probe(300)).unwrap(), 150);
-        assert_eq!(t.count_from(&p, &probe(0)).unwrap(), 300);
+        assert_eq!(t.len() - t.rank(&p, &probe(0)).unwrap(), 300);
     }
 }

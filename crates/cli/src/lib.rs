@@ -607,7 +607,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "info" => {
             let db = SegmentDatabase::open(want(args, 1, "db path")?, 0)?;
             let d = db.direction();
-            Ok(format!(
+            let mut out = format!(
                 "index:    {:?}\nsegments: {}\nblocks:   {}\npage:     {} bytes\ndirection: ({}, {})\n",
                 db.kind(),
                 db.len(),
@@ -615,7 +615,22 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 db.pager().page_size(),
                 d.dx(),
                 d.dy(),
-            ))
+            );
+            // Blocks by part; "other" is the §5 extension's (`--arbitrary`).
+            let st = db.describe()?;
+            let parts = [
+                ("first level", st.internal_nodes + st.leaves),
+                ("leaf chains", st.chain_pages),
+                ("C sets", st.c_pages),
+                ("L/R PSTs", st.pst_pages),
+                ("G lists", st.g_pages),
+                ("tombstones", st.tomb_pages),
+            ];
+            let other = (db.space_blocks() as u64).saturating_sub(parts.iter().map(|p| p.1).sum());
+            for (part, n) in parts.into_iter().chain([("other", other)]) {
+                let _ = writeln!(out, "  {:<12} {n}", format!("{part}:"));
+            }
+            Ok(out)
         }
         "query" => {
             let (mode, args) = split_query_mode(args)?;

@@ -35,9 +35,7 @@ use segdb_geom::predicates::{classify_pair, PairRelation};
 use segdb_geom::{
     CountSink, ExistsSink, LimitSink, MultiSink, Point, ReportSink, Segment, VerticalQuery,
 };
-use segdb_itree::overlap::IntervalSet;
-use segdb_obs::trace::{emit, probe, EventKind};
-use segdb_pager::{IoStats, PageId, Pager, PagerError};
+use segdb_pager::{IoStats, PageId, Pager};
 use segdb_pst::BatchQuery;
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
@@ -254,45 +252,6 @@ impl<'m, 'a> Slots<'m, 'a> {
             return ControlFlow::Continue(());
         }
         self.multi.report_count(i, n - paid)
-    }
-
-    /// Probe a `C` set — the verticals lying on the line `x = x0`, kept
-    /// as intervals over their ordinate ranges — for each slot of
-    /// `group`, all of them queries on that line: from the set's stored
-    /// counts where the slot allows, by an overlap walk otherwise.
-    pub(crate) fn probe_on_line(
-        &mut self,
-        pager: &Pager,
-        set: &IntervalSet,
-        x0: i64,
-        group: &[BatchQuery],
-        trace: &mut QueryTrace,
-    ) -> segdb_pager::Result<()> {
-        for p in group {
-            emit(EventKind::SecondLevelProbe, probe::C_SET, 0);
-            trace.second_level_probes += 1;
-            if self.counts(p.tag) {
-                let n = set.overlap_count(pager, p.lo, p.hi)?;
-                let _ = self.report_count(p.tag, n);
-                continue;
-            }
-            let mut bad = false;
-            let _ = set.overlap_ctl(pager, p.lo, p.hi, &mut |iv| match Segment::new(
-                iv.id,
-                (x0, iv.lo),
-                (x0, iv.hi),
-            ) {
-                Ok(s) => self.report(p.tag, &s),
-                Err(_) => {
-                    bad = true;
-                    ControlFlow::Break(())
-                }
-            })?;
-            if bad {
-                return Err(PagerError::Corrupt("bad on-line interval"));
-            }
-        }
-        Ok(())
     }
 
     /// Drop retired slots from `group`, keeping its order; the live

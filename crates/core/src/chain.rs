@@ -131,6 +131,12 @@ pub fn push(pager: &Pager, head: PageId, seg: &Segment) -> Result<PageId> {
 
 /// Free every page of the chain.
 pub fn destroy(pager: &Pager, head: PageId) -> Result<()> {
+    pages(pager, head, |id| pager.free(id))
+}
+
+/// Visit every page of the chain, head first; each page's link is read
+/// before it is visited.
+pub fn pages(pager: &Pager, head: PageId, mut f: impl FnMut(PageId) -> Result<()>) -> Result<()> {
     let mut page = head;
     while page != NULL_PAGE {
         let next = pager.with_page(page, |buf| {
@@ -138,7 +144,7 @@ pub fn destroy(pager: &Pager, head: PageId) -> Result<()> {
             r.u16()?;
             r.u32()
         })??;
-        pager.free(page)?;
+        f(page)?;
         page = next;
     }
     Ok(())

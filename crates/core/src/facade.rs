@@ -8,7 +8,7 @@
 
 use crate::anyquery::AnyQueryIndex;
 use crate::batch::Hidden;
-use crate::interval2l::{Interval2LConfig, TwoLevelInterval};
+use crate::interval2l::{GStats, Interval2LConfig, TwoLevelInterval};
 use crate::persist::Superblock;
 use crate::report::{normalize, Query, QueryAnswer, QueryMode, QueryTrace};
 use segdb_geom::nct::verify_nct;
@@ -560,6 +560,13 @@ impl SegmentDatabase {
     /// Blocks of secondary storage currently allocated.
     pub fn space_blocks(&self) -> usize {
         self.pager.live_pages()
+    }
+
+    /// The index's structural summary, with its pages by part. Without
+    /// the §5 extension the parts are every one of the
+    /// [`SegmentDatabase::space_blocks`].
+    pub fn describe(&self) -> Result<GStats, DbError> {
+        Ok(self.index.describe(&self.pager)?)
     }
 
     /// Report the segments `q` intersects, shaped by `mode`: the same

@@ -9,7 +9,8 @@
 //!
 //! **Second level** (§4.2), per node — each assigned segment is split:
 //!
-//! * lies on boundary `sᵢ` → interval set `Cᵢ`;
+//! * lies on boundary `sᵢ` → `Cᵢ`, one counted B⁺-tree of ordinate
+//!   ranges (see [`cset`]: on one line NCT verticals are disjoint);
 //! * **short fragments**: the part before the first crossed boundary
 //!   `s_f` goes to the left-side PST `L_f`, the part after the last
 //!   crossed boundary `s_l` to the right-side PST `R_l`;
@@ -27,16 +28,18 @@
 //! on the nearest preceding real parent element**, aimed at the child
 //! leaf a position search for the selected element lands on (cut
 //! fragments are not exactly comparable at every query line; pointers
-//! on pure lists are — DESIGN.md discusses the substitution). Density
-//! and landing direction are preserved: pointer gaps in the parent are
-//! ≤ `d+2` elements, and a pointer taken from *before* the reported
-//! run's start lands at or before the child's run start. A query walks
-//! `G` root→leaf paying one full B⁺-tree descent only at the root;
-//! below it jumps through the bridge found just before the run start
-//! and re-anchors with a short forward scan. If a bridge is missing or
-//! stale (inserts mark the node dirty until the amortized rebuild), the
-//! query falls back to a full descent — correctness never depends on
-//! bridge freshness, only speed does (measured by experiment E7).
+//! on pure lists are — DESIGN.md discusses the substitution). Pointer
+//! gaps in the parent are ≤ `d+2` elements, and a pointer taken from
+//! *before* the reported run's start lands at or before the child's run
+//! start; the child side has no density bound, so a landing may sit
+//! leaves before the run. A query walks `G` root→leaf paying one full
+//! B⁺-tree descent only at the root; below it jumps through the bridge
+//! found just before the run start and moves forward from the landed
+//! leaf, for at most the child list's height in leaves. If a bridge is
+//! missing or stale (inserts mark the node dirty until the amortized
+//! rebuild), or the run start is farther, the query falls back to a
+//! full descent — correctness never depends on bridge freshness, only
+//! speed does (measured by experiment E7).
 //!
 //! **Insertions** (Theorem 2(iii)) — route to the owning node, insert
 //! into the three structures, maintain weights, partially rebuild
@@ -55,6 +58,7 @@
 //! height is `O(log₂ n)` and its space `O(n)` blocks, the bounds of
 //! Theorem 1; the same walk answers the §3 search.
 
+pub mod cset;
 pub mod gtree;
 pub mod msrec;
 pub mod node;
@@ -63,21 +67,18 @@ use crate::batch::Slots;
 use crate::chain;
 use crate::report::QueryTrace;
 use crate::tombs::Lazy;
+use cset::{COrder, CRec};
 use gtree::{allocation, path as g_path, skeleton, GNode};
 use msrec::{MsOrder, MsRec};
 use node::{Internal, InternalView, Node, NodeView};
-use segdb_bptree::{BPlusTree, Cursor, LoadedLeaves, TreeState};
+use segdb_bptree::{BPlusTree, Cursor, LoadedLeaves, Probe, Record, RecordOrd, TreeState};
 use segdb_geom::predicates::y_at_x_cmp;
 use segdb_geom::Segment;
-use segdb_itree::overlap::{IntervalSet, IntervalSetState};
-use segdb_itree::{Interval, IntervalTreeConfig};
 use segdb_obs::trace::{emit as obs_emit, probe, EventKind};
 use segdb_pager::{PageId, Pager, PagerError, Result, NULL_PAGE};
-use segdb_pst::{BatchQuery, Pst, PstConfig, Side};
+use segdb_pst::{BatchQuery, Pst, PstConfig, PstState, Side};
 use std::cmp::Ordering;
-
-/// Bridge-navigation forward-scan cap before falling back to a descent.
-const JUMP_SCAN_CAP: usize = 64;
+use std::mem::take;
 
 /// Construction knobs for [`TwoLevelInterval`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,30 +113,13 @@ impl Default for Interval2LConfig {
 
 /// Max boundary count for a page size.
 fn max_fanout(page_size: usize) -> usize {
-    // bytes(k) ≈ fixed 40 + k·(8 sizes + 8 bnd + 4 child + 28 C + 40 LR
-    // + 32 G states)
+    // bytes(k) ≈ 40 + k·(8 sizes + 8 bnd + 4 child + 16 C + 40 LR + 32 G
+    // states); the budget keeps the 120 bytes of 28-byte `C` states, so
+    // the first level keeps its shape.
     ((page_size.saturating_sub(48)) / 120).max(1)
 }
 
-/// Sentinel-aware interval-set state ("absent" = root NULL, no pages).
-fn absent_set() -> IntervalSetState {
-    IntervalSetState {
-        tree: segdb_itree::tree::ItState {
-            root: NULL_PAGE,
-            len: 0,
-        },
-        starts: TreeState {
-            root: NULL_PAGE,
-            height: 0,
-            len: 0,
-        },
-    }
-}
-
-fn set_is_absent(s: &IntervalSetState) -> bool {
-    s.tree.root == NULL_PAGE
-}
-
+/// A `C` set or `G` list not there (root NULL, no pages).
 fn list_is_absent(s: &TreeState) -> bool {
     s.root == NULL_PAGE
 }
@@ -235,6 +219,8 @@ impl TwoLevelInterval {
     pub fn describe(&self, pager: &Pager) -> Result<GStats> {
         let mut st = GStats::default();
         (self.pages).describe_rec(pager, self.pages.root, 1, &mut st)?;
+        let (_, _, tombs, _) = self.state();
+        chain::pages(pager, tombs, tally(&mut st.tomb_pages))?;
         Ok(st)
     }
 }
@@ -256,7 +242,7 @@ impl IntervalPages {
     /// runs.
     ///
     /// A count-only slot flips the structure into count mode: C_j
-    /// answers from the interval set's stored counts and each G run is
+    /// answers from two ranks over its stored counts and each G run is
     /// measured by two B⁺-tree rank descents over the stored subtree
     /// counts — the run's pages are never read.
     pub(crate) fn walk_group(
@@ -301,33 +287,21 @@ impl IntervalPages {
                     path.push(page);
                     match place(&n.boundaries, &seg) {
                         Placement::OnLine(i) => {
-                            let mut c = if set_is_absent(&n.c[i]) {
-                                IntervalSet::new(pager, IntervalTreeConfig::default())?
+                            let mut c = if list_is_absent(&n.c[i]) {
+                                BPlusTree::create(pager, COrder)?
                             } else {
-                                IntervalSet::attach(pager, IntervalTreeConfig::default(), n.c[i])?
+                                cset::attach(pager, n.c[i])?
                             };
-                            c.insert(pager, Interval::new(seg.id, seg.a.y, seg.b.y))?;
+                            c.insert(pager, CRec::of(&seg))?;
                             n.c[i] = c.state();
                             write_node(pager, page, &Node::Internal(n))?;
                             break;
                         }
                         Placement::Crossing { f, l } => {
-                            let mut lp = Pst::attach(
-                                pager,
-                                n.boundaries[f],
-                                Side::Left,
-                                self.cfg.pst,
-                                n.l[f],
-                            )?;
+                            let mut lp = self.pst(pager, n.boundaries[f], Side::Left, n.l[f])?;
                             lp.insert(pager, seg)?;
                             n.l[f] = lp.state();
-                            let mut rp = Pst::attach(
-                                pager,
-                                n.boundaries[l],
-                                Side::Right,
-                                self.cfg.pst,
-                                n.r[l],
-                            )?;
+                            let mut rp = self.pst(pager, n.boundaries[l], Side::Right, n.r[l])?;
                             rp.insert(pager, seg)?;
                             n.r[l] = rp.state();
                             if l > f {
@@ -381,6 +355,11 @@ impl IntervalPages {
             })
             .max(1);
         IntervalPages { root, cfg, k_max }
+    }
+
+    /// The PST on side `side` of the boundary at `x`.
+    fn pst(&self, pager: &Pager, x: i64, side: Side, state: PstState) -> Result<Pst> {
+        Pst::attach(pager, x, side, self.cfg.pst, state)
     }
 
     /// Visit `page` for `group` — live slots in abscissa order, so the
@@ -441,9 +420,19 @@ impl IntervalPages {
         let inside =
             |run: &[BatchQuery]| s_j.map_or(run.len(), |b| run.partition_point(|p| p.qx < b));
         let on_line = &run[inside(run)..];
-        if let Some(x0) = s_j.filter(|_| !on_line.is_empty() && !set_is_absent(&n.c(j))) {
-            let c = IntervalSet::attach(pager, IntervalTreeConfig::default(), n.c(j))?;
-            slots.probe_on_line(pager, &c, x0, on_line, trace)?;
+        // C_j: the verticals on s_j, as ordinate ranges, for the slots on
+        // it — from the stored counts where a slot allows.
+        if let Some(x0) = s_j.filter(|_| !on_line.is_empty() && !list_is_absent(&n.c(j))) {
+            let c = cset::attach(pager, n.c(j))?;
+            for p in on_line {
+                obs_emit(EventKind::SecondLevelProbe, probe::C_SET, 0);
+                trace.second_level_probes += 1;
+                if slots.counts(p.tag) {
+                    let _ = slots.report_count(p.tag, cset::count(pager, &c, (p.lo, p.hi))?);
+                } else {
+                    cset::overlap(pager, &c, x0, (p.lo, p.hi), |s| slots.report(p.tag, s))?;
+                }
+            }
         }
         let mut run = run;
         if j >= 1 {
@@ -451,13 +440,7 @@ impl IntervalPages {
             run = &mut run[..live];
             let probing = &run[..inside(run)];
             if !probing.is_empty() {
-                let r = Pst::attach(
-                    pager,
-                    n.boundary(j - 1),
-                    Side::Right,
-                    self.cfg.pst,
-                    n.r(j - 1),
-                )?;
+                let r = self.pst(pager, n.boundary(j - 1), Side::Right, n.r(j - 1))?;
                 obs_emit(EventKind::SecondLevelProbe, probe::R_PST, 0);
                 trace.second_level_probes += 1;
                 r.query_group(pager, probing, &mut |i, s| slots.report(i, s))?;
@@ -470,7 +453,7 @@ impl IntervalPages {
             let live = slots.retain_live(run);
             run = &mut run[..live];
             if !run.is_empty() {
-                let l = Pst::attach(pager, x_j, Side::Left, self.cfg.pst, n.l(j))?;
+                let l = self.pst(pager, x_j, Side::Left, n.l(j))?;
                 obs_emit(EventKind::SecondLevelProbe, probe::L_PST, 0);
                 trace.second_level_probes += 1;
                 l.query_group(pager, run, &mut |i, s| slots.report(i, s))?;
@@ -490,55 +473,52 @@ impl IntervalPages {
     fn describe_rec(&self, pager: &Pager, page: PageId, depth: u32, st: &mut GStats) -> Result<()> {
         st.height = st.height.max(depth);
         match read_node(pager, page)? {
-            Node::Leaf { count, .. } => {
+            Node::Leaf { head, count } => {
                 st.leaves += 1;
                 st.in_leaves += count;
+                chain::pages(pager, head, tally(&mut st.chain_pages))?;
             }
             Node::Internal(n) => {
                 st.internal_nodes += 1;
                 st.boundaries += n.boundaries.len() as u64;
-                for state in &n.c {
-                    if !set_is_absent(state) {
-                        let c = IntervalSet::attach(pager, IntervalTreeConfig::default(), *state)?;
-                        st.on_line += c.len();
-                    }
+                for state in n.c.iter().filter(|s| !list_is_absent(s)) {
+                    st.on_line += state.len;
+                    cset::attach(pager, *state)?.pages(pager, &mut tally(&mut st.c_pages))?;
                 }
-                for (i, state) in n.l.iter().enumerate() {
-                    let l = Pst::attach(pager, n.boundaries[i], Side::Left, self.cfg.pst, *state)?;
+                for (i, &x) in n.boundaries.iter().enumerate() {
+                    let l = self.pst(pager, x, Side::Left, n.l[i])?;
+                    let r = self.pst(pager, x, Side::Right, n.r[i])?;
                     st.crossing += l.len();
+                    l.pages(pager, &mut tally(&mut st.pst_pages))?;
+                    r.pages(pager, &mut tally(&mut st.pst_pages))?;
                 }
                 st.long_fragment_records += n.g_total;
-                st.g_lists_nonempty += n.g.iter().filter(|s| !list_is_absent(s)).count() as u64;
                 // Bridge pointer density on each parent list: the
                 // measurable form of the d-property.
                 let k = n.boundaries.len();
                 let skel = skeleton(k);
                 for (gi, state) in n.g.iter().enumerate() {
-                    if list_is_absent(state) || skel[gi].is_leaf() {
+                    if list_is_absent(state) {
                         continue;
                     }
+                    st.g_lists_nonempty += 1;
                     let line = n.boundaries[skel[gi].a - 1];
                     let tree = BPlusTree::attach(pager, MsOrder { line }, *state)?;
+                    tree.pages(pager, &mut tally(&mut st.g_pages))?;
+                    if skel[gi].is_leaf() {
+                        continue;
+                    }
+                    let recs = tree.scan_all(pager)?;
                     for (child, left) in [(skel[gi].left, true), (skel[gi].right, false)] {
                         if list_is_absent(&n.g[child]) {
                             continue;
                         }
-                        let mut gap = 0u64;
-                        for rec in tree.scan_all(pager)? {
-                            let p = if left {
-                                rec.bridge_left
-                            } else {
-                                rec.bridge_right
-                            };
-                            if p != NULL_PAGE {
-                                st.max_bridge_gap = st.max_bridge_gap.max(gap);
-                                gap = 0;
-                                st.bridge_pointers += 1;
-                            } else {
-                                gap += 1;
-                            }
-                        }
-                        st.max_bridge_gap = st.max_bridge_gap.max(gap);
+                        let bridged = |r: &MsRec| {
+                            (if left { r.bridge_left } else { r.bridge_right }) != NULL_PAGE
+                        };
+                        st.bridge_pointers += recs.iter().filter(|r| bridged(r)).count() as u64;
+                        let gap = recs.split(bridged).map(<[_]>::len).max().unwrap_or(0);
+                        st.max_bridge_gap = st.max_bridge_gap.max(gap as u64);
                     }
                 }
                 for &c in &n.children {
@@ -585,33 +565,20 @@ impl IntervalPages {
             obs_emit(EventKind::SecondLevelProbe, probe::G_LIST, gi as u64);
             trace.second_level_probes += 1;
             let line = n.boundary(g.a - 1);
+            let tree = BPlusTree::attach(pager, MsOrder { line }, state)?;
             if counting {
-                let cnt = if lo.is_none() && hi.is_none() {
-                    state.len
-                } else {
-                    let tree = BPlusTree::attach(pager, MsOrder { line }, state)?;
-                    match (lo, hi) {
-                        (Some(lo_v), Some(hi_v)) => tree.count_range(
-                            pager,
-                            &run_start_probe(x0, lo_v),
-                            &run_end_probe(x0, hi_v),
-                        )?,
-                        (Some(lo_v), None) => tree.count_from(pager, &run_start_probe(x0, lo_v))?,
-                        (None, Some(hi_v)) => tree.rank(pager, &run_end_probe(x0, hi_v))?,
-                        (None, None) => unreachable!(),
-                    }
-                };
+                let start = lo.map(|v| run_start_probe(x0, v));
+                let cnt = run_count(pager, &tree, start, hi.map(|v| run_end_probe(x0, v)))?;
                 let _ = slots.report_count(slot, cnt);
                 carried = None;
                 continue;
             }
-            let tree = BPlusTree::attach(pager, MsOrder { line }, state)?;
             // Position at the first record with y(x0) ≥ lo.
             let cur = match (carried, lo) {
                 (Some(leaf), Some(lo_v)) if !n.bridges_dirty() => {
                     obs_emit(EventKind::BridgeJump, u64::from(leaf), 0);
                     trace.bridge_jumps += 1;
-                    match self.anchor_by_jump(pager, leaf, x0, lo_v)? {
+                    match self.anchor_by_jump(pager, leaf, x0, lo_v, state.height)? {
                         Some(cur) => cur,
                         None => self.anchor_by_descent(pager, &tree, x0, lo)?,
                     }
@@ -654,44 +621,30 @@ impl IntervalPages {
     ) -> Result<Cursor<MsRec>> {
         match lo {
             None => tree.cursor_first(pager),
-            Some(lo_v) => tree.lower_bound(pager, &move |r: &MsRec| {
-                // Monotone predicate along the list order.
-                if y_at_x_cmp(&r.seg, x0, lo_v) == Ordering::Less {
-                    Ordering::Greater
-                } else {
-                    Ordering::Less
-                }
-            }),
+            Some(lo_v) => tree.lower_bound(pager, &run_start_probe(x0, lo_v)),
         }
     }
 
-    /// Land on a bridged child leaf and scan forward to the run start.
-    /// Returns `None` (→ fallback) if the scan exceeds the cap — a stale
-    /// pointer or a density violation, impossible right after a bridge
-    /// rebuild but guarded against defensively.
+    /// Land on a bridged child leaf and move forward to the run start,
+    /// keeping the landed page: leaf to leaf on each leaf's last record,
+    /// then a binary search inside the leaf that holds the start. A
+    /// descent reads `height + 1` pages, so the walk gives up (`None` →
+    /// fallback) only once it would step past `height` leaves, or on a
+    /// stale pointer — neither happens right after a bridge rebuild.
     fn anchor_by_jump(
         &self,
         pager: &Pager,
         leaf: PageId,
         x0: i64,
         lo: i64,
+        height: u32,
     ) -> Result<Option<Cursor<MsRec>>> {
-        let mut cur = match Cursor::<MsRec>::jump(pager, leaf) {
-            Ok(c) => c,
-            Err(_) => return Ok(None), // stale pointer
+        let Ok(mut cur) = Cursor::<MsRec>::jump(pager, leaf) else {
+            return Ok(None); // stale pointer
         };
-        let mut scanned = 0usize;
-        while let Some(r) = cur.peek() {
-            if y_at_x_cmp(&r.seg, x0, lo) != Ordering::Less {
-                return Ok(Some(cur));
-            }
-            scanned += 1;
-            if scanned > JUMP_SCAN_CAP {
-                return Ok(None);
-            }
-            cur.next(pager)?;
-        }
-        Ok(Some(cur)) // exhausted: empty run
+        Ok(cur
+            .seek(pager, &run_start_probe(x0, lo), height)?
+            .then_some(cur))
     }
 
     // ---- G maintenance -------------------------------------------------
@@ -808,7 +761,7 @@ impl IntervalPages {
         let k = boundaries.len();
         let total = segs.len() as u64;
 
-        let mut on_line: Vec<Vec<Interval>> = vec![Vec::new(); k];
+        let mut on_line: Vec<Vec<CRec>> = vec![Vec::new(); k];
         let mut lefts: Vec<Vec<Segment>> = vec![Vec::new(); k];
         let mut rights: Vec<Vec<Segment>> = vec![Vec::new(); k];
         let skel = skeleton(k);
@@ -817,7 +770,7 @@ impl IntervalPages {
         let mut g_total = 0u64;
         for s in segs {
             match place(&boundaries, &s) {
-                Placement::OnLine(i) => on_line[i].push(Interval::new(s.id, s.a.y, s.b.y)),
+                Placement::OnLine(i) => on_line[i].push(CRec::of(&s)),
                 Placement::Crossing { f, l } => {
                     lefts[f].push(s);
                     rights[l].push(s);
@@ -839,35 +792,14 @@ impl IntervalPages {
         let mut r_states = Vec::with_capacity(k);
         for i in 0..k {
             c_states.push(if on_line[i].is_empty() {
-                absent_set()
+                absent_list()
             } else {
-                IntervalSet::build(
-                    pager,
-                    IntervalTreeConfig::default(),
-                    std::mem::take(&mut on_line[i]),
-                )?
-                .state()
+                on_line[i].sort_unstable_by_key(|r| (r.lo, r.id));
+                BPlusTree::bulk_load(pager, COrder, &on_line[i])?.state()
             });
-            l_states.push(
-                Pst::build(
-                    pager,
-                    boundaries[i],
-                    Side::Left,
-                    self.cfg.pst,
-                    std::mem::take(&mut lefts[i]),
-                )?
-                .state(),
-            );
-            r_states.push(
-                Pst::build(
-                    pager,
-                    boundaries[i],
-                    Side::Right,
-                    self.cfg.pst,
-                    std::mem::take(&mut rights[i]),
-                )?
-                .state(),
-            );
+            let (x, cfg) = (boundaries[i], self.cfg.pst);
+            l_states.push(Pst::build(pager, x, Side::Left, cfg, take(&mut lefts[i]))?.state());
+            r_states.push(Pst::build(pager, x, Side::Right, cfg, take(&mut rights[i]))?.state());
         }
         let mut g_states = vec![absent_list(); skel.len()];
         build_g_lists(pager, self.cfg, &boundaries, &skel, g_real, &mut g_states)?;
@@ -906,20 +838,15 @@ impl IntervalPages {
             Node::Leaf { head, .. } => chain::scan(pager, head, |s| out.push(s))?,
             Node::Internal(n) => {
                 for (i, state) in n.c.iter().enumerate() {
-                    if set_is_absent(state) {
-                        continue;
-                    }
-                    let c = IntervalSet::attach(pager, IntervalTreeConfig::default(), *state)?;
-                    for iv in c.scan_all(pager)? {
-                        out.push(
-                            Segment::new(iv.id, (n.boundaries[i], iv.lo), (n.boundaries[i], iv.hi))
-                                .map_err(|_| PagerError::Corrupt("bad C_i interval"))?,
-                        );
+                    if !list_is_absent(state) {
+                        for r in cset::attach(pager, *state)?.scan_all(pager)? {
+                            out.push(r.segment(n.boundaries[i])?);
+                        }
                     }
                 }
                 // Each crossing segment appears in exactly one L_f.
                 for (i, state) in n.l.iter().enumerate() {
-                    let l = Pst::attach(pager, n.boundaries[i], Side::Left, self.cfg.pst, *state)?;
+                    let l = self.pst(pager, n.boundaries[i], Side::Left, *state)?;
                     out.extend(l.scan_all(pager)?);
                 }
                 for &c in &n.children {
@@ -944,17 +871,16 @@ impl IntervalPages {
                 let k = n.boundaries.len();
                 let skel = skeleton(k);
                 for state in &n.c {
-                    if !set_is_absent(state) {
-                        IntervalSet::attach(pager, IntervalTreeConfig::default(), *state)?
-                            .destroy(pager)?;
+                    if !list_is_absent(state) {
+                        cset::attach(pager, *state)?.destroy(pager)?;
                     }
                 }
                 for (i, state) in n.l.iter().enumerate() {
-                    Pst::attach(pager, n.boundaries[i], Side::Left, self.cfg.pst, *state)?
+                    self.pst(pager, n.boundaries[i], Side::Left, *state)?
                         .destroy(pager)?;
                 }
                 for (i, state) in n.r.iter().enumerate() {
-                    Pst::attach(pager, n.boundaries[i], Side::Right, self.cfg.pst, *state)?
+                    self.pst(pager, n.boundaries[i], Side::Right, *state)?
                         .destroy(pager)?;
                 }
                 for (gi, state) in n.g.iter().enumerate() {
@@ -1027,27 +953,20 @@ impl IntervalPages {
                     return Err(PagerError::Corrupt("boundaries escape ancestor slab"));
                 }
                 let mut here = 0u64;
-                for state in &n.c {
-                    if !set_is_absent(state) {
-                        let c = IntervalSet::attach(pager, IntervalTreeConfig::default(), *state)?;
-                        c.validate(pager)?;
-                        here += c.len();
+                for (i, state) in n.c.iter().enumerate() {
+                    if !list_is_absent(state) {
+                        cset::validate(pager, &cset::attach(pager, *state)?, n.boundaries[i])?;
+                        here += state.len;
                     }
                 }
-                let mut crossing = 0u64;
-                for i in 0..k {
-                    let l = Pst::attach(pager, n.boundaries[i], Side::Left, self.cfg.pst, n.l[i])?;
+                let (mut crossing, mut rsum) = (0u64, 0u64);
+                for (i, &x) in n.boundaries.iter().enumerate() {
+                    let l = self.pst(pager, x, Side::Left, n.l[i])?;
+                    let r = self.pst(pager, x, Side::Right, n.r[i])?;
                     l.validate(pager)?;
-                    crossing += l.len();
-                    let r = Pst::attach(pager, n.boundaries[i], Side::Right, self.cfg.pst, n.r[i])?;
                     r.validate(pager)?;
+                    (crossing, rsum) = (crossing + l.len(), rsum + r.len());
                 }
-                let rsum: u64 = (0..k)
-                    .map(|i| {
-                        Pst::attach(pager, n.boundaries[i], Side::Right, self.cfg.pst, n.r[i])
-                            .map(|p| p.len())
-                    })
-                    .sum::<Result<u64>>()?;
                 if crossing != rsum {
                     return Err(PagerError::Corrupt("L/R fragment counts disagree"));
                 }
@@ -1140,32 +1059,56 @@ pub struct GStats {
     /// Bridge pointers materialized.
     pub bridge_pointers: u64,
     /// Longest run of parent-list elements without a bridge pointer —
-    /// the measured d-property (must stay ≲ d+2 after a bridge build).
+    /// the measured d-property of the parent side (≤ d+2 after a bridge
+    /// build; the child side has no such bound, see DESIGN.md §4).
     pub max_bridge_gap: u64,
+    /// Pages of the segment chains of first-level leaves.
+    pub chain_pages: u64,
+    /// Pages of the `C` sets.
+    pub c_pages: u64,
+    /// Pages of the `L` and `R` PSTs.
+    pub pst_pages: u64,
+    /// Pages of the `G` lists.
+    pub g_pages: u64,
+    /// Pages of the tombstone chain. With a page per first-level node,
+    /// the parts are every page; the superblock lives outside the pages.
+    pub tomb_pages: u64,
 }
 
-/// Probe placing a cursor at the run start: sorts before every record
-/// with `y(x0) ≥ lo` (the monotone predicate of `anchor_by_descent`).
+/// A page visitor that counts into `n`.
+fn tally(n: &mut u64) -> impl FnMut(PageId) -> Result<()> + '_ {
+    move |_| {
+        *n += 1;
+        Ok(())
+    }
+}
+
+/// How many records of `tree` lie from the lower bound of `start` to
+/// that of `end` (`None`: from the first record, to past the last), by
+/// ranks over the stored subtree counts: the run itself is never read,
+/// and with both ends open nothing is.
+fn run_count<R: Record, O: RecordOrd<R>>(
+    pager: &Pager,
+    tree: &BPlusTree<R, O>,
+    start: Option<impl Probe<R>>,
+    end: Option<impl Probe<R>>,
+) -> Result<u64> {
+    let end = end.map_or(Ok(tree.len()), |p| tree.rank(pager, &p))?;
+    let start = start.map_or(Ok(0), |p| tree.rank(pager, &p))?;
+    Ok(end.saturating_sub(start))
+}
+
+/// Probe placing a cursor at the run start: `lo` against each record's
+/// `y(x0)`, ties first — it sorts before every record with `y(x0) ≥ lo`.
 fn run_start_probe(x0: i64, lo: i64) -> impl Fn(&MsRec) -> Ordering {
-    move |r: &MsRec| {
-        if y_at_x_cmp(&r.seg, x0, lo) == Ordering::Less {
-            Ordering::Greater
-        } else {
-            Ordering::Less
-        }
-    }
+    move |r: &MsRec| y_at_x_cmp(&r.seg, x0, lo).reverse().then(Ordering::Less)
 }
 
-/// Probe placing a cursor just past the run end: sorts after every
-/// record with `y(x0) ≤ hi`.
+/// Probe placing a cursor just past the run end: `hi` against each
+/// record's `y(x0)`, ties last — it sorts after every record with
+/// `y(x0) ≤ hi`.
 fn run_end_probe(x0: i64, hi: i64) -> impl Fn(&MsRec) -> Ordering {
-    move |r: &MsRec| {
-        if y_at_x_cmp(&r.seg, x0, hi) == Ordering::Greater {
-            Ordering::Less
-        } else {
-            Ordering::Greater
-        }
-    }
+    move |r: &MsRec| y_at_x_cmp(&r.seg, x0, hi).reverse().then(Ordering::Greater)
 }
 
 /// An owned node, for the write path, `validate` and `describe`;
@@ -1188,12 +1131,14 @@ fn write_node(pager: &Pager, id: PageId, node: &Node) -> Result<()> {
 /// query lines), the mark is materialized as a pointer on the **nearest
 /// preceding real parent element** in merged order — the *carrier* —
 /// aimed at the child leaf a position search for the carrier itself
-/// lands on. Density is preserved (any `d+1` consecutive parent elements
-/// contain a merged selection, so pointer gaps in the parent are ≤
-/// `d+2`), and a pointer never lands past the first child element at or
-/// after its carrier: a carrier below a query's window therefore jumps
-/// to or before the child's run start, which is what the forward-scan
-/// re-anchor in [`TwoLevelInterval::query`] needs
+/// lands on. Density holds on the parent side (any `d+1` consecutive
+/// parent elements contain a merged selection, so pointer gaps in the
+/// parent are ≤ `d+2`), not on the child side (a run of child elements
+/// with no parent element between them shares the carrier before it).
+/// A pointer never lands past the first child element at or after its
+/// carrier: a carrier below a query's window therefore jumps to or
+/// before the child's run start, which is what the forward re-anchor
+/// (`anchor_by_jump`) needs
 /// ([`TwoLevelInterval::validate`] checks it per pointer).
 ///
 /// The skeleton is in pre-order, so a reverse walk loads every child
@@ -1210,7 +1155,7 @@ fn build_g_lists(
 ) -> Result<()> {
     let mut leaves: Vec<Option<LoadedLeaves>> = vec![None; skel.len()];
     for (gi, node) in skel.iter().enumerate().rev() {
-        let mut list = std::mem::take(&mut real[gi]);
+        let mut list = take(&mut real[gi]);
         if list.is_empty() {
             states[gi] = absent_list();
             continue;

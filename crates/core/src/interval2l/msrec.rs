@@ -17,8 +17,8 @@ use std::cmp::Ordering;
 /// pair is exactly comparable at every line of the multislab. The
 /// paper's *augmented bridge fragments* are replaced by pointer fields
 /// on the nearest preceding real element (see
-/// `build_g_lists` in the parent module); DESIGN.md records why this preserves the
-/// `d`-property's density and landing guarantees.
+/// `build_g_lists` in the parent module); DESIGN.md records why this keeps
+/// the landing guarantee, and the `d`-property on the parent side only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MsRec {
     /// The original segment (fragment clip implied by the list's range).

@@ -6,7 +6,7 @@
 //!           [bridges_dirty:u8][g_inserts:u32]
 //!           [boundaries: k × i64]
 //!           [children: (k+1) × u32][child_sizes: (k+1) × u64]
-//!           [c: k × IntervalSetState:28]
+//!           [c: k × TreeState:16]
 //!           [l: k × PstState:20][r: k × PstState:20]
 //!           [g: skeleton_len(k) × TreeState:16]
 //! ```
@@ -17,7 +17,6 @@
 
 use super::gtree::skeleton_len;
 use segdb_bptree::TreeState;
-use segdb_itree::overlap::IntervalSetState;
 use segdb_pager::codec::{u32_at, u64_at};
 use segdb_pager::{ByteReader, ByteWriter, PageId, PagerError, Result};
 use segdb_pst::PstState;
@@ -50,8 +49,8 @@ pub struct Internal {
     pub child_sizes: Vec<u64>,
     /// Total segments in this subtree (own included).
     pub total: u64,
-    /// Per-boundary on-line interval sets (absent-sentinel aware).
-    pub c: Vec<IntervalSetState>,
+    /// Per-boundary `C` sets ([`super::cset`]; absent-sentinel aware).
+    pub c: Vec<TreeState>,
     /// Per-boundary left-side short-fragment PSTs.
     pub l: Vec<PstState>,
     /// Per-boundary right-side short-fragment PSTs.
@@ -134,7 +133,7 @@ impl Node {
                     c: (0..k).map(|i| v.c(i)).collect(),
                     l: (0..k).map(|i| v.l(i)).collect(),
                     r: (0..k).map(|i| v.r(i)).collect(),
-                    g: (0..v.g_len()).map(|gi| v.g(gi)).collect(),
+                    g: (0..skeleton_len(k)).map(|gi| v.g(gi)).collect(),
                     g_total: v.g_total(),
                     bridges_dirty: v.bridges_dirty(),
                     g_inserts: v.g_inserts(),
@@ -175,7 +174,7 @@ pub struct InternalView<'a> {
     boundaries: &'a [[u8; 8]],
     children: &'a [[u8; 4]],
     child_sizes: &'a [[u8; 8]],
-    c: &'a [[u8; IntervalSetState::ENCODED_SIZE]],
+    c: &'a [[u8; TreeState::ENCODED_SIZE]],
     l: &'a [[u8; PstState::ENCODED_SIZE]],
     r: &'a [[u8; PstState::ENCODED_SIZE]],
     g: &'a [[u8; TreeState::ENCODED_SIZE]],
@@ -241,9 +240,9 @@ impl InternalView<'_> {
         u64_at(self.header, 0)
     }
 
-    /// On-line interval set of boundary `i`.
-    pub fn c(&self, i: usize) -> IntervalSetState {
-        IntervalSetState::read(&self.c[i])
+    /// `C` set of boundary `i`.
+    pub fn c(&self, i: usize) -> TreeState {
+        TreeState::read(&self.c[i])
     }
 
     /// Left-side short-fragment PST of boundary `i`.
@@ -254,11 +253,6 @@ impl InternalView<'_> {
     /// Right-side short-fragment PST of boundary `i`.
     pub fn r(&self, i: usize) -> PstState {
         PstState::read(&self.r[i])
-    }
-
-    /// Number of `G` skeleton nodes.
-    pub fn g_len(&self) -> usize {
-        self.g.len()
     }
 
     /// Multislab list of `G` skeleton node `gi`.

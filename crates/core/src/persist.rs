@@ -13,29 +13,32 @@ use segdb_geom::transform::Direction;
 use segdb_pager::{ByteReader, ByteWriter, PageId, PagerError, Result};
 use segdb_pst::PstConfig;
 
-/// The on-disk format magic, and the only one `decode` reads: the
-/// superblock carries the WAL checkpoint (`wal_seq`) and a two-level
-/// index's tombstone chain stores full segments (geometry included),
-/// which is what lets Count-mode queries subtract overlapping
-/// tombstones without materializing. The `001`/`002` formats (bare-id
-/// tombstone chains, no checkpoint) were last written before the write
-/// path existed and are refused by name rather than misread.
-const MAGIC: &[u8; 8] = b"SEGDB003";
-const PRE_V3: &str =
-    "database format SEGDB001/SEGDB002 (pre-v3) is not supported: this build reads SEGDB003 only";
+/// The on-disk format magic, and the only one `decode` reads: a
+/// two-level index's `C` sets are counted B⁺-trees (a 16-byte state per
+/// boundary), the superblock carries the WAL checkpoint (`wal_seq`) and
+/// the tombstone chain stores full segments (geometry included), which
+/// is what lets Count-mode queries subtract overlapping tombstones
+/// without materializing. Older formats are refused by name rather than
+/// misread: `003` kept each `C` set as an interval tree plus a B⁺-tree
+/// of starts (a 28-byte state), and `001`/`002` (bare-id tombstone
+/// chains, no checkpoint) were last written before the write path
+/// existed.
+const MAGIC: &[u8; 8] = b"SEGDB004";
+const OLDER: &str = "database format SEGDB001/SEGDB002 (pre-v3) or SEGDB003 (interval-tree C \
+     sets) is not supported: this build reads SEGDB004 only; rebuild the file from its segments";
 const V3_ID_TOMBS: &str =
-    "SEGDB003 superblock claims a pre-v3 id-format tombstone chain, which this build cannot read";
+    "SEGDB004 superblock claims a pre-v3 id-format tombstone chain, which this build cannot read";
 /// The index kind tag every superblock carries: the two-level interval
 /// structure, whose stored `fanout` says which configuration it is.
 const KIND_TWO_LEVEL: u8 = 2;
 /// Kind tags of layouts this build no longer reads, each refused by
 /// name: rebuild such a file from its segments.
-const REMOVED_BINARY: &str = "SEGDB003 superblock holds the removed TwoLevelBinary layout \
+const REMOVED_BINARY: &str = "SEGDB004 superblock holds the removed TwoLevelBinary layout \
      (kind tag 1): this build stores Solution 1 as the two-level interval index at fanout 1; \
      rebuild the file";
-const REMOVED_FULL_SCAN: &str = "SEGDB003 superblock holds a FullScan baseline index \
+const REMOVED_FULL_SCAN: &str = "SEGDB004 superblock holds a FullScan baseline index \
      (kind tag 3), which databases no longer store; rebuild the file";
-const REMOVED_STAB: &str = "SEGDB003 superblock holds a StabThenFilter baseline index \
+const REMOVED_STAB: &str = "SEGDB004 superblock holds a StabThenFilter baseline index \
      (kind tag 4), which databases no longer store; rebuild the file";
 /// Superblock buffer size (well under any page's metadata area). The
 /// trailing 9 bytes are the tombstone-format byte (always 1: full
@@ -110,12 +113,14 @@ impl Superblock {
     }
 
     /// Deserialize from a metadata blob. Anything but the current
-    /// format is refused — a pre-v3 magic or a removed index layout with
+    /// format is refused — an older magic or a removed index layout with
     /// a message that names it.
     pub fn decode(buf: &[u8]) -> Result<Superblock> {
         match buf.get(..8) {
             Some(magic) if magic == MAGIC => {}
-            Some(b"SEGDB001" | b"SEGDB002") => return Err(PagerError::Corrupt(PRE_V3)),
+            Some(b"SEGDB001" | b"SEGDB002" | b"SEGDB003") => {
+                return Err(PagerError::Corrupt(OLDER))
+            }
             _ => return Err(PagerError::Corrupt("bad database superblock")),
         }
         if buf.len() < SUPERBLOCK_SIZE {
@@ -227,10 +232,14 @@ mod tests {
             // Pre-v3 saves were 9 bytes shorter; either length is refused
             // for its version, not as garbage.
             for blob in [&old[..], &old[..SUPERBLOCK_SIZE - 9]] {
-                assert_eq!(Superblock::decode(blob), Err(PagerError::Corrupt(PRE_V3)));
+                assert_eq!(Superblock::decode(blob), Err(PagerError::Corrupt(OLDER)));
             }
         }
-        // A v3 blob saved over a still-attached id-format chain, as the
+        // A v3 blob: the same superblock over `C` sets of the old layout.
+        let mut v3 = good.clone();
+        v3[..8].copy_from_slice(b"SEGDB003");
+        assert_eq!(Superblock::decode(&v3), Err(PagerError::Corrupt(OLDER)));
+        // A blob saved over a still-attached id-format chain, as the
         // builds that read those chains wrote it (flag byte 0).
         let mut ids = good.clone();
         ids[TOMB_FORMAT_AT] = 0;

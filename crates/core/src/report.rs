@@ -170,7 +170,7 @@ impl QueryAnswer {
 pub struct QueryTrace {
     /// First-level nodes visited.
     pub first_level_nodes: u32,
-    /// Second-level structures probed (PSTs, interval sets, G lists).
+    /// Second-level structures probed (PSTs, `C` sets, G lists).
     pub second_level_probes: u32,
     /// Fractional-cascading bridge jumps taken (Solution 2 only).
     pub bridge_jumps: u32,

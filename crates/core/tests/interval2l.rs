@@ -463,3 +463,166 @@ fn the_bridge_defect() {
     }
     assert!(short.is_empty(), "(query, oracle, collected): {short:?}");
 }
+
+/// Verticals on a few base lines, disjoint or touching at an endpoint,
+/// most of them in `C` sets, some inserted after the build and some
+/// removed: every mode answers as the scan oracle does, with the query
+/// ends on stored endpoints, one off them, or open, at both fanout
+/// configurations. Each raw vertical is `(line, length, gap)`: its line
+/// is `10 · (line % 4)`, it starts `gap % 3` above the previous one on
+/// that line (0 = touching) and is `1 + length % 6` long.
+#[test]
+fn on_line_sets_answer_every_mode_as_the_oracle() {
+    use segdb_core::{QueryAnswer, SegmentDatabase};
+    use segdb_rng::check;
+    check::run(
+        "on_line_sets_answer_every_mode_as_the_oracle",
+        48,
+        |rng| {
+            let verticals: Vec<(u64, u64, u64)> = (0..rng.gen_range(1..160usize))
+                .map(|_| (rng.next_u64(), rng.next_u64(), rng.next_u64()))
+                .collect();
+            let queries: Vec<(u64, u64, u64)> = (0..24)
+                .map(|_| (rng.next_u64(), rng.next_u64(), rng.next_u64()))
+                .collect();
+            (verticals, queries, rng.next_u64(), rng.next_u64())
+        },
+        |(verticals, queries, split, shape)| {
+            let mut top = [0i64; 4];
+            let set: Vec<Segment> = (verticals.iter().enumerate())
+                .map(|(id, &(line, len, gap))| {
+                    let l = (line % 4) as usize;
+                    let lo = top[l] + (gap % 3) as i64;
+                    top[l] = lo + 1 + (len % 6) as i64;
+                    Segment::new(id as u64, (10 * l as i64, lo), (10 * l as i64, top[l])).unwrap()
+                })
+                .collect();
+            let built = (*split as usize) % (set.len() + 1);
+            let page = [256, 512, 1024][(*shape % 3) as usize];
+            for kind in [IndexKind::TwoLevelInterval, IndexKind::TwoLevelBinary] {
+                let mut db = SegmentDatabase::builder()
+                    .page_size(page)
+                    .index(kind)
+                    .build(set[..built].to_vec())
+                    .unwrap();
+                for s in &set[built..] {
+                    db.insert(*s).unwrap();
+                }
+                // Every seventh segment goes again.
+                let live: Vec<Segment> = set.iter().copied().filter(|s| s.id % 7 != 3).collect();
+                for s in set.iter().filter(|s| s.id % 7 == 3) {
+                    assert!(db.remove(s).unwrap());
+                }
+                db.validate().unwrap();
+                for &(line, lo_pick, hi_pick) in queries {
+                    let x = 10 * (line % 4) as i64;
+                    let ends: Vec<i64> = (set.iter())
+                        .filter(|s| s.a.x == x)
+                        .flat_map(|s| [s.a.y, s.b.y])
+                        .collect();
+                    // An end on a stored endpoint, one off it, or open.
+                    let end = |pick: u64| {
+                        let m = ends.len() as u64;
+                        (!pick.is_multiple_of(4) && m > 0)
+                            .then(|| ends[(pick / 4 % m) as usize] + (pick / 4 / m % 3) as i64 - 1)
+                    };
+                    let q = match (end(lo_pick), end(hi_pick)) {
+                        (None, None) => VerticalQuery::Line { x },
+                        (Some(y0), None) => VerticalQuery::RayUp { x, y0 },
+                        (None, Some(y0)) => VerticalQuery::RayDown { x, y0 },
+                        (Some(a), Some(b)) => VerticalQuery::segment(x, a.min(b), a.max(b)),
+                    };
+                    let want = ids(&scan_oracle(&live, &q));
+                    let tag = format!("{kind:?} page {page}, {built} built, {q:?}");
+                    for mode in [
+                        QueryMode::Collect,
+                        QueryMode::Count,
+                        QueryMode::Exists,
+                        QueryMode::Limit(2),
+                    ] {
+                        match (mode, db.query_canonical_mode(&q, mode).unwrap().0) {
+                            (QueryMode::Collect, QueryAnswer::Segments(v)) => {
+                                assert_eq!(ids(&segdb_core::report::normalize(v)), want, "{tag}")
+                            }
+                            (QueryMode::Count, QueryAnswer::Count(n)) => {
+                                assert_eq!(n, want.len() as u64, "{tag}")
+                            }
+                            (QueryMode::Exists, QueryAnswer::Exists(b)) => {
+                                assert_eq!(b, !want.is_empty(), "{tag}")
+                            }
+                            (QueryMode::Limit(k), QueryAnswer::Segments(v)) => {
+                                assert_eq!(v.len(), want.len().min(k as usize), "{tag}");
+                                assert!(v.iter().all(|s| want.contains(&s.id)), "{tag}");
+                            }
+                            (mode, answer) => panic!("{mode:?} answered {answer:?}"),
+                        }
+                    }
+                }
+            }
+        },
+    );
+}
+
+/// The pages of a build, by part, are every live page: first-level
+/// nodes, leaf chains, `C`, `L`/`R`, `G` and the tombstone chain. The
+/// superblock lives in the device's metadata area and freed pages are
+/// not live, so neither is counted on either side.
+#[test]
+fn the_parts_hold_every_page() {
+    use segdb_core::SegmentDatabase;
+    let set = Family::Mixed.generate(20_000, 42);
+    for kind in [IndexKind::TwoLevelInterval, IndexKind::TwoLevelBinary] {
+        let mut db = SegmentDatabase::builder()
+            .page_size(1024)
+            .index(kind)
+            .trust_input()
+            .build(set[..19_000].to_vec())
+            .unwrap();
+        for s in &set[19_000..] {
+            db.insert(*s).unwrap();
+        }
+        for s in set.iter().step_by(997) {
+            assert!(db.remove(s).unwrap());
+        }
+        let st = db.describe().unwrap();
+        let parts = [
+            st.internal_nodes + st.leaves,
+            st.chain_pages,
+            st.c_pages,
+            st.pst_pages,
+            st.g_pages,
+            st.tomb_pages,
+        ];
+        assert!(parts.iter().all(|&n| n > 0) || kind == IndexKind::TwoLevelBinary);
+        assert!(st.c_pages > 0 && st.tomb_pages > 0, "{kind:?}: {st:?}");
+        assert_eq!(
+            parts.iter().sum::<u64>(),
+            db.space_blocks() as u64,
+            "{kind:?}: {st:?}"
+        );
+    }
+}
+
+/// A bridged `G` level keeps the leaf it lands on and walks its
+/// successors up to the list's height before it would pay a descent.
+/// The pages of a fixed set of lower-bounded Collect probes on a fresh
+/// build, with no buffer pool, are pinned here: 8 476 when a landing
+/// gave up after 64 records (under one 4 KiB leaf of 85) and descended.
+#[test]
+fn bridged_landings_keep_the_held_page() {
+    let set = Family::Mixed.generate(40_000, 42);
+    let db = segdb_core::SegmentDatabase::builder()
+        .page_size(4096)
+        .cache_pages(0)
+        .trust_input()
+        .build(set.clone())
+        .unwrap();
+    let (mut pages, mut jumps) = (0u64, 0u64);
+    for q in vertical_queries(&set, 400, 10, 7) {
+        let (_, trace) = db.query_canonical_mode(&q, QueryMode::Collect).unwrap();
+        pages += trace.io.reads + trace.io.cache_hits;
+        jumps += u64::from(trace.bridge_jumps);
+    }
+    assert!(jumps > 2000, "{jumps} bridge jumps");
+    assert_eq!(pages, 7838, "pages of 400 lower-bounded Collect probes");
+}

@@ -7,10 +7,15 @@
 //!
 //! * the structures `C(v)` / `Cᵢ` storing segments that *lie on* a base
 //!   line (§3, §4.2) — 1-dimensional intervals on that line, queried for
-//!   overlap with the query segment's ordinate range;
+//!   overlap with the query segment's ordinate range. On one line the
+//!   segments of an NCT set are disjoint, so `segdb-core` keeps each as
+//!   one B⁺-tree instead (`interval2l::cset`);
 //! * as the **first-level structure** of the improved solution (§4.1),
 //!   whose slab decomposition `segdb-core` re-implements directly on its
 //!   own nodes.
+//!
+//! What uses this crate is the stabbing baseline and the §5 extension's
+//! candidate set, whose x-projections nest.
 //!
 //! This crate provides the 1-D structure: a balanced `k`-ary tree over
 //! endpoint quantiles. Each internal node owns `k` boundary abscissae

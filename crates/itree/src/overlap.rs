@@ -1,7 +1,8 @@
-//! Interval *overlap* queries: the `C(v)` / `Cᵢ` structures.
+//! Interval *overlap* queries over intervals that may nest: the
+//! candidate set of the §5 extension (`segdb-core`'s `anyquery`), which
+//! keeps the stored segments' x-projections.
 //!
-//! A VS query hitting segments that lie **on** the base line reduces to:
-//! report all stored intervals `[lo, hi]` overlapping the query range
+//! Report all stored intervals `[lo, hi]` overlapping the query range
 //! `[qlo, qhi]`. Decomposition (disjoint, complete):
 //!
 //! 1. intervals containing `qlo` — a stabbing query on the interval tree;
@@ -9,7 +10,8 @@
 //!    B⁺-tree over left endpoints.
 //!
 //! Both parts are output-sensitive, so the whole query costs
-//! `O(log_B n + t)` I/Os, the bound the paper cites for `C(v)` (§3).
+//! `O(log_B n + t)` I/Os. (The paper's `C(v)` holds disjoint intervals,
+//! for which one B⁺-tree suffices: `segdb-core`'s `interval2l::cset`.)
 
 use crate::interval::{Interval, StartOrder};
 use crate::tree::{IntervalTree, IntervalTreeConfig, ItState};
@@ -38,16 +40,12 @@ impl IntervalSetState {
 
     /// Deserialize.
     pub fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
-        Ok(Self::read(r.bytes(Self::ENCODED_SIZE)?))
-    }
-
-    /// Read from the head of a length-checked record image (a parent's
-    /// node view).
-    pub fn read(b: &[u8]) -> Self {
-        IntervalSetState {
-            tree: ItState::read(b),
-            starts: TreeState::read(&b[ItState::ENCODED_SIZE..]),
-        }
+        let b = r.bytes(Self::ENCODED_SIZE)?;
+        let (tree, starts) = b.split_at(ItState::ENCODED_SIZE);
+        Ok(IntervalSetState {
+            tree: ItState::read(tree),
+            starts: TreeState::read(starts),
+        })
     }
 }
 
@@ -67,11 +65,6 @@ impl IntervalSet {
         let starts = BPlusTree::bulk_load(pager, StartOrder, &sorted)?;
         let tree = IntervalTree::build(pager, cfg, intervals)?;
         Ok(IntervalSet { tree, starts })
-    }
-
-    /// Create empty.
-    pub fn new(pager: &Pager, cfg: IntervalTreeConfig) -> Result<Self> {
-        Self::build(pager, cfg, Vec::new())
     }
 
     /// Reconstruct from serialized state.
@@ -98,27 +91,6 @@ impl IntervalSet {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.tree.is_empty()
-    }
-
-    /// Report all intervals containing `x`.
-    pub fn stab_into(&self, pager: &Pager, x: i64, out: &mut Vec<Interval>) -> Result<()> {
-        self.tree.stab_into(pager, x, out)
-    }
-
-    /// Report all intervals overlapping `[qlo, qhi]` (inclusive), with
-    /// optional open ends (`None` = ±∞) for ray and line queries.
-    pub fn overlap_into(
-        &self,
-        pager: &Pager,
-        qlo: Option<i64>,
-        qhi: Option<i64>,
-        out: &mut Vec<Interval>,
-    ) -> Result<()> {
-        let _ = self.overlap_ctl(pager, qlo, qhi, &mut |iv| {
-            out.push(*iv);
-            ControlFlow::Continue(())
-        })?;
-        Ok(())
     }
 
     /// Stream all intervals overlapping `[qlo, qhi]` into `f`; a `Break`
@@ -153,56 +125,6 @@ impl IntervalSet {
                 cur.for_each_while_ctl(pager, |r| qhi.is_none_or(|qhi| r.lo <= qhi), |r| f(r))
             }
         }
-    }
-
-    /// Number of intervals overlapping `[qlo, qhi]`, answered from the
-    /// interval tree's list ranks and the start index's stored subtree
-    /// counts — the matching intervals themselves are never read.
-    pub fn overlap_count(&self, pager: &Pager, qlo: Option<i64>, qhi: Option<i64>) -> Result<u64> {
-        match qlo {
-            Some(qlo) => {
-                let stabbed = self.tree.stab_count(pager, qlo)?;
-                // Starts strictly inside (qlo, qhi].
-                let after_qlo = &move |r: &Interval| {
-                    if qlo < r.lo {
-                        std::cmp::Ordering::Less
-                    } else {
-                        std::cmp::Ordering::Greater
-                    }
-                };
-                let started = match qhi {
-                    Some(qhi) => {
-                        self.starts
-                            .count_range(pager, after_qlo, &move |r: &Interval| {
-                                if qhi < r.lo {
-                                    std::cmp::Ordering::Less
-                                } else {
-                                    std::cmp::Ordering::Greater
-                                }
-                            })?
-                    }
-                    None => self.starts.count_from(pager, after_qlo)?,
-                };
-                Ok(stabbed + started)
-            }
-            None => match qhi {
-                // Intervals with lo ≤ qhi.
-                Some(qhi) => self.starts.rank(pager, &move |r: &Interval| {
-                    if qhi < r.lo {
-                        std::cmp::Ordering::Less
-                    } else {
-                        std::cmp::Ordering::Greater
-                    }
-                }),
-                // Fully open: everything overlaps, zero reads.
-                None => Ok(self.len()),
-            },
-        }
-    }
-
-    /// Collect every stored interval (rebuild helper).
-    pub fn scan_all(&self, pager: &Pager) -> Result<Vec<Interval>> {
-        self.tree.scan_all(pager)
     }
 
     /// Insert an interval.
@@ -273,6 +195,16 @@ mod tests {
         oracle_ids(&v, |iv| iv.id, |_| true)
     }
 
+    /// Every interval overlapping `[qlo, qhi]`.
+    fn overlap(set: &IntervalSet, p: &Pager, qlo: Option<i64>, qhi: Option<i64>) -> Vec<Interval> {
+        let mut out = Vec::new();
+        let _ = set.overlap_ctl(p, qlo, qhi, &mut |iv| {
+            out.push(*iv);
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
     #[test]
     fn overlap_matches_oracle() {
         let p = pager();
@@ -287,39 +219,12 @@ mod tests {
             (None, None),
             (Some(6), Some(6)),
         ] {
-            let mut out = Vec::new();
-            set.overlap_into(&p, qlo, qhi, &mut out).unwrap();
             assert_eq!(
-                sorted_ids(out),
+                sorted_ids(overlap(&set, &p, qlo, qhi)),
                 oracle_overlap(&intervals, qlo, qhi),
                 "q=({qlo:?},{qhi:?})"
             );
         }
-    }
-
-    #[test]
-    fn overlap_count_matches_oracle() {
-        let p = pager();
-        let intervals = ivs(&[(0, 10), (5, 6), (12, 20), (-5, -1), (6, 12), (30, 40)]);
-        let set = IntervalSet::build(&p, IntervalTreeConfig::default(), intervals.clone()).unwrap();
-        for (qlo, qhi) in [
-            (Some(5), Some(13)),
-            (Some(-10), Some(-6)),
-            (None, Some(0)),
-            (Some(21), None),
-            (None, None),
-            (Some(6), Some(6)),
-        ] {
-            assert_eq!(
-                set.overlap_count(&p, qlo, qhi).unwrap(),
-                oracle_overlap(&intervals, qlo, qhi).len() as u64,
-                "q=({qlo:?},{qhi:?})"
-            );
-        }
-        // The fully-open count comes straight from the stored length.
-        p.reset_stats();
-        assert_eq!(set.overlap_count(&p, None, None).unwrap(), 6);
-        assert_eq!(p.stats().reads, 0);
     }
 
     #[test]
@@ -345,21 +250,20 @@ mod tests {
     #[test]
     fn insert_remove_roundtrip() {
         let p = pager();
-        let mut set = IntervalSet::new(&p, IntervalTreeConfig::default()).unwrap();
+        let mut set = IntervalSet::build(&p, IntervalTreeConfig::default(), Vec::new()).unwrap();
         let intervals = ivs(&[(0, 4), (2, 9), (8, 8), (-3, 1)]);
         for &iv in &intervals {
             set.insert(&p, iv).unwrap();
         }
         set.validate(&p).unwrap();
-        let mut out = Vec::new();
-        set.overlap_into(&p, Some(1), Some(2), &mut out).unwrap();
-        assert_eq!(sorted_ids(out), vec![0, 1, 3]);
+        assert_eq!(
+            sorted_ids(overlap(&set, &p, Some(1), Some(2))),
+            vec![0, 1, 3]
+        );
         assert!(set.remove(&p, &intervals[1]).unwrap());
         assert!(!set.remove(&p, &intervals[1]).unwrap());
         set.validate(&p).unwrap();
-        let mut out = Vec::new();
-        set.overlap_into(&p, Some(1), Some(2), &mut out).unwrap();
-        assert_eq!(sorted_ids(out), vec![0, 3]);
+        assert_eq!(sorted_ids(overlap(&set, &p, Some(1), Some(2))), vec![0, 3]);
     }
 
     #[test]
@@ -373,9 +277,7 @@ mod tests {
         let st2 = IntervalSetState::decode(&mut ByteReader::new(&buf)).unwrap();
         assert_eq!(st, st2);
         let set2 = IntervalSet::attach(&p, IntervalTreeConfig::default(), st2).unwrap();
-        let mut out = Vec::new();
-        set2.stab_into(&p, 4, &mut out).unwrap();
-        assert_eq!(sorted_ids(out), vec![0, 1]);
+        assert_eq!(sorted_ids(overlap(&set2, &p, Some(4), Some(4))), vec![0, 1]);
     }
 
     #[test]

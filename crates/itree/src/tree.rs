@@ -95,11 +95,6 @@ impl IntervalTree {
         })
     }
 
-    /// Create empty.
-    pub fn new(pager: &Pager, cfg: IntervalTreeConfig) -> Result<Self> {
-        Self::build(pager, cfg, Vec::new())
-    }
-
     /// Reconstruct from a serialized [`ItState`].
     pub fn attach(pager: &Pager, cfg: IntervalTreeConfig, state: ItState) -> Result<Self> {
         let leaf_cap = leaf_capacity(pager.page_size());
@@ -129,15 +124,6 @@ impl IntervalTree {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Report every interval containing `x` (closed), appending to `out`.
-    pub fn stab_into(&self, pager: &Pager, x: i64, out: &mut Vec<Interval>) -> Result<()> {
-        let _ = self.stab_ctl(pager, x, &mut |iv| {
-            out.push(*iv);
-            ControlFlow::Continue(())
-        })?;
-        Ok(())
     }
 
     /// Stream every interval containing `x` (closed) into `f`. When `f`
@@ -317,10 +303,13 @@ impl IntervalTree {
         }
     }
 
-    /// Convenience wrapper over [`IntervalTree::stab_into`].
+    /// Every interval containing `x` (closed).
     pub fn stab(&self, pager: &Pager, x: i64) -> Result<Vec<Interval>> {
         let mut out = Vec::new();
-        self.stab_into(pager, x, &mut out)?;
+        let _ = self.stab_ctl(pager, x, &mut |iv| {
+            out.push(*iv);
+            ControlFlow::Continue(())
+        })?;
         Ok(out)
     }
 

@@ -30,6 +30,15 @@ fn oracle_stab(set: &[Interval], x: i64) -> Vec<u64> {
     oracle_ids(set, |iv| iv.id, |iv| iv.contains(x))
 }
 
+/// Push every interval of `set` overlapping `[lo, hi]` onto `out`.
+fn overlap(set: &IntervalSet, p: &Pager, lo: i64, hi: i64, out: &mut Vec<Interval>) {
+    let _ = (set.overlap_ctl(p, Some(lo), Some(hi), &mut |iv| {
+        out.push(*iv);
+        std::ops::ControlFlow::Continue(())
+    }))
+    .unwrap();
+}
+
 fn sorted_ids(v: Vec<Interval>) -> Vec<u64> {
     oracle_ids(&v, |iv| iv.id, |_| true)
 }
@@ -108,7 +117,8 @@ fn incremental_insert_matches_bulk() {
             let p = pager(256);
             let set = intervals(spans);
             let bulk = IntervalTree::build(&p, IntervalTreeConfig::default(), set.clone()).unwrap();
-            let mut inc = IntervalTree::new(&p, IntervalTreeConfig::default()).unwrap();
+            let mut inc =
+                IntervalTree::build(&p, IntervalTreeConfig::default(), Vec::new()).unwrap();
             for &iv in &set {
                 inc.insert(&p, iv).unwrap();
             }
@@ -185,12 +195,11 @@ fn remove_random_subset() {
                     Op::RemoveIdx(_) => continue,
                     Op::Stab(x) => {
                         assert_eq!(sorted_ids(t.stab(&p, x).unwrap()), oracle_stab(&model, x));
-                        set.stab_into(&p, x, &mut got).unwrap();
+                        overlap(&set, &p, x, x, &mut got);
                         oracle_stab(&model, x)
                     }
                     Op::Overlap(a, len) => {
-                        set.overlap_into(&p, Some(a), Some(a + len), &mut got)
-                            .unwrap();
+                        overlap(&set, &p, a, a + len, &mut got);
                         oracle_ids(&model, |iv| iv.id, |iv| iv.overlaps(a, a + len))
                     }
                 };
@@ -260,7 +269,7 @@ fn fanout_config_is_respected_and_correct() {
 #[test]
 fn empty_and_tiny_trees() {
     let p = pager(256);
-    let t = IntervalTree::new(&p, IntervalTreeConfig::default()).unwrap();
+    let t = IntervalTree::build(&p, IntervalTreeConfig::default(), Vec::new()).unwrap();
     assert!(t.is_empty());
     assert!(t.stab(&p, 0).unwrap().is_empty());
     let one = IntervalTree::build(

@@ -698,8 +698,13 @@ impl Pst {
 
     /// Free every page.
     pub fn destroy(self, pager: &Pager) -> Result<()> {
+        self.pages(pager, &mut |id| pager.free(id))
+    }
+
+    /// Visit every page of the tree, each node after its children.
+    pub fn pages(&self, pager: &Pager, f: &mut dyn FnMut(PageId) -> Result<()>) -> Result<()> {
         if self.state.root != NULL_PAGE {
-            destroy_rec(pager, self.state.root)?;
+            pages_rec(pager, self.state.root, f)?;
         }
         Ok(())
     }
@@ -757,7 +762,7 @@ impl Pst {
         // pointer and parent-recorded size stay valid.
         let node = read_node(pager, page)?;
         for c in &node.children {
-            destroy_rec(pager, c.page)?;
+            pages_rec(pager, c.page, &mut |id| pager.free(id))?;
         }
         segs.sort_by(|a, b| self.side.cmp_base(self.base_x, a, b));
         build_rec_at(pager, self.seg_cap, self.fanout, self.side, segs, page)?;
@@ -979,12 +984,12 @@ fn scan_rec(pager: &Pager, page: PageId, out: &mut Vec<Segment>) -> Result<()> {
     Ok(())
 }
 
-fn destroy_rec(pager: &Pager, page: PageId) -> Result<()> {
+fn pages_rec(pager: &Pager, page: PageId, f: &mut dyn FnMut(PageId) -> Result<()>) -> Result<()> {
     let node = read_node(pager, page)?;
     for c in &node.children {
-        destroy_rec(pager, c.page)?;
+        pages_rec(pager, c.page, f)?;
     }
-    pager.free(page)
+    f(page)
 }
 
 #[cfg(test)]

@@ -37,12 +37,20 @@ PAIR=$(scripts/bench_pair.sh . . 1 --workload embedded_hot --seconds 1)
 echo "$PAIR" | grep -q 'failed: parent 0, change 0; .* identical over 1 pairs' || {
     echo "bench_pair smoke: unexpected summary"; echo "$PAIR"; exit 1; }
 # The pool over embedded_hot's in-memory device covers every page, and
-# the two must share each page image: a second copy of every page would
-# put the row's peak RSS near 256 MiB, one copy puts it near 143 MiB.
+# the two must share each page image. One copy puts the row's peak RSS
+# near 76 MiB; a second copy of every page (12 460 pages of 4 KiB) would
+# add about 49 MiB, to about 125 MiB. The gate is halfway between.
 RSS=$(echo "$PAIR" | sed 's/\[[^]]*\]//g' |
     awk '$1 == "embedded_hot" && $2 == "peak_rss_mb" { print $4 }')
-awk -v rss="$RSS" 'BEGIN { exit !(rss != "" && rss <= 160) }' || {
-    echo "bench_pair smoke: embedded_hot peak_rss_mb '$RSS' is above 160 MiB"; exit 1; }
+awk -v rss="$RSS" 'BEGIN { exit !(rss != "" && rss <= 100) }' || {
+    echo "bench_pair smoke: embedded_hot peak_rss_mb '$RSS' is above 100 MiB"; exit 1; }
+# Each C set is one B+-tree sized to its set: the Mixed 200 k build
+# holds about 255 B per segment. C sets kept as interval trees took the
+# page maximum of boundaries whatever their size, about 589 B.
+SPACE=$(echo "$PAIR" | sed 's/\[[^]]*\]//g' |
+    awk '$1 == "embedded_hot" && $2 == "space_bytes_per_segment" { print $4 }')
+awk -v b="$SPACE" 'BEGIN { exit !(b != "" && b <= 300) }' || {
+    echo "bench_pair smoke: embedded_hot space_bytes_per_segment '$SPACE' is above 300 B"; exit 1; }
 rm -rf "$(echo "$PAIR" | sed -n 's/^result lines and run logs: //p')"
 # served_read builds from untrusted input, so its set-up runs the NCT
 # check over 100 k segments and a Solution-2 build: the set-up takes

@@ -23,6 +23,7 @@ use segdb::bptree::node::{Node as BNode, NodeView as BView};
 use segdb::bptree::record::KeyValue;
 use segdb::bptree::{Record, TreeState};
 use segdb::core::anyquery::SegRec;
+use segdb::core::interval2l::cset::CRec;
 use segdb::core::interval2l::gtree::skeleton_len;
 use segdb::core::interval2l::msrec::MsRec;
 use segdb::core::interval2l::node as slab;
@@ -32,8 +33,6 @@ use segdb::geom::gen::{mixed_map, vertical_queries};
 use segdb::geom::Segment;
 use segdb::itree::interval::TaggedInterval;
 use segdb::itree::node::{mslab_count, mslab_index, InternalNode, ItNode, ItNodeView};
-use segdb::itree::overlap::IntervalSetState;
-use segdb::itree::tree::ItState;
 use segdb::itree::Interval;
 use segdb::obs::json;
 use segdb::obs::trace::{self, EventKind};
@@ -108,13 +107,11 @@ fn pst_state(rng: &mut SmallRng) -> PstState {
     }
 }
 
-fn set_state(rng: &mut SmallRng) -> IntervalSetState {
-    IntervalSetState {
-        tree: ItState {
-            root: rng.next_u64() as u32,
-            len: rng.next_u64(),
-        },
-        starts: tree_state(rng),
+fn crec(rng: &mut SmallRng) -> CRec {
+    CRec {
+        lo: rng.next_u64() as i64,
+        hi: rng.next_u64() as i64,
+        id: rng.next_u64(),
     }
 }
 
@@ -319,6 +316,7 @@ fn bptree_views_agree_with_decode_on_every_image() {
     bptree_format::<TaggedInterval>(3, tagged, false);
     bptree_format::<MsRec>(4, msrec, true);
     bptree_format::<SegRec>(5, |r| SegRec(seg(r)), true);
+    bptree_format::<CRec>(6, crec, false);
 }
 
 // ---- records -------------------------------------------------------------------
@@ -351,6 +349,7 @@ fn record_reads_agree_with_record_decodes() {
     record_type::<Interval>(12, interval);
     record_type::<TaggedInterval>(13, tagged);
     record_type::<MsRec>(14, msrec);
+    record_type::<CRec>(16, crec);
     record_type::<SegRec>(15, |r| SegRec(seg(r)));
 }
 
@@ -526,7 +525,7 @@ fn check_slab(tally: &mut Tally, buf: &[u8]) {
             ) => assert_eq!((head, count), (vhead, vcount)),
             (slab::Node::Internal(n), slab::NodeView::Internal(v)) => {
                 let k = n.boundaries.len();
-                assert_eq!((v.k(), v.g_len()), (k, n.g.len()));
+                assert_eq!((v.k(), skeleton_len(k)), (k, n.g.len()));
                 assert_eq!(
                     (v.total(), v.g_total(), v.bridges_dirty(), v.g_inserts()),
                     (n.total, n.g_total, n.bridges_dirty, n.g_inserts)
@@ -561,7 +560,7 @@ fn slab_node(rng: &mut SmallRng, k: usize) -> slab::Node {
         children: vec_of(rng, k + 1, |r| r.next_u64() as u32),
         child_sizes: vec_of(rng, k + 1, |r| r.next_u64()),
         total: rng.next_u64(),
-        c: vec_of(rng, k, set_state),
+        c: vec_of(rng, k, tree_state),
         l: vec_of(rng, k, pst_state),
         r: vec_of(rng, k, pst_state),
         g: vec_of(rng, skeleton_len(k), tree_state),
@@ -580,7 +579,7 @@ fn interval2l_views_agree_with_decode_on_every_image() {
             head: rng.next_u64() as u32,
             count: rng.next_u64(),
         };
-        // 120 bytes per boundary: k ≤ 8 fits a 1 KiB page.
+        // 108 bytes per boundary: k ≤ 8 fits a 1 KiB page.
         let internal = slab_node(&mut rng, round % 8 + 1);
         for node in [leaf, internal] {
             let mut image = vec![0u8; PAGE];
@@ -726,12 +725,14 @@ fn codecs_never_panic_on_arbitrary_bytes() {
             let _ = PstNode::decode(b);
             let _ = BNode::<KeyValue>::decode(b);
             let _ = BNode::<MsRec>::decode(b);
+            let _ = BNode::<CRec>::decode(b);
             let _ = ItNode::decode(b);
             let _ = slab::Node::decode(b);
             let _ = MsRec::decode(&mut ByteReader::new(b));
+            let _ = CRec::decode(&mut ByteReader::new(b));
             let _ = KeyValue::decode(&mut ByteReader::new(b));
             let _ = Superblock::decode(b);
-            let _ = Superblock::decode(&[b"SEGDB003", &b[..]].concat());
+            let _ = Superblock::decode(&[b"SEGDB004", &b[..]].concat());
         },
     );
 }
@@ -986,13 +987,10 @@ fn golden_interval2l_layouts() {
     leaf.encode(&mut image).unwrap();
     assert_eq!(used_hex(&image, 13), "01210000000300000000000000");
 
-    let set = |root: u32| IntervalSetState {
-        tree: ItState { root, len: 1 },
-        starts: TreeState {
-            root: root + 1,
-            height: 0,
-            len: 1,
-        },
+    let set = |root: u32| TreeState {
+        root,
+        height: 1,
+        len: 3,
     };
     // An older build's tombstone count (on `R_2`) survives a rewrite of
     // its node, so `Pst::attach` goes on refusing it.
@@ -1022,7 +1020,7 @@ fn golden_interval2l_layouts() {
     let mut image = vec![0u8; 512];
     internal.encode(&mut image).unwrap();
     assert_eq!(
-        used_hex(&image, 24 + 24 + 16 + 32 + 3 * 28 + 6 * 20 + 3 * 16),
+        used_hex(&image, 24 + 24 + 16 + 32 + 3 * 16 + 6 * 20 + 3 * 16),
         "02\
          0300\
          4000000000000000\
@@ -1032,9 +1030,9 @@ fn golden_interval2l_layouts() {
          0a0000000000000014000000000000001e00000000000000\
          01000000020000000300000004000000\
          0500000000000000060000000000000007000000000000000800000000000000\
-         50000000010000000000000051000000000000000100000000000000\
-         52000000010000000000000053000000000000000100000000000000\
-         54000000010000000000000055000000000000000100000000000000\
+         50000000010000000300000000000000\
+         52000000010000000300000000000000\
+         54000000010000000300000000000000\
          600000000600000000000000ffffffff00000000\
          610000000600000000000000ffffffff00000000\
          620000000600000000000000ffffffff00000000\
@@ -1048,7 +1046,7 @@ fn golden_interval2l_layouts() {
     let slab::NodeView::Internal(v) = slab::NodeView::new(&image).unwrap() else {
         panic!("internal image viewed as leaf");
     };
-    assert_eq!((v.k(), v.g_len(), v.total(), v.g_total()), (3, 3, 0x40, 6));
+    assert_eq!((v.k(), v.total(), v.g_total()), (3, 0x40, 6));
     assert_eq!((v.bridges_dirty(), v.g_inserts()), (true, 2));
     assert_eq!((v.boundary(1), v.slab_of(30), v.slab_of(31)), (20, 2, 3));
     assert_eq!((v.child(3), v.child_size(0)), (4, 5));

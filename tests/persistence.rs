@@ -171,12 +171,12 @@ const META_LEN_AT: usize = 32;
 const META_AT: usize = 36;
 
 /// Only the current format opens. A file stamped with a pre-v3 magic —
-/// at the v3 superblock length or 9 bytes shorter, as those versions
-/// wrote it — a v3 file whose tombstone-format byte says "bare ids",
-/// and a v3 file whose index kind tag names a removed layout (the
-/// separate Solution-1 structure, or a baseline) are refused with a
-/// message naming the format, and `open` leaves the file byte-for-byte
-/// alone.
+/// at the current superblock length or 9 bytes shorter, as those
+/// versions wrote it — a v3 file (interval-tree `C` sets), a file whose
+/// tombstone-format byte says "bare ids", and a file whose index kind
+/// tag names a removed layout (the separate Solution-1 structure, or a
+/// baseline) are refused with a message naming the format, and `open`
+/// leaves the file byte-for-byte alone.
 #[test]
 fn older_formats_are_refused_by_name_and_left_untouched() {
     let path = tmpfile("old-format");
@@ -192,7 +192,7 @@ fn older_formats_are_refused_by_name_and_left_untouched() {
         db.save().unwrap();
     }
     let saved = std::fs::read(&path).unwrap();
-    assert_eq!(&saved[META_AT..META_AT + 8], b"SEGDB003");
+    assert_eq!(&saved[META_AT..META_AT + 8], b"SEGDB004");
     let meta_len = u32::from_le_bytes(saved[META_LEN_AT..META_AT].try_into().unwrap()) as usize;
 
     let mut cases: Vec<(&str, Vec<u8>)> = Vec::new();
@@ -203,6 +203,9 @@ fn older_formats_are_refused_by_name_and_left_untouched() {
         old[META_LEN_AT..META_AT].copy_from_slice(&(meta_len as u32 - 9).to_le_bytes());
         cases.push(("pre-v3", old));
     }
+    let mut v3 = saved.clone();
+    v3[META_AT..META_AT + 8].copy_from_slice(b"SEGDB003");
+    cases.push(("SEGDB003", v3));
     let mut id_tombs = saved.clone();
     assert_eq!(id_tombs[META_AT + meta_len - 9], 1);
     id_tombs[META_AT + meta_len - 9] = 0;
@@ -225,7 +228,7 @@ fn older_formats_are_refused_by_name_and_left_untouched() {
             Ok(_) => panic!("an unreadable format ({names}) opened"),
             Err(e) => e.to_string(),
         };
-        assert!(err.contains(names) && err.contains("SEGDB003"), "{err}");
+        assert!(err.contains(names) && err.contains("SEGDB004"), "{err}");
         assert!(
             std::fs::read(&path).unwrap() == bytes,
             "open wrote to a refused file"
