@@ -4,19 +4,15 @@
 //! Regenerates: reads/query against `t` for a fixed nested workload
 //! where the query height dials `t` from a handful to nearly `N`.
 
-use segdb_bench::{correlation, f1, f2, ols_slope, run_batch, table};
+use segdb_bench::{correlation, f1, f2, fresh_pager, ols_slope, run_batch, table};
 use segdb_core::interval2l::{Interval2LConfig, TwoLevelInterval};
 use segdb_geom::gen::{nested, vertical_queries};
-use segdb_pager::{Pager, PagerConfig};
 
 fn main() {
     let n_items = 30_000;
     let set = nested(n_items);
     let page = 4096usize;
-    let pager = Pager::new(PagerConfig {
-        page_size: page,
-        cache_pages: 0,
-    });
+    let pager = fresh_pager(page);
     let t = TwoLevelInterval::build(&pager, Interval2LConfig::default(), set.clone()).unwrap();
 
     let mut rows = Vec::new();

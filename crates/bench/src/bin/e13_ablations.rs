@@ -9,7 +9,7 @@
 //! 3. **Buffer pool** — how much of each structure's access pattern is
 //!    re-use (0 = the paper's pure model).
 
-use segdb_bench::{f1, run_batch, table};
+use segdb_bench::{f1, fresh_pager, run_batch, table};
 use segdb_core::interval2l::{Interval2LConfig, TwoLevelInterval};
 use segdb_geom::gen::{fan, fixed_height_queries, strips};
 use segdb_pager::{Pager, PagerConfig};
@@ -21,10 +21,7 @@ fn main() {
     let queries = fixed_height_queries(&set, 80, 400, 0xE13);
     let mut rows = Vec::new();
     for fanout in [Some(2usize), Some(4), Some(8), Some(16), None] {
-        let pager = Pager::new(PagerConfig {
-            page_size: 4096,
-            cache_pages: 0,
-        });
+        let pager = fresh_pager(4096);
         let before = pager.live_pages();
         let cfg = PstConfig { fanout };
         let pst = Pst::build(&pager, 0, Side::Right, cfg, set.clone()).unwrap();
@@ -51,10 +48,7 @@ fn main() {
     let queries = fixed_height_queries(&set, 60, 800, 0x1313);
     let mut rows = Vec::new();
     for fanout in [Some(1usize), Some(2), Some(4), Some(8), Some(16), None] {
-        let pager = Pager::new(PagerConfig {
-            page_size: 4096,
-            cache_pages: 0,
-        });
+        let pager = fresh_pager(4096);
         let before = pager.live_pages();
         let cfg = Interval2LConfig {
             fanout,

@@ -2,10 +2,9 @@
 //! both of the paper's structures and both baselines at databases up to
 //! a million segments (4 KiB pages, pure I/O model).
 
-use segdb_bench::{f1, run_batch, table};
+use segdb_bench::{f1, fresh_pager, run_batch, table};
 use segdb_core::{FullScan, IndexKind, StabThenFilter, TwoLevelInterval};
 use segdb_geom::gen::{fixed_height_queries, strips};
-use segdb_pager::{Pager, PagerConfig};
 use std::time::Instant;
 
 fn main() {
@@ -14,10 +13,7 @@ fn main() {
         let set = strips(n_items, 1 << 22, 16, 250, 0xE14);
         let queries = fixed_height_queries(&set, 40, 2_000, 0x41);
         for (name, which) in [("Sol1", 0u8), ("Sol2", 1), ("stab+filter", 2), ("scan", 3)] {
-            let pager = Pager::new(PagerConfig {
-                page_size: 4096,
-                cache_pages: 0,
-            });
+            let pager = fresh_pager(4096);
             let started = Instant::now();
             enum S {
                 A(TwoLevelInterval),

@@ -6,9 +6,8 @@
 //! predicted `log₂ n` curve, and blocks used against `n`, over an
 //! `N × B` sweep on the `fan` workload.
 
-use segdb_bench::{correlation, f1, f2, lg, ols_slope, run_batch, table};
+use segdb_bench::{correlation, f1, f2, fresh_pager, lg, ols_slope, run_batch, table};
 use segdb_geom::gen::{fan, fixed_height_queries};
-use segdb_pager::{Pager, PagerConfig};
 use segdb_pst::{Pst, PstConfig, Side};
 
 fn main() {
@@ -17,10 +16,7 @@ fn main() {
     for page in [512usize, 1024, 4096] {
         for exp in [11u32, 13, 15, 17] {
             let n_items = 1usize << exp;
-            let pager = Pager::new(PagerConfig {
-                page_size: page,
-                cache_pages: 0,
-            });
+            let pager = fresh_pager(page);
             let set = fan(n_items, 16, 1 << 20, 42 + exp as u64);
             let before = pager.live_pages();
             let pst = Pst::build(&pager, 0, Side::Right, PstConfig::binary(), set.clone()).unwrap();

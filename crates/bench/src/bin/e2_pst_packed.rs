@@ -6,9 +6,8 @@
 //! Regenerates: packed-vs-binary search I/O (the paper's `log₂ B`
 //! speed-up factor), the `log_B n` fit, and amortized insertion cost.
 
-use segdb_bench::{correlation, f1, f2, ols_slope, run_batch, table};
+use segdb_bench::{correlation, f1, f2, fresh_pager, ols_slope, run_batch, table};
 use segdb_geom::gen::{fan, fixed_height_queries};
-use segdb_pager::{Pager, PagerConfig};
 use segdb_pst::{Pst, PstConfig, Side};
 
 fn main() {
@@ -22,20 +21,14 @@ fn main() {
             let b = page / 40;
 
             // Binary reference.
-            let p1 = Pager::new(PagerConfig {
-                page_size: page,
-                cache_pages: 0,
-            });
+            let p1 = fresh_pager(page);
             let bin = Pst::build(&p1, 0, Side::Right, PstConfig::binary(), set.clone()).unwrap();
             let a1 = run_batch(&p1, &queries, |q, out| {
                 bin.query_sink(&p1, q.x(), q.lo(), q.hi(), out).unwrap();
             });
 
             // Packed structure.
-            let p2 = Pager::new(PagerConfig {
-                page_size: page,
-                cache_pages: 0,
-            });
+            let p2 = fresh_pager(page);
             let before = p2.live_pages();
             let packed = Pst::build(&p2, 0, Side::Right, PstConfig::packed(), set.clone()).unwrap();
             let blocks = p2.live_pages() - before;
@@ -44,10 +37,7 @@ fn main() {
             });
 
             // Amortized insertion cost into a packed PST.
-            let p3 = Pager::new(PagerConfig {
-                page_size: page,
-                cache_pages: 0,
-            });
+            let p3 = fresh_pager(page);
             let mut dyn_pst = Pst::build(&p3, 0, Side::Right, PstConfig::packed(), vec![]).unwrap();
             let io0 = p3.stats().total_io();
             for s in &set {

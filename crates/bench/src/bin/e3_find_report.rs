@@ -6,10 +6,9 @@
 //! maximum frontier width, fruitless (no-output) node visits per level,
 //! and total blocks read against `log₂ n + T/B`.
 
-use segdb_bench::{f1, f2, table};
+use segdb_bench::{f1, f2, fresh_pager, table};
 use segdb_geom::gen::{comb, fan, fixed_height_queries, vertical_queries};
 use segdb_geom::Segment;
-use segdb_pager::{Pager, PagerConfig};
 use segdb_pst::{Pst, PstConfig, QueryStats, Side};
 
 fn main() {
@@ -28,10 +27,7 @@ fn main() {
         if set.is_empty() {
             continue;
         }
-        let pager = Pager::new(PagerConfig {
-            page_size: 1024,
-            cache_pages: 0,
-        });
+        let pager = fresh_pager(1024);
         let pst = Pst::build(&pager, 0, Side::Right, PstConfig::binary(), set.clone()).unwrap();
         let mut queries = vertical_queries(&set, 100, 5, 17);
         queries.extend(fixed_height_queries(&set, 100, 50, 19));
@@ -89,10 +85,7 @@ fn main() {
     for exp in [12u32, 14, 16] {
         let n_items = 1usize << exp;
         let set = fan(n_items, 16, 1 << 20, 31);
-        let pager = Pager::new(PagerConfig {
-            page_size: 1024,
-            cache_pages: 0,
-        });
+        let pager = fresh_pager(1024);
         let pst = Pst::build(&pager, 0, Side::Right, PstConfig::binary(), set.clone()).unwrap();
         let queries = fixed_height_queries(&set, 100, 200, 41);
         let (mut total_l, mut worst_l, mut total_r) = (0u64, 0u32, 0u64);

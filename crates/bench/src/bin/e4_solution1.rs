@@ -4,10 +4,9 @@
 //! Regenerates: per-`N` space and search I/O against the predicted
 //! `log₂ n · log_B n` curve, on the mixed GIS-like workload.
 
-use segdb_bench::{correlation, f1, f2, ols_slope, run_batch, table};
+use segdb_bench::{correlation, f1, f2, fresh_pager, ols_slope, run_batch, table};
 use segdb_core::{IndexKind, TwoLevelInterval};
 use segdb_geom::gen::{fixed_height_queries, strips};
-use segdb_pager::{Pager, PagerConfig};
 
 fn main() {
     let mut rows = Vec::new();
@@ -16,10 +15,7 @@ fn main() {
         for exp in [12u32, 14, 16] {
             let n_items = 1usize << exp;
             let set = strips(n_items, 1 << 18, 16, 250, 5 + exp as u64);
-            let pager = Pager::new(PagerConfig {
-                page_size: page,
-                cache_pages: 0,
-            });
+            let pager = fresh_pager(page);
             let before = pager.live_pages();
             let t =
                 TwoLevelInterval::build(&pager, IndexKind::TwoLevelBinary.config(), set.clone())

@@ -8,11 +8,10 @@
 //! every other one moved up inside its strip, the rest exactly as they
 //! were — shown again in place, never by a rebuild.
 
-use segdb_bench::{correlation, f1, f2, lg, ols_slope, table};
+use segdb_bench::{correlation, f1, f2, fresh_pager, lg, ols_slope, table};
 use segdb_core::{IndexKind, TwoLevelInterval};
 use segdb_geom::gen::strips;
 use segdb_geom::Segment;
-use segdb_pager::{Pager, PagerConfig};
 
 fn main() {
     let mut rows = Vec::new();
@@ -21,10 +20,7 @@ fn main() {
         let n_items = 1usize << exp;
         let set = strips(n_items, 1 << 18, 16, 250, 77 + exp as u64);
         let page = 1024usize;
-        let pager = Pager::new(PagerConfig {
-            page_size: page,
-            cache_pages: 0,
-        });
+        let pager = fresh_pager(page);
         let mut t =
             TwoLevelInterval::build(&pager, IndexKind::TwoLevelBinary.config(), vec![]).unwrap();
 

@@ -8,10 +8,9 @@
 //! regenerates both rows plus the `d` sweep (space/time trade of the
 //! bridge density).
 
-use segdb_bench::{f1, f2, run_batch, table};
+use segdb_bench::{f1, f2, fresh_pager, run_batch, table};
 use segdb_core::interval2l::{Interval2LConfig, TwoLevelInterval};
 use segdb_geom::gen::{fixed_height_queries, strips};
-use segdb_pager::{Pager, PagerConfig};
 
 fn main() {
     // Long-segment-heavy workload: G dominates the query cost.
@@ -73,10 +72,7 @@ fn main() {
             }),
         ),
     ] {
-        let pager = Pager::new(PagerConfig {
-            page_size: page,
-            cache_pages: 0,
-        });
+        let pager = fresh_pager(page);
         let before = pager.live_pages();
         let t = TwoLevelInterval::build(&pager, cfg, set.clone()).unwrap();
         let blocks = pager.live_pages() - before;

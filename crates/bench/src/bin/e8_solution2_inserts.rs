@@ -5,10 +5,9 @@
 //! Regenerates: amortized insertion cost per `N` against the predicted
 //! `log_B n + log₂ B` curve, with and without bridge maintenance.
 
-use segdb_bench::{correlation, f1, f2, ols_slope, table};
+use segdb_bench::{correlation, f1, f2, fresh_pager, ols_slope, table};
 use segdb_core::interval2l::{Interval2LConfig, TwoLevelInterval};
 use segdb_geom::gen::strips;
-use segdb_pager::{Pager, PagerConfig};
 
 fn main() {
     let mut rows = Vec::new();
@@ -27,10 +26,7 @@ fn main() {
                 },
             ),
         ] {
-            let pager = Pager::new(PagerConfig {
-                page_size: page,
-                cache_pages: 0,
-            });
+            let pager = fresh_pager(page);
             let mut t = TwoLevelInterval::build(&pager, cfg, vec![]).unwrap();
             let io0 = pager.stats().total_io();
             for s in &set {

@@ -4,13 +4,12 @@
 //! same experiment at toy sizes and assert on the machine-readable
 //! output instead of scraping stdout.
 
-use crate::{f1, report, table};
+use crate::{f1, fresh_pager, report, table};
 use segdb_core::{FullScan, IndexKind, QueryTrace, StabThenFilter, TwoLevelInterval};
 use segdb_geom::gen::{strips, vertical_queries};
 use segdb_obs::cost::{CostKind, CostModel, Fitter};
 use segdb_obs::metrics::Histogram;
 use segdb_obs::Json;
-use segdb_pager::{Pager, PagerConfig};
 
 /// Per-index accumulation across the whole grid: the I/O-per-query
 /// histogram plus the paper-bound fitter, snapshotted into the
@@ -52,13 +51,6 @@ impl KindStats {
     }
 }
 
-fn fresh(page: usize) -> Pager {
-    Pager::new(PagerConfig {
-        page_size: page,
-        cache_pages: 0,
-    })
-}
-
 /// E10 — the four structures head-to-head across a (long-segment share ×
 /// query height) grid. Prints the crossover table, accumulates the
 /// per-kind I/O histograms and cost-model fits into the report
@@ -78,16 +70,16 @@ pub fn run_e10(n_items: usize, queries_per_cell: usize, shares: &[u32], heights:
         for &height_mille in heights {
             let queries = vertical_queries(&set, queries_per_cell, height_mille, 7);
 
-            let p1 = fresh(page);
+            let p1 = fresh_pager(page);
             let s1 = TwoLevelInterval::build(&p1, IndexKind::TwoLevelBinary.config(), set.clone())
                 .unwrap();
-            let p2 = fresh(page);
+            let p2 = fresh_pager(page);
             let s2 =
                 TwoLevelInterval::build(&p2, IndexKind::TwoLevelInterval.config(), set.clone())
                     .unwrap();
-            let p3 = fresh(page);
+            let p3 = fresh_pager(page);
             let s3 = FullScan::build(&p3, &set).unwrap();
-            let p4 = fresh(page);
+            let p4 = fresh_pager(page);
             let s4 = StabThenFilter::build(&p4, &set).unwrap();
 
             let (mut hits, mut stab_candidates) = (0u64, 0u64);

@@ -13,7 +13,7 @@
 //! absolute constants, which belong to the authors' 1998 testbed).
 
 use segdb_geom::{Segment, VerticalQuery};
-use segdb_pager::Pager;
+use segdb_pager::{Pager, PagerConfig};
 
 pub mod experiments;
 pub mod report;
@@ -170,6 +170,15 @@ pub fn correlation(points: &[(f64, f64)]) -> f64 {
         return 1.0;
     }
     cov / (vx * vy).sqrt()
+}
+
+/// An uncached pager of `page`-byte pages: every access is a device I/O,
+/// so the counts are the paper's.
+pub fn fresh_pager(page: usize) -> Pager {
+    Pager::new(PagerConfig {
+        page_size: page,
+        cache_pages: 0,
+    })
 }
 
 /// Two-decimal formatting shortcut.

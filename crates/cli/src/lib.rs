@@ -167,6 +167,7 @@
 //! a comment. All logic lives in this library crate so the integration
 //! tests drive [`run`] directly.
 
+use segdb_core::report::ids;
 use segdb_core::{
     torture, DbError, IndexKind, Query, QueryAnswer, QueryMode, QueryTrace, SegmentDatabase, XCuts,
 };
@@ -486,14 +487,15 @@ fn split_query_mode(args: &[String]) -> Result<(QueryMode, Vec<String>), CliErro
     Ok((mode, rest))
 }
 
-/// Render a mode-aware query answer: segments as CSV for collect/limit,
-/// a bare number for `--count`, `true`/`false` for `--exists`, plus a
-/// trailing `#` summary line carrying the I/O counters.
-fn render_answer(answer: &QueryAnswer, trace: &QueryTrace) -> String {
+/// Render a mode-aware query answer: segments as CSV ascending by id for
+/// collect/limit, a bare number for `--count`, `true`/`false` for
+/// `--exists`, plus a trailing `#` summary line carrying the I/O counters.
+fn render_answer(answer: QueryAnswer, trace: &QueryTrace) -> String {
     let mut out = String::new();
     match answer {
-        QueryAnswer::Segments(hits) => {
-            for h in hits {
+        QueryAnswer::Segments(mut hits) => {
+            hits.sort_unstable_by_key(|h| h.id);
+            for h in &hits {
                 let _ = writeln!(out, "{},{},{},{},{}", h.id, h.a.x, h.a.y, h.b.x, h.b.y);
             }
             let _ = writeln!(out, "# {} hits, {} block reads", hits.len(), trace.io.reads);
@@ -652,7 +654,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             } else {
                 db.query(&parse_query(args, 2)?, mode)?
             };
-            Ok(render_answer(&answer, &trace))
+            Ok(render_answer(answer, &trace))
         }
         "stats" => {
             if want(args, 1, "db path")? == "--remote" {
@@ -746,7 +748,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     ("shape", Json::Str(args[2].clone())),
                     (
                         "hits",
-                        Json::Arr(hits.iter().map(|s| Json::U64(s.id)).collect()),
+                        Json::Arr(ids(hits).into_iter().map(Json::U64).collect()),
                     ),
                     ("query", trace.to_json()),
                     ("spans", summary.to_json()),

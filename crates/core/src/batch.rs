@@ -356,9 +356,9 @@ impl ModeSink {
         }
     }
 
-    /// Segment-carrying answers are sheared back to user coordinates
-    /// and normalized; count/exists answers never materialize the
-    /// segments at all.
+    /// Segment-carrying answers are sheared back to user coordinates in
+    /// walk order; count/exists answers never materialize the segments
+    /// at all.
     fn into_answer(self, db: &SegmentDatabase) -> Result<QueryAnswer, DbError> {
         Ok(match self {
             ModeSink::Collect(v) => QueryAnswer::Segments(db.unshear(v)?),
@@ -627,6 +627,76 @@ mod tests {
                 assert!(truth.contains(&s.id), "{kind:?} limit returned non-hit");
             }
         }
+    }
+
+    /// A Collect answer leaves the walk as the walk found it: its ids are
+    /// the oracle's, alone and inside a group of 32; asking again gives
+    /// the same order; and a segment the walk reports twice trips the
+    /// debug-build distinctness check at the exit. Mixed sets, both index
+    /// kinds, three page sizes, every query shape.
+    #[test]
+    fn collect_answers_are_the_oracle_set_in_a_repeatable_walk_order() {
+        use segdb_rng::check;
+        check::run(
+            "collect_answers_are_the_oracle_set_in_a_repeatable_walk_order",
+            32,
+            |rng| {
+                let n = rng.gen_range(1..1_500u64);
+                (n, rng.next_u64(), rng.next_u64(), rng.next_u64())
+            },
+            |&(n, seed, qseed, pick)| {
+                let set = mixed_map(n as usize, seed);
+                let queries: Vec<VerticalQuery> =
+                    (vertical_queries(&set, 32, 1 + (pick % 200) as u32, qseed).iter())
+                        .enumerate()
+                        .map(|(i, q)| {
+                            let (x, lo, hi) = (q.x(), q.lo().unwrap(), q.hi().unwrap());
+                            match i % 4 {
+                                0 => VerticalQuery::Line { x },
+                                1 => VerticalQuery::RayUp { x, y0: lo },
+                                2 => VerticalQuery::RayDown { x, y0: hi },
+                                _ => *q,
+                            }
+                        })
+                        .collect();
+                let items: Vec<(VerticalQuery, QueryMode)> =
+                    queries.iter().map(|q| (*q, QueryMode::Collect)).collect();
+                let page = [256, 512, 1024][(pick / 200 % 3) as usize];
+                for kind in KINDS {
+                    let db = SegmentDatabase::builder()
+                        .page_size(page)
+                        .index(kind)
+                        .build(set.clone())
+                        .unwrap();
+                    let group = || -> Vec<QueryAnswer> {
+                        (db.query_batch_canonical_mode(&items).into_iter())
+                            .map(|r| r.unwrap().0)
+                            .collect()
+                    };
+                    let grouped = group();
+                    assert_eq!(group(), grouped, "{kind:?} page {page}: the group again");
+                    for (q, grouped) in queries.iter().zip(&grouped) {
+                        let tag = format!("{kind:?} page {page}, {q:?}");
+                        let want = crate::testutil::oracle_query(&set, q);
+                        let (alone, _) = collect(&db, q).unwrap();
+                        assert_eq!(ids(&alone), want, "{tag} alone");
+                        assert_eq!(ids(grouped.segments().unwrap()), want, "{tag} grouped");
+                        assert_eq!(collect(&db, q).unwrap().0, alone, "{tag} asked again");
+                        let Some(twice) = alone.first() else {
+                            continue;
+                        };
+                        let mut sink = ModeSink::new(QueryMode::Collect);
+                        for s in alone.iter().chain([twice]) {
+                            let _ = sink.report(s);
+                        }
+                        let exit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            sink.into_answer(&db)
+                        }));
+                        assert_eq!(exit.is_err(), cfg!(debug_assertions), "{tag} planted");
+                    }
+                }
+            },
+        );
     }
 
     /// A hidden stored segment is withheld by the walk, in every mode.

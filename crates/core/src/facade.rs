@@ -10,7 +10,7 @@ use crate::anyquery::AnyQueryIndex;
 use crate::batch::Hidden;
 use crate::interval2l::{GStats, Interval2LConfig, TwoLevelInterval};
 use crate::persist::Superblock;
-use crate::report::{normalize, Query, QueryAnswer, QueryMode, QueryTrace};
+use crate::report::{debug_assert_distinct, Query, QueryAnswer, QueryMode, QueryTrace};
 use segdb_geom::nct::verify_nct;
 use segdb_geom::transform::Direction;
 use segdb_geom::{GeomError, MultiSink, Point, Segment, VerticalQuery};
@@ -700,13 +700,16 @@ impl SegmentDatabase {
         }
     }
 
-    /// Back to user coordinates, sorted by id.
-    pub(crate) fn unshear(&self, hits: Vec<Segment>) -> Result<Vec<Segment>, DbError> {
-        let hits = hits
-            .iter()
-            .map(|s| self.direction.unapply_segment(s))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(normalize(hits))
+    /// Back to user coordinates in place and in walk order (the vertical
+    /// direction has nothing to undo).
+    pub(crate) fn unshear(&self, mut hits: Vec<Segment>) -> Result<Vec<Segment>, DbError> {
+        if !self.direction.is_vertical() {
+            for s in &mut hits {
+                *s = self.direction.unapply_segment(s)?;
+            }
+        }
+        debug_assert_distinct(&hits);
+        Ok(hits)
     }
 
     /// Feed one finished query into the observer's counters, histograms

@@ -130,3 +130,47 @@ fn load_binary_rejects_the_removed_batch_flag() {
     let usage = String::from_utf8_lossy(&help.stdout);
     assert!(usage.contains("--cluster") && !usage.contains("--batch"));
 }
+
+/// The wire's `ids` are ascending even though the database hands a
+/// Collect answer out in walk order: the reply sorts them, and
+/// `segdb-load` and the router read them that way.
+#[test]
+fn collect_reply_ids_ascend_and_equal_the_oracle() {
+    use segdb_core::{Query, QueryMode};
+    use segdb_geom::gen::vertical_queries;
+    use segdb_geom::query::scan_oracle;
+    use segdb_server::{proto, Client, ClientConfig};
+
+    let (family, n, seed) = (Family::Mixed, 2_000, 5);
+    let set = family.generate(n, seed);
+    let db = served_db(family, n, seed);
+    let server = Server::start(Arc::clone(&db), ServerConfig::default()).unwrap();
+    let mut client = Client::new(ClientConfig {
+        addr: server.addr().to_string(),
+        ..ClientConfig::default()
+    });
+    let mut walk_unsorted = 0;
+    for (i, q) in vertical_queries(&set, 40, 150, 9).into_iter().enumerate() {
+        let q = match i % 2 {
+            0 => segdb_geom::VerticalQuery::Line { x: q.x() },
+            _ => q,
+        };
+        let want: Vec<u64> = scan_oracle(&set, &q).iter().map(|s| s.id).collect();
+        let (method, params) = proto::query_wire(&Query::from(q));
+        let reply = client
+            .query_mode(method, &params, QueryMode::Collect)
+            .unwrap();
+        assert!(
+            reply.ids.windows(2).all(|w| w[0] < w[1]),
+            "{q:?}: {:?}",
+            reply.ids
+        );
+        assert_eq!(reply.ids, want, "{q:?}");
+        let (answer, _) = db.query(&Query::from(q), QueryMode::Collect).unwrap();
+        let walked: Vec<u64> = answer.segments().unwrap().iter().map(|s| s.id).collect();
+        walk_unsorted += usize::from(!walked.is_sorted());
+    }
+    assert!(walk_unsorted > 0, "no walk order differed from id order");
+    server.shutdown();
+    server.wait();
+}

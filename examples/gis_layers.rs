@@ -19,7 +19,8 @@ use segdb::geom::{Segment, VerticalQuery};
 use segdb::pager::{Pager, PagerConfig};
 
 /// Run every probe through `query`, print one table row, and return each
-/// probe's answer as sorted ids.
+/// probe's answer as sorted ids (a database answer lists its hits in
+/// walk order, the baselines in their own, so each is sorted to compare).
 fn row(
     name: &str,
     blocks: usize,
